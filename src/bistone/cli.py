@@ -43,6 +43,13 @@ def _say(msg):
     print(msg, file=sys.stderr)
 
 
+def _reject(report, out_path):
+    """FAIL report for an input that parsed but does not validate."""
+    _emit(report.to_json(), out_path)
+    _say(f"FAIL {report.axiom}: input does not validate")
+    return FAIL
+
+
 def cmd_validate(args):
     kind, obj = load_structure(args.infile)
     if kind == "dboolean":
@@ -63,9 +70,7 @@ def cmd_spec(args):
         raise UnknownKind(f"spec expects a d-lattice input, got {kind!r}")
     report = validate_dboolean(obj) if kind == "dboolean" else validate_dlattice(obj)
     if not report.ok:
-        _emit(report.to_json(), args.out)
-        _say(f"FAIL {report.axiom}: input does not validate")
-        return FAIL
+        return _reject(report, args.out)
     space = du.dspec(obj)
     _emit(bitop_to_json(space), args.out)
     _say(f"spectrum has {space.n} points")
@@ -85,6 +90,9 @@ def cmd_clop(args):
 def cmd_roundtrip(args):
     kind, obj = load_structure(args.infile)
     if kind == "dboolean":
+        report = validate_dboolean(obj)
+        if not report.ok:
+            return _reject(report, args.out)
         witness = du.unit_roundtrip(obj)
     elif kind == "bitop":
         witness = du.counit_roundtrip(obj)  # NotStone propagates as exit 1

@@ -9,8 +9,6 @@ import os
 
 DEFAULT_MAX_ELEMENTS = 64
 
-# Hard caps for operations that enumerate subsets of a carrier.
-SUBSET_SCAN_LIMIT = 1 << 16  # max number of subsets enumerated exhaustively
 BRUTE_FORCE_IDEAL_LIMIT = 20  # brute-force down-set oracle cap (elements)
 
 

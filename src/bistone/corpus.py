@@ -10,7 +10,7 @@ generator asserts them.
 from functools import lru_cache
 
 from .dlattice import lambda_of_dislat
-from .errors import BoundsTooLarge
+from .errors import BoundsTooLarge, NotALattice, NotBounded, NotDistributive
 from .lattice import FinitePoset, birkhoff, build_lattice
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -81,7 +81,7 @@ def distributive_lattices(max_size):
             continue
         try:
             out.append(build_lattice(poset.labels, poset))
-        except Exception:
+        except (NotBounded, NotALattice, NotDistributive):
             continue
     return out
 

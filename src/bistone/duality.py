@@ -35,11 +35,17 @@ from .dlattice import (
     validate_dlattice,
     validate_dlattice_hom,
 )
-from .errors import BoundsTooLarge, NotStone, NotZeroDimensional
+from .corpus import distributive_lattices as _distributive_lattices_upto
+from .errors import (
+    BoundsTooLarge,
+    CharacterizationMismatch,
+    InvariantViolation,
+    NotStone,
+    NotZeroDimensional,
+)
 from .ideals import BFF, BTT, enumerate_prime_d_ideals, idl_dframe
 from .lattice import (
     bits,
-    build_lattice,
     classical_spec,
     enumerate_lattice_homs,
     lattice_from_family,
@@ -302,28 +308,42 @@ def classical_square_check(B):
     return find_dlattice_iso(lhs, rhs) is not None
 
 
-def is_complete_lattice(L, scan_limit=1 << 14):
-    """Literal completeness: every subset has a least upper bound.
+def is_complete_lattice(L):
+    """Literal completeness: every subset S of L has a least upper bound.
 
-    Exhaustive over all subsets when feasible; otherwise reduced to the
-    validated binary joins plus bottom (the fold of a subset is its join,
-    so a finite lattice is complete).
+    Only the order rows are read, never the meet/join tables.  The upper
+    bounds of S form the mask ub(S), the AND of ``L.up[a]`` over a in S (the
+    full carrier when S is empty).  Intersecting with the rows of the
+    members of S one at a time reaches ub(S) from the full mask, and every
+    mask reached that way is ub of the members used; so the closure of the
+    full mask under U ↦ U & L.up[a] is exactly {ub(S) : S ⊆ L}.  A worklist
+    over the distinct masks of that closure therefore visits the upper-bound
+    set of every subset without listing the subsets.  S has a least upper
+    bound iff some l in U = ub(S) has U & ~L.up[l] == 0; an empty U fails.
+    A mask that passes equals ``L.up[l]``, so at most n masks pass before the
+    scan ends: O(n²) bit operations, with no size cap.
     """
-    if (1 << L.n) <= scan_limit:
-        for mask in range(1 << L.n):
-            members = list(bits(mask))
-            ubs = [u for u in range(L.n) if all(L.leq(a, u) for a in members)]
-            if not ubs:
-                return False
-            least = L.meet_fold(ubs)
-            if least not in ubs or any(not L.leq(least, u) for u in ubs):
-                return False
-        return True
-    return all(L.join_fold([a, b]) == int(L.join[a, b]) for a in range(L.n) for b in range(L.n))
+    full = (1 << L.n) - 1
+    seen = {full}
+    todo = [full]
+    while todo:
+        ub = todo.pop()
+        if not any(ub & ~L.up[least] == 0 for least in bits(ub)):
+            return False
+        for row in L.up:
+            nxt = ub & row
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return True
 
 
 def complete_extremally_disconnected_check(X):
-    """Biconditional: extremal disconnectedness ⟺ complete d-clopen algebra."""
+    """Biconditional: extremal disconnectedness ⟺ complete d-clopen algebra.
+
+    The right side is decided on both coordinate lattices of dClop(X) by the
+    exact upper-bound closure of ``is_complete_lattice``, at every size.
+    """
     if not is_zero_dimensional(X):
         raise NotZeroDimensional("check requires a zero-dimensional space")
     lhs = is_extremally_disconnected(X)
@@ -446,8 +466,8 @@ def _search_q1(max_points):
     seen = set()
     for n in range(1, max_points + 1):
         tops = enumerate_topologies(n)
-        if n <= 3:
-            assert tops == enumerate_topologies_raw(n), "topology enumeration paths disagree"
+        if n <= 3 and tops != enumerate_topologies_raw(n):
+            raise CharacterizationMismatch("topology enumeration paths disagree")
         labels = [f"x{i}" for i in range(n)]
         for tp in tops:
             for tm in tops:
@@ -464,9 +484,13 @@ def _search_q1(max_points):
                     and not is_stone(spc)
                 ):
                     fresh = BiTopSpace(labels, tp, tm)
-                    assert is_T0(fresh) and is_compact(fresh)
-                    assert connected_subsets_are_singletons(fresh)
-                    assert not is_stone(fresh)
+                    if not (
+                        is_T0(fresh)
+                        and is_compact(fresh)
+                        and connected_subsets_are_singletons(fresh)
+                        and not is_stone(fresh)
+                    ):
+                        raise InvariantViolation("Q1 counterexample failed re-verification")
                     payload = {
                         "points": list(fresh.labels),
                         "tau_plus": [list(bits(u)) for u in fresh.tau_plus],
@@ -478,20 +502,6 @@ def _search_q1(max_points):
     return SearchReport(
         "Q1", {"max_points": max_points}, examined, "EXHAUSTED_NO_COUNTEREXAMPLE", None, PERVIN_NOTE
     )
-
-
-def _distributive_lattices_upto(max_size):
-    from .corpus import unlabeled_posets
-
-    out = []
-    for poset in unlabeled_posets(max_size):
-        if poset.n < 2:
-            continue
-        try:
-            out.append(build_lattice(poset.labels, poset))
-        except Exception:
-            continue
-    return out
 
 
 def _down_sets_of_product(dl, seed_mask):
@@ -559,9 +569,11 @@ def _search_q2(max_lattice_size):
                     ok, detail = spatiality_check(cand)
                     if not ok:
                         fresh = DLattice(plus, minus, con, tot)
-                        assert validate_dlattice(fresh).ok
-                        ok2, detail2 = spatiality_check(fresh)
-                        assert not ok2 and detail2 == detail
+                        if not (
+                            validate_dlattice(fresh).ok
+                            and spatiality_check(fresh) == (False, detail)
+                        ):
+                            raise InvariantViolation("Q2 counterexample failed re-verification")
                         payload = {
                             "plus_size": plus.n,
                             "minus_size": minus.n,

@@ -63,6 +63,11 @@ class CharacterizationMismatch(BistoneError):
     """Two provably equivalent characterizations disagreed (internal bug)."""
 
 
+class InvariantViolation(BistoneError):
+    """A constructed result or a re-verified witness failed its own check
+    (internal bug); raised explicitly so the guard survives ``python -O``."""
+
+
 class BoundsTooLarge(BistoneError):
     """Requested size exceeds the configured guard."""
 

@@ -31,7 +31,7 @@ from .dlattice import (
     validate_dlattice,
     validate_dlattice_hom,
 )
-from .errors import CoveringViolation, NoSandwich, NotZeroDimensional
+from .errors import CoveringViolation, InvariantViolation, NoSandwich, NotZeroDimensional
 from .lattice import (
     Filter,
     Ideal,
@@ -133,18 +133,26 @@ class DFilterPair:
 
 def d_ideal_to_map(dl, pair):
     """The unique d-ideal map with the given zero sets (four-case table)."""
-    for p in bits(dl.con_mask):
-        a, b = dl.unpid(p)
-        if not (a in pair.iplus or b in pair.iminus):
-            raise CoveringViolation(
-                f"consistent pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
-                witness=(a, b),
-            )
+    zplus, zminus = pair.iplus.carrier, pair.iminus.carrier
+    nm = dl.minus.n
+    row = (1 << nm) - 1
+    # (a, b) is covered when a ∈ I+ (whole row) or b ∈ I-; the lowest
+    # uncovered pair id is the first consistent pair a scan would meet
+    covered = 0
+    for a in range(dl.plus.n):
+        covered |= (row if (zplus >> a) & 1 else zminus) << (a * nm)
+    uncovered = dl.con_mask & ~covered
+    if uncovered:
+        a, b = dl.unpid((uncovered & -uncovered).bit_length() - 1)
+        raise CoveringViolation(
+            f"consistent pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
+            witness=(a, b),
+        )
+    minus_row = tuple(0 if (zminus >> b) & 1 else BFF for b in range(nm))
     values = []
     for a in range(dl.plus.n):
-        for b in range(dl.minus.n):
-            v = (0 if a in pair.iplus else BTT) | (0 if b in pair.iminus else BFF)
-            values.append(v)
+        plus_value = 0 if (zplus >> a) & 1 else BTT
+        values.extend(plus_value | v for v in minus_row)
     return BMap(dl, tuple(values))
 
 
@@ -303,7 +311,8 @@ def _primes_structural(A):
             minus_mask |= 1 << A.dagger[a]
         im = ideal_from_carrier(A.minus, minus_mask)
         g = d_ideal_to_map(A, DIdealPair(ip, im))
-        assert is_prime_d_ideal(A, g)
+        if not is_prime_d_ideal(A, g):
+            raise InvariantViolation("structural prime d-ideal failed the two validators")
         out.append(g)
     return out
 
@@ -422,7 +431,8 @@ class DFrame(DLattice):
 def as_dframe(dl):
     df = DFrame(dl.plus, dl.minus, dl.con_mask, dl.tot_mask)
     report = validate_dlattice(df)
-    assert report.ok, report.message
+    if not report.ok:
+        raise InvariantViolation(f"as_dframe input is not a d-lattice: {report.message}")
     return df
 
 
@@ -437,22 +447,24 @@ def idl_dframe(dl):
 
     plus = ideal_lattice(dl.plus)
     minus = ideal_lattice(dl.minus)
-    C, T = dl.con_mat, dl.tot_mat
-    con = tot = 0
+    # con/tot of the pair of principal ideals (↓i, ↓j): every / some pair of
+    # the block down[i] × down[j] is consistent / total, read per plus row
     nm = dl.minus.n
+    row = (1 << nm) - 1
+    con_row = [(dl.con_mask >> (a * nm)) & row for a in range(dl.plus.n)]
+    tot_row = [(dl.tot_mask >> (a * nm)) & row for a in range(dl.plus.n)]
+    con = tot = 0
     for i in range(dl.plus.n):
         rows = list(bits(dl.plus.down[i]))
-        for j in range(nm):
-            cols = list(bits(dl.minus.down[j]))
-            block_c = C[np.ix_(rows, cols)]
-            block_t = T[np.ix_(rows, cols)]
-            if block_c.all():
+        for j, cols in enumerate(dl.minus.down):
+            if all(con_row[a] & cols == cols for a in rows):
                 con |= 1 << (i * nm + j)
-            if block_t.any():
+            if any(tot_row[a] & cols for a in rows):
                 tot |= 1 << (i * nm + j)
     df = DFrame(plus, minus, con, tot)
     report = validate_dlattice(df)
-    assert report.ok, f"idl must be a d-frame: {report.message}"
+    if not report.ok:
+        raise InvariantViolation(f"idl must be a d-frame: {report.message}")
     return df
 
 

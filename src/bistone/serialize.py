@@ -98,14 +98,29 @@ def lattice_from_json(obj):
     return build_lattice(_require(obj, "elements"), _require(obj, "leq"))
 
 
+def _pair_mask(shell, obj, key):
+    pairs = [tuple(p) for p in _require(obj, key)]
+    for a, b in pairs:
+        if not (_index_below(a, shell.plus.n) and _index_below(b, shell.minus.n)):
+            raise ParseError(f"{key} pair ({a!r},{b!r}) is out of range")
+    return pairs_to_mask(shell, pairs)
+
+
+def _index_below(x, n):
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+
+
 def dlattice_from_json(obj):
     plus = lattice_from_json(_require(obj, "plus"))
     minus = lattice_from_json(_require(obj, "minus"))
     shell = DLattice(plus, minus, 0, 0)
-    con = pairs_to_mask(shell, [tuple(p) for p in _require(obj, "con")])
-    tot = pairs_to_mask(shell, [tuple(p) for p in _require(obj, "tot")])
+    con = _pair_mask(shell, obj, "con")
+    tot = _pair_mask(shell, obj, "tot")
     if obj.get("kind") == "dboolean":
-        return DBooleanAlgebra(plus, minus, con, tot, tuple(_require(obj, "dagger")))
+        dagger = _require(obj, "dagger")
+        if len(dagger) != plus.n or not all(_index_below(b, minus.n) for b in dagger):
+            raise ParseError(f"dagger must list {plus.n} indices below {minus.n}")
+        return DBooleanAlgebra(plus, minus, con, tot, tuple(dagger))
     return DLattice(plus, minus, con, tot)
 
 

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import bistone
 from bistone.corpus import boolean_lattice, three_chain, two_chain, unlabeled_posets
 from bistone.dlattice import bool_dlattice, lambda_of_dislat, omega_of_lattice
 from bistone.lattice import FinitePoset, birkhoff
@@ -59,3 +64,17 @@ def lattices4(posets4):
 @pytest.fixture(scope="session")
 def bundle():
     return default_bundle()
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run a fresh interpreter (extra flags allowed) with this bistone importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bistone.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    return run

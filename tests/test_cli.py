@@ -156,6 +156,35 @@ def test_cli_roundtrip_not_stone(tmp_path, capsys):
     assert main(["roundtrip", "--in", str(path)]) == 1
 
 
+@pytest.fixture()
+def lam2_json():
+    from bistone.corpus import two_chain
+    from bistone.dlattice import lambda_of_dislat
+
+    return dlattice_to_json(lambda_of_dislat(two_chain()))
+
+
+def test_cli_roundtrip_out_of_range_pair_exits_2(tmp_path, lam2_json, run_python):
+    lam2_json["con"].append([9, 0])
+    path = tmp_path / "bad_pair.json"
+    path.write_text(dumps(lam2_json))
+    for command in ("validate", "spec", "roundtrip"):
+        result = run_python("-m", "bistone.cli", command, "--in", str(path))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr and "out of range" in result.stderr
+
+
+def test_cli_roundtrip_invalid_dagger_fails_report(tmp_path, lam2_json, run_python):
+    lam2_json["dagger"] = [0, 0]
+    path = tmp_path / "bad_dagger.json"
+    path.write_text(dumps(lam2_json))
+    result = run_python("-m", "bistone.cli", "roundtrip", "--in", str(path))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    report = json.loads(result.stdout)
+    assert report["ok"] is False and report["axiom"] == "dagger-bijection"
+
+
 def test_cli_gen_posets_counts(tmp_path, capsys):
     out = str(tmp_path / "corpus")
     assert main(["gen", "--kind", "posets", "--bounds", "3", "--out", out]) == 0

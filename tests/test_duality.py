@@ -5,14 +5,14 @@ import pytest
 
 from bistone import bitop as bt
 from bistone import duality as du
-from bistone.corpus import boolean_lattice, three_chain
+from bistone.corpus import boolean_lattice, three_chain, unlabeled_posets
 from bistone.dlattice import (
     enumerate_dlattice_homs,
     find_dboolean_iso,
     lambda_of_dislat,
 )
 from bistone.errors import BoundsTooLarge, NotStone, NotZeroDimensional
-from bistone.lattice import birkhoff, enumerate_lattice_homs
+from bistone.lattice import FiniteLattice, FinitePoset, birkhoff, enumerate_lattice_homs
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,57 @@ def test_complete_check_requires_zero_dimensional():
 def test_is_complete_lattice_literal():
     assert du.is_complete_lattice(boolean_lattice(2))
     assert du.is_complete_lattice(three_chain())
+
+
+def _literal_complete(L):
+    """Oracle: the per-subset scan, listing the upper bounds of every subset
+    and asking for one below all of them (order rows only)."""
+    for mask in range(1 << L.n):
+        ubs = [u for u in range(L.n) if mask & ~L.down[u] == 0]
+        if not any(all(L.leq(least, u) for u in ubs) for least in ubs):
+            return False
+    return True
+
+
+def _order_shell(n, below):
+    """A FiniteLattice wrapper around an arbitrary poset, without tables."""
+    leq = [[i == j or (i, j) in below for j in range(n)] for i in range(n)]
+    return FiniteLattice(FinitePoset([f"e{i}" for i in range(n)], leq), 0, n - 1, None, None)
+
+
+def test_is_complete_lattice_matches_literal_scan():
+    checked = 0
+    for p in unlabeled_posets(5):
+        A = bt.dclop_algebra(bt.stone_space_from_poset(p))
+        for L in (A.plus, A.minus):
+            if L.n <= 12:
+                assert du.is_complete_lattice(L) and _literal_complete(L)
+                checked += 1
+    assert checked == 128
+
+
+def test_is_complete_lattice_matches_literal_scan_on_posets():
+    verdicts = []
+    for p in unlabeled_posets(5):
+        shell = FiniteLattice(p, 0, p.n - 1, None, None)
+        verdicts.append(du.is_complete_lattice(shell))
+        assert verdicts[-1] == _literal_complete(shell)
+    assert True in verdicts and False in verdicts
+
+
+def test_is_complete_lattice_rejects_two_maximal_elements():
+    # a bottom below 16 atoms: past the old 2**14 subset cap
+    shell = _order_shell(17, {(0, a) for a in range(1, 17)})
+    assert not du.is_complete_lattice(shell)
+
+
+def test_is_complete_lattice_rejects_pair_without_least_upper_bound():
+    # 0 < a, b < c, d < 1 with c and d incomparable: {a, b} has no join
+    below = {(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)}
+    below |= {(0, 3), (0, 4), (0, 5), (1, 5), (2, 5)}
+    shell = _order_shell(6, below)
+    assert not du.is_complete_lattice(shell)
+    assert not _literal_complete(shell)
 
 
 def test_frame_space_duality_on_dO(x2):

@@ -1,9 +1,14 @@
 """d-ideal/d-filter maps, prime d-ideals, the sandwich property, the ideal
 frame and the equivalence with compact zero-dimensional d-frames."""
 
+import textwrap
+
+import numpy as np
 import pytest
 
-from bistone.dlattice import lambda_of_dislat, validate_dlattice_hom
+from bistone import duality as du
+from bistone.corpus import dbool_corpus
+from bistone.dlattice import DLattice, lambda_of_dislat, validate_dlattice, validate_dlattice_hom
 from bistone.errors import CoveringViolation, NotZeroDimensional
 from bistone.ideals import (
     B0,
@@ -335,3 +340,96 @@ def test_dcomplemented_elements_compact(omega3):
                     break
                 closure |= new
             assert any(L.leq(a, d) for d in closure)
+
+
+@pytest.fixture(scope="module")
+def kernel_inputs(omega3):
+    """The d-Boolean corpus up to 5-element posets, omega3, and every valid
+    Q2 candidate on coordinate lattices of size 2..4."""
+    out = list(dbool_corpus(5)) + [omega3]
+    lattices = du._distributive_lattices_upto(4)
+    for plus in lattices:
+        for minus in lattices:
+            shell = DLattice(plus, minus, 0, 0)
+            seed = (1 << shell.tt) | (1 << shell.ff)
+            cons = [c for c in du._down_sets_of_product(shell, seed)[0] if du._logic_closed(shell, c)]
+            tots = [t for t in du._up_sets_containing(shell, seed) if du._logic_closed(shell, t)]
+            for con in cons:
+                for tot in tots:
+                    cand = DLattice(plus, minus, con, tot)
+                    if validate_dlattice(cand).ok:
+                        out.append(cand)
+    assert len(out) == 87 + 1 + 135
+    return out
+
+
+def _idl_masks_by_blocks(dl):
+    """Oracle: con/tot of the ideal frame from numpy blocks of con_mat/tot_mat."""
+    con = tot = 0
+    for i in range(dl.plus.n):
+        rows = list(bits(dl.plus.down[i]))
+        for j in range(dl.minus.n):
+            cols = list(bits(dl.minus.down[j]))
+            if dl.con_mat[np.ix_(rows, cols)].all():
+                con |= 1 << dl.pid(i, j)
+            if dl.tot_mat[np.ix_(rows, cols)].any():
+                tot |= 1 << dl.pid(i, j)
+    return con, tot
+
+
+def test_idl_masks_match_block_definition(kernel_inputs):
+    for dl in kernel_inputs:
+        df = idl_dframe(dl)
+        assert (df.con_mask, df.tot_mask) == _idl_masks_by_blocks(dl)
+
+
+def _four_case_by_membership(dl, pair):
+    """Oracle: the first uncovered consistent pair, else the four-case values,
+    read through Ideal.__contains__."""
+    for p in bits(dl.con_mask):
+        a, b = dl.unpid(p)
+        if not (a in pair.iplus or b in pair.iminus):
+            return (a, b)
+    return tuple(
+        (0 if a in pair.iplus else BTT) | (0 if b in pair.iminus else BFF)
+        for a in range(dl.plus.n)
+        for b in range(dl.minus.n)
+    )
+
+
+def test_d_ideal_to_map_matches_membership_table(kernel_inputs):
+    uncovered = 0
+    for dl in kernel_inputs:
+        for u in range(dl.plus.n):
+            for v in range(dl.minus.n):
+                pair = DIdealPair(principal_ideal(dl.plus, u), principal_ideal(dl.minus, v))
+                want = _four_case_by_membership(dl, pair)
+                try:
+                    got = d_ideal_to_map(dl, pair).values
+                except CoveringViolation as exc:
+                    got = exc.witness
+                    uncovered += 1
+                assert got == want
+    assert uncovered
+
+
+def test_idl_guard_survives_python_O(run_python):
+    script = textwrap.dedent(
+        """
+        import sys
+        from bistone import ideals
+        from bistone.dlattice import bool_dlattice
+        from bistone.errors import InvariantViolation
+        from bistone.report import StructReport
+
+        B = bool_dlattice()
+        ideals.validate_dlattice = lambda dl: StructReport.failed("patched")
+        try:
+            ideals.idl_dframe(B)
+        except InvariantViolation:
+            print("raised", sys.flags.optimize)
+        """
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["raised", "1"]

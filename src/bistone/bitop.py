@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .config import max_elements
-from .dlattice import DBooleanAlgebra, validate_dboolean, validate_dlattice
-from .errors import BoundsTooLarge, CharacterizationMismatch
+from .dlattice import DBooleanAlgebra, require_valid, validate_dboolean, validate_dlattice
+from .errors import BoundsTooLarge, CharacterizationMismatch, InvariantViolation
 from .ideals import BFF, BTT, BMap, DFrame, enumerate_prime_d_ideals
-from .lattice import bits, lattice_from_family, mask_of
+from .lattice import bits, down_sets, lattice_from_family, mask_of
 
 
 class BiTopSpace:
@@ -49,18 +49,10 @@ class BiTopSpace:
     def set_label(self, mask):
         return "{" + ",".join(self.labels[i] for i in bits(mask)) + "}"
 
-    def closure_minus(self, mask):
-        """Smallest tau_minus-closed superset."""
+    def closure(self, mask, opens):
+        """Smallest superset of mask that is closed in the topology ``opens``."""
         out = self.full
-        for v in self.tau_minus:
-            closed = self.full & ~v
-            if mask & ~closed == 0:
-                out &= closed
-        return out
-
-    def closure_plus(self, mask):
-        out = self.full
-        for u in self.tau_plus:
+        for u in opens:
             closed = self.full & ~u
             if mask & ~closed == 0:
                 out &= closed
@@ -281,21 +273,21 @@ def is_stone(space):
 def is_pairwise_regular(space):
     for u in space.tau_plus:
         for x in bits(u):
-            if not any((v >> x) & 1 and space.closure_minus(v) & ~u == 0 for v in space.tau_plus):
+            if not any((v >> x) & 1 and space.closure(v, space.tau_minus) & ~u == 0 for v in space.tau_plus):
                 return False
     for v in space.tau_minus:
         for x in bits(v):
-            if not any((u >> x) & 1 and space.closure_plus(u) & ~v == 0 for u in space.tau_minus):
+            if not any((u >> x) & 1 and space.closure(u, space.tau_plus) & ~v == 0 for u in space.tau_minus):
                 return False
     return True
 
 
 def is_extremally_disconnected(space):
     for u in space.tau_plus:
-        if space.closure_minus(u) not in space.tau_plus:
+        if space.closure(u, space.tau_minus) not in space.tau_plus:
             return False
     for v in space.tau_minus:
-        if space.closure_plus(v) not in space.tau_minus:
+        if space.closure(v, space.tau_plus) not in space.tau_minus:
             return False
     return True
 
@@ -383,34 +375,8 @@ def find_homeomorphism(X, Y):
 # open-set d-frames and d-clopen algebras
 
 
-def dO(space):
-    """d-frame of the two open-set lattices; con is disjointness, tot is
-    covering."""
-    plus = lattice_from_family(space.n, space.tau_plus, space.labels)
-    minus = lattice_from_family(space.n, space.tau_minus, space.labels)
-    df = DFrame(plus, minus, 0, 0)
-    con = tot = 0
-    for a, u in enumerate(plus.sets):
-        for b, v in enumerate(minus.sets):
-            p = df.pid(a, b)
-            if u & v == 0:
-                con |= 1 << p
-            if u | v == space.full:
-                tot |= 1 << p
-    df.con_mask, df.tot_mask = con, tot
-    report = validate_dlattice(df)
-    assert report.ok, f"dO must be a d-frame: {report.message}"
-    return df
-
-
-def dclop_algebra(space):
-    """d-Boolean algebra of d-clopen sets; the pairing is set complement."""
-    fam_plus = plus_open_minus_closed(space)
-    fam_minus = minus_open_plus_closed(space)
-    plus = lattice_from_family(space.n, fam_plus, space.labels)
-    minus = lattice_from_family(space.n, fam_minus, space.labels)
-    minus_index = {v: j for j, v in enumerate(minus.sets)}
-    dagger = [minus_index[space.full & ~u] for u in plus.sets]
+def _disjoint_and_covering(space, plus, minus):
+    """con/tot masks of two set lattices: disjoint pairs, covering pairs."""
     con = tot = 0
     nm = minus.n
     for a, u in enumerate(plus.sets):
@@ -419,9 +385,27 @@ def dclop_algebra(space):
                 con |= 1 << (a * nm + b)
             if u | v == space.full:
                 tot |= 1 << (a * nm + b)
-    A = DBooleanAlgebra(plus, minus, con, tot, dagger)
-    report = validate_dboolean(A)
-    assert report.ok, f"dClop must be d-Boolean: {report.message}"
+    return con, tot
+
+
+def dO(space):
+    """d-frame of the two open-set lattices; con is disjointness, tot is
+    covering."""
+    plus = lattice_from_family(space.n, space.tau_plus, space.labels)
+    minus = lattice_from_family(space.n, space.tau_minus, space.labels)
+    df = DFrame(plus, minus, *_disjoint_and_covering(space, plus, minus))
+    require_valid(validate_dlattice(df), "dO")
+    return df
+
+
+def dclop_algebra(space):
+    """d-Boolean algebra of d-clopen sets; the pairing is set complement."""
+    plus = lattice_from_family(space.n, plus_open_minus_closed(space), space.labels)
+    minus = lattice_from_family(space.n, minus_open_plus_closed(space), space.labels)
+    minus_index = {v: j for j, v in enumerate(minus.sets)}
+    dagger = [minus_index[space.full & ~u] for u in plus.sets]
+    A = DBooleanAlgebra(plus, minus, *_disjoint_and_covering(space, plus, minus), dagger)
+    require_valid(validate_dboolean(A), "dClop")
     return A
 
 
@@ -471,26 +455,10 @@ def is_d_sober(space):
 def stone_space_from_poset(poset):
     """Up-sets as the plus topology, down-sets as the minus topology; the
     result is always Stone (finite topologies are Alexandrov)."""
-    n = poset.n
-    ups = [m for m in range(1 << n) if _is_up_set(poset, m)]
-    downs = [m for m in range(1 << n) if _is_down_set_mask(poset, m)]
-    spc = BiTopSpace(poset.labels, ups, downs)
-    assert is_stone(spc), "poset space failed the Stone characterizations"
+    spc = BiTopSpace(poset.labels, down_sets(poset.dual()), down_sets(poset))
+    if not is_stone(spc):
+        raise InvariantViolation("poset space failed the Stone characterizations")
     return spc
-
-
-def _is_up_set(poset, mask):
-    for i in bits(mask):
-        if poset.up[i] & ~mask:
-            return False
-    return True
-
-
-def _is_down_set_mask(poset, mask):
-    for i in bits(mask):
-        if poset.down[i] & ~mask:
-            return False
-    return True
 
 
 def bool_bitop_space():

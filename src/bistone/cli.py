@@ -157,7 +157,7 @@ def cmd_props(args):
         bundle = bundle_from_structures(structures)
     else:
         bundle = default_bundle()
-    rows = run_suite(args.suite, bundle, jobs=args.jobs)
+    rows = run_suite(args.suite, bundle)
     table = {"kind": "props-table", "version": 1, "suite": args.suite, "rows": rows}
     _emit(table, args.out)
     failures = [r for r in rows if not r["ok"]]
@@ -186,7 +186,6 @@ def build_parser():
             p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
 
     common(sub.add_parser("validate", help="validate a structure file"))
     common(sub.add_parser("spec", help="spectrum of a d-lattice"))
@@ -198,21 +197,18 @@ def build_parser():
     gen.add_argument("--bounds", required=True)
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--jobs", type=int, default=1)
 
     props = sub.add_parser("props", help="run an invariant suite")
     props.add_argument("--suite", required=True)
     props.add_argument("--corpus", default=None, help="directory of structure files")
     props.add_argument("--out", default=None)
     props.add_argument("--seed", type=int, default=0)
-    props.add_argument("--jobs", type=int, default=1)
 
     search = sub.add_parser("search", help="finite counterexample search")
     search.add_argument("--conjecture", required=True, choices=["Q1", "Q2"])
     search.add_argument("--bounds", required=True, type=int)
     search.add_argument("--out", default=None)
     search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--jobs", type=int, default=1)
 
     return parser
 
@@ -234,6 +230,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
+    previous = os.environ.get("BISTONE_MAX_ELEMENTS")
     if args.max_elements:
         os.environ["BISTONE_MAX_ELEMENTS"] = str(args.max_elements)
     try:
@@ -250,6 +247,12 @@ def main(argv=None):
     except FileNotFoundError as exc:
         _say(f"error: {exc}")
         return USAGE
+    finally:
+        # the override holds for this one command only
+        if previous is None:
+            os.environ.pop("BISTONE_MAX_ELEMENTS", None)
+        else:
+            os.environ["BISTONE_MAX_ELEMENTS"] = previous
 
 
 if __name__ == "__main__":

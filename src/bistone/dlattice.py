@@ -6,10 +6,22 @@ carrier with the coordinate product is lossless, so the monolithic form is
 only an import path (``decompose``).  Carrier elements are flat pair ids
 ``a * n_minus + b``.
 
+The pair sets are int bitmasks over pair ids, and that is their only
+representation: a ``DLattice`` is immutable once built, and every reader
+works on the masks or on ``DLattice.rows``, the minus-side row of a mask at
+each plus element.  Numpy is used only to vectorise over meet/join tables.
+
 Scott-closedness of the consistency predicate degenerates to being a
 down-set here: a directed set in a finite poset contains its own join (it
 has a maximal element, which by directedness dominates every member), so
 closure under directed joins is automatic for down-sets.
+
+Logic meet (a1 ∧ a2, b1 ∨ b2) and logic join (a1 ∨ a2, b1 ∧ b2) are
+monotone in the information order in both arguments.  So a down-set (con)
+is closed under them iff the operations on its maximal members stay inside,
+and an up-set (tot) iff the operations on its minimal members do.
+``validate_dlattice`` decides closure on those members and scans all member
+pairs only to name the first failing one.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +33,7 @@ from .errors import (
     DaggerNotOrderReversing,
     DegeneratePair,
     FactorizationFailure,
+    InvariantViolation,
     NotComplementaryPair,
 )
 from .lattice import (
@@ -37,24 +50,24 @@ from .report import StructReport
 
 
 class DLattice:
-    """Coordinate lattices plus con/tot pair sets (bitmasks over pair ids)."""
+    """Coordinate lattices plus con/tot pair sets (bitmasks over pair ids);
+    immutable once built."""
+
+    __slots__ = ("plus", "minus", "con_mask", "tot_mask")
 
     def __init__(self, plus, minus, con_mask, tot_mask):
-        self.plus = plus
-        self.minus = minus
-        self.con_mask = con_mask
-        self.tot_mask = tot_mask
-        self._cache = {}
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
+        object.__setattr__(self, "con_mask", con_mask)
+        object.__setattr__(self, "tot_mask", tot_mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- carrier ------------------------------------------------------------
-
-    @property
-    def np(self):
-        return self.plus.n
-
-    @property
-    def nm(self):
-        return self.minus.n
 
     @property
     def size(self):
@@ -86,12 +99,17 @@ class DLattice:
         a, b = self.unpid(p)
         return f"({self.plus.labels[a]},{self.minus.labels[b]})"
 
-    # -- information order ops ----------------------------------------------
+    def labels_of(self, p):
+        a, b = self.unpid(p)
+        return (self.plus.labels[a], self.minus.labels[b])
 
-    def info_leq(self, p, q):
-        a1, b1 = self.unpid(p)
-        a2, b2 = self.unpid(q)
-        return self.plus.leq(a1, a2) and self.minus.leq(b1, b2)
+    def rows(self, mask):
+        """Per plus element a, the minus-side bitmask of the pairs (a, b) in mask."""
+        nm = self.minus.n
+        row = (1 << nm) - 1
+        return [(mask >> (a * nm)) & row for a in range(self.plus.n)]
+
+    # -- information order ops ----------------------------------------------
 
     def meet(self, p, q):
         a1, b1 = self.unpid(p)
@@ -115,51 +133,6 @@ class DLattice:
 
     def in_tot(self, p):
         return (self.tot_mask >> p) & 1 == 1
-
-    # -- cached numpy views ----------------------------------------------------
-
-    def _matrix(self, mask):
-        out = np.zeros((self.plus.n, self.minus.n), dtype=bool)
-        for p in bits(mask):
-            a, b = self.unpid(p)
-            out[a, b] = True
-        return out
-
-    @property
-    def con_mat(self):
-        if "con_mat" not in self._cache:
-            self._cache["con_mat"] = self._matrix(self.con_mask)
-        return self._cache["con_mat"]
-
-    @property
-    def tot_mat(self):
-        if "tot_mat" not in self._cache:
-            self._cache["tot_mat"] = self._matrix(self.tot_mask)
-        return self._cache["tot_mat"]
-
-    @property
-    def leq_plus(self):
-        if "leq_plus" not in self._cache:
-            n = self.plus.n
-            self._cache["leq_plus"] = np.array(
-                [[(self.plus.up[i] >> j) & 1 for j in range(n)] for i in range(n)], dtype=bool
-            )
-        return self._cache["leq_plus"]
-
-    @property
-    def leq_minus(self):
-        if "leq_minus" not in self._cache:
-            n = self.minus.n
-            self._cache["leq_minus"] = np.array(
-                [[(self.minus.up[i] >> j) & 1 for j in range(n)] for i in range(n)], dtype=bool
-            )
-        return self._cache["leq_minus"]
-
-    def con_pairs(self):
-        return [self.unpid(p) for p in bits(self.con_mask)]
-
-    def tot_pairs(self):
-        return [self.unpid(p) for p in bits(self.tot_mask)]
 
 
 def pairs_to_mask(dl, pairs):
@@ -204,12 +177,85 @@ def logic_order_lattice(dl):
 
 
 # ---------------------------------------------------------------------------
+# pair-set kernels over rows
+
+
+def _low(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def closure_gap(rows, plus_rel, minus_rel):
+    """Lowest (a, b) of the closure of a pair set that the set misses, or None.
+
+    Row a of the closure is the ``minus_rel`` closure of the OR of the rows
+    at ``plus_rel[a]``: (up, down) rows of the coordinate lattices give the
+    down-closure, (down, up) rows the up-closure.
+    """
+    for a, row in enumerate(rows):
+        reach = 0
+        for a2 in bits(plus_rel[a]):
+            reach |= rows[a2]
+        closed = 0
+        for b in bits(reach):
+            closed |= minus_rel[b]
+        missing = closed & ~row
+        if missing:
+            return a, _low(missing)
+    return None
+
+
+def extremal_members(dl, rows, plus_rel, minus_rel):
+    """The maximal members of a down-set (up rows of both coordinates), or
+    the minimal members of an up-set (down rows), as pair ids.
+
+    (a, b) is extremal iff b is extremal in row a and lies in no row at a
+    strictly larger (smaller) plus element: a member beyond it in the
+    product would put b itself in that row, the set being a down-set
+    (up-set).
+    """
+    nm = dl.minus.n
+    out = []
+    for a, row in enumerate(rows):
+        beyond = 0
+        for a2 in bits(plus_rel[a] & ~(1 << a)):
+            beyond |= rows[a2]
+        for b in bits(row & ~beyond):
+            if row & minus_rel[b] == 1 << b:
+                out.append(a * nm + b)
+    return out
+
+
+def logic_tables(dl):
+    """Logic meet and join by name, each as its (plus, minus) coordinate
+    tables in nested lists, for the per-pair scans below."""
+    P, M = dl.plus, dl.minus
+    return (
+        ("logic-meet", P.meet.tolist(), M.join.tolist()),
+        ("logic-join", P.join.tolist(), M.meet.tolist()),
+    )
+
+
+def first_escape(dl, plus_table, minus_table, mask, members):
+    """First (p, q) of members, in lexicographic order, whose image under the
+    coordinatewise operation lies outside mask."""
+    nm = dl.minus.n
+    coords = [divmod(q, nm) for q in members]
+    for p, (a1, b1) in zip(members, coords):
+        plus_row, minus_row = plus_table[a1], minus_table[b1]
+        for q, (a2, b2) in zip(members, coords):
+            if not (mask >> (plus_row[a2] * nm + minus_row[b2])) & 1:
+                return p, q
+    return None
+
+
+# ---------------------------------------------------------------------------
 # axiom validation
 
 
 def validate_dlattice(dl):
     """PASS, or the first violated d-lattice axiom with a concrete witness."""
-    if dl.plus.n < 2 or dl.minus.n < 2:
+    P, M = dl.plus, dl.minus
+    if P.n < 2 or M.n < 2:
         return StructReport.failed(
             "degenerate-pair",
             message="{tt,ff} = {1,0}: a coordinate lattice is trivial",
@@ -223,70 +269,75 @@ def validate_dlattice(dl):
     if not dl.in_tot(dl.ff):
         return StructReport.failed("tot-tt-ff", witness="ff", message="ff not in tot")
 
-    C, T = dl.con_mat, dl.tot_mat
-    LP, LM = dl.leq_plus, dl.leq_minus
+    con_rows, tot_rows = dl.rows(dl.con_mask), dl.rows(dl.tot_mask)
     # down-closure of con (finite Scott-closedness, see module docstring)
-    closure = (LP @ (C.astype(np.int32) @ LM.T.astype(np.int32))) > 0
-    missing = np.argwhere(closure & ~C)
-    if missing.size:
-        a, b = (int(x) for x in missing[0])
+    gap = closure_gap(con_rows, P.up, M.down)
+    if gap is not None:
+        a, b = gap
         return StructReport.failed(
             "con-scott-closed",
-            witness=(dl.plus.labels[a], dl.minus.labels[b]),
-            message=f"con misses the smaller pair ({dl.plus.labels[a]},{dl.minus.labels[b]})",
+            witness=(P.labels[a], M.labels[b]),
+            message=f"con misses the smaller pair ({P.labels[a]},{M.labels[b]})",
         )
-    up_closure = (LP.T @ (T.astype(np.int32) @ LM.astype(np.int32))) > 0
-    missing = np.argwhere(up_closure & ~T)
-    if missing.size:
-        a, b = (int(x) for x in missing[0])
+    gap = closure_gap(tot_rows, P.down, M.up)
+    if gap is not None:
+        a, b = gap
         return StructReport.failed(
             "tot-upper-set",
-            witness=(dl.plus.labels[a], dl.minus.labels[b]),
-            message=f"tot misses the larger pair ({dl.plus.labels[a]},{dl.minus.labels[b]})",
+            witness=(P.labels[a], M.labels[b]),
+            message=f"tot misses the larger pair ({P.labels[a]},{M.labels[b]})",
         )
 
-    for name, mat in (("con", C), ("tot", T)):
-        rows, cols = np.nonzero(mat)
-        if rows.size:
-            a1, a2 = rows[:, None], rows[None, :]
-            b1, b2 = cols[:, None], cols[None, :]
-            sqcap = mat[dl.plus.meet[a1, a2], dl.minus.join[b1, b2]]
-            sqcup = mat[dl.plus.join[a1, a2], dl.minus.meet[b1, b2]]
-            for op, ok in (("logic-meet", sqcap), ("logic-join", sqcup)):
-                bad = np.argwhere(~ok)
-                if bad.size:
-                    i, j = (int(x) for x in bad[0])
-                    w = (
-                        (dl.plus.labels[int(rows[i])], dl.minus.labels[int(cols[i])]),
-                        (dl.plus.labels[int(rows[j])], dl.minus.labels[int(cols[j])]),
-                    )
-                    return StructReport.failed(
-                        f"{name}-logic-sublattice",
-                        witness=w,
-                        message=f"{name} not closed under {op} at {w}",
-                    )
-
-    crows, ccols = np.nonzero(C)
-    trows, tcols = np.nonzero(T)
-    if crows.size and trows.size:
-        same_plus = crows[:, None] == trows[None, :]
-        same_minus = ccols[:, None] == tcols[None, :]
-        below = dl.leq_plus[crows[:, None], trows[None, :]] & dl.leq_minus[ccols[:, None], tcols[None, :]]
-        bad = np.argwhere((same_plus | same_minus) & ~below)
-        if bad.size:
-            i, j = (int(x) for x in bad[0])
-            alpha = (dl.plus.labels[int(crows[i])], dl.minus.labels[int(ccols[i])])
-            beta = (dl.plus.labels[int(trows[j])], dl.minus.labels[int(tcols[j])])
+    for name, mask, deciding in (
+        ("con", dl.con_mask, extremal_members(dl, con_rows, P.up, M.up)),
+        ("tot", dl.tot_mask, extremal_members(dl, tot_rows, P.down, M.down)),
+    ):
+        for op_name, plus_table, minus_table in logic_tables(dl):
+            if first_escape(dl, plus_table, minus_table, mask, deciding) is None:
+                continue
+            p, q = first_escape(dl, plus_table, minus_table, mask, list(bits(mask)))
+            w = (dl.labels_of(p), dl.labels_of(q))
             return StructReport.failed(
-                "con-tot",
-                witness={"alpha": alpha, "beta": beta},
-                message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
+                f"{name}-logic-sublattice",
+                witness=w,
+                message=f"{name} not closed under {op_name} at {w}",
             )
+
+    # a consistent (a, b) must lie below every total pair in its row and column
+    nm = M.n
+    tot_cols = [0] * nm
+    for a, row in enumerate(tot_rows):
+        for b in bits(row):
+            tot_cols[b] |= 1 << a
+    for p in bits(dl.con_mask):
+        a, b = divmod(p, nm)
+        in_row = tot_rows[a] & ~M.up[b]
+        in_col = tot_cols[b] & ~P.up[a]
+        if not (in_row or in_col):
+            continue
+        # lowest pair id: column pairs at plus ids below a, then the row, then the rest
+        if in_col & ((1 << a) - 1) or not in_row:
+            beta = _low(in_col) * nm + b
+        else:
+            beta = a * nm + _low(in_row)
+        alpha, beta = dl.labels_of(p), dl.labels_of(beta)
+        return StructReport.failed(
+            "con-tot",
+            witness={"alpha": alpha, "beta": beta},
+            message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
+        )
     return StructReport.passed("valid d-lattice")
 
 
 # ---------------------------------------------------------------------------
 # constructions
+
+
+def require_valid(report, what):
+    """Raise InvariantViolation unless a constructed result validated; the
+    guard survives ``python -O``."""
+    if not report.ok:
+        raise InvariantViolation(f"{what} failed validation: {report.message}")
 
 
 @lru_cache(maxsize=1)
@@ -298,10 +349,9 @@ def bool_dlattice():
     """
     two_t = build_lattice(["0", "tt"], [[True, True], [False, True]])
     two_f = build_lattice(["0", "ff"], [[True, True], [False, True]])
-    dl = DBooleanAlgebra(two_t, two_f, 0, 0, (1, 0))
-    dl.con_mask = pairs_to_mask(dl, [(0, 0), (1, 0), (0, 1)])
-    dl.tot_mask = pairs_to_mask(dl, [(1, 1), (1, 0), (0, 1)])
-    assert validate_dboolean(dl).ok
+    # pair ids a * 2 + b: con = {0, ff, tt}, tot = {ff, tt, 1}
+    dl = DBooleanAlgebra(two_t, two_f, 0b0111, 0b1110, (1, 0))
+    require_valid(validate_dboolean(dl), "the four-element object")
     return dl
 
 
@@ -354,17 +404,15 @@ def omega_of_lattice(H):
     """Doubled d-lattice on H: con is disjointness, tot is covering."""
     if H.n < 2:
         raise DegeneratePair("omega of the one-element lattice is degenerate")
-    dl = DLattice(H, H, 0, 0)
     con = tot = 0
     for a in range(H.n):
         for b in range(H.n):
             if int(H.meet[a, b]) == H.bot:
-                con |= 1 << dl.pid(a, b)
+                con |= 1 << (a * H.n + b)
             if int(H.join[a, b]) == H.top:
-                tot |= 1 << dl.pid(a, b)
-    dl.con_mask, dl.tot_mask = con, tot
-    report = validate_dlattice(dl)
-    assert report.ok, report.message
+                tot |= 1 << (a * H.n + b)
+    dl = DLattice(H, H, con, tot)
+    require_valid(validate_dlattice(dl), "omega")
     return dl
 
 
@@ -376,33 +424,38 @@ def d_complement(dl, x, side):
     of the minus lattice), on the minus side it is tt.
     """
     both = dl.con_mask & dl.tot_mask
-    found = None
     if side == "+":
-        for b in range(dl.minus.n):
-            if (both >> dl.pid(x, b)) & 1:
-                assert found is None, "d-complement not unique"
-                found = b
+        found = [b for b in range(dl.minus.n) if (both >> dl.pid(x, b)) & 1]
     elif side == "-":
-        for a in range(dl.plus.n):
-            if (both >> dl.pid(a, x)) & 1:
-                assert found is None, "d-complement not unique"
-                found = a
+        found = [a for a in range(dl.plus.n) if (both >> dl.pid(a, x)) & 1]
     else:
         raise ValueError("side must be '+' or '-'")
-    return found
+    if len(found) > 1:
+        raise InvariantViolation("d-complement not unique")
+    return found[0] if found else None
+
+
+def d_complemented_sides(dl):
+    """Index lists of d-complemented elements on each side."""
+    bplus = [a for a in range(dl.plus.n) if d_complement(dl, a, "+") is not None]
+    bminus = [b for b in range(dl.minus.n) if d_complement(dl, b, "-") is not None]
+    return bplus, bminus
 
 
 class DBooleanAlgebra(DLattice):
     """d-lattice in which taking d-complements is an order-reversing
     bijection between the coordinate lattices."""
 
+    __slots__ = ("dagger", "dagger_inv")
+
     def __init__(self, plus, minus, con_mask, tot_mask, dagger):
         super().__init__(plus, minus, con_mask, tot_mask)
-        self.dagger = tuple(int(x) for x in dagger)
+        dagger = tuple(int(x) for x in dagger)
         inv = [0] * minus.n
-        for a, b in enumerate(self.dagger):
+        for a, b in enumerate(dagger):
             inv[b] = a
-        self.dagger_inv = tuple(inv)
+        object.__setattr__(self, "dagger", dagger)
+        object.__setattr__(self, "dagger_inv", tuple(inv))
 
 
 def validate_dboolean(A):
@@ -421,13 +474,12 @@ def validate_dboolean(A):
                 )
     for a in range(A.plus.n):
         for b in range(A.minus.n):
-            want_con = A.plus.leq(a, A.dagger_inv[b])
-            want_tot = A.minus.leq(A.dagger[a], b)
-            if A.con_mat[a, b] != want_con:
+            p = A.pid(a, b)
+            if A.in_con(p) != A.plus.leq(a, A.dagger_inv[b]):
                 return StructReport.failed(
                     "con-from-dagger", witness=(A.plus.labels[a], A.minus.labels[b])
                 )
-            if A.tot_mat[a, b] != want_tot:
+            if A.in_tot(p) != A.minus.leq(A.dagger[a], b):
                 return StructReport.failed(
                     "tot-from-dagger", witness=(A.plus.labels[a], A.minus.labels[b])
                 )
@@ -451,8 +503,7 @@ class Coreflection:
 
 def dB(dl):
     """d-Boolean algebra of d-complemented elements, with its embedding."""
-    bplus = [a for a in range(dl.plus.n) if d_complement(dl, a, "+") is not None]
-    bminus = [b for b in range(dl.minus.n) if d_complement(dl, b, "-") is not None]
+    bplus, bminus = d_complemented_sides(dl)
 
     def sublattice(L, elems):
         leq = [[L.leq(a, b) for b in elems] for a in elems]
@@ -461,10 +512,9 @@ def dB(dl):
         index = {a: i for i, a in enumerate(elems)}
         for i, a in enumerate(elems):
             for j, b in enumerate(elems):
-                assert int(L.meet[a, b]) in index and int(L.join[a, b]) in index, (
-                    "d-complemented elements failed to be a sublattice"
-                )
-                assert index[int(L.meet[a, b])] == int(sub.meet[i, j])
+                m = index.get(int(L.meet[a, b]))
+                if m != int(sub.meet[i, j]) or int(L.join[a, b]) not in index:
+                    raise InvariantViolation("d-complemented elements failed to be a sublattice")
         return sub
 
     plus = sublattice(dl.plus, bplus)
@@ -481,8 +531,7 @@ def dB(dl):
             if dl.in_tot(dl.pid(a, b)):
                 tot |= 1 << p
     algebra = DBooleanAlgebra(plus, minus, con, tot, dagger)
-    report = validate_dboolean(algebra)
-    assert report.ok, f"dB output must be d-Boolean: {report.message}"
+    require_valid(validate_dboolean(algebra), "dB output")
     return Coreflection(algebra, tuple(bplus), tuple(bminus))
 
 
@@ -503,7 +552,8 @@ class DLatticeHom:
 
     def compose(self, other):
         """self ∘ other."""
-        assert other.target is self.source or dlattice_equal(other.target, self.source)
+        if not (other.target is self.source or dlattice_equal(other.target, self.source)):
+            raise InvariantViolation("composed homs do not meet at one d-lattice")
         return DLatticeHom(
             other.source,
             self.target,
@@ -536,19 +586,19 @@ def validate_dlattice_hom(hom):
                 witness=rep.witness,
                 message=f"{name} component: {rep.message}",
             )
-    for a, b in src.con_pairs():
-        if not tgt.con_mat[hom.fplus[a], hom.fminus[b]]:
+    for p in bits(src.con_mask):
+        if not tgt.in_con(hom.apply(p)):
             return StructReport.failed(
                 "con",
-                witness=(src.plus.labels[a], src.minus.labels[b]),
-                message=f"image of consistent pair ({src.plus.labels[a]},{src.minus.labels[b]}) not consistent",
+                witness=src.labels_of(p),
+                message=f"image of consistent pair {src.pair_label(p)} not consistent",
             )
-    for a, b in src.tot_pairs():
-        if not tgt.tot_mat[hom.fplus[a], hom.fminus[b]]:
+    for p in bits(src.tot_mask):
+        if not tgt.in_tot(hom.apply(p)):
             return StructReport.failed(
                 "tot",
-                witness=(src.plus.labels[a], src.minus.labels[b]),
-                message=f"image of total pair ({src.plus.labels[a]},{src.minus.labels[b]}) not total",
+                witness=src.labels_of(p),
+                message=f"image of total pair {src.pair_label(p)} not total",
             )
     return StructReport.passed("valid d-lattice homomorphism")
 
@@ -603,15 +653,20 @@ def enumerate_dlattice_homs(src, tgt):
     return out
 
 
+def _image(hom, mask):
+    """The target pair set hit by the pairs of a source pair set."""
+    out = 0
+    for p in bits(mask):
+        out |= 1 << hom.apply(p)
+    return out
+
+
 def _preserves_con_tot(hom):
     src, tgt = hom.source, hom.target
-    fp = np.asarray(hom.fplus)
-    fm = np.asarray(hom.fminus)
-    C = src.con_mat
-    if not tgt.con_mat[fp[:, None], fm[None, :]][C].all():
-        return False
-    T = src.tot_mat
-    return tgt.tot_mat[fp[:, None], fm[None, :]][T].all()
+    return (
+        _image(hom, src.con_mask) & ~tgt.con_mask == 0
+        and _image(hom, src.tot_mask) & ~tgt.tot_mask == 0
+    )
 
 
 def dlattice_equal(d1, d2):
@@ -703,8 +758,7 @@ def from_dbl(obj):
             if obj.minus.leq(dagger[a], b):
                 tot |= 1 << (a * nm + b)
     A = DBooleanAlgebra(obj.plus, obj.minus, con, tot, dagger)
-    report = validate_dboolean(A)
-    assert report.ok, report.message
+    require_valid(validate_dboolean(A), "from_dbl")
     return A
 
 
@@ -719,10 +773,9 @@ def canonical_lambda_iso(A):
     """The isomorphism A ≅ λ(A.plus): identity on plus, dagger on minus."""
     lam = lambda_of_dislat(A.plus)
     hom = DLatticeHom(A, lam, tuple(range(A.plus.n)), A.dagger_inv)
-    rep = validate_dlattice_hom(hom)
-    assert rep.ok, rep.message
+    require_valid(validate_dlattice_hom(hom), "the canonical lambda iso")
     back = DLatticeHom(lam, A, tuple(range(A.plus.n)), A.dagger)
-    assert validate_dlattice_hom(back).ok
+    require_valid(validate_dlattice_hom(back), "the inverse lambda iso")
     return hom, back
 
 
@@ -733,9 +786,9 @@ def find_dboolean_iso(A, B):
         return None
     fminus = tuple(B.dagger[fp.mapping[A.dagger_inv[b]]] for b in range(A.minus.n))
     hom = DLatticeHom(A, B, fp.mapping, fminus)
-    rep = validate_dlattice_hom(hom)
-    assert rep.ok, rep.message
-    assert is_lattice_iso(LatticeHom(A.minus, B.minus, fminus))
+    require_valid(validate_dlattice_hom(hom), "the lifted d-Boolean iso")
+    if not is_lattice_iso(LatticeHom(A.minus, B.minus, fminus)):
+        raise InvariantViolation("the lifted minus map is not a lattice iso")
     return hom
 
 
@@ -746,11 +799,10 @@ def find_dlattice_iso(d1, d2):
     isos_plus = [h for h in enumerate_lattice_homs(d1.plus, d2.plus) if is_lattice_iso(h)]
     isos_minus = [h for h in enumerate_lattice_homs(d1.minus, d2.minus) if is_lattice_iso(h)]
     for fp, fm in iproduct(isos_plus, isos_minus):
-        fparr, fmarr = np.asarray(fp.mapping), np.asarray(fm.mapping)
-        if (d2.con_mat[fparr[:, None], fmarr[None, :]] == d1.con_mat).all() and (
-            d2.tot_mat[fparr[:, None], fmarr[None, :]] == d1.tot_mat
-        ).all():
-            return DLatticeHom(d1, d2, fp.mapping, fm.mapping)
+        hom = DLatticeHom(d1, d2, fp.mapping, fm.mapping)
+        # the component maps are bijections, so equal images mean an iso
+        if _image(hom, d1.con_mask) == d2.con_mask and _image(hom, d1.tot_mask) == d2.tot_mask:
+            return hom
     return None
 
 

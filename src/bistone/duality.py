@@ -28,9 +28,13 @@ from .dlattice import (
     DLattice,
     DLatticeHom,
     canonical_lambda_iso,
+    closure_gap,
     enumerate_dlattice_homs,
+    extremal_members,
     find_dlattice_iso,
+    first_escape,
     lambda_of_dislat,
+    logic_tables,
     omega_of_lattice,
     validate_dlattice,
     validate_dlattice_hom,
@@ -504,20 +508,24 @@ def _search_q1(max_points):
     )
 
 
-def _down_sets_of_product(dl, seed_mask):
-    """All down-sets of the coordinate product containing the seed."""
-    n = dl.size
-    down_masks = []
-    for p in range(n):
-        a, b = dl.unpid(p)
-        m = 0
-        for a2 in bits(dl.plus.down[a]):
-            for b2 in bits(dl.minus.down[b]):
-                m |= 1 << dl.pid(a2, b2)
-        down_masks.append(m)
+def _product_rows(dl, plus_rel, minus_rel):
+    """Per pair id (a, b), the pair-id mask of plus_rel[a] × minus_rel[b]."""
+    nm = dl.minus.n
+    out = []
+    for a in range(dl.plus.n):
+        for b in range(nm):
+            block = 0
+            for a2 in bits(plus_rel[a]):
+                block |= minus_rel[b] << (a2 * nm)
+            out.append(block)
+    return out
+
+
+def _closed_sets(rows, seed_mask):
+    """All pair sets containing the seed that hold rows[p] for each member p."""
     closed_seed = 0
     for p in bits(seed_mask):
-        closed_seed |= down_masks[p]
+        closed_seed |= rows[p]
     out = set()
     frontier = [closed_seed]
     while frontier:
@@ -525,23 +533,36 @@ def _down_sets_of_product(dl, seed_mask):
         if cur in out:
             continue
         out.add(cur)
-        for p in range(n):
-            if not (cur >> p) & 1 and down_masks[p] & ~cur & ~(1 << p) == 0:
-                frontier.append(cur | down_masks[p])
-    return sorted(out), down_masks
+        for p, row in enumerate(rows):
+            if not (cur >> p) & 1 and row & ~cur & ~(1 << p) == 0:
+                frontier.append(cur | row)
+    return sorted(out)
+
+
+def _down_sets_of_product(dl, seed_mask):
+    """All down-sets of the coordinate product containing the seed, with the
+    principal down-set of each pair id."""
+    rows = _product_rows(dl, dl.plus.down, dl.minus.down)
+    return _closed_sets(rows, seed_mask), rows
+
+
+def _up_sets_containing(dl, seed_mask):
+    """All up-sets of the coordinate product containing the seed."""
+    return _closed_sets(_product_rows(dl, dl.plus.up, dl.minus.up), seed_mask)
 
 
 def _logic_closed(dl, mask):
-    members = list(bits(mask))
-    for p in members:
-        a1, b1 = dl.unpid(p)
-        for q in members:
-            a2, b2 = dl.unpid(q)
-            sqcap = dl.pid(int(dl.plus.meet[a1, a2]), int(dl.minus.join[b1, b2]))
-            sqcup = dl.pid(int(dl.plus.join[a1, a2]), int(dl.minus.meet[b1, b2]))
-            if not ((mask >> sqcap) & 1 and (mask >> sqcup) & 1):
-                return False
-    return True
+    """Whether a pair set is closed under logic meet and join.  Down-sets and
+    up-sets are decided on their extremal members (see ``dlattice``)."""
+    P, M = dl.plus, dl.minus
+    rows = dl.rows(mask)
+    if closure_gap(rows, P.up, M.down) is None:
+        deciding = extremal_members(dl, rows, P.up, M.up)
+    elif closure_gap(rows, P.down, M.up) is None:
+        deciding = extremal_members(dl, rows, P.down, M.down)
+    else:
+        deciding = list(bits(mask))
+    return all(first_escape(dl, pt, mt, mask, deciding) is None for _, pt, mt in logic_tables(dl))
 
 
 def _search_q2(max_lattice_size):
@@ -591,30 +612,3 @@ def _search_q2(max_lattice_size):
     return SearchReport(
         "Q2", {"max_lattice_size": max_lattice_size}, examined, "EXHAUSTED_NO_COUNTEREXAMPLE"
     )
-
-
-def _up_sets_containing(dl, seed_mask):
-    """All up-sets of the coordinate product containing the seed."""
-    n = dl.size
-    up_masks = []
-    for p in range(n):
-        a, b = dl.unpid(p)
-        m = 0
-        for a2 in bits(dl.plus.up[a]):
-            for b2 in bits(dl.minus.up[b]):
-                m |= 1 << dl.pid(a2, b2)
-        up_masks.append(m)
-    closed_seed = 0
-    for p in bits(seed_mask):
-        closed_seed |= up_masks[p]
-    out = set()
-    frontier = [closed_seed]
-    while frontier:
-        cur = frontier.pop()
-        if cur in out:
-            continue
-        out.add(cur)
-        for p in range(n):
-            if not (cur >> p) & 1 and up_masks[p] & ~cur & ~(1 << p) == 0:
-                frontier.append(cur | up_masks[p])
-    return sorted(out)

@@ -26,7 +26,8 @@ from .dlattice import (
     Coreflection,
     bool_dlattice,
     dB,
-    d_complement,
+    d_complemented_sides,
+    require_valid,
     validate_carrier_hom,
     validate_dlattice,
     validate_dlattice_hom,
@@ -131,17 +132,22 @@ class DFilterPair:
     fminus: Filter
 
 
+def _covered(dl, zplus, zminus):
+    """Pair ids (a, b) with a in zplus (the whole row) or b in zminus."""
+    nm = dl.minus.n
+    row = (1 << nm) - 1
+    covered = 0
+    for a in range(dl.plus.n):
+        covered |= (row if (zplus >> a) & 1 else zminus) << (a * nm)
+    return covered
+
+
 def d_ideal_to_map(dl, pair):
     """The unique d-ideal map with the given zero sets (four-case table)."""
     zplus, zminus = pair.iplus.carrier, pair.iminus.carrier
     nm = dl.minus.n
-    row = (1 << nm) - 1
-    # (a, b) is covered when a ∈ I+ (whole row) or b ∈ I-; the lowest
-    # uncovered pair id is the first consistent pair a scan would meet
-    covered = 0
-    for a in range(dl.plus.n):
-        covered |= (row if (zplus >> a) & 1 else zminus) << (a * nm)
-    uncovered = dl.con_mask & ~covered
+    # the lowest uncovered pair id is the first consistent pair a scan would meet
+    uncovered = dl.con_mask & ~_covered(dl, zplus, zminus)
     if uncovered:
         a, b = dl.unpid((uncovered & -uncovered).bit_length() - 1)
         raise CoveringViolation(
@@ -217,14 +223,11 @@ def validate_d_ideal_map(dl, bmap):
         return StructReport.failed("g(tt)<=tt", witness=B_NAMES[bmap(dl.tt)])
     if bmap(dl.ff) & BTT:
         return StructReport.failed("g(ff)<=ff", witness=B_NAMES[bmap(dl.ff)])
-    con_viol = dl.con_mat & (V == B1)
-    bad = np.argwhere(con_viol)
-    if bad.size:
-        a, b = (int(x) for x in bad[0])
-        return StructReport.failed(
-            "g(con)", witness=(dl.plus.labels[a], dl.minus.labels[b]),
-            message="a consistent pair is sent to 1",
-        )
+    for p in bits(dl.con_mask):
+        if bmap.values[p] == B1:
+            return StructReport.failed(
+                "g(con)", witness=dl.labels_of(p), message="a consistent pair is sent to 1"
+            )
     lhs = V[dl.plus.join][:, :, dl.minus.join]
     rhs = V[:, None, :, None] | V[None, :, None, :]
     bad = np.argwhere(lhs != rhs)
@@ -245,14 +248,11 @@ def validate_d_filter_map(dl, bmap):
         return StructReport.failed("f(tt)>=tt", witness=B_NAMES[bmap(dl.tt)])
     if not bmap(dl.ff) & BFF:
         return StructReport.failed("f(ff)>=ff", witness=B_NAMES[bmap(dl.ff)])
-    tot_viol = dl.tot_mat & (V == B0)
-    bad = np.argwhere(tot_viol)
-    if bad.size:
-        a, b = (int(x) for x in bad[0])
-        return StructReport.failed(
-            "f(tot)", witness=(dl.plus.labels[a], dl.minus.labels[b]),
-            message="a total pair is sent to 0",
-        )
+    for p in bits(dl.tot_mask):
+        if bmap.values[p] == B0:
+            return StructReport.failed(
+                "f(tot)", witness=dl.labels_of(p), message="a total pair is sent to 0"
+            )
     lhs = V[dl.plus.meet][:, :, dl.minus.meet]
     rhs = V[:, None, :, None] & V[None, :, None, :]
     bad = np.argwhere(lhs != rhs)
@@ -319,19 +319,18 @@ def _primes_structural(A):
 
 def _primes_bruteforce(dl):
     out = []
-    LP, LM = dl.leq_plus, dl.leq_minus
-    C, T = dl.con_mat, dl.tot_mat
+    all_plus, all_minus = (1 << dl.plus.n) - 1, (1 << dl.minus.n) - 1
     for u in range(dl.plus.n):
-        below_u = LP[:, u]
+        below_u = dl.plus.down[u]
         for v in range(dl.minus.n):
-            below_v = LM[:, v]
+            below_v = dl.minus.down[v]
             # cheap clauses first (each is one validator clause)
             if u == dl.plus.top or v == dl.minus.top:
                 continue  # fails f(tt) >= tt / f(ff) >= ff
-            if (C & ~below_u[:, None] & ~below_v[None, :]).any():
+            if dl.con_mask & ~_covered(dl, below_u, below_v):
                 continue  # a consistent pair would be sent to 1
-            if (T & below_u[:, None] & below_v[None, :]).any():
-                continue  # a total pair would be sent to 0
+            if dl.tot_mask & ~_covered(dl, all_plus & ~below_u, all_minus & ~below_v):
+                continue  # a total pair, with both coordinates below, would be sent to 0
             candidate = d_ideal_to_map(
                 dl, DIdealPair(principal_ideal(dl.plus, u), principal_ideal(dl.minus, v))
             )
@@ -423,16 +422,14 @@ def prime_sandwich(dl, fmap, gmap):
 # the d-frame of ideals
 
 
-class DFrame(DLattice):
-    """Finite d-lattice seen as a d-frame (every finite distributive lattice
-    is a frame and finite Scott-openness of tot is the upper-set axiom)."""
+# Every finite d-lattice is a d-frame: every finite distributive lattice is
+# a frame and finite Scott-openness of tot is the upper-set axiom.
+DFrame = DLattice
 
 
 def as_dframe(dl):
     df = DFrame(dl.plus, dl.minus, dl.con_mask, dl.tot_mask)
-    report = validate_dlattice(df)
-    if not report.ok:
-        raise InvariantViolation(f"as_dframe input is not a d-lattice: {report.message}")
+    require_valid(validate_dlattice(df), "as_dframe input")
     return df
 
 
@@ -450,9 +447,7 @@ def idl_dframe(dl):
     # con/tot of the pair of principal ideals (↓i, ↓j): every / some pair of
     # the block down[i] × down[j] is consistent / total, read per plus row
     nm = dl.minus.n
-    row = (1 << nm) - 1
-    con_row = [(dl.con_mask >> (a * nm)) & row for a in range(dl.plus.n)]
-    tot_row = [(dl.tot_mask >> (a * nm)) & row for a in range(dl.plus.n)]
+    con_row, tot_row = dl.rows(dl.con_mask), dl.rows(dl.tot_mask)
     con = tot = 0
     for i in range(dl.plus.n):
         rows = list(bits(dl.plus.down[i]))
@@ -462,9 +457,7 @@ def idl_dframe(dl):
             if any(tot_row[a] & cols for a in rows):
                 tot |= 1 << (i * nm + j)
     df = DFrame(plus, minus, con, tot)
-    report = validate_dlattice(df)
-    if not report.ok:
-        raise InvariantViolation(f"idl must be a d-frame: {report.message}")
+    require_valid(validate_dlattice(df), "idl")
     return df
 
 
@@ -509,13 +502,6 @@ def is_compact_dframe(df):
                 if not df.in_tot(df.pid(a2, b2)):
                     return False
     return True
-
-
-def d_complemented_sides(dl):
-    """Index lists of d-complemented elements on each side."""
-    bplus = [a for a in range(dl.plus.n) if d_complement(dl, a, "+") is not None]
-    bminus = [b for b in range(dl.minus.n) if d_complement(dl, b, "-") is not None]
-    return bplus, bminus
 
 
 def is_zero_dimensional_dframe(df):

@@ -246,10 +246,7 @@ def lattice_from_family(n_points, masks, point_labels=None):
 
 def birkhoff(poset):
     """Down-set lattice of a poset; always bounded distributive."""
-    if poset.n > 16:
-        raise BoundsTooLarge("birkhoff enumeration capped at 16-element posets")
-    masks = [m for m in range(1 << poset.n) if _is_down_set(poset, m)]
-    return lattice_from_family(poset.n, masks, poset.labels)
+    return lattice_from_family(poset.n, down_sets(poset), poset.labels)
 
 
 def _is_down_set(poset, mask):
@@ -260,6 +257,8 @@ def _is_down_set(poset, mask):
 
 
 def down_sets(poset):
+    """All down-sets of a poset as bitmasks, ascending; up-sets are the
+    down-sets of ``poset.dual()``."""
     if poset.n > 16:
         raise BoundsTooLarge("down-set enumeration capped at 16-element posets")
     return [m for m in range(1 << poset.n) if _is_down_set(poset, m)]

@@ -9,7 +9,7 @@ fixed separators, index-ordered lists.
 import json
 
 from .bitop import BiTopSpace
-from .dlattice import DBooleanAlgebra, DLattice, pairs_to_mask, validate_dboolean, validate_dlattice
+from .dlattice import DBooleanAlgebra, DLattice, pairs_to_mask
 from .errors import ParseError, UnknownKind
 from .lattice import FinitePoset, bits, build_lattice
 
@@ -137,11 +137,6 @@ LOADERS = {
     "dlattice": dlattice_from_json,
     "dboolean": dlattice_from_json,
     "bitop": bitop_from_json,
-}
-
-VALIDATORS = {
-    "dlattice": validate_dlattice,
-    "dboolean": validate_dboolean,
 }
 
 

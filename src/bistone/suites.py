@@ -14,6 +14,7 @@ from . import duality as du
 from .corpus import birkhoff_corpus, boolean_lattice, dbool_corpus, three_chain, unlabeled_posets
 from .dlattice import (
     bool_dlattice,
+    d_complemented_sides,
     dB,
     dlattice_equal,
     enumerate_dlattice_homs,
@@ -34,7 +35,6 @@ from .ideals import (
     BTT,
     BMap,
     d_complemented_ideals,
-    d_complemented_sides,
     enumerate_d_filter_maps,
     enumerate_d_ideal_maps,
     enumerate_prime_d_ideals,
@@ -229,9 +229,9 @@ def check_dboolean_dagger_formulas(bundle):
     for A in bundle.dbools:
         for a in range(A.plus.n):
             for b in range(A.minus.n):
-                if A.con_mat[a, b] != A.plus.leq(a, A.dagger_inv[b]):
+                if A.in_con(A.pid(a, b)) != A.plus.leq(a, A.dagger_inv[b]):
                     return False, "con differs from the dagger formula"
-                if A.tot_mat[a, b] != A.minus.leq(A.dagger[a], b):
+                if A.in_tot(A.pid(a, b)) != A.minus.leq(A.dagger[a], b):
                     return False, "tot differs from the dagger formula"
     return True, "con/tot recovered from the pairing"
 
@@ -686,22 +686,12 @@ SUITES = {
 }
 
 
-def run_suite(name, bundle, jobs=1):
+def run_suite(name, bundle):
     """Run every check in a suite; returns a list of result rows."""
     if name not in SUITES:
         raise UnknownSuite(f"no suite named {name!r}; available: {sorted(SUITES)}")
-    checks = SUITES[name]
     rows = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(check_name, pool.submit(fn, bundle)) for check_name, fn in checks]
-            for check_name, fut in futures:
-                ok, detail = fut.result()
-                rows.append({"check": check_name, "ok": ok, "detail": detail})
-    else:
-        for check_name, fn in checks:
-            ok, detail = fn(bundle)
-            rows.append({"check": check_name, "ok": ok, "detail": detail})
+    for check_name, fn in SUITES[name]:
+        ok, detail = fn(bundle)
+        rows.append({"check": check_name, "ok": ok, "detail": detail})
     return rows

@@ -1,6 +1,8 @@
 """Finite bitopological spaces: topology generation, separation predicates,
 open-set frames, d-clopen algebras, d-points and d-sobriety."""
 
+import textwrap
+
 import pytest
 
 from bistone import bitop as bt
@@ -219,3 +221,29 @@ def test_connectedness_predicate(x2, indiscrete2):
 def test_specialization_dot(x2):
     text = bt.specialization_dot(x2)
     assert "cluster_p" in text and "cluster_m" in text
+
+
+def test_construction_guards_survive_python_O(run_python):
+    script = textwrap.dedent(
+        """
+        import sys
+        from bistone import bitop, dlattice
+        from bistone.corpus import three_chain
+        from bistone.errors import InvariantViolation
+        from bistone.lattice import FinitePoset
+        from bistone.report import StructReport
+
+        x2 = bitop.stone_space_from_poset(FinitePoset(["p", "q"], [[True, True], [False, True]]))
+        obj = dlattice.DblObject(three_chain(), three_chain().dual(), (0, 1, 2))
+        failing = lambda A: StructReport.failed("patched")
+        bitop.validate_dboolean = dlattice.validate_dboolean = failing
+        for build, arg in ((bitop.dclop_algebra, x2), (dlattice.from_dbl, obj)):
+            try:
+                build(arg)
+            except InvariantViolation:
+                print("raised", sys.flags.optimize)
+        """
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["raised", "1", "raised", "1"]

@@ -274,3 +274,13 @@ def test_env_var_overrides_size_guard(monkeypatch):
         FinitePoset(["a", "b", "c", "d"], [[i <= j for j in range(4)] for i in range(4)])
     monkeypatch.setenv("BISTONE_MAX_ELEMENTS", "not-a-number")
     assert max_elements() == 64
+
+
+def test_max_elements_override_is_scoped_to_one_command(monkeypatch, bool_file, capsys):
+    from bistone.config import max_elements
+
+    monkeypatch.delenv("BISTONE_MAX_ELEMENTS", raising=False)
+    before = dict(os.environ)
+    assert main(["--max-elements", "3", "validate", "--in", bool_file]) == 0
+    assert dict(os.environ) == before
+    assert max_elements() == 64

@@ -234,8 +234,8 @@ def test_from_dbl_rejects_monotone_dagger(chain3):
 def test_dboolean_con_tot_formulas(lam3):
     for a in range(lam3.plus.n):
         for b in range(lam3.minus.n):
-            assert lam3.con_mat[a, b] == lam3.plus.leq(a, lam3.dagger_inv[b])
-            assert lam3.tot_mat[a, b] == lam3.minus.leq(lam3.dagger[a], b)
+            assert lam3.in_con(lam3.pid(a, b)) == lam3.plus.leq(a, lam3.dagger_inv[b])
+            assert lam3.in_tot(lam3.pid(a, b)) == lam3.minus.leq(lam3.dagger[a], b)
 
 
 def test_validate_hom_identity(B):

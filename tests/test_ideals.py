@@ -363,16 +363,25 @@ def kernel_inputs(omega3):
     return out
 
 
+def _matrix(dl, mask):
+    out = np.zeros((dl.plus.n, dl.minus.n), dtype=bool)
+    for p in bits(mask):
+        out[dl.unpid(p)] = True
+    return out
+
+
 def _idl_masks_by_blocks(dl):
-    """Oracle: con/tot of the ideal frame from numpy blocks of con_mat/tot_mat."""
+    """Oracle: con/tot of the ideal frame from numpy blocks of the con/tot
+    matrices."""
+    con_mat, tot_mat = _matrix(dl, dl.con_mask), _matrix(dl, dl.tot_mask)
     con = tot = 0
     for i in range(dl.plus.n):
         rows = list(bits(dl.plus.down[i]))
         for j in range(dl.minus.n):
             cols = list(bits(dl.minus.down[j]))
-            if dl.con_mat[np.ix_(rows, cols)].all():
+            if con_mat[np.ix_(rows, cols)].all():
                 con |= 1 << dl.pid(i, j)
-            if dl.tot_mat[np.ix_(rows, cols)].any():
+            if tot_mat[np.ix_(rows, cols)].any():
                 tot |= 1 << dl.pid(i, j)
     return con, tot
 

@@ -16,9 +16,3 @@ def test_suite_passes(name, bundle):
 def test_unknown_suite_rejected(bundle):
     with pytest.raises(UnknownSuite):
         run_suite("wibble", bundle)
-
-
-def test_parallel_run_matches_serial(bundle):
-    serial = run_suite("lattice_core", bundle)
-    parallel = run_suite("lattice_core", bundle, jobs=4)
-    assert serial == parallel

@@ -155,38 +155,17 @@ def is_T0(space):
     return True
 
 
-def is_compact(space, subfamily_limit=12):
+def is_compact(space):
     """Every cover from the union of both topologies has a finite subcover.
 
-    Finite spaces make this vacuous (a covering subfamily is its own finite
-    subcover); small families are still scanned literally, larger ones use
-    the maximal family with an early-exit minimal subcover search.
+    Always true here.  The space is finite, so it has finitely many opens,
+    and every covering subfamily is already finite: it is its own finite
+    subcover.  The function keeps the name so that the Stone
+    characterizations read as stated; the frame-side statement that can
+    fail, ``ideals.is_compact_dframe`` (tot is Scott-open), is checked on
+    ``dO`` of every corpus space by the ``finite-compactness`` suite row.
     """
-    opens = tuple(set(space.tau_plus) | set(space.tau_minus))
-    if len(opens) <= subfamily_limit:
-        for r in range(len(opens) + 1):
-            for combo in combinations(opens, r):
-                union = 0
-                for u in combo:
-                    union |= u
-                if union == space.full and not _has_finite_subcover(combo, space.full):
-                    return False
-        return True
-    union = 0
-    for u in opens:
-        union |= u
-    if union != space.full:
-        return True
-    return _has_finite_subcover(opens, space.full)
-
-
-def _has_finite_subcover(cover, full):
-    acc = 0
-    for u in sorted(cover, key=lambda m: -m.bit_count()):
-        acc |= u
-        if acc == full:
-            return True
-    return acc == full
+    return True
 
 
 def plus_open_minus_closed(space):

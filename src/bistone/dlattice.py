@@ -4,7 +4,10 @@ A d-lattice is stored as its two coordinate lattices together with the
 consistency and totality predicates as pair sets.  The identification of the
 carrier with the coordinate product is lossless, so the monolithic form is
 only an import path (``decompose``).  Carrier elements are flat pair ids
-``a * n_minus + b``.
+``a * n_minus + b``.  The order operations (``DLattice.meet``/``join``,
+``logic_meet``/``logic_join`` and their ``*_coordinatewise`` forms) take
+either ints or broadcastable numpy arrays of pair ids, so one call can
+evaluate a whole operation table.
 
 The pair sets are int bitmasks over pair ids, and that is their only
 representation: a ``DLattice`` is immutable once built, and every reader
@@ -43,6 +46,7 @@ from .lattice import (
     build_lattice,
     enumerate_lattice_homs,
     find_lattice_iso,
+    first_index,
     is_lattice_iso,
     validate_lattice_hom,
 )
@@ -114,12 +118,12 @@ class DLattice:
     def meet(self, p, q):
         a1, b1 = self.unpid(p)
         a2, b2 = self.unpid(q)
-        return self.pid(int(self.plus.meet[a1, a2]), int(self.minus.meet[b1, b2]))
+        return self.pid(self.plus.meet[a1, a2], self.minus.meet[b1, b2])
 
     def join(self, p, q):
         a1, b1 = self.unpid(p)
         a2, b2 = self.unpid(q)
-        return self.pid(int(self.plus.join[a1, a2]), int(self.minus.join[b1, b2]))
+        return self.pid(self.plus.join[a1, a2], self.minus.join[b1, b2])
 
     # -- logic order ---------------------------------------------------------
 
@@ -159,13 +163,13 @@ def logic_join(dl, p, q):
 def logic_meet_coordinatewise(dl, p, q):
     a1, b1 = dl.unpid(p)
     a2, b2 = dl.unpid(q)
-    return dl.pid(int(dl.plus.meet[a1, a2]), int(dl.minus.join[b1, b2]))
+    return dl.pid(dl.plus.meet[a1, a2], dl.minus.join[b1, b2])
 
 
 def logic_join_coordinatewise(dl, p, q):
     a1, b1 = dl.unpid(p)
     a2, b2 = dl.unpid(q)
-    return dl.pid(int(dl.plus.join[a1, a2]), int(dl.minus.meet[b1, b2]))
+    return dl.pid(dl.plus.join[a1, a2], dl.minus.meet[b1, b2])
 
 
 def logic_order_lattice(dl):
@@ -622,16 +626,16 @@ def validate_carrier_hom(src, tgt, values):
     mp, jp = src.plus.meet, src.plus.join
     mm, jm = src.minus.meet, src.minus.join
     lhs_meet = V[mp][:, :, mm]
-    rhs_meet = tgt.plus.meet[A1, A2].astype(np.int32) * tgt.minus.n + tgt.minus.meet[B1, B2]
-    bad = np.argwhere(lhs_meet != rhs_meet)
-    if bad.size:
-        a, a2, b, b2 = (int(x) for x in bad[0])
+    rhs_meet = tgt.plus.meet[A1, A2] * tgt.minus.n + tgt.minus.meet[B1, B2]
+    bad = first_index(lhs_meet != rhs_meet)
+    if bad is not None:
+        a, a2, b, b2 = bad
         return StructReport.failed("meet", witness=(src.pid(a, b), src.pid(a2, b2)))
     lhs_join = V[jp][:, :, jm]
-    rhs_join = tgt.plus.join[A1, A2].astype(np.int32) * tgt.minus.n + tgt.minus.join[B1, B2]
-    bad = np.argwhere(lhs_join != rhs_join)
-    if bad.size:
-        a, a2, b, b2 = (int(x) for x in bad[0])
+    rhs_join = tgt.plus.join[A1, A2] * tgt.minus.n + tgt.minus.join[B1, B2]
+    bad = first_index(lhs_join != rhs_join)
+    if bad is not None:
+        a, a2, b, b2 = bad
         return StructReport.failed("join", witness=(src.pid(a, b), src.pid(a2, b2)))
     for p in bits(src.con_mask):
         if not tgt.in_con(int(values[p])):

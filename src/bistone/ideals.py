@@ -38,6 +38,7 @@ from .lattice import (
     Ideal,
     bits,
     build_lattice,
+    first_index,
     ideal_from_carrier,
     prime_ideals,
     principal_filter,
@@ -230,9 +231,9 @@ def validate_d_ideal_map(dl, bmap):
             )
     lhs = V[dl.plus.join][:, :, dl.minus.join]
     rhs = V[:, None, :, None] | V[None, :, None, :]
-    bad = np.argwhere(lhs != rhs)
-    if bad.size:
-        a, a2, b, b2 = (int(x) for x in bad[0])
+    bad = first_index(lhs != rhs)
+    if bad is not None:
+        a, a2, b, b2 = bad
         return StructReport.failed(
             "join-preservation",
             witness=(dl.pair_label(dl.pid(a, b)), dl.pair_label(dl.pid(a2, b2))),
@@ -255,9 +256,9 @@ def validate_d_filter_map(dl, bmap):
             )
     lhs = V[dl.plus.meet][:, :, dl.minus.meet]
     rhs = V[:, None, :, None] & V[None, :, None, :]
-    bad = np.argwhere(lhs != rhs)
-    if bad.size:
-        a, a2, b, b2 = (int(x) for x in bad[0])
+    bad = first_index(lhs != rhs)
+    if bad is not None:
+        a, a2, b, b2 = bad
         return StructReport.failed(
             "meet-preservation",
             witness=(dl.pair_label(dl.pid(a, b)), dl.pair_label(dl.pid(a2, b2))),

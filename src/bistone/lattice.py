@@ -12,6 +12,7 @@ import numpy as np
 from .config import BRUTE_FORCE_IDEAL_LIMIT, max_elements
 from .errors import (
     BoundsTooLarge,
+    InvariantViolation,
     NotALattice,
     NotAPoset,
     NotBounded,
@@ -33,6 +34,14 @@ def mask_of(indices):
     for i in indices:
         out |= 1 << i
     return out
+
+
+def first_index(flags):
+    """Index tuple of the first true entry of a boolean array in row-major
+    order (the first row of ``np.argwhere``), or None when all are false."""
+    if not flags.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(flags.argmax()), flags.shape))
 
 
 class FinitePoset:
@@ -201,8 +210,9 @@ def build_lattice(labels, leq, sets=None):
     top = _greatest_of(full, poset.down)
     if bot is None or top is None:
         raise NotBounded("no global bottom/top element")
-    meet = np.zeros((n, n), dtype=np.int16)
-    join = np.zeros((n, n), dtype=np.int16)
+    # native ints: pair ids a * n_minus + b computed from whole tables must not wrap
+    meet = np.zeros((n, n), dtype=np.intp)
+    join = np.zeros((n, n), dtype=np.intp)
     for i in range(n):
         for j in range(i, n):
             m = _greatest_of(poset.down[i] & poset.down[j], poset.down)
@@ -219,9 +229,9 @@ def build_lattice(labels, leq, sets=None):
             join[i, j] = join[j, i] = v
     lhs = meet[:, join]                                   # a ∧ (b ∨ c)
     rhs = join[meet[:, :, None], meet[:, None, :]]        # (a ∧ b) ∨ (a ∧ c)
-    bad = np.argwhere(lhs != rhs)
-    if bad.size:
-        a, b, c = (int(x) for x in bad[0])
+    bad = first_index(lhs != rhs)
+    if bad is not None:
+        a, b, c = bad
         raise NotDistributive(
             f"witness triple ({poset.labels[a]}, {poset.labels[b]}, {poset.labels[c]})",
             witness=(a, b, c),
@@ -329,7 +339,8 @@ def ideal_from_carrier(lattice, mask):
             if not (mask >> int(lattice.join[a, b])) & 1:
                 raise ValueError("carrier not closed under join")
     gen = _greatest_of(mask, lattice.down)
-    assert gen is not None, "finite ideal must be principal"
+    if gen is None:
+        raise InvariantViolation("finite ideal must be principal")
     return Ideal(lattice, gen, mask)
 
 
@@ -399,7 +410,8 @@ def complement(lattice, a):
     found = None
     for b in range(lattice.n):
         if int(lattice.join[a, b]) == lattice.top and int(lattice.meet[a, b]) == lattice.bot:
-            assert found is None, "complement not unique: lattice not distributive"
+            if found is not None:
+                raise InvariantViolation("complement not unique: lattice not distributive")
             found = b
     return found
 
@@ -408,7 +420,8 @@ def pseudo_complement(lattice, a):
     """Greatest b with a ∧ b = bot; always exists in a finite distributive lattice."""
     disjoint = [b for b in range(lattice.n) if int(lattice.meet[a, b]) == lattice.bot]
     best = lattice.join_fold(disjoint)
-    assert int(lattice.meet[a, best]) == lattice.bot
+    if int(lattice.meet[a, best]) != lattice.bot:
+        raise InvariantViolation("pseudo-complement does not meet to bottom")
     return best
 
 
@@ -437,16 +450,14 @@ def validate_lattice_hom(hom):
         return StructReport.failed("top", witness=int(f[L.top]))
     fm = f[L.meet]
     mf = M.meet[f[:, None], f[None, :]]
-    bad = np.argwhere(fm != mf)
-    if bad.size:
-        a, b = (int(x) for x in bad[0])
-        return StructReport.failed("meet", witness=(a, b))
+    bad = first_index(fm != mf)
+    if bad is not None:
+        return StructReport.failed("meet", witness=bad)
     fj = f[L.join]
     jf = M.join[f[:, None], f[None, :]]
-    bad = np.argwhere(fj != jf)
-    if bad.size:
-        a, b = (int(x) for x in bad[0])
-        return StructReport.failed("join", witness=(a, b))
+    bad = first_index(fj != jf)
+    if bad is not None:
+        return StructReport.failed("join", witness=bad)
     return StructReport.passed()
 
 
@@ -524,43 +535,35 @@ def find_lattice_iso(L, M):
         return None
     hom = LatticeHom(L, M, tuple(mapping))
     # an order iso between lattices is automatically a lattice iso; verify anyway
-    assert is_lattice_iso(hom)
+    if not is_lattice_iso(hom):
+        raise InvariantViolation("order isomorphism found is not a lattice isomorphism")
     return hom
 
 
 def enumerate_lattice_homs(L, M):
     """All bound-preserving lattice homomorphisms L → M, lexicographic order.
 
-    Backtracking over a linear extension of L; meets of two placed elements
-    are checked immediately (the meet is always placed first), joins when the
-    join element itself is placed.
+    Backtracking over a linear extension of L, so every element strictly
+    below the next one, a, is placed and nothing above it is.  The
+    candidates for f(a) form one bitmask: for each placed a2 the b with
+    b ∧ f(a2) = f(a ∧ a2) (for a2 ≤ a this reads f(a2) ≤ b), and f(x) ∨ f(y)
+    for each pair of placed x, y with join a.  They are tried lowest first.
     """
     order = L.poset.linear_extension()
-    position = {a: k for k, a in enumerate(order)}
-    mapping = [-1] * L.n
-    out = []
-
+    L_meet, M_join = L.meet.tolist(), M.join.tolist()
+    meet_is = [[0] * M.n for _ in range(M.n)]  # meet_is[b2][t]: the b with b ∧ b2 = t
+    for b, row in enumerate(M.meet.tolist()):
+        for b2, t in enumerate(row):
+            meet_is[b2][t] |= 1 << b
     join_checks = [[] for _ in range(L.n)]  # pairs whose join is this element
     for x in range(L.n):
         for y in range(x, L.n):
             j = int(L.join[x, y])
             if j != x and j != y:
                 join_checks[j].append((x, y))
-
-    def feasible(a, b):
-        for a2 in order[: position[a]]:
-            b2 = mapping[a2]
-            if L.leq(a2, a) and not M.leq(b2, b):
-                return False
-            if L.leq(a, a2) and not M.leq(b, b2):
-                return False
-            m = int(L.meet[a, a2])
-            if m != a and mapping[m] >= 0 and int(M.meet[b, b2]) != mapping[m]:
-                return False
-        for x, y in join_checks[a]:
-            if mapping[x] >= 0 and mapping[y] >= 0 and int(M.join[mapping[x], mapping[y]]) != b:
-                return False
-        return True
+    everything = (1 << M.n) - 1
+    mapping = [-1] * L.n
+    out = []
 
     def backtrack(k):
         if k == L.n:
@@ -570,16 +573,20 @@ def enumerate_lattice_homs(L, M):
             return
         a = order[k]
         if a == L.bot:
-            candidates = [M.bot]
+            cand = 1 << M.bot
         elif a == L.top:
-            candidates = [M.top]
+            cand = 1 << M.top
         else:
-            candidates = range(M.n)
-        for b in candidates:
-            if feasible(a, b):
-                mapping[a] = b
-                backtrack(k + 1)
-                mapping[a] = -1
+            cand = everything
+        meets = L_meet[a]
+        for a2 in order[:k]:
+            cand &= meet_is[mapping[a2]][mapping[meets[a2]]]
+        for x, y in join_checks[a]:
+            cand &= 1 << M_join[mapping[x]][mapping[y]]
+        for b in bits(cand):
+            mapping[a] = b
+            backtrack(k + 1)
+        mapping[a] = -1
 
     backtrack(0)
     return out

@@ -1,5 +1,7 @@
 """Posets, lattices, prime ideals, complements, isomorphism search."""
 
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,3 +295,23 @@ def test_principal_ideal_prime_check():
     L = three_chain()
     assert principal_ideal(L, 0).is_prime()
     assert not principal_ideal(L, 2).is_prime()  # not proper
+
+
+def test_find_lattice_iso_guard_survives_python_O(run_python):
+    script = textwrap.dedent(
+        """
+        import sys
+        from bistone import lattice
+        from bistone.corpus import boolean_lattice
+        from bistone.errors import InvariantViolation
+
+        lattice.is_lattice_iso = lambda hom: False
+        try:
+            lattice.find_lattice_iso(boolean_lattice(2), boolean_lattice(2))
+        except InvariantViolation:
+            print("raised", sys.flags.optimize)
+        """
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["raised", "1"]

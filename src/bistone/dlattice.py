@@ -19,12 +19,25 @@ down-set here: a directed set in a finite poset contains its own join (it
 has a maximal element, which by directedness dominates every member), so
 closure under directed joins is automatic for down-sets.
 
+The step kernel moves a whole pair-id mask one cover step through the
+carrier.  A cover in the product changes one coordinate by a cover and
+keeps the other, so ``cover_steps`` lists one (selector, shift) per Hasse
+edge of either coordinate lattice: a minus edge selects a column (``col0 <<
+b``) and shifts within each row, a plus edge selects a row (``row0 << a *
+n_minus``) and shifts by whole rows.  ``step(mask, steps)`` is then a few
+big-int ANDs and shifts.  A pair set S is a down-set iff ``step(S, down)``
+lies inside S (every x ≤ y is a chain of covers), and the maximal members
+of a down-set are ``S & ~step(S, down)``: a member below another member has
+an upper cover inside S.  Up-sets and minimal members are the duals.
+
 Logic meet (a1 ∧ a2, b1 ∨ b2) and logic join (a1 ∨ a2, b1 ∧ b2) are
 monotone in the information order in both arguments.  So a down-set (con)
 is closed under them iff the operations on its maximal members stay inside,
 and an up-set (tot) iff the operations on its minimal members do.
-``validate_dlattice`` decides closure on those members and scans all member
-pairs only to name the first failing one.
+``validate_dlattice`` decides the closure clauses with the step kernel and
+logic closure on those members in one pass.  The lowest missing pair of
+the closure (``closure``, steps to a fixpoint) and the member-pair scan
+``first_escape`` run only to name the first failing pair.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +61,7 @@ from .lattice import (
     find_lattice_iso,
     first_index,
     is_lattice_iso,
+    low_bit,
     validate_lattice_hom,
 )
 from .report import StructReport
@@ -181,52 +195,65 @@ def logic_order_lattice(dl):
 
 
 # ---------------------------------------------------------------------------
-# pair-set kernels over rows
+# pair-set kernels: cover steps, closure gaps, logic closure
 
 
-def _low(mask):
-    return (mask & -mask).bit_length() - 1
+def unit_masks(n_plus, n_minus):
+    """(row0, col0): the pair-id masks of plus element 0's row and of minus
+    element 0's column.  ``row0 << a * n_minus`` is row a, ``col0 << b`` is
+    column b, and ``m * col0`` repeats a minus-side mask m in every row."""
+    row0 = (1 << n_minus) - 1
+    return row0, ((1 << (n_plus * n_minus)) - 1) // row0
 
 
-def closure_gap(rows, plus_rel, minus_rel):
-    """Lowest (a, b) of the closure of a pair set that the set misses, or None.
+# Steps are cached for carriers of up to this many pairs, where one entry
+# is a few small ints and validation runs most often (the Q2 census
+# validates some 40,000 candidates over 49 coordinate pairs); a larger
+# carrier's masks are big and it is validated a few times at most.
+CACHED_STEPS_MAX_PAIRS = 64
 
-    Row a of the closure is the ``minus_rel`` closure of the OR of the rows
-    at ``plus_rel[a]``: (up, down) rows of the coordinate lattices give the
-    down-closure, (down, up) rows the up-closure.
+
+def cover_steps(dl, downward):
+    """One (selector, shift) per cover edge of either coordinate lattice.
+
+    The selector picks the pairs on the edge's source side (its upper end
+    when ``downward``, else its lower end) and the shift moves them to the
+    other end: a minus edge moves along a row, a plus edge by whole rows.
     """
-    for a, row in enumerate(rows):
-        reach = 0
-        for a2 in bits(plus_rel[a]):
-            reach |= rows[a2]
-        closed = 0
-        for b in bits(reach):
-            closed |= minus_rel[b]
-        missing = closed & ~row
-        if missing:
-            return a, _low(missing)
-    return None
+    P, M = dl.plus.poset, dl.minus.poset
+    build = _cover_steps if P.n * M.n <= CACHED_STEPS_MAX_PAIRS else _cover_steps.__wrapped__
+    return build(P.hasse, M.hasse, P.n, M.n, downward)
 
 
-def extremal_members(dl, rows, plus_rel, minus_rel):
-    """The maximal members of a down-set (up rows of both coordinates), or
-    the minimal members of an up-set (down rows), as pair ids.
+@lru_cache(maxsize=256)
+def _cover_steps(plus_hasse, minus_hasse, n_plus, n_minus, downward):
+    row0, col0 = unit_masks(n_plus, n_minus)
+    if not downward:
+        plus_hasse = [(hi, lo) for lo, hi in plus_hasse]
+        minus_hasse = [(hi, lo) for lo, hi in minus_hasse]
+    return tuple(
+        [(col0 << src, src - dst) for dst, src in minus_hasse]
+        + [(row0 << (src * n_minus), (src - dst) * n_minus) for dst, src in plus_hasse]
+    )
 
-    (a, b) is extremal iff b is extremal in row a and lies in no row at a
-    strictly larger (smaller) plus element: a member beyond it in the
-    product would put b itself in that row, the set being a down-set
-    (up-set).
-    """
-    nm = dl.minus.n
-    out = []
-    for a, row in enumerate(rows):
-        beyond = 0
-        for a2 in bits(plus_rel[a] & ~(1 << a)):
-            beyond |= rows[a2]
-        for b in bits(row & ~beyond):
-            if row & minus_rel[b] == 1 << b:
-                out.append(a * nm + b)
+
+def step(mask, steps):
+    """The pairs one cover step (along ``cover_steps``) from a member of mask."""
+    out = 0
+    for selector, shift in steps:
+        moved = mask & selector
+        out |= moved >> shift if shift >= 0 else moved << -shift
     return out
+
+
+def closure(mask, steps):
+    """The closure of a pair set under cover steps: its down-set (``steps``
+    downward) or its up-set (upward)."""
+    while True:
+        grown = mask | step(mask, steps)
+        if grown == mask:
+            return mask
+        mask = grown
 
 
 def logic_tables(dl):
@@ -237,6 +264,21 @@ def logic_tables(dl):
         ("logic-meet", P.meet.tolist(), M.join.tolist()),
         ("logic-join", P.join.tolist(), M.meet.tolist()),
     )
+
+
+def logic_closed_on(dl, tables, mask, members):
+    """Whether logic meet and join of every two members (a pair-id mask) lie
+    in mask.  Both operations are commutative and idempotent, so one pass
+    over the unordered pairs of distinct members decides both."""
+    nm = dl.minus.n
+    (_, meet_plus, meet_minus), (_, join_plus, join_minus) = tables
+    coords = [divmod(p, nm) for p in bits(members)]
+    for i, (a1, b1) in enumerate(coords):
+        mp, mm, jp, jm = meet_plus[a1], meet_minus[b1], join_plus[a1], join_minus[b1]
+        for a2, b2 in coords[i + 1:]:
+            if not ((mask >> (mp[a2] * nm + mm[b2])) & (mask >> (jp[a2] * nm + jm[b2])) & 1):
+                return False
+    return True
 
 
 def first_escape(dl, plus_table, minus_table, mask, members):
@@ -273,63 +315,62 @@ def validate_dlattice(dl):
     if not dl.in_tot(dl.ff):
         return StructReport.failed("tot-tt-ff", witness="ff", message="ff not in tot")
 
-    con_rows, tot_rows = dl.rows(dl.con_mask), dl.rows(dl.tot_mask)
+    con, tot = dl.con_mask, dl.tot_mask
     # down-closure of con (finite Scott-closedness, see module docstring)
-    gap = closure_gap(con_rows, P.up, M.down)
-    if gap is not None:
-        a, b = gap
+    down, up = cover_steps(dl, True), cover_steps(dl, False)
+    below_con = step(con, down)
+    if below_con & ~con:
+        a, b = dl.unpid(low_bit(closure(con, down) & ~con))
         return StructReport.failed(
             "con-scott-closed",
             witness=(P.labels[a], M.labels[b]),
             message=f"con misses the smaller pair ({P.labels[a]},{M.labels[b]})",
         )
-    gap = closure_gap(tot_rows, P.down, M.up)
-    if gap is not None:
-        a, b = gap
+    above_tot = step(tot, up)
+    if above_tot & ~tot:
+        a, b = dl.unpid(low_bit(closure(tot, up) & ~tot))
         return StructReport.failed(
             "tot-upper-set",
             witness=(P.labels[a], M.labels[b]),
             message=f"tot misses the larger pair ({P.labels[a]},{M.labels[b]})",
         )
 
-    for name, mask, deciding in (
-        ("con", dl.con_mask, extremal_members(dl, con_rows, P.up, M.up)),
-        ("tot", dl.tot_mask, extremal_members(dl, tot_rows, P.down, M.down)),
-    ):
-        for op_name, plus_table, minus_table in logic_tables(dl):
-            if first_escape(dl, plus_table, minus_table, mask, deciding) is None:
-                continue
-            p, q = first_escape(dl, plus_table, minus_table, mask, list(bits(mask)))
-            w = (dl.labels_of(p), dl.labels_of(q))
-            return StructReport.failed(
-                f"{name}-logic-sublattice",
-                witness=w,
-                message=f"{name} not closed under {op_name} at {w}",
-            )
-
-    # a consistent (a, b) must lie below every total pair in its row and column
-    nm = M.n
-    tot_cols = [0] * nm
-    for a, row in enumerate(tot_rows):
-        for b in bits(row):
-            tot_cols[b] |= 1 << a
-    for p in bits(dl.con_mask):
-        a, b = divmod(p, nm)
-        in_row = tot_rows[a] & ~M.up[b]
-        in_col = tot_cols[b] & ~P.up[a]
-        if not (in_row or in_col):
+    # decided on the maximal members of con and the minimal members of tot
+    tables = logic_tables(dl)
+    for name, mask, deciding in (("con", con, con & ~below_con), ("tot", tot, tot & ~above_tot)):
+        if logic_closed_on(dl, tables, mask, deciding):
             continue
-        # lowest pair id: column pairs at plus ids below a, then the row, then the rest
-        if in_col & ((1 << a) - 1) or not in_row:
-            beta = _low(in_col) * nm + b
-        else:
-            beta = a * nm + _low(in_row)
-        alpha, beta = dl.labels_of(p), dl.labels_of(beta)
-        return StructReport.failed(
-            "con-tot",
-            witness={"alpha": alpha, "beta": beta},
-            message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
-        )
+        members = list(bits(mask))
+        for op_name, plus_table, minus_table in tables:
+            escape = first_escape(dl, plus_table, minus_table, mask, members)
+            if escape is not None:
+                w = (dl.labels_of(escape[0]), dl.labels_of(escape[1]))
+                return StructReport.failed(
+                    f"{name}-logic-sublattice",
+                    witness=w,
+                    message=f"{name} not closed under {op_name} at {w}",
+                )
+
+    # a consistent (a, b) must lie below every total pair in its row and
+    # column; the first failing (a, b) in pair-id order is named, with the
+    # lowest such total pair
+    nm = M.n
+    row0, col0 = unit_masks(P.n, nm)
+    for a, con_row in enumerate(dl.rows(con)):
+        if not con_row:
+            continue
+        rows_above = 0  # column 0 of the rows at or above a
+        for a2 in bits(P.up[a]):
+            rows_above |= 1 << (a2 * nm)
+        for b in bits(con_row):
+            not_above = tot & (((row0 & ~M.up[b]) << (a * nm)) | ((col0 & ~rows_above) << b))
+            if not_above:
+                alpha, beta = dl.labels_of(a * nm + b), dl.labels_of(low_bit(not_above))
+                return StructReport.failed(
+                    "con-tot",
+                    witness={"alpha": alpha, "beta": beta},
+                    message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
+                )
     return StructReport.passed("valid d-lattice")
 
 
@@ -647,11 +688,12 @@ def validate_carrier_hom(src, tgt, values):
 
 
 def enumerate_dlattice_homs(src, tgt):
-    """All d-lattice homomorphisms, as component-map pairs."""
+    """All d-lattice homomorphisms, as component-map pairs, plus maps outer."""
+    minus_maps = [fm.mapping for fm in enumerate_lattice_homs(src.minus, tgt.minus)]
     out = []
     for fp in enumerate_lattice_homs(src.plus, tgt.plus):
-        for fm in enumerate_lattice_homs(src.minus, tgt.minus):
-            hom = DLatticeHom(src, tgt, fp.mapping, fm.mapping)
+        for fm in minus_maps:
+            hom = DLatticeHom(src, tgt, fp.mapping, fm)
             if _preserves_con_tot(hom):
                 out.append(hom)
     return out
@@ -659,9 +701,12 @@ def enumerate_dlattice_homs(src, tgt):
 
 def _image(hom, mask):
     """The target pair set hit by the pairs of a source pair set."""
+    src_nm, tgt_nm = hom.source.minus.n, hom.target.minus.n
+    fplus, fminus = hom.fplus, hom.fminus
     out = 0
     for p in bits(mask):
-        out |= 1 << hom.apply(p)
+        a, b = divmod(p, src_nm)
+        out |= 1 << (fplus[a] * tgt_nm + fminus[b])
     return out
 
 

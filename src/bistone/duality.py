@@ -28,14 +28,14 @@ from .dlattice import (
     DLattice,
     DLatticeHom,
     canonical_lambda_iso,
-    closure_gap,
+    cover_steps,
     enumerate_dlattice_homs,
-    extremal_members,
     find_dlattice_iso,
-    first_escape,
     lambda_of_dislat,
+    logic_closed_on,
     logic_tables,
     omega_of_lattice,
+    step,
     validate_dlattice,
     validate_dlattice_hom,
 )
@@ -213,14 +213,35 @@ def spatiality_check(dl, literal_pair_limit=81):
 
     (i) prime d-ideals separate distinct ideal pairs, (ii) consistency of an
     ideal pair is empty intersection of its opens, (iii) totality is covering.
-    Clause (i) is scanned pair-by-pair on small carriers and via the
-    equivalent per-side injectivity scan on large ones.
+    Distinct ideal pairs (i1, j1), (i2, j2) with φ₊(i1) = φ₊(i2) and
+    φ₋(j1) = φ₋(j2) exist iff φ₊ or φ₋ is not injective (vary one side and
+    fix the other), so clause (i) is decided by injectivity.  A failure is
+    named by the pair-by-pair scan on small carriers and by the per-side
+    scan on large ones.
     """
     spec = spectrum(dl, path="brute")
     idlf = idl_dframe(dl)
     full = (1 << len(spec.primes)) - 1
     np_, nm = dl.plus.n, dl.minus.n
 
+    if len(set(spec.phi_plus)) < np_ or len(set(spec.phi_minus)) < nm:
+        return False, _unseparated(spec, literal_pair_limit)
+
+    for i in range(np_):
+        for j in range(nm):
+            in_con = idlf.in_con(idlf.pid(i, j))
+            if in_con != (spec.phi_plus[i] & spec.phi_minus[j] == 0):
+                return False, f"clause (ii) fails at ideal pair ({i},{j})"
+            in_tot = idlf.in_tot(idlf.pid(i, j))
+            if in_tot != (spec.phi_plus[i] | spec.phi_minus[j] == full):
+                return False, f"clause (iii) fails at ideal pair ({i},{j})"
+    return True, "spatial"
+
+
+def _unseparated(spec, literal_pair_limit):
+    """Clause (i) failure detail: the first distinct ideal pairs with equal
+    opens, scanned pair by pair on small carriers, else per side."""
+    np_, nm = len(spec.phi_plus), len(spec.phi_minus)
     if np_ * nm <= literal_pair_limit:
         for i1 in range(np_):
             for j1 in range(nm):
@@ -232,26 +253,16 @@ def spatiality_check(dl, literal_pair_limit=81):
                             continue
                         if spec.phi_minus[j1] != spec.phi_minus[j2]:
                             continue
-                        return False, f"clause (i): ideals ({i1},{j1}) vs ({i2},{j2}) not separated"
-    else:
-        for i1 in range(np_):
-            for i2 in range(i1 + 1, np_):
-                if spec.phi_plus[i1] == spec.phi_plus[i2]:
-                    return False, f"clause (i): plus ideals {i1} vs {i2} not separated"
-        for j1 in range(nm):
-            for j2 in range(j1 + 1, nm):
-                if spec.phi_minus[j1] == spec.phi_minus[j2]:
-                    return False, f"clause (i): minus ideals {j1} vs {j2} not separated"
-
-    for i in range(np_):
-        for j in range(nm):
-            in_con = idlf.in_con(idlf.pid(i, j))
-            if in_con != (spec.phi_plus[i] & spec.phi_minus[j] == 0):
-                return False, f"clause (ii) fails at ideal pair ({i},{j})"
-            in_tot = idlf.in_tot(idlf.pid(i, j))
-            if in_tot != (spec.phi_plus[i] | spec.phi_minus[j] == full):
-                return False, f"clause (iii) fails at ideal pair ({i},{j})"
-    return True, "spatial"
+                        return f"clause (i): ideals ({i1},{j1}) vs ({i2},{j2}) not separated"
+    for i1 in range(np_):
+        for i2 in range(i1 + 1, np_):
+            if spec.phi_plus[i1] == spec.phi_plus[i2]:
+                return f"clause (i): plus ideals {i1} vs {i2} not separated"
+    for j1 in range(nm):
+        for j2 in range(j1 + 1, nm):
+            if spec.phi_minus[j1] == spec.phi_minus[j2]:
+                return f"clause (i): minus ideals {j1} vs {j2} not separated"
+    raise InvariantViolation("clause (i) failure without unseparated ideals")
 
 
 def lambda_equivalence_check(lattices, dbools=()):
@@ -554,15 +565,13 @@ def _up_sets_containing(dl, seed_mask):
 def _logic_closed(dl, mask):
     """Whether a pair set is closed under logic meet and join.  Down-sets and
     up-sets are decided on their extremal members (see ``dlattice``)."""
-    P, M = dl.plus, dl.minus
-    rows = dl.rows(mask)
-    if closure_gap(rows, P.up, M.down) is None:
-        deciding = extremal_members(dl, rows, P.up, M.up)
-    elif closure_gap(rows, P.down, M.up) is None:
-        deciding = extremal_members(dl, rows, P.down, M.down)
+    below = step(mask, cover_steps(dl, True))
+    if below & ~mask == 0:
+        deciding = mask & ~below
     else:
-        deciding = list(bits(mask))
-    return all(first_escape(dl, pt, mt, mask, deciding) is None for _, pt, mt in logic_tables(dl))
+        above = step(mask, cover_steps(dl, False))
+        deciding = mask & ~above if above & ~mask == 0 else mask
+    return logic_closed_on(dl, logic_tables(dl), mask, deciding)
 
 
 def _search_q2(max_lattice_size):

@@ -25,9 +25,12 @@ from .dlattice import (
     DLatticeHom,
     Coreflection,
     bool_dlattice,
+    cover_steps,
     dB,
     d_complemented_sides,
     require_valid,
+    step,
+    unit_masks,
     validate_carrier_hom,
     validate_dlattice,
     validate_dlattice_hom,
@@ -35,11 +38,12 @@ from .dlattice import (
 from .errors import CoveringViolation, InvariantViolation, NoSandwich, NotZeroDimensional
 from .lattice import (
     Filter,
+    FiniteLattice,
     Ideal,
     bits,
-    build_lattice,
     first_index,
     ideal_from_carrier,
+    low_bit,
     prime_ideals,
     principal_filter,
     principal_ideal,
@@ -136,10 +140,10 @@ class DFilterPair:
 def _covered(dl, zplus, zminus):
     """Pair ids (a, b) with a in zplus (the whole row) or b in zminus."""
     nm = dl.minus.n
-    row = (1 << nm) - 1
-    covered = 0
-    for a in range(dl.plus.n):
-        covered |= (row if (zplus >> a) & 1 else zminus) << (a * nm)
+    row0, col0 = unit_masks(dl.plus.n, nm)
+    covered = zminus * col0
+    for a in bits(zplus):
+        covered |= row0 << (a * nm)
     return covered
 
 
@@ -150,33 +154,35 @@ def d_ideal_to_map(dl, pair):
     # the lowest uncovered pair id is the first consistent pair a scan would meet
     uncovered = dl.con_mask & ~_covered(dl, zplus, zminus)
     if uncovered:
-        a, b = dl.unpid((uncovered & -uncovered).bit_length() - 1)
+        a, b = dl.unpid(low_bit(uncovered))
         raise CoveringViolation(
             f"consistent pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
             witness=(a, b),
         )
-    minus_row = tuple(0 if (zminus >> b) & 1 else BFF for b in range(nm))
+    zero_row = tuple(0 if (zminus >> b) & 1 else BFF for b in range(nm))
+    tt_row = tuple(BTT | v for v in zero_row)
     values = []
     for a in range(dl.plus.n):
-        plus_value = 0 if (zplus >> a) & 1 else BTT
-        values.extend(plus_value | v for v in minus_row)
+        values.extend(zero_row if (zplus >> a) & 1 else tt_row)
     return BMap(dl, tuple(values))
 
 
 def d_filter_to_map(dl, pair):
     """The unique d-filter map with the given one sets (four-case table)."""
-    for p in bits(dl.tot_mask):
-        a, b = dl.unpid(p)
-        if not (a in pair.fplus or b in pair.fminus):
-            raise CoveringViolation(
-                f"total pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
-                witness=(a, b),
-            )
+    fplus, fminus = pair.fplus.carrier, pair.fminus.carrier
+    # the lowest uncovered pair id is the first total pair a scan would meet
+    uncovered = dl.tot_mask & ~_covered(dl, fplus, fminus)
+    if uncovered:
+        a, b = dl.unpid(low_bit(uncovered))
+        raise CoveringViolation(
+            f"total pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
+            witness=(a, b),
+        )
+    zero_row = tuple(BFF if (fminus >> b) & 1 else 0 for b in range(dl.minus.n))
+    tt_row = tuple(BTT | v for v in zero_row)
     values = []
     for a in range(dl.plus.n):
-        for b in range(dl.minus.n):
-            v = (BTT if a in pair.fplus else 0) | (BFF if b in pair.fminus else 0)
-            values.append(v)
+        values.extend(tt_row if (fplus >> a) & 1 else zero_row)
     return BMap(dl, tuple(values))
 
 
@@ -216,19 +222,55 @@ def _least_in_mask(lattice, mask):
 # validators
 
 
+# per two-bit value, the binary digit of its tt bit and of its ff bit
+_TT_DIGIT = bytes.maketrans(bytes((B0, BTT, BFF, B1)), b"0101")
+_FF_DIGIT = bytes.maketrans(bytes((B0, BTT, BFF, B1)), b"0011")
+
+
+def _bit_planes(bmap):
+    """Pair-id masks of the pairs whose value has its tt bit / its ff bit
+    set: the values, highest pair id first, read as binary digits."""
+    raw = bytes(reversed(bmap.values))
+    return int(raw.translate(_TT_DIGIT), 2), int(raw.translate(_FF_DIGIT), 2)
+
+
+def _empty_or_principal(mask, steps):
+    """Whether a pair set is empty or ↓m (``steps`` downward) / ↑m (upward)
+    for one pair m: closed under a cover step, with at most one member
+    that has no step inside the set (see the ``dlattice`` step kernel)."""
+    beyond = step(mask, steps)
+    extremal = mask & ~beyond
+    return beyond & ~mask == 0 and extremal & (extremal - 1) == 0
+
+
 def validate_d_ideal_map(dl, bmap):
     """Literal clauses: g(tt) ≤ tt, g(ff) ≤ ff, g(con) avoids 1, g preserves
-    finite joins.  (g(0)=0 follows: joins make g monotone, so g(0) ≤ tt ∧ ff.)"""
-    V = bmap.matrix()
+    finite joins.  (g(0)=0 follows: joins make g monotone, so g(0) ≤ tt ∧ ff.)
+
+    Join is bitwise OR on the codomain, so g preserves binary joins iff
+    each bit plane χ of g (a map to the two-element lattice) does, and χ
+    does iff its zero set Z is empty or an ideal.  If χ preserves joins it
+    is monotone (p ≤ q gives χ(q) = χ(p) ∨ χ(q)), so Z is a down-set, and
+    closed under joins.  Conversely, for a join-closed down-set Z, p ∨ q lies
+    in Z iff p and q both do, which is χ(p ∨ q) = χ(p) ∨ χ(q).  A nonempty
+    finite down-set is join-closed iff it has one maximal member (the join
+    of all members; and a down-set with one maximal member m is ↓m).  So
+    the clause is decided by the step kernel; the numpy scan over all pairs
+    of pairs runs only to name the first failing pair."""
     if bmap(dl.tt) & BFF:
         return StructReport.failed("g(tt)<=tt", witness=B_NAMES[bmap(dl.tt)])
     if bmap(dl.ff) & BTT:
         return StructReport.failed("g(ff)<=ff", witness=B_NAMES[bmap(dl.ff)])
-    for p in bits(dl.con_mask):
-        if bmap.values[p] == B1:
-            return StructReport.failed(
-                "g(con)", witness=dl.labels_of(p), message="a consistent pair is sent to 1"
-            )
+    tt, ff = _bit_planes(bmap)
+    sent_to_1 = dl.con_mask & tt & ff
+    if sent_to_1:
+        return StructReport.failed(
+            "g(con)", witness=dl.labels_of(low_bit(sent_to_1)), message="a consistent pair is sent to 1"
+        )
+    full, down = (1 << dl.size) - 1, cover_steps(dl, True)
+    if _empty_or_principal(full & ~tt, down) and _empty_or_principal(full & ~ff, down):
+        return StructReport.passed("valid d-ideal map")
+    V = bmap.matrix()
     lhs = V[dl.plus.join][:, :, dl.minus.join]
     rhs = V[:, None, :, None] | V[None, :, None, :]
     bad = first_index(lhs != rhs)
@@ -243,17 +285,26 @@ def validate_d_ideal_map(dl, bmap):
 
 def validate_d_filter_map(dl, bmap):
     """Literal clauses: f(tt) ≥ tt, f(ff) ≥ ff, f(tot) avoids 0, f preserves
-    finite meets."""
-    V = bmap.matrix()
+    finite meets.
+
+    Dually to ``validate_d_ideal_map`` (meet is bitwise AND), f preserves
+    binary meets iff the one set of each bit plane is empty or a filter:
+    an up-set with at most one minimal member.  The numpy scan runs only to
+    name the first failing pair."""
     if not bmap(dl.tt) & BTT:
         return StructReport.failed("f(tt)>=tt", witness=B_NAMES[bmap(dl.tt)])
     if not bmap(dl.ff) & BFF:
         return StructReport.failed("f(ff)>=ff", witness=B_NAMES[bmap(dl.ff)])
-    for p in bits(dl.tot_mask):
-        if bmap.values[p] == B0:
-            return StructReport.failed(
-                "f(tot)", witness=dl.labels_of(p), message="a total pair is sent to 0"
-            )
+    tt, ff = _bit_planes(bmap)
+    sent_to_0 = dl.tot_mask & ~(tt | ff)
+    if sent_to_0:
+        return StructReport.failed(
+            "f(tot)", witness=dl.labels_of(low_bit(sent_to_0)), message="a total pair is sent to 0"
+        )
+    up = cover_steps(dl, False)
+    if _empty_or_principal(tt, up) and _empty_or_principal(ff, up):
+        return StructReport.passed("valid d-filter map")
+    V = bmap.matrix()
     lhs = V[dl.plus.meet][:, :, dl.minus.meet]
     rhs = V[:, None, :, None] & V[None, :, None, :]
     bad = first_index(lhs != rhs)
@@ -320,17 +371,19 @@ def _primes_structural(A):
 
 def _primes_bruteforce(dl):
     out = []
-    all_plus, all_minus = (1 << dl.plus.n) - 1, (1 << dl.minus.n) - 1
+    _, col0 = unit_masks(dl.plus.n, dl.minus.n)
+    # cheap clauses first (each is one validator clause)
     for u in range(dl.plus.n):
-        below_u = dl.plus.down[u]
+        if u == dl.plus.top:
+            continue  # fails f(tt) >= tt
+        rows_u = _covered(dl, dl.plus.down[u], 0)  # the pairs (a, b) with a ≤ u
         for v in range(dl.minus.n):
-            below_v = dl.minus.down[v]
-            # cheap clauses first (each is one validator clause)
-            if u == dl.plus.top or v == dl.minus.top:
-                continue  # fails f(tt) >= tt / f(ff) >= ff
-            if dl.con_mask & ~_covered(dl, below_u, below_v):
+            if v == dl.minus.top:
+                continue  # fails f(ff) >= ff
+            cols_v = dl.minus.down[v] * col0  # the pairs (a, b) with b ≤ v
+            if dl.con_mask & ~(rows_u | cols_v):
                 continue  # a consistent pair would be sent to 1
-            if dl.tot_mask & ~_covered(dl, all_plus & ~below_u, all_minus & ~below_v):
+            if dl.tot_mask & rows_u & cols_v:
                 continue  # a total pair, with both coordinates below, would be sent to 0
             candidate = d_ideal_to_map(
                 dl, DIdealPair(principal_ideal(dl.plus, u), principal_ideal(dl.minus, v))
@@ -436,26 +489,31 @@ def as_dframe(dl):
 
 def idl_dframe(dl):
     """d-frame of ideals.  Ideals of a finite lattice are the principal
-    down-sets, indexed here by generator, so the coordinate lattices are
-    rebuilt from carrier inclusion."""
+    down-sets, indexed here by generator.  i ↦ ↓i is an order isomorphism
+    onto the ideals under inclusion (↓i ⊆ ↓j iff i ≤ j), so each coordinate
+    lattice is L's order under the ↓ labels, with L's bounds and tables."""
 
     def ideal_lattice(L):
-        leq = [[L.down[i] & ~L.down[j] == 0 for j in range(L.n)] for i in range(L.n)]
-        return build_lattice([f"↓{lab}" for lab in L.labels], leq)
+        poset = L.poset.relabeled(f"↓{lab}" for lab in L.labels)
+        return FiniteLattice(poset, L.bot, L.top, L.meet, L.join)
 
     plus = ideal_lattice(dl.plus)
     minus = ideal_lattice(dl.minus)
     # con/tot of the pair of principal ideals (↓i, ↓j): every / some pair of
-    # the block down[i] × down[j] is consistent / total, read per plus row
+    # the block down[i] × down[j] is consistent / total, so ↓j must lie in
+    # the AND of the con rows over ↓i / meet the OR of the tot rows
     nm = dl.minus.n
     con_row, tot_row = dl.rows(dl.con_mask), dl.rows(dl.tot_mask)
     con = tot = 0
     for i in range(dl.plus.n):
-        rows = list(bits(dl.plus.down[i]))
+        con_all, tot_any = -1, 0
+        for a in bits(dl.plus.down[i]):
+            con_all &= con_row[a]
+            tot_any |= tot_row[a]
         for j, cols in enumerate(dl.minus.down):
-            if all(con_row[a] & cols == cols for a in rows):
+            if con_all & cols == cols:
                 con |= 1 << (i * nm + j)
-            if any(tot_row[a] & cols for a in rows):
+            if tot_any & cols:
                 tot |= 1 << (i * nm + j)
     df = DFrame(plus, minus, con, tot)
     require_valid(validate_dlattice(df), "idl")
@@ -466,8 +524,7 @@ def eta_unit(dl):
     """Principal-ideal embedding into the d-frame of ideals."""
     df = idl_dframe(dl)
     hom = DLatticeHom(dl, df, tuple(range(dl.plus.n)), tuple(range(dl.minus.n)))
-    report = validate_dlattice_hom(hom)
-    assert report.ok, report.message
+    require_valid(validate_dlattice_hom(hom), "eta")
     return df, hom
 
 
@@ -487,10 +544,10 @@ def eta_factorization(dl, target, f):
         for j in range(dl.minus.n)
     )
     fbar = DLatticeHom(df, target, fbar_plus, fbar_minus)
-    report = validate_dlattice_hom(fbar)
-    assert report.ok, report.message
+    require_valid(validate_dlattice_hom(fbar), "the factorization through eta")
     composite = fbar.compose(eta)
-    assert composite.fplus == tuple(f.fplus) and composite.fminus == tuple(f.fminus)
+    if composite.fplus != tuple(f.fplus) or composite.fminus != tuple(f.fminus):
+        raise InvariantViolation("the factorization composed with eta differs from f")
     return df, eta, fbar
 
 
@@ -532,12 +589,12 @@ def epsilon_kappa(df):
     zero-dimensional d-frames."""
     if not is_zero_dimensional_dframe(df):
         raise NotZeroDimensional("epsilon/kappa require a zero-dimensional d-frame")
-    assert is_compact_dframe(df)
+    if not is_compact_dframe(df):
+        raise InvariantViolation("a finite d-frame failed the compactness scan")
     cor = dB(df)
     idlA = idl_dframe(cor.algebra)
     eps = DLatticeHom(idlA, df, cor.embed_plus, cor.embed_minus)
-    rep = validate_dlattice_hom(eps)
-    assert rep.ok, rep.message
+    require_valid(validate_dlattice_hom(eps), "epsilon")
 
     pindex = {a: i for i, a in enumerate(cor.embed_plus)}
     mindex = {b: j for j, b in enumerate(cor.embed_minus)}
@@ -550,15 +607,14 @@ def epsilon_kappa(df):
         gen = df.minus.join_fold(b for b in cor.embed_minus if df.minus.leq(b, y))
         kminus.append(mindex[gen])
     kap = DLatticeHom(df, idlA, tuple(kplus), tuple(kminus))
-    rep = validate_dlattice_hom(kap)
-    assert rep.ok, rep.message
+    require_valid(validate_dlattice_hom(kap), "kappa")
 
     eps_kap = eps.compose(kap)
-    assert eps_kap.fplus == tuple(range(df.plus.n)), "ε ∘ κ must be the identity"
-    assert eps_kap.fminus == tuple(range(df.minus.n))
+    if eps_kap.fplus != tuple(range(df.plus.n)) or eps_kap.fminus != tuple(range(df.minus.n)):
+        raise InvariantViolation("ε ∘ κ must be the identity")
     kap_eps = kap.compose(eps)
-    assert kap_eps.fplus == tuple(range(idlA.plus.n)), "κ ∘ ε must be the identity"
-    assert kap_eps.fminus == tuple(range(idlA.minus.n))
+    if kap_eps.fplus != tuple(range(idlA.plus.n)) or kap_eps.fminus != tuple(range(idlA.minus.n)):
+        raise InvariantViolation("κ ∘ ε must be the identity")
     return FrameAlgebraEquivalence(cor, idlA, eps, kap)
 
 
@@ -568,9 +624,10 @@ def d_complemented_ideals(dl):
     df = idl_dframe(dl)
     idl_plus, idl_minus = d_complemented_sides(df)
     base_plus, base_minus = d_complemented_sides(dl)
-    assert idl_plus == base_plus and idl_minus == base_minus, (
-        "d-complemented ideals must be the principal ideals on d-complemented elements"
-    )
+    if idl_plus != base_plus or idl_minus != base_minus:
+        raise InvariantViolation(
+            "d-complemented ideals must be the principal ideals on d-complemented elements"
+        )
     return {
         "plus": [(i, f"↓{dl.plus.labels[i]}") for i in idl_plus],
         "minus": [(j, f"↓{dl.minus.labels[j]}") for j in idl_minus],

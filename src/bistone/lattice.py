@@ -29,6 +29,11 @@ def bits(mask):
         mask ^= low
 
 
+def low_bit(mask):
+    """Position of the lowest set bit of a nonzero int bitmask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def mask_of(indices):
     out = 0
     for i in indices:
@@ -45,9 +50,10 @@ def first_index(flags):
 
 
 class FinitePoset:
-    """Finite poset: labels plus the order relation as bitmask rows."""
+    """Finite poset: labels plus the order relation as bitmask rows, with
+    the cover relation (Hasse diagram) as rows and as an edge list."""
 
-    __slots__ = ("labels", "n", "up", "down")
+    __slots__ = ("labels", "n", "up", "down", "cover_up", "cover_down", "hasse")
 
     def __init__(self, labels, leq):
         labels = tuple(str(x) for x in labels)
@@ -70,7 +76,11 @@ class FinitePoset:
                         f"leq not antisymmetric on ({labels[i]}, {labels[j]})",
                         witness=(i, j),
                     )
+        # j covers i iff j is strictly above i and strictly above nothing
+        # that is strictly above i
+        cover_up = [0] * n
         for i in range(n):
+            above = 0
             for j in bits(up[i]):
                 if up[j] & ~up[i]:
                     k = next(bits(up[j] & ~up[i]))
@@ -78,26 +88,40 @@ class FinitePoset:
                         f"leq not transitive on ({labels[i]}, {labels[j]}, {labels[k]})",
                         witness=(i, j, k),
                     )
+                if j != i:
+                    above |= up[j] & ~(1 << j)
+            cover_up[i] = up[i] & ~(1 << i) & ~above
         down = [0] * n
+        cover_down = [0] * n
         for i in range(n):
             for j in bits(up[i]):
                 down[j] |= 1 << i
+                if (cover_up[i] >> j) & 1:
+                    cover_down[j] |= 1 << i
         self.labels = labels
         self.n = n
         self.up = tuple(up)
         self.down = tuple(down)
+        self.cover_up = tuple(cover_up)
+        self.cover_down = tuple(cover_down)
+        self.hasse = tuple((i, j) for i in range(n) for j in bits(cover_up[i]))
+
+    def relabeled(self, labels):
+        """The same order under new labels."""
+        labels = tuple(str(x) for x in labels)
+        if len(labels) != self.n:
+            raise ValueError(f"{len(labels)} labels for a poset of {self.n} elements")
+        out = object.__new__(FinitePoset)
+        for name in self.__slots__:
+            setattr(out, name, labels if name == "labels" else getattr(self, name))
+        return out
 
     def leq(self, i, j):
         return (self.up[i] >> j) & 1 == 1
 
     def covers(self, i):
-        """Elements covering i (no element strictly between)."""
-        strict = self.up[i] & ~(1 << i)
-        out = []
-        for j in bits(strict):
-            if not any(k != j and self.leq(k, j) for k in bits(strict)):
-                out.append(j)
-        return out
+        """Elements covering i (no element strictly between), lowest first."""
+        return list(bits(self.cover_up[i]))
 
     def linear_extension(self):
         return sorted(range(self.n), key=lambda i: (self.down[i].bit_count(), i))
@@ -476,18 +500,9 @@ def _invariant_vector(lattice, a):
     return (
         lattice.down[a].bit_count(),
         lattice.up[a].bit_count(),
-        len(lattice.poset.covers(a)),
-        _cocover_count(lattice, a),
+        lattice.poset.cover_up[a].bit_count(),
+        lattice.poset.cover_down[a].bit_count(),
     )
-
-
-def _cocover_count(lattice, a):
-    strict = lattice.down[a] & ~(1 << a)
-    count = 0
-    for j in bits(strict):
-        if not any(k != j and lattice.leq(j, k) for k in bits(strict)):
-            count += 1
-    return count
 
 
 def find_lattice_iso(L, M):
@@ -615,8 +630,7 @@ def hasse_dot(lattice_or_poset, name="poset"):
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i in range(poset.n):
         lines.append(f'  n{i} [label="{poset.labels[i]}"];')
-    for i in range(poset.n):
-        for j in poset.covers(i):
-            lines.append(f"  n{i} -> n{j};")
+    for i, j in poset.hasse:
+        lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,0 +1,419 @@
+"""The cover-step kernels of the Q2 census against the scans they replaced,
+kept here as test-only references: the row closure-gap and extremal-member
+scans of ``validate_dlattice``, the numpy quadruple scans of the d-ideal and
+d-filter validators, ideal lattices rebuilt by ``build_lattice``, the
+pair-by-pair clause (i) scan, the per-pair ``d_filter_to_map`` and the
+nested d-lattice hom enumeration; plus the ``python -O`` guards of
+``ideals``."""
+
+import dataclasses
+import textwrap
+from itertools import product
+
+import pytest
+from test_validate_oracle import _q2_candidates, _single_bit_mutants
+
+from bistone import duality as du
+from bistone.corpus import birkhoff_corpus, chain, dbool_corpus, distributive_lattices, unlabeled_posets
+from bistone.dlattice import (
+    DLattice,
+    DLatticeHom,
+    bool_dlattice,
+    closure,
+    cover_steps,
+    enumerate_dlattice_homs,
+    lambda_of_dislat,
+    omega_of_lattice,
+    step,
+    validate_dlattice,
+)
+from bistone.errors import CoveringViolation
+from bistone.ideals import (
+    B_NAMES,
+    BFF,
+    BMap,
+    BTT,
+    B0,
+    B1,
+    DFilterPair,
+    d_filter_to_map,
+    idl_dframe,
+    validate_d_filter_map,
+    validate_d_ideal_map,
+)
+from bistone.lattice import (
+    FinitePoset,
+    bits,
+    build_lattice,
+    enumerate_lattice_homs,
+    first_index,
+    hasse_dot,
+    principal_filter,
+)
+from bistone.report import StructReport
+
+# ---------------------------------------------------------------------------
+# closure and extremal members
+
+
+def closure_gap(rows, plus_rel, minus_rel):
+    """Reference: lowest (a, b) of the closure of a pair set that the set
+    misses, or None; (up, down) coordinate rows give the down-closure,
+    (down, up) rows the up-closure."""
+    for a, row in enumerate(rows):
+        reach = 0
+        for a2 in bits(plus_rel[a]):
+            reach |= rows[a2]
+        closed = 0
+        for b in bits(reach):
+            closed |= minus_rel[b]
+        missing = closed & ~row
+        if missing:
+            return a, (missing & -missing).bit_length() - 1
+    return None
+
+
+def extremal_members(dl, rows, plus_rel, minus_rel):
+    """Reference: maximal members of a down-set (up rows of both
+    coordinates) or minimal members of an up-set (down rows), row by row."""
+    nm = dl.minus.n
+    out = []
+    for a, row in enumerate(rows):
+        beyond = 0
+        for a2 in bits(plus_rel[a] & ~(1 << a)):
+            beyond |= rows[a2]
+        for b in bits(row & ~beyond):
+            if row & minus_rel[b] == 1 << b:
+                out.append(a * nm + b)
+    return out
+
+
+@pytest.fixture(scope="module")
+def q2_inputs():
+    candidates = _q2_candidates(4)
+    valid = [dl for dl in candidates if validate_dlattice(dl).ok]
+    return candidates + [m for dl in valid for m in _single_bit_mutants(dl)]
+
+
+def test_step_kernel_matches_row_scans(q2_inputs):
+    seen = set()
+    for dl in q2_inputs:
+        P, M = dl.plus, dl.minus
+        down, up = cover_steps(dl, True), cover_steps(dl, False)
+        for mask, steps, closure_rels, extremal_rels in (
+            (dl.con_mask, down, (P.up, M.down), (P.up, M.up)),
+            (dl.tot_mask, up, (P.down, M.up), (P.down, M.down)),
+        ):
+            rows = dl.rows(mask)
+            beyond = step(mask, steps)
+            gap = closure_gap(rows, *closure_rels)
+            closed = gap is None
+            assert closed == (beyond & ~mask == 0)
+            if not closed:
+                missing = closure(mask, steps) & ~mask
+                assert dl.unpid((missing & -missing).bit_length() - 1) == gap
+            else:
+                assert sorted(extremal_members(dl, rows, *extremal_rels)) == list(bits(mask & ~beyond))
+            seen.add(closed)
+    assert seen == {True, False}
+
+
+def test_step_kernel_on_large_carriers():
+    for A in dbool_corpus(5):
+        if A.size <= 64:
+            continue
+        assert step(A.con_mask, cover_steps(A, True)) & ~A.con_mask == 0
+        assert step(A.tot_mask, cover_steps(A, False)) & ~A.tot_mask == 0
+        rows = A.rows(A.con_mask)
+        maximal = A.con_mask & ~step(A.con_mask, cover_steps(A, True))
+        assert sorted(extremal_members(A, rows, A.plus.up, A.minus.up)) == list(bits(maximal))
+
+
+def covers_by_scan(poset, i):
+    """Reference: elements strictly above i with nothing strictly between."""
+    strict = poset.up[i] & ~(1 << i)
+    return [j for j in bits(strict) if not any(k != j and poset.leq(k, j) for k in bits(strict))]
+
+
+def test_cover_masks_match_scan():
+    posets = unlabeled_posets(5)
+    assert len(posets) == 87
+    for poset in posets:
+        n = poset.n
+        want = [covers_by_scan(poset, i) for i in range(n)]
+        assert [poset.covers(i) for i in range(n)] == want
+        assert poset.hasse == tuple((i, j) for i in range(n) for j in want[i])
+        dual = poset.dual()
+        assert [list(bits(poset.cover_down[i])) for i in range(n)] == [
+            covers_by_scan(dual, i) for i in range(n)
+        ]
+        lines = [f"  n{i} -> n{j};" for i in range(n) for j in want[i]]
+        assert hasse_dot(poset).splitlines()[2 + n:-1] == lines
+
+
+def test_relabeled_poset_keeps_order():
+    poset = FinitePoset(["p", "q", "r"], [[True, True, True], [False, True, True], [False, False, True]])
+    other = poset.relabeled("xyz")
+    assert other.labels == ("x", "y", "z")
+    assert (other.up, other.down, other.hasse) == (poset.up, poset.down, poset.hasse)
+    with pytest.raises(ValueError):
+        poset.relabeled("xy")
+
+
+# ---------------------------------------------------------------------------
+# prime d-ideal validators
+
+
+def validate_d_ideal_map_numpy(dl, bmap):
+    """Reference: the validator with the numpy quadruple join scan."""
+    V = bmap.matrix()
+    if bmap(dl.tt) & BFF:
+        return StructReport.failed("g(tt)<=tt", witness=B_NAMES[bmap(dl.tt)])
+    if bmap(dl.ff) & BTT:
+        return StructReport.failed("g(ff)<=ff", witness=B_NAMES[bmap(dl.ff)])
+    for p in bits(dl.con_mask):
+        if bmap.values[p] == B1:
+            return StructReport.failed(
+                "g(con)", witness=dl.labels_of(p), message="a consistent pair is sent to 1"
+            )
+    lhs = V[dl.plus.join][:, :, dl.minus.join]
+    rhs = V[:, None, :, None] | V[None, :, None, :]
+    bad = first_index(lhs != rhs)
+    if bad is not None:
+        a, a2, b, b2 = bad
+        return StructReport.failed(
+            "join-preservation",
+            witness=(dl.pair_label(dl.pid(a, b)), dl.pair_label(dl.pid(a2, b2))),
+        )
+    return StructReport.passed("valid d-ideal map")
+
+
+def validate_d_filter_map_numpy(dl, bmap):
+    """Reference: the validator with the numpy quadruple meet scan."""
+    V = bmap.matrix()
+    if not bmap(dl.tt) & BTT:
+        return StructReport.failed("f(tt)>=tt", witness=B_NAMES[bmap(dl.tt)])
+    if not bmap(dl.ff) & BFF:
+        return StructReport.failed("f(ff)>=ff", witness=B_NAMES[bmap(dl.ff)])
+    for p in bits(dl.tot_mask):
+        if bmap.values[p] == B0:
+            return StructReport.failed(
+                "f(tot)", witness=dl.labels_of(p), message="a total pair is sent to 0"
+            )
+    lhs = V[dl.plus.meet][:, :, dl.minus.meet]
+    rhs = V[:, None, :, None] & V[None, :, None, :]
+    bad = first_index(lhs != rhs)
+    if bad is not None:
+        a, a2, b, b2 = bad
+        return StructReport.failed(
+            "meet-preservation",
+            witness=(dl.pair_label(dl.pid(a, b)), dl.pair_label(dl.pid(a2, b2))),
+        )
+    return StructReport.passed("valid d-filter map")
+
+
+def test_map_validators_match_numpy_scans():
+    shell = DLattice(chain(2), chain(3), 0, 0)
+    inputs = [bool_dlattice(), omega_of_lattice(chain(2)), shell]
+    total, fired = 0, set()
+    for dl in inputs:
+        for values in product((B0, BTT, BFF, B1), repeat=dl.size):
+            bmap = BMap(dl, values)
+            for fast, slow in (
+                (validate_d_ideal_map, validate_d_ideal_map_numpy),
+                (validate_d_filter_map, validate_d_filter_map_numpy),
+            ):
+                want = slow(dl, bmap)
+                assert fast(dl, bmap) == want
+                fired.add(want.axiom)
+            total += 1
+    assert total == 4608
+    assert fired == {
+        None,
+        "g(tt)<=tt",
+        "g(ff)<=ff",
+        "g(con)",
+        "join-preservation",
+        "f(tt)>=tt",
+        "f(ff)>=ff",
+        "f(tot)",
+        "meet-preservation",
+    }
+
+
+# ---------------------------------------------------------------------------
+# the ideal d-frame
+
+
+def ideal_lattice_by_build(L):
+    """Reference: the ideal lattice rebuilt from carrier inclusion."""
+    leq = [[L.down[i] & ~L.down[j] == 0 for j in range(L.n)] for i in range(L.n)]
+    return build_lattice([f"↓{lab}" for lab in L.labels], leq)
+
+
+def test_ideal_lattices_match_build_lattice():
+    lattices = list(distributive_lattices(5)) + [L for L in birkhoff_corpus(4) if L.n > 1]
+    dls = [omega_of_lattice(L) for L in lattices] + list(dbool_corpus(4))
+    for dl in dls:
+        df = idl_dframe(dl)
+        for got, L in ((df.plus, dl.plus), (df.minus, dl.minus)):
+            want = ideal_lattice_by_build(L)
+            assert got.labels == want.labels
+            assert (got.up, got.down, got.bot, got.top) == (want.up, want.down, want.bot, want.top)
+            assert (got.meet == want.meet).all() and (got.join == want.join).all()
+
+
+# ---------------------------------------------------------------------------
+# spatiality clause (i)
+
+
+@pytest.fixture(scope="module")
+def kernel_dls():
+    """Every valid Q2 candidate at bound 4 plus the d-Boolean corpus up to
+    4-element posets."""
+    return [dl for dl in _q2_candidates(4) if validate_dlattice(dl).ok] + list(dbool_corpus(4))
+
+
+def clause_i_by_scan(spec, literal_pair_limit):
+    """Reference: the clause (i) scans as they ran on every spectrum."""
+    np_, nm = len(spec.phi_plus), len(spec.phi_minus)
+    if np_ * nm <= literal_pair_limit:
+        for i1, j1, i2, j2 in product(range(np_), range(nm), range(np_), range(nm)):
+            if (i1, j1) != (i2, j2) and spec.phi_plus[i1] == spec.phi_plus[i2] and (
+                spec.phi_minus[j1] == spec.phi_minus[j2]
+            ):
+                return f"clause (i): ideals ({i1},{j1}) vs ({i2},{j2}) not separated"
+        return None
+    for i1 in range(np_):
+        for i2 in range(i1 + 1, np_):
+            if spec.phi_plus[i1] == spec.phi_plus[i2]:
+                return f"clause (i): plus ideals {i1} vs {i2} not separated"
+    for j1 in range(nm):
+        for j2 in range(j1 + 1, nm):
+            if spec.phi_minus[j1] == spec.phi_minus[j2]:
+                return f"clause (i): minus ideals {j1} vs {j2} not separated"
+    return None
+
+
+@pytest.mark.parametrize("literal_pair_limit", [81, 0])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_clause_i_detail_under_non_injective_spectrum(monkeypatch, literal_pair_limit, side):
+    genuine = du.spectrum
+    merged = []
+
+    def merging_spectrum(dl, path="auto"):
+        spec = genuine(dl, path=path)
+        phi = list(getattr(spec, f"phi_{side}"))
+        phi[-1] = phi[0]  # two distinct ideals with equal opens
+        patched = dataclasses.replace(spec, **{f"phi_{side}": tuple(phi)})
+        merged.append(patched)
+        return patched
+
+    monkeypatch.setattr(du, "spectrum", merging_spectrum)
+    for A in (lambda_of_dislat(chain(3)), omega_of_lattice(chain(3)), bool_dlattice()):
+        ok, detail = du.spatiality_check(A, literal_pair_limit=literal_pair_limit)
+        want = clause_i_by_scan(merged[-1], literal_pair_limit)
+        assert (ok, detail) == (False, want)
+        assert want.startswith("clause (i)")
+
+
+def test_clause_i_passes_where_scan_passes(kernel_dls):
+    for dl in kernel_dls:
+        spec = du.spectrum(dl, path="brute")
+        ok, detail = du.spatiality_check(dl)
+        if clause_i_by_scan(spec, 81) is None:
+            assert not detail.startswith("clause (i)")
+        else:
+            assert (ok, detail) == (False, clause_i_by_scan(spec, 81))
+
+
+# ---------------------------------------------------------------------------
+# d-filter maps and hom enumeration
+
+
+def d_filter_to_map_by_membership(dl, pair):
+    """Reference: the per-pair covering scan and value table through
+    ``Filter.__contains__``."""
+    for p in bits(dl.tot_mask):
+        a, b = dl.unpid(p)
+        if not (a in pair.fplus or b in pair.fminus):
+            raise CoveringViolation(
+                f"total pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
+                witness=(a, b),
+            )
+    return tuple(
+        (BTT if a in pair.fplus else 0) | (BFF if b in pair.fminus else 0)
+        for a in range(dl.plus.n)
+        for b in range(dl.minus.n)
+    )
+
+
+def test_d_filter_to_map_matches_membership_table(kernel_dls):
+    uncovered = 0
+    for dl in kernel_dls + [omega_of_lattice(chain(3))]:
+        for u in range(dl.plus.n):
+            for v in range(dl.minus.n):
+                pair = DFilterPair(principal_filter(dl.plus, u), principal_filter(dl.minus, v))
+                try:
+                    want = d_filter_to_map_by_membership(dl, pair)
+                except CoveringViolation as exc:
+                    with pytest.raises(CoveringViolation) as got:
+                        d_filter_to_map(dl, pair)
+                    assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
+                    uncovered += 1
+                    continue
+                assert d_filter_to_map(dl, pair).values == want
+    assert uncovered
+
+
+def enumerate_dlattice_homs_nested(src, tgt):
+    """Reference: every plus hom times every minus hom, re-enumerated per
+    plus hom, filtered by con/tot images through ``DLatticeHom.apply``."""
+    out = []
+    for fp in enumerate_lattice_homs(src.plus, tgt.plus):
+        for fm in enumerate_lattice_homs(src.minus, tgt.minus):
+            hom = DLatticeHom(src, tgt, fp.mapping, fm.mapping)
+            if all(tgt.in_con(hom.apply(p)) for p in bits(src.con_mask)) and all(
+                tgt.in_tot(hom.apply(p)) for p in bits(src.tot_mask)
+            ):
+                out.append(hom)
+    return out
+
+
+def test_hom_enumeration_matches_nested_loops():
+    dls = [bool_dlattice(), omega_of_lattice(chain(2)), omega_of_lattice(chain(3))]
+    dls += [lambda_of_dislat(L) for L in birkhoff_corpus(3) if L.n > 1]
+    dls += [dl for dl in _q2_candidates(3) if validate_dlattice(dl).ok]
+    total = 0
+    for src in dls:
+        for tgt in dls:
+            want = [(h.fplus, h.fminus) for h in enumerate_dlattice_homs_nested(src, tgt)]
+            got = [(h.fplus, h.fminus) for h in enumerate_dlattice_homs(src, tgt)]
+            assert got == want
+            total += len(got)
+    assert total
+
+
+# ---------------------------------------------------------------------------
+# python -O
+
+
+def test_eta_guard_survives_python_O(run_python):
+    script = textwrap.dedent(
+        """
+        import sys
+        from bistone import ideals
+        from bistone.dlattice import bool_dlattice
+        from bistone.errors import InvariantViolation
+        from bistone.report import StructReport
+
+        ideals.validate_dlattice_hom = lambda hom: StructReport.failed("patched")
+        try:
+            ideals.eta_unit(bool_dlattice())
+        except InvariantViolation:
+            print("raised", sys.flags.optimize)
+        """
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["raised", "1"]

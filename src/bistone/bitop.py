@@ -2,8 +2,8 @@
 
 Point subsets are int bitmasks; topologies are stored extensionally as
 sorted tuples of masks, so redundant bases and non-Alexandrov-style input
-are handled uniformly.  Every finite bitopological space is compact; the
-subcover search is kept anyway for definition fidelity.
+are handled uniformly.  Every finite bitopological space is compact, so
+``is_compact`` is its finiteness proof rather than a subcover search.
 
 Pervin connectedness is not restated in the source material, so the
 formalization used here is: a subset S is disconnected iff S ⊆ U ∪ V for
@@ -178,22 +178,17 @@ def minus_open_plus_closed(space):
 
 def is_zero_dimensional(space):
     """Each topology has a base of sets closed in the other topology."""
-    base_plus = plus_open_minus_closed(space)
-    for u in space.tau_plus:
-        union = 0
-        for b in base_plus:
-            if b & ~u == 0:
-                union |= b
-        if union != u:
-            return False
-    base_minus = minus_open_plus_closed(space)
-    for v in space.tau_minus:
-        union = 0
-        for b in base_minus:
-            if b & ~v == 0:
-                union |= b
-        if union != v:
-            return False
+    for opens, base in (
+        (space.tau_plus, plus_open_minus_closed(space)),
+        (space.tau_minus, minus_open_plus_closed(space)),
+    ):
+        for u in opens:
+            union = 0
+            for b in base:
+                if b & ~u == 0:
+                    union |= b
+            if union != u:
+                return False
     return True
 
 

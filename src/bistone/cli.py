@@ -2,7 +2,7 @@
 
 Single binary, subcommand style.  Machine-readable JSON goes to stdout,
 the human summary to stderr.  Exit codes: 0 pass, 1 validation/property
-failure, 2 usage or parse error.  Identical (input, seed, config) always
+failure, 2 usage or parse error.  Identical (input, config) always
 produces byte-identical output.
 """
 
@@ -132,11 +132,10 @@ def cmd_gen(args):
             write(f"space_{k:03d}.json", bitop_to_json(bt.stone_space_from_poset(p)))
     manifest = {
         "kind": "manifest",
-        "version": 1,
+        "version": 2,
         "command": "gen",
         "corpus": args.kind,
         "bounds": bound,
-        "seed": args.seed,
         "counts_by_size": poset_counts(bound),
         "total": len(files),
         "files": files,
@@ -185,7 +184,6 @@ def build_parser():
         if needs_in:
             p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("validate", help="validate a structure file"))
     common(sub.add_parser("spec", help="spectrum of a d-lattice"))
@@ -196,19 +194,16 @@ def build_parser():
     gen.add_argument("--kind", required=True, choices=["posets", "lattices", "dbool", "stone-spaces"])
     gen.add_argument("--bounds", required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=0)
 
     props = sub.add_parser("props", help="run an invariant suite")
     props.add_argument("--suite", required=True)
     props.add_argument("--corpus", default=None, help="directory of structure files")
     props.add_argument("--out", default=None)
-    props.add_argument("--seed", type=int, default=0)
 
     search = sub.add_parser("search", help="finite counterexample search")
     search.add_argument("--conjecture", required=True, choices=["Q1", "Q2"])
     search.add_argument("--bounds", required=True, type=int)
     search.add_argument("--out", default=None)
-    search.add_argument("--seed", type=int, default=0)
 
     return parser
 

@@ -4,14 +4,14 @@ Unlabeled posets are enumerated as transitive subrelations of the natural
 strict order (every poset admits a linear extension, so each isomorphism
 class has such a representative) and deduplicated by canonical form.
 Known counts per size: 1, 2, 5, 16, 63 for one to five elements; the
-generator asserts them.
+generator raises ``InvariantViolation`` when a count differs.
 """
 
 from functools import lru_cache
 
 from .dlattice import lambda_of_dislat
-from .errors import BoundsTooLarge, NotALattice, NotBounded, NotDistributive
-from .lattice import FinitePoset, birkhoff, build_lattice
+from .errors import BoundsTooLarge, InvariantViolation, NotALattice, NotBounded, NotDistributive
+from .lattice import FinitePoset, birkhoff, build_lattice, is_closed
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 
@@ -30,12 +30,8 @@ def unlabeled_posets_of_size(n):
         for k, (i, j) in enumerate(pairs):
             if (code >> k) & 1:
                 rows[i] |= 1 << j
-        if not all(
-            not ((rows[i] >> j) & 1) or (rows[j] & ~rows[i]) == 0
-            for i in range(n)
-            for j in range(n)
-        ):
-            continue
+        if not all(is_closed(rows[i], rows) for i in range(n)):
+            continue  # not transitive
         poset = FinitePoset(
             [chr(ord("a") + i) for i in range(n)],
             [[(rows[i] >> j) & 1 == 1 for j in range(n)] for i in range(n)],
@@ -44,8 +40,8 @@ def unlabeled_posets_of_size(n):
         if sig not in found:
             found[sig] = poset
     posets = tuple(found[s] for s in sorted(found))
-    if n in KNOWN_POSET_COUNTS:
-        assert len(posets) == KNOWN_POSET_COUNTS[n], (
+    if n in KNOWN_POSET_COUNTS and len(posets) != KNOWN_POSET_COUNTS[n]:
+        raise InvariantViolation(
             f"expected {KNOWN_POSET_COUNTS[n]} posets of size {n}, got {len(posets)}"
         )
     return posets

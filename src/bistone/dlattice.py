@@ -60,6 +60,7 @@ from .lattice import (
     enumerate_lattice_homs,
     find_lattice_iso,
     first_index,
+    inverse_permutation,
     is_lattice_iso,
     low_bit,
     validate_lattice_hom,
@@ -496,11 +497,8 @@ class DBooleanAlgebra(DLattice):
     def __init__(self, plus, minus, con_mask, tot_mask, dagger):
         super().__init__(plus, minus, con_mask, tot_mask)
         dagger = tuple(int(x) for x in dagger)
-        inv = [0] * minus.n
-        for a, b in enumerate(dagger):
-            inv[b] = a
         object.__setattr__(self, "dagger", dagger)
-        object.__setattr__(self, "dagger_inv", tuple(inv))
+        object.__setattr__(self, "dagger_inv", inverse_permutation(dagger, minus.n))
 
 
 def validate_dboolean(A):
@@ -788,9 +786,7 @@ def from_dbl(obj):
     dagger = tuple(int(x) for x in obj.dagger)
     if sorted(dagger) != list(range(obj.minus.n)):
         raise DaggerNotOrderReversing("pairing is not a bijection", witness=dagger)
-    inv = [0] * obj.minus.n
-    for a, b in enumerate(dagger):
-        inv[b] = a
+    inv = inverse_permutation(dagger)
     for a1 in range(obj.plus.n):
         for a2 in range(obj.plus.n):
             if obj.plus.leq(a1, a2) != obj.minus.leq(dagger[a2], dagger[a1]):

@@ -8,7 +8,7 @@ read as theorems.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, product
 
 from .bitop import (
     BiTopSpace,
@@ -52,6 +52,8 @@ from .lattice import (
     bits,
     classical_spec,
     enumerate_lattice_homs,
+    inverse_permutation,
+    is_closed,
     lattice_from_family,
     mask_of,
 )
@@ -140,13 +142,7 @@ def unit_roundtrip(A):
     rep = validate_dlattice_hom(forward)
     if not rep.ok:
         return DualityWitness("NOT_ISO", forward, None, f"phi not a hom: {rep.message}")
-    inv_plus = [0] * C.plus.n
-    for a, i in enumerate(fplus):
-        inv_plus[i] = a
-    inv_minus = [0] * C.minus.n
-    for b, j in enumerate(fminus):
-        inv_minus[j] = b
-    backward = DLatticeHom(C, A, tuple(inv_plus), tuple(inv_minus))
+    backward = DLatticeHom(C, A, inverse_permutation(fplus), inverse_permutation(fminus))
     rep = validate_dlattice_hom(backward)
     if not rep.ok:
         return DualityWitness("NOT_ISO", forward, backward, f"inverse not a hom: {rep.message}")
@@ -182,10 +178,7 @@ def counit_roundtrip(X):
         return DualityWitness("NOT_ISO", mapping, None, "x ↦ [x] is not bijective")
     if not is_homeomorphism(mapping, X, spec.space):
         return DualityWitness("NOT_ISO", mapping, None, "x ↦ [x] is not a homeomorphism")
-    inverse = [0] * X.n
-    for x, k in enumerate(mapping):
-        inverse[k] = x
-    return DualityWitness("ISO", mapping, tuple(inverse), "counit round-trip")
+    return DualityWitness("ISO", mapping, inverse_permutation(mapping), "counit round-trip")
 
 
 def dspec_equals_dpt_idl(dl):
@@ -208,7 +201,7 @@ def dspec_equals_dpt_idl(dl):
     return is_homeomorphism(mapping, pts_space, spec.space)
 
 
-def spatiality_check(dl, literal_pair_limit=81):
+def spatiality_check(dl):
     """The three spatiality clauses of the ideal frame against the spectrum.
 
     (i) prime d-ideals separate distinct ideal pairs, (ii) consistency of an
@@ -216,8 +209,8 @@ def spatiality_check(dl, literal_pair_limit=81):
     Distinct ideal pairs (i1, j1), (i2, j2) with φ₊(i1) = φ₊(i2) and
     φ₋(j1) = φ₋(j2) exist iff φ₊ or φ₋ is not injective (vary one side and
     fix the other), so clause (i) is decided by injectivity.  A failure is
-    named by the pair-by-pair scan on small carriers and by the per-side
-    scan on large ones.
+    named by the first such quadruple (i1, j1, i2, j2) in lexicographic
+    order, read off the classes of equal opens (see ``_unseparated``).
     """
     spec = spectrum(dl, path="brute")
     idlf = idl_dframe(dl)
@@ -225,7 +218,7 @@ def spatiality_check(dl, literal_pair_limit=81):
     np_, nm = dl.plus.n, dl.minus.n
 
     if len(set(spec.phi_plus)) < np_ or len(set(spec.phi_minus)) < nm:
-        return False, _unseparated(spec, literal_pair_limit)
+        return False, _unseparated(spec)
 
     for i in range(np_):
         for j in range(nm):
@@ -238,31 +231,27 @@ def spatiality_check(dl, literal_pair_limit=81):
     return True, "spatial"
 
 
-def _unseparated(spec, literal_pair_limit):
-    """Clause (i) failure detail: the first distinct ideal pairs with equal
-    opens, scanned pair by pair on small carriers, else per side."""
-    np_, nm = len(spec.phi_plus), len(spec.phi_minus)
-    if np_ * nm <= literal_pair_limit:
-        for i1 in range(np_):
-            for j1 in range(nm):
-                for i2 in range(np_):
-                    for j2 in range(nm):
-                        if (i1, j1) == (i2, j2):
-                            continue
-                        if spec.phi_plus[i1] != spec.phi_plus[i2]:
-                            continue
-                        if spec.phi_minus[j1] != spec.phi_minus[j2]:
-                            continue
-                        return f"clause (i): ideals ({i1},{j1}) vs ({i2},{j2}) not separated"
-    for i1 in range(np_):
-        for i2 in range(i1 + 1, np_):
-            if spec.phi_plus[i1] == spec.phi_plus[i2]:
-                return f"clause (i): plus ideals {i1} vs {i2} not separated"
-    for j1 in range(nm):
-        for j2 in range(j1 + 1, nm):
-            if spec.phi_minus[j1] == spec.phi_minus[j2]:
-                return f"clause (i): minus ideals {j1} vs {j2} not separated"
-    raise InvariantViolation("clause (i) failure without unseparated ideals")
+def _twin_classes(phi):
+    """Per index k, the indices whose open equals phi[k], ascending."""
+    classes = {}
+    for k, u in enumerate(phi):
+        classes.setdefault(u, []).append(k)
+    return [classes[u] for u in phi]
+
+
+def _unseparated(spec):
+    """Clause (i) failure detail: the first distinct ideal pairs (i1, j1),
+    (i2, j2) with equal opens, in lexicographic order.
+
+    The pairs with the opens of (i1, j1) are P(i1) × M(j1), the products of
+    the classes of equal φ₊ and φ₋ values, so (i1, j1) has a partner iff
+    |P(i1)|·|M(j1)| > 1.  The first such (i1, j1) and then the first member
+    of P(i1) × M(j1) other than itself, both in row-major order, are the
+    quadruple that the scan over all pairs of ideal pairs meets first."""
+    P, M = _twin_classes(spec.phi_plus), _twin_classes(spec.phi_minus)
+    i1, j1 = next((i, j) for i in range(len(P)) for j in range(len(M)) if len(P[i]) * len(M[j]) > 1)
+    i2, j2 = next(q for q in product(P[i1], M[j1]) if q != (i1, j1))
+    return f"clause (i): ideals ({i1},{j1}) vs ({i2},{j2}) not separated"
 
 
 def lambda_equivalence_check(lattices, dbools=()):
@@ -294,7 +283,8 @@ def classical_square_check(B):
     """The embedding squares against classical Stone duality: the spectrum of
     the doubled algebra is the doubled classical spectrum, and likewise for
     the clopen algebras."""
-    assert B.is_boolean(), "classical square requires a Boolean lattice"
+    if not B.is_boolean():
+        raise ValueError("classical square requires a Boolean lattice")
     primes, gens = classical_spec(B)
     n_pts = len(primes)
     topology = generate_topology(n_pts, gens)
@@ -404,11 +394,7 @@ def enumerate_preorders(n):
         for k, (i, j) in enumerate(pairs):
             if (code >> k) & 1:
                 rows[i] |= 1 << j
-        if all(
-            not ((rows[i] >> j) & 1) or (rows[j] & ~rows[i]) == 0
-            for i in range(n)
-            for j in range(n)
-        ):
+        if all(is_closed(rows[i], rows) for i in range(n)):  # transitive
             out.append(tuple(rows))
     return out
 
@@ -417,7 +403,7 @@ def topology_of_preorder(n, rows):
     """Up-sets of a preorder; every finite topology arises this way."""
     return tuple(
         sorted(
-            (m for m in range(1 << n) if all(rows[i] & ~m == 0 for i in bits(m))),
+            (m for m in range(1 << n) if is_closed(m, rows)),
             key=lambda m: (m.bit_count(), m),
         )
     )

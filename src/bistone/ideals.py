@@ -40,10 +40,12 @@ from .lattice import (
     Filter,
     FiniteLattice,
     Ideal,
+    _least_of,
     bits,
     first_index,
     ideal_from_carrier,
     low_bit,
+    mask_of,
     prime_ideals,
     principal_filter,
     principal_ideal,
@@ -53,7 +55,6 @@ from .report import StructReport
 B0, BTT, BFF, B1 = 0, 1, 2, 3
 B_NAMES = {B0: "0", BTT: "tt", BFF: "ff", B1: "1"}
 B_JSON = {B0: 0, BTT: "tt", BFF: "ff", B1: 1}
-B_VALUES = {v: k for k, v in B_NAMES.items()}
 
 # logic order of the codomain: ff ⊏ 0 ⊏ tt and ff ⊏ 1 ⊏ tt
 B_LOGIC_LEQ = frozenset(
@@ -96,20 +97,10 @@ class BMap:
         return self.value_at(self.dlattice.plus.bot, b)
 
     def zero_set_plus(self):
-        dl = self.dlattice
-        mask = 0
-        for a in range(dl.plus.n):
-            if self.on_plus(a) == B0:
-                mask |= 1 << a
-        return mask
+        return mask_of(a for a in range(self.dlattice.plus.n) if self.on_plus(a) == B0)
 
     def zero_set_minus(self):
-        dl = self.dlattice
-        mask = 0
-        for b in range(dl.minus.n):
-            if self.on_minus(b) == B0:
-                mask |= 1 << b
-        return mask
+        return mask_of(b for b in range(self.dlattice.minus.n) if self.on_minus(b) == B0)
 
     def leq(self, other):
         """Pointwise comparison in the information order of the codomain."""
@@ -147,43 +138,38 @@ def _covered(dl, zplus, zminus):
     return covered
 
 
-def d_ideal_to_map(dl, pair):
-    """The unique d-ideal map with the given zero sets (four-case table)."""
-    zplus, zminus = pair.iplus.carrier, pair.iminus.carrier
-    nm = dl.minus.n
-    # the lowest uncovered pair id is the first consistent pair a scan would meet
-    uncovered = dl.con_mask & ~_covered(dl, zplus, zminus)
+def _four_case_map(dl, plus, minus, ones):
+    """The four-case map of a pair of coordinate sets that cover tot when
+    ``ones`` (the one sets of a d-filter map), else con (the zero sets of a
+    d-ideal map).  (a, b) gets its tt bit iff a ∈ plus and its ff bit iff
+    b ∈ minus when ``ones``, and iff a ∉ plus / b ∉ minus otherwise."""
+    required, what = (dl.tot_mask, "total") if ones else (dl.con_mask, "consistent")
+    # the lowest uncovered pair id is the first pair a scan would meet
+    uncovered = required & ~_covered(dl, plus, minus)
     if uncovered:
         a, b = dl.unpid(low_bit(uncovered))
         raise CoveringViolation(
-            f"consistent pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
+            f"{what} pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
             witness=(a, b),
         )
-    zero_row = tuple(0 if (zminus >> b) & 1 else BFF for b in range(nm))
-    tt_row = tuple(BTT | v for v in zero_row)
+    if not ones:
+        plus, minus = ~plus, ~minus
+    ff_row = tuple(BFF if (minus >> b) & 1 else 0 for b in range(dl.minus.n))
+    tt_row = tuple(BTT | v for v in ff_row)
     values = []
     for a in range(dl.plus.n):
-        values.extend(zero_row if (zplus >> a) & 1 else tt_row)
+        values.extend(tt_row if (plus >> a) & 1 else ff_row)
     return BMap(dl, tuple(values))
+
+
+def d_ideal_to_map(dl, pair):
+    """The unique d-ideal map with the given zero sets (four-case table)."""
+    return _four_case_map(dl, pair.iplus.carrier, pair.iminus.carrier, False)
 
 
 def d_filter_to_map(dl, pair):
     """The unique d-filter map with the given one sets (four-case table)."""
-    fplus, fminus = pair.fplus.carrier, pair.fminus.carrier
-    # the lowest uncovered pair id is the first total pair a scan would meet
-    uncovered = dl.tot_mask & ~_covered(dl, fplus, fminus)
-    if uncovered:
-        a, b = dl.unpid(low_bit(uncovered))
-        raise CoveringViolation(
-            f"total pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
-            witness=(a, b),
-        )
-    zero_row = tuple(BFF if (fminus >> b) & 1 else 0 for b in range(dl.minus.n))
-    tt_row = tuple(BTT | v for v in zero_row)
-    values = []
-    for a in range(dl.plus.n):
-        values.extend(tt_row if (fplus >> a) & 1 else zero_row)
-    return BMap(dl, tuple(values))
+    return _four_case_map(dl, pair.fplus.carrier, pair.fminus.carrier, True)
 
 
 def d_ideal_pair_of_map(g):
@@ -198,24 +184,12 @@ def d_ideal_pair_of_map(g):
 def d_filter_pair_of_map(f):
     """Recover the filter pair of a d-filter map (one sets of a ∨ ff, tt ∨ b)."""
     dl = f.dlattice
-    plus_mask = 0
-    for a in range(dl.plus.n):
-        if f.value_at(a, dl.minus.top) == B1:
-            plus_mask |= 1 << a
-    minus_mask = 0
-    for b in range(dl.minus.n):
-        if f.value_at(dl.plus.top, b) == B1:
-            minus_mask |= 1 << b
-    gp = _least_in_mask(dl.plus, plus_mask)
-    gm = _least_in_mask(dl.minus, minus_mask)
+    plus_mask = mask_of(a for a in range(dl.plus.n) if f.value_at(a, dl.minus.top) == B1)
+    minus_mask = mask_of(b for b in range(dl.minus.n) if f.value_at(dl.plus.top, b) == B1)
+    gp, gm = _least_of(plus_mask, dl.plus.up), _least_of(minus_mask, dl.minus.up)
+    if gp is None or gm is None:
+        raise ValueError("subset is not a principal filter")
     return DFilterPair(Filter(dl.plus, gp, plus_mask), Filter(dl.minus, gm, minus_mask))
-
-
-def _least_in_mask(lattice, mask):
-    for m in bits(mask):
-        if mask & ~lattice.up[m] == 0:
-            return m
-    raise ValueError("subset is not a principal filter")
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +313,10 @@ def enumerate_prime_d_ideals(dl, path="auto"):
 
     ``structural`` (d-Boolean only): one prime d-ideal per prime ideal of the
     plus lattice, the minus side obtained through the pairing.  ``brute``:
-    every candidate four-case map of a principal ideal pair is passed through
-    both literal validators; finite ideals are principal and every d-ideal is
-    the four-case map of its zero sets, so this scan is exhaustive.
+    every candidate four-case map of a principal ideal pair that is a
+    d-ideal map is passed through the d-filter validator; finite ideals are
+    principal and every d-ideal is the four-case map of its zero sets, so
+    this scan is exhaustive.
     """
     if path == "auto":
         path = "structural" if isinstance(dl, DBooleanAlgebra) else "brute"
@@ -370,6 +345,16 @@ def _primes_structural(A):
 
 
 def _primes_bruteforce(dl):
+    """The four-case maps g of the principal pairs (↓u, ↓v) that pass both
+    validators.
+
+    A candidate that survives the covering test below is a d-ideal map, so
+    only ``validate_d_filter_map`` runs.  With u ≠ top, g(tt) = tt (top ∉ ↓u
+    sets the tt bit, bot ∈ ↓v leaves the ff bit clear) and dually, with
+    v ≠ top, g(ff) = ff.  Every consistent pair has a coordinate in ↓u or
+    ↓v, so none is sent to 1.  The zero sets of the tt and ff planes are
+    ↓u × M = ↓(u, top) and P × ↓v = ↓(top, v), both principal, so each
+    plane preserves joins (see ``validate_d_ideal_map``) and so does g."""
     out = []
     _, col0 = unit_masks(dl.plus.n, dl.minus.n)
     # cheap clauses first (each is one validator clause)
@@ -388,40 +373,37 @@ def _primes_bruteforce(dl):
             candidate = d_ideal_to_map(
                 dl, DIdealPair(principal_ideal(dl.plus, u), principal_ideal(dl.minus, v))
             )
-            if is_prime_d_ideal(dl, candidate):
+            if validate_d_filter_map(dl, candidate).ok:
                 out.append(candidate)
+    return out
+
+
+def _principal_pair_maps(dl, principal, pair, to_map, validate):
+    """The four-case maps of all principal pairs that cover and validate."""
+    out = []
+    for u in range(dl.plus.n):
+        for v in range(dl.minus.n):
+            try:
+                m = to_map(dl, pair(principal(dl.plus, u), principal(dl.minus, v)))
+            except CoveringViolation:
+                continue
+            if validate(dl, m).ok:
+                out.append(m)
     return out
 
 
 def enumerate_d_ideal_maps(dl):
     """All d-ideal maps, via their principal zero-set pairs."""
-    out = []
-    for u in range(dl.plus.n):
-        for v in range(dl.minus.n):
-            try:
-                g = d_ideal_to_map(
-                    dl, DIdealPair(principal_ideal(dl.plus, u), principal_ideal(dl.minus, v))
-                )
-            except CoveringViolation:
-                continue
-            if validate_d_ideal_map(dl, g).ok:
-                out.append(g)
-    return out
+    return _principal_pair_maps(
+        dl, principal_ideal, DIdealPair, d_ideal_to_map, validate_d_ideal_map
+    )
 
 
 def enumerate_d_filter_maps(dl):
-    out = []
-    for u in range(dl.plus.n):
-        for v in range(dl.minus.n):
-            try:
-                f = d_filter_to_map(
-                    dl, DFilterPair(principal_filter(dl.plus, u), principal_filter(dl.minus, v))
-                )
-            except CoveringViolation:
-                continue
-            if validate_d_filter_map(dl, f).ok:
-                out.append(f)
-    return out
+    """All d-filter maps, via their principal one-set pairs."""
+    return _principal_pair_maps(
+        dl, principal_filter, DFilterPair, d_filter_to_map, validate_d_filter_map
+    )
 
 
 def prime_d_ideal_characterization(A, g):
@@ -491,31 +473,22 @@ def idl_dframe(dl):
     """d-frame of ideals.  Ideals of a finite lattice are the principal
     down-sets, indexed here by generator.  i ↦ ↓i is an order isomorphism
     onto the ideals under inclusion (↓i ⊆ ↓j iff i ≤ j), so each coordinate
-    lattice is L's order under the ↓ labels, with L's bounds and tables."""
+    lattice is L's order under the ↓ labels, with L's bounds and tables.
+
+    The ideal pair (↓i, ↓j) is consistent iff every pair of the block
+    ↓i × ↓j is, and total iff some pair of it is.  On a d-lattice, con is a
+    down-set and (i, j) the top of the block, so the block lies in con iff
+    (i, j) does; tot is an up-set and every pair of the block lies below
+    (i, j), so the block meets tot iff (i, j) is total.  So con and tot are
+    the input's own masks.  The validation stays: where the input's con is
+    not a down-set or its tot not an up-set, the two differ, and the input
+    is rejected instead of repaired."""
 
     def ideal_lattice(L):
         poset = L.poset.relabeled(f"↓{lab}" for lab in L.labels)
         return FiniteLattice(poset, L.bot, L.top, L.meet, L.join)
 
-    plus = ideal_lattice(dl.plus)
-    minus = ideal_lattice(dl.minus)
-    # con/tot of the pair of principal ideals (↓i, ↓j): every / some pair of
-    # the block down[i] × down[j] is consistent / total, so ↓j must lie in
-    # the AND of the con rows over ↓i / meet the OR of the tot rows
-    nm = dl.minus.n
-    con_row, tot_row = dl.rows(dl.con_mask), dl.rows(dl.tot_mask)
-    con = tot = 0
-    for i in range(dl.plus.n):
-        con_all, tot_any = -1, 0
-        for a in bits(dl.plus.down[i]):
-            con_all &= con_row[a]
-            tot_any |= tot_row[a]
-        for j, cols in enumerate(dl.minus.down):
-            if con_all & cols == cols:
-                con |= 1 << (i * nm + j)
-            if tot_any & cols:
-                tot |= 1 << (i * nm + j)
-    df = DFrame(plus, minus, con, tot)
+    df = DFrame(ideal_lattice(dl.plus), ideal_lattice(dl.minus), dl.con_mask, dl.tot_mask)
     require_valid(validate_dlattice(df), "idl")
     return df
 
@@ -565,12 +538,10 @@ def is_compact_dframe(df):
 def is_zero_dimensional_dframe(df):
     """Every element is the join of the d-complemented elements below it."""
     bplus, bminus = d_complemented_sides(df)
-    for x in range(df.plus.n):
-        if df.plus.join_fold(b for b in bplus if df.plus.leq(b, x)) != x:
-            return False
-    for y in range(df.minus.n):
-        if df.minus.join_fold(b for b in bminus if df.minus.leq(b, y)) != y:
-            return False
+    for L, base in ((df.plus, bplus), (df.minus, bminus)):
+        for x in range(L.n):
+            if L.join_fold(b for b in base if L.leq(b, x)) != x:
+                return False
     return True
 
 

@@ -41,6 +41,15 @@ def mask_of(indices):
     return out
 
 
+def inverse_permutation(perm, size=None):
+    """The tuple inv with inv[perm[i]] = i, of length ``size`` (default
+    ``len(perm)``); a position that perm does not hit holds 0."""
+    inv = [0] * (len(perm) if size is None else size)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
+
+
 def first_index(flags):
     """Index tuple of the first true entry of a boolean array in row-major
     order (the first row of ``np.argwhere``), or None when all are false."""
@@ -181,19 +190,10 @@ class FiniteLattice:
     def down(self):
         return self.poset.down
 
-    def down_list(self, a):
-        return list(bits(self.down[a]))
-
     def join_fold(self, indices):
         acc = self.bot
         for i in indices:
             acc = int(self.join[acc, i])
-        return acc
-
-    def meet_fold(self, indices):
-        acc = self.top
-        for i in indices:
-            acc = int(self.meet[acc, i])
         return acc
 
     def is_boolean(self):
@@ -283,9 +283,11 @@ def birkhoff(poset):
     return lattice_from_family(poset.n, down_sets(poset), poset.labels)
 
 
-def _is_down_set(poset, mask):
+def is_closed(mask, rows):
+    """Whether mask contains rows[i] for each member i: a down-set for the
+    ``down`` rows of an order, an up-set for its ``up`` rows."""
     for i in bits(mask):
-        if poset.down[i] & ~mask:
+        if rows[i] & ~mask:
             return False
     return True
 
@@ -295,7 +297,19 @@ def down_sets(poset):
     down-sets of ``poset.dual()``."""
     if poset.n > 16:
         raise BoundsTooLarge("down-set enumeration capped at 16-element posets")
-    return [m for m in range(1 << poset.n) if _is_down_set(poset, m)]
+    return [m for m in range(1 << poset.n) if is_closed(m, poset.down)]
+
+
+def ideal_carriers(lattice):
+    """Literal scan: every nonempty subset that is a down-set and closed
+    under binary joins, ascending."""
+    down, join = lattice.down, lattice.join
+    return [
+        mask
+        for mask in range(1, 1 << lattice.n)
+        if is_closed(mask, down)
+        and all((mask >> int(join[a, b])) & 1 for a in bits(mask) for b in bits(mask))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +348,6 @@ class Filter:
     lattice: FiniteLattice = field(repr=False)
     gen: int
     carrier: int
-
-    @property
-    def is_proper(self):
-        return self.gen != self.lattice.bot
 
     def __contains__(self, a):
         return (self.carrier >> a) & 1 == 1
@@ -389,29 +399,12 @@ def prime_ideals(lattice):
 
 
 def prime_ideals_bruteforce(lattice):
-    """Oracle: scan every down-set, check the ideal and primality definitions."""
-    n = lattice.n
-    if n > BRUTE_FORCE_IDEAL_LIMIT:
+    """Oracle: scan every subset for the ideal definition, then check
+    primality by its definition (``Ideal.is_prime``)."""
+    if lattice.n > BRUTE_FORCE_IDEAL_LIMIT:
         raise BoundsTooLarge(f"brute-force prime-ideal scan capped at {BRUTE_FORCE_IDEAL_LIMIT}")
-    out = []
-    for mask in range(1, 1 << n):
-        if not _is_down_set(lattice.poset, mask):
-            continue
-        if any(not (mask >> int(lattice.join[a, b])) & 1 for a in bits(mask) for b in bits(mask)):
-            continue
-        if (mask >> lattice.top) & 1:
-            continue  # not proper
-        prime = True
-        for x in range(n):
-            for y in range(n):
-                if (mask >> int(lattice.meet[x, y])) & 1 and not ((mask >> x) & 1 or (mask >> y) & 1):
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            out.append(ideal_from_carrier(lattice, mask))
-    return sorted(out, key=lambda ideal: ideal.gen)
+    ideals = (ideal_from_carrier(lattice, mask) for mask in ideal_carriers(lattice))
+    return sorted((ideal for ideal in ideals if ideal.is_prime()), key=lambda ideal: ideal.gen)
 
 
 def join_irreducibles(lattice):
@@ -490,10 +483,8 @@ def is_lattice_iso(hom):
         return False
     if sorted(hom.mapping) != list(range(hom.target.n)):
         return False
-    inverse = [0] * hom.target.n
-    for a, b in enumerate(hom.mapping):
-        inverse[b] = a
-    return validate_lattice_hom(LatticeHom(hom.target, hom.source, tuple(inverse))).ok
+    inverse = inverse_permutation(hom.mapping)
+    return validate_lattice_hom(LatticeHom(hom.target, hom.source, inverse)).ok
 
 
 def _invariant_vector(lattice, a):

@@ -48,6 +48,7 @@ from .ideals import (
 from .lattice import (
     bits,
     first_index,
+    ideal_carriers,
     ideal_from_carrier,
     join_irreducibles,
     prime_ideals,
@@ -64,10 +65,10 @@ class CorpusBundle:
     validation_failures: list = field(default_factory=list)
 
 
-def default_bundle(max_poset_size=4):
-    posets = unlabeled_posets(max_poset_size)
-    lattices = birkhoff_corpus(max_poset_size)
-    dbools = dbool_corpus(max_poset_size)
+def default_bundle():
+    posets = unlabeled_posets(4)
+    lattices = birkhoff_corpus(4)
+    dbools = dbool_corpus(4)
     spaces = [bt.stone_space_from_poset(p) for p in posets]
     spaces.append(bt.space(["p", "q"], [0b00, 0b11], [0b00, 0b11]))  # indiscrete pair
     spaces.append(bt.omega_space(["p", "q"], [0b00, 0b10, 0b11]))    # Sierpinski doubled
@@ -157,11 +158,7 @@ def check_ideals_principal(bundle):
     for L in bundle.lattices:
         if L.n > 12:
             continue
-        for mask in range(1, 1 << L.n):
-            if any(L.down[a] & ~mask for a in bits(mask)):
-                continue
-            if any(not (mask >> int(L.join[a, b])) & 1 for a in bits(mask) for b in bits(mask)):
-                continue
+        for mask in ideal_carriers(L):
             ideal = ideal_from_carrier(L, mask)  # raises unless principal
             if L.down[ideal.gen] != mask:
                 return False, "ideal is not the down-set of its maximum"
@@ -197,7 +194,7 @@ def check_validate_corpus(bundle):
 LOGIC_ORDER_BLOCK = 1 << 12  # pairs per table evaluation; bounds its memory
 
 
-def check_logic_order(bundle, carrier_limit=40):
+def check_logic_order(bundle):
     for dl in all_dlattices(bundle):
         q = np.arange(dl.size)
         step = max(1, LOGIC_ORDER_BLOCK // dl.size)
@@ -211,7 +208,7 @@ def check_logic_order(bundle, carrier_limit=40):
             if bad is not None:
                 row, col, op = bad
                 return False, f"logic {('meet', 'join')[op]} formula mismatch at ({start + row},{col})"
-        if dl.size <= carrier_limit:
+        if dl.size <= 40:
             lat = logic_order_lattice(dl)  # build validates all lattice laws
             if lat.top != dl.tt or lat.bot != dl.ff:
                 return False, "logic order has wrong bounds"
@@ -257,8 +254,8 @@ def check_dB_idempotent(bundle):
     return True, "dB idempotent and fixes d-Boolean algebras"
 
 
-def check_lambda_equivalence(bundle, size_limit=8):
-    lattices = [L for L in bundle.lattices if L.n <= size_limit][:6]
+def check_lambda_equivalence(bundle):
+    lattices = [L for L in bundle.lattices if L.n <= 8][:6]
     report = du.lambda_equivalence_check(lattices, bundle.dbools)
     if not report["ok"]:
         return False, "hom sets of doubled lattices do not biject with lattice homs"
@@ -357,9 +354,9 @@ def check_proper_filter_ideal_props(bundle):
     return True, "proper map decomposition identities hold"
 
 
-def check_dbool_if(bundle, side_limit=9):
+def check_dbool_if(bundle):
     for A in bundle.dbools:
-        if A.plus.n > side_limit or A.minus.n > side_limit:
+        if A.plus.n > 9 or A.minus.n > 9:
             continue
         filters = enumerate_d_filter_maps(A)
         ideals = enumerate_d_ideal_maps(A)
@@ -406,9 +403,9 @@ def check_eta_unit(bundle):
     return True, "principal-ideal unit is a hom and reflects con/tot"
 
 
-def check_compact_elements(bundle, side_limit=8):
+def check_compact_elements(bundle):
     for dl in all_dlattices(bundle):
-        if dl.plus.n > side_limit or dl.minus.n > side_limit:
+        if dl.plus.n > 8 or dl.minus.n > 8:
             continue
         if not is_compact_dframe(dl):
             return False, "tot is not an upper set"
@@ -495,9 +492,9 @@ def check_poset_spaces_sober(bundle):
     return True, "poset spaces are d-sober and round-trip through the spectrum"
 
 
-def check_stone_characterizations_exhaustive(bundle, max_points=3):
+def check_stone_characterizations_exhaustive(bundle):
     count = 0
-    for n in range(1, max_points + 1):
+    for n in range(1, 4):
         tops = du.enumerate_topologies(n)
         labels = [f"x{i}" for i in range(n)]
         for tp in tops:
@@ -603,8 +600,8 @@ def check_extremal_disconnectedness(bundle):
     return True, "zero-dimensional corpus spaces are extremally disconnected with complete algebras"
 
 
-def check_naturality(bundle, size_limit=6):
-    lattices = [L for L in bundle.lattices if 2 <= L.n <= size_limit][:4]
+def check_naturality(bundle):
+    lattices = [L for L in bundle.lattices if 2 <= L.n <= 6][:4]
     checked = 0
     for M in lattices:
         for N in lattices:

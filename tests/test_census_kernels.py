@@ -295,9 +295,8 @@ def clause_i_by_scan(spec, literal_pair_limit):
     return None
 
 
-@pytest.mark.parametrize("literal_pair_limit", [81, 0])
 @pytest.mark.parametrize("side", ["plus", "minus"])
-def test_clause_i_detail_under_non_injective_spectrum(monkeypatch, literal_pair_limit, side):
+def test_clause_i_detail_under_non_injective_spectrum(monkeypatch, side):
     genuine = du.spectrum
     merged = []
 
@@ -310,11 +309,17 @@ def test_clause_i_detail_under_non_injective_spectrum(monkeypatch, literal_pair_
         return patched
 
     monkeypatch.setattr(du, "spectrum", merging_spectrum)
-    for A in (lambda_of_dislat(chain(3)), omega_of_lattice(chain(3)), bool_dlattice()):
-        ok, detail = du.spatiality_check(A, literal_pair_limit=literal_pair_limit)
-        want = clause_i_by_scan(merged[-1], literal_pair_limit)
+    # three carriers of at most 9 pairs and one of 256: at every size the
+    # failure is named as the pair-by-pair scan names it
+    big = lambda_of_dislat(max(birkhoff_corpus(4), key=lambda L: L.n))
+    assert big.size > 81
+    for A in (lambda_of_dislat(chain(3)), omega_of_lattice(chain(3)), bool_dlattice(), big):
+        ok, detail = du.spatiality_check(A)
+        want = clause_i_by_scan(merged[-1], A.size)
         assert (ok, detail) == (False, want)
-        assert want.startswith("clause (i)")
+        assert want.startswith("clause (i): ideals (")
+        if A.size <= 81:
+            assert want == clause_i_by_scan(merged[-1], 81)
 
 
 def test_clause_i_passes_where_scan_passes(kernel_dls):

@@ -191,8 +191,29 @@ def test_cli_gen_posets_counts(tmp_path, capsys):
     manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
     assert manifest["counts_by_size"] == {"1": 1, "2": 2, "3": 5}
     assert manifest["total"] == 8
+    assert manifest["version"] == 2 and "seed" not in manifest
     names = [n for n in os.listdir(out) if n.startswith("poset_")]
     assert len(names) == 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--in", "x.json"],
+        ["spec", "--in", "x.json"],
+        ["clop", "--in", "x.json"],
+        ["roundtrip", "--in", "x.json"],
+        ["gen", "--kind", "posets", "--bounds", "2", "--out", "x"],
+        ["props", "--suite", "bitop"],
+        ["search", "--conjecture", "Q1", "--bounds", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_has_no_seed_option(argv, tmp_path, monkeypatch, capsys):
+    """Every output is deterministic without a seed, so no subcommand takes one."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--seed", "0"]) == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 def test_cli_gen_stone_spaces(tmp_path, capsys):

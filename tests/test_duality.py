@@ -1,6 +1,8 @@
 """Spectra, the two round trips, spatiality, the lattice equivalence,
 classical compatibility and the conjecture searches."""
 
+import textwrap
+
 import pytest
 
 from bistone import bitop as bt
@@ -106,6 +108,24 @@ def test_phi_plus_embedding(lam3):
 def test_classical_squares():
     for k in (1, 2, 3):
         assert du.classical_square_check(boolean_lattice(k))
+
+
+def test_classical_square_precondition_survives_python_O(run_python):
+    script = textwrap.dedent(
+        """
+        import sys
+        from bistone import duality as du
+        from bistone.corpus import three_chain
+
+        try:
+            du.classical_square_check(three_chain())
+        except ValueError:
+            print("raised", sys.flags.optimize)
+        """
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["raised", "1"]
 
 
 def test_classical_spec_discrete():

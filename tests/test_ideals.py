@@ -6,10 +6,13 @@ import textwrap
 import numpy as np
 import pytest
 
+from test_validate_oracle import _q2_candidates
+
 from bistone import duality as du
+from bistone import ideals
 from bistone.corpus import dbool_corpus
 from bistone.dlattice import DLattice, lambda_of_dislat, validate_dlattice, validate_dlattice_hom
-from bistone.errors import CoveringViolation, NotZeroDimensional
+from bistone.errors import CoveringViolation, InvariantViolation, NotZeroDimensional
 from bistone.ideals import (
     B0,
     B1,
@@ -390,6 +393,49 @@ def test_idl_masks_match_block_definition(kernel_inputs):
     for dl in kernel_inputs:
         df = idl_dframe(dl)
         assert (df.con_mask, df.tot_mask) == _idl_masks_by_blocks(dl)
+
+
+def test_idl_rejects_inputs_the_block_definition_would_repair(omega3):
+    """idl reads con and tot straight from its input, which is right only
+    for a down-set con and an up-set tot; any other input is rejected."""
+    plus, minus, con, tot = omega3.plus, omega3.minus, omega3.con_mask, omega3.tot_mask
+    not_down = DLattice(plus, minus, con | 1 << omega3.pid(1, 2), tot)  # (c1,c1) not consistent
+    not_up = DLattice(plus, minus, con, tot & ~(1 << omega3.pid(2, 2)))  # (1,c1) total
+    for dl in (not_down, not_up):
+        assert _idl_masks_by_blocks(dl) != (dl.con_mask, dl.tot_mask)
+        with pytest.raises(InvariantViolation, match="idl failed validation"):
+            idl_dframe(dl)
+
+
+def _covering_principal_maps(dl):
+    """The four-case maps of the principal pairs (↓u, ↓v), u and v not top,
+    whose zero sets cover con: a superset of the candidates that
+    ``_primes_bruteforce`` passes to ``validate_d_filter_map``."""
+    for u in range(dl.plus.n):
+        for v in range(dl.minus.n):
+            if u == dl.plus.top or v == dl.minus.top:
+                continue
+            try:
+                yield d_ideal_to_map(dl, DIdealPair(principal_ideal(dl.plus, u), principal_ideal(dl.minus, v)))
+            except CoveringViolation:
+                continue
+
+
+def test_brute_prime_candidates_pass_the_d_ideal_validator():
+    """The proof in ``_primes_bruteforce`` that its candidates are d-ideal
+    maps, checked on every Q2 candidate at bound 4 (valid or not) and the
+    d-Boolean corpus; the primes equal those of the path that ran both
+    validators."""
+    dls = _q2_candidates(4) + list(dbool_corpus(4))
+    checked = 0
+    for dl in dls:
+        candidates = list(_covering_principal_maps(dl))
+        for g in candidates:
+            assert validate_d_ideal_map(dl, g).ok
+        checked += len(candidates)
+        both = [g.values for g in candidates if is_prime_d_ideal(dl, g)]
+        assert [g.values for g in ideals._primes_bruteforce(dl)] == both
+    assert (len(dls), checked) == (1676, 5936)
 
 
 def _four_case_by_membership(dl, pair):

@@ -315,3 +315,22 @@ def test_find_lattice_iso_guard_survives_python_O(run_python):
     result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["raised", "1"]
+
+
+def test_poset_count_pin_survives_python_O(run_python):
+    script = textwrap.dedent(
+        """
+        import sys
+        from bistone import corpus
+        from bistone.errors import InvariantViolation
+
+        corpus.KNOWN_POSET_COUNTS[3] = 4  # the enumerator finds 5
+        try:
+            corpus.unlabeled_posets_of_size(3)
+        except InvariantViolation:
+            print("raised", sys.flags.optimize)
+        """
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["raised", "1"]

@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 from .config import max_elements
 from .dlattice import DBooleanAlgebra, require_valid, validate_dboolean, validate_dlattice
 from .errors import BoundsTooLarge, CharacterizationMismatch, InvariantViolation
-from .ideals import BFF, BTT, BMap, DFrame, enumerate_prime_d_ideals
+from .ideals import BFF, BTT, BMap, DFrame, enumerate_prime_d_ideals, prime_opens
 from .lattice import bits, down_sets, lattice_from_family, mask_of
 
 
@@ -403,27 +403,17 @@ def d_points(df):
     Finitely these are exactly the prime d-ideals.  The collections of
     value-sets are verified to be topologies rather than assumed.
     """
-    primes = enumerate_prime_d_ideals(df, path="brute")
-    tau_plus = set()
-    for a in range(df.plus.n):
-        tau_plus.add(mask_of(k for k, p in enumerate(primes) if p.on_plus(a) == BTT))
-    tau_minus = set()
-    for b in range(df.minus.n):
-        tau_minus.add(mask_of(k for k, p in enumerate(primes) if p.on_minus(b) == BFF))
-    labels = [f"g{k}" for k in range(len(primes))]
-    spc = BiTopSpace(labels, tau_plus, tau_minus)  # constructor re-verifies closure
+    primes = enumerate_prime_d_ideals(df)
+    spc = BiTopSpace([f"g{k}" for k in range(len(primes))], *prime_opens(df, primes))
     return spc, primes
 
 
 def is_d_sober(space):
     """Every d-point of the open-set d-frame is [x] for exactly one x."""
     df = dO(space)
-    primes = enumerate_prime_d_ideals(df, path="brute")
-    prime_values = [p.values for p in primes]
-    generated = [p.values for p in point_d_point(space, df)]
-    if len(set(generated)) != space.n:
-        return False
-    return sorted(set(generated)) == sorted(prime_values)
+    generated = {p.values for p in point_d_point(space, df)}
+    primes = sorted(p.values for p in enumerate_prime_d_ideals(df))
+    return len(generated) == space.n and sorted(generated) == primes
 
 
 def stone_space_from_poset(poset):

@@ -103,13 +103,20 @@ def cmd_roundtrip(args):
     return OK if witness.is_iso else FAIL
 
 
+# gen --kind: the file-name prefix and the structure built from each poset
+GEN_KINDS = {
+    "posets": ("poset", poset_to_json),
+    "lattices": ("lattice", lambda p: lattice_to_json(birkhoff(p))),
+    "dbool": ("dbool", lambda p: dlattice_to_json(lambda_of_dislat(birkhoff(p)))),
+    "stone-spaces": ("space", lambda p: bitop_to_json(bt.stone_space_from_poset(p))),
+}
+
+
 def cmd_gen(args):
-    bound = int(args.bounds)
-    limit = 5 if args.kind in ("posets", "lattices", "dbool", "stone-spaces") else 0
-    if bound > limit:
-        raise BoundsTooLarge(f"gen {args.kind} capped at bound {limit}")
+    if args.bounds > 5:
+        raise BoundsTooLarge(f"gen {args.kind} capped at bound 5")
     os.makedirs(args.out, exist_ok=True)
-    posets = unlabeled_posets(bound)
+    prefix, build = GEN_KINDS[args.kind]
     files = []
 
     def write(name, payload):
@@ -118,25 +125,15 @@ def cmd_gen(args):
             fh.write(dumps(payload))
         files.append(name)
 
-    if args.kind == "posets":
-        for k, p in enumerate(posets):
-            write(f"poset_{k:03d}.json", poset_to_json(p))
-    elif args.kind == "lattices":
-        for k, p in enumerate(posets):
-            write(f"lattice_{k:03d}.json", lattice_to_json(birkhoff(p)))
-    elif args.kind == "dbool":
-        for k, p in enumerate(posets):
-            write(f"dbool_{k:03d}.json", dlattice_to_json(lambda_of_dislat(birkhoff(p))))
-    elif args.kind == "stone-spaces":
-        for k, p in enumerate(posets):
-            write(f"space_{k:03d}.json", bitop_to_json(bt.stone_space_from_poset(p)))
+    for k, p in enumerate(unlabeled_posets(args.bounds)):
+        write(f"{prefix}_{k:03d}.json", build(p))
     manifest = {
         "kind": "manifest",
         "version": 2,
         "command": "gen",
         "corpus": args.kind,
-        "bounds": bound,
-        "counts_by_size": poset_counts(bound),
+        "bounds": args.bounds,
+        "counts_by_size": poset_counts(args.bounds),
         "total": len(files),
         "files": files,
     }
@@ -191,8 +188,8 @@ def build_parser():
     common(sub.add_parser("roundtrip", help="unit/counit round trip"))
 
     gen = sub.add_parser("gen", help="generate a corpus")
-    gen.add_argument("--kind", required=True, choices=["posets", "lattices", "dbool", "stone-spaces"])
-    gen.add_argument("--bounds", required=True)
+    gen.add_argument("--kind", required=True, choices=list(GEN_KINDS))
+    gen.add_argument("--bounds", required=True, type=int)
     gen.add_argument("--out", required=True)
 
     props = sub.add_parser("props", help="run an invariant suite")

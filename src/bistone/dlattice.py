@@ -502,7 +502,13 @@ class DBooleanAlgebra(DLattice):
 
 
 def validate_dboolean(A):
-    """d-lattice axioms plus the order-reversing-pairing characterization."""
+    """d-lattice axioms plus the order-reversing-pairing characterization.
+
+    That every element is d-complemented, with partner its dagger image,
+    needs no clause of its own.  With † an order-reversing bijection,
+    (a, b) ∈ con iff a ≤ †⁻¹b iff b ≤ †a, and (a, b) ∈ tot iff †a ≤ b.  So
+    the only pair of row a in con ∩ tot is (a, †a), and dually the only
+    pair of column b is (†⁻¹b, b)."""
     base = validate_dlattice(A)
     if not base.ok:
         return base
@@ -526,12 +532,6 @@ def validate_dboolean(A):
                 return StructReport.failed(
                     "tot-from-dagger", witness=(A.plus.labels[a], A.minus.labels[b])
                 )
-    for a in range(A.plus.n):
-        if d_complement(A, a, "+") != A.dagger[a]:
-            return StructReport.failed("d-complemented", witness=A.plus.labels[a])
-    for b in range(A.minus.n):
-        if d_complement(A, b, "-") != A.dagger_inv[b]:
-            return StructReport.failed("d-complemented", witness=A.minus.labels[b])
     return StructReport.passed("valid d-Boolean algebra")
 
 

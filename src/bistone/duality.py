@@ -23,6 +23,7 @@ from .bitop import (
     is_T0,
     is_zero_dimensional,
     omega_space,
+    point_d_point,
 )
 from .dlattice import (
     DLattice,
@@ -47,7 +48,7 @@ from .errors import (
     NotStone,
     NotZeroDimensional,
 )
-from .ideals import BFF, BTT, enumerate_prime_d_ideals, idl_dframe
+from .ideals import enumerate_prime_d_ideals, idl_dframe, prime_opens
 from .lattice import (
     bits,
     classical_spec,
@@ -70,15 +71,10 @@ class Spectrum:
     phi_minus: tuple
 
 
-def spectrum(dl, path="auto"):
+def spectrum(dl):
     """Prime d-ideals topologized by the value-tt / value-ff sets."""
-    primes = sorted(enumerate_prime_d_ideals(dl, path=path), key=lambda g: g.values)
-    phi_plus = tuple(
-        mask_of(k for k, g in enumerate(primes) if g.on_plus(a) == BTT) for a in range(dl.plus.n)
-    )
-    phi_minus = tuple(
-        mask_of(k for k, g in enumerate(primes) if g.on_minus(b) == BFF) for b in range(dl.minus.n)
-    )
+    primes = sorted(enumerate_prime_d_ideals(dl), key=lambda g: g.values)
+    phi_plus, phi_minus = prime_opens(dl, primes)
     n = len(primes)
     space = BiTopSpace(
         [f"g{k}" for k in range(n)],
@@ -88,8 +84,8 @@ def spectrum(dl, path="auto"):
     return Spectrum(dl, space, tuple(primes), phi_plus, phi_minus)
 
 
-def dspec(dl, path="auto"):
-    return spectrum(dl, path=path).space
+def dspec(dl):
+    return spectrum(dl).space
 
 
 @dataclass(frozen=True)
@@ -125,17 +121,14 @@ def unit_roundtrip(A):
     """Explicit isomorphism A ≅ dClop(dSpec A) via a ↦ φ₊(a), b ↦ φ₋(b)."""
     spec = spectrum(A)
     C = dclop_algebra(spec.space)
-    plus_index = {s: i for i, s in enumerate(C.plus.sets)}
-    minus_index = {s: j for j, s in enumerate(C.minus.sets)}
-    fplus, fminus = [], []
-    for a in range(A.plus.n):
-        if spec.phi_plus[a] not in plus_index:
-            return DualityWitness("NOT_ISO", None, None, f"phi+({A.plus.labels[a]}) is not d-clopen")
-        fplus.append(plus_index[spec.phi_plus[a]])
-    for b in range(A.minus.n):
-        if spec.phi_minus[b] not in minus_index:
-            return DualityWitness("NOT_ISO", None, None, f"phi-({A.minus.labels[b]}) is not d-clopen")
-        fminus.append(minus_index[spec.phi_minus[b]])
+    sides = []
+    for sign, L, phi, D in (("+", A.plus, spec.phi_plus, C.plus), ("-", A.minus, spec.phi_minus, C.minus)):
+        index = {s: i for i, s in enumerate(D.sets)}
+        for x in range(L.n):
+            if phi[x] not in index:
+                return DualityWitness("NOT_ISO", None, None, f"phi{sign}({L.labels[x]}) is not d-clopen")
+        sides.append([index[s] for s in phi])
+    fplus, fminus = sides
     if sorted(fplus) != list(range(C.plus.n)) or sorted(fminus) != list(range(C.minus.n)):
         return DualityWitness("NOT_ISO", None, None, "phi is not bijective onto the d-clopens")
     forward = DLatticeHom(A, C, tuple(fplus), tuple(fminus))
@@ -152,17 +145,10 @@ def unit_roundtrip(A):
 def point_map_into_spectrum(X, A, spec):
     """x ↦ [x]: membership values on the d-clopen algebra of X."""
     prime_index = {g.values: k for k, g in enumerate(spec.primes)}
-    mapping = []
-    for x in range(X.n):
-        values = []
-        for u in A.plus.sets:
-            for v in A.minus.sets:
-                values.append((BTT if (u >> x) & 1 else 0) | (BFF if (v >> x) & 1 else 0))
-        key = tuple(values)
-        if key not in prime_index:
-            return None, x
-        mapping.append(prime_index[key])
-    return tuple(mapping), None
+    mapping = tuple(prime_index.get(p.values) for p in point_d_point(X, A))
+    if None in mapping:
+        return None, mapping.index(None)
+    return mapping, None
 
 
 def counit_roundtrip(X):
@@ -184,20 +170,14 @@ def counit_roundtrip(X):
 def dspec_equals_dpt_idl(dl):
     """dSpec is the d-point space of the ideal frame, matched by composing
     d-points with the principal-ideal embedding."""
-    spec = spectrum(dl, path="brute")
-    idlf = idl_dframe(dl)
-    pts_space, pts = d_points(idlf)
-    # compose each d-point of idl with eta; the ideal frame is generator-indexed
-    composed = []
-    for p in pts:
-        values = tuple(
-            p.value_at(a, b) for a in range(dl.plus.n) for b in range(dl.minus.n)
-        )
-        composed.append(values)
+    spec = spectrum(dl)
+    pts_space, pts = d_points(idl_dframe(dl))
+    # The ideal frame is indexed by generator and η is the identity on those
+    # indices (a ↦ ↓a), so p ∘ η has the values of p.
     want = {g.values: k for k, g in enumerate(spec.primes)}
-    if sorted(composed) != sorted(want):
+    if sorted(p.values for p in pts) != sorted(want):
         return False
-    mapping = tuple(want[v] for v in composed)
+    mapping = tuple(want[p.values] for p in pts)
     return is_homeomorphism(mapping, pts_space, spec.space)
 
 
@@ -211,9 +191,10 @@ def spatiality_check(dl):
     fix the other), so clause (i) is decided by injectivity.  A failure is
     named by the first such quadruple (i1, j1, i2, j2) in lexicographic
     order, read off the classes of equal opens (see ``_unseparated``).
+    On a valid d-lattice, (↓i, ↓j) is consistent / total iff (i, j) is (see
+    ``ideals.idl_dframe``), so (ii) and (iii) read the input's con and tot.
     """
-    spec = spectrum(dl, path="brute")
-    idlf = idl_dframe(dl)
+    spec = spectrum(dl)
     full = (1 << len(spec.primes)) - 1
     np_, nm = dl.plus.n, dl.minus.n
 
@@ -222,11 +203,10 @@ def spatiality_check(dl):
 
     for i in range(np_):
         for j in range(nm):
-            in_con = idlf.in_con(idlf.pid(i, j))
-            if in_con != (spec.phi_plus[i] & spec.phi_minus[j] == 0):
+            p = dl.pid(i, j)
+            if dl.in_con(p) != (spec.phi_plus[i] & spec.phi_minus[j] == 0):
                 return False, f"clause (ii) fails at ideal pair ({i},{j})"
-            in_tot = idlf.in_tot(idlf.pid(i, j))
-            if in_tot != (spec.phi_plus[i] | spec.phi_minus[j] == full):
+            if dl.in_tot(p) != (spec.phi_plus[i] | spec.phi_minus[j] == full):
                 return False, f"clause (iii) fails at ideal pair ({i},{j})"
     return True, "spatial"
 
@@ -291,7 +271,7 @@ def classical_square_check(B):
     omega_spec = omega_space([f"p{k}" for k in range(n_pts)], topology)
 
     wB = omega_of_lattice(B)
-    spec = spectrum(wB, path="brute")
+    spec = spectrum(wB)
     if spec.space.n != n_pts:
         return False
     carrier_index = {p.carrier: k for k, p in enumerate(primes)}
@@ -457,6 +437,11 @@ def conjecture_search(conjecture, bounds):
     raise ValueError(f"unknown conjecture {conjecture!r}; expected Q1 or Q2")
 
 
+def _q1_counterexample(spc):
+    """T0, compact, with singleton connected subsets, and not Stone."""
+    return is_T0(spc) and is_compact(spc) and connected_subsets_are_singletons(spc) and not is_stone(spc)
+
+
 def _search_q1(max_points):
     """Q1: can zero-dimensionality in the Stone characterization be weakened
     to `connected subsets are singletons`?  Searches for a T0 compact space
@@ -478,19 +463,9 @@ def _search_q1(max_points):
                     continue
                 seen.add(sig)
                 examined += 1
-                if (
-                    is_T0(spc)
-                    and is_compact(spc)
-                    and connected_subsets_are_singletons(spc)
-                    and not is_stone(spc)
-                ):
+                if _q1_counterexample(spc):
                     fresh = BiTopSpace(labels, tp, tm)
-                    if not (
-                        is_T0(fresh)
-                        and is_compact(fresh)
-                        and connected_subsets_are_singletons(fresh)
-                        and not is_stone(fresh)
-                    ):
+                    if not _q1_counterexample(fresh):
                         raise InvariantViolation("Q1 counterexample failed re-verification")
                     payload = {
                         "points": list(fresh.labels),

@@ -47,8 +47,6 @@ from .lattice import (
     low_bit,
     mask_of,
     prime_ideals,
-    principal_filter,
-    principal_ideal,
 )
 from .report import StructReport
 
@@ -308,36 +306,34 @@ def is_hom_to_bool_object(dl, bmap):
 # enumeration of prime d-ideals
 
 
-def enumerate_prime_d_ideals(dl, path="auto"):
-    """All prime d-ideals, deterministic order.
+def enumerate_prime_d_ideals(dl):
+    """All prime d-ideals: the four-case maps g of the principal pairs
+    (↓u, ↓v) that pass both validators, in order of (u, v).
 
-    ``structural`` (d-Boolean only): one prime d-ideal per prime ideal of the
-    plus lattice, the minus side obtained through the pairing.  ``brute``:
-    every candidate four-case map of a principal ideal pair that is a
-    d-ideal map is passed through the d-filter validator; finite ideals are
-    principal and every d-ideal is the four-case map of its zero sets, so
-    this scan is exhaustive.
+    The scan is exhaustive: every d-ideal map is the four-case map of its
+    zero sets, which are ideals of finite lattices, so principal.  A
+    candidate that survives the covering tests of the scan is a d-ideal
+    map, so only ``validate_d_filter_map`` runs.  With u ≠ top, g(tt) = tt
+    (top ∉ ↓u sets the tt bit, bot ∈ ↓v leaves the ff bit clear) and
+    dually, with v ≠ top, g(ff) = ff.  Every consistent pair has a
+    coordinate in ↓u or ↓v, so none is sent to 1.  The zero sets of the tt
+    and ff planes are ↓u × M = ↓(u, top) and P × ↓v = ↓(top, v), both
+    principal, so each plane preserves joins (see ``validate_d_ideal_map``)
+    and so does g.  On d-Boolean algebras ``_primes_structural`` is the
+    independent reference.
     """
-    if path == "auto":
-        path = "structural" if isinstance(dl, DBooleanAlgebra) else "brute"
-    if path == "structural":
-        return _primes_structural(dl)
-    if path == "brute":
-        return _primes_bruteforce(dl)
-    raise ValueError(f"unknown path {path!r}")
+    return _primes_bruteforce(dl)
 
 
 def _primes_structural(A):
+    """Reference enumeration on a d-Boolean algebra: per prime ideal I of
+    the plus lattice, the four-case map with zero sets I and †(P ∖ I)."""
     if not isinstance(A, DBooleanAlgebra):
-        raise ValueError("structural path requires a d-Boolean algebra")
+        raise ValueError("structural enumeration requires a d-Boolean algebra")
     out = []
     for ip in prime_ideals(A.plus):
         comp = ((1 << A.plus.n) - 1) & ~ip.carrier
-        minus_mask = 0
-        for a in bits(comp):
-            minus_mask |= 1 << A.dagger[a]
-        im = ideal_from_carrier(A.minus, minus_mask)
-        g = d_ideal_to_map(A, DIdealPair(ip, im))
+        g = _four_case_map(A, ip.carrier, mask_of(A.dagger[a] for a in bits(comp)), False)
         if not is_prime_d_ideal(A, g):
             raise InvariantViolation("structural prime d-ideal failed the two validators")
         out.append(g)
@@ -345,16 +341,7 @@ def _primes_structural(A):
 
 
 def _primes_bruteforce(dl):
-    """The four-case maps g of the principal pairs (↓u, ↓v) that pass both
-    validators.
-
-    A candidate that survives the covering test below is a d-ideal map, so
-    only ``validate_d_filter_map`` runs.  With u ≠ top, g(tt) = tt (top ∉ ↓u
-    sets the tt bit, bot ∈ ↓v leaves the ff bit clear) and dually, with
-    v ≠ top, g(ff) = ff.  Every consistent pair has a coordinate in ↓u or
-    ↓v, so none is sent to 1.  The zero sets of the tt and ff planes are
-    ↓u × M = ↓(u, top) and P × ↓v = ↓(top, v), both principal, so each
-    plane preserves joins (see ``validate_d_ideal_map``) and so does g."""
+    """The scan of ``enumerate_prime_d_ideals``."""
     out = []
     _, col0 = unit_masks(dl.plus.n, dl.minus.n)
     # cheap clauses first (each is one validator clause)
@@ -370,21 +357,36 @@ def _primes_bruteforce(dl):
                 continue  # a consistent pair would be sent to 1
             if dl.tot_mask & rows_u & cols_v:
                 continue  # a total pair, with both coordinates below, would be sent to 0
-            candidate = d_ideal_to_map(
-                dl, DIdealPair(principal_ideal(dl.plus, u), principal_ideal(dl.minus, v))
-            )
+            candidate = _four_case_map(dl, dl.plus.down[u], dl.minus.down[v], False)
             if validate_d_filter_map(dl, candidate).ok:
                 out.append(candidate)
     return out
 
 
-def _principal_pair_maps(dl, principal, pair, to_map, validate):
-    """The four-case maps of all principal pairs that cover and validate."""
+def prime_opens(dl, primes):
+    """The subbasic opens of a list of prime d-ideals, as bitmasks over
+    their indices: φ₊(a), the primes with value tt at (a, 0), per plus
+    element a, and φ₋(b), those with value ff at (0, b), per minus b."""
+    phi_plus = tuple(
+        mask_of(k for k, g in enumerate(primes) if g.on_plus(a) == BTT) for a in range(dl.plus.n)
+    )
+    phi_minus = tuple(
+        mask_of(k for k, g in enumerate(primes) if g.on_minus(b) == BFF) for b in range(dl.minus.n)
+    )
+    return phi_plus, phi_minus
+
+
+def _principal_pair_maps(dl, ones):
+    """The four-case maps of all principal pairs that cover and validate:
+    the d-filter maps (up-set one sets) when ``ones``, else the d-ideal
+    maps (down-set zero sets)."""
+    plus_rows, minus_rows = (dl.plus.up, dl.minus.up) if ones else (dl.plus.down, dl.minus.down)
+    validate = validate_d_filter_map if ones else validate_d_ideal_map
     out = []
-    for u in range(dl.plus.n):
-        for v in range(dl.minus.n):
+    for u in plus_rows:
+        for v in minus_rows:
             try:
-                m = to_map(dl, pair(principal(dl.plus, u), principal(dl.minus, v)))
+                m = _four_case_map(dl, u, v, ones)
             except CoveringViolation:
                 continue
             if validate(dl, m).ok:
@@ -394,16 +396,12 @@ def _principal_pair_maps(dl, principal, pair, to_map, validate):
 
 def enumerate_d_ideal_maps(dl):
     """All d-ideal maps, via their principal zero-set pairs."""
-    return _principal_pair_maps(
-        dl, principal_ideal, DIdealPair, d_ideal_to_map, validate_d_ideal_map
-    )
+    return _principal_pair_maps(dl, False)
 
 
 def enumerate_d_filter_maps(dl):
     """All d-filter maps, via their principal one-set pairs."""
-    return _principal_pair_maps(
-        dl, principal_filter, DFilterPair, d_filter_to_map, validate_d_filter_map
-    )
+    return _principal_pair_maps(dl, True)
 
 
 def prime_d_ideal_characterization(A, g):

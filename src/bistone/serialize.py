@@ -11,7 +11,7 @@ import json
 from .bitop import BiTopSpace
 from .dlattice import DBooleanAlgebra, DLattice, pairs_to_mask
 from .errors import ParseError, UnknownKind
-from .lattice import FinitePoset, bits, build_lattice
+from .lattice import FinitePoset, bits, build_lattice, mask_of
 
 SCHEMA_VERSION = 1
 
@@ -124,11 +124,17 @@ def dlattice_from_json(obj):
     return DLattice(plus, minus, con, tot)
 
 
+def _open_masks(obj, key, n):
+    opens = [list(u) for u in _require(obj, key)]
+    if not all(_index_below(i, n) for u in opens for i in u):
+        raise ParseError(f"{key} names a point index not below {n}")
+    return [mask_of(u) for u in opens]
+
+
 def bitop_from_json(obj):
     labels = _require(obj, "points")
-    tau_plus = [sum(1 << i for i in u) for u in _require(obj, "tau_plus")]
-    tau_minus = [sum(1 << i for i in v) for v in _require(obj, "tau_minus")]
-    return BiTopSpace(labels, tau_plus, tau_minus)
+    n = len(labels)
+    return BiTopSpace(labels, _open_masks(obj, "tau_plus", n), _open_masks(obj, "tau_minus", n))
 
 
 LOADERS = {
@@ -149,7 +155,7 @@ def parse_structure(text):
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     kind = obj.get("kind")
-    if kind not in LOADERS:
+    if not isinstance(kind, str) or kind not in LOADERS:
         raise UnknownKind(f"unsupported kind {kind!r}")
     if obj.get("version") != SCHEMA_VERSION:
         raise UnknownKind(f"unsupported version {obj.get('version')!r}")

@@ -33,6 +33,7 @@ from .ideals import (
     BFF,
     BTT,
     BMap,
+    _primes_structural,
     d_complemented_ideals,
     enumerate_d_filter_maps,
     enumerate_d_ideal_maps,
@@ -326,7 +327,7 @@ def _all_bmaps(dl):
 
 def _candidate_bmaps(dl):
     out = list(enumerate_d_ideal_maps(dl)) + list(enumerate_d_filter_maps(dl))
-    out.extend(enumerate_prime_d_ideals(dl, path="brute"))
+    out.extend(enumerate_prime_d_ideals(dl))
     return out
 
 
@@ -369,8 +370,8 @@ def check_dbool_if(bundle):
 
 def check_prime_count_bijection(bundle):
     for A in bundle.dbools:
-        structural = enumerate_prime_d_ideals(A, path="structural")
-        brute = enumerate_prime_d_ideals(A, path="brute")
+        structural = _primes_structural(A)
+        brute = enumerate_prime_d_ideals(A)
         if sorted(g.values for g in structural) != sorted(g.values for g in brute):
             return False, "structural and brute-force prime enumerations disagree"
         if len(structural) != len(prime_ideals(A.plus)):

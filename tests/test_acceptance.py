@@ -23,6 +23,7 @@ from bistone.dlattice import (
     validate_dlattice,
 )
 from bistone.ideals import (
+    _primes_structural,
     enumerate_prime_d_ideals,
     epsilon_kappa,
     idl_dframe,
@@ -99,8 +100,8 @@ def test_criterion_3_counit_roundtrip(space_corpus):
 def test_criterion_4_prime_ideal_bijection(algebra_corpus):
     started = time.monotonic()
     for poset, A in algebra_corpus:
-        structural = enumerate_prime_d_ideals(A, path="structural")
-        brute = enumerate_prime_d_ideals(A, path="brute")
+        structural = _primes_structural(A)
+        brute = enumerate_prime_d_ideals(A)
         assert sorted(g.values for g in structural) == sorted(g.values for g in brute)
         n_primes = len(prime_ideals(A.plus))
         assert len(structural) == n_primes == len(join_irreducibles(A.plus)) == poset.n

@@ -4,15 +4,18 @@ scans of ``validate_dlattice``, the numpy quadruple scans of the d-ideal and
 d-filter validators, ideal lattices rebuilt by ``build_lattice``, the
 pair-by-pair clause (i) scan, the per-pair ``d_filter_to_map`` and the
 nested d-lattice hom enumeration; plus the ``python -O`` guards of
-``ideals``."""
+``ideals`` and the number of ``validate_dlattice`` calls in one Q2 census
+pass."""
 
 import dataclasses
+import sys
 import textwrap
 from itertools import product
 
 import pytest
 from test_validate_oracle import _q2_candidates, _single_bit_mutants
 
+from bistone import dlattice as dlattice_module
 from bistone import duality as du
 from bistone.corpus import birkhoff_corpus, chain, dbool_corpus, distributive_lattices, unlabeled_posets
 from bistone.dlattice import (
@@ -300,8 +303,8 @@ def test_clause_i_detail_under_non_injective_spectrum(monkeypatch, side):
     genuine = du.spectrum
     merged = []
 
-    def merging_spectrum(dl, path="auto"):
-        spec = genuine(dl, path=path)
+    def merging_spectrum(dl):
+        spec = genuine(dl)
         phi = list(getattr(spec, f"phi_{side}"))
         phi[-1] = phi[0]  # two distinct ideals with equal opens
         patched = dataclasses.replace(spec, **{f"phi_{side}": tuple(phi)})
@@ -324,12 +327,45 @@ def test_clause_i_detail_under_non_injective_spectrum(monkeypatch, side):
 
 def test_clause_i_passes_where_scan_passes(kernel_dls):
     for dl in kernel_dls:
-        spec = du.spectrum(dl, path="brute")
+        spec = du.spectrum(dl)
         ok, detail = du.spatiality_check(dl)
         if clause_i_by_scan(spec, 81) is None:
             assert not detail.startswith("clause (i)")
         else:
             assert (ok, detail) == (False, clause_i_by_scan(spec, 81))
+
+
+def test_q2_census_pass_validates_each_candidate_once(monkeypatch):
+    """One Q2 census pass at bound 5, re-verification included: every
+    candidate is validated once and every non-spatial one once more on its
+    fresh copy.  ``spatiality_check`` reads the input's own con/tot and
+    validates nothing itself."""
+    candidates = _q2_candidates(5)
+    calls = 0
+
+    def counting(dl):
+        nonlocal calls
+        calls += 1
+        return validate_dlattice(dl)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "bistone" or name.startswith("bistone."):
+            for key, value in list(vars(mod).items()):
+                if value is validate_dlattice:
+                    monkeypatch.setattr(mod, key, counting)
+    valid = non_spatial = 0
+    for cand in candidates:
+        if not dlattice_module.validate_dlattice(cand).ok:
+            continue
+        valid += 1
+        ok, detail = du.spatiality_check(cand)
+        if not ok:
+            non_spatial += 1
+            fresh = DLattice(cand.plus, cand.minus, cand.con_mask, cand.tot_mask)
+            assert dlattice_module.validate_dlattice(fresh).ok
+            assert du.spatiality_check(fresh) == (False, detail)
+    assert (len(candidates), valid, non_spatial) == (39444, 2269, 248)
+    assert calls == 39692
 
 
 # ---------------------------------------------------------------------------

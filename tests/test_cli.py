@@ -227,6 +227,16 @@ def test_cli_gen_bounds_guard(tmp_path):
     assert main(["gen", "--kind", "posets", "--bounds", "7", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_cli_gen_non_integer_bounds_is_a_usage_error(tmp_path, capsys):
+    assert main(["gen", "--kind", "posets", "--bounds", "abc", "--out", str(tmp_path / "x")]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_bitop_open_with_a_repeated_index_names_the_point_once():
+    obj = {"kind": "bitop", "version": 1, "points": ["a", "b"], "tau_plus": [[], [0, 0], [0, 1]], "tau_minus": [[], [0, 1]]}
+    assert bitop_from_json(obj).tau_plus == (0, 0b01, 0b11)
+
+
 def test_cli_gen_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["gen", "--kind", "dbool", "--bounds", "3", "--out", out1]) == 0

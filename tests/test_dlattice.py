@@ -1,12 +1,16 @@
 """d-lattice axioms, the dualizing object, omega/lambda constructions,
 d-complements, the coreflection and the DBL presentation."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_validate_oracle import _single_bit_mutants
 
-from bistone.corpus import boolean_lattice, three_chain, two_chain
+from bistone.corpus import birkhoff_corpus, boolean_lattice, three_chain, two_chain
 from bistone.dlattice import (
+    DBooleanAlgebra,
     DLattice,
     DLatticeHom,
     DblObject,
@@ -40,7 +44,7 @@ from bistone.errors import (
     FactorizationFailure,
     NotComplementaryPair,
 )
-from bistone.lattice import bits, build_lattice
+from bistone.lattice import bits, build_lattice, inverse_permutation, mask_of
 
 
 def test_bool_object_validates(B):
@@ -236,6 +240,39 @@ def test_dboolean_con_tot_formulas(lam3):
         for b in range(lam3.minus.n):
             assert lam3.in_con(lam3.pid(a, b)) == lam3.plus.leq(a, lam3.dagger_inv[b])
             assert lam3.in_tot(lam3.pid(a, b)) == lam3.minus.leq(lam3.dagger[a], b)
+
+
+def test_dboolean_clauses_imply_the_dagger_is_the_d_complement():
+    """``validate_dboolean`` has no d-complemented clause: its other clauses
+    imply it.  Inputs: on every pair of corpus lattices with at most 6
+    elements, every bijection as the dagger with con/tot from the dagger
+    formulas, and every single-bit con/tot mutant of those that pass.
+    Wherever the validator passes, the unique partner of a in con ∩ tot is
+    †a, and that of b is †⁻¹b."""
+    lattices = [L for L in birkhoff_corpus(4) if L.n <= 6]
+    passed = []
+    for plus in lattices:
+        for minus in lattices:
+            if minus.n != plus.n:
+                continue
+            shell = DLattice(plus, minus, 0, 0)
+            pairs = [(a, b) for a in range(plus.n) for b in range(minus.n)]
+            for dagger in permutations(range(plus.n)):
+                inv = inverse_permutation(dagger)
+                con = mask_of(shell.pid(a, b) for a, b in pairs if plus.leq(a, inv[b]))
+                tot = mask_of(shell.pid(a, b) for a, b in pairs if minus.leq(dagger[a], b))
+                A = DBooleanAlgebra(plus, minus, con, tot, dagger)
+                if validate_dboolean(A).ok:
+                    passed.append(A)
+    mutants = [
+        DBooleanAlgebra(A.plus, A.minus, m.con_mask, m.tot_mask, A.dagger)
+        for A in passed
+        for m in _single_bit_mutants(A)
+    ]
+    assert (len(passed), len(mutants)) == (17, 876)
+    for A in passed + [m for m in mutants if validate_dboolean(m).ok]:
+        assert [d_complement(A, a, "+") for a in range(A.plus.n)] == list(A.dagger)
+        assert [d_complement(A, b, "-") for b in range(A.minus.n)] == list(A.dagger_inv)
 
 
 def test_validate_hom_identity(B):

@@ -48,7 +48,7 @@ from bistone.lattice import bits, principal_filter, principal_ideal
 
 
 def test_prime_d_ideal_json_vector(B):
-    g = enumerate_prime_d_ideals(B, path="brute")[0]
+    g = enumerate_prime_d_ideals(B)[0]
     obj = g.to_json()
     assert obj["kind"] == "prime-d-ideal"
     assert sorted(obj["values"], key=str) == [0, 1, "ff", "tt"]
@@ -136,23 +136,23 @@ def test_prime_triple_equivalence_exhaustive(B):
 
 
 def test_prime_counts(B, lam3, b2):
-    assert len(enumerate_prime_d_ideals(B, path="brute")) == 1
-    assert len(enumerate_prime_d_ideals(lam3, path="structural")) == 2
-    assert len(enumerate_prime_d_ideals(lam3, path="brute")) == 2
+    assert len(enumerate_prime_d_ideals(B)) == 1
+    assert len(ideals._primes_structural(lam3)) == 2
+    assert len(enumerate_prime_d_ideals(lam3)) == 2
     lamb2 = lambda_of_dislat(b2)
-    assert len(enumerate_prime_d_ideals(lamb2, path="structural")) == 2
-    assert len(enumerate_prime_d_ideals(lamb2, path="brute")) == 2
+    assert len(ideals._primes_structural(lamb2)) == 2
+    assert len(enumerate_prime_d_ideals(lamb2)) == 2
 
 
 def test_prime_paths_agree(lam3, b2, B):
     for A in (B, lam3, lambda_of_dislat(b2)):
-        st = sorted(g.values for g in enumerate_prime_d_ideals(A, path="structural"))
-        br = sorted(g.values for g in enumerate_prime_d_ideals(A, path="brute"))
+        st = sorted(g.values for g in ideals._primes_structural(A))
+        br = sorted(g.values for g in enumerate_prime_d_ideals(A))
         assert st == br
 
 
 def test_characterization_examples(B, lam3):
-    g = enumerate_prime_d_ideals(B, path="brute")[0]
+    g = enumerate_prime_d_ideals(B)[0]
     assert prime_d_ideal_characterization(B, g)
     # the d-ideal with everything zero on the plus side is not prime
     whole = d_ideal_to_map(
@@ -170,7 +170,7 @@ def test_characterization_agrees_with_primality(lam3, b2):
 
 
 def test_sandwich_prime_input_returns_itself(B):
-    g = enumerate_prime_d_ideals(B, path="brute")[0]
+    g = enumerate_prime_d_ideals(B)[0]
     h = prime_sandwich(B, g, g)
     assert h.values == g.values
 

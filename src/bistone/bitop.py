@@ -169,11 +169,13 @@ def is_compact(space):
 
 
 def plus_open_minus_closed(space):
-    return [u for u in space.tau_plus if (space.full & ~u) in space.tau_minus]
+    minus = set(space.tau_minus)
+    return [u for u in space.tau_plus if (space.full & ~u) in minus]
 
 
 def minus_open_plus_closed(space):
-    return [v for v in space.tau_minus if (space.full & ~v) in space.tau_plus]
+    plus = set(space.tau_plus)
+    return [v for v in space.tau_minus if (space.full & ~v) in plus]
 
 
 def is_zero_dimensional(space):

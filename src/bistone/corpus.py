@@ -32,10 +32,7 @@ def unlabeled_posets_of_size(n):
                 rows[i] |= 1 << j
         if not all(is_closed(rows[i], rows) for i in range(n)):
             continue  # not transitive
-        poset = FinitePoset(
-            [chr(ord("a") + i) for i in range(n)],
-            [[(rows[i] >> j) & 1 == 1 for j in range(n)] for i in range(n)],
-        )
+        poset = FinitePoset.from_rows([chr(ord("a") + i) for i in range(n)], rows)
         sig = poset.isomorphism_signature()
         if sig not in found:
             found[sig] = poset

@@ -38,6 +38,11 @@ and an up-set (tot) iff the operations on its minimal members do.
 logic closure on those members in one pass.  The lowest missing pair of
 the closure (``closure``, steps to a fixpoint) and the member-pair scan
 ``first_escape`` run only to name the first failing pair.
+
+The d-Boolean clauses read order rows as well: a bijection † reverses the
+order iff it maps the up row of each plus element a onto the down row of
+†a, and then row a of con is the down row of †a and row a of tot its up
+row (``_dagger_reversal_failure``, ``_dagger_masks``).
 """
 
 from dataclasses import dataclass, field
@@ -501,8 +506,45 @@ class DBooleanAlgebra(DLattice):
         object.__setattr__(self, "dagger_inv", inverse_permutation(dagger, minus.n))
 
 
+def _dagger_reversal_failure(plus, minus, dagger):
+    """The first (a1, a2) in row-major order with a1 ≤ a2 in plus but not
+    †a2 ≤ †a1 in minus, or the reverse; None when the bijection † is order
+    reversing.
+
+    Decided per plus row: † reverses the order iff, for each a1, the image
+    of the up row of a1 under † is the down row of †a1 (a1 ≤ a2 iff
+    †a2 ≤ †a1, for every a2).  The inner loop runs only to name a2."""
+    for a1, row in enumerate(plus.up):
+        image = 0
+        for a2 in bits(row):
+            image |= 1 << dagger[a2]
+        if image != minus.down[dagger[a1]]:
+            for a2 in range(plus.n):
+                if plus.leq(a1, a2) != minus.leq(dagger[a2], dagger[a1]):
+                    return a1, a2
+    return None
+
+
+def _dagger_masks(minus, dagger):
+    """con and tot of the pairing: with † order reversing, (a, b) ∈ con iff
+    a ≤ †⁻¹b iff b ≤ †a, and (a, b) ∈ tot iff †a ≤ b, so row a of con is
+    the down row of †a and row a of tot is its up row."""
+    nm = minus.n
+    con = tot = 0
+    for a, d in enumerate(dagger):
+        con |= minus.down[d] << (a * nm)
+        tot |= minus.up[d] << (a * nm)
+    return con, tot
+
+
 def validate_dboolean(A):
     """d-lattice axioms plus the order-reversing-pairing characterization.
+
+    The order-reversal clause is checked per plus row, and the con/tot
+    clauses as one XOR each against the rows of ``_dagger_masks``.  The
+    failure named is the one the pairwise scans name: the first (a1, a2)
+    in row-major order for the order, and for con/tot the lowest pair id
+    where either differs, con before tot at that pair.
 
     That every element is d-complemented, with partner its dagger image,
     needs no clause of its own.  With † an order-reversing bijection,
@@ -514,24 +556,21 @@ def validate_dboolean(A):
         return base
     if sorted(A.dagger) != list(range(A.minus.n)):
         return StructReport.failed("dagger-bijection", witness=A.dagger)
-    for a1 in range(A.plus.n):
-        for a2 in range(A.plus.n):
-            if A.plus.leq(a1, a2) != A.minus.leq(A.dagger[a2], A.dagger[a1]):
-                return StructReport.failed(
-                    "dagger-order-reversing",
-                    witness=(A.plus.labels[a1], A.plus.labels[a2]),
-                )
-    for a in range(A.plus.n):
-        for b in range(A.minus.n):
-            p = A.pid(a, b)
-            if A.in_con(p) != A.plus.leq(a, A.dagger_inv[b]):
-                return StructReport.failed(
-                    "con-from-dagger", witness=(A.plus.labels[a], A.minus.labels[b])
-                )
-            if A.in_tot(p) != A.minus.leq(A.dagger[a], b):
-                return StructReport.failed(
-                    "tot-from-dagger", witness=(A.plus.labels[a], A.minus.labels[b])
-                )
+    bad = _dagger_reversal_failure(A.plus, A.minus, A.dagger)
+    if bad is not None:
+        return StructReport.failed(
+            "dagger-order-reversing",
+            witness=(A.plus.labels[bad[0]], A.plus.labels[bad[1]]),
+        )
+    con, tot = _dagger_masks(A.minus, A.dagger)
+    con_diff, tot_diff = A.con_mask ^ con, A.tot_mask ^ tot
+    if con_diff | tot_diff:
+        p = low_bit(con_diff | tot_diff)
+        a, b = A.unpid(p)
+        return StructReport.failed(
+            "con-from-dagger" if (con_diff >> p) & 1 else "tot-from-dagger",
+            witness=(A.plus.labels[a], A.minus.labels[b]),
+        )
     return StructReport.passed("valid d-Boolean algebra")
 
 
@@ -614,7 +653,9 @@ def validate_dlattice_hom(hom):
 
     The product of the component maps is a lattice homomorphism iff both
     components are; tt/ff preservation is exactly bound preservation of the
-    components.
+    components.  con and tot preservation is decided on the mask images
+    (``_preserves_con_tot``); the per-pair scan runs only to name the first
+    pair whose image leaves con, then tot.
     """
     src, tgt = hom.source, hom.target
     for name, f, L, M in (
@@ -629,6 +670,8 @@ def validate_dlattice_hom(hom):
                 witness=rep.witness,
                 message=f"{name} component: {rep.message}",
             )
+    if _preserves_con_tot(hom):
+        return StructReport.passed("valid d-lattice homomorphism")
     for p in bits(src.con_mask):
         if not tgt.in_con(hom.apply(p)):
             return StructReport.failed(
@@ -643,7 +686,7 @@ def validate_dlattice_hom(hom):
                 witness=src.labels_of(p),
                 message=f"image of total pair {src.pair_label(p)} not total",
             )
-    return StructReport.passed("valid d-lattice homomorphism")
+    raise InvariantViolation("con/tot image scan disagrees with the mask image")
 
 
 def validate_carrier_hom(src, tgt, values):
@@ -786,23 +829,14 @@ def from_dbl(obj):
     dagger = tuple(int(x) for x in obj.dagger)
     if sorted(dagger) != list(range(obj.minus.n)):
         raise DaggerNotOrderReversing("pairing is not a bijection", witness=dagger)
-    inv = inverse_permutation(dagger)
-    for a1 in range(obj.plus.n):
-        for a2 in range(obj.plus.n):
-            if obj.plus.leq(a1, a2) != obj.minus.leq(dagger[a2], dagger[a1]):
-                raise DaggerNotOrderReversing(
-                    f"pairing not order reversing on ({obj.plus.labels[a1]}, {obj.plus.labels[a2]})",
-                    witness=(a1, a2),
-                )
-    nm = obj.minus.n
-    con = tot = 0
-    for a in range(obj.plus.n):
-        for b in range(nm):
-            if obj.plus.leq(a, inv[b]):
-                con |= 1 << (a * nm + b)
-            if obj.minus.leq(dagger[a], b):
-                tot |= 1 << (a * nm + b)
-    A = DBooleanAlgebra(obj.plus, obj.minus, con, tot, dagger)
+    bad = _dagger_reversal_failure(obj.plus, obj.minus, dagger)
+    if bad is not None:
+        a1, a2 = bad
+        raise DaggerNotOrderReversing(
+            f"pairing not order reversing on ({obj.plus.labels[a1]}, {obj.plus.labels[a2]})",
+            witness=(a1, a2),
+        )
+    A = DBooleanAlgebra(obj.plus, obj.minus, *_dagger_masks(obj.minus, dagger), dagger)
     require_valid(validate_dboolean(A), "from_dbl")
     return A
 

@@ -366,14 +366,23 @@ def _primes_bruteforce(dl):
 def prime_opens(dl, primes):
     """The subbasic opens of a list of prime d-ideals, as bitmasks over
     their indices: φ₊(a), the primes with value tt at (a, 0), per plus
-    element a, and φ₋(b), those with value ff at (0, b), per minus b."""
-    phi_plus = tuple(
-        mask_of(k for k, g in enumerate(primes) if g.on_plus(a) == BTT) for a in range(dl.plus.n)
-    )
-    phi_minus = tuple(
-        mask_of(k for k, g in enumerate(primes) if g.on_minus(b) == BFF) for b in range(dl.minus.n)
-    )
-    return phi_plus, phi_minus
+    element a, and φ₋(b), those with value ff at (0, b), per minus b.
+
+    One pass per prime over its values: the pairs (a, 0) are every
+    n₋-th value from the minus bottom, the pairs (0, b) one run of n₋
+    values at the plus bottom's row."""
+    nm = dl.minus.n
+    row = dl.plus.bot * nm
+    phi_plus, phi_minus = [0] * dl.plus.n, [0] * nm
+    for k, g in enumerate(primes):
+        bit = 1 << k
+        for a, v in enumerate(g.values[dl.minus.bot::nm]):
+            if v == BTT:
+                phi_plus[a] |= bit
+        for b, v in enumerate(g.values[row:row + nm]):
+            if v == BFF:
+                phi_minus[b] |= bit
+    return tuple(phi_plus), tuple(phi_minus)
 
 
 def _principal_pair_maps(dl, ones):

@@ -2,7 +2,10 @@
 
 Elements are dense integer ids; labels are metadata.  Subsets are int
 bitmasks, so every predicate is an exhaustive scan over at most 64 elements
-per structure.  Meet/join tables are precomputed numpy arrays.
+per structure.  Meet/join tables are precomputed numpy arrays.  A lattice
+of a set family closed under ∩ and ∪ takes its tables straight from ∩ and
+∪ (``lattice_from_family``); any other relation goes through the generic
+``build_lattice``.
 """
 
 from dataclasses import dataclass, field
@@ -58,6 +61,24 @@ def first_index(flags):
     return tuple(int(i) for i in np.unravel_index(int(flags.argmax()), flags.shape))
 
 
+def _transpose(rows):
+    """Bitmask rows of the converse relation: bit i of out[j] iff bit j of
+    rows[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
+def _check_size(n):
+    if n > max_elements():
+        raise BoundsTooLarge(f"poset has {n} elements, guard is {max_elements()}")
+
+
 class FinitePoset:
     """Finite poset: labels plus the order relation as bitmask rows, with
     the cover relation (Hasse diagram) as rows and as an edge list."""
@@ -65,55 +86,72 @@ class FinitePoset:
     __slots__ = ("labels", "n", "up", "down", "cover_up", "cover_down", "hasse")
 
     def __init__(self, labels, leq):
+        """The poset of a boolean relation matrix: leq[i][j] iff i ≤ j."""
         labels = tuple(str(x) for x in labels)
         n = len(labels)
-        if n > max_elements():
-            raise BoundsTooLarge(f"poset has {n} elements, guard is {max_elements()}")
+        _check_size(n)
         up = [0] * n
         for i in range(n):
             row = leq[i]
             for j in range(n):
                 if row[j]:
                     up[i] |= 1 << j
+        self._set_order(labels, up)
+
+    @classmethod
+    def from_rows(cls, labels, up):
+        """The poset whose order has the bitmask rows ``up`` (bit j of up[i]
+        iff i ≤ j), with the same guard and checks as the matrix form."""
+        labels = tuple(str(x) for x in labels)
+        _check_size(len(labels))
+        out = object.__new__(cls)
+        out._set_order(labels, up)
+        return out
+
+    def _set_order(self, labels, up):
+        """Check the rows for reflexivity, antisymmetry and transitivity, then
+        store them with the down rows and the cover relation.  A failure
+        names the first witness of a pairwise scan over the rows."""
+        n = len(labels)
         for i in range(n):
             if not (up[i] >> i) & 1:
                 raise NotAPoset(f"leq not reflexive at {labels[i]}", witness=(i,))
+        down = _transpose(up)
         for i in range(n):
-            for j in bits(up[i]):
-                if i != j and (up[j] >> i) & 1:
-                    raise NotAPoset(
-                        f"leq not antisymmetric on ({labels[i]}, {labels[j]})",
-                        witness=(i, j),
-                    )
+            twins = up[i] & down[i] & ~(1 << i)
+            if twins:
+                j = low_bit(twins)
+                raise NotAPoset(
+                    f"leq not antisymmetric on ({labels[i]}, {labels[j]})",
+                    witness=(i, j),
+                )
         # j covers i iff j is strictly above i and strictly above nothing
-        # that is strictly above i
+        # that is strictly above i; the order is transitive at i iff all
+        # that lies strictly above the elements above i is above i
         cover_up = [0] * n
-        for i in range(n):
+        for i, row in enumerate(up):
+            strict = row & ~(1 << i)
             above = 0
-            for j in bits(up[i]):
-                if up[j] & ~up[i]:
-                    k = next(bits(up[j] & ~up[i]))
-                    raise NotAPoset(
-                        f"leq not transitive on ({labels[i]}, {labels[j]}, {labels[k]})",
-                        witness=(i, j, k),
-                    )
-                if j != i:
-                    above |= up[j] & ~(1 << j)
-            cover_up[i] = up[i] & ~(1 << i) & ~above
-        down = [0] * n
-        cover_down = [0] * n
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
-                if (cover_up[i] >> j) & 1:
-                    cover_down[j] |= 1 << i
+            rest = strict
+            while rest:
+                low = rest & -rest
+                above |= up[low.bit_length() - 1] & ~low
+                rest ^= low
+            if above & ~row:
+                j = next(j for j in bits(row) if up[j] & ~row)
+                k = low_bit(up[j] & ~row)
+                raise NotAPoset(
+                    f"leq not transitive on ({labels[i]}, {labels[j]}, {labels[k]})",
+                    witness=(i, j, k),
+                )
+            cover_up[i] = strict & ~above
         self.labels = labels
         self.n = n
         self.up = tuple(up)
         self.down = tuple(down)
         self.cover_up = tuple(cover_up)
-        self.cover_down = tuple(cover_down)
-        self.hasse = tuple((i, j) for i in range(n) for j in bits(cover_up[i]))
+        self.cover_down = tuple(_transpose(cover_up))
+        self.hasse = tuple((i, j) for i, row in enumerate(cover_up) for j in bits(row))
 
     def relabeled(self, labels):
         """The same order under new labels."""
@@ -136,7 +174,7 @@ class FinitePoset:
         return sorted(range(self.n), key=lambda i: (self.down[i].bit_count(), i))
 
     def dual(self):
-        return FinitePoset(self.labels, [[self.leq(j, i) for j in range(self.n)] for i in range(self.n)])
+        return FinitePoset.from_rows(self.labels, self.down)
 
     def isomorphism_signature(self):
         """Canonical form: min over all relabelings of the flattened relation."""
@@ -264,18 +302,67 @@ def build_lattice(labels, leq, sets=None):
 
 
 def set_label(mask, point_labels):
-    members = [point_labels[i] for i in bits(mask)]
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(point_labels[low.bit_length() - 1])
+        mask ^= low
     return "{" + ",".join(members) + "}"
 
 
 def lattice_from_family(n_points, masks, point_labels=None):
-    """Lattice of a subset family ordered by inclusion (meet=∩, join=∪)."""
+    """Lattice of a subset family closed under ∩ and ∪, ordered by
+    inclusion.
+
+    Every caller passes such a family: topologies, d-clopen sets, down-sets
+    and the full power set.  Elements are the distinct masks sorted by
+    (popcount, mask), and the meet and join of two elements are the indices
+    of their intersection and union, one dict lookup each.  In a family
+    closed under ∩, a ∩ b is a member below a and b that contains every
+    member below both, so it is their meet; dually a ∪ b is their join.
+    Order row i is {j : meet[i][j] == i}, filled in the loop over j ≥ i:
+    no member is a subset of one before it in the sort, as a proper subset
+    has a smaller popcount.  The intersection of all members is a member
+    below every member, so it comes first in the sort and is the bottom;
+    the union of all members is the top and comes last.
+
+    Distributivity needs no scan: meet and join are ∩ and ∪, and
+    a ∩ (b ∪ c) = (a ∩ b) ∪ (a ∩ c) holds for all sets.  A family that is
+    not closed raises NotALattice naming the first (i, j) in row-major order
+    whose intersection or union (checked in that order) is missing."""
     if point_labels is None:
         point_labels = [str(i) for i in range(n_points)]
     fam = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    n = len(fam)
+    if n == 0:
+        raise NotBounded("empty carrier has no bottom element")
     labels = [set_label(m, point_labels) for m in fam]
-    leq = [[(a & ~b) == 0 for b in fam] for a in fam]
-    return build_lattice(labels, leq, sets=fam)
+    index_of = {m: i for i, m in enumerate(fam)}.get
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    up = [0] * n
+    for i, a in enumerate(fam):
+        meet_row, join_row = meet[i], join[i]
+        meet_row[i] = join_row[i] = i
+        row = 1 << i
+        for j in range(i + 1, n):
+            b = fam[j]
+            m, v = index_of(a & b), index_of(a | b)
+            if m is None or v is None:
+                missing = "intersection" if m is None else "union"
+                raise NotALattice(
+                    f"({labels[i]}, {labels[j]}): the {missing} is not in the family", witness=(i, j)
+                )
+            meet_row[j] = meet[j][i] = m
+            join_row[j] = join[j][i] = v
+            if m == i:
+                row |= 1 << j
+        up[i] = row
+    poset = FinitePoset.from_rows(labels, up)
+    # native ints: pair ids a * n_minus + b computed from whole tables must not wrap
+    return FiniteLattice(
+        poset, 0, n - 1, np.array(meet, dtype=np.intp), np.array(join, dtype=np.intp), sets=tuple(fam)
+    )
 
 
 def birkhoff(poset):

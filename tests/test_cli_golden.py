@@ -1,10 +1,19 @@
 """Byte-pinned command-line output: stdout, stderr and the exit code of
-``bistone props`` for every suite and of ``bistone search`` at bound 4.
+``bistone props`` for every suite, of ``bistone search`` at bound 4, and of
+``validate``, ``spec``, ``clop`` and ``roundtrip`` on the small files in
+``tests/golden/inputs/``.
+
+The inputs are a d-Boolean algebra (λ of the down-sets of the three-element
+poset with one bottom and two maximal elements), the doubled three-chain as
+a d-lattice, that algebra with a dagger that is not order reversing and with
+one con or tot bit flipped (each still a valid d-lattice), its Stone space,
+and a two-point space that is not Stone.  The failing inputs pin the
+validator's axiom and witness, and exit code 1.
 
 The expected text under ``tests/golden/`` was recorded before the
-simplifications that it guards, so any change to a verdict, a witness or a
-message shows up here as a diff.  Regenerate a file only when an output
-change is intended, and say so in the change log.
+simplifications and kernels that it guards, so any change to a verdict, a
+witness or a message shows up here as a diff.  Regenerate a file only when
+an output change is intended, and say so in the change log.
 """
 
 from pathlib import Path
@@ -14,17 +23,28 @@ import pytest
 from bistone.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
 
 SUITES = ("lattice_core", "dlattice", "ideals_frames", "bitop", "duality")
-COMMANDS = {f"props_{suite}": ["props", "--suite", suite] for suite in SUITES}
+# name -> (argv, exit code)
+COMMANDS = {f"props_{suite}": (["props", "--suite", suite], 0) for suite in SUITES}
 COMMANDS.update(
-    {f"search_{q}": ["search", "--conjecture", q, "--bounds", "4"] for q in ("Q1", "Q2")}
+    {f"search_{q}": (["search", "--conjecture", q, "--bounds", "4"], 0) for q in ("Q1", "Q2")}
 )
+for command, cases in (
+    ("validate", {"dboolean": 0, "dlattice": 0, "dboolean_bad_dagger": 1, "dboolean_bad_con": 1, "dboolean_bad_tot": 1, "space_not_stone": 0}),
+    ("spec", {"dboolean": 0, "dlattice": 0, "dboolean_bad_dagger": 1, "dboolean_bad_con": 1, "dboolean_bad_tot": 1}),
+    ("clop", {"space_stone": 0, "space_not_stone": 0}),
+    ("roundtrip", {"dboolean": 0, "dboolean_bad_dagger": 1, "space_stone": 0, "space_not_stone": 1}),
+):
+    for stem, code in cases.items():
+        COMMANDS[f"{command}_{stem}"] = ([command, "--in", str(INPUTS / f"{stem}.json")], code)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_is_byte_identical(name, capsys):
-    assert main(COMMANDS[name]) == 0
+    argv, code = COMMANDS[name]
+    assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
     assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")

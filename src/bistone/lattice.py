@@ -548,20 +548,13 @@ def validate_lattice_hom(hom):
     L, M, f = hom.source, hom.target, np.asarray(hom.mapping, dtype=np.int16)
     if len(f) != L.n:
         return StructReport.failed("total", message="mapping is not total")
-    if int(f[L.bot]) != M.bot:
-        return StructReport.failed("bottom", witness=int(f[L.bot]))
-    if int(f[L.top]) != M.top:
-        return StructReport.failed("top", witness=int(f[L.top]))
-    fm = f[L.meet]
-    mf = M.meet[f[:, None], f[None, :]]
-    bad = first_index(fm != mf)
-    if bad is not None:
-        return StructReport.failed("meet", witness=bad)
-    fj = f[L.join]
-    jf = M.join[f[:, None], f[None, :]]
-    bad = first_index(fj != jf)
-    if bad is not None:
-        return StructReport.failed("join", witness=bad)
+    for name, a, b in (("bottom", L.bot, M.bot), ("top", L.top, M.top)):
+        if int(f[a]) != b:
+            return StructReport.failed(name, witness=int(f[a]))
+    for name, op_L, op_M in (("meet", L.meet, M.meet), ("join", L.join, M.join)):
+        bad = first_index(f[op_L] != op_M[f[:, None], f[None, :]])
+        if bad is not None:
+            return StructReport.failed(name, witness=bad)
     return StructReport.passed()
 
 

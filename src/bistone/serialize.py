@@ -47,10 +47,8 @@ def dlattice_to_json(dl):
         "con": [list(dl.unpid(p)) for p in bits(dl.con_mask)],
         "tot": [list(dl.unpid(p)) for p in bits(dl.tot_mask)],
     }
-    out["plus"].pop("kind")
-    out["plus"].pop("version")
-    out["minus"].pop("kind")
-    out["minus"].pop("version")
+    for side in ("plus", "minus"):
+        del out[side]["kind"], out[side]["version"]
     if isinstance(dl, DBooleanAlgebra):
         out["dagger"] = list(dl.dagger)
     return out

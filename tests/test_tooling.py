@@ -1,0 +1,70 @@
+"""Repository checks read from source with ``ast``, so nothing under
+``bench/`` is imported: every library name the benchmark harness traces or
+calls still resolves below ``bistone``, and the library has no ``assert``
+statement (its guards raise, so they survive ``python -O``)."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import bistone
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+LIBRARY = Path(bistone.__file__).resolve().parent
+
+
+def resolve(path):
+    """The object at a dotted path below ``bistone``, or an AttributeError."""
+    head, *attrs = path.split(".")
+    obj = importlib.import_module(f"bistone.{head}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def module_constants(path, names):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in names:
+                    found[target.id] = ast.literal_eval(node.value)
+    return found
+
+
+def test_bench_layers_resolve_below_bistone():
+    consts = module_constants(BENCH / "run.py", {"LAYERS", "LAYER_PATHS"})
+    layers, paths = consts["LAYERS"], consts["LAYER_PATHS"]
+    assert layers and set(paths) <= set(layers)
+    for name in layers:
+        assert callable(resolve(paths.get(name, name))), name
+
+
+def test_bench_workload_attributes_resolve_below_bistone():
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "bistone":
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = alias.name
+    assert aliases
+    used = {
+        f"{aliases[node.value.id]}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
+    }
+    assert "duality.dspec_equals_dpt_idl" in used
+    for path in sorted(used):
+        resolve(path)
+
+
+def test_library_has_no_assert_statement():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(LIBRARY.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []

@@ -1,0 +1,211 @@
+"""The one-pass topology code against the forms it replaced, kept here as
+test-only oracles: ``generate_topology`` against the fixpoint loops,
+``BiTopSpace``'s closure check against the scan over the sorted tuple, the
+two-sided predicates against one block per side, and ``dspec_equals_dpt_idl``
+against the form that enumerated the primes of the ideal frame again."""
+
+from itertools import combinations, permutations, product
+
+import pytest
+
+from bistone import bitop as bt
+from bistone import duality as du
+from bistone.corpus import unlabeled_posets
+from bistone.dlattice import lambda_of_dislat
+from bistone.ideals import enumerate_prime_d_ideals, idl_dframe
+from bistone.lattice import birkhoff, bits, mask_of
+from bistone.suites import all_dlattices
+
+
+def generate_topology_by_fixpoint(n, subbase):
+    """Oracle: close under intersections until nothing new appears, then
+    under unions the same way."""
+    full = (1 << n) - 1
+    inters = {full}
+    base = set(int(s) for s in subbase)
+    while True:
+        new = {s & t for s in base for t in inters} - inters
+        if not new:
+            break
+        inters |= new
+    opens = {0} | inters
+    while True:
+        new = {u | v for u in opens for v in opens} - opens
+        if not new:
+            break
+        opens |= new
+    return tuple(sorted(opens, key=lambda m: (m.bit_count(), m)))
+
+
+def closure_failure_by_tuple_scan(name, family, full):
+    """Oracle: the message ``BiTopSpace`` raises for one family, from
+    membership tests on the sorted tuple, or None."""
+    fam = tuple(sorted(set(int(u) for u in family), key=lambda m: (m.bit_count(), m)))
+    if 0 not in fam or full not in fam:
+        return f"{name} must contain the empty set and the whole space"
+    for u, v in combinations(fam, 2):
+        if (u | v) not in fam:
+            return f"{name} not closed under union"
+        if (u & v) not in fam:
+            return f"{name} not closed under intersection"
+    return None
+
+
+def space_failure(labels, tau_plus, tau_minus):
+    try:
+        bt.BiTopSpace(labels, tau_plus, tau_minus)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def all_families(n):
+    """Every family of subsets of n points."""
+    subsets = range(1 << n)
+    return [[s for s in subsets if (code >> s) & 1] for code in range(1 << (1 << n))]
+
+
+@pytest.fixture(scope="module")
+def spectra():
+    return [du.spectrum(lambda_of_dislat(birkhoff(p))) for p in unlabeled_posets(5)]
+
+
+def test_generate_topology_matches_fixpoint_on_small_families():
+    for n in range(4):
+        for fam in all_families(n):
+            assert bt.generate_topology(n, fam) == generate_topology_by_fixpoint(n, fam), (n, fam)
+
+
+def test_generate_topology_matches_fixpoint_on_corpus_opens(spectra):
+    assert len(spectra) == 87
+    for spec in spectra:
+        n = len(spec.primes)
+        for fam in (spec.phi_plus, spec.phi_minus):
+            assert bt.generate_topology(n, fam) == generate_topology_by_fixpoint(n, fam)
+
+
+def test_closure_check_matches_tuple_scan_per_side():
+    for n in range(4):
+        labels = [f"x{i}" for i in range(n)]
+        full = (1 << n) - 1
+        indiscrete = [0, full]
+        for fam in all_families(n):
+            assert space_failure(labels, fam, indiscrete) == closure_failure_by_tuple_scan("tau_plus", fam, full)
+            assert space_failure(labels, indiscrete, fam) == closure_failure_by_tuple_scan("tau_minus", fam, full)
+            if closure_failure_by_tuple_scan("tau_plus", fam, full) is None:
+                assert bt.BiTopSpace(labels, fam, fam).tau_plus == generate_topology_by_fixpoint(n, fam)
+
+
+def test_closure_check_names_plus_before_minus():
+    for n in range(3):
+        labels = [f"x{i}" for i in range(n)]
+        full = (1 << n) - 1
+        for fp, fm in product(all_families(n), repeat=2):
+            plus = closure_failure_by_tuple_scan("tau_plus", fp, full)
+            minus = closure_failure_by_tuple_scan("tau_minus", fm, full)
+            assert space_failure(labels, fp, fm) == (plus if plus is not None else minus)
+
+
+def test_corpus_opens_are_accepted_as_topologies(spectra):
+    for spec in spectra:
+        full = (1 << len(spec.primes)) - 1
+        assert closure_failure_by_tuple_scan("tau_plus", spec.phi_plus, full) is None
+        assert closure_failure_by_tuple_scan("tau_minus", spec.phi_minus, full) is None
+
+
+# ---------------------------------------------------------------------------
+# two-sided predicates, one block per side
+
+
+def is_pairwise_regular_by_sides(space):
+    for u in space.tau_plus:
+        for x in bits(u):
+            if not any((v >> x) & 1 and space.closure(v, space.tau_minus) & ~u == 0 for v in space.tau_plus):
+                return False
+    for v in space.tau_minus:
+        for x in bits(v):
+            if not any((u >> x) & 1 and space.closure(u, space.tau_plus) & ~v == 0 for u in space.tau_minus):
+                return False
+    return True
+
+
+def is_extremally_disconnected_by_sides(space):
+    for u in space.tau_plus:
+        if space.closure(u, space.tau_minus) not in space.tau_plus:
+            return False
+    for v in space.tau_minus:
+        if space.closure(v, space.tau_plus) not in space.tau_minus:
+            return False
+    return True
+
+
+def is_continuous_by_sides(mapping, X, Y):
+    return all(bt.preimage(mapping, X.n, u) in X.tau_plus for u in Y.tau_plus) and all(
+        bt.preimage(mapping, X.n, v) in X.tau_minus for v in Y.tau_minus
+    )
+
+
+def is_homeomorphism_by_sides(mapping, X, Y):
+    if sorted(mapping) != list(range(Y.n)):
+        return False
+    image_plus = {mask_of(mapping[x] for x in bits(u)) for u in X.tau_plus}
+    image_minus = {mask_of(mapping[x] for x in bits(v)) for v in X.tau_minus}
+    return image_plus == set(Y.tau_plus) and image_minus == set(Y.tau_minus)
+
+
+def small_spaces(max_points):
+    for n in range(1, max_points + 1):
+        labels = [f"x{i}" for i in range(n)]
+        tops = du.enumerate_topologies(n)
+        for tp, tm in product(tops, repeat=2):
+            yield bt.BiTopSpace(labels, tp, tm)
+
+
+def test_two_sided_predicates_match_the_per_side_blocks():
+    target = bt.bool_bitop_space()
+    spaces = list(small_spaces(3))
+    assert len(spaces) == 1 + 4**2 + 29**2
+    for X in spaces:
+        assert bt.is_pairwise_regular(X) == is_pairwise_regular_by_sides(X)
+        assert bt.is_extremally_disconnected(X) == is_extremally_disconnected_by_sides(X)
+        for mapping in product(range(4), repeat=X.n):
+            assert bt.is_continuous(mapping, X, target) == is_continuous_by_sides(mapping, X, target)
+    for X in spaces[:1 + 4**2 + 20]:
+        for Y in spaces:
+            if Y.n == X.n:
+                for perm in permutations(range(X.n)):
+                    assert bt.is_homeomorphism(perm, X, Y) == is_homeomorphism_by_sides(perm, X, Y)
+
+
+# ---------------------------------------------------------------------------
+# dSpec = dpt ∘ idl with one prime enumeration
+
+
+def dspec_equals_dpt_idl_by_two_enumerations(dl):
+    """Oracle: enumerate the d-points of the ideal frame on their own and
+    match them with the primes of dl by a homeomorphism."""
+    spec = du.spectrum(dl)
+    pts_space, pts = bt.d_points(idl_dframe(dl))
+    want = {g.values: k for k, g in enumerate(spec.primes)}
+    if sorted(p.values for p in pts) != sorted(want):
+        return False
+    mapping = tuple(want[p.values] for p in pts)
+    return bt.is_homeomorphism(mapping, pts_space, spec.space)
+
+
+def dspec_inputs(bundle):
+    return [lambda_of_dislat(birkhoff(p)) for p in unlabeled_posets(5)] + all_dlattices(bundle)
+
+
+def test_dspec_equals_dpt_idl_matches_two_enumerations(bundle):
+    inputs = dspec_inputs(bundle)
+    assert len(inputs) > 87
+    for dl in inputs:
+        assert du.dspec_equals_dpt_idl(dl) is dspec_equals_dpt_idl_by_two_enumerations(dl) is True
+
+
+def test_ideal_frame_has_the_primes_of_its_input(bundle):
+    """The docstring's claim: the same value tuples in the same order."""
+    for dl in dspec_inputs(bundle):
+        got = [g.values for g in enumerate_prime_d_ideals(idl_dframe(dl))]
+        assert got == [g.values for g in enumerate_prime_d_ideals(dl)]

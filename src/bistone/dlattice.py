@@ -39,6 +39,19 @@ logic closure on those members in one pass.  The lowest missing pair of
 the closure (``closure``, steps to a fixpoint) and the member-pair scan
 ``first_escape`` run only to name the first failing pair.
 
+The con–tot clause asks each consistent (a, b) to lie below every total
+pair that shares a coordinate with it.  The pairs that share one but are
+not above (a, b) are, in row a, the (a, b2) with b2 not above b and, in
+column b, the (a2, b) with a2 not above a: ``(in_row[b] << a * n_minus) |
+(in_column[a] << b)``, with one mask per coordinate element
+(``not_above_masks``).  So the clause is one AND with tot per member of
+con, in pair-id order, and the first nonzero AND names the witness.
+
+What depends only on the two coordinate lattices (cover steps, logic
+tables, the con–tot masks and, in ``ideals``, the prime-ideal masks) is
+built once per coordinate pair: cached, keyed by order rows, for carriers
+of up to ``CACHED_STEPS_MAX_PAIRS`` pairs (``row_keyed``).
+
 The d-Boolean clauses read order rows as well: a bijection † reverses the
 order iff it maps the up row of each plus element a onto the down row of
 †a, and then row a of con is the down row of †a and row a of tot its up
@@ -212,11 +225,18 @@ def unit_masks(n_plus, n_minus):
     return row0, ((1 << (n_plus * n_minus)) - 1) // row0
 
 
-# Steps are cached for carriers of up to this many pairs, where one entry
-# is a few small ints and validation runs most often (the Q2 census
-# validates some 40,000 candidates over 49 coordinate pairs); a larger
-# carrier's masks are big and it is validated a few times at most.
+# Steps and the other per-coordinate-pair tables below are cached, keyed by
+# order rows, for carriers of up to this many pairs, where one entry is a
+# few small ints and validation runs most often (the Q2 census validates
+# some 40,000 candidates over 49 coordinate pairs); a larger carrier's masks
+# are big and it is validated a few times at most.
 CACHED_STEPS_MAX_PAIRS = 64
+
+
+def row_keyed(dl, cached):
+    """``cached``, an ``lru_cache`` keyed by order rows, for carriers of up
+    to ``CACHED_STEPS_MAX_PAIRS`` pairs; its uncached body for larger ones."""
+    return cached if dl.plus.n * dl.minus.n <= CACHED_STEPS_MAX_PAIRS else cached.__wrapped__
 
 
 def cover_steps(dl, downward):
@@ -227,8 +247,7 @@ def cover_steps(dl, downward):
     other end: a minus edge moves along a row, a plus edge by whole rows.
     """
     P, M = dl.plus.poset, dl.minus.poset
-    build = _cover_steps if P.n * M.n <= CACHED_STEPS_MAX_PAIRS else _cover_steps.__wrapped__
-    return build(P.hasse, M.hasse, P.n, M.n, downward)
+    return row_keyed(dl, _cover_steps)(P.hasse, M.hasse, P.n, M.n, downward)
 
 
 @lru_cache(maxsize=256)
@@ -264,12 +283,59 @@ def closure(mask, steps):
 
 def logic_tables(dl):
     """Logic meet and join by name, each as its (plus, minus) coordinate
-    tables in nested lists, for the per-pair scans below."""
+    tables in nested lists, for the per-pair scans below.
+
+    Up to ``CACHED_STEPS_MAX_PAIRS`` pairs they are built once per
+    coordinate pair, from the order rows that key the cache; a larger
+    carrier converts its numpy tables per call, which costs a tenth of
+    reading them off the rows, and is validated a few times at most."""
     P, M = dl.plus, dl.minus
+    if P.n * M.n <= CACHED_STEPS_MAX_PAIRS:
+        return _logic_tables(P.up, P.down, M.up, M.down)
     return (
         ("logic-meet", P.meet.tolist(), M.join.tolist()),
         ("logic-join", P.join.tolist(), M.meet.tolist()),
     )
+
+
+@lru_cache(maxsize=256)
+def _logic_tables(plus_up, plus_down, minus_up, minus_down):
+    """The tables of a lattice are a function of its order rows: ↓i ∩ ↓j is
+    ↓(i ∧ j) and ↑i ∩ ↑j is ↑(i ∨ j), so i ∧ j is the element whose down row
+    is ``down[i] & down[j]``, and i ∨ j the one whose up row is
+    ``up[i] & up[j]``."""
+
+    def table(rows):
+        index = {row: k for k, row in enumerate(rows)}
+        return [[index[r & s] for s in rows] for r in rows]
+
+    return (
+        ("logic-meet", table(plus_down), table(minus_up)),
+        ("logic-join", table(plus_up), table(minus_down)),
+    )
+
+
+def not_above_masks(dl):
+    """The masks of the con–tot clause: per minus element b, the row-0 pairs
+    (0, b2) with b2 not above b, and per plus element a, the column-0 pairs
+    (a2, 0) with a2 not above a.  At (a, b) the total pairs that share a
+    coordinate with (a, b) but do not lie above it are those in
+    ``(in_row[b] << a * n_minus) | (in_column[a] << b)``."""
+    P, M = dl.plus.poset, dl.minus.poset
+    return row_keyed(dl, _not_above_masks)(P.up, M.up)
+
+
+@lru_cache(maxsize=256)
+def _not_above_masks(plus_up, minus_up):
+    n_minus = len(minus_up)
+    row0, col0 = unit_masks(len(plus_up), n_minus)
+    in_column = []
+    for up in plus_up:
+        rows_above = 0  # column 0 of the rows at or above a
+        for a2 in bits(up):
+            rows_above |= 1 << (a2 * n_minus)
+        in_column.append(col0 & ~rows_above)
+    return tuple(row0 & ~up for up in minus_up), tuple(in_column)
 
 
 def logic_closed_on(dl, tables, mask, members):
@@ -278,10 +344,16 @@ def logic_closed_on(dl, tables, mask, members):
     over the unordered pairs of distinct members decides both."""
     nm = dl.minus.n
     (_, meet_plus, meet_minus), (_, join_plus, join_minus) = tables
-    coords = [divmod(p, nm) for p in bits(members)]
-    for i, (a1, b1) in enumerate(coords):
+    while members:
+        low = members & -members
+        members ^= low
+        a1, b1 = divmod(low.bit_length() - 1, nm)
         mp, mm, jp, jm = meet_plus[a1], meet_minus[b1], join_plus[a1], join_minus[b1]
-        for a2, b2 in coords[i + 1:]:
+        rest = members
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a2, b2 = divmod(low.bit_length() - 1, nm)
             if not ((mask >> (mp[a2] * nm + mm[b2])) & (mask >> (jp[a2] * nm + jm[b2])) & 1):
                 return False
     return True
@@ -357,22 +429,17 @@ def validate_dlattice(dl):
     # column; the first failing (a, b) in pair-id order is named, with the
     # lowest such total pair
     nm = M.n
-    row0, col0 = unit_masks(P.n, nm)
-    for a, con_row in enumerate(dl.rows(con)):
-        if not con_row:
-            continue
-        rows_above = 0  # column 0 of the rows at or above a
-        for a2 in bits(P.up[a]):
-            rows_above |= 1 << (a2 * nm)
-        for b in bits(con_row):
-            not_above = tot & (((row0 & ~M.up[b]) << (a * nm)) | ((col0 & ~rows_above) << b))
-            if not_above:
-                alpha, beta = dl.labels_of(a * nm + b), dl.labels_of(low_bit(not_above))
-                return StructReport.failed(
-                    "con-tot",
-                    witness={"alpha": alpha, "beta": beta},
-                    message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
-                )
+    in_row, in_column = not_above_masks(dl)
+    for p in bits(con):
+        a, b = divmod(p, nm)
+        not_above = tot & ((in_row[b] << (a * nm)) | (in_column[a] << b))
+        if not_above:
+            alpha, beta = dl.labels_of(p), dl.labels_of(low_bit(not_above))
+            return StructReport.failed(
+                "con-tot",
+                witness={"alpha": alpha, "beta": beta},
+                message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
+            )
     return StructReport.passed("valid d-lattice")
 
 
@@ -551,22 +618,35 @@ def validate_dboolean(A):
     if not base.ok:
         return base
     if sorted(A.dagger) != list(range(A.minus.n)):
-        return StructReport.failed("dagger-bijection", witness=A.dagger)
+        return StructReport.failed(
+            "dagger-bijection",
+            witness=A.dagger,
+            message=f"dagger {A.dagger} is not a bijection onto the {A.minus.n} minus elements",
+        )
     bad = _dagger_reversal_failure(A.plus, A.minus, A.dagger)
     if bad is not None:
+        a1, a2 = bad
+        l1, l2 = A.plus.labels[a1], A.plus.labels[a2]
+        plus_side, minus_side = f"{l1} <= {l2}", f"dagger({l2}) <= dagger({l1})"
+        if not A.plus.leq(a1, a2):
+            plus_side, minus_side = minus_side, plus_side
         return StructReport.failed(
             "dagger-order-reversing",
-            witness=(A.plus.labels[bad[0]], A.plus.labels[bad[1]]),
+            witness=(l1, l2),
+            message=f"dagger not order reversing on ({l1}, {l2}): {plus_side} but not {minus_side}",
         )
     con, tot = _dagger_masks(A.minus, A.dagger)
     con_diff, tot_diff = A.con_mask ^ con, A.tot_mask ^ tot
     if con_diff | tot_diff:
         p = low_bit(con_diff | tot_diff)
         a, b = A.unpid(p)
-        return StructReport.failed(
-            "con-from-dagger" if (con_diff >> p) & 1 else "tot-from-dagger",
-            witness=(A.plus.labels[a], A.minus.labels[b]),
-        )
+        la, lb, ld = A.plus.labels[a], A.minus.labels[b], A.minus.labels[A.dagger[a]]
+        if (con_diff >> p) & 1:
+            axiom, mask, word, order = "con-from-dagger", A.con_mask, "consistent", f"{lb} <= dagger({la}) = {ld}"
+        else:
+            axiom, mask, word, order = "tot-from-dagger", A.tot_mask, "total", f"dagger({la}) = {ld} <= {lb}"
+        verdict = f"is {word} but not" if (mask >> p) & 1 else f"is not {word} but"
+        return StructReport.failed(axiom, witness=(la, lb), message=f"{A.pair_label(p)} {verdict} {order}")
     return StructReport.passed("valid d-Boolean algebra")
 
 

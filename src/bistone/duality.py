@@ -55,6 +55,7 @@ from .lattice import (
     inverse_permutation,
     is_closed,
     lattice_from_family,
+    low_bit,
     mask_of,
 )
 
@@ -197,6 +198,10 @@ def spatiality_check(dl):
     order, read off the classes of equal opens (see ``_unseparated``).
     On a valid d-lattice, (↓i, ↓j) is consistent / total iff (i, j) is (see
     ``ideals.idl_dframe``), so (ii) and (iii) read the input's con and tot.
+    They are decided as two pair-id masks over φ₊ × φ₋, the pairs whose opens
+    are disjoint and those whose opens cover, each compared with its mask by
+    XOR; the lowest differing pair id is named, (ii) before (iii) there, as
+    a scan of the pairs in row-major order names it.
     """
     spec = spectrum(dl)
     full = (1 << len(spec.primes)) - 1
@@ -205,13 +210,21 @@ def spatiality_check(dl):
     if len(set(spec.phi_plus)) < np_ or len(set(spec.phi_minus)) < nm:
         return False, _unseparated(spec)
 
-    for i in range(np_):
-        for j in range(nm):
-            p = dl.pid(i, j)
-            if dl.in_con(p) != (spec.phi_plus[i] & spec.phi_minus[j] == 0):
-                return False, f"clause (ii) fails at ideal pair ({i},{j})"
-            if dl.in_tot(p) != (spec.phi_plus[i] | spec.phi_minus[j] == full):
-                return False, f"clause (iii) fails at ideal pair ({i},{j})"
+    disjoint = covering = 0
+    bit = 1  # of pair id i * n_minus + j, in row-major order
+    for u in spec.phi_plus:
+        for v in spec.phi_minus:
+            if not u & v:
+                disjoint |= bit
+            if u | v == full:
+                covering |= bit
+            bit <<= 1
+    con_diff, tot_diff = dl.con_mask ^ disjoint, dl.tot_mask ^ covering
+    if con_diff | tot_diff:
+        p = low_bit(con_diff | tot_diff)
+        clause = "(ii)" if (con_diff >> p) & 1 else "(iii)"
+        i, j = dl.unpid(p)
+        return False, f"clause {clause} fails at ideal pair ({i},{j})"
     return True, "spatial"
 
 

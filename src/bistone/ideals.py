@@ -16,6 +16,7 @@ prime, which is exactly what the sandwich search below exploits.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .dlattice import (
     dB,
     d_complemented_sides,
     require_valid,
+    row_keyed,
     step,
     unit_masks,
     validate_carrier_hom,
@@ -126,13 +128,12 @@ class DFilterPair:
     fminus: Filter
 
 
-def _covered(dl, zplus, zminus):
+def _covered(n_plus, n_minus, zplus, zminus):
     """Pair ids (a, b) with a in zplus (the whole row) or b in zminus."""
-    nm = dl.minus.n
-    row0, col0 = unit_masks(dl.plus.n, nm)
+    row0, col0 = unit_masks(n_plus, n_minus)
     covered = zminus * col0
     for a in bits(zplus):
-        covered |= row0 << (a * nm)
+        covered |= row0 << (a * n_minus)
     return covered
 
 
@@ -143,7 +144,7 @@ def _four_case_map(dl, plus, minus, ones):
     b ∈ minus when ``ones``, and iff a ∉ plus / b ∉ minus otherwise."""
     required, what = (dl.tot_mask, "total") if ones else (dl.con_mask, "consistent")
     # the lowest uncovered pair id is the first pair a scan would meet
-    uncovered = required & ~_covered(dl, plus, minus)
+    uncovered = required & ~_covered(dl.plus.n, dl.minus.n, plus, minus)
     if uncovered:
         a, b = dl.unpid(low_bit(uncovered))
         raise CoveringViolation(
@@ -152,12 +153,18 @@ def _four_case_map(dl, plus, minus, ones):
         )
     if not ones:
         plus, minus = ~plus, ~minus
-    ff_row = tuple(BFF if (minus >> b) & 1 else 0 for b in range(dl.minus.n))
+    return BMap(dl, _four_case_values(dl, plus, minus))
+
+
+def _four_case_values(dl, tt_rows, ff_columns):
+    """Per pair id (a, b), the tt bit iff a ∈ tt_rows and the ff bit iff
+    b ∈ ff_columns (coordinate bitmasks)."""
+    ff_row = tuple(BFF if (ff_columns >> b) & 1 else 0 for b in range(dl.minus.n))
     tt_row = tuple(BTT | v for v in ff_row)
     values = []
     for a in range(dl.plus.n):
-        values.extend(tt_row if (plus >> a) & 1 else ff_row)
-    return BMap(dl, tuple(values))
+        values.extend(tt_row if (tt_rows >> a) & 1 else ff_row)
+    return tuple(values)
 
 
 def d_ideal_to_map(dl, pair):
@@ -305,20 +312,35 @@ def is_hom_to_bool_object(dl, bmap):
 
 
 def enumerate_prime_d_ideals(dl):
-    """All prime d-ideals: the four-case maps g of the principal pairs
-    (↓u, ↓v) that pass both validators, in order of (u, v).
+    """All prime d-ideals: the four-case maps g of the pairs (↓u, ↓v) of
+    prime ideals of the coordinate lattices that cover con and avoid tot,
+    in order of (u, v).  No validator runs; the proof follows.
 
-    The scan is exhaustive: every d-ideal map is the four-case map of its
-    zero sets, which are ideals of finite lattices, so principal.  A
-    candidate that survives the covering tests of the scan is a d-ideal
-    map, so only ``validate_d_filter_map`` runs.  With u ≠ top, g(tt) = tt
-    (top ∉ ↓u sets the tt bit, bot ∈ ↓v leaves the ff bit clear) and
-    dually, with v ≠ top, g(ff) = ff.  Every consistent pair has a
-    coordinate in ↓u or ↓v, so none is sent to 1.  The zero sets of the tt
-    and ff planes are ↓u × M = ↓(u, top) and P × ↓v = ↓(top, v), both
-    principal, so each plane preserves joins (see ``validate_d_ideal_map``)
-    and so does g.  On d-Boolean algebras ``_primes_structural`` is the
-    independent reference.
+    A prime d-ideal is a d-ideal map that is also a d-filter map.  Every
+    d-ideal map is the four-case map of its zero sets, which are ideals of
+    finite lattices, so principal: g has its tt bit at (a, b) iff a ∉ ↓u and
+    its ff bit iff b ∉ ↓v.  Such a g is a d-ideal map iff every consistent
+    pair has a coordinate in ↓u or ↓v (else it is sent to 1).  The other
+    clauses hold for every (u, v): the ff bit at tt = (top, bot) and the tt
+    bit at ff = (bot, top) are clear, as bot lies in ↓v and in ↓u, and the
+    zero sets of the two bit planes, ↓u × M = ↓(u, top) and
+    P × ↓v = ↓(top, v), are principal, so g preserves joins (see
+    ``validate_d_ideal_map``).  g is then a d-filter map iff:
+
+    - f(tt) ≥ tt and f(ff) ≥ ff: the tt bit at (top, bot) is set iff
+      top ∉ ↓u, that is u ≠ top, and the ff bit at (bot, top) iff v ≠ top;
+    - f(tot) avoids 0: no total pair lies in ↓u × ↓v, which is
+      ``tot & rows_u & cols_v == 0``;
+    - g preserves meets: the one set of the tt plane is (P ∖ ↓u) × M, an
+      up-set, which is principal iff P ∖ ↓u is (it is ↑(c, bot) iff
+      P ∖ ↓u = ↑c), and nonempty as u ≠ top; so the plane passes
+      ``_empty_or_principal`` iff P ∖ ↓u has a least element, that is iff
+      ↓u is a prime ideal (see ``_prime_generators``).  The ff plane, with
+      one set P × (M ∖ ↓v), works the same way.
+
+    A prime ideal is proper, so the first clause holds for every prime pair.
+    On d-Boolean algebras ``_primes_structural`` is the independent
+    reference.
     """
     return _primes_bruteforce(dl)
 
@@ -341,24 +363,44 @@ def _primes_structural(A):
 def _primes_bruteforce(dl):
     """The scan of ``enumerate_prime_d_ideals``."""
     out = []
-    _, col0 = unit_masks(dl.plus.n, dl.minus.n)
-    # cheap clauses first (each is one validator clause)
-    for u in range(dl.plus.n):
-        if u == dl.plus.top:
-            continue  # fails f(tt) >= tt
-        rows_u = _covered(dl, dl.plus.down[u], 0)  # the pairs (a, b) with a ≤ u
-        for v in range(dl.minus.n):
-            if v == dl.minus.top:
-                continue  # fails f(ff) >= ff
-            cols_v = dl.minus.down[v] * col0  # the pairs (a, b) with b ≤ v
-            if dl.con_mask & ~(rows_u | cols_v):
+    con, tot = dl.con_mask, dl.tot_mask
+    plus_down, minus_down = dl.plus.down, dl.minus.down
+    plus_primes, minus_primes = prime_coordinate_masks(dl)
+    for u, rows_u in plus_primes:
+        for v, cols_v in minus_primes:
+            if con & ~(rows_u | cols_v):
                 continue  # a consistent pair would be sent to 1
-            if dl.tot_mask & rows_u & cols_v:
+            if tot & rows_u & cols_v:
                 continue  # a total pair, with both coordinates below, would be sent to 0
-            candidate = _four_case_map(dl, dl.plus.down[u], dl.minus.down[v], False)
-            if validate_d_filter_map(dl, candidate).ok:
-                out.append(candidate)
+            out.append(BMap(dl, _four_case_values(dl, ~plus_down[u], ~minus_down[v])))
     return out
+
+
+def _prime_generators(up, down):
+    """The u, ascending, whose ↓u is a prime ideal of the lattice with these
+    order rows: those with a least element in the complement of ↓u.  A
+    proper ideal is prime iff its complement is a filter, and a nonempty
+    finite up-set is a filter (closed under meets) iff it has a least
+    element; the complement of ↓top is empty."""
+    full = (1 << len(up)) - 1
+    return [u for u, row in enumerate(down) if row != full and _least_of(full & ~row, up) is not None]
+
+
+def prime_coordinate_masks(dl):
+    """Per coordinate lattice, (g, mask) for each g whose ↓g is a prime
+    ideal: on the plus side the pairs (a, b) with a ≤ g, on the minus side
+    those with b ≤ g; built once per coordinate pair (see ``row_keyed``)."""
+    P, M = dl.plus.poset, dl.minus.poset
+    return row_keyed(dl, _prime_coordinate_masks)(P.up, P.down, M.up, M.down)
+
+
+@lru_cache(maxsize=256)
+def _prime_coordinate_masks(plus_up, plus_down, minus_up, minus_down):
+    n_plus, n_minus = len(plus_up), len(minus_up)
+    return (
+        tuple((u, _covered(n_plus, n_minus, plus_down[u], 0)) for u in _prime_generators(plus_up, plus_down)),
+        tuple((v, _covered(n_plus, n_minus, 0, minus_down[v])) for v in _prime_generators(minus_up, minus_down)),
+    )
 
 
 def prime_opens(dl, primes):

@@ -232,29 +232,48 @@ def test_duality_round_trips_build_no_generic_lattice(monkeypatch):
 
 
 def validate_dboolean_by_scan(A):
-    """Oracle: the pairwise double loops over (a1, a2) and (a, b)."""
+    """Oracle: the pairwise double loops over (a1, a2) and (a, b), each
+    failure with the message that names its witness."""
     base = validate_dlattice(A)
     if not base.ok:
         return base
     if sorted(A.dagger) != list(range(A.minus.n)):
-        return StructReport.failed("dagger-bijection", witness=A.dagger)
+        return StructReport.failed(
+            "dagger-bijection",
+            witness=A.dagger,
+            message=f"dagger {A.dagger} is not a bijection onto the {A.minus.n} minus elements",
+        )
     for a1 in range(A.plus.n):
         for a2 in range(A.plus.n):
             if A.plus.leq(a1, a2) != A.minus.leq(A.dagger[a2], A.dagger[a1]):
+                l1, l2 = A.plus.labels[a1], A.plus.labels[a2]
+                if A.plus.leq(a1, a2):
+                    why = f"{l1} <= {l2} but not dagger({l2}) <= dagger({l1})"
+                else:
+                    why = f"dagger({l2}) <= dagger({l1}) but not {l1} <= {l2}"
                 return StructReport.failed(
                     "dagger-order-reversing",
-                    witness=(A.plus.labels[a1], A.plus.labels[a2]),
+                    witness=(l1, l2),
+                    message=f"dagger not order reversing on ({l1}, {l2}): {why}",
                 )
     for a in range(A.plus.n):
         for b in range(A.minus.n):
             p = A.pid(a, b)
+            la, lb, ld = A.plus.labels[a], A.minus.labels[b], A.minus.labels[A.dagger[a]]
+            pair = f"({la},{lb})"
             if A.in_con(p) != A.plus.leq(a, A.dagger_inv[b]):
+                order = f"{lb} <= dagger({la}) = {ld}"
                 return StructReport.failed(
-                    "con-from-dagger", witness=(A.plus.labels[a], A.minus.labels[b])
+                    "con-from-dagger",
+                    witness=(la, lb),
+                    message=f"{pair} is consistent but not {order}" if A.in_con(p) else f"{pair} is not consistent but {order}",
                 )
             if A.in_tot(p) != A.minus.leq(A.dagger[a], b):
+                order = f"dagger({la}) = {ld} <= {lb}"
                 return StructReport.failed(
-                    "tot-from-dagger", witness=(A.plus.labels[a], A.minus.labels[b])
+                    "tot-from-dagger",
+                    witness=(la, lb),
+                    message=f"{pair} is total but not {order}" if A.in_tot(p) else f"{pair} is not total but {order}",
                 )
     return StructReport.passed("valid d-Boolean algebra")
 

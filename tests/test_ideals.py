@@ -409,8 +409,8 @@ def test_idl_rejects_inputs_the_block_definition_would_repair(omega3):
 
 def _covering_principal_maps(dl):
     """The four-case maps of the principal pairs (↓u, ↓v), u and v not top,
-    whose zero sets cover con: a superset of the candidates that
-    ``_primes_bruteforce`` passes to ``validate_d_filter_map``."""
+    whose zero sets cover con: a superset of the pairs that
+    ``_primes_bruteforce`` keeps."""
     for u in range(dl.plus.n):
         for v in range(dl.minus.n):
             if u == dl.plus.top or v == dl.minus.top:
@@ -422,10 +422,10 @@ def _covering_principal_maps(dl):
 
 
 def test_brute_prime_candidates_pass_the_d_ideal_validator():
-    """The proof in ``_primes_bruteforce`` that its candidates are d-ideal
-    maps, checked on every Q2 candidate at bound 4 (valid or not) and the
-    d-Boolean corpus; the primes equal those of the path that ran both
-    validators."""
+    """The proof in ``enumerate_prime_d_ideals`` that its candidates are
+    d-ideal maps, checked on every Q2 candidate at bound 4 (valid or not)
+    and the d-Boolean corpus; the primes equal those of the path that ran
+    both validators."""
     dls = _q2_candidates(4) + list(dbool_corpus(4))
     checked = 0
     for dl in dls:

@@ -1,0 +1,304 @@
+"""The per-coordinate-pair kernels of the Q2 census against the code they
+replaced, kept here as test-only oracles: ``validate_dlattice`` with the
+row/column con–tot loop and logic tables converted on every call, the
+pair-by-pair clause (ii)/(iii) loop of ``spatiality_check``, and the prime
+scan that ran ``validate_d_filter_map`` on every covering pair.  Also the
+prime generators against ``lattice.prime_ideals``, the logic tables read off
+the order rows against the numpy tables, and what the row-keyed caches hold
+after the duality corpus."""
+
+from functools import lru_cache
+
+import pytest
+from test_validate_oracle import _q2_candidates
+
+from bistone import dlattice as dlattice_module
+from bistone import duality as du
+from bistone import ideals
+from bistone.bitop import stone_space_from_poset
+from bistone.corpus import distributive_lattices, unlabeled_posets
+from bistone.dlattice import (
+    CACHED_STEPS_MAX_PAIRS,
+    DLattice,
+    closure,
+    cover_steps,
+    first_escape,
+    lambda_of_dislat,
+    logic_closed_on,
+    logic_tables,
+    step,
+    unit_masks,
+    validate_dlattice,
+)
+from bistone.ideals import BMap, _four_case_map, _covered, enumerate_prime_d_ideals, validate_d_filter_map
+from bistone.lattice import birkhoff, bits, build_lattice, low_bit, prime_ideals
+from bistone.report import StructReport
+
+
+@pytest.fixture(scope="module")
+def bound5():
+    candidates = _q2_candidates(5)
+    return candidates, [dl for dl in candidates if validate_dlattice(dl).ok]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The 87 posets with at most 5 elements, as λ of their down-set
+    lattices and as Stone spaces."""
+    return [(lambda_of_dislat(birkhoff(p)), stone_space_from_poset(p)) for p in unlabeled_posets(5)]
+
+
+# ---------------------------------------------------------------------------
+# validate_dlattice
+
+
+def validate_dlattice_by_rows(dl):
+    """Oracle: ``validate_dlattice`` with the logic tables converted from
+    numpy on every call and the con–tot clause as a loop over the rows of
+    con that rebuilds the rows above a per row."""
+    P, M = dl.plus, dl.minus
+    if P.n < 2 or M.n < 2:
+        return StructReport.failed(
+            "degenerate-pair",
+            message="{tt,ff} = {1,0}: a coordinate lattice is trivial",
+        )
+    con, tot = dl.con_mask, dl.tot_mask
+    tt, ff = dl.tt, dl.ff
+    for name, mask in (("con", con), ("tot", tot)):
+        if not (mask >> tt) & (mask >> ff) & 1:
+            w = "ff" if (mask >> tt) & 1 else "tt"
+            return StructReport.failed(f"{name}-tt-ff", witness=w, message=f"{w} not in {name}")
+    extremal = []
+    for axiom, name, mask, downward, word in (
+        ("con-scott-closed", "con", con, True, "smaller"),
+        ("tot-upper-set", "tot", tot, False, "larger"),
+    ):
+        steps = cover_steps(dl, downward)
+        moved = step(mask, steps)
+        if moved & ~mask:
+            a, b = dl.unpid(low_bit(closure(mask, steps) & ~mask))
+            return StructReport.failed(
+                axiom,
+                witness=(P.labels[a], M.labels[b]),
+                message=f"{name} misses the {word} pair ({P.labels[a]},{M.labels[b]})",
+            )
+        extremal.append(mask & ~moved)
+    tables = (
+        ("logic-meet", P.meet.tolist(), M.join.tolist()),
+        ("logic-join", P.join.tolist(), M.meet.tolist()),
+    )
+    for name, mask, deciding in zip(("con", "tot"), (con, tot), extremal):
+        if logic_closed_on(dl, tables, mask, deciding):
+            continue
+        members = list(bits(mask))
+        for op_name, plus_table, minus_table in tables:
+            escape = first_escape(dl, plus_table, minus_table, mask, members)
+            if escape is not None:
+                w = (dl.labels_of(escape[0]), dl.labels_of(escape[1]))
+                return StructReport.failed(
+                    f"{name}-logic-sublattice",
+                    witness=w,
+                    message=f"{name} not closed under {op_name} at {w}",
+                )
+    nm = M.n
+    row0, col0 = unit_masks(P.n, nm)
+    for a, con_row in enumerate(dl.rows(con)):
+        if not con_row:
+            continue
+        rows_above = 0  # column 0 of the rows at or above a
+        for a2 in bits(P.up[a]):
+            rows_above |= 1 << (a2 * nm)
+        for b in bits(con_row):
+            not_above = tot & (((row0 & ~M.up[b]) << (a * nm)) | ((col0 & ~rows_above) << b))
+            if not_above:
+                alpha, beta = dl.labels_of(a * nm + b), dl.labels_of(low_bit(not_above))
+                return StructReport.failed(
+                    "con-tot",
+                    witness={"alpha": alpha, "beta": beta},
+                    message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
+                )
+    return StructReport.passed("valid d-lattice")
+
+
+def test_validate_matches_row_loop_on_bound5_candidates(bound5):
+    candidates, valid = bound5
+    fired = {}
+    for dl in candidates:
+        want = validate_dlattice_by_rows(dl)
+        assert validate_dlattice(dl) == want
+        fired[want.axiom] = fired.get(want.axiom, 0) + 1
+    assert (len(candidates), len(valid)) == (39444, 2269)
+    assert fired == {None: 2269, "con-tot": 37175}
+
+
+def test_validate_matches_row_loop_on_down_up_pairs_bound4():
+    """Every down-set con and up-set tot of every coordinate pair at bound
+    4, so the tt/ff and logic clauses fail too."""
+    fired = {}
+    checked = 0
+    for plus in du._distributive_lattices_upto(4):
+        for minus in du._distributive_lattices_upto(4):
+            shell = DLattice(plus, minus, 0, 0)
+            ups = du._up_sets_containing(shell, 0)
+            for con in du._down_sets_of_product(shell, 0)[0]:
+                for tot in ups:
+                    dl = DLattice(plus, minus, con, tot)
+                    want = validate_dlattice_by_rows(dl)
+                    assert validate_dlattice(dl) == want
+                    fired[want.axiom] = fired.get(want.axiom, 0) + 1
+                    checked += 1
+    assert checked == 64510
+    assert set(fired) == {
+        None,
+        "con-tt-ff",
+        "tot-tt-ff",
+        "con-logic-sublattice",
+        "tot-logic-sublattice",
+        "con-tot",
+    }
+
+
+def test_logic_tables_match_numpy_tables(corpus):
+    """Read off the order rows (carriers of up to CACHED_STEPS_MAX_PAIRS
+    pairs) or converted from numpy (larger ones), the tables are the
+    lattice's own."""
+    lattices = distributive_lattices(5) + [A.plus for A, _ in corpus] + [A.minus for A, _ in corpus]
+    small = large = 0
+    for plus in lattices:
+        for minus in lattices[:8] + lattices[-2:]:
+            dl = DLattice(plus, minus, 0, 0)
+            want = (
+                ("logic-meet", plus.meet.tolist(), minus.join.tolist()),
+                ("logic-join", plus.join.tolist(), minus.meet.tolist()),
+            )
+            assert logic_tables(dl) == want
+            if dl.size <= CACHED_STEPS_MAX_PAIRS:
+                small += 1
+            else:
+                large += 1
+    assert small and large
+
+
+# ---------------------------------------------------------------------------
+# spatiality clauses (ii) and (iii)
+
+
+def spatiality_check_by_pairs(dl):
+    """Oracle: clause (i) as in the library, then (ii) and (iii) by a loop
+    over the ideal pairs in row-major order, (ii) first at each pair."""
+    spec = du.spectrum(dl)
+    full = (1 << len(spec.primes)) - 1
+    np_, nm = dl.plus.n, dl.minus.n
+    if len(set(spec.phi_plus)) < np_ or len(set(spec.phi_minus)) < nm:
+        return False, du._unseparated(spec)
+    for i in range(np_):
+        for j in range(nm):
+            p = dl.pid(i, j)
+            if dl.in_con(p) != (spec.phi_plus[i] & spec.phi_minus[j] == 0):
+                return False, f"clause (ii) fails at ideal pair ({i},{j})"
+            if dl.in_tot(p) != (spec.phi_plus[i] | spec.phi_minus[j] == full):
+                return False, f"clause (iii) fails at ideal pair ({i},{j})"
+    return True, "spatial"
+
+
+def test_spatiality_matches_pair_loop(bound5, corpus):
+    _, valid = bound5
+    clauses = {}
+    for dl in valid + [A for A, _ in corpus]:
+        want = spatiality_check_by_pairs(dl)
+        assert du.spatiality_check(dl) == want
+        clause = want[1].split(" fails")[0]
+        clauses[clause] = clauses.get(clause, 0) + 1
+    assert clauses == {"spatial": 2021 + 87, "clause (ii)": 130, "clause (iii)": 118}
+
+
+# ---------------------------------------------------------------------------
+# prime d-ideals
+
+
+def test_prime_generators_match_prime_ideals():
+    one = build_lattice(["0"], [[True]])
+    lattices = [one] + distributive_lattices(5) + [birkhoff(p) for p in unlabeled_posets(5)]
+    assert len(lattices) == 1 + 7 + 87
+    for L in lattices:
+        assert ideals._prime_generators(L.up, L.down) == [ip.gen for ip in prime_ideals(L)]
+
+
+def primes_by_filter_validator(dl):
+    """Oracle: every principal pair (↓u, ↓v), u and v not top, that passes
+    the covering tests, kept when ``validate_d_filter_map`` passes."""
+    out = []
+    _, col0 = unit_masks(dl.plus.n, dl.minus.n)
+    for u in range(dl.plus.n):
+        if u == dl.plus.top:
+            continue
+        rows_u = _covered(dl.plus.n, dl.minus.n, dl.plus.down[u], 0)
+        for v in range(dl.minus.n):
+            if v == dl.minus.top:
+                continue
+            cols_v = dl.minus.down[v] * col0
+            if dl.con_mask & ~(rows_u | cols_v) or dl.tot_mask & rows_u & cols_v:
+                continue
+            candidate = _four_case_map(dl, dl.plus.down[u], dl.minus.down[v], False)
+            if validate_d_filter_map(dl, candidate).ok:
+                out.append(candidate)
+    return out
+
+
+def test_primes_match_filter_validator_scan(bound5, corpus, monkeypatch):
+    _, valid = bound5
+    inputs = valid + [A for A, _ in corpus]
+    want = [[g.values for g in primes_by_filter_validator(dl)] for dl in inputs]
+    calls = 0
+
+    def counting(dl, bmap):
+        nonlocal calls
+        calls += 1
+        return validate_d_filter_map(dl, bmap)
+
+    monkeypatch.setattr(ideals, "validate_d_filter_map", counting)
+    got = [enumerate_prime_d_ideals(dl) for dl in inputs]
+    assert calls == 0
+    assert [[g.values for g in primes] for primes in got] == want
+    assert all(type(g) is BMap and g.dlattice is dl for dl, primes in zip(inputs, got) for g in primes)
+    assert sum(map(len, want)) > len(inputs)
+
+
+# ---------------------------------------------------------------------------
+# row-keyed caches
+
+# cached builder -> the carrier size (pairs) of one of its cache keys
+ROW_KEYED = {
+    (dlattice_module, "_cover_steps"): lambda key: key[2] * key[3],
+    (dlattice_module, "_logic_tables"): lambda key: len(key[0]) * len(key[2]),
+    (dlattice_module, "_not_above_masks"): lambda key: len(key[0]) * len(key[1]),
+    (ideals, "_prime_coordinate_masks"): lambda key: len(key[0]) * len(key[2]),
+}
+
+
+def test_row_keyed_caches_hold_small_carriers_only(corpus, monkeypatch):
+    """After the 87 duality-corpus round trips, each cache holds entries
+    only for carriers of at most CACHED_STEPS_MAX_PAIRS pairs; larger
+    carriers run the uncached body.  Each builder is replaced by an equal
+    cache whose fills are recorded."""
+    filled = {}
+    for (module, name), carrier in ROW_KEYED.items():
+        cached = getattr(module, name)
+        body = cached.__wrapped__
+        filled[name] = []
+
+        def filling(*key, body=body, log=filled[name]):
+            log.append(key)
+            return body(*key)
+
+        replacement = lru_cache(maxsize=cached.cache_info().maxsize)(filling)
+        replacement.__wrapped__ = body
+        monkeypatch.setattr(module, name, replacement)
+    for A, X in corpus:
+        assert du.unit_roundtrip(A).is_iso and du.counit_roundtrip(X).is_iso
+        assert du.spatiality_check(A)[0] and du.dspec_equals_dpt_idl(A)
+        assert du.complete_extremally_disconnected_check(X)
+    assert sum(A.size > CACHED_STEPS_MAX_PAIRS for A, _ in corpus) > 40
+    for (module, name), carrier in ROW_KEYED.items():
+        assert filled[name], name
+        assert max(carrier(key) for key in filled[name]) <= CACHED_STEPS_MAX_PAIRS, name

@@ -12,7 +12,7 @@ evaluate a whole operation table.
 The pair sets are int bitmasks over pair ids, and that is their only
 representation: a ``DLattice`` is immutable once built, and every reader
 works on the masks or on ``DLattice.rows``, the minus-side row of a mask at
-each plus element.  Numpy is used only to vectorise over meet/join tables.
+each plus element.
 
 Scott-closedness of the consistency predicate degenerates to being a
 down-set here: a directed set in a finite poset contains its own join (it
@@ -61,8 +61,6 @@ row (``_dagger_reversal_failure``, ``_dagger_masks``).
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import (
     DaggerNotOrderReversing,
     DegeneratePair,
@@ -77,7 +75,6 @@ from .lattice import (
     build_lattice,
     enumerate_lattice_homs,
     find_lattice_iso,
-    first_index,
     inverse_permutation,
     is_lattice_iso,
     low_bit,
@@ -287,8 +284,9 @@ def logic_tables(dl):
 
     Up to ``CACHED_STEPS_MAX_PAIRS`` pairs they are built once per
     coordinate pair, from the order rows that key the cache; a larger
-    carrier converts its numpy tables per call, which costs a tenth of
-    reading them off the rows, and is validated a few times at most."""
+    carrier converts the coordinate lattices' meet/join tables to lists per
+    call, which costs a tenth of reading them off the rows, and is
+    validated a few times at most."""
     P, M = dl.plus, dl.minus
     if P.n * M.n <= CACHED_STEPS_MAX_PAIRS:
         return _logic_tables(P.up, P.down, M.up, M.down)
@@ -729,8 +727,7 @@ def validate_dlattice_hom(hom):
 
     The product of the component maps is a lattice homomorphism iff both
     components are; tt/ff preservation is exactly bound preservation of the
-    components.  con and then tot are decided in one pass over their
-    members, which names the first pair whose image leaves the target's.
+    components.  con and then tot are decided by ``_con_tot_failure``.
     """
     src, tgt = hom.source, hom.target
     for name, f, L, M in (
@@ -745,6 +742,14 @@ def validate_dlattice_hom(hom):
                 witness=rep.witness,
                 message=f"{name} component: {rep.message}",
             )
+    failure = _con_tot_failure(hom)
+    return failure if failure is not None else StructReport.passed("valid d-lattice homomorphism")
+
+
+def _con_tot_failure(hom):
+    """The failed report naming the lowest consistent source pair whose
+    image is not consistent, else the lowest such total pair; or None."""
+    src, tgt = hom.source, hom.target
     src_nm, tgt_nm = src.minus.n, tgt.minus.n
     for name, word, src_mask, tgt_mask in (
         ("con", "consistent", src.con_mask, tgt.con_mask),
@@ -758,35 +763,55 @@ def validate_dlattice_hom(hom):
                     witness=src.labels_of(p),
                     message=f"image of {word} pair {src.pair_label(p)} not {word}",
                 )
-    return StructReport.passed("valid d-lattice homomorphism")
+    return None
 
 
 def validate_carrier_hom(src, tgt, values):
-    """Validate a raw carrier map L → M as a d-lattice homomorphism.
+    """Validate a raw carrier map h: L → M, one not given componentwise
+    (e.g. into the four-element object), as a d-lattice homomorphism.
 
-    Used for maps that are not given componentwise (e.g. maps into the
-    four-element object).  Bound preservation follows from tt/ff plus the
-    binary operations, so it is not a separate clause.
-    """
-    values = np.asarray(values, dtype=np.int32)
+    With (a, 0) = (a, bot) and (0, b) = (bot, b), h is one iff
+    1. h(tt) = tt′ and h(ff) = ff′;
+    2. h(a, 0) ≤ tt′ and h(0, b) ≤ ff′;
+    3. h(a, b) = h(a, 0) ∨ h(0, b);
+    4. (f₊, f₋) passes ``validate_dlattice_hom``, with f₊(a) the plus
+       coordinate of h(a, 0) and f₋(b) the minus coordinate of h(0, b).
+    Only if: (a, 0) = (a, b) ∧ tt, (0, b) = (a, b) ∧ ff and
+    (a, b) = (a, 0) ∨ (0, b).  If 2 and 3 hold, h is the product map
+    f₊ × f₋, and ∧ and ∨ are coordinatewise, so h is a hom iff 4 holds; the
+    bounds of f₊ and f₋ are kept, as h(0, 0) ≤ tt′ ∧ ff′,
+    h(tt) = (f₊(top), f₋(bot)) and h(ff) = (f₊(bot), f₋(top)).
+
+    A failure names a pair of pairs that breaks its clause: ((a, 0), tt)
+    breaks ∧ when 2 fails, as (a, 0) = (a, 0) ∧ tt; ((a, 0), (0, b)) breaks
+    ∨ when 3 fails; a component failure at (x, y) is one of h at the pairs
+    of x and y."""
     for name, p, q in (("tt", src.tt, tgt.tt), ("ff", src.ff, tgt.ff)):
-        if int(values[p]) != q:
+        if values[p] != q:
             return StructReport.failed(name, witness=int(values[p]))
-    V = values.reshape(src.plus.n, src.minus.n)
-    A, B = V // tgt.minus.n, V % tgt.minus.n
-    A1, A2 = A[:, None, :, None], A[None, :, None, :]
-    B1, B2 = B[:, None, :, None], B[None, :, None, :]
-    for name in ("meet", "join"):
-        sp, sm, tp, tm = (getattr(L, name) for L in (src.plus, src.minus, tgt.plus, tgt.minus))
-        bad = first_index(V[sp][:, :, sm] != tp[A1, A2] * tgt.minus.n + tm[B1, B2])
-        if bad is not None:
-            a, a2, b, b2 = bad
-            return StructReport.failed(name, witness=(src.pid(a, b), src.pid(a2, b2)))
-    for name, src_mask, tgt_mask in (("con", src.con_mask, tgt.con_mask), ("tot", src.tot_mask, tgt.tot_mask)):
-        for p in bits(src_mask):
-            if not (tgt_mask >> int(values[p])) & 1:
-                return StructReport.failed(name, witness=src.pair_label(p))
-    return StructReport.passed()
+    P, M, tnm = src.plus, src.minus, tgt.minus.n
+    on_plus = [src.pid(a, M.bot) for a in range(P.n)]
+    on_minus = [src.pid(P.bot, b) for b in range(M.n)]
+    for p in on_plus:
+        if values[p] % tnm != tgt.minus.bot:
+            return StructReport.failed("meet", witness=(p, src.tt))
+    for p in on_minus:
+        if values[p] // tnm != tgt.plus.bot:
+            return StructReport.failed("meet", witness=(p, src.ff))
+    fplus = tuple(values[p] // tnm for p in on_plus)
+    fminus = tuple(values[p] % tnm for p in on_minus)
+    for p in range(src.size):
+        a, b = src.unpid(p)
+        if values[p] != fplus[a] * tnm + fminus[b]:
+            return StructReport.failed("join", witness=(on_plus[a], on_minus[b]))
+    rep = validate_dlattice_hom(DLatticeHom(src, tgt, fplus, fminus))
+    if rep.ok:
+        return StructReport.passed()
+    side, _, op = rep.axiom.partition("-")
+    if op in ("meet", "join"):
+        ends = on_plus if side == "plus" else on_minus
+        return StructReport.failed(op, witness=tuple(ends[x] for x in rep.witness))
+    return rep  # con or tot: by 1-3 the components preserve their bounds
 
 
 def enumerate_dlattice_homs(src, tgt):
@@ -796,28 +821,9 @@ def enumerate_dlattice_homs(src, tgt):
     for fp in enumerate_lattice_homs(src.plus, tgt.plus):
         for fm in minus_maps:
             hom = DLatticeHom(src, tgt, fp.mapping, fm)
-            if _preserves_con_tot(hom):
+            if _con_tot_failure(hom) is None:
                 out.append(hom)
     return out
-
-
-def _image(hom, mask):
-    """The target pair set hit by the pairs of a source pair set."""
-    src_nm, tgt_nm = hom.source.minus.n, hom.target.minus.n
-    fplus, fminus = hom.fplus, hom.fminus
-    out = 0
-    for p in bits(mask):
-        a, b = divmod(p, src_nm)
-        out |= 1 << (fplus[a] * tgt_nm + fminus[b])
-    return out
-
-
-def _preserves_con_tot(hom):
-    src, tgt = hom.source, hom.target
-    return (
-        _image(hom, src.con_mask) & ~tgt.con_mask == 0
-        and _image(hom, src.tot_mask) & ~tgt.tot_mask == 0
-    )
 
 
 def dlattice_equal(d1, d2):
@@ -926,12 +932,15 @@ def find_dlattice_iso(d1, d2):
     """Isomorphism search for general d-lattices (small inputs only)."""
     from itertools import product as iproduct
 
+    # the component maps are bijections, so the image of con is d2's con iff
+    # it lies inside it and the sizes agree; so for tot
+    if (d1.con_mask.bit_count(), d1.tot_mask.bit_count()) != (d2.con_mask.bit_count(), d2.tot_mask.bit_count()):
+        return None
     isos_plus = [h for h in enumerate_lattice_homs(d1.plus, d2.plus) if is_lattice_iso(h)]
     isos_minus = [h for h in enumerate_lattice_homs(d1.minus, d2.minus) if is_lattice_iso(h)]
     for fp, fm in iproduct(isos_plus, isos_minus):
         hom = DLatticeHom(d1, d2, fp.mapping, fm.mapping)
-        # the component maps are bijections, so equal images mean an iso
-        if _image(hom, d1.con_mask) == d2.con_mask and _image(hom, d1.tot_mask) == d2.tot_mask:
+        if _con_tot_failure(hom) is None:
             return hom
     return None
 

@@ -17,8 +17,8 @@ prime, which is exactly what the sandwich search below exploits.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from itertools import product
+from operator import and_, or_
 
 from .dlattice import (
     DBooleanAlgebra,
@@ -42,12 +42,12 @@ from .lattice import (
     Filter,
     FiniteLattice,
     Ideal,
-    _least_of,
     bits,
-    first_index,
+    extreme_of,
     ideal_from_carrier,
     low_bit,
     mask_of,
+    prime_generators,
     prime_ideals,
 )
 from .report import StructReport
@@ -84,10 +84,6 @@ class BMap:
 
     def value_at(self, a, b):
         return self.values[self.dlattice.pid(a, b)]
-
-    def matrix(self):
-        dl = self.dlattice
-        return np.asarray(self.values, dtype=np.uint8).reshape(dl.plus.n, dl.minus.n)
 
     def on_plus(self, a):
         """Value on the one-sided element (a, 0)."""
@@ -191,7 +187,7 @@ def d_filter_pair_of_map(f):
     dl = f.dlattice
     plus_mask = mask_of(a for a in range(dl.plus.n) if f.value_at(a, dl.minus.top) == B1)
     minus_mask = mask_of(b for b in range(dl.minus.n) if f.value_at(dl.plus.top, b) == B1)
-    gp, gm = _least_of(plus_mask, dl.plus.up), _least_of(minus_mask, dl.minus.up)
+    gp, gm = extreme_of(plus_mask, dl.plus.up), extreme_of(minus_mask, dl.minus.up)
     if gp is None or gm is None:
         raise ValueError("subset is not a principal filter")
     return DFilterPair(Filter(dl.plus, gp, plus_mask), Filter(dl.minus, gm, minus_mask))
@@ -225,17 +221,14 @@ def _empty_or_principal(mask, steps):
 def _first_unpreserved(dl, bmap, op, combine):
     """The failed report naming the first pair of pairs, in row-major order
     of (a, a2, b, b2), at which bmap does not preserve ``op`` ("join" or
-    "meet"), computed on the codomain by the ufunc ``combine``; or None."""
-    V = bmap.matrix()
-    lhs = V[getattr(dl.plus, op)][:, :, getattr(dl.minus, op)]
-    bad = first_index(lhs != combine(V[:, None, :, None], V[None, :, None, :]))
-    if bad is None:
-        return None
-    a, a2, b, b2 = bad
-    return StructReport.failed(
-        f"{op}-preservation",
-        witness=(dl.pair_label(dl.pid(a, b)), dl.pair_label(dl.pid(a2, b2))),
-    )
+    "meet"), computed on the codomain by ``combine``; or None."""
+    nm, values = dl.minus.n, bmap.values
+    plus_op, minus_op = getattr(dl.plus, op).tolist(), getattr(dl.minus, op).tolist()
+    for a, a2, b, b2 in product(range(dl.plus.n), range(dl.plus.n), range(nm), range(nm)):
+        p, q = a * nm + b, a2 * nm + b2
+        if values[plus_op[a][a2] * nm + minus_op[b][b2]] != combine(values[p], values[q]):
+            return StructReport.failed(f"{op}-preservation", witness=(dl.pair_label(p), dl.pair_label(q)))
+    return None
 
 
 def validate_d_ideal_map(dl, bmap):
@@ -250,8 +243,9 @@ def validate_d_ideal_map(dl, bmap):
     in Z iff p and q both do, which is χ(p ∨ q) = χ(p) ∨ χ(q).  A nonempty
     finite down-set is join-closed iff it has one maximal member (the join
     of all members; and a down-set with one maximal member m is ↓m).  So
-    the clause is decided by the step kernel; the numpy scan over all pairs
-    of pairs runs only to name the first failing pair."""
+    the clause is decided by the step kernel; the scan over all pairs of
+    pairs (``_first_unpreserved``) runs only to name the first failing
+    pair."""
     if bmap(dl.tt) & BFF:
         return StructReport.failed("g(tt)<=tt", witness=B_NAMES[bmap(dl.tt)])
     if bmap(dl.ff) & BTT:
@@ -265,7 +259,7 @@ def validate_d_ideal_map(dl, bmap):
     full, down = (1 << dl.size) - 1, cover_steps(dl, True)
     if _empty_or_principal(full & ~tt, down) and _empty_or_principal(full & ~ff, down):
         return StructReport.passed("valid d-ideal map")
-    bad = _first_unpreserved(dl, bmap, "join", np.bitwise_or)
+    bad = _first_unpreserved(dl, bmap, "join", or_)
     return bad if bad is not None else StructReport.passed("valid d-ideal map")
 
 
@@ -275,8 +269,8 @@ def validate_d_filter_map(dl, bmap):
 
     Dually to ``validate_d_ideal_map`` (meet is bitwise AND), f preserves
     binary meets iff the one set of each bit plane is empty or a filter:
-    an up-set with at most one minimal member.  The numpy scan runs only to
-    name the first failing pair."""
+    an up-set with at most one minimal member.  The scan over all pairs of
+    pairs runs only to name the first failing pair."""
     if not bmap(dl.tt) & BTT:
         return StructReport.failed("f(tt)>=tt", witness=B_NAMES[bmap(dl.tt)])
     if not bmap(dl.ff) & BFF:
@@ -290,7 +284,7 @@ def validate_d_filter_map(dl, bmap):
     up = cover_steps(dl, False)
     if _empty_or_principal(tt, up) and _empty_or_principal(ff, up):
         return StructReport.passed("valid d-filter map")
-    bad = _first_unpreserved(dl, bmap, "meet", np.bitwise_and)
+    bad = _first_unpreserved(dl, bmap, "meet", and_)
     return bad if bad is not None else StructReport.passed("valid d-filter map")
 
 
@@ -335,8 +329,8 @@ def enumerate_prime_d_ideals(dl):
       up-set, which is principal iff P ∖ ↓u is (it is ↑(c, bot) iff
       P ∖ ↓u = ↑c), and nonempty as u ≠ top; so the plane passes
       ``_empty_or_principal`` iff P ∖ ↓u has a least element, that is iff
-      ↓u is a prime ideal (see ``_prime_generators``).  The ff plane, with
-      one set P × (M ∖ ↓v), works the same way.
+      ↓u is a prime ideal (see ``lattice.prime_generators``).  The ff
+      plane, with one set P × (M ∖ ↓v), works the same way.
 
     A prime ideal is proper, so the first clause holds for every prime pair.
     On d-Boolean algebras ``_primes_structural`` is the independent
@@ -376,16 +370,6 @@ def _primes_bruteforce(dl):
     return out
 
 
-def _prime_generators(up, down):
-    """The u, ascending, whose ↓u is a prime ideal of the lattice with these
-    order rows: those with a least element in the complement of ↓u.  A
-    proper ideal is prime iff its complement is a filter, and a nonempty
-    finite up-set is a filter (closed under meets) iff it has a least
-    element; the complement of ↓top is empty."""
-    full = (1 << len(up)) - 1
-    return [u for u, row in enumerate(down) if row != full and _least_of(full & ~row, up) is not None]
-
-
 def prime_coordinate_masks(dl):
     """Per coordinate lattice, (g, mask) for each g whose ↓g is a prime
     ideal: on the plus side the pairs (a, b) with a ≤ g, on the minus side
@@ -398,8 +382,8 @@ def prime_coordinate_masks(dl):
 def _prime_coordinate_masks(plus_up, plus_down, minus_up, minus_down):
     n_plus, n_minus = len(plus_up), len(minus_up)
     return (
-        tuple((u, _covered(n_plus, n_minus, plus_down[u], 0)) for u in _prime_generators(plus_up, plus_down)),
-        tuple((v, _covered(n_plus, n_minus, 0, minus_down[v])) for v in _prime_generators(minus_up, minus_down)),
+        tuple((u, _covered(n_plus, n_minus, plus_down[u], 0)) for u in prime_generators(plus_up, plus_down)),
+        tuple((v, _covered(n_plus, n_minus, 0, minus_down[v])) for v in prime_generators(minus_up, minus_down)),
     )
 
 

@@ -5,10 +5,12 @@ bitmasks, so every predicate is an exhaustive scan over at most 64 elements
 per structure.  Meet/join tables are precomputed numpy arrays.  A lattice
 of a set family closed under ∩ and ∪ takes its tables straight from ∩ and
 ∪ (``lattice_from_family``); any other relation goes through the generic
-``build_lattice``.
+``build_lattice``.  numpy is used only for the meet/join tables, the
+distributivity scan and ``first_index``; all else scans ints.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -243,16 +245,11 @@ class FiniteLattice:
         return FiniteLattice(dual_poset, self.top, self.bot, self.join, self.meet, self.sets)
 
 
-def _greatest_of(mask, down):
+def extreme_of(mask, rows):
+    """The member m of mask whose row contains mask: the greatest member
+    for ``down`` rows, the least for ``up`` rows; None when there is none."""
     for m in bits(mask):
-        if mask & ~down[m] == 0:
-            return m
-    return None
-
-
-def _least_of(mask, up):
-    for m in bits(mask):
-        if mask & ~up[m] == 0:
+        if mask & ~rows[m] == 0:
             return m
     return None
 
@@ -268,8 +265,8 @@ def build_lattice(labels, leq, sets=None):
     if n == 0:
         raise NotBounded("empty carrier has no bottom element")
     full = (1 << n) - 1
-    bot = _least_of(full, poset.up)
-    top = _greatest_of(full, poset.down)
+    bot = extreme_of(full, poset.up)
+    top = extreme_of(full, poset.down)
     if bot is None or top is None:
         raise NotBounded("no global bottom/top element")
     # native ints: pair ids a * n_minus + b computed from whole tables must not wrap
@@ -277,12 +274,12 @@ def build_lattice(labels, leq, sets=None):
     join = np.zeros((n, n), dtype=np.intp)
     for i in range(n):
         for j in range(i, n):
-            m = _greatest_of(poset.down[i] & poset.down[j], poset.down)
+            m = extreme_of(poset.down[i] & poset.down[j], poset.down)
             if m is None:
                 raise NotALattice(
                     f"({poset.labels[i]}, {poset.labels[j]}) has no meet", witness=(i, j)
                 )
-            v = _least_of(poset.up[i] & poset.up[j], poset.up)
+            v = extreme_of(poset.up[i] & poset.up[j], poset.up)
             if v is None:
                 raise NotALattice(
                     f"({poset.labels[i]}, {poset.labels[j]}) has no join", witness=(i, j)
@@ -459,30 +456,26 @@ def ideal_from_carrier(lattice, mask):
         for b in bits(mask):
             if not (mask >> int(lattice.join[a, b])) & 1:
                 raise ValueError("carrier not closed under join")
-    gen = _greatest_of(mask, lattice.down)
+    gen = extreme_of(mask, lattice.down)
     if gen is None:
         raise InvariantViolation("finite ideal must be principal")
     return Ideal(lattice, gen, mask)
 
 
-def prime_ideals(lattice):
-    """All prime ideals, lowest generator first.
+def prime_generators(up, down):
+    """The u, ascending, whose ↓u is a prime ideal of the lattice with these
+    order rows: those with a least element in the complement of ↓u.  A
+    proper ideal is prime iff its complement is a filter, and a nonempty
+    finite up-set is a filter (closed under meets) iff it has a least
+    element; the complement of ↓top is empty, so it has none."""
+    full = (1 << len(up)) - 1
+    return [u for u, row in enumerate(down) if extreme_of(full & ~row, up) is not None]
 
-    Finite ideals are principal, so candidates are the down-sets of
-    non-top elements; primality is an exhaustive meet scan.
-    """
-    out = []
-    meet, down = lattice.meet, lattice.down
-    n = lattice.n
-    for a in range(n):
-        if a == lattice.top:
-            continue
-        below = np.array([(down[a] >> k) & 1 for k in range(n)], dtype=bool)
-        in_ideal = below[meet]
-        covered = below[:, None] | below[None, :]
-        if not (in_ideal & ~covered).any():
-            out.append(principal_ideal(lattice, a))
-    return out
+
+def prime_ideals(lattice):
+    """All prime ideals, lowest generator first.  Finite ideals are
+    principal, so they are the ↓u of ``prime_generators``."""
+    return [principal_ideal(lattice, u) for u in prime_generators(lattice.up, lattice.down)]
 
 
 def prime_ideals_bruteforce(lattice):
@@ -544,17 +537,22 @@ class LatticeHom:
 
 
 def validate_lattice_hom(hom):
-    """Check preservation of meet, join, bottom and top."""
-    L, M, f = hom.source, hom.target, np.asarray(hom.mapping, dtype=np.int16)
+    """Check preservation of bottom, top, meet and join; a meet or join
+    failure names the first (a, b) in row-major order with
+    f(a · b) ≠ f(a) · f(b).  Only a < b is scanned: on the diagonal both
+    sides are f(a) (the tables are idempotent), and as both tables are
+    symmetric a failing (a, b) with a > b comes after the failing (b, a)."""
+    L, M, f = hom.source, hom.target, hom.mapping
     if len(f) != L.n:
         return StructReport.failed("total", message="mapping is not total")
     for name, a, b in (("bottom", L.bot, M.bot), ("top", L.top, M.top)):
-        if int(f[a]) != b:
+        if f[a] != b:
             return StructReport.failed(name, witness=int(f[a]))
     for name, op_L, op_M in (("meet", L.meet, M.meet), ("join", L.join, M.join)):
-        bad = first_index(f[op_L] != op_M[f[:, None], f[None, :]])
-        if bad is not None:
-            return StructReport.failed(name, witness=bad)
+        op_L, op_M = op_L.tolist(), op_M.tolist()
+        for a, b in combinations(range(L.n), 2):
+            if f[op_L[a][b]] != op_M[f[a]][f[b]]:
+                return StructReport.failed(name, witness=(a, b))
     return StructReport.passed()
 
 

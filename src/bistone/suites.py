@@ -394,7 +394,11 @@ def check_dbool_vs_dfrm(bundle):
 
 def check_eta_unit(bundle):
     for dl in all_dlattices(bundle):
-        eta_unit(dl)  # raises InvariantViolation unless eta validates
+        df, eta = eta_unit(dl)  # raises InvariantViolation unless eta is a hom
+        for p in range(dl.size):
+            q = eta.apply(p)
+            if (df.in_con(q) and not dl.in_con(p)) or (df.in_tot(q) and not dl.in_tot(p)):
+                return False, f"eta does not reflect con/tot at {dl.pair_label(p)}"
     return True, "principal-ideal unit is a hom and reflects con/tot"
 
 

@@ -12,6 +12,7 @@ import sys
 import textwrap
 from itertools import product
 
+import numpy as np
 import pytest
 from test_validate_oracle import _q2_candidates, _single_bit_mutants
 
@@ -167,9 +168,15 @@ def test_relabeled_poset_keeps_order():
 # prime d-ideal validators
 
 
+def value_matrix(bmap):
+    """The values of a map as a plus × minus numpy matrix."""
+    dl = bmap.dlattice
+    return np.asarray(bmap.values, dtype=np.uint8).reshape(dl.plus.n, dl.minus.n)
+
+
 def validate_d_ideal_map_numpy(dl, bmap):
     """Reference: the validator with the numpy quadruple join scan."""
-    V = bmap.matrix()
+    V = value_matrix(bmap)
     if bmap(dl.tt) & BFF:
         return StructReport.failed("g(tt)<=tt", witness=B_NAMES[bmap(dl.tt)])
     if bmap(dl.ff) & BTT:
@@ -193,7 +200,7 @@ def validate_d_ideal_map_numpy(dl, bmap):
 
 def validate_d_filter_map_numpy(dl, bmap):
     """Reference: the validator with the numpy quadruple meet scan."""
-    V = bmap.matrix()
+    V = value_matrix(bmap)
     if not bmap(dl.tt) & BTT:
         return StructReport.failed("f(tt)>=tt", witness=B_NAMES[bmap(dl.tt)])
     if not bmap(dl.ff) & BFF:

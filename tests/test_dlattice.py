@@ -158,6 +158,16 @@ def test_omega_two_chain_is_bool(B, chain2):
     assert iso is not None
 
 
+def test_iso_search_rejects_a_larger_con(omega3):
+    # the identity maps con into the larger con and tot onto tot, but it
+    # is not onto the larger con, so no isomorphism exists
+    extra = min(p for p in range(omega3.size) if not omega3.in_con(p))
+    grown = DLattice(omega3.plus, omega3.minus, omega3.con_mask | 1 << extra, omega3.tot_mask)
+    assert find_dlattice_iso(omega3, omega3) is not None
+    assert find_dlattice_iso(omega3, grown) is None
+    assert find_dlattice_iso(grown, omega3) is None
+
+
 def test_d_complement_examples(B, omega3):
     assert d_complement(B, B.plus.top, "+") == B.minus.bot  # tt† = 0, not ff
     assert d_complement(B, B.minus.top, "-") == B.plus.bot

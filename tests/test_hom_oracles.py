@@ -1,0 +1,226 @@
+"""The int scans of the hom validators and the order-row prime ideals
+against the numpy forms they replaced, kept here as test-only references:
+``lattice.prime_ideals`` with a meet scan per generator, the table form of
+``validate_lattice_hom``, the |P|²·|M|² form of ``validate_carrier_hom`` and
+the quadruple scan of ``ideals._first_unpreserved``.  Inputs are the default
+bundle (whose d-Boolean algebras are ``dbool_corpus(4)``), the homs between
+its small d-lattices and one-value perturbations of them."""
+
+import random
+from operator import and_, or_
+
+import numpy as np
+import pytest
+
+from bistone import ideals
+from bistone.dlattice import DLatticeHom, bool_dlattice, enumerate_dlattice_homs, validate_carrier_hom
+from bistone.ideals import B0, B1, BFF, BTT, BMap, enumerate_prime_d_ideals
+from bistone.lattice import (
+    LatticeHom,
+    bits,
+    enumerate_lattice_homs,
+    first_index,
+    principal_ideal,
+    prime_ideals,
+    validate_lattice_hom,
+)
+from bistone.report import StructReport
+from bistone.suites import all_dlattices
+
+
+def prime_ideals_numpy(lattice):
+    """Reference: ↓a for each non-top a, kept when no meet of two elements
+    outside ↓a lies in it (a numpy scan over the meet table)."""
+    out = []
+    meet, down = lattice.meet, lattice.down
+    n = lattice.n
+    for a in range(n):
+        if a == lattice.top:
+            continue
+        below = np.array([(down[a] >> k) & 1 for k in range(n)], dtype=bool)
+        in_ideal = below[meet]
+        covered = below[:, None] | below[None, :]
+        if not (in_ideal & ~covered).any():
+            out.append(principal_ideal(lattice, a))
+    return out
+
+
+def validate_lattice_hom_numpy(hom):
+    """Reference: both whole tables compared at once, first (a, b) in
+    row-major order."""
+    L, M, f = hom.source, hom.target, np.asarray(hom.mapping, dtype=np.int16)
+    if len(f) != L.n:
+        return StructReport.failed("total", message="mapping is not total")
+    for name, a, b in (("bottom", L.bot, M.bot), ("top", L.top, M.top)):
+        if int(f[a]) != b:
+            return StructReport.failed(name, witness=int(f[a]))
+    for name, op_L, op_M in (("meet", L.meet, M.meet), ("join", L.join, M.join)):
+        bad = first_index(f[op_L] != op_M[f[:, None], f[None, :]])
+        if bad is not None:
+            return StructReport.failed(name, witness=bad)
+    return StructReport.passed()
+
+
+def validate_carrier_hom_numpy(src, tgt, values):
+    """Reference: meet and join compared on all pairs of pairs at once."""
+    values = np.asarray(values, dtype=np.int32)
+    for name, p, q in (("tt", src.tt, tgt.tt), ("ff", src.ff, tgt.ff)):
+        if int(values[p]) != q:
+            return StructReport.failed(name, witness=int(values[p]))
+    V = values.reshape(src.plus.n, src.minus.n)
+    A, B = V // tgt.minus.n, V % tgt.minus.n
+    A1, A2 = A[:, None, :, None], A[None, :, None, :]
+    B1, B2 = B[:, None, :, None], B[None, :, None, :]
+    for name in ("meet", "join"):
+        sp, sm, tp, tm = (getattr(L, name) for L in (src.plus, src.minus, tgt.plus, tgt.minus))
+        bad = first_index(V[sp][:, :, sm] != tp[A1, A2] * tgt.minus.n + tm[B1, B2])
+        if bad is not None:
+            a, a2, b, b2 = bad
+            return StructReport.failed(name, witness=(src.pid(a, b), src.pid(a2, b2)))
+    for name, src_mask, tgt_mask in (("con", src.con_mask, tgt.con_mask), ("tot", src.tot_mask, tgt.tot_mask)):
+        for p in bits(src_mask):
+            if not (tgt_mask >> int(values[p])) & 1:
+                return StructReport.failed(name, witness=src.pair_label(p))
+    return StructReport.passed()
+
+
+def first_unpreserved_numpy(dl, bmap, op, combine):
+    """Reference: the numpy quadruple scan over the values as a matrix."""
+    V = np.asarray(bmap.values, dtype=np.uint8).reshape(dl.plus.n, dl.minus.n)
+    lhs = V[getattr(dl.plus, op)][:, :, getattr(dl.minus, op)]
+    bad = first_index(lhs != combine(V[:, None, :, None], V[None, :, None, :]))
+    if bad is None:
+        return None
+    a, a2, b, b2 = bad
+    return StructReport.failed(
+        f"{op}-preservation",
+        witness=(dl.pair_label(dl.pid(a, b)), dl.pair_label(dl.pid(a2, b2))),
+    )
+
+
+def one_value_changes(values, n_targets, rng, per_map):
+    """Up to ``per_map`` copies of values, each with one position moved to
+    another target value, drawn from ``rng``."""
+    values = list(values)
+    changes = [(p, v) for p in range(len(values)) for v in range(n_targets) if v != values[p]]
+    for p, v in rng.sample(changes, min(per_map, len(changes))):
+        out = values.copy()
+        out[p] = v
+        yield tuple(out)
+
+
+def coordinate_lattices(bundle):
+    """The bundle's lattices and the coordinates of its d-lattices, each
+    order once."""
+    seen, out = set(), []
+    for L in bundle.lattices + [L for dl in all_dlattices(bundle) for L in (dl.plus, dl.minus)]:
+        if L.up not in seen:
+            seen.add(L.up)
+            out.append(L)
+    return out
+
+
+def test_prime_ideals_match_numpy_scan(bundle):
+    lattices = coordinate_lattices(bundle)
+    total = 0
+    for L in lattices:
+        assert prime_ideals(L) == prime_ideals_numpy(L)
+        total += len(prime_ideals(L))
+    assert len(lattices) > 30 and total > 100
+
+
+def test_validate_lattice_hom_matches_numpy_scan(bundle):
+    rng = random.Random(7)
+    small = [L for L in coordinate_lattices(bundle) if L.n <= 6]
+    fired, total = {}, 0
+    for L in small:
+        for M in small:
+            homs = [h.mapping for h in enumerate_lattice_homs(L, M)]
+            maps = homs[:4] + [m for h in homs[:4] for m in one_value_changes(h, M.n, rng, 6)]
+            maps += [tuple(rng.randrange(M.n) for _ in range(L.n)) for _ in range(3)]
+            for mapping in maps:
+                hom = LatticeHom(L, M, mapping)
+                want = validate_lattice_hom_numpy(hom)
+                assert validate_lattice_hom(hom) == want, (L.labels, M.labels, mapping)
+                fired[want.axiom] = fired.get(want.axiom, 0) + 1
+                total += 1
+    assert set(fired) == {None, "bottom", "top", "meet", "join"}
+    assert total > 2000
+
+
+def breaks_named_clause(src, tgt, values, report):
+    """Whether the pair (or pair of pairs) a failed report names breaks the
+    clause it names."""
+    axiom, w = report.axiom, report.witness
+    if axiom in ("tt", "ff"):
+        p, q = (src.tt, tgt.tt) if axiom == "tt" else (src.ff, tgt.ff)
+        return values[p] != q and w == values[p]
+    if axiom in ("meet", "join"):
+        p, q = w
+        op_src, op_tgt = getattr(src, axiom), getattr(tgt, axiom)
+        return values[op_src(p, q)] != op_tgt(values[p], values[q])
+    p = src.pid(src.plus.labels.index(w[0]), src.minus.labels.index(w[1]))
+    src_mask, tgt_mask = (src.con_mask, tgt.con_mask) if axiom == "con" else (src.tot_mask, tgt.tot_mask)
+    return (src_mask >> p) & 1 and not (tgt_mask >> values[p]) & 1
+
+
+def carrier_maps(bundle, rng):
+    """(src, tgt, values): the carrier maps of the homs between the small
+    d-lattices of the bundle and of products of component lattice homs (which
+    may drop con or tot), the prime d-ideals of every d-lattice of the bundle
+    as maps into the four-element object, and one-value changes of both."""
+    B = bool_dlattice()
+    small = [dl for dl in all_dlattices(bundle) if dl.size <= 16]
+    for src in small:
+        for tgt in small:
+            products = [
+                DLatticeHom(src, tgt, fp.mapping, fm.mapping)
+                for fp in enumerate_lattice_homs(src.plus, tgt.plus)[:2]
+                for fm in enumerate_lattice_homs(src.minus, tgt.minus)[:2]
+            ]
+            for hom in enumerate_dlattice_homs(src, tgt)[:3] + products:
+                values = tuple(hom.apply(p) for p in range(src.size))
+                yield src, tgt, values
+                for changed in one_value_changes(values, tgt.size, rng, 8):
+                    yield src, tgt, changed
+    for dl in all_dlattices(bundle):
+        for g in enumerate_prime_d_ideals(dl)[:3]:
+            values = tuple(ideals.b_to_bool_pid(v) for v in g.values)
+            yield dl, B, values
+            for changed in one_value_changes(values, B.size, rng, 8):
+                yield dl, B, changed
+        for _ in range(3):
+            yield dl, B, tuple(rng.randrange(B.size) for _ in range(dl.size))
+
+
+def test_validate_carrier_hom_matches_numpy_form(bundle):
+    rng = random.Random(11)
+    fired, total = {}, 0
+    for src, tgt, values in carrier_maps(bundle, rng):
+        got = validate_carrier_hom(src, tgt, values)
+        want = validate_carrier_hom_numpy(src, tgt, values)
+        assert got.ok == want.ok, (values, got, want)
+        if not got.ok:
+            assert breaks_named_clause(src, tgt, values, got), (values, got)
+        fired[got.axiom] = fired.get(got.axiom, 0) + 1
+        total += 1
+    assert set(fired) == {None, "tt", "ff", "meet", "join", "con", "tot"}, fired
+    assert total > 3000
+
+
+@pytest.mark.parametrize("op, combine", [("join", or_), ("meet", and_)])
+def test_first_unpreserved_matches_numpy_scan(bundle, op, combine):
+    rng = random.Random(5)
+    fired, total = {}, 0
+    for dl in all_dlattices(bundle):
+        per_map = 1 if dl.size > 64 else 4
+        maps = [g.values for g in enumerate_prime_d_ideals(dl)[:2]]
+        maps += [m for g in list(maps) for m in one_value_changes(g, 4, rng, per_map)]
+        maps.append(tuple(rng.choice((B0, BTT, BFF, B1)) for _ in range(dl.size)))
+        for values in maps:
+            bmap = BMap(dl, values)
+            want = first_unpreserved_numpy(dl, bmap, op, np.bitwise_or if op == "join" else np.bitwise_and)
+            assert ideals._first_unpreserved(dl, bmap, op, combine) == want
+            fired[want is None] = fired.get(want is None, 0) + 1
+            total += 1
+    assert fired[True] > 20 and fired[False] > 20 and total > 100

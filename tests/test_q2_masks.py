@@ -3,13 +3,15 @@ replaced, kept here as test-only oracles: ``validate_dlattice`` with the
 row/column con–tot loop and logic tables converted on every call, the
 pair-by-pair clause (ii)/(iii) loop of ``spatiality_check``, and the prime
 scan that ran ``validate_d_filter_map`` on every covering pair.  Also the
-prime generators against ``lattice.prime_ideals``, the logic tables read off
-the order rows against the numpy tables, and what the row-keyed caches hold
-after the duality corpus."""
+prime generators against the numpy meet scan of ``lattice.prime_ideals``
+(kept in ``test_hom_oracles``), the logic tables read off the order rows
+against the numpy tables, and what the row-keyed caches hold after the
+duality corpus."""
 
 from functools import lru_cache
 
 import pytest
+from test_hom_oracles import prime_ideals_numpy
 from test_validate_oracle import _q2_candidates
 
 from bistone import dlattice as dlattice_module
@@ -31,7 +33,7 @@ from bistone.dlattice import (
     validate_dlattice,
 )
 from bistone.ideals import BMap, _four_case_map, _covered, enumerate_prime_d_ideals, validate_d_filter_map
-from bistone.lattice import birkhoff, bits, build_lattice, low_bit, prime_ideals
+from bistone.lattice import birkhoff, bits, build_lattice, low_bit, prime_generators
 from bistone.report import StructReport
 
 
@@ -221,7 +223,7 @@ def test_prime_generators_match_prime_ideals():
     lattices = [one] + distributive_lattices(5) + [birkhoff(p) for p in unlabeled_posets(5)]
     assert len(lattices) == 1 + 7 + 87
     for L in lattices:
-        assert ideals._prime_generators(L.up, L.down) == [ip.gen for ip in prime_ideals(L)]
+        assert prime_generators(L.up, L.down) == [ip.gen for ip in prime_ideals_numpy(L)]
 
 
 def primes_by_filter_validator(dl):

@@ -1,8 +1,12 @@
-"""The named invariant suites must pass wholesale on the default corpus."""
+"""The named invariant suites must pass wholesale on the default corpus,
+and a row reports False when its check fails."""
 
 import pytest
 
+from bistone import suites
+from bistone.dlattice import DLattice, DLatticeHom
 from bistone.errors import UnknownSuite
+from bistone.lattice import low_bit
 from bistone.suites import SUITES, run_suite
 
 
@@ -16,3 +20,18 @@ def test_suite_passes(name, bundle):
 def test_unknown_suite_rejected(bundle):
     with pytest.raises(UnknownSuite):
         run_suite("wibble", bundle)
+
+
+def test_eta_unit_row_fails_when_eta_does_not_reflect_con(bundle, monkeypatch):
+    real = suites.eta_unit
+
+    def eta_into_larger_con(dl):
+        """The unit, into the ideal frame with its lowest inconsistent pair
+        made consistent: still a hom, but it no longer reflects con."""
+        df, eta = real(dl)
+        grown = DLattice(df.plus, df.minus, df.con_mask | 1 << low_bit(~df.con_mask), df.tot_mask)
+        return grown, DLatticeHom(dl, grown, eta.fplus, eta.fminus)
+
+    assert suites.check_eta_unit(bundle) == (True, "principal-ideal unit is a hom and reflects con/tot")
+    monkeypatch.setattr(suites, "eta_unit", eta_into_larger_con)
+    assert suites.check_eta_unit(bundle) == (False, "eta does not reflect con/tot at (tt,ff)")

@@ -1,7 +1,8 @@
 """Repository checks read from source with ``ast``, so nothing under
 ``bench/`` is imported: every library name the benchmark harness traces or
-calls still resolves below ``bistone``, and the library has no ``assert``
-statement (its guards raise, so they survive ``python -O``)."""
+calls still resolves below ``bistone``, the library has no ``assert``
+statement (its guards raise, so they survive ``python -O``), and the
+validator modules ``ideals`` and ``dlattice`` import no numpy."""
 
 import ast
 import importlib
@@ -67,4 +68,18 @@ def test_library_has_no_assert_statement():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert offenders == []
+
+
+def test_validator_modules_import_no_numpy():
+    offenders = []
+    for name in ("ideals.py", "dlattice.py"):
+        for node in ast.walk(ast.parse((LIBRARY / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{name}:{node.lineno}" for m in modules if m.split(".")[0] == "numpy"]
     assert offenders == []

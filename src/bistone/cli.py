@@ -169,12 +169,23 @@ def cmd_search(args):
     return OK
 
 
+def positive_int(text):
+    """argparse type: a positive int; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bistone",
         description="finite d-Boolean algebras, d-frames and bitopological Stone duality",
     )
-    parser.add_argument("--max-elements", type=int, default=None, help="override the global size guard")
+    parser.add_argument("--max-elements", type=positive_int, default=None, help="override the global size guard")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_in=True):
@@ -189,7 +200,7 @@ def build_parser():
 
     gen = sub.add_parser("gen", help="generate a corpus")
     gen.add_argument("--kind", required=True, choices=list(GEN_KINDS))
-    gen.add_argument("--bounds", required=True, type=int)
+    gen.add_argument("--bounds", required=True, type=positive_int)
     gen.add_argument("--out", required=True)
 
     props = sub.add_parser("props", help="run an invariant suite")
@@ -199,7 +210,7 @@ def build_parser():
 
     search = sub.add_parser("search", help="finite counterexample search")
     search.add_argument("--conjecture", required=True, choices=["Q1", "Q2"])
-    search.add_argument("--bounds", required=True, type=int)
+    search.add_argument("--bounds", required=True, type=positive_int)
     search.add_argument("--out", default=None)
 
     return parser
@@ -223,7 +234,7 @@ def main(argv=None):
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     previous = os.environ.get("BISTONE_MAX_ELEMENTS")
-    if args.max_elements:
+    if args.max_elements is not None:
         os.environ["BISTONE_MAX_ELEMENTS"] = str(args.max_elements)
     try:
         return COMMANDS[args.command](args)

@@ -3,8 +3,8 @@
 Unlabeled posets are enumerated as transitive subrelations of the natural
 strict order (every poset admits a linear extension, so each isomorphism
 class has such a representative) and deduplicated by canonical form.
-Known counts per size: 1, 2, 5, 16, 63 for one to five elements; the
-generator raises ``InvariantViolation`` when a count differs.
+Known counts per size (A000112): 1, 2, 5, 16, 63, 318 for one to six
+elements; the generator raises ``InvariantViolation`` when a count differs.
 """
 
 from functools import lru_cache
@@ -13,7 +13,7 @@ from .dlattice import lambda_of_dislat
 from .errors import BoundsTooLarge, InvariantViolation, NotALattice, NotBounded, NotDistributive
 from .lattice import FinitePoset, birkhoff, build_lattice, is_closed
 
-KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ read as theorems.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations, product
 
 from .bitop import (
@@ -56,7 +57,6 @@ from .lattice import (
     is_closed,
     lattice_from_family,
     low_bit,
-    mask_of,
 )
 
 
@@ -427,14 +427,38 @@ def enumerate_topologies_raw(n):
     return sorted(out)
 
 
+RELABEL_TABLE_MAX_POINTS = 6  # 720 relabelings × 64 subset masks
+
+
+@lru_cache(maxsize=None)
+def _relabel_tables(n):
+    """One table per relabeling perm of n points, in ``permutations`` order:
+    entry m is the image {perm[x] : x ∈ m} of the subset mask m."""
+    if n > RELABEL_TABLE_MAX_POINTS:
+        raise BoundsTooLarge(f"relabeling tables capped at {RELABEL_TABLE_MAX_POINTS} points")
+    tables = []
+    for perm in permutations(range(n)):
+        image = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            image[m] = image[m ^ low] | (1 << perm[low.bit_length() - 1])
+        tables.append(tuple(image))
+    return tuple(tables)
+
+
 def _space_signature(spc):
+    """Canonical form: the least (sorted image of τ₊, sorted image of τ₋)
+    over all relabelings, read from the cached subset tables; τ₋ is imaged
+    only when τ₊ does not already lose to the best so far."""
     best = None
-    for perm in permutations(range(spc.n)):
-        tp = tuple(sorted(mask_of(perm[x] for x in bits(u)) for u in spc.tau_plus))
-        tm = tuple(sorted(mask_of(perm[x] for x in bits(v)) for v in spc.tau_minus))
+    for image in _relabel_tables(spc.n):
+        tp = sorted([image[u] for u in spc.tau_plus])
+        if best is not None and tp > best[0]:
+            continue
+        tm = sorted([image[v] for v in spc.tau_minus])
         if best is None or (tp, tm) < best:
             best = (tp, tm)
-    return best
+    return (tuple(best[0]), tuple(best[1]))
 
 
 PERVIN_NOTE = (

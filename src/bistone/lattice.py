@@ -179,19 +179,44 @@ class FinitePoset:
         return FinitePoset.from_rows(self.labels, self.down)
 
     def isomorphism_signature(self):
-        """Canonical form: min over all relabelings of the flattened relation."""
-        import itertools
+        """Canonical form ``(n, code)``: code is the least row-major code of
+        the relation, bit (i, j) set iff Q[i] ≤ Q[j], over all relabelings
+        Q (position ↦ element), with row 0 the most significant.
 
-        best = None
-        idx = range(self.n)
-        for perm in itertools.permutations(idx):
-            code = 0
-            for i in idx:
-                for j in idx:
-                    code = (code << 1) | (1 if self.leq(perm[i], perm[j]) else 0)
-            if best is None or code < best:
-                best = code
-        return (self.n, best)
+        Only reverse linear extensions are tried: every minimiser places, at
+        each position i, an element that is maximal among those not yet
+        placed.  Suppose a minimiser Q first breaks this at i, and swap in a
+        maximal remaining m ≥ Q[i].  Rows k < i do not change: by induction
+        their bits at columns after k are 0.  Row i's bits at columns k < i
+        do not grow, since m ≤ Q[k] implies Q[i] ≤ Q[k].  Row i's bits after
+        column i all become 0, where before Q[i] had a 1 at m's column.  So
+        the code strictly drops, against minimality.  Hence every bit above
+        the diagonal is 0, row i is fixed by the prefix Q[0..i], and keeping
+        at each level only the prefixes with the least row finds the same
+        minimum."""
+        n = self.n
+        strict = [row ^ (1 << m) for m, row in enumerate(self.up)]
+        # a prefix is (unplaced mask, weight of each placed element), where
+        # the element at position j weighs bit n-1-j of its column
+        level = [((1 << n) - 1, (0,) * n)]
+        code = 0
+        for i in range(n):
+            diagonal = 1 << (n - 1 - i)
+            best, kept = None, []
+            for rest, weight in level:
+                for m in bits(rest):
+                    if strict[m] & rest:
+                        continue  # not maximal among the unplaced
+                    row = 0
+                    for k in bits(strict[m]):
+                        row |= weight[k]
+                    if best is None or row < best:
+                        best, kept = row, []
+                    if row == best:
+                        kept.append((rest ^ (1 << m), weight[:m] + (diagonal,) + weight[m + 1 :]))
+            code = (code << n) | best | diagonal
+            level = kept
+        return (n, code)
 
 
 class FiniteLattice:

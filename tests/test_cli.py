@@ -232,6 +232,32 @@ def test_cli_gen_non_integer_bounds_is_a_usage_error(tmp_path, capsys):
     assert "invalid int value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_cli_gen_non_positive_bounds_is_a_usage_error(value, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["gen", "--kind", "posets", "--bounds", value, "--out", str(out)]) == 2
+    assert f"argument --bounds: must be a positive integer, got {int(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_search_non_positive_bounds_is_a_usage_error(value, capsys):
+    assert main(["search", "--conjecture", "Q1", "--bounds", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --bounds: must be a positive integer, got {int(value)}" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_non_positive_max_elements_is_a_usage_error(value, monkeypatch, bool_file, capsys):
+    monkeypatch.delenv("BISTONE_MAX_ELEMENTS", raising=False)
+    assert main(["--max-elements", value, "validate", "--in", bool_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --max-elements: must be a positive integer, got {int(value)}" in captured.err
+    assert "BISTONE_MAX_ELEMENTS" not in os.environ
+
+
 def test_bitop_open_with_a_repeated_index_names_the_point_once():
     obj = {"kind": "bitop", "version": 1, "points": ["a", "b"], "tau_plus": [[], [0, 0], [0, 1]], "tau_minus": [[], [0, 1]]}
     assert bitop_from_json(obj).tau_plus == (0, 0b01, 0b11)

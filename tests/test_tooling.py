@@ -1,8 +1,9 @@
 """Repository checks read from source with ``ast``, so nothing under
 ``bench/`` is imported: every library name the benchmark harness traces or
 calls still resolves below ``bistone``, the library has no ``assert``
-statement (its guards raise, so they survive ``python -O``), and the
-validator modules ``ideals`` and ``dlattice`` import no numpy."""
+statement (its guards raise, so they survive ``python -O``), the
+validator modules ``ideals`` and ``dlattice`` import no numpy, and only the
+named functions scan all n! relabelings."""
 
 import ast
 import importlib
@@ -83,3 +84,35 @@ def test_validator_modules_import_no_numpy():
                 continue
             offenders += [f"{name}:{node.lineno}" for m in modules if m.split(".")[0] == "numpy"]
     assert offenders == []
+
+
+def permutation_callers(path):
+    """Dotted names of the functions in one module whose own body calls
+    ``itertools.permutations``, under either import form."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "permutations") or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "permutations"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "itertools"
+                ):
+                    found.add(".".join([path.stem] + scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_only_named_functions_scan_all_relabelings():
+    callers = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        callers |= permutation_callers(path)
+    assert callers == {"bitop.find_homeomorphism", "duality._relabel_tables"}

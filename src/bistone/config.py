@@ -7,6 +7,8 @@ subset bitmasks within a few machine words.
 
 import os
 
+from .errors import BoundsTooLarge
+
 DEFAULT_MAX_ELEMENTS = 64
 
 BRUTE_FORCE_IDEAL_LIMIT = 20  # brute-force down-set oracle cap (elements)
@@ -20,5 +22,7 @@ def max_elements() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_ELEMENTS
-    return value if value > 0 else DEFAULT_MAX_ELEMENTS
+        value = 0
+    if value <= 0:
+        raise BoundsTooLarge(f"BISTONE_MAX_ELEMENTS must be a positive integer, got {raw!r}")
+    return value

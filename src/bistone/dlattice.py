@@ -21,14 +21,14 @@ closure under directed joins is automatic for down-sets.
 
 The step kernel moves a whole pair-id mask one cover step through the
 carrier.  A cover in the product changes one coordinate by a cover and
-keeps the other, so ``cover_steps`` lists one (selector, shift) per Hasse
-edge of either coordinate lattice: a minus edge selects a column (``col0 <<
-b``) and shifts within each row, a plus edge selects a row (``row0 << a *
-n_minus``) and shifts by whole rows.  ``step(mask, steps)`` is then a few
-big-int ANDs and shifts.  A pair set S is a down-set iff ``step(S, down)``
-lies inside S (every x ≤ y is a chain of covers), and the maximal members
-of a down-set are ``S & ~step(S, down)``: a member below another member has
-an upper cover inside S.  Up-sets and minimal members are the duals.
+keeps the other, so each Hasse edge of either coordinate lattice is a
+(selector, shift): a minus edge selects a column (``col0 << b``) and shifts
+within each row, a plus edge selects a row (``row0 << a * n_minus``) and
+shifts by whole rows.  ``step(mask, steps)`` is then a few big-int ANDs and
+shifts.  A pair set S is a down-set iff ``step(S, down)`` lies inside S
+(every x ≤ y is a chain of covers), and the maximal members of a down-set
+are ``S & ~step(S, down)``: a member below another member has an upper
+cover inside S.  Up-sets and minimal members are the duals.
 
 Logic meet (a1 ∧ a2, b1 ∨ b2) and logic join (a1 ∨ a2, b1 ∧ b2) are
 monotone in the information order in both arguments.  So a down-set (con)
@@ -44,13 +44,14 @@ pair that shares a coordinate with it.  The pairs that share one but are
 not above (a, b) are, in row a, the (a, b2) with b2 not above b and, in
 column b, the (a2, b) with a2 not above a: ``(in_row[b] << a * n_minus) |
 (in_column[a] << b)``, with one mask per coordinate element
-(``not_above_masks``).  So the clause is one AND with tot per member of
-con, in pair-id order, and the first nonzero AND names the witness.
+(``CoordinateTables.not_above``).  So the clause is one AND with tot per
+member of con, in pair-id order, and the first nonzero AND names the
+witness.
 
-What depends only on the two coordinate lattices (cover steps, logic
-tables, the con–tot masks and, in ``ideals``, the prime-ideal masks) is
-built once per coordinate pair: cached, keyed by order rows, for carriers
-of up to ``CACHED_STEPS_MAX_PAIRS`` pairs (``row_keyed``).
+What depends only on the two coordinate lattices is one record,
+``CoordinateTables``, each table built on first read, and cached by the two
+up rows up to ``CACHED_STEPS_MAX_PAIRS`` pairs (``coordinate_tables``); a
+larger carrier gets a fresh record, which builds only what its caller reads.
 
 The d-Boolean clauses read order rows as well: a bijection † reverses the
 order iff it maps the up row of each plus element a onto the down row of
@@ -59,7 +60,7 @@ row (``_dagger_reversal_failure``, ``_dagger_masks``).
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     DaggerNotOrderReversing,
@@ -78,6 +79,7 @@ from .lattice import (
     inverse_permutation,
     is_lattice_iso,
     low_bit,
+    prime_generators,
     validate_lattice_hom,
 )
 from .report import StructReport
@@ -222,45 +224,102 @@ def unit_masks(n_plus, n_minus):
     return row0, ((1 << (n_plus * n_minus)) - 1) // row0
 
 
-# Steps and the other per-coordinate-pair tables below are cached, keyed by
-# order rows, for carriers of up to this many pairs, where one entry is a
-# few small ints and validation runs most often (the Q2 census validates
-# some 40,000 candidates over 49 coordinate pairs); a larger carrier's masks
-# are big and it is validated a few times at most.
+def covered_pairs(n_plus, n_minus, zplus, zminus):
+    """Pair ids (a, b) with a in zplus (the whole row) or b in zminus."""
+    row0, col0 = unit_masks(n_plus, n_minus)
+    covered = zminus * col0
+    for a in bits(zplus):
+        covered |= row0 << (a * n_minus)
+    return covered
+
+
+class CoordinateTables:
+    """The tables of a pair of coordinate lattices, each built on first read;
+    records compare by ``key``, the up rows, of which every table is a function."""
+
+    def __init__(self, plus, minus):
+        self.plus, self.minus = plus, minus
+        self.key = (plus.poset.up, minus.poset.up)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def _cover_steps(self, downward):
+        """One (selector, shift) per shift of a cover edge: an edge moves the pairs
+        at its source end (upper when ``downward``) to its other end, and edges
+        with one shift share a step whose selector is the union of theirs."""
+        P, M = self.plus.poset, self.minus.poset
+        row0, col0 = unit_masks(P.n, M.n)
+        selectors = {}
+        for hasse, unit, width in ((M.hasse, col0, 1), (P.hasse, row0, M.n)):
+            for lo, hi in hasse:
+                src, dst = (hi, lo) if downward else (lo, hi)
+                shift = (src - dst) * width
+                selectors[shift] = selectors.get(shift, 0) | unit << (src * width)
+        return tuple((selector, shift) for shift, selector in selectors.items())
+
+    @cached_property
+    def down_steps(self):
+        return self._cover_steps(True)
+
+    @cached_property
+    def up_steps(self):
+        return self._cover_steps(False)
+
+    @cached_property
+    def logic(self):
+        """Logic meet (∧, ∨) and join (∨, ∧) by name, each as its (plus,
+        minus) coordinate tables in nested lists."""
+        P, M = self.plus, self.minus
+        return (
+            ("logic-meet", P.meet.tolist(), M.join.tolist()),
+            ("logic-join", P.join.tolist(), M.meet.tolist()),
+        )
+
+    @cached_property
+    def not_above(self):
+        """The con–tot masks: per minus element b, the row-0 pairs (0, b2) with
+        b2 not above b; per plus a, the column-0 pairs (a2, 0), a2 not above a."""
+        P, M = self.plus.poset, self.minus.poset
+        row0, col0 = unit_masks(P.n, M.n)
+        in_column = tuple(col0 & ~covered_pairs(P.n, M.n, up, 0) for up in P.up)
+        return tuple(row0 & ~up for up in M.up), in_column
+
+    @cached_property
+    def prime_masks(self):
+        """Per coordinate lattice, (g, the pairs whose coordinate there is ≤ g)
+        for each g whose ↓g is a prime ideal."""
+        P, M = self.plus.poset, self.minus.poset
+        return (
+            tuple((u, covered_pairs(P.n, M.n, P.down[u], 0)) for u in prime_generators(P.up, P.down)),
+            tuple((v, covered_pairs(P.n, M.n, 0, M.down[v])) for v in prime_generators(M.up, M.down)),
+        )
+
+
+# Records are cached up to this many pairs, where one is a few small ints and
+# validation runs most often (the Q2 census validates some 40,000 candidates
+# over 49 coordinate pairs); a larger carrier is validated a few times at most.
 CACHED_STEPS_MAX_PAIRS = 64
 
 
-def row_keyed(dl, cached):
-    """``cached``, an ``lru_cache`` keyed by order rows, for carriers of up
-    to ``CACHED_STEPS_MAX_PAIRS`` pairs; its uncached body for larger ones."""
-    return cached if dl.plus.n * dl.minus.n <= CACHED_STEPS_MAX_PAIRS else cached.__wrapped__
-
-
-def cover_steps(dl, downward):
-    """One (selector, shift) per cover edge of either coordinate lattice.
-
-    The selector picks the pairs on the edge's source side (its upper end
-    when ``downward``, else its lower end) and the shift moves them to the
-    other end: a minus edge moves along a row, a plus edge by whole rows.
-    """
-    P, M = dl.plus.poset, dl.minus.poset
-    return row_keyed(dl, _cover_steps)(P.hasse, M.hasse, P.n, M.n, downward)
+def coordinate_tables(dl):
+    """The ``CoordinateTables`` of dl: the cached one with the same up rows
+    up to ``CACHED_STEPS_MAX_PAIRS`` pairs, else a fresh one."""
+    tables = CoordinateTables(dl.plus, dl.minus)
+    return _shared_tables(tables) if dl.plus.poset.n * dl.minus.poset.n <= CACHED_STEPS_MAX_PAIRS else tables
 
 
 @lru_cache(maxsize=256)
-def _cover_steps(plus_hasse, minus_hasse, n_plus, n_minus, downward):
-    row0, col0 = unit_masks(n_plus, n_minus)
-    if not downward:
-        plus_hasse = [(hi, lo) for lo, hi in plus_hasse]
-        minus_hasse = [(hi, lo) for lo, hi in minus_hasse]
-    return tuple(
-        [(col0 << src, src - dst) for dst, src in minus_hasse]
-        + [(row0 << (src * n_minus), (src - dst) * n_minus) for dst, src in plus_hasse]
-    )
+def _shared_tables(tables):
+    """The first record cached with the up rows of ``tables``."""
+    return tables
 
 
 def step(mask, steps):
-    """The pairs one cover step (along ``cover_steps``) from a member of mask."""
+    """The pairs one cover step (along ``steps``) from a member of mask."""
     out = 0
     for selector, shift in steps:
         moved = mask & selector
@@ -276,64 +335,6 @@ def closure(mask, steps):
         if grown == mask:
             return mask
         mask = grown
-
-
-def logic_tables(dl):
-    """Logic meet and join by name, each as its (plus, minus) coordinate
-    tables in nested lists, for the per-pair scans below.
-
-    Up to ``CACHED_STEPS_MAX_PAIRS`` pairs they are built once per
-    coordinate pair, from the order rows that key the cache; a larger
-    carrier converts the coordinate lattices' meet/join tables to lists per
-    call, which costs a tenth of reading them off the rows, and is
-    validated a few times at most."""
-    P, M = dl.plus, dl.minus
-    if P.n * M.n <= CACHED_STEPS_MAX_PAIRS:
-        return _logic_tables(P.up, P.down, M.up, M.down)
-    return (
-        ("logic-meet", P.meet.tolist(), M.join.tolist()),
-        ("logic-join", P.join.tolist(), M.meet.tolist()),
-    )
-
-
-@lru_cache(maxsize=256)
-def _logic_tables(plus_up, plus_down, minus_up, minus_down):
-    """The tables of a lattice are a function of its order rows: ↓i ∩ ↓j is
-    ↓(i ∧ j) and ↑i ∩ ↑j is ↑(i ∨ j), so i ∧ j is the element whose down row
-    is ``down[i] & down[j]``, and i ∨ j the one whose up row is
-    ``up[i] & up[j]``."""
-
-    def table(rows):
-        index = {row: k for k, row in enumerate(rows)}
-        return [[index[r & s] for s in rows] for r in rows]
-
-    return (
-        ("logic-meet", table(plus_down), table(minus_up)),
-        ("logic-join", table(plus_up), table(minus_down)),
-    )
-
-
-def not_above_masks(dl):
-    """The masks of the con–tot clause: per minus element b, the row-0 pairs
-    (0, b2) with b2 not above b, and per plus element a, the column-0 pairs
-    (a2, 0) with a2 not above a.  At (a, b) the total pairs that share a
-    coordinate with (a, b) but do not lie above it are those in
-    ``(in_row[b] << a * n_minus) | (in_column[a] << b)``."""
-    P, M = dl.plus.poset, dl.minus.poset
-    return row_keyed(dl, _not_above_masks)(P.up, M.up)
-
-
-@lru_cache(maxsize=256)
-def _not_above_masks(plus_up, minus_up):
-    n_minus = len(minus_up)
-    row0, col0 = unit_masks(len(plus_up), n_minus)
-    in_column = []
-    for up in plus_up:
-        rows_above = 0  # column 0 of the rows at or above a
-        for a2 in bits(up):
-            rows_above |= 1 << (a2 * n_minus)
-        in_column.append(col0 & ~rows_above)
-    return tuple(row0 & ~up for up in minus_up), tuple(in_column)
 
 
 def logic_closed_on(dl, tables, mask, members):
@@ -377,13 +378,15 @@ def first_escape(dl, plus_table, minus_table, mask, members):
 def validate_dlattice(dl):
     """PASS, or the first violated d-lattice axiom with a concrete witness."""
     P, M = dl.plus, dl.minus
-    if P.n < 2 or M.n < 2:
+    tables = coordinate_tables(dl)
+    nm = M.poset.n
+    if P.poset.n < 2 or nm < 2:
         return StructReport.failed(
             "degenerate-pair",
             message="{tt,ff} = {1,0}: a coordinate lattice is trivial",
         )
     con, tot = dl.con_mask, dl.tot_mask
-    tt, ff = dl.tt, dl.ff
+    tt, ff = P.top * nm + M.bot, P.bot * nm + M.top
     for name, mask in (("con", con), ("tot", tot)):
         if not (mask >> tt) & (mask >> ff) & 1:
             w = "ff" if (mask >> tt) & 1 else "tt"
@@ -393,14 +396,13 @@ def validate_dlattice(dl):
     # up-set; the logic clauses are then decided on the maximal members of
     # con and the minimal members of tot
     extremal = []
-    for axiom, name, mask, downward, word in (
-        ("con-scott-closed", "con", con, True, "smaller"),
-        ("tot-upper-set", "tot", tot, False, "larger"),
+    for axiom, name, mask, steps, word in (
+        ("con-scott-closed", "con", con, tables.down_steps, "smaller"),
+        ("tot-upper-set", "tot", tot, tables.up_steps, "larger"),
     ):
-        steps = cover_steps(dl, downward)
         moved = step(mask, steps)
         if moved & ~mask:
-            a, b = dl.unpid(low_bit(closure(mask, steps) & ~mask))
+            a, b = divmod(low_bit(closure(mask, steps) & ~mask), nm)
             return StructReport.failed(
                 axiom,
                 witness=(P.labels[a], M.labels[b]),
@@ -408,12 +410,12 @@ def validate_dlattice(dl):
             )
         extremal.append(mask & ~moved)
 
-    tables = logic_tables(dl)
+    logic = tables.logic
     for name, mask, deciding in zip(("con", "tot"), (con, tot), extremal):
-        if logic_closed_on(dl, tables, mask, deciding):
+        if logic_closed_on(dl, logic, mask, deciding):
             continue
         members = list(bits(mask))
-        for op_name, plus_table, minus_table in tables:
+        for op_name, plus_table, minus_table in logic:
             escape = first_escape(dl, plus_table, minus_table, mask, members)
             if escape is not None:
                 w = (dl.labels_of(escape[0]), dl.labels_of(escape[1]))
@@ -426,13 +428,13 @@ def validate_dlattice(dl):
     # a consistent (a, b) must lie below every total pair in its row and
     # column; the first failing (a, b) in pair-id order is named, with the
     # lowest such total pair
-    nm = M.n
-    in_row, in_column = not_above_masks(dl)
+    in_row, in_column = tables.not_above
     for p in bits(con):
         a, b = divmod(p, nm)
         not_above = tot & ((in_row[b] << (a * nm)) | (in_column[a] << b))
         if not_above:
-            alpha, beta = dl.labels_of(p), dl.labels_of(low_bit(not_above))
+            a2, b2 = divmod(low_bit(not_above), nm)
+            alpha, beta = (P.labels[a], M.labels[b]), (P.labels[a2], M.labels[b2])
             return StructReport.failed(
                 "con-tot",
                 witness={"alpha": alpha, "beta": beta},

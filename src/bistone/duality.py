@@ -29,12 +29,11 @@ from .dlattice import (
     DLattice,
     DLatticeHom,
     canonical_lambda_iso,
-    cover_steps,
+    coordinate_tables,
     enumerate_dlattice_homs,
     find_dlattice_iso,
     lambda_of_dislat,
     logic_closed_on,
-    logic_tables,
     omega_of_lattice,
     step,
     validate_dlattice,
@@ -48,7 +47,7 @@ from .errors import (
     NotStone,
     NotZeroDimensional,
 )
-from .ideals import enumerate_prime_d_ideals, prime_opens
+from .ideals import enumerate_prime_d_ideals, prime_opens, prime_pair_opens
 from .lattice import (
     bits,
     classical_spec,
@@ -191,6 +190,15 @@ def spatiality_check(dl):
 
     (i) prime d-ideals separate distinct ideal pairs, (ii) consistency of an
     ideal pair is empty intersection of its opens, (iii) totality is covering.
+
+    φ₊ and φ₋ are read from the prime generators (u, v), with no spectrum
+    (``ideals.prime_pair_opens``): φ₊(a) holds the primes with value tt at
+    (a, ⊥), and the four-case map of (u, v) has its tt bit there iff a ∉ ↓u,
+    and its ff bit there is clear, as ⊥ ∈ ↓v; dually for φ₋.  The primes are
+    in the order of ``prime_pairs``, not the spectrum's, but the clauses
+    compare opens only by equality, disjointness and cover of the full set,
+    so the verdict and the detail do not depend on that order.
+
     Distinct ideal pairs (i1, j1), (i2, j2) with φ₊(i1) = φ₊(i2) and
     φ₋(j1) = φ₋(j2) exist iff φ₊ or φ₋ is not injective (vary one side and
     fix the other), so clause (i) is decided by injectivity.  A failure is
@@ -203,17 +211,15 @@ def spatiality_check(dl):
     XOR; the lowest differing pair id is named, (ii) before (iii) there, as
     a scan of the pairs in row-major order names it.
     """
-    spec = spectrum(dl)
-    full = (1 << len(spec.primes)) - 1
-    np_, nm = dl.plus.n, dl.minus.n
+    phi_plus, phi_minus = prime_pair_opens(dl)
+    if len(set(phi_plus)) < len(phi_plus) or len(set(phi_minus)) < len(phi_minus):
+        return False, _unseparated(phi_plus, phi_minus)
 
-    if len(set(spec.phi_plus)) < np_ or len(set(spec.phi_minus)) < nm:
-        return False, _unseparated(spec)
-
+    full = phi_plus[dl.plus.top]  # every prime: top ∉ ↓u, as ↓u is proper
     disjoint = covering = 0
     bit = 1  # of pair id i * n_minus + j, in row-major order
-    for u in spec.phi_plus:
-        for v in spec.phi_minus:
+    for u in phi_plus:
+        for v in phi_minus:
             if not u & v:
                 disjoint |= bit
             if u | v == full:
@@ -236,7 +242,7 @@ def _twin_classes(phi):
     return [classes[u] for u in phi]
 
 
-def _unseparated(spec):
+def _unseparated(phi_plus, phi_minus):
     """Clause (i) failure detail: the first distinct ideal pairs (i1, j1),
     (i2, j2) with equal opens, in lexicographic order.
 
@@ -245,7 +251,7 @@ def _unseparated(spec):
     |P(i1)|·|M(j1)| > 1.  The first such (i1, j1) and then the first member
     of P(i1) × M(j1) other than itself, both in row-major order, are the
     quadruple that the scan over all pairs of ideal pairs meets first."""
-    P, M = _twin_classes(spec.phi_plus), _twin_classes(spec.phi_minus)
+    P, M = _twin_classes(phi_plus), _twin_classes(phi_minus)
     i1, j1 = next((i, j) for i in range(len(P)) for j in range(len(M)) if len(P[i]) * len(M[j]) > 1)
     i2, j2 = next(q for q in product(P[i1], M[j1]) if q != (i1, j1))
     return f"clause (i): ideals ({i1},{j1}) vs ({i2},{j2}) not separated"
@@ -567,13 +573,14 @@ def _up_sets_containing(dl, seed_mask):
 def _logic_closed(dl, mask):
     """Whether a pair set is closed under logic meet and join.  Down-sets and
     up-sets are decided on their extremal members (see ``dlattice``)."""
-    below = step(mask, cover_steps(dl, True))
+    tables = coordinate_tables(dl)
+    below = step(mask, tables.down_steps)
     if below & ~mask == 0:
         deciding = mask & ~below
     else:
-        above = step(mask, cover_steps(dl, False))
+        above = step(mask, tables.up_steps)
         deciding = mask & ~above if above & ~mask == 0 else mask
-    return logic_closed_on(dl, logic_tables(dl), mask, deciding)
+    return logic_closed_on(dl, tables.logic, mask, deciding)
 
 
 def _search_q2(max_lattice_size):

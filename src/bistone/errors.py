@@ -69,7 +69,7 @@ class InvariantViolation(BistoneError):
 
 
 class BoundsTooLarge(BistoneError):
-    """Requested size exceeds the configured guard."""
+    """Requested size exceeds the configured guard, or the guard is invalid."""
 
 
 class ParseError(BistoneError):

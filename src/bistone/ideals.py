@@ -16,7 +16,6 @@ prime, which is exactly what the sandwich search below exploits.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from operator import and_, or_
 
@@ -26,13 +25,12 @@ from .dlattice import (
     DLatticeHom,
     Coreflection,
     bool_dlattice,
-    cover_steps,
+    coordinate_tables,
+    covered_pairs,
     dB,
     d_complemented_sides,
     require_valid,
-    row_keyed,
     step,
-    unit_masks,
     validate_carrier_hom,
     validate_dlattice,
     validate_dlattice_hom,
@@ -47,7 +45,6 @@ from .lattice import (
     ideal_from_carrier,
     low_bit,
     mask_of,
-    prime_generators,
     prime_ideals,
 )
 from .report import StructReport
@@ -124,15 +121,6 @@ class DFilterPair:
     fminus: Filter
 
 
-def _covered(n_plus, n_minus, zplus, zminus):
-    """Pair ids (a, b) with a in zplus (the whole row) or b in zminus."""
-    row0, col0 = unit_masks(n_plus, n_minus)
-    covered = zminus * col0
-    for a in bits(zplus):
-        covered |= row0 << (a * n_minus)
-    return covered
-
-
 def _four_case_map(dl, plus, minus, ones):
     """The four-case map of a pair of coordinate sets that cover tot when
     ``ones`` (the one sets of a d-filter map), else con (the zero sets of a
@@ -140,7 +128,7 @@ def _four_case_map(dl, plus, minus, ones):
     b ∈ minus when ``ones``, and iff a ∉ plus / b ∉ minus otherwise."""
     required, what = (dl.tot_mask, "total") if ones else (dl.con_mask, "consistent")
     # the lowest uncovered pair id is the first pair a scan would meet
-    uncovered = required & ~_covered(dl.plus.n, dl.minus.n, plus, minus)
+    uncovered = required & ~covered_pairs(dl.plus.n, dl.minus.n, plus, minus)
     if uncovered:
         a, b = dl.unpid(low_bit(uncovered))
         raise CoveringViolation(
@@ -256,7 +244,7 @@ def validate_d_ideal_map(dl, bmap):
         return StructReport.failed(
             "g(con)", witness=dl.labels_of(low_bit(sent_to_1)), message="a consistent pair is sent to 1"
         )
-    full, down = (1 << dl.size) - 1, cover_steps(dl, True)
+    full, down = (1 << dl.size) - 1, coordinate_tables(dl).down_steps
     if _empty_or_principal(full & ~tt, down) and _empty_or_principal(full & ~ff, down):
         return StructReport.passed("valid d-ideal map")
     bad = _first_unpreserved(dl, bmap, "join", or_)
@@ -281,7 +269,7 @@ def validate_d_filter_map(dl, bmap):
         return StructReport.failed(
             "f(tot)", witness=dl.labels_of(low_bit(sent_to_0)), message="a total pair is sent to 0"
         )
-    up = cover_steps(dl, False)
+    up = coordinate_tables(dl).up_steps
     if _empty_or_principal(tt, up) and _empty_or_principal(ff, up):
         return StructReport.passed("valid d-filter map")
     bad = _first_unpreserved(dl, bmap, "meet", and_)
@@ -356,34 +344,33 @@ def _primes_structural(A):
 
 def _primes_bruteforce(dl):
     """The scan of ``enumerate_prime_d_ideals``."""
-    out = []
-    con, tot = dl.con_mask, dl.tot_mask
     plus_down, minus_down = dl.plus.down, dl.minus.down
-    plus_primes, minus_primes = prime_coordinate_masks(dl)
-    for u, rows_u in plus_primes:
-        for v, cols_v in minus_primes:
-            if con & ~(rows_u | cols_v):
-                continue  # a consistent pair would be sent to 1
-            if tot & rows_u & cols_v:
-                continue  # a total pair, with both coordinates below, would be sent to 0
-            out.append(BMap(dl, _four_case_values(dl, ~plus_down[u], ~minus_down[v])))
-    return out
+    return [BMap(dl, _four_case_values(dl, ~plus_down[u], ~minus_down[v])) for u, v in prime_pairs(dl)]
 
 
-def prime_coordinate_masks(dl):
-    """Per coordinate lattice, (g, mask) for each g whose ↓g is a prime
-    ideal: on the plus side the pairs (a, b) with a ≤ g, on the minus side
-    those with b ≤ g; built once per coordinate pair (see ``row_keyed``)."""
+def prime_pairs(dl):
+    """The generators (u, v) of the prime d-ideals, in the order of
+    ``enumerate_prime_d_ideals``: the pairs of prime generators whose
+    (↓u, ↓v) covers con and avoids tot."""
+    con, tot = dl.con_mask, dl.tot_mask
+    plus_primes, minus_primes = coordinate_tables(dl).prime_masks
+    return [
+        (u, v)
+        for u, rows_u in plus_primes
+        for v, cols_v in minus_primes
+        if not con & ~(rows_u | cols_v) and not tot & rows_u & cols_v
+    ]
+
+
+def prime_pair_opens(dl):
+    """φ₊(a) = {k : a ≰ u_k} and φ₋(b) = {k : b ≰ v_k}, bitmasks over the
+    indices k of ``prime_pairs``: the opens of its primes (see
+    ``duality.spatiality_check``)."""
+    pairs = prime_pairs(dl)
     P, M = dl.plus.poset, dl.minus.poset
-    return row_keyed(dl, _prime_coordinate_masks)(P.up, P.down, M.up, M.down)
-
-
-@lru_cache(maxsize=256)
-def _prime_coordinate_masks(plus_up, plus_down, minus_up, minus_down):
-    n_plus, n_minus = len(plus_up), len(minus_up)
     return (
-        tuple((u, _covered(n_plus, n_minus, plus_down[u], 0)) for u in prime_generators(plus_up, plus_down)),
-        tuple((v, _covered(n_plus, n_minus, 0, minus_down[v])) for v in prime_generators(minus_up, minus_down)),
+        tuple(mask_of(k for k, (u, _) in enumerate(pairs) if not (P.down[u] >> a) & 1) for a in range(P.n)),
+        tuple(mask_of(k for k, (_, v) in enumerate(pairs) if not (M.down[v] >> b) & 1) for b in range(M.n)),
     )
 
 

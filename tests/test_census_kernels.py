@@ -4,13 +4,13 @@ scans of ``validate_dlattice``, the numpy quadruple scans of the d-ideal and
 d-filter validators, ideal lattices rebuilt by ``build_lattice``, the
 pair-by-pair clause (i) scan, the per-pair ``d_filter_to_map`` and the
 nested d-lattice hom enumeration; plus the ``python -O`` guards of
-``ideals`` and the number of ``validate_dlattice`` calls in one Q2 census
-pass."""
+``ideals``, the number of ``validate_dlattice`` calls in one Q2 census
+pass, and that its spatiality checks build no prime map and no space."""
 
-import dataclasses
 import sys
 import textwrap
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,13 +18,14 @@ from test_validate_oracle import _q2_candidates, _single_bit_mutants
 
 from bistone import dlattice as dlattice_module
 from bistone import duality as du
+from bistone.bitop import BiTopSpace
 from bistone.corpus import birkhoff_corpus, chain, dbool_corpus, distributive_lattices, unlabeled_posets
 from bistone.dlattice import (
     DLattice,
     DLatticeHom,
     bool_dlattice,
     closure,
-    cover_steps,
+    coordinate_tables,
     enumerate_dlattice_homs,
     lambda_of_dislat,
     omega_of_lattice,
@@ -103,7 +104,8 @@ def test_step_kernel_matches_row_scans(q2_inputs):
     seen = set()
     for dl in q2_inputs:
         P, M = dl.plus, dl.minus
-        down, up = cover_steps(dl, True), cover_steps(dl, False)
+        tables = coordinate_tables(dl)
+        down, up = tables.down_steps, tables.up_steps
         for mask, steps, closure_rels, extremal_rels in (
             (dl.con_mask, down, (P.up, M.down), (P.up, M.up)),
             (dl.tot_mask, up, (P.down, M.up), (P.down, M.down)),
@@ -126,10 +128,11 @@ def test_step_kernel_on_large_carriers():
     for A in dbool_corpus(5):
         if A.size <= 64:
             continue
-        assert step(A.con_mask, cover_steps(A, True)) & ~A.con_mask == 0
-        assert step(A.tot_mask, cover_steps(A, False)) & ~A.tot_mask == 0
+        tables = coordinate_tables(A)
+        assert step(A.con_mask, tables.down_steps) & ~A.con_mask == 0
+        assert step(A.tot_mask, tables.up_steps) & ~A.tot_mask == 0
         rows = A.rows(A.con_mask)
-        maximal = A.con_mask & ~step(A.con_mask, cover_steps(A, True))
+        maximal = A.con_mask & ~step(A.con_mask, tables.down_steps)
         assert sorted(extremal_members(A, rows, A.plus.up, A.minus.up)) == list(bits(maximal))
 
 
@@ -307,18 +310,20 @@ def clause_i_by_scan(spec, literal_pair_limit):
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_clause_i_detail_under_non_injective_spectrum(monkeypatch, side):
-    genuine = du.spectrum
+    """Two opens merged in what ``spatiality_check`` reads, the φ₊ and φ₋
+    of ``prime_pair_opens``."""
+    genuine = du.prime_pair_opens
     merged = []
 
-    def merging_spectrum(dl):
-        spec = genuine(dl)
-        phi = list(getattr(spec, f"phi_{side}"))
+    def merging_opens(dl):
+        opens = dict(zip(("plus", "minus"), genuine(dl)))
+        phi = list(opens[side])
         phi[-1] = phi[0]  # two distinct ideals with equal opens
-        patched = dataclasses.replace(spec, **{f"phi_{side}": tuple(phi)})
-        merged.append(patched)
-        return patched
+        opens[side] = tuple(phi)
+        merged.append(SimpleNamespace(phi_plus=opens["plus"], phi_minus=opens["minus"]))
+        return opens["plus"], opens["minus"]
 
-    monkeypatch.setattr(du, "spectrum", merging_spectrum)
+    monkeypatch.setattr(du, "prime_pair_opens", merging_opens)
     # three carriers of at most 9 pairs and one of 256: at every size the
     # failure is named as the pair-by-pair scan names it
     big = lambda_of_dislat(max(birkhoff_corpus(4), key=lambda L: L.n))
@@ -373,6 +378,26 @@ def test_q2_census_pass_validates_each_candidate_once(monkeypatch):
             assert du.spatiality_check(fresh) == (False, detail)
     assert (len(candidates), valid, non_spatial) == (39444, 2269, 248)
     assert calls == 39692
+
+
+def test_q2_census_spatiality_builds_no_prime_maps_or_spaces(monkeypatch):
+    """One Q2 census pass at bound 5: ``spatiality_check`` reads φ₊ and φ₋
+    off the prime generators, so it builds no ``BMap`` (a prime d-ideal)
+    and no ``BiTopSpace`` (a spectrum)."""
+    built = {BMap: 0, BiTopSpace: 0}
+    for cls in built:
+
+        def counting(self, *args, genuine=cls.__init__, cls=cls, **kwargs):
+            built[cls] += 1
+            genuine(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    valid = [dl for dl in _q2_candidates(5) if validate_dlattice(dl).ok]
+    verdicts = [du.spatiality_check(dl)[0] for dl in valid]
+    assert (len(valid), verdicts.count(False)) == (2269, 248)
+    assert built == {BMap: 0, BiTopSpace: 0}
+    du.spectrum(valid[0])  # the counters count: a spectrum builds both
+    assert built[BMap] > 0 and built[BiTopSpace] == 1
 
 
 # ---------------------------------------------------------------------------

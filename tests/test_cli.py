@@ -330,7 +330,18 @@ def test_env_var_overrides_size_guard(monkeypatch):
     with pytest.raises(BoundsTooLarge):
         FinitePoset(["a", "b", "c", "d"], [[i <= j for j in range(4)] for i in range(4)])
     monkeypatch.setenv("BISTONE_MAX_ELEMENTS", "not-a-number")
-    assert max_elements() == 64
+    with pytest.raises(BoundsTooLarge, match="BISTONE_MAX_ELEMENTS must be a positive integer, got 'not-a-number'"):
+        max_elements()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "not-a-number"])
+def test_cli_bad_max_elements_env_var_is_a_usage_error(value, monkeypatch, bool_file, capsys):
+    monkeypatch.setenv("BISTONE_MAX_ELEMENTS", value)
+    assert main(["validate", "--in", bool_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: BISTONE_MAX_ELEMENTS must be a positive integer, got {value!r}" in captured.err
+    assert os.environ["BISTONE_MAX_ELEMENTS"] == value
 
 
 def test_max_elements_override_is_scoped_to_one_command(monkeypatch, bool_file, capsys):

@@ -4,15 +4,15 @@ row/column con–tot loop and logic tables converted on every call, the
 pair-by-pair clause (ii)/(iii) loop of ``spatiality_check``, and the prime
 scan that ran ``validate_d_filter_map`` on every covering pair.  Also the
 prime generators against the numpy meet scan of ``lattice.prime_ideals``
-(kept in ``test_hom_oracles``), the logic tables read off the order rows
-against the numpy tables, and what the row-keyed caches hold after the
-duality corpus."""
+(kept in ``test_hom_oracles``), the logic tables of the shared coordinate
+record against the lattice's own tables, and what the record cache holds
+after the duality corpus."""
 
 from functools import lru_cache
 
 import pytest
 from test_hom_oracles import prime_ideals_numpy
-from test_validate_oracle import _q2_candidates
+from test_validate_oracle import _q2_candidates, _single_bit_mutants
 
 from bistone import dlattice as dlattice_module
 from bistone import duality as du
@@ -23,16 +23,16 @@ from bistone.dlattice import (
     CACHED_STEPS_MAX_PAIRS,
     DLattice,
     closure,
-    cover_steps,
+    coordinate_tables,
+    covered_pairs,
     first_escape,
     lambda_of_dislat,
     logic_closed_on,
-    logic_tables,
     step,
     unit_masks,
     validate_dlattice,
 )
-from bistone.ideals import BMap, _four_case_map, _covered, enumerate_prime_d_ideals, validate_d_filter_map
+from bistone.ideals import BMap, _four_case_map, enumerate_prime_d_ideals, validate_d_filter_map
 from bistone.lattice import birkhoff, bits, build_lattice, low_bit, prime_generators
 from bistone.report import StructReport
 
@@ -75,7 +75,7 @@ def validate_dlattice_by_rows(dl):
         ("con-scott-closed", "con", con, True, "smaller"),
         ("tot-upper-set", "tot", tot, False, "larger"),
     ):
-        steps = cover_steps(dl, downward)
+        steps = coordinate_tables(dl).down_steps if downward else coordinate_tables(dl).up_steps
         moved = step(mask, steps)
         if moved & ~mask:
             a, b = dl.unpid(low_bit(closure(mask, steps) & ~mask))
@@ -161,11 +161,12 @@ def test_validate_matches_row_loop_on_down_up_pairs_bound4():
 
 
 def test_logic_tables_match_numpy_tables(corpus):
-    """Read off the order rows (carriers of up to CACHED_STEPS_MAX_PAIRS
-    pairs) or converted from numpy (larger ones), the tables are the
-    lattice's own."""
+    """The logic tables of a d-lattice's coordinate record are its own
+    lattices' tables, also when the record is the shared one of an earlier
+    lattice pair with the same up rows (carriers of up to
+    CACHED_STEPS_MAX_PAIRS pairs)."""
     lattices = distributive_lattices(5) + [A.plus for A, _ in corpus] + [A.minus for A, _ in corpus]
-    small = large = 0
+    small = large = shared = 0
     for plus in lattices:
         for minus in lattices[:8] + lattices[-2:]:
             dl = DLattice(plus, minus, 0, 0)
@@ -173,12 +174,14 @@ def test_logic_tables_match_numpy_tables(corpus):
                 ("logic-meet", plus.meet.tolist(), minus.join.tolist()),
                 ("logic-join", plus.join.tolist(), minus.meet.tolist()),
             )
-            assert logic_tables(dl) == want
+            tables = coordinate_tables(dl)
+            assert tables.logic == want
             if dl.size <= CACHED_STEPS_MAX_PAIRS:
                 small += 1
+                shared += tables.plus is not plus or tables.minus is not minus
             else:
                 large += 1
-    assert small and large
+    assert small and large and shared
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +195,7 @@ def spatiality_check_by_pairs(dl):
     full = (1 << len(spec.primes)) - 1
     np_, nm = dl.plus.n, dl.minus.n
     if len(set(spec.phi_plus)) < np_ or len(set(spec.phi_minus)) < nm:
-        return False, du._unseparated(spec)
+        return False, du._unseparated(spec.phi_plus, spec.phi_minus)
     for i in range(np_):
         for j in range(nm):
             p = dl.pid(i, j)
@@ -234,7 +237,7 @@ def primes_by_filter_validator(dl):
     for u in range(dl.plus.n):
         if u == dl.plus.top:
             continue
-        rows_u = _covered(dl.plus.n, dl.minus.n, dl.plus.down[u], 0)
+        rows_u = covered_pairs(dl.plus.n, dl.minus.n, dl.plus.down[u], 0)
         for v in range(dl.minus.n):
             if v == dl.minus.top:
                 continue
@@ -267,40 +270,67 @@ def test_primes_match_filter_validator_scan(bound5, corpus, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# row-keyed caches
+# the record cache
 
-# cached builder -> the carrier size (pairs) of one of its cache keys
-ROW_KEYED = {
-    (dlattice_module, "_cover_steps"): lambda key: key[2] * key[3],
-    (dlattice_module, "_logic_tables"): lambda key: len(key[0]) * len(key[2]),
-    (dlattice_module, "_not_above_masks"): lambda key: len(key[0]) * len(key[1]),
-    (ideals, "_prime_coordinate_masks"): lambda key: len(key[0]) * len(key[2]),
-}
+TABLE_FIELDS = {"down_steps", "up_steps", "logic", "not_above", "prime_masks"}
 
 
 def test_row_keyed_caches_hold_small_carriers_only(corpus, monkeypatch):
-    """After the 87 duality-corpus round trips, each cache holds entries
-    only for carriers of at most CACHED_STEPS_MAX_PAIRS pairs; larger
-    carriers run the uncached body.  Each builder is replaced by an equal
-    cache whose fills are recorded."""
-    filled = {}
-    for (module, name), carrier in ROW_KEYED.items():
-        cached = getattr(module, name)
-        body = cached.__wrapped__
-        filled[name] = []
+    """After the 87 duality-corpus round trips, the one record cache, keyed
+    by the coordinate up rows, holds records only for carriers of at most
+    CACHED_STEPS_MAX_PAIRS pairs, and every table of the record was read
+    from it; larger carriers get a fresh record.  The cache is replaced by
+    an equal one whose fills are recorded."""
+    filled = []
 
-        def filling(*key, body=body, log=filled[name]):
-            log.append(key)
-            return body(*key)
+    def filling(tables):
+        filled.append(tables)
+        return tables
 
-        replacement = lru_cache(maxsize=cached.cache_info().maxsize)(filling)
-        replacement.__wrapped__ = body
-        monkeypatch.setattr(module, name, replacement)
+    maxsize = dlattice_module._shared_tables.cache_info().maxsize
+    monkeypatch.setattr(dlattice_module, "_shared_tables", lru_cache(maxsize=maxsize)(filling))
     for A, X in corpus:
         assert du.unit_roundtrip(A).is_iso and du.counit_roundtrip(X).is_iso
         assert du.spatiality_check(A)[0] and du.dspec_equals_dpt_idl(A)
         assert du.complete_extremally_disconnected_check(X)
     assert sum(A.size > CACHED_STEPS_MAX_PAIRS for A, _ in corpus) > 40
-    for (module, name), carrier in ROW_KEYED.items():
-        assert filled[name], name
-        assert max(carrier(key) for key in filled[name]) <= CACHED_STEPS_MAX_PAIRS, name
+    assert filled
+    assert max(len(plus_up) * len(minus_up) for plus_up, minus_up in (t.key for t in filled)) <= CACHED_STEPS_MAX_PAIRS
+    assert set().union(*(vars(t) for t in filled)) >= TABLE_FIELDS
+
+
+def test_large_carrier_record_builds_only_what_is_read(corpus):
+    """A carrier above CACHED_STEPS_MAX_PAIRS pairs gets a fresh record per
+    lookup, and reading one table builds that table alone."""
+    A = max((A for A, _ in corpus), key=lambda A: A.size)
+    assert A.size > CACHED_STEPS_MAX_PAIRS
+    for field in sorted(TABLE_FIELDS):
+        tables = coordinate_tables(A)
+        assert coordinate_tables(A) is not tables
+        assert TABLE_FIELDS & set(vars(tables)) == set()
+        getattr(tables, field)
+        assert TABLE_FIELDS & set(vars(tables)) == {field}
+
+
+def test_validate_dlattice_looks_up_one_record(bound5, monkeypatch):
+    """Each ``validate_dlattice`` call, whatever clause fails, makes exactly
+    one ``coordinate_tables`` lookup."""
+    lookups = 0
+    genuine = dlattice_module.coordinate_tables
+
+    def counting(dl):
+        nonlocal lookups
+        lookups += 1
+        return genuine(dl)
+
+    monkeypatch.setattr(dlattice_module, "coordinate_tables", counting)
+    valid = bound5[1][:200]
+    inputs = _q2_candidates(3) + valid + [m for dl in valid for m in _single_bit_mutants(dl)]
+    two = build_lattice(["0", "1"], [[True, True], [False, True]])
+    one = build_lattice(["0"], [[True]])
+    inputs += [DLattice(one, two, 0b11, 0b11)]
+    axioms = set()
+    for calls, dl in enumerate(inputs, start=1):
+        axioms.add(validate_dlattice(dl).axiom)
+        assert lookups == calls
+    assert {None, "degenerate-pair", "con-tt-ff", "con-scott-closed", "tot-upper-set", "con-tot"} <= axioms

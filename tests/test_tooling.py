@@ -2,8 +2,9 @@
 ``bench/`` is imported: every library name the benchmark harness traces or
 calls still resolves below ``bistone``, the library has no ``assert``
 statement (its guards raise, so they survive ``python -O``), the
-validator modules ``ideals`` and ``dlattice`` import no numpy, and only the
-named functions scan all n! relabelings."""
+validator modules ``ideals`` and ``dlattice`` import no numpy, only the
+named functions scan all n! relabelings, and only the named functions hold
+an ``lru_cache``."""
 
 import ast
 import importlib
@@ -86,29 +87,36 @@ def test_validator_modules_import_no_numpy():
     assert offenders == []
 
 
-def permutation_callers(path):
-    """Dotted names of the functions in one module whose own body calls
-    ``itertools.permutations``, under either import form."""
+def names_in_scope(path, module, name):
+    """Dotted names of the scopes (functions, classes, or the module itself)
+    in one module whose own code names ``module.name``, under either import
+    form, decorators included."""
     found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for decorator in child.decorator_list:
+                    visit(ast.Expression(decorator), scope + [child.name])
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (isinstance(func, ast.Name) and func.id == "permutations") or (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "permutations"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "itertools"
-                ):
-                    found.add(".".join([path.stem] + scope))
+            if (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute)
+                and child.attr == name
+                and isinstance(child.value, ast.Name)
+                and child.value.id == module
+            ):
+                found.add(".".join([path.stem] + scope))
             visit(child, scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), [])
     return found
+
+
+def permutation_callers(path):
+    """Dotted names of the functions in one module whose own body calls
+    ``itertools.permutations``, under either import form."""
+    return names_in_scope(path, "itertools", "permutations")
 
 
 def test_only_named_functions_scan_all_relabelings():
@@ -116,3 +124,20 @@ def test_only_named_functions_scan_all_relabelings():
     for path in sorted(LIBRARY.glob("*.py")):
         callers |= permutation_callers(path)
     assert callers == {"bitop.find_homeomorphism", "duality._relabel_tables"}
+
+
+def test_only_named_functions_hold_an_lru_cache():
+    """Every ``functools.lru_cache`` or ``functools.cache`` site in the
+    library, so that no second cache of the tables of a coordinate pair
+    (``dlattice.CoordinateTables``, shared by ``_shared_tables``) creeps
+    in unseen."""
+    sites = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        for name in ("lru_cache", "cache"):
+            sites |= names_in_scope(path, "functools", name)
+    assert sites == {
+        "corpus.unlabeled_posets_of_size",
+        "dlattice._shared_tables",
+        "dlattice.bool_dlattice",
+        "duality._relabel_tables",
+    }

@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 from .config import max_elements
 from .dlattice import DBooleanAlgebra, require_valid, validate_dboolean, validate_dlattice
 from .errors import BoundsTooLarge, CharacterizationMismatch, InvariantViolation
-from .ideals import BFF, BTT, BMap, DFrame, enumerate_prime_d_ideals, prime_opens
+from .ideals import BFF, BTT, BMap, DFrame, enumerate_prime_d_ideals, prime_pair_opens, prime_pairs
 from .lattice import bits, down_sets, lattice_from_family, mask_of
 
 
@@ -339,17 +339,19 @@ def find_homeomorphism(X, Y):
 # open-set d-frames and d-clopen algebras
 
 
-def _disjoint_and_covering(space, plus, minus):
-    """con/tot masks of two set lattices: disjoint pairs, covering pairs."""
-    con = tot = 0
-    nm = minus.n
-    for a, u in enumerate(plus.sets):
-        for b, v in enumerate(minus.sets):
-            if u & v == 0:
-                con |= 1 << (a * nm + b)
-            if u | v == space.full:
-                tot |= 1 << (a * nm + b)
-    return con, tot
+def disjoint_and_covering(plus_sets, minus_sets, full):
+    """Two pair-id masks over plus_sets × minus_sets, row-major: the pairs
+    whose sets are disjoint and the pairs whose union is full."""
+    disjoint = covering = 0
+    bit = 1  # of pair id a * len(minus_sets) + b
+    for u in plus_sets:
+        for v in minus_sets:
+            if not u & v:
+                disjoint |= bit
+            if u | v == full:
+                covering |= bit
+            bit <<= 1
+    return disjoint, covering
 
 
 def dO(space):
@@ -357,7 +359,7 @@ def dO(space):
     covering."""
     plus = lattice_from_family(space.n, space.tau_plus, space.labels)
     minus = lattice_from_family(space.n, space.tau_minus, space.labels)
-    df = DFrame(plus, minus, *_disjoint_and_covering(space, plus, minus))
+    df = DFrame(plus, minus, *disjoint_and_covering(plus.sets, minus.sets, space.full))
     require_valid(validate_dlattice(df), "dO")
     return df
 
@@ -368,7 +370,7 @@ def dclop_algebra(space):
     minus = lattice_from_family(space.n, minus_open_plus_closed(space), space.labels)
     minus_index = {v: j for j, v in enumerate(minus.sets)}
     dagger = [minus_index[space.full & ~u] for u in plus.sets]
-    A = DBooleanAlgebra(plus, minus, *_disjoint_and_covering(space, plus, minus), dagger)
+    A = DBooleanAlgebra(plus, minus, *disjoint_and_covering(plus.sets, minus.sets, space.full), dagger)
     require_valid(validate_dboolean(A), "dClop")
     return A
 
@@ -394,7 +396,7 @@ def d_points(df):
     value-sets are verified to be topologies rather than assumed.
     """
     primes = enumerate_prime_d_ideals(df)
-    spc = BiTopSpace([f"g{k}" for k in range(len(primes))], *prime_opens(df, primes))
+    spc = BiTopSpace([f"g{k}" for k in range(len(primes))], *prime_pair_opens(df, prime_pairs(df)))
     return spc, primes
 
 

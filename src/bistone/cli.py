@@ -14,7 +14,7 @@ from . import bitop as bt
 from . import duality as du
 from .corpus import poset_counts, unlabeled_posets
 from .dlattice import lambda_of_dislat, validate_dboolean, validate_dlattice
-from .errors import BistoneError, BoundsTooLarge, NotStone, ParseError, UnknownKind, UnknownSuite
+from .errors import BistoneError, BoundsTooLarge, ParseError, UnknownKind, UnknownSuite
 from .lattice import birkhoff
 from .report import StructReport
 from .serialize import (
@@ -238,18 +238,12 @@ def main(argv=None):
         os.environ["BISTONE_MAX_ELEMENTS"] = str(args.max_elements)
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, UnknownKind, UnknownSuite, BoundsTooLarge) as exc:
+    except (ParseError, UnknownKind, UnknownSuite, BoundsTooLarge, OSError) as exc:
         _say(f"error: {exc}")
         return USAGE
-    except NotStone as exc:
-        _say(f"error: {exc}")
-        return FAIL
     except BistoneError as exc:
         _say(f"error: {exc}")
         return FAIL
-    except FileNotFoundError as exc:
-        _say(f"error: {exc}")
-        return USAGE
     finally:
         # the override holds for this one command only
         if previous is None:

@@ -50,8 +50,7 @@ witness.
 
 What depends only on the two coordinate lattices is one record,
 ``CoordinateTables``, each table built on first read, and cached by the two
-up rows up to ``CACHED_STEPS_MAX_PAIRS`` pairs (``coordinate_tables``); a
-larger carrier gets a fresh record, which builds only what its caller reads.
+up rows (``coordinate_tables``).
 
 The d-Boolean clauses read order rows as well: a bijection † reverses the
 order iff it maps the up row of each plus element a onto the down row of
@@ -288,33 +287,42 @@ class CoordinateTables:
         in_column = tuple(col0 & ~covered_pairs(P.n, M.n, up, 0) for up in P.up)
         return tuple(row0 & ~up for up in M.up), in_column
 
+    def _covered_masks(self, downward):
+        """Per coordinate lattice, (g, the pairs whose coordinate there is ≤ g,
+        or ≥ g when not ``downward``) for each element g."""
+        P, M = self.plus.poset, self.minus.poset
+        plus_rows, minus_rows = (P.down, M.down) if downward else (P.up, M.up)
+        return (
+            tuple((u, covered_pairs(P.n, M.n, row, 0)) for u, row in enumerate(plus_rows)),
+            tuple((v, covered_pairs(P.n, M.n, 0, row)) for v, row in enumerate(minus_rows)),
+        )
+
+    @cached_property
+    def down_masks(self):
+        return self._covered_masks(True)
+
+    @cached_property
+    def up_masks(self):
+        return self._covered_masks(False)
+
     @cached_property
     def prime_masks(self):
-        """Per coordinate lattice, (g, the pairs whose coordinate there is ≤ g)
-        for each g whose ↓g is a prime ideal."""
-        P, M = self.plus.poset, self.minus.poset
-        return (
-            tuple((u, covered_pairs(P.n, M.n, P.down[u], 0)) for u in prime_generators(P.up, P.down)),
-            tuple((v, covered_pairs(P.n, M.n, 0, M.down[v])) for v in prime_generators(M.up, M.down)),
+        """The entries of ``down_masks`` whose ↓g is a prime ideal."""
+        return tuple(
+            tuple(masks[g] for g in prime_generators(L.up, L.down))
+            for L, masks in zip((self.plus.poset, self.minus.poset), self.down_masks)
         )
 
 
-# Records are cached up to this many pairs, where one is a few small ints and
-# validation runs most often (the Q2 census validates some 40,000 candidates
-# over 49 coordinate pairs); a larger carrier is validated a few times at most.
-CACHED_STEPS_MAX_PAIRS = 64
-
-
 def coordinate_tables(dl):
-    """The ``CoordinateTables`` of dl: the cached one with the same up rows
-    up to ``CACHED_STEPS_MAX_PAIRS`` pairs, else a fresh one."""
-    tables = CoordinateTables(dl.plus, dl.minus)
-    return _shared_tables(tables) if dl.plus.poset.n * dl.minus.poset.n <= CACHED_STEPS_MAX_PAIRS else tables
+    """The cached ``CoordinateTables`` with the up rows of dl."""
+    return _shared_tables(CoordinateTables(dl.plus, dl.minus))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=128)
 def _shared_tables(tables):
-    """The first record cached with the up rows of ``tables``."""
+    """The first record cached with the up rows of ``tables``; the last 128
+    cover a Q2 census (49 coordinate pairs) and a ``props`` pass (70)."""
     return tables
 
 

@@ -15,6 +15,7 @@ from .bitop import (
     BiTopSpace,
     dclop_algebra,
     connected_subsets_are_singletons,
+    disjoint_and_covering,
     generate_topology,
     is_compact,
     is_extremally_disconnected,
@@ -47,7 +48,7 @@ from .errors import (
     NotStone,
     NotZeroDimensional,
 )
-from .ideals import enumerate_prime_d_ideals, prime_opens, prime_pair_opens
+from .ideals import enumerate_prime_d_ideals, prime_pair_opens, prime_pairs
 from .lattice import (
     bits,
     classical_spec,
@@ -71,9 +72,12 @@ class Spectrum:
 
 
 def spectrum(dl):
-    """Prime d-ideals topologized by the value-tt / value-ff sets."""
-    primes = sorted(enumerate_prime_d_ideals(dl), key=lambda g: g.values)
-    phi_plus, phi_minus = prime_opens(dl, primes)
+    """Prime d-ideals topologized by the value-tt / value-ff sets: the
+    primes in order of their values, with the opens read from their
+    generators (``ideals.prime_pair_opens``)."""
+    ranked = sorted(zip(enumerate_prime_d_ideals(dl), prime_pairs(dl)), key=lambda prime: prime[0].values)
+    primes = [g for g, _ in ranked]
+    phi_plus, phi_minus = prime_pair_opens(dl, [pair for _, pair in ranked])
     n = len(primes)
     space = BiTopSpace(
         [f"g{k}" for k in range(n)],
@@ -207,24 +211,17 @@ def spatiality_check(dl):
     On a valid d-lattice, (↓i, ↓j) is consistent / total iff (i, j) is (see
     ``ideals.idl_dframe``), so (ii) and (iii) read the input's con and tot.
     They are decided as two pair-id masks over φ₊ × φ₋, the pairs whose opens
-    are disjoint and those whose opens cover, each compared with its mask by
-    XOR; the lowest differing pair id is named, (ii) before (iii) there, as
-    a scan of the pairs in row-major order names it.
+    are disjoint and those whose opens cover (``bitop.disjoint_and_covering``,
+    as for con and tot of dO), each compared with its mask by XOR; the
+    lowest differing pair id is named, (ii) before (iii) there, as a scan of
+    the pairs in row-major order names it.
     """
-    phi_plus, phi_minus = prime_pair_opens(dl)
+    phi_plus, phi_minus = prime_pair_opens(dl, prime_pairs(dl))
     if len(set(phi_plus)) < len(phi_plus) or len(set(phi_minus)) < len(phi_minus):
         return False, _unseparated(phi_plus, phi_minus)
 
     full = phi_plus[dl.plus.top]  # every prime: top ∉ ↓u, as ↓u is proper
-    disjoint = covering = 0
-    bit = 1  # of pair id i * n_minus + j, in row-major order
-    for u in phi_plus:
-        for v in phi_minus:
-            if not u & v:
-                disjoint |= bit
-            if u | v == full:
-                covering |= bit
-            bit <<= 1
+    disjoint, covering = disjoint_and_covering(phi_plus, phi_minus, full)
     con_diff, tot_diff = dl.con_mask ^ disjoint, dl.tot_mask ^ covering
     if con_diff | tot_diff:
         p = low_bit(con_diff | tot_diff)

@@ -13,6 +13,9 @@ lives on the unit square [0,1]×[0,1] (pairing a with 1-a; the filter pair
 ((0,1], (0,1]) is maximal yet not prime).  That structure is infinite and
 not representable here; at finite scale maximal-disjoint filter pairs are
 prime, which is exactly what the sandwich search below exploits.
+
+Every enumeration of maps here is one mask test over generator pairs,
+``_covering_pairs``, and calls no map validator (proofs in the docstrings).
 """
 
 from dataclasses import dataclass, field
@@ -298,16 +301,10 @@ def enumerate_prime_d_ideals(dl):
     prime ideals of the coordinate lattices that cover con and avoid tot,
     in order of (u, v).  No validator runs; the proof follows.
 
-    A prime d-ideal is a d-ideal map that is also a d-filter map.  Every
-    d-ideal map is the four-case map of its zero sets, which are ideals of
-    finite lattices, so principal: g has its tt bit at (a, b) iff a ∉ ↓u and
-    its ff bit iff b ∉ ↓v.  Such a g is a d-ideal map iff every consistent
-    pair has a coordinate in ↓u or ↓v (else it is sent to 1).  The other
-    clauses hold for every (u, v): the ff bit at tt = (top, bot) and the tt
-    bit at ff = (bot, top) are clear, as bot lies in ↓v and in ↓u, and the
-    zero sets of the two bit planes, ↓u × M = ↓(u, top) and
-    P × ↓v = ↓(top, v), are principal, so g preserves joins (see
-    ``validate_d_ideal_map``).  g is then a d-filter map iff:
+    A prime d-ideal is a d-ideal map that is also a d-filter map.  The
+    d-ideal maps are the four-case maps of the (↓u, ↓v) that cover con (see
+    ``enumerate_d_ideal_maps``): g has its tt bit at (a, b) iff a ∉ ↓u and
+    its ff bit iff b ∉ ↓v.  Such a g is then a d-filter map iff:
 
     - f(tt) ≥ tt and f(ff) ≥ ff: the tt bit at (top, bot) is set iff
       top ∉ ↓u, that is u ≠ top, and the ff bit at (bot, top) iff v ≠ top;
@@ -329,44 +326,56 @@ def enumerate_prime_d_ideals(dl):
 
 def _primes_structural(A):
     """Reference enumeration on a d-Boolean algebra: per prime ideal I of
-    the plus lattice, the four-case map with zero sets I and †(P ∖ I)."""
+    the plus lattice, the d-ideal map with zero sets I and †(P ∖ I), which
+    raises unless †(P ∖ I) is an ideal and the pair covers con.  It is
+    compared with ``enumerate_prime_d_ideals`` (the
+    ``prime-count-bijection`` row of ``suites``)."""
     if not isinstance(A, DBooleanAlgebra):
         raise ValueError("structural enumeration requires a d-Boolean algebra")
+    full = (1 << A.plus.n) - 1
     out = []
     for ip in prime_ideals(A.plus):
-        comp = ((1 << A.plus.n) - 1) & ~ip.carrier
-        g = _four_case_map(A, ip.carrier, mask_of(A.dagger[a] for a in bits(comp)), False)
-        if not is_prime_d_ideal(A, g):
-            raise InvariantViolation("structural prime d-ideal failed the two validators")
-        out.append(g)
+        im = ideal_from_carrier(A.minus, mask_of(A.dagger[a] for a in bits(full & ~ip.carrier)))
+        out.append(d_ideal_to_map(A, DIdealPair(ip, im)))
     return out
 
 
 def _primes_bruteforce(dl):
     """The scan of ``enumerate_prime_d_ideals``."""
-    plus_down, minus_down = dl.plus.down, dl.minus.down
-    return [BMap(dl, _four_case_values(dl, ~plus_down[u], ~minus_down[v])) for u, v in prime_pairs(dl)]
+    return [_ideal_map(dl, u, v) for u, v in prime_pairs(dl)]
+
+
+def _ideal_map(dl, u, v):
+    """The four-case map with zero sets ↓u and ↓v."""
+    return BMap(dl, _four_case_values(dl, ~dl.plus.down[u], ~dl.minus.down[v]))
+
+
+def _covering_pairs(required, avoid, plus_masks, minus_masks):
+    """The mask test behind every enumeration here: the (u, v), in order of
+    u and then v over the (generator, covered-pair mask) entries of
+    ``plus_masks`` and ``minus_masks`` (see ``CoordinateTables``), whose
+    masks together cover ``required`` and share no pair of ``avoid``."""
+    return [
+        (u, v)
+        for u, rows_u in plus_masks
+        for v, cols_v in minus_masks
+        if not required & ~(rows_u | cols_v) and not avoid & rows_u & cols_v
+    ]
 
 
 def prime_pairs(dl):
     """The generators (u, v) of the prime d-ideals, in the order of
     ``enumerate_prime_d_ideals``: the pairs of prime generators whose
     (↓u, ↓v) covers con and avoids tot."""
-    con, tot = dl.con_mask, dl.tot_mask
-    plus_primes, minus_primes = coordinate_tables(dl).prime_masks
-    return [
-        (u, v)
-        for u, rows_u in plus_primes
-        for v, cols_v in minus_primes
-        if not con & ~(rows_u | cols_v) and not tot & rows_u & cols_v
-    ]
+    return _covering_pairs(dl.con_mask, dl.tot_mask, *coordinate_tables(dl).prime_masks)
 
 
-def prime_pair_opens(dl):
+def prime_pair_opens(dl, pairs):
     """φ₊(a) = {k : a ≰ u_k} and φ₋(b) = {k : b ≰ v_k}, bitmasks over the
-    indices k of ``prime_pairs``: the opens of its primes (see
-    ``duality.spatiality_check``)."""
-    pairs = prime_pairs(dl)
+    indices k of a list of generators (u_k, v_k) from ``prime_pairs``: the
+    subbasic opens of their primes.  The four-case map of (u, v) has value
+    tt at (a, 0) iff a ∉ ↓u (its ff bit there is clear, as 0 ∈ ↓v), and
+    value ff at (0, b) iff b ∉ ↓v."""
     P, M = dl.plus.poset, dl.minus.poset
     return (
         tuple(mask_of(k for k, (u, _) in enumerate(pairs) if not (P.down[u] >> a) & 1) for a in range(P.n)),
@@ -374,54 +383,37 @@ def prime_pair_opens(dl):
     )
 
 
-def prime_opens(dl, primes):
-    """The subbasic opens of a list of prime d-ideals, as bitmasks over
-    their indices: φ₊(a), the primes with value tt at (a, 0), per plus
-    element a, and φ₋(b), those with value ff at (0, b), per minus b.
-
-    One pass per prime over its values: the pairs (a, 0) are every
-    n₋-th value from the minus bottom, the pairs (0, b) one run of n₋
-    values at the plus bottom's row."""
-    nm = dl.minus.n
-    row = dl.plus.bot * nm
-    phi_plus, phi_minus = [0] * dl.plus.n, [0] * nm
-    for k, g in enumerate(primes):
-        bit = 1 << k
-        for a, v in enumerate(g.values[dl.minus.bot::nm]):
-            if v == BTT:
-                phi_plus[a] |= bit
-        for b, v in enumerate(g.values[row:row + nm]):
-            if v == BFF:
-                phi_minus[b] |= bit
-    return tuple(phi_plus), tuple(phi_minus)
-
-
-def _principal_pair_maps(dl, ones):
-    """The four-case maps of all principal pairs that cover and validate:
-    the d-filter maps (up-set one sets) when ``ones``, else the d-ideal
-    maps (down-set zero sets)."""
-    plus_rows, minus_rows = (dl.plus.up, dl.minus.up) if ones else (dl.plus.down, dl.minus.down)
-    validate = validate_d_filter_map if ones else validate_d_ideal_map
-    out = []
-    for u in plus_rows:
-        for v in minus_rows:
-            try:
-                m = _four_case_map(dl, u, v, ones)
-            except CoveringViolation:
-                continue
-            if validate(dl, m).ok:
-                out.append(m)
-    return out
-
-
 def enumerate_d_ideal_maps(dl):
-    """All d-ideal maps, via their principal zero-set pairs."""
-    return _principal_pair_maps(dl, False)
+    """All d-ideal maps: the four-case maps g of the pairs (↓u, ↓v) that
+    cover con, in order of (u, v).  No validator runs; the proof follows.
+
+    The zero sets of a d-ideal map are ideals of finite lattices, so
+    principal, and it is the four-case map of them: g has its tt bit at
+    (a, b) iff a ∉ ↓u and its ff bit iff b ∉ ↓v.  Such a g is a d-ideal
+    map iff every consistent pair has a coordinate in ↓u or ↓v (else it is
+    sent to 1).  The other clauses hold for every (u, v): the ff bit at
+    tt = (top, bot) and the tt bit at ff = (bot, top) are clear, as bot lies
+    in ↓v and in ↓u, and the zero sets of the two bit planes,
+    ↓u × M = ↓(u, top) and P × ↓v = ↓(top, v), are principal, so g
+    preserves joins (see ``validate_d_ideal_map``)."""
+    return [_ideal_map(dl, u, v) for u, v in _covering_pairs(dl.con_mask, 0, *coordinate_tables(dl).down_masks)]
 
 
 def enumerate_d_filter_maps(dl):
-    """All d-filter maps, via their principal one-set pairs."""
-    return _principal_pair_maps(dl, True)
+    """All d-filter maps: the four-case maps f of the pairs (↑u, ↑v) that
+    cover tot, in order of (u, v).  No validator runs: dually to
+    ``enumerate_d_ideal_maps``, f has its tt bit at (a, b) iff a ∈ ↑u and
+    its ff bit iff b ∈ ↑v, the one sets of a d-filter map are principal
+    filters, and f(tot) avoids 0 iff (↑u, ↑v) covers tot.  The tt bit at
+    tt = (top, bot) and the ff bit at ff = (bot, top) are set, as top lies
+    in ↑u and in ↑v, and the one sets of the bit planes, ↑u × M = ↑(u, bot)
+    and P × ↑v = ↑(bot, v), are principal, so f preserves meets (see
+    ``validate_d_filter_map``)."""
+    up_plus, up_minus = dl.plus.up, dl.minus.up
+    return [
+        BMap(dl, _four_case_values(dl, up_plus[u], up_minus[v]))
+        for u, v in _covering_pairs(dl.tot_mask, 0, *coordinate_tables(dl).up_masks)
+    ]
 
 
 def prime_d_ideal_characterization(A, g):
@@ -440,11 +432,14 @@ def prime_d_ideal_characterization(A, g):
 
 def prime_sandwich(dl, fmap, gmap):
     """A prime d-ideal h with f ≤ h ≤ g, for a d-filter map f below a
-    d-ideal map g.
+    d-ideal map g: the first pair of ``prime_pairs`` whose ↓u and ↓v contain
+    the zero sets of g and avoid the one sets of f, side by side.
 
-    Search is over prime ideals of the coordinate lattices that contain the
-    zero sets of g and avoid the one sets of f, lowest generator first; the
-    first pair already works, but every candidate is re-verified.
+    The prime d-ideal h of (u, v) has its tt bit at (a, b) iff a ∉ ↓u.  So
+    h ≤ g on the tt plane iff every a ∉ ↓u lies outside the zero set of g,
+    that is iff ↓u contains it, and f ≤ h iff every a in the one set of f
+    lies outside ↓u; the ff plane reads v the same way.  The pair returned
+    is re-checked against both validators and f ≤ h ≤ g.
     """
     if not validate_d_filter_map(dl, fmap).ok:
         raise ValueError("first argument must be a d-filter map")
@@ -455,19 +450,17 @@ def prime_sandwich(dl, fmap, gmap):
     gplus, gminus = gmap.zero_set_plus(), gmap.zero_set_minus()
     fpair = d_filter_pair_of_map(fmap)
     fplus, fminus = fpair.fplus.carrier, fpair.fminus.carrier
+    sides = zip(coordinate_tables(dl).prime_masks, (dl.plus.down, dl.minus.down), (gplus, gminus), (fplus, fminus))
     plus_candidates, minus_candidates = (
-        [i for i in prime_ideals(L) if g & ~i.carrier == 0 and i.carrier & f == 0]
-        for L, g, f in ((dl.plus, gplus, fplus), (dl.minus, gminus, fminus))
+        [(u, rows) for u, rows in primes if g & ~down[u] == 0 and down[u] & f == 0] for primes, down, g, f in sides
     )
-    for ip in plus_candidates:
-        for im in minus_candidates:
-            try:
-                h = d_ideal_to_map(dl, DIdealPair(ip, im))
-            except CoveringViolation:
-                continue
-            if is_prime_d_ideal(dl, h) and fmap.leq(h) and h.leq(gmap):
-                return h
-    raise NoSandwich("no prime d-ideal between the given maps (suspected bug)")
+    pairs = _covering_pairs(dl.con_mask, dl.tot_mask, plus_candidates, minus_candidates)
+    if not pairs:
+        raise NoSandwich("no prime d-ideal between the given maps (suspected bug)")
+    h = _ideal_map(dl, *pairs[0])
+    if not (is_prime_d_ideal(dl, h) and fmap.leq(h) and h.leq(gmap)):
+        raise InvariantViolation("the prime sandwich failed its re-check")
+    return h
 
 
 # ---------------------------------------------------------------------------

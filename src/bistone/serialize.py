@@ -167,7 +167,11 @@ def parse_structure(text):
 
 def load_structure(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_structure(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc}") from exc
+    return parse_structure(text)
 
 
 def structure_to_json(obj):

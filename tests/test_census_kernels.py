@@ -315,8 +315,8 @@ def test_clause_i_detail_under_non_injective_spectrum(monkeypatch, side):
     genuine = du.prime_pair_opens
     merged = []
 
-    def merging_opens(dl):
-        opens = dict(zip(("plus", "minus"), genuine(dl)))
+    def merging_opens(dl, pairs):
+        opens = dict(zip(("plus", "minus"), genuine(dl, pairs)))
         phi = list(opens[side])
         phi[-1] = phi[0]  # two distinct ideals with equal opens
         opens[side] = tuple(phi)

@@ -120,6 +120,28 @@ def test_cli_validate_malformed_exits_2(tmp_path):
     assert main(["validate", "--in", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--in", "{dir}"],
+        ["validate", "--in", "{latin1}"],
+        ["props", "--suite", "lattice_core", "--out", "{dir}"],
+        ["props", "--suite", "lattice_core", "--corpus", "{file}"],
+        ["gen", "--kind", "posets", "--bounds", "2", "--out", "{file}"],
+    ],
+    ids=["validate-in-dir", "validate-in-non-utf8", "props-out-dir", "props-corpus-file", "gen-out-file"],
+)
+def test_cli_bad_path_exits_2(tmp_path, bool_file, capsys, argv):
+    """A path of the wrong type, or a file that is not UTF-8, is a usage
+    error with a one-line message, not a traceback."""
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"kind": "poset", "elements": ["\xe9"]}')
+    paths = {"dir": str(tmp_path), "file": bool_file, "latin1": str(latin1)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_spec_on_bool(bool_file, capsys):
     assert main(["spec", "--in", bool_file]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -2,8 +2,8 @@
 test-only oracles: ``lattice_from_family`` against ``build_lattice`` on the
 inclusion matrix, the row-form poset checks against the pairwise ones,
 ``validate_dboolean`` and ``from_dbl`` against the pairwise dagger loops,
-``prime_opens`` against the per-element ``on_plus``/``on_minus`` form, and
-``validate_dlattice_hom`` against the per-pair ``apply`` scan."""
+``prime_pair_opens`` against the per-element ``on_plus``/``on_minus`` form,
+and ``validate_dlattice_hom`` against the per-pair ``apply`` scan."""
 
 import sys
 from itertools import permutations
@@ -30,7 +30,7 @@ from bistone.dlattice import (
     validate_dlattice_hom,
 )
 from bistone.errors import DaggerNotOrderReversing, NotALattice, NotAPoset, NotBounded
-from bistone.ideals import BFF, BTT, enumerate_prime_d_ideals, prime_opens
+from bistone.ideals import BFF, BTT, enumerate_prime_d_ideals, prime_pair_opens, prime_pairs
 from bistone.lattice import (
     FinitePoset,
     LatticeHom,
@@ -363,7 +363,7 @@ def test_from_dbl_matches_pairwise_scan():
 
 
 # ---------------------------------------------------------------------------
-# prime_opens
+# prime_pair_opens
 
 
 def prime_opens_by_calls(dl, primes):
@@ -387,7 +387,7 @@ def test_prime_opens_match_per_element_calls():
     assert len(q2) == 135
     for dl in dls + q2:
         primes = enumerate_prime_d_ideals(dl)
-        assert prime_opens(dl, primes) == prime_opens_by_calls(dl, primes)
+        assert prime_pair_opens(dl, prime_pairs(dl)) == prime_opens_by_calls(dl, primes)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from bistone import ideals
 from bistone.bitop import stone_space_from_poset
 from bistone.corpus import distributive_lattices, unlabeled_posets
 from bistone.dlattice import (
-    CACHED_STEPS_MAX_PAIRS,
+    CoordinateTables,
     DLattice,
     closure,
     coordinate_tables,
@@ -163,8 +163,7 @@ def test_validate_matches_row_loop_on_down_up_pairs_bound4():
 def test_logic_tables_match_numpy_tables(corpus):
     """The logic tables of a d-lattice's coordinate record are its own
     lattices' tables, also when the record is the shared one of an earlier
-    lattice pair with the same up rows (carriers of up to
-    CACHED_STEPS_MAX_PAIRS pairs)."""
+    lattice pair with the same up rows, at every carrier size."""
     lattices = distributive_lattices(5) + [A.plus for A, _ in corpus] + [A.minus for A, _ in corpus]
     small = large = shared = 0
     for plus in lattices:
@@ -176,11 +175,9 @@ def test_logic_tables_match_numpy_tables(corpus):
             )
             tables = coordinate_tables(dl)
             assert tables.logic == want
-            if dl.size <= CACHED_STEPS_MAX_PAIRS:
-                small += 1
-                shared += tables.plus is not plus or tables.minus is not minus
-            else:
-                large += 1
+            small += dl.size <= 64
+            large += dl.size > 64
+            shared += tables.plus is not plus or tables.minus is not minus
     assert small and large and shared
 
 
@@ -272,15 +269,18 @@ def test_primes_match_filter_validator_scan(bound5, corpus, monkeypatch):
 # ---------------------------------------------------------------------------
 # the record cache
 
-TABLE_FIELDS = {"down_steps", "up_steps", "logic", "not_above", "prime_masks"}
+TABLE_FIELDS = {"down_steps", "up_steps", "logic", "not_above", "down_masks", "up_masks", "prime_masks"}
+# the tables a table is built from
+TABLE_READS = {"prime_masks": {"down_masks"}}
 
 
-def test_row_keyed_caches_hold_small_carriers_only(corpus, monkeypatch):
-    """After the 87 duality-corpus round trips, the one record cache, keyed
-    by the coordinate up rows, holds records only for carriers of at most
-    CACHED_STEPS_MAX_PAIRS pairs, and every table of the record was read
-    from it; larger carriers get a fresh record.  The cache is replaced by
-    an equal one whose fills are recorded."""
+def test_row_keyed_cache_holds_every_carrier(corpus, monkeypatch):
+    """The duality-corpus checks of each item fill each record they read
+    once, from the one record cache keyed by the coordinate up rows, at
+    carriers of every size; every table but ``up_masks`` (read by the
+    d-filter map enumeration alone) is read from a cached record, and a
+    repeat lookup returns the same record.  The cache is replaced by an
+    equal one whose fills are recorded."""
     filled = []
 
     def filling(tables):
@@ -289,27 +289,31 @@ def test_row_keyed_caches_hold_small_carriers_only(corpus, monkeypatch):
 
     maxsize = dlattice_module._shared_tables.cache_info().maxsize
     monkeypatch.setattr(dlattice_module, "_shared_tables", lru_cache(maxsize=maxsize)(filling))
+    sizes, fields = set(), set()
     for A, X in corpus:
+        filled.clear()
         assert du.unit_roundtrip(A).is_iso and du.counit_roundtrip(X).is_iso
         assert du.spatiality_check(A)[0] and du.dspec_equals_dpt_idl(A)
         assert du.complete_extremally_disconnected_check(X)
-    assert sum(A.size > CACHED_STEPS_MAX_PAIRS for A, _ in corpus) > 40
-    assert filled
-    assert max(len(plus_up) * len(minus_up) for plus_up, minus_up in (t.key for t in filled)) <= CACHED_STEPS_MAX_PAIRS
-    assert set().union(*(vars(t) for t in filled)) >= TABLE_FIELDS
+        keys = [t.key for t in filled]
+        assert keys and len(set(keys)) == len(keys)
+        sizes.update(len(plus_up) * len(minus_up) for plus_up, minus_up in keys)
+        fields.update(*(vars(t) for t in filled))
+        assert coordinate_tables(A) is coordinate_tables(A)
+    assert min(sizes) <= 64 and max(sizes) == max(A.size for A, _ in corpus) > 64
+    assert TABLE_FIELDS & fields == TABLE_FIELDS - {"up_masks"}
 
 
-def test_large_carrier_record_builds_only_what_is_read(corpus):
-    """A carrier above CACHED_STEPS_MAX_PAIRS pairs gets a fresh record per
-    lookup, and reading one table builds that table alone."""
+def test_first_read_builds_only_that_table(corpus):
+    """Reading one table of a new record builds that table and the tables
+    it is built from, and nothing else, on the largest corpus carrier."""
     A = max((A for A, _ in corpus), key=lambda A: A.size)
-    assert A.size > CACHED_STEPS_MAX_PAIRS
+    assert A.size > 64
     for field in sorted(TABLE_FIELDS):
-        tables = coordinate_tables(A)
-        assert coordinate_tables(A) is not tables
+        tables = CoordinateTables(A.plus, A.minus)
         assert TABLE_FIELDS & set(vars(tables)) == set()
         getattr(tables, field)
-        assert TABLE_FIELDS & set(vars(tables)) == {field}
+        assert TABLE_FIELDS & set(vars(tables)) == {field} | TABLE_READS.get(field, set())
 
 
 def test_validate_dlattice_looks_up_one_record(bound5, monkeypatch):

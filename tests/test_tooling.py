@@ -1,13 +1,14 @@
 """Repository checks read from source with ``ast``, so nothing under
 ``bench/`` is imported: every library name the benchmark harness traces or
-calls still resolves below ``bistone``, the library has no ``assert``
-statement (its guards raise, so they survive ``python -O``), the
-validator modules ``ideals`` and ``dlattice`` import no numpy, only the
-named functions scan all n! relabelings, and only the named functions hold
-an ``lru_cache``."""
+calls still resolves below ``bistone`` and takes the arguments the harness
+passes, the library has no ``assert`` statement (its guards raise, so they
+survive ``python -O``), the validator modules ``ideals`` and ``dlattice``
+import no numpy, only the named functions scan all n! relabelings, and only
+the named functions hold an ``lru_cache``."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import bistone
@@ -45,7 +46,10 @@ def test_bench_layers_resolve_below_bistone():
         assert callable(resolve(paths.get(name, name))), name
 
 
-def test_bench_workload_attributes_resolve_below_bistone():
+def workload_attributes():
+    """The tree of ``bench/workloads.py`` and a function naming the library
+    path of an ``alias.attr`` node there (``du.spectrum`` is
+    ``duality.spectrum``), or None for any other node."""
     tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
     aliases = {}
     for node in ast.walk(tree):
@@ -53,14 +57,35 @@ def test_bench_workload_attributes_resolve_below_bistone():
             for alias in node.names:
                 aliases[alias.asname or alias.name] = alias.name
     assert aliases
-    used = {
-        f"{aliases[node.value.id]}.{node.attr}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
-    }
+
+    def library_path(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            return f"{aliases[node.value.id]}.{node.attr}"
+        return None
+
+    return tree, library_path
+
+
+def test_bench_workload_attributes_resolve_below_bistone():
+    tree, library_path = workload_attributes()
+    used = {library_path(node) for node in ast.walk(tree)} - {None}
     assert "duality.dspec_equals_dpt_idl" in used
     for path in sorted(used):
         resolve(path)
+
+
+def test_bench_workload_calls_bind_to_library_signatures():
+    """Every call the workloads make on a library attribute binds to its
+    signature, with as many positional arguments and the same keywords."""
+    tree, library_path = workload_attributes()
+    calls = set()
+    for node in ast.walk(tree):
+        path = isinstance(node, ast.Call) and library_path(node.func)
+        if path:
+            keywords = {k.arg: None for k in node.keywords}
+            inspect.signature(resolve(path)).bind(*node.args, **keywords)
+            calls.add(path)
+    assert {"duality.spatiality_check", "dlattice.DLattice", "cli.main"} <= calls
 
 
 def test_library_has_no_assert_statement():

@@ -21,7 +21,15 @@ from itertools import combinations, permutations
 from .config import max_elements
 from .dlattice import DBooleanAlgebra, require_valid, validate_dboolean, validate_dlattice
 from .errors import BoundsTooLarge, CharacterizationMismatch, InvariantViolation
-from .ideals import BFF, BTT, BMap, DFrame, enumerate_prime_d_ideals, prime_pair_opens, prime_pairs
+from .ideals import (
+    BMap,
+    DFrame,
+    enumerate_prime_d_ideals,
+    four_case_values,
+    ideal_map,
+    prime_pair_opens,
+    prime_pairs,
+)
 from .lattice import bits, down_sets, lattice_from_family, mask_of
 
 
@@ -376,16 +384,15 @@ def dclop_algebra(space):
 
 
 def point_d_point(space, df=None):
-    """The d-point [x] of dO(space) for each point x."""
+    """The d-point [x] of dO(space) for each point x: the four-case map
+    with tt rows {a : x ∈ U_a} and ff columns {b : x ∈ V_b}."""
     if df is None:
         df = dO(space)
     out = []
     for x in range(space.n):
-        values = []
-        for u in df.plus.sets:
-            for v in df.minus.sets:
-                values.append((BTT if (u >> x) & 1 else 0) | (BFF if (v >> x) & 1 else 0))
-        out.append(BMap(df, tuple(values)))
+        tt_rows = mask_of(a for a, u in enumerate(df.plus.sets) if (u >> x) & 1)
+        ff_columns = mask_of(b for b, v in enumerate(df.minus.sets) if (v >> x) & 1)
+        out.append(BMap(df, four_case_values(df, tt_rows, ff_columns)))
     return out
 
 
@@ -395,8 +402,9 @@ def d_points(df):
     Finitely these are exactly the prime d-ideals.  The collections of
     value-sets are verified to be topologies rather than assumed.
     """
-    primes = enumerate_prime_d_ideals(df)
-    spc = BiTopSpace([f"g{k}" for k in range(len(primes))], *prime_pair_opens(df, prime_pairs(df)))
+    pairs = prime_pairs(df)
+    primes = [ideal_map(df, u, v) for u, v in pairs]
+    spc = BiTopSpace([f"g{k}" for k in range(len(primes))], *prime_pair_opens(df, pairs))
     return spc, primes
 
 

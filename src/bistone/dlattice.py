@@ -4,10 +4,9 @@ A d-lattice is stored as its two coordinate lattices together with the
 consistency and totality predicates as pair sets.  The identification of the
 carrier with the coordinate product is lossless, so the monolithic form is
 only an import path (``decompose``).  Carrier elements are flat pair ids
-``a * n_minus + b``.  The order operations (``DLattice.meet``/``join``,
-``logic_meet``/``logic_join`` and their ``*_coordinatewise`` forms) take
-either ints or broadcastable numpy arrays of pair ids, so one call can
-evaluate a whole operation table.
+``a * n_minus + b``.  The order operations ``DLattice.meet``/``join`` take
+and return pair ids, reading the coordinate lattices' ``[a][b]`` tables;
+``logic_formula_row`` reads one coordinate lattice's tables the same way.
 
 The pair sets are int bitmasks over pair ids, and that is their only
 representation: a ``DLattice`` is immutable once built, and every reader
@@ -149,12 +148,12 @@ class DLattice:
     def meet(self, p, q):
         a1, b1 = self.unpid(p)
         a2, b2 = self.unpid(q)
-        return self.pid(self.plus.meet[a1, a2], self.minus.meet[b1, b2])
+        return self.pid(self.plus.meet[a1][a2], self.minus.meet[b1][b2])
 
     def join(self, p, q):
         a1, b1 = self.unpid(p)
         a2, b2 = self.unpid(q)
-        return self.pid(self.plus.join[a1, a2], self.minus.join[b1, b2])
+        return self.pid(self.plus.join[a1][a2], self.minus.join[b1][b2])
 
     # -- logic order ---------------------------------------------------------
 
@@ -178,29 +177,16 @@ def pairs_to_mask(dl, pairs):
 
 
 # ---------------------------------------------------------------------------
-# logic-order operations (formula form, checked against coordinates in tests)
+# logic order
 
 
-def logic_meet(dl, p, q):
-    """x ⊓ y = (x ∧ ff) ∨ (y ∧ ff) ∨ (x ∧ y), computed in the information order."""
-    return dl.join(dl.join(dl.meet(p, dl.ff), dl.meet(q, dl.ff)), dl.meet(p, q))
-
-
-def logic_join(dl, p, q):
-    """x ⊔ y = (x ∧ tt) ∨ (y ∧ tt) ∨ (x ∧ y)."""
-    return dl.join(dl.join(dl.meet(p, dl.tt), dl.meet(q, dl.tt)), dl.meet(p, q))
-
-
-def logic_meet_coordinatewise(dl, p, q):
-    a1, b1 = dl.unpid(p)
-    a2, b2 = dl.unpid(q)
-    return dl.pid(dl.plus.meet[a1, a2], dl.minus.join[b1, b2])
-
-
-def logic_join_coordinatewise(dl, p, q):
-    a1, b1 = dl.unpid(p)
-    a2, b2 = dl.unpid(q)
-    return dl.pid(dl.plus.join[a1, a2], dl.minus.meet[b1, b2])
+def logic_formula_row(L, x, e):
+    """Per y in L, ((x ∧ e) ∨ (y ∧ e)) ∨ (x ∧ y) from L's tables.  As
+    ``DLattice.meet``/``join`` are coordinatewise, over all q this is one
+    coordinate of logic meet p ⊓ q = (p ∧ ff) ∨ (q ∧ ff) ∨ (p ∧ q), or of
+    logic join p ⊔ q (with tt), at that coordinate x of p and e of ff (tt)."""
+    left = L.join[L.meet[x][e]]
+    return tuple(L.join[left[L.meet[y][e]]][L.meet[x][y]] for y in range(L.n))
 
 
 def logic_order_lattice(dl):
@@ -271,12 +257,9 @@ class CoordinateTables:
     @cached_property
     def logic(self):
         """Logic meet (∧, ∨) and join (∨, ∧) by name, each as its (plus,
-        minus) coordinate tables in nested lists."""
+        minus) coordinate tables: the lattices' own tuples."""
         P, M = self.plus, self.minus
-        return (
-            ("logic-meet", P.meet.tolist(), M.join.tolist()),
-            ("logic-join", P.join.tolist(), M.meet.tolist()),
-        )
+        return (("logic-meet", P.meet, M.join), ("logic-join", P.join, M.meet))
 
     @cached_property
     def not_above(self):
@@ -490,7 +473,7 @@ class CarrierDecomposition:
 
 def decompose(L, tt, ff):
     """Split a lattice along a complementary pair via a ↦ (a ∧ tt, a ∧ ff)."""
-    if int(L.join[tt, ff]) != L.top or int(L.meet[tt, ff]) != L.bot:
+    if L.join[tt][ff] != L.top or L.meet[tt][ff] != L.bot:
         raise NotComplementaryPair(
             f"({L.labels[tt]}, {L.labels[ff]}) is not a complementary pair",
             witness=(tt, ff),
@@ -499,27 +482,25 @@ def decompose(L, tt, ff):
         raise DegeneratePair("{tt,ff} = {1,0} is excluded")
     plus_elems = list(bits(L.down[tt]))
     minus_elems = list(bits(L.down[ff]))
-
-    def interval(elems):
-        leq = [[L.leq(a, b) for b in elems] for a in elems]
-        return build_lattice([L.labels[a] for a in elems], leq)
-
-    plus, minus = interval(plus_elems), interval(minus_elems)
+    plus, minus = _restriction(L, plus_elems), _restriction(L, minus_elems)
     pindex = {a: i for i, a in enumerate(plus_elems)}
     mindex = {b: i for i, b in enumerate(minus_elems)}
-    to_pair = tuple(
-        (pindex[int(L.meet[x, tt])], mindex[int(L.meet[x, ff])]) for x in range(L.n)
-    )
+    to_pair = tuple((pindex[L.meet[x][tt]], mindex[L.meet[x][ff]]) for x in range(L.n))
     from_pair = {}
     for x, ab in enumerate(to_pair):
         from_pair[ab] = x
     if len(from_pair) != L.n or any(
         from_pair[to_pair[x]] != x
-        or int(L.join[plus_elems[to_pair[x][0]], minus_elems[to_pair[x][1]]]) != x
+        or L.join[plus_elems[to_pair[x][0]]][minus_elems[to_pair[x][1]]] != x
         for x in range(L.n)
     ):
         raise NotComplementaryPair("coordinate maps are not mutually inverse", witness=(tt, ff))
     return CarrierDecomposition(plus, minus, to_pair, from_pair)
+
+
+def _restriction(L, elems):
+    """The lattice on the elements elems of L, ascending, under L's order."""
+    return build_lattice([L.labels[a] for a in elems], [[L.leq(a, b) for b in elems] for a in elems])
 
 
 def omega_of_lattice(H):
@@ -529,9 +510,9 @@ def omega_of_lattice(H):
     con = tot = 0
     for a in range(H.n):
         for b in range(H.n):
-            if int(H.meet[a, b]) == H.bot:
+            if H.meet[a][b] == H.bot:
                 con |= 1 << (a * H.n + b)
-            if int(H.join[a, b]) == H.top:
+            if H.join[a][b] == H.top:
                 tot |= 1 << (a * H.n + b)
     dl = DLattice(H, H, con, tot)
     require_valid(validate_dlattice(dl), "omega")
@@ -672,15 +653,12 @@ def dB(dl):
     bplus, bminus = d_complemented_sides(dl)
 
     def sublattice(L, elems):
-        leq = [[L.leq(a, b) for b in elems] for a in elems]
-        sub = build_lattice([L.labels[a] for a in elems], leq)
-        # d-complemented elements form a sublattice; rebuilt tables must agree
-        index = {a: i for i, a in enumerate(elems)}
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                m = index.get(int(L.meet[a, b]))
-                if m != int(sub.meet[i, j]) or int(L.join[a, b]) not in index:
-                    raise InvariantViolation("d-complemented elements failed to be a sublattice")
+        sub = _restriction(L, elems)
+        # d-complemented elements form a sublattice: L's tables read at them are the rebuilt ones
+        index = {a: i for i, a in enumerate(elems)}.get
+        for table, sub_table in ((L.meet, sub.meet), (L.join, sub.join)):
+            if tuple(tuple(index(table[a][b]) for b in elems) for a in elems) != sub_table:
+                raise InvariantViolation("d-complemented elements failed to be a sublattice")
         return sub
 
     plus = sublattice(dl.plus, bplus)

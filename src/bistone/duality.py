@@ -48,7 +48,7 @@ from .errors import (
     NotStone,
     NotZeroDimensional,
 )
-from .ideals import enumerate_prime_d_ideals, prime_pair_opens, prime_pairs
+from .ideals import ideal_map, prime_pair_opens, prime_pairs
 from .lattice import (
     bits,
     classical_spec,
@@ -75,7 +75,7 @@ def spectrum(dl):
     """Prime d-ideals topologized by the value-tt / value-ff sets: the
     primes in order of their values, with the opens read from their
     generators (``ideals.prime_pair_opens``)."""
-    ranked = sorted(zip(enumerate_prime_d_ideals(dl), prime_pairs(dl)), key=lambda prime: prime[0].values)
+    ranked = sorted(((ideal_map(dl, *pair), pair) for pair in prime_pairs(dl)), key=lambda prime: prime[0].values)
     primes = [g for g, _ in ranked]
     phi_plus, phi_minus = prime_pair_opens(dl, [pair for _, pair in ranked])
     n = len(primes)

@@ -140,10 +140,10 @@ def _four_case_map(dl, plus, minus, ones):
         )
     if not ones:
         plus, minus = ~plus, ~minus
-    return BMap(dl, _four_case_values(dl, plus, minus))
+    return BMap(dl, four_case_values(dl, plus, minus))
 
 
-def _four_case_values(dl, tt_rows, ff_columns):
+def four_case_values(dl, tt_rows, ff_columns):
     """Per pair id (a, b), the tt bit iff a ∈ tt_rows and the ff bit iff
     b ∈ ff_columns (coordinate bitmasks)."""
     ff_row = tuple(BFF if (ff_columns >> b) & 1 else 0 for b in range(dl.minus.n))
@@ -214,7 +214,7 @@ def _first_unpreserved(dl, bmap, op, combine):
     of (a, a2, b, b2), at which bmap does not preserve ``op`` ("join" or
     "meet"), computed on the codomain by ``combine``; or None."""
     nm, values = dl.minus.n, bmap.values
-    plus_op, minus_op = getattr(dl.plus, op).tolist(), getattr(dl.minus, op).tolist()
+    plus_op, minus_op = getattr(dl.plus, op), getattr(dl.minus, op)
     for a, a2, b, b2 in product(range(dl.plus.n), range(dl.plus.n), range(nm), range(nm)):
         p, q = a * nm + b, a2 * nm + b2
         if values[plus_op[a][a2] * nm + minus_op[b][b2]] != combine(values[p], values[q]):
@@ -342,12 +342,12 @@ def _primes_structural(A):
 
 def _primes_bruteforce(dl):
     """The scan of ``enumerate_prime_d_ideals``."""
-    return [_ideal_map(dl, u, v) for u, v in prime_pairs(dl)]
+    return [ideal_map(dl, u, v) for u, v in prime_pairs(dl)]
 
 
-def _ideal_map(dl, u, v):
+def ideal_map(dl, u, v):
     """The four-case map with zero sets ↓u and ↓v."""
-    return BMap(dl, _four_case_values(dl, ~dl.plus.down[u], ~dl.minus.down[v]))
+    return BMap(dl, four_case_values(dl, ~dl.plus.down[u], ~dl.minus.down[v]))
 
 
 def _covering_pairs(required, avoid, plus_masks, minus_masks):
@@ -396,7 +396,7 @@ def enumerate_d_ideal_maps(dl):
     in ↓v and in ↓u, and the zero sets of the two bit planes,
     ↓u × M = ↓(u, top) and P × ↓v = ↓(top, v), are principal, so g
     preserves joins (see ``validate_d_ideal_map``)."""
-    return [_ideal_map(dl, u, v) for u, v in _covering_pairs(dl.con_mask, 0, *coordinate_tables(dl).down_masks)]
+    return [ideal_map(dl, u, v) for u, v in _covering_pairs(dl.con_mask, 0, *coordinate_tables(dl).down_masks)]
 
 
 def enumerate_d_filter_maps(dl):
@@ -411,7 +411,7 @@ def enumerate_d_filter_maps(dl):
     ``validate_d_filter_map``)."""
     up_plus, up_minus = dl.plus.up, dl.minus.up
     return [
-        BMap(dl, _four_case_values(dl, up_plus[u], up_minus[v]))
+        BMap(dl, four_case_values(dl, up_plus[u], up_minus[v]))
         for u, v in _covering_pairs(dl.tot_mask, 0, *coordinate_tables(dl).up_masks)
     ]
 
@@ -457,7 +457,7 @@ def prime_sandwich(dl, fmap, gmap):
     pairs = _covering_pairs(dl.con_mask, dl.tot_mask, plus_candidates, minus_candidates)
     if not pairs:
         raise NoSandwich("no prime d-ideal between the given maps (suspected bug)")
-    h = _ideal_map(dl, *pairs[0])
+    h = ideal_map(dl, *pairs[0])
     if not (is_prime_d_ideal(dl, h) and fmap.leq(h) and h.leq(gmap)):
         raise InvariantViolation("the prime sandwich failed its re-check")
     return h

@@ -2,17 +2,16 @@
 
 Elements are dense integer ids; labels are metadata.  Subsets are int
 bitmasks, so every predicate is an exhaustive scan over at most 64 elements
-per structure.  Meet/join tables are precomputed numpy arrays.  A lattice
-of a set family closed under ∩ and ∪ takes its tables straight from ∩ and
-∪ (``lattice_from_family``); any other relation goes through the generic
-``build_lattice``.  numpy is used only for the meet/join tables, the
-distributivity scan and ``first_index``; all else scans ints.
+per structure.  The meet and join tables are immutable tuples of tuples of
+ints, indexed ``[a][b]``, built once with the lattice.  A lattice of a set
+family closed under ∩ and ∪ takes its tables straight from ∩ and ∪
+(``lattice_from_family``); any other relation goes through the generic
+``build_lattice``, which decides distributivity by Birkhoff's
+characterization (every join-irreducible element is join-prime).
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
-
-import numpy as np
+from itertools import combinations, product
 
 from .config import BRUTE_FORCE_IDEAL_LIMIT, max_elements
 from .errors import (
@@ -53,14 +52,6 @@ def inverse_permutation(perm, size=None):
     for i, j in enumerate(perm):
         inv[j] = i
     return tuple(inv)
-
-
-def first_index(flags):
-    """Index tuple of the first true entry of a boolean array in row-major
-    order (the first row of ``np.argwhere``), or None when all are false."""
-    if not flags.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(int(flags.argmax()), flags.shape))
 
 
 def _transpose(rows):
@@ -220,7 +211,8 @@ class FinitePoset:
 
 
 class FiniteLattice:
-    """Bounded distributive lattice with precomputed meet/join tables.
+    """Bounded distributive lattice with precomputed meet/join tables:
+    tuples of tuples of ints, ``meet[a][b]`` the meet of a and b.
 
     ``sets`` is populated when the lattice arises from a family of subsets
     (topologies, down-set lattices); it keeps the bitmask of each element.
@@ -258,7 +250,7 @@ class FiniteLattice:
     def join_fold(self, indices):
         acc = self.bot
         for i in indices:
-            acc = int(self.join[acc, i])
+            acc = self.join[acc][i]
         return acc
 
     def is_boolean(self):
@@ -283,7 +275,16 @@ def build_lattice(labels, leq, sets=None):
     """Validate a relation into a bounded distributive lattice.
 
     Raises NotAPoset / NotBounded / NotALattice / NotDistributive with a
-    witness; distributivity is checked by exhaustive triple scan.
+    witness.  Distributivity is Birkhoff's test: a finite lattice is
+    distributive iff every join-irreducible j (see ``join_irreducibles``) is
+    join-prime (j ≤ a ∨ b implies j ≤ a or j ≤ b), that is iff the down-set
+    L ∖ ↑j, nonempty as j ≠ bot, is join-closed: iff it has a greatest element.
+    ⇒: if j ≤ a ∨ b then j = (j ∧ a) ∨ (j ∧ b), so j = j ∧ a or j = j ∧ b.
+    ⇐: with J the join-irreducibles, x ↦ ↓x ∩ J is injective (x is the join
+    of J ∩ ↓x), sends ∧ to ∩ and, as each j is join-prime, ∨ to ∪: an
+    injective lattice hom into the down-sets of J, which are distributive.
+    Only when the test fails does a scan name the first (a, b, c) in
+    row-major order with a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c).
     """
     poset = leq if isinstance(leq, FinitePoset) else FinitePoset(labels, leq)
     n = poset.n
@@ -294,9 +295,8 @@ def build_lattice(labels, leq, sets=None):
     top = extreme_of(full, poset.down)
     if bot is None or top is None:
         raise NotBounded("no global bottom/top element")
-    # native ints: pair ids a * n_minus + b computed from whole tables must not wrap
-    meet = np.zeros((n, n), dtype=np.intp)
-    join = np.zeros((n, n), dtype=np.intp)
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             m = extreme_of(poset.down[i] & poset.down[j], poset.down)
@@ -309,17 +309,18 @@ def build_lattice(labels, leq, sets=None):
                 raise NotALattice(
                     f"({poset.labels[i]}, {poset.labels[j]}) has no join", witness=(i, j)
                 )
-            meet[i, j] = meet[j, i] = m
-            join[i, j] = join[j, i] = v
-    lhs = meet[:, join]                                   # a ∧ (b ∨ c)
-    rhs = join[meet[:, :, None], meet[:, None, :]]        # (a ∧ b) ∨ (a ∧ c)
-    bad = first_index(lhs != rhs)
-    if bad is not None:
-        a, b, c = bad
-        raise NotDistributive(
-            f"witness triple ({poset.labels[a]}, {poset.labels[b]}, {poset.labels[c]})",
-            witness=(a, b, c),
-        )
+            meet[i][j] = meet[j][i] = m
+            join[i][j] = join[j][i] = v
+    meet, join = tuple(map(tuple, meet)), tuple(map(tuple, join))
+    for j, lower in enumerate(poset.cover_down):
+        if lower.bit_count() == 1 and extreme_of(full & ~poset.up[j], poset.down) is None:
+            for a, b, c in product(range(n), repeat=3):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    raise NotDistributive(
+                        f"witness triple ({poset.labels[a]}, {poset.labels[b]}, {poset.labels[c]})",
+                        witness=(a, b, c),
+                    )
+            raise InvariantViolation(f"{poset.labels[j]} is not join-prime, yet every triple distributes")
     return FiniteLattice(poset, bot, top, meet, join, sets=tuple(sets) if sets else None)
 
 
@@ -381,9 +382,8 @@ def lattice_from_family(n_points, masks, point_labels=None):
                 row |= 1 << j
         up[i] = row
     poset = FinitePoset.from_rows(labels, up)
-    # native ints: pair ids a * n_minus + b computed from whole tables must not wrap
     return FiniteLattice(
-        poset, 0, n - 1, np.array(meet, dtype=np.intp), np.array(join, dtype=np.intp), sets=tuple(fam)
+        poset, 0, n - 1, tuple(map(tuple, meet)), tuple(map(tuple, join)), sets=tuple(fam)
     )
 
 
@@ -417,7 +417,7 @@ def ideal_carriers(lattice):
         mask
         for mask in range(1, 1 << lattice.n)
         if is_closed(mask, down)
-        and all((mask >> int(join[a, b])) & 1 for a in bits(mask) for b in bits(mask))
+        and all((mask >> join[a][b]) & 1 for a in bits(mask) for b in bits(mask))
     ]
 
 
@@ -447,7 +447,7 @@ class Ideal:
             return False
         for x in range(L.n):
             for y in range(x, L.n):
-                if int(L.meet[x, y]) in self and not (x in self or y in self):
+                if L.meet[x][y] in self and not (x in self or y in self):
                     return False
         return True
 
@@ -479,7 +479,7 @@ def ideal_from_carrier(lattice, mask):
             raise ValueError(f"carrier not downward closed at {lattice.labels[a]}")
     for a in bits(mask):
         for b in bits(mask):
-            if not (mask >> int(lattice.join[a, b])) & 1:
+            if not (mask >> lattice.join[a][b]) & 1:
                 raise ValueError("carrier not closed under join")
     gen = extreme_of(mask, lattice.down)
     if gen is None:
@@ -513,25 +513,17 @@ def prime_ideals_bruteforce(lattice):
 
 
 def join_irreducibles(lattice):
-    """Non-bottom elements that are not joins of two strictly smaller ones."""
-    out = []
-    for j in range(lattice.n):
-        if j == lattice.bot:
-            continue
-        if not any(
-            int(lattice.join[a, b]) == j
-            for a in bits(lattice.down[j] & ~(1 << j))
-            for b in bits(lattice.down[j] & ~(1 << j))
-        ):
-            out.append(j)
-    return out
+    """Non-bottom elements that are not joins of two strictly smaller ones:
+    those with exactly one lower cover c, as every element below j other
+    than j lies below c, and two lower covers join to j."""
+    return [j for j, lower in enumerate(lattice.poset.cover_down) if lower.bit_count() == 1]
 
 
 def complement(lattice, a):
     """Unique b with a ∨ b = top and a ∧ b = bot, or None."""
     found = None
     for b in range(lattice.n):
-        if int(lattice.join[a, b]) == lattice.top and int(lattice.meet[a, b]) == lattice.bot:
+        if lattice.join[a][b] == lattice.top and lattice.meet[a][b] == lattice.bot:
             if found is not None:
                 raise InvariantViolation("complement not unique: lattice not distributive")
             found = b
@@ -540,9 +532,9 @@ def complement(lattice, a):
 
 def pseudo_complement(lattice, a):
     """Greatest b with a ∧ b = bot; always exists in a finite distributive lattice."""
-    disjoint = [b for b in range(lattice.n) if int(lattice.meet[a, b]) == lattice.bot]
+    disjoint = [b for b in range(lattice.n) if lattice.meet[a][b] == lattice.bot]
     best = lattice.join_fold(disjoint)
-    if int(lattice.meet[a, best]) != lattice.bot:
+    if lattice.meet[a][best] != lattice.bot:
         raise InvariantViolation("pseudo-complement does not meet to bottom")
     return best
 
@@ -572,9 +564,8 @@ def validate_lattice_hom(hom):
         return StructReport.failed("total", message="mapping is not total")
     for name, a, b in (("bottom", L.bot, M.bot), ("top", L.top, M.top)):
         if f[a] != b:
-            return StructReport.failed(name, witness=int(f[a]))
+            return StructReport.failed(name, witness=f[a])
     for name, op_L, op_M in (("meet", L.meet, M.meet), ("join", L.join, M.join)):
-        op_L, op_M = op_L.tolist(), op_M.tolist()
         for a, b in combinations(range(L.n), 2):
             if f[op_L[a][b]] != op_M[f[a]][f[b]]:
                 return StructReport.failed(name, witness=(a, b))
@@ -659,15 +650,14 @@ def enumerate_lattice_homs(L, M):
     for each pair of placed x, y with join a.  They are tried lowest first.
     """
     order = L.poset.linear_extension()
-    L_meet, M_join = L.meet.tolist(), M.join.tolist()
     meet_is = [[0] * M.n for _ in range(M.n)]  # meet_is[b2][t]: the b with b ∧ b2 = t
-    for b, row in enumerate(M.meet.tolist()):
+    for b, row in enumerate(M.meet):
         for b2, t in enumerate(row):
             meet_is[b2][t] |= 1 << b
     join_checks = [[] for _ in range(L.n)]  # pairs whose join is this element
     for x in range(L.n):
         for y in range(x, L.n):
-            j = int(L.join[x, y])
+            j = L.join[x][y]
             if j != x and j != y:
                 join_checks[j].append((x, y))
     everything = (1 << M.n) - 1
@@ -687,11 +677,11 @@ def enumerate_lattice_homs(L, M):
             cand = 1 << M.top
         else:
             cand = everything
-        meets = L_meet[a]
+        meets = L.meet[a]
         for a2 in order[:k]:
             cand &= meet_is[mapping[a2]][mapping[meets[a2]]]
         for x, y in join_checks[a]:
-            cand &= 1 << M_join[mapping[x]][mapping[y]]
+            cand &= 1 << M.join[mapping[x]][mapping[y]]
         for b in bits(cand):
             mapping[a] = b
             backtrack(k + 1)

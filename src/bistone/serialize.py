@@ -88,12 +88,30 @@ def _require(obj, key):
     return obj[key]
 
 
+def _labels(obj, key):
+    labels = _require(obj, key)
+    if not isinstance(labels, list):
+        raise ParseError(f"{key} must be a JSON array")
+    return labels
+
+
+def _order(obj):
+    """The elements of a poset or lattice and its leq, an n × n array of
+    JSON booleans."""
+    labels, leq = _labels(obj, "elements"), _require(obj, "leq")
+    n = len(labels)
+    square = isinstance(leq, list) and len(leq) == n and all(isinstance(row, list) and len(row) == n for row in leq)
+    if not (square and all(isinstance(x, bool) for row in leq for x in row)):
+        raise ParseError(f"leq must be a {n} x {n} array of booleans")
+    return labels, leq
+
+
 def poset_from_json(obj):
-    return FinitePoset(_require(obj, "elements"), _require(obj, "leq"))
+    return FinitePoset(*_order(obj))
 
 
 def lattice_from_json(obj):
-    return build_lattice(_require(obj, "elements"), _require(obj, "leq"))
+    return build_lattice(*_order(obj))
 
 
 def _pair_mask(shell, obj, key):
@@ -130,7 +148,7 @@ def _open_masks(obj, key, n):
 
 
 def bitop_from_json(obj):
-    labels = _require(obj, "points")
+    labels = _labels(obj, "points")
     n = len(labels)
     return BiTopSpace(labels, _open_masks(obj, "tau_plus", n), _open_masks(obj, "tau_minus", n))
 

@@ -7,8 +7,6 @@ exits nonzero on any failure; the test suite calls the same functions.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 from . import bitop as bt
 from . import duality as du
 from .corpus import birkhoff_corpus, boolean_lattice, dbool_corpus, three_chain, unlabeled_posets
@@ -18,10 +16,7 @@ from .dlattice import (
     dlattice_equal,
     enumerate_dlattice_homs,
     lambda_of_dislat,
-    logic_join,
-    logic_join_coordinatewise,
-    logic_meet,
-    logic_meet_coordinatewise,
+    logic_formula_row,
     logic_order_lattice,
     omega_of_lattice,
     validate_dboolean,
@@ -47,7 +42,6 @@ from .ideals import (
 )
 from .lattice import (
     bits,
-    first_index,
     ideal_carriers,
     ideal_from_carrier,
     join_irreducibles,
@@ -109,16 +103,17 @@ def all_dlattices(bundle):
 
 def check_lattice_laws(bundle):
     for L in bundle.lattices:
-        n = L.n
-        idx = np.arange(n)
         for name, table, other in (("meet", L.meet, L.join), ("join", L.join, L.meet)):
-            if (table[idx, idx] != idx).any():
+            if any(row[a] != a for a, row in enumerate(table)):
                 return False, f"{name} not idempotent"
-            if (table != table.T).any():
+            if tuple(zip(*table)) != table:
                 return False, f"{name} not commutative"
-            if (table[table, :] != table[:, table].transpose(1, 0, 2)).any():
-                return False, f"{name} not associative"
-            if (table[idx[:, None], other[idx[:, None], idx[None, :]]] != idx[:, None]).any():
+            # (a·b)·c = a·(b·c) for all c at once: row a·b against row a
+            # read at the entries of row b
+            for row in table:
+                if any(table[ab] != tuple(map(row.__getitem__, table[b])) for b, ab in enumerate(row)):
+                    return False, f"{name} not associative"
+            if any({row[x] for x in other[a]} != {a} for a, row in enumerate(table)):
                 return False, f"absorption fails through {name}"
     return True, f"laws hold on {len(bundle.lattices)} lattices"
 
@@ -145,11 +140,11 @@ def check_prime_complement_is_filter(bundle):
                 if L.up[a] & ~comp:
                     return False, "complement of a prime ideal is not an up-set"
                 for b in bits(comp):
-                    if not (comp >> int(L.meet[a, b])) & 1:
+                    if not (comp >> L.meet[a][b]) & 1:
                         return False, "complement of a prime ideal not meet-closed"
             for x in range(L.n):
                 for y in range(L.n):
-                    if (comp >> int(L.join[x, y])) & 1 and not ((comp >> x) & 1 or (comp >> y) & 1):
+                    if (comp >> L.join[x][y]) & 1 and not ((comp >> x) & 1 or (comp >> y) & 1):
                         return False, "complement of a prime ideal is not a prime filter"
     return True, "complements of prime ideals are prime filters"
 
@@ -191,23 +186,33 @@ def check_validate_corpus(bundle):
     return True, f"{len(all_dlattices(bundle))} structures validate"
 
 
-LOGIC_ORDER_BLOCK = 1 << 12  # pairs per table evaluation; bounds its memory
-
-
 def check_logic_order(bundle):
+    """Per p, the row over all q of x ⊓ y = (x ∧ ff) ∨ (y ∧ ff) ∨ (x ∧ y)
+    against (∧, ∨), and of x ⊔ y (with tt) against (∨, ∧).  As
+    ``DLattice.meet``/``join`` are coordinatewise, each row is the product
+    of a plus row and a minus row (``logic_formula_row``), and two such rows
+    are equal iff both factors are; the first mismatch is named at the
+    lowest (p, q), meet before join there."""
     for dl in all_dlattices(bundle):
-        q = np.arange(dl.size)
-        step = max(1, LOGIC_ORDER_BLOCK // dl.size)
-        for start in range(0, dl.size, step):
-            p = q[start:start + step, None]
-            # last axis: meet, then join, so the first hit is the scalar scan's
-            bad = first_index(np.stack([
-                logic_meet(dl, p, q) != logic_meet_coordinatewise(dl, p, q),
-                logic_join(dl, p, q) != logic_join_coordinatewise(dl, p, q),
-            ], axis=-1))
-            if bad is not None:
-                row, col, op = bad
-                return False, f"logic {('meet', 'join')[op]} formula mismatch at ({start + row},{col})"
+        P, M, nm = dl.plus, dl.minus, dl.minus.n
+        for p in range(dl.size):
+            a1, b1 = dl.unpid(p)
+            misses = []
+            for k, (op, bound, plus_table, minus_table) in enumerate(
+                (("meet", dl.ff, P.meet, M.join), ("join", dl.tt, P.join, M.meet))
+            ):
+                ea, eb = dl.unpid(bound)
+                formula = (logic_formula_row(P, a1, ea), logic_formula_row(M, b1, eb))
+                coordinatewise = (plus_table[a1], minus_table[b1])
+                if formula != coordinatewise:
+                    formula_ids, coordinate_ids = (
+                        [a * nm + b for a in plus for b in minus] for plus, minus in (formula, coordinatewise)
+                    )
+                    q = next(q for q, (f, c) in enumerate(zip(formula_ids, coordinate_ids)) if f != c)
+                    misses.append((q, k, op))
+            if misses:
+                q, _, op = min(misses)
+                return False, f"logic {op} formula mismatch at ({p},{q})"
         if dl.size <= 40:
             lat = logic_order_lattice(dl)  # build validates all lattice laws
             if lat.top != dl.tt or lat.bot != dl.ff:

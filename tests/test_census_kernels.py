@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_lattice_oracles import first_index
 from test_validate_oracle import _q2_candidates, _single_bit_mutants
 
 from bistone import dlattice as dlattice_module
@@ -51,7 +52,6 @@ from bistone.lattice import (
     bits,
     build_lattice,
     enumerate_lattice_homs,
-    first_index,
     hasse_dot,
     principal_filter,
 )
@@ -189,7 +189,7 @@ def validate_d_ideal_map_numpy(dl, bmap):
             return StructReport.failed(
                 "g(con)", witness=dl.labels_of(p), message="a consistent pair is sent to 1"
             )
-    lhs = V[dl.plus.join][:, :, dl.minus.join]
+    lhs = V[np.asarray(dl.plus.join)][:, :, np.asarray(dl.minus.join)]
     rhs = V[:, None, :, None] | V[None, :, None, :]
     bad = first_index(lhs != rhs)
     if bad is not None:
@@ -213,7 +213,7 @@ def validate_d_filter_map_numpy(dl, bmap):
             return StructReport.failed(
                 "f(tot)", witness=dl.labels_of(p), message="a total pair is sent to 0"
             )
-    lhs = V[dl.plus.meet][:, :, dl.minus.meet]
+    lhs = V[np.asarray(dl.plus.meet)][:, :, np.asarray(dl.minus.meet)]
     rhs = V[:, None, :, None] & V[None, :, None, :]
     bad = first_index(lhs != rhs)
     if bad is not None:
@@ -273,7 +273,7 @@ def test_ideal_lattices_match_build_lattice():
             want = ideal_lattice_by_build(L)
             assert got.labels == want.labels
             assert (got.up, got.down, got.bot, got.top) == (want.up, want.down, want.bot, want.top)
-            assert (got.meet == want.meet).all() and (got.join == want.join).all()
+            assert got.meet == want.meet and got.join == want.join
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_json_roundtrip_poset(poset2):
 
 def test_json_roundtrip_lattice(chain3):
     again = lattice_from_json(lattice_to_json(chain3))
-    assert again.labels == chain3.labels and (again.meet == chain3.meet).all()
+    assert again.labels == chain3.labels and again.meet == chain3.meet
 
 
 def test_json_roundtrip_dlattice(omega3, lam3, B):
@@ -118,6 +118,32 @@ def test_cli_validate_malformed_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ this is not json")
     assert main(["validate", "--in", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"kind": "lattice", "elements": ["a", "b"], "leq": [[True, True, False], [False, True, 7]]},
+            "leq must be a 2 x 2 array of booleans",
+        ),
+        (
+            {"kind": "lattice", "elements": ["a", "b"], "leq": [[True, True], [False, True], [False, False]]},
+            "leq must be a 2 x 2 array of booleans",
+        ),
+        ({"kind": "lattice", "elements": "ab", "leq": [[True, True], [False, True]]}, "elements must be a JSON array"),
+        ({"kind": "poset", "elements": ["x"], "leq": [["x"]]}, "leq must be a 1 x 1 array of booleans"),
+        ({"kind": "bitop", "points": "ab", "tau_plus": [[], [0, 1]], "tau_minus": [[], [0, 1]]}, "points must be a JSON array"),
+    ],
+    ids=["leq-entries", "leq-rows", "elements-string", "poset-leq-string", "points-string"],
+)
+def test_cli_malformed_order_exits_2(tmp_path, capsys, doc, message):
+    """elements and points must be JSON arrays and leq an n × n array of
+    JSON booleans; before, each of these validated as PASS."""
+    path = tmp_path / "bad.json"
+    path.write_text(dumps({**doc, "version": 1}))
+    assert main(["validate", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

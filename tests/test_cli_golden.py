@@ -7,7 +7,8 @@ The inputs are a d-Boolean algebra (λ of the down-sets of the three-element
 poset with one bottom and two maximal elements), the doubled three-chain as
 a d-lattice, that algebra with a dagger that is not order reversing and with
 one con or tot bit flipped (each still a valid d-lattice), its Stone space,
-and a two-point space that is not Stone.  The failing inputs pin the
+a two-point space that is not Stone, and the two non-distributive lattices
+N5 (the pentagon) and M3 (the diamond).  The failing inputs pin the
 validator's axiom and witness, and exit code 1.
 
 The expected text under ``tests/golden/`` was recorded before the
@@ -32,7 +33,7 @@ COMMANDS.update(
     {f"search_{q}": (["search", "--conjecture", q, "--bounds", "4"], 0) for q in ("Q1", "Q2")}
 )
 for command, cases in (
-    ("validate", {"dboolean": 0, "dlattice": 0, "dboolean_bad_dagger": 1, "dboolean_bad_con": 1, "dboolean_bad_tot": 1, "space_not_stone": 0}),
+    ("validate", {"dboolean": 0, "dlattice": 0, "dboolean_bad_dagger": 1, "dboolean_bad_con": 1, "dboolean_bad_tot": 1, "space_not_stone": 0, "lattice_n5": 1, "lattice_m3": 1}),
     ("spec", {"dboolean": 0, "dlattice": 0, "dboolean_bad_dagger": 1, "dboolean_bad_con": 1, "dboolean_bad_tot": 1}),
     ("clop", {"space_stone": 0, "space_not_stone": 0}),
     ("roundtrip", {"dboolean": 0, "dboolean_bad_dagger": 1, "space_stone": 0, "space_not_stone": 1}),

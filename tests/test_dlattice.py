@@ -26,10 +26,7 @@ from bistone.dlattice import (
     from_dbl,
     identity_hom,
     lambda_of_dislat,
-    logic_join,
-    logic_join_coordinatewise,
-    logic_meet,
-    logic_meet_coordinatewise,
+    logic_formula_row,
     logic_order_lattice,
     omega_of_lattice,
     to_dbl,
@@ -117,6 +114,39 @@ def test_decompose_product_chain():
     dec = decompose(L, tt, ff)
     assert dec.plus.n == 3 and dec.minus.n == 2
     assert all(dec.plus.leq(i, j) or dec.plus.leq(j, i) for i in range(3) for j in range(3))
+
+
+def logic_meet(dl, p, q):
+    """Reference: x ⊓ y = (x ∧ ff) ∨ (y ∧ ff) ∨ (x ∧ y), computed in the
+    information order."""
+    return dl.join(dl.join(dl.meet(p, dl.ff), dl.meet(q, dl.ff)), dl.meet(p, q))
+
+
+def logic_join(dl, p, q):
+    """Reference: x ⊔ y = (x ∧ tt) ∨ (y ∧ tt) ∨ (x ∧ y)."""
+    return dl.join(dl.join(dl.meet(p, dl.tt), dl.meet(q, dl.tt)), dl.meet(p, q))
+
+
+def logic_meet_coordinatewise(dl, p, q):
+    a1, b1 = dl.unpid(p)
+    a2, b2 = dl.unpid(q)
+    return dl.pid(dl.plus.meet[a1][a2], dl.minus.join[b1][b2])
+
+
+def logic_join_coordinatewise(dl, p, q):
+    a1, b1 = dl.unpid(p)
+    a2, b2 = dl.unpid(q)
+    return dl.pid(dl.plus.join[a1][a2], dl.minus.meet[b1][b2])
+
+
+def test_logic_formula_row_is_a_coordinate_of_the_pair_formula(omega3, lam3, B):
+    for dl in (omega3, lam3, B):
+        for reference, bound in ((logic_meet, dl.ff), (logic_join, dl.tt)):
+            ea, eb = dl.unpid(bound)
+            for p in range(dl.size):
+                a1, b1 = dl.unpid(p)
+                plus, minus = logic_formula_row(dl.plus, a1, ea), logic_formula_row(dl.minus, b1, eb)
+                assert [dl.pid(a, b) for a in plus for b in minus] == [reference(dl, p, q) for q in range(dl.size)]
 
 
 def test_logic_ops_on_bool_object(B):

@@ -11,6 +11,7 @@ from operator import and_, or_
 
 import numpy as np
 import pytest
+from test_lattice_oracles import first_index
 
 from bistone import ideals
 from bistone.dlattice import DLatticeHom, bool_dlattice, enumerate_dlattice_homs, validate_carrier_hom
@@ -19,7 +20,6 @@ from bistone.lattice import (
     LatticeHom,
     bits,
     enumerate_lattice_homs,
-    first_index,
     principal_ideal,
     prime_ideals,
     validate_lattice_hom,
@@ -32,7 +32,7 @@ def prime_ideals_numpy(lattice):
     """Reference: ↓a for each non-top a, kept when no meet of two elements
     outside ↓a lies in it (a numpy scan over the meet table)."""
     out = []
-    meet, down = lattice.meet, lattice.down
+    meet, down = np.asarray(lattice.meet), lattice.down
     n = lattice.n
     for a in range(n):
         if a == lattice.top:
@@ -54,7 +54,8 @@ def validate_lattice_hom_numpy(hom):
     for name, a, b in (("bottom", L.bot, M.bot), ("top", L.top, M.top)):
         if int(f[a]) != b:
             return StructReport.failed(name, witness=int(f[a]))
-    for name, op_L, op_M in (("meet", L.meet, M.meet), ("join", L.join, M.join)):
+    for name in ("meet", "join"):
+        op_L, op_M = np.asarray(getattr(L, name)), np.asarray(getattr(M, name))
         bad = first_index(f[op_L] != op_M[f[:, None], f[None, :]])
         if bad is not None:
             return StructReport.failed(name, witness=bad)
@@ -72,7 +73,7 @@ def validate_carrier_hom_numpy(src, tgt, values):
     A1, A2 = A[:, None, :, None], A[None, :, None, :]
     B1, B2 = B[:, None, :, None], B[None, :, None, :]
     for name in ("meet", "join"):
-        sp, sm, tp, tm = (getattr(L, name) for L in (src.plus, src.minus, tgt.plus, tgt.minus))
+        sp, sm, tp, tm = (np.asarray(getattr(L, name)) for L in (src.plus, src.minus, tgt.plus, tgt.minus))
         bad = first_index(V[sp][:, :, sm] != tp[A1, A2] * tgt.minus.n + tm[B1, B2])
         if bad is not None:
             a, a2, b, b2 = bad
@@ -87,7 +88,7 @@ def validate_carrier_hom_numpy(src, tgt, values):
 def first_unpreserved_numpy(dl, bmap, op, combine):
     """Reference: the numpy quadruple scan over the values as a matrix."""
     V = np.asarray(bmap.values, dtype=np.uint8).reshape(dl.plus.n, dl.minus.n)
-    lhs = V[getattr(dl.plus, op)][:, :, getattr(dl.minus, op)]
+    lhs = V[np.asarray(getattr(dl.plus, op))][:, :, np.asarray(getattr(dl.minus, op))]
     bad = first_index(lhs != combine(V[:, None, :, None], V[None, :, None, :]))
     if bad is None:
         return None

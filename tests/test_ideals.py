@@ -338,7 +338,7 @@ def test_dcomplemented_elements_compact(omega3):
                 continue
             closure = set(members)
             while True:
-                new = {int(L.join[x, y]) for x in closure for y in closure} - closure
+                new = {L.join[x][y] for x in closure for y in closure} - closure
                 if not new:
                     break
                 closure |= new

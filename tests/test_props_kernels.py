@@ -1,19 +1,21 @@
 """The table and bitmask kernels on the ``props`` path against the per-element
 scans they replaced, each kept here as a test-only reference: the
-``feasible``-filtered hom enumeration, the scalar logic-order loop, the
-literal compactness subfamily scan and the directed-closure loop of the
-``compact-elements`` row."""
+``feasible``-filtered hom enumeration, the numpy lattice-law tables, the
+scalar logic-order loop, the literal compactness subfamily scan and the
+directed-closure loop of the ``compact-elements`` row."""
 
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
+from test_dlattice import logic_join, logic_join_coordinatewise, logic_meet, logic_meet_coordinatewise
 
 from bistone import bitop as bt
 from bistone import duality as du
 from bistone import suites
 from bistone.corpus import birkhoff_corpus
-from bistone.dlattice import DLattice, d_complemented_sides, logic_join, logic_meet
+from bistone.dlattice import DLattice, d_complemented_sides, logic_formula_row
 from bistone.lattice import LatticeHom, build_lattice, enumerate_lattice_homs, validate_lattice_hom
 
 
@@ -28,7 +30,7 @@ def enumerate_lattice_homs_feasible(L, M):
     join_checks = [[] for _ in range(L.n)]
     for x in range(L.n):
         for y in range(x, L.n):
-            j = int(L.join[x, y])
+            j = L.join[x][y]
             if j != x and j != y:
                 join_checks[j].append((x, y))
 
@@ -39,11 +41,11 @@ def enumerate_lattice_homs_feasible(L, M):
                 return False
             if L.leq(a, a2) and not M.leq(b, b2):
                 return False
-            m = int(L.meet[a, a2])
-            if m != a and mapping[m] >= 0 and int(M.meet[b, b2]) != mapping[m]:
+            m = L.meet[a][a2]
+            if m != a and mapping[m] >= 0 and M.meet[b][b2] != mapping[m]:
                 return False
         for x, y in join_checks[a]:
-            if mapping[x] >= 0 and mapping[y] >= 0 and int(M.join[mapping[x], mapping[y]]) != b:
+            if mapping[x] >= 0 and mapping[y] >= 0 and M.join[mapping[x]][mapping[y]] != b:
                 return False
         return True
 
@@ -81,15 +83,56 @@ def test_hom_enumeration_matches_feasible_scan():
     assert total == 5900
 
 
+def check_lattice_laws_numpy(bundle):
+    """Reference: the whole-table numpy form of the ``lattice-laws`` row."""
+    for L in bundle.lattices:
+        idx = np.arange(L.n)
+        meet, join = np.asarray(L.meet), np.asarray(L.join)
+        for name, table, other in (("meet", meet, join), ("join", join, meet)):
+            if (table[idx, idx] != idx).any():
+                return False, f"{name} not idempotent"
+            if (table != table.T).any():
+                return False, f"{name} not commutative"
+            if (table[table, :] != table[:, table].transpose(1, 0, 2)).any():
+                return False, f"{name} not associative"
+            if (table[idx[:, None], other[idx[:, None], idx[None, :]]] != idx[:, None]).any():
+                return False, f"absorption fails through {name}"
+    return True, f"laws hold on {len(bundle.lattices)} lattices"
+
+
+def test_lattice_laws_row_check_matches_numpy_tables():
+    """Every lattice of at most 6 elements from ``birkhoff_corpus(4)`` with
+    one table entry, or one symmetric pair of entries, changed to each
+    other element: the row check and the numpy form give the same verdict
+    and message."""
+    verdicts = Counter()
+    for L in [L for L in birkhoff_corpus(4) if 2 <= L.n <= 6]:
+        for name in ("meet", "join"):
+            original = getattr(L, name)
+            for a, b, value in ((a, b, v) for a in range(L.n) for b in range(a, L.n) for v in range(L.n)):
+                for cells in {((a, b),), ((a, b), (b, a))}:
+                    rows = [list(row) for row in original]
+                    for x, y in cells:
+                        rows[x][y] = value
+                    setattr(L, name, tuple(map(tuple, rows)))
+                    bundle = suites.CorpusBundle(lattices=[L])
+                    got = suites.check_lattice_laws(bundle)
+                    assert got == check_lattice_laws_numpy(bundle), (name, cells, value)
+                    verdicts[got[1]] += 1
+            setattr(L, name, original)
+    laws = ("{} not idempotent", "{} not commutative", "{} not associative", "absorption fails through {}")
+    assert set(verdicts) == {"laws hold on 1 lattices"} | {law.format(op) for law in laws for op in ("meet", "join")}
+
+
 def check_logic_order_scalar(bundle, carrier_limit=40):
-    """Reference: the per-pair loop, reading the formulas through ``suites``
-    so that a patched formula reaches both versions."""
+    """Reference: the per-pair loop over the pair-level formulas, which read
+    the same coordinate tables as the row kernel of ``suites``."""
     for dl in suites.all_dlattices(bundle):
         for p in range(dl.size):
             for q in range(dl.size):
-                if suites.logic_meet(dl, p, q) != suites.logic_meet_coordinatewise(dl, p, q):
+                if logic_meet(dl, p, q) != logic_meet_coordinatewise(dl, p, q):
                     return False, f"logic meet formula mismatch at ({p},{q})"
-                if suites.logic_join(dl, p, q) != suites.logic_join_coordinatewise(dl, p, q):
+                if logic_join(dl, p, q) != logic_join_coordinatewise(dl, p, q):
                     return False, f"logic join formula mismatch at ({p},{q})"
         if dl.size <= carrier_limit:
             lat = suites.logic_order_lattice(dl)
@@ -98,36 +141,44 @@ def check_logic_order_scalar(bundle, carrier_limit=40):
     return True, "logic order is a bounded lattice; formulas match coordinates"
 
 
-def _wrong_at(formula, target, p0, q0):
-    def patched(dl, p, q):
-        right = formula(dl, p, q)
-        return np.where((dl is target) & (p == p0) & (q == q0), right + 1, right)
+def _corrupt(monkeypatch, target, side, table, a, b, value):
+    """Replace entry [a][b] of one coordinate table of target, which both
+    versions read, for the length of one test."""
+    lattice = getattr(target, side)
+    rows = [list(row) for row in getattr(lattice, table)]
+    assert rows[a][b] != value
+    rows[a][b] = value
+    monkeypatch.setattr(lattice, table, tuple(map(tuple, rows)))
 
-    return patched
 
-
+# meet_at / join_at: a corrupted entry (side, table, a, b, value) whose first
+# mismatch is one of the meet / the join formula.  A plus entry breaks the
+# pairs (p, q) with given plus coordinates, a minus entry those with given
+# minus coordinates.  Target 2 is omega of the four-element Boolean lattice,
+# one lattice object on both sides, so each of its entries breaks both
+# formulas; target 21 (256 pairs) has two lattices.
 @pytest.mark.parametrize(
     "index, meet_at, join_at, expected",
     [
-        (2, (9, 6), None, "logic meet formula mismatch at (9,6)"),
-        (2, None, (9, 6), "logic join formula mismatch at (9,6)"),
-        (2, (9, 6), (9, 6), "logic meet formula mismatch at (9,6)"),
-        (2, (9, 6), (9, 5), "logic join formula mismatch at (9,5)"),
-        (2, (3, 14), (9, 5), "logic meet formula mismatch at (3,14)"),
-        # 256 pairs, evaluated in blocks of rows
-        (21, (200, 17), None, "logic meet formula mismatch at (200,17)"),
-        (21, (200, 17), (37, 250), "logic join formula mismatch at (37,250)"),
+        (2, ("plus", "meet", 1, 1, 2), None, "logic meet formula mismatch at (1,1)"),
+        (2, None, ("plus", "meet", 2, 0, 1), "logic join formula mismatch at (0,2)"),
+        # both first at (0,1): meet is named
+        (2, ("plus", "meet", 0, 1, 2), ("plus", "join", 0, 2, 0), "logic meet formula mismatch at (0,1)"),
+        # meet first at (0,2), join at (0,1) in the same row
+        (2, ("plus", "meet", 0, 2, 1), ("plus", "meet", 1, 0, 1), "logic join formula mismatch at (0,1)"),
+        # meet first at (1,1), join first in a later row, at (3,3)
+        (2, ("plus", "meet", 1, 1, 2), ("plus", "join", 0, 3, 0), "logic meet formula mismatch at (1,1)"),
+        # the meet formula only; then the join formula earlier
+        (21, ("plus", "join", 0, 15, 0), None, "logic meet formula mismatch at (240,240)"),
+        (21, ("plus", "join", 0, 15, 0), ("plus", "meet", 1, 1, 2), "logic join formula mismatch at (16,16)"),
     ],
 )
 def test_logic_order_table_check_matches_scalar_loop(bundle, monkeypatch, index, meet_at, join_at, expected):
     target = suites.all_dlattices(bundle)[index]
     assert target.size == {2: 16, 21: 256}[index]
-    if meet_at:
-        wrong = _wrong_at(suites.logic_meet_coordinatewise, target, *meet_at)
-        monkeypatch.setattr(suites, "logic_meet_coordinatewise", wrong)
-    if join_at:
-        wrong = _wrong_at(suites.logic_join_coordinatewise, target, *join_at)
-        monkeypatch.setattr(suites, "logic_join_coordinatewise", wrong)
+    for corrupted in (meet_at, join_at):
+        if corrupted:
+            _corrupt(monkeypatch, target, *corrupted)
     assert suites.check_logic_order(bundle) == check_logic_order_scalar(bundle) == (False, expected)
 
 
@@ -136,9 +187,13 @@ def test_pair_ids_past_int16_do_not_wrap(monkeypatch):
     n = 182
     chain = build_lattice([str(i) for i in range(n)], [[i <= j for j in range(n)] for i in range(n)])
     dl = DLattice(chain, chain, 0, 0)
-    p, q = np.array([[dl.size - 1]]), np.array([[dl.size - 2]])
-    assert logic_meet(dl, p, q).tolist() == [[(n - 1) * n + n - 1]]
-    assert logic_join(dl, p, q).tolist() == [[(n - 1) * n + n - 2]]
+    p, q = dl.size - 1, dl.size - 2
+    assert logic_meet(dl, p, q) == (n - 1) * n + n - 1
+    assert logic_join(dl, p, q) == (n - 1) * n + n - 2
+    for bound, expected in ((dl.ff, (n - 1) * n + n - 1), (dl.tt, (n - 1) * n + n - 2)):
+        ea, eb = dl.unpid(bound)
+        plus, minus = logic_formula_row(chain, n - 1, ea), logic_formula_row(chain, n - 1, eb)
+        assert dl.pid(plus[n - 1], minus[n - 2]) == expected
 
 
 def is_compact_by_subfamilies(space, subfamily_limit=12):
@@ -194,7 +249,7 @@ def d_complemented_compact_by_closure(dl):
                     continue
                 closure = set(members)
                 while True:
-                    new = {int(L.join[x, y]) for x in closure for y in closure} - closure
+                    new = {L.join[x][y] for x in closure for y in closure} - closure
                     if not new:
                         break
                     closure |= new

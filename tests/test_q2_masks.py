@@ -1,6 +1,6 @@
 """The per-coordinate-pair kernels of the Q2 census against the code they
 replaced, kept here as test-only oracles: ``validate_dlattice`` with the
-row/column con–tot loop and logic tables converted on every call, the
+row/column con–tot loop and logic tables gathered on every call, the
 pair-by-pair clause (ii)/(iii) loop of ``spatiality_check``, and the prime
 scan that ran ``validate_d_filter_map`` on every covering pair.  Also the
 prime generators against the numpy meet scan of ``lattice.prime_ideals``
@@ -55,8 +55,8 @@ def corpus():
 
 
 def validate_dlattice_by_rows(dl):
-    """Oracle: ``validate_dlattice`` with the logic tables converted from
-    numpy on every call and the con–tot clause as a loop over the rows of
+    """Oracle: ``validate_dlattice`` with the logic tables gathered from the
+    lattices on every call and the con–tot clause as a loop over the rows of
     con that rebuilds the rows above a per row."""
     P, M = dl.plus, dl.minus
     if P.n < 2 or M.n < 2:
@@ -85,10 +85,7 @@ def validate_dlattice_by_rows(dl):
                 message=f"{name} misses the {word} pair ({P.labels[a]},{M.labels[b]})",
             )
         extremal.append(mask & ~moved)
-    tables = (
-        ("logic-meet", P.meet.tolist(), M.join.tolist()),
-        ("logic-join", P.join.tolist(), M.meet.tolist()),
-    )
+    tables = (("logic-meet", P.meet, M.join), ("logic-join", P.join, M.meet))
     for name, mask, deciding in zip(("con", "tot"), (con, tot), extremal):
         if logic_closed_on(dl, tables, mask, deciding):
             continue
@@ -161,20 +158,21 @@ def test_validate_matches_row_loop_on_down_up_pairs_bound4():
 
 
 def test_logic_tables_match_numpy_tables(corpus):
-    """The logic tables of a d-lattice's coordinate record are its own
+    """The logic tables of a d-lattice's coordinate record equal its own
     lattices' tables, also when the record is the shared one of an earlier
-    lattice pair with the same up rows, at every carrier size."""
+    lattice pair with the same up rows, at every carrier size; a record
+    built for a pair holds that pair's tuples, not copies."""
     lattices = distributive_lattices(5) + [A.plus for A, _ in corpus] + [A.minus for A, _ in corpus]
     small = large = shared = 0
     for plus in lattices:
         for minus in lattices[:8] + lattices[-2:]:
             dl = DLattice(plus, minus, 0, 0)
-            want = (
-                ("logic-meet", plus.meet.tolist(), minus.join.tolist()),
-                ("logic-join", plus.join.tolist(), minus.meet.tolist()),
-            )
+            want = (("logic-meet", plus.meet, minus.join), ("logic-join", plus.join, minus.meet))
             tables = coordinate_tables(dl)
             assert tables.logic == want
+            (_, meet_plus, join_minus), (_, join_plus, meet_minus) = tables.logic
+            P, M = tables.plus, tables.minus
+            assert meet_plus is P.meet and join_minus is M.join and join_plus is P.join and meet_minus is M.meet
             small += dl.size <= 64
             large += dl.size > 64
             shared += tables.plus is not plus or tables.minus is not minus

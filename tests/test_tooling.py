@@ -2,9 +2,9 @@
 ``bench/`` is imported: every library name the benchmark harness traces or
 calls still resolves below ``bistone`` and takes the arguments the harness
 passes, the library has no ``assert`` statement (its guards raise, so they
-survive ``python -O``), the validator modules ``ideals`` and ``dlattice``
-import no numpy, only the named functions scan all n! relabelings, and only
-the named functions hold an ``lru_cache``."""
+survive ``python -O``), no library module imports numpy, only the named
+functions scan all n! relabelings, and only the named functions hold an
+``lru_cache``."""
 
 import ast
 import importlib
@@ -98,18 +98,24 @@ def test_library_has_no_assert_statement():
     assert offenders == []
 
 
-def test_validator_modules_import_no_numpy():
+def test_validator_modules_import_no_numpy(run_python):
+    """Every module of the library, not only the validators; and a fresh
+    ``import bistone.cli`` loads no numpy."""
     offenders = []
-    for name in ("ideals.py", "dlattice.py"):
-        for node in ast.walk(ast.parse((LIBRARY / name).read_text(encoding="utf-8"))):
+    paths = sorted(LIBRARY.glob("*.py"))
+    assert {"lattice.py", "dlattice.py", "ideals.py", "suites.py"} <= {path.name for path in paths}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
             else:
                 continue
-            offenders += [f"{name}:{node.lineno}" for m in modules if m.split(".")[0] == "numpy"]
+            offenders += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "numpy"]
     assert offenders == []
+    loaded = run_python("-c", "import sys, bistone.cli; print('numpy' in sys.modules)")
+    assert (loaded.returncode, loaded.stdout) == (0, "False\n")
 
 
 def names_in_scope(path, module, name):

@@ -70,8 +70,9 @@ def validate_dlattice_numpy(dl):
         if rows.size:
             a1, a2 = rows[:, None], rows[None, :]
             b1, b2 = cols[:, None], cols[None, :]
-            sqcap = mat[dl.plus.meet[a1, a2], dl.minus.join[b1, b2]]
-            sqcup = mat[dl.plus.join[a1, a2], dl.minus.meet[b1, b2]]
+            (pm, pj), (mm, mj) = ((np.asarray(L.meet), np.asarray(L.join)) for L in (dl.plus, dl.minus))
+            sqcap = mat[pm[a1, a2], mj[b1, b2]]
+            sqcup = mat[pj[a1, a2], mm[b1, b2]]
             for op, ok in (("logic-meet", sqcap), ("logic-join", sqcup)):
                 bad = np.argwhere(~ok)
                 if bad.size:

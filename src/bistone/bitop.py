@@ -462,21 +462,3 @@ def map_from_dclopen_pair(space, u, v):
         in_v = (v >> x) & 1
         mapping.append(3 if in_u and in_v else 1 if in_u else 2 if in_v else 0)
     return tuple(mapping)
-
-
-def specialization_dot(space, name="space"):
-    """DOT export of both specialization preorders."""
-    spec = specialization(space)
-    lines = [f"digraph {name} {{"]
-    for tag, rel in (("p", spec.leq_plus), ("m", spec.leq_minus)):
-        lines.append(f"  subgraph cluster_{tag} {{")
-        lines.append(f'    label="{"plus" if tag == "p" else "minus"} specialization";')
-        for i in range(space.n):
-            lines.append(f'    {tag}{i} [label="{space.labels[i]}"];')
-        for i in range(space.n):
-            for j in bits(rel[i]):
-                if i != j:
-                    lines.append(f"    {tag}{i} -> {tag}{j};")
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

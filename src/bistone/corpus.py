@@ -87,10 +87,6 @@ def chain(n):
     return build_lattice(labels, [[i <= j for j in range(n)] for i in range(n)])
 
 
-def two_chain():
-    return chain(2)
-
-
 def three_chain():
     return chain(3)
 
@@ -100,15 +96,3 @@ def boolean_lattice(k):
     from .lattice import lattice_from_family
 
     return lattice_from_family(k, list(range(1 << k)), [f"a{i}" for i in range(k)])
-
-
-def pentagon_relation():
-    """The non-distributive pentagon N5 as a labelled relation."""
-    labels = ["0", "a", "c", "b", "1"]
-    order = {
-        ("0", "0"), ("a", "a"), ("b", "b"), ("c", "c"), ("1", "1"),
-        ("0", "a"), ("0", "b"), ("0", "c"), ("0", "1"),
-        ("a", "c"), ("a", "1"), ("c", "1"), ("b", "1"),
-    }
-    leq = [[(x, y) in order for y in labels] for x in labels]
-    return labels, leq

@@ -706,10 +706,6 @@ class DLatticeHom:
         )
 
 
-def identity_hom(dl):
-    return DLatticeHom(dl, dl, tuple(range(dl.plus.n)), tuple(range(dl.minus.n)))
-
-
 def validate_dlattice_hom(hom):
     """PASS or the first violated preservation condition with a witness.
 
@@ -865,10 +861,6 @@ class DblObject:
     dagger: tuple
 
 
-def to_dbl(A):
-    return DblObject(A.plus, A.minus, A.dagger)
-
-
 def from_dbl(obj):
     """Rebuild con/tot from the pairing; rejects non-antitone pairings."""
     dagger = tuple(int(x) for x in obj.dagger)
@@ -931,22 +923,3 @@ def find_dlattice_iso(d1, d2):
         if _con_tot_failure(hom) is None:
             return hom
     return None
-
-
-def dlattice_dot(dl, name="dlattice"):
-    """DOT export: both coordinate Hasse diagrams, con∩tot pairs dashed."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for tag, L in (("p", dl.plus), ("m", dl.minus)):
-        lines.append(f"  subgraph cluster_{tag} {{")
-        lines.append(f'    label="{"plus" if tag == "p" else "minus"}";')
-        for i in range(L.n):
-            lines.append(f'    {tag}{i} [label="{L.labels[i]}"];')
-        for i in range(L.n):
-            for j in L.poset.covers(i):
-                lines.append(f"    {tag}{i} -> {tag}{j};")
-        lines.append("  }")
-    for p in bits(dl.con_mask & dl.tot_mask):
-        a, b = dl.unpid(p)
-        lines.append(f"  p{a} -> m{b} [style=dashed, dir=none];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

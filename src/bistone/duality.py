@@ -9,7 +9,7 @@ read as theorems.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 from .bitop import (
     BiTopSpace,
@@ -203,11 +203,23 @@ def spatiality_check(dl):
     compare opens only by equality, disjointness and cover of the full set,
     so the verdict and the detail do not depend on that order.
 
-    Distinct ideal pairs (i1, j1), (i2, j2) with φ₊(i1) = φ₊(i2) and
-    φ₋(j1) = φ₋(j2) exist iff φ₊ or φ₋ is not injective (vary one side and
-    fix the other), so clause (i) is decided by injectivity.  A failure is
-    named by the first such quadruple (i1, j1, i2, j2) in lexicographic
-    order, read off the classes of equal opens (see ``_unseparated``).
+    Clause (i) holds on every valid d-lattice.  Distinct ideal pairs with
+    equal opens exist iff φ₊ or φ₋ is not injective, and both are order
+    embeddings: a ≰ a′ gives a prime ideal ↓u of the plus lattice with
+    a′ ≤ u and a ≰ u, so it suffices that every such ↓u is the plus side of
+    a pair (u, v) of ``prime_pairs``.  Let c be the least element outside ↓u
+    (↓u is prime).  (↓u, ↓v) covers con iff every b with (c, b) in con lies
+    in ↓v, as con is a down-set.  Those b have a largest member y: (c, ⊥) is
+    in con, below tt, and con is closed under logic meet, which joins the
+    minus coordinates.  Dually, (↓u, ↓v) avoids tot iff ↓v misses every b
+    with (u, b) in tot, and those b, if there are any, have a least member
+    t, as tot is an up-set closed under logic join.  If t ≤ y, then (u, y)
+    is in tot and (c, y) in con; they share y, so con–tot gives c ≤ u,
+    which is false.  In the same way y ≠ ⊤, by comparing (c, ⊤) with ff.
+    So some prime ideal ↓v contains y and, if t exists, misses it, and
+    (u, v) is in ``prime_pairs``.  φ₋ is an order embedding dually.  The
+    guard below only catches a fault in the code this proof relies on.
+
     On a valid d-lattice, (↓i, ↓j) is consistent / total iff (i, j) is (see
     ``ideals.idl_dframe``), so (ii) and (iii) read the input's con and tot.
     They are decided as two pair-id masks over φ₊ × φ₋, the pairs whose opens
@@ -217,8 +229,9 @@ def spatiality_check(dl):
     the pairs in row-major order names it.
     """
     phi_plus, phi_minus = prime_pair_opens(dl, prime_pairs(dl))
-    if len(set(phi_plus)) < len(phi_plus) or len(set(phi_minus)) < len(phi_minus):
-        return False, _unseparated(phi_plus, phi_minus)
+    for sign, phi in (("₊", phi_plus), ("₋", phi_minus)):
+        if len(set(phi)) < len(phi):
+            raise InvariantViolation(f"spatiality clause (i): φ{sign} is not injective on a d-lattice")
 
     full = phi_plus[dl.plus.top]  # every prime: top ∉ ↓u, as ↓u is proper
     disjoint, covering = disjoint_and_covering(phi_plus, phi_minus, full)
@@ -229,29 +242,6 @@ def spatiality_check(dl):
         i, j = dl.unpid(p)
         return False, f"clause {clause} fails at ideal pair ({i},{j})"
     return True, "spatial"
-
-
-def _twin_classes(phi):
-    """Per index k, the indices whose open equals phi[k], ascending."""
-    classes = {}
-    for k, u in enumerate(phi):
-        classes.setdefault(u, []).append(k)
-    return [classes[u] for u in phi]
-
-
-def _unseparated(phi_plus, phi_minus):
-    """Clause (i) failure detail: the first distinct ideal pairs (i1, j1),
-    (i2, j2) with equal opens, in lexicographic order.
-
-    The pairs with the opens of (i1, j1) are P(i1) × M(j1), the products of
-    the classes of equal φ₊ and φ₋ values, so (i1, j1) has a partner iff
-    |P(i1)|·|M(j1)| > 1.  The first such (i1, j1) and then the first member
-    of P(i1) × M(j1) other than itself, both in row-major order, are the
-    quadruple that the scan over all pairs of ideal pairs meets first."""
-    P, M = _twin_classes(phi_plus), _twin_classes(phi_minus)
-    i1, j1 = next((i, j) for i in range(len(P)) for j in range(len(M)) if len(P[i]) * len(M[j]) > 1)
-    i2, j2 = next(q for q in product(P[i1], M[j1]) if q != (i1, j1))
-    return f"clause (i): ideals ({i1},{j1}) vs ({i2},{j2}) not separated"
 
 
 def lambda_equivalence_check(lattices, dbools=()):

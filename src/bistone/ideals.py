@@ -63,10 +63,6 @@ B_LOGIC_LEQ = frozenset(
 )
 
 
-def b_info_leq(x, y):
-    return x | y == y
-
-
 def b_to_bool_pid(v):
     """Translate a two-bit value to a pair id of the library constant."""
     return (v & 1) * 2 + (v >> 1)

@@ -706,15 +706,3 @@ def classical_spec(boolean_lattice):
     for a in range(boolean_lattice.n):
         gens.append(mask_of(k for k, p in enumerate(primes) if a not in p))
     return primes, gens
-
-
-def hasse_dot(lattice_or_poset, name="poset"):
-    """DOT text of the Hasse diagram (cover relation only, stable order)."""
-    poset = lattice_or_poset.poset if isinstance(lattice_or_poset, FiniteLattice) else lattice_or_poset
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for i in range(poset.n):
-        lines.append(f'  n{i} [label="{poset.labels[i]}"];')
-    for i, j in poset.hasse:
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -64,24 +64,6 @@ def bitop_to_json(space):
     }
 
 
-def d_ideal_to_json(pair):
-    return {
-        "kind": "d-ideal",
-        "version": SCHEMA_VERSION,
-        "plus_gen": pair.iplus.gen,
-        "minus_gen": pair.iminus.gen,
-    }
-
-
-def d_filter_to_json(pair):
-    return {
-        "kind": "d-filter",
-        "version": SCHEMA_VERSION,
-        "plus_gen": pair.fplus.gen,
-        "minus_gen": pair.fminus.gen,
-    }
-
-
 def _require(obj, key):
     if key not in obj:
         raise ParseError(f"missing field {key!r}")
@@ -190,17 +172,3 @@ def load_structure(path):
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8: {exc}") from exc
     return parse_structure(text)
-
-
-def structure_to_json(obj):
-    if isinstance(obj, FinitePoset):
-        return poset_to_json(obj)
-    if isinstance(obj, DLattice):
-        return dlattice_to_json(obj)
-    if isinstance(obj, BiTopSpace):
-        return bitop_to_json(obj)
-    from .lattice import FiniteLattice
-
-    if isinstance(obj, FiniteLattice):
-        return lattice_to_json(obj)
-    raise UnknownKind(f"cannot serialize {type(obj).__name__}")

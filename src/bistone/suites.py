@@ -1,7 +1,8 @@
 """Named invariant suites over a structure corpus.
 
-Each check returns (ok, detail).  The CLI `props` command runs a suite and
-exits nonzero on any failure; the test suite calls the same functions.
+Each check returns (ok, detail), and one that raises fails with the
+exception named (see ``run_suite``).  The CLI `props` command runs a suite
+and exits nonzero on any failure; the test suite calls the same functions.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from .dlattice import (
     validate_dboolean,
     validate_dlattice,
 )
-from .errors import UnknownSuite
+from .errors import BistoneError, UnknownSuite
 from .ideals import (
     BFF,
     BTT,
@@ -687,11 +688,17 @@ SUITES = {
 
 
 def run_suite(name, bundle):
-    """Run every check in a suite; returns a list of result rows."""
+    """Run every check in a suite; returns a list of result rows.  A check
+    that raises a ``BistoneError``, or the ``ValueError`` of a constructor
+    rejecting what it built (``bitop.BiTopSpace``), gives a failing row
+    naming the exception, and the remaining checks still run."""
     if name not in SUITES:
         raise UnknownSuite(f"no suite named {name!r}; available: {sorted(SUITES)}")
     rows = []
     for check_name, fn in SUITES[name]:
-        ok, detail = fn(bundle)
+        try:
+            ok, detail = fn(bundle)
+        except (BistoneError, ValueError) as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         rows.append({"check": check_name, "ok": ok, "detail": detail})
     return rows

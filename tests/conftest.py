@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import bistone
-from bistone.corpus import boolean_lattice, three_chain, two_chain, unlabeled_posets
+from bistone.corpus import boolean_lattice, chain, three_chain, unlabeled_posets
 from bistone.dlattice import bool_dlattice, lambda_of_dislat, omega_of_lattice
 from bistone.lattice import FinitePoset, birkhoff
 from bistone.suites import default_bundle
@@ -18,7 +18,7 @@ def B():
 
 @pytest.fixture(scope="session")
 def chain2():
-    return two_chain()
+    return chain(2)
 
 
 @pytest.fixture(scope="session")

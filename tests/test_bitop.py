@@ -218,11 +218,6 @@ def test_connectedness_predicate(x2, indiscrete2):
     assert bt.connected_subsets_are_singletons(disc)
 
 
-def test_specialization_dot(x2):
-    text = bt.specialization_dot(x2)
-    assert "cluster_p" in text and "cluster_m" in text
-
-
 def test_construction_guards_survive_python_O(run_python):
     script = textwrap.dedent(
         """

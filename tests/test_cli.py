@@ -70,29 +70,6 @@ def test_json_roundtrip_bitop(poset2):
     assert again.tau_plus == s.tau_plus and again.tau_minus == s.tau_minus
 
 
-def test_structure_to_json_dispatch(poset2, chain3, omega3):
-    from bistone.serialize import structure_to_json
-
-    s = bt.stone_space_from_poset(poset2)
-    assert structure_to_json(poset2)["kind"] == "poset"
-    assert structure_to_json(chain3)["kind"] == "lattice"
-    assert structure_to_json(omega3)["kind"] == "dlattice"
-    assert structure_to_json(s)["kind"] == "bitop"
-    with pytest.raises(UnknownKind):
-        structure_to_json(object())
-
-
-def test_d_ideal_filter_json(omega3):
-    from bistone.ideals import DFilterPair, DIdealPair
-    from bistone.lattice import principal_filter, principal_ideal
-    from bistone.serialize import d_filter_to_json, d_ideal_to_json
-
-    pair = DIdealPair(principal_ideal(omega3.plus, 0), principal_ideal(omega3.minus, 0))
-    assert d_ideal_to_json(pair) == {"kind": "d-ideal", "version": 1, "plus_gen": 0, "minus_gen": 0}
-    fpair = DFilterPair(principal_filter(omega3.plus, 2), principal_filter(omega3.minus, 2))
-    assert d_filter_to_json(fpair)["plus_gen"] == 2
-
-
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError):
         parse_structure("not json at all {")
@@ -206,10 +183,10 @@ def test_cli_roundtrip_not_stone(tmp_path, capsys):
 
 @pytest.fixture()
 def lam2_json():
-    from bistone.corpus import two_chain
+    from bistone.corpus import chain
     from bistone.dlattice import lambda_of_dislat
 
-    return dlattice_to_json(lambda_of_dislat(two_chain()))
+    return dlattice_to_json(lambda_of_dislat(chain(2)))
 
 
 def test_cli_roundtrip_out_of_range_pair_exits_2(tmp_path, lam2_json, run_python):

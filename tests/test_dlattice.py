@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_validate_oracle import _single_bit_mutants
 
-from bistone.corpus import birkhoff_corpus, boolean_lattice, three_chain, two_chain
+from bistone.corpus import birkhoff_corpus, boolean_lattice, chain, three_chain
 from bistone.dlattice import (
     DBooleanAlgebra,
     DLattice,
@@ -19,17 +19,14 @@ from bistone.dlattice import (
     dB,
     d_complement,
     decompose,
-    dlattice_dot,
     dlattice_equal,
     enumerate_dlattice_homs,
     find_dlattice_iso,
     from_dbl,
-    identity_hom,
     lambda_of_dislat,
     logic_formula_row,
     logic_order_lattice,
     omega_of_lattice,
-    to_dbl,
     validate_carrier_hom,
     validate_dboolean,
     validate_dlattice,
@@ -74,7 +71,7 @@ def test_mutant_con_not_downset(B):
 
 def test_degenerate_guard():
     one = build_lattice(["x"], [[True]])
-    two = two_chain()
+    two = chain(2)
     dl = DLattice(one, two, 0b11, 0b11)
     report = validate_dlattice(dl)
     assert not report.ok and report.axiom == "degenerate-pair"
@@ -264,9 +261,9 @@ def test_lambda_rejects_trivial():
 
 
 def test_dbl_roundtrip(B, lam3):
-    assert dlattice_equal(from_dbl(to_dbl(B)), B)
-    assert dlattice_equal(from_dbl(to_dbl(lam3)), lam3)
-    obj = to_dbl(B)
+    assert dlattice_equal(from_dbl(DblObject(B.plus, B.minus, B.dagger)), B)
+    assert dlattice_equal(from_dbl(DblObject(lam3.plus, lam3.minus, lam3.dagger)), lam3)
+    obj = DblObject(B.plus, B.minus, B.dagger)
     assert obj.plus.n == 2 and obj.minus.n == 2 and obj.dagger == (1, 0)
 
 
@@ -322,7 +319,7 @@ def test_dboolean_clauses_imply_the_dagger_is_the_d_complement():
 
 
 def test_validate_hom_identity(B):
-    assert validate_dlattice_hom(identity_hom(B)).ok
+    assert validate_dlattice_hom(DLatticeHom(B, B, (0, 1), (0, 1))).ok
 
 
 def test_validate_carrier_hom_swap_fails(B):
@@ -364,7 +361,7 @@ def test_coreflection_factorization(B, omega3):
 
 
 def test_coreflection_identity_cases(B):
-    ident = identity_hom(B)
+    ident = DLatticeHom(B, B, (0, 1), (0, 1))
     factored = coreflection_check(B, B, ident)
     assert factored.fplus == (0, 1) and factored.fminus == (0, 1)
 
@@ -393,11 +390,6 @@ def test_canonical_lambda_iso(lam3, b2):
         comp = back.compose(fwd)
         assert comp.fplus == tuple(range(A.plus.n))
         assert comp.fminus == tuple(range(A.minus.n))
-
-
-def test_dlattice_dot_highlights_dcomplements(B):
-    text = dlattice_dot(B)
-    assert "cluster_p" in text and "cluster_m" in text and "style=dashed" in text
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,7 +22,6 @@ from bistone.ideals import (
     BMap,
     DFilterPair,
     DIdealPair,
-    b_info_leq,
     d_complemented_ideals,
     d_filter_pair_of_map,
     d_filter_to_map,
@@ -56,8 +55,8 @@ def test_prime_d_ideal_json_vector(B):
 
 def test_codomain_orders():
     # information order: 0 below tt,ff below 1; tt and ff incomparable
-    assert b_info_leq(B0, BTT) and b_info_leq(B0, BFF) and b_info_leq(BTT, B1)
-    assert not b_info_leq(BTT, BFF) and not b_info_leq(BFF, BTT)
+    assert B0 | BTT == BTT and B0 | BFF == BFF and BTT | B1 == B1
+    assert BTT | BFF != BFF and BFF | BTT != BTT
     # logic order: ff at the bottom, tt at the top, 0 and 1 incomparable
     assert (BFF, B0) in B_LOGIC_LEQ and (B0, BTT) in B_LOGIC_LEQ
     assert (BFF, B1) in B_LOGIC_LEQ and (B1, BTT) in B_LOGIC_LEQ

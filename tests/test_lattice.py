@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bistone.corpus import boolean_lattice, pentagon_relation, three_chain
+from bistone.corpus import boolean_lattice, three_chain
 from bistone.errors import NotAPoset, NotBounded, NotDistributive
 from bistone.lattice import (
     FinitePoset,
@@ -18,7 +18,6 @@ from bistone.lattice import (
     down_sets,
     enumerate_lattice_homs,
     find_lattice_iso,
-    hasse_dot,
     ideal_from_carrier,
     is_lattice_iso,
     join_irreducibles,
@@ -28,6 +27,18 @@ from bistone.lattice import (
     pseudo_complement,
     validate_lattice_hom,
 )
+
+
+def pentagon_relation():
+    """The non-distributive pentagon N5 as a labelled relation."""
+    labels = ["0", "a", "c", "b", "1"]
+    order = {
+        ("0", "0"), ("a", "a"), ("b", "b"), ("c", "c"), ("1", "1"),
+        ("0", "a"), ("0", "b"), ("0", "c"), ("0", "1"),
+        ("a", "c"), ("a", "1"), ("c", "1"), ("b", "1"),
+    }
+    leq = [[(x, y) in order for y in labels] for x in labels]
+    return labels, leq
 
 
 def test_poset_rejects_cycle():
@@ -229,11 +240,6 @@ def test_enumerate_homs_two_chain_to_b2():
     homs = enumerate_lattice_homs(three_chain(), boolean_lattice(2))
     # bottom and top fixed, middle goes anywhere: 4 bound-preserving homs
     assert len(homs) == 4
-
-
-def test_hasse_dot_covers_only():
-    text = hasse_dot(three_chain())
-    assert "n0 -> n1" in text and "n1 -> n2" in text and "n0 -> n2" not in text
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,7 +10,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from bistone.corpus import pentagon_relation, unlabeled_posets
+from test_lattice import pentagon_relation
+
+from bistone.corpus import unlabeled_posets
 from bistone.errors import NotALattice, NotBounded, NotDistributive
 from bistone.lattice import FinitePoset, build_lattice
 

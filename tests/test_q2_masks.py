@@ -18,7 +18,7 @@ from bistone import dlattice as dlattice_module
 from bistone import duality as du
 from bistone import ideals
 from bistone.bitop import stone_space_from_poset
-from bistone.corpus import distributive_lattices, unlabeled_posets
+from bistone.corpus import dbool_corpus, distributive_lattices, unlabeled_posets
 from bistone.dlattice import (
     CoordinateTables,
     DLattice,
@@ -32,7 +32,15 @@ from bistone.dlattice import (
     unit_masks,
     validate_dlattice,
 )
-from bistone.ideals import BMap, _four_case_map, enumerate_prime_d_ideals, validate_d_filter_map
+from bistone.errors import InvariantViolation
+from bistone.ideals import (
+    BMap,
+    _four_case_map,
+    enumerate_prime_d_ideals,
+    prime_pair_opens,
+    prime_pairs,
+    validate_d_filter_map,
+)
 from bistone.lattice import birkhoff, bits, build_lattice, low_bit, prime_generators
 from bistone.report import StructReport
 
@@ -184,13 +192,14 @@ def test_logic_tables_match_numpy_tables(corpus):
 
 
 def spatiality_check_by_pairs(dl):
-    """Oracle: clause (i) as in the library, then (ii) and (iii) by a loop
-    over the ideal pairs in row-major order, (ii) first at each pair."""
+    """Oracle: the clause (i) guard as in the library, then (ii) and (iii)
+    by a loop over the ideal pairs in row-major order, (ii) first at each
+    pair."""
     spec = du.spectrum(dl)
     full = (1 << len(spec.primes)) - 1
     np_, nm = dl.plus.n, dl.minus.n
     if len(set(spec.phi_plus)) < np_ or len(set(spec.phi_minus)) < nm:
-        return False, du._unseparated(spec.phi_plus, spec.phi_minus)
+        raise InvariantViolation("spatiality clause (i): φ₊ or φ₋ is not injective on a d-lattice")
     for i in range(np_):
         for j in range(nm):
             p = dl.pid(i, j)
@@ -210,6 +219,24 @@ def test_spatiality_matches_pair_loop(bound5, corpus):
         clause = want[1].split(" fails")[0]
         clauses[clause] = clauses.get(clause, 0) + 1
     assert clauses == {"spatial": 2021 + 87, "clause (ii)": 130, "clause (iii)": 118}
+
+
+def test_every_coordinate_prime_extends_to_a_prime_d_ideal(bound5):
+    """The lemma that makes spatiality clause (i) hold: on every valid
+    d-lattice, each prime ideal ↓u of either coordinate lattice (generators
+    from the numpy oracle) is a side of some pair of ``prime_pairs``, and so
+    φ₊ and φ₋ of ``prime_pair_opens`` are order embeddings."""
+    _, valid = bound5
+    dls = valid + dbool_corpus(4)
+    assert len(dls) == 2269 + 24
+    for dl in dls:
+        pairs = prime_pairs(dl)
+        opens = prime_pair_opens(dl, pairs)
+        for side, L, phi in zip((0, 1), (dl.plus, dl.minus), opens):
+            assert {ip.gen for ip in prime_ideals_numpy(L)} <= {pair[side] for pair in pairs}
+            for a in range(L.n):
+                for b in range(L.n):
+                    assert L.leq(a, b) == (phi[a] & ~phi[b] == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .dlattice import lambda_of_dislat
 from .errors import BoundsTooLarge, InvariantViolation, NotALattice, NotBounded, NotDistributive
-from .lattice import FinitePoset, birkhoff, build_lattice, is_closed
+from .lattice import FinitePoset, birkhoff, build_lattice, is_closed, lattice_from_family
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 
@@ -93,6 +93,4 @@ def three_chain():
 
 def boolean_lattice(k):
     """2^k as the lattice of subsets of k atoms."""
-    from .lattice import lattice_from_family
-
     return lattice_from_family(k, list(range(1 << k)), [f"a{i}" for i in range(k)])

@@ -2,8 +2,8 @@
 
 A d-lattice is stored as its two coordinate lattices together with the
 consistency and totality predicates as pair sets.  The identification of the
-carrier with the coordinate product is lossless, so the monolithic form is
-only an import path (``decompose``).  Carrier elements are flat pair ids
+carrier with the coordinate product is lossless (``decompose`` splits a
+lattice along a complementary pair).  Carrier elements are flat pair ids
 ``a * n_minus + b``.  The order operations ``DLattice.meet``/``join`` take
 and return pair ids, reading the coordinate lattices' ``[a][b]`` tables;
 ``logic_formula_row`` reads one coordinate lattice's tables the same way.
@@ -59,6 +59,7 @@ row (``_dagger_reversal_failure``, ``_dagger_masks``).
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .errors import (
     DaggerNotOrderReversing,
@@ -73,9 +74,9 @@ from .lattice import (
     bits,
     build_lattice,
     enumerate_lattice_homs,
-    find_lattice_iso,
     inverse_permutation,
     is_lattice_iso,
+    lattice_isos,
     low_bit,
     prime_generators,
     validate_lattice_hom,
@@ -897,7 +898,7 @@ def canonical_lambda_iso(A):
 
 def find_dboolean_iso(A, B):
     """Isomorphism of d-Boolean algebras: any plus-iso lifts along the daggers."""
-    fp = find_lattice_iso(A.plus, B.plus)
+    fp = next(lattice_isos(A.plus, B.plus), None)
     if fp is None:
         return None
     fminus = tuple(B.dagger[fp.mapping[A.dagger_inv[b]]] for b in range(A.minus.n))
@@ -909,16 +910,13 @@ def find_dboolean_iso(A, B):
 
 
 def find_dlattice_iso(d1, d2):
-    """Isomorphism search for general d-lattices (small inputs only)."""
-    from itertools import product as iproduct
-
+    """Isomorphism of general d-lattices: a pair of coordinate isos that
+    maps con and tot onto d2's."""
     # the component maps are bijections, so the image of con is d2's con iff
     # it lies inside it and the sizes agree; so for tot
     if (d1.con_mask.bit_count(), d1.tot_mask.bit_count()) != (d2.con_mask.bit_count(), d2.tot_mask.bit_count()):
         return None
-    isos_plus = [h for h in enumerate_lattice_homs(d1.plus, d2.plus) if is_lattice_iso(h)]
-    isos_minus = [h for h in enumerate_lattice_homs(d1.minus, d2.minus) if is_lattice_iso(h)]
-    for fp, fm in iproduct(isos_plus, isos_minus):
+    for fp, fm in product(lattice_isos(d1.plus, d2.plus), lattice_isos(d1.minus, d2.minus)):
         hom = DLatticeHom(d1, d2, fp.mapping, fm.mapping)
         if _con_tot_failure(hom) is None:
             return hom

@@ -468,12 +468,6 @@ def prime_sandwich(dl, fmap, gmap):
 DFrame = DLattice
 
 
-def as_dframe(dl):
-    df = DFrame(dl.plus, dl.minus, dl.con_mask, dl.tot_mask)
-    require_valid(validate_dlattice(df), "as_dframe input")
-    return df
-
-
 def idl_dframe(dl):
     """d-frame of ideals.  Ideals of a finite lattice are the principal
     down-sets, indexed here by generator.  i ↦ ↓i is an order isomorphism

@@ -8,6 +8,9 @@ family closed under ∩ and ∪ takes its tables straight from ∩ and ∪
 (``lattice_from_family``); any other relation goes through the generic
 ``build_lattice``, which decides distributivity by Birkhoff's
 characterization (every join-irreducible element is join-prime).
+Isomorphism has one decision procedure: the canonical form of the order
+(``FinitePoset.canonical_orderings``), whose minimising relabelings give
+every lattice isomorphism (``lattice_isos``) and so every automorphism.
 """
 
 from dataclasses import dataclass, field
@@ -170,9 +173,17 @@ class FinitePoset:
         return FinitePoset.from_rows(self.labels, self.down)
 
     def isomorphism_signature(self):
-        """Canonical form ``(n, code)``: code is the least row-major code of
-        the relation, bit (i, j) set iff Q[i] ≤ Q[j], over all relabelings
-        Q (position ↦ element), with row 0 the most significant.
+        """Canonical form ``(n, code)``; see ``canonical_orderings``."""
+        return self.canonical_orderings()[0]
+
+    def canonical_orderings(self):
+        """``(signature, minimisers)``.  The signature is ``(n, code)``: code
+        is the least row-major code of the relation, bit (i, j) set iff
+        Q[i] ≤ Q[j], over all relabelings Q (position ↦ element), with row 0
+        the most significant.  The minimisers are every Q attaining it, as
+        tuples, so there are exactly |Aut| of them: Q′ attains Q's code iff
+        Q[i] ≤ Q[j] ⇔ Q′[i] ≤ Q′[j] for all i, j, iff Q[i] ↦ Q′[i] is an
+        automorphism.
 
         Only reverse linear extensions are tried: every minimiser places, at
         each position i, an element that is maximal among those not yet
@@ -182,9 +193,16 @@ class FinitePoset:
         do not grow, since m ≤ Q[k] implies Q[i] ≤ Q[k].  Row i's bits after
         column i all become 0, where before Q[i] had a 1 at m's column.  So
         the code strictly drops, against minimality.  Hence every bit above
-        the diagonal is 0, row i is fixed by the prefix Q[0..i], and keeping
-        at each level only the prefixes with the least row finds the same
-        minimum."""
+        the diagonal is 0, and row i is fixed by the prefix Q[0..i].
+
+        Level i keeps exactly the prefixes of length i whose rows equal the
+        least code's first i rows, so no minimiser is dropped.  Induction:
+        each one-step extension of a kept prefix completes to a reverse
+        linear extension, whose code is at least the least code, so its
+        row i is at least the least code's row i; the prefix of a minimiser
+        is among them and attains it.  So the least row is the least code's
+        row i, and the prefixes kept are the claimed ones.  At level n they
+        are the minimisers."""
         n = self.n
         strict = [row ^ (1 << m) for m, row in enumerate(self.up)]
         # a prefix is (unplaced mask, weight of each placed element), where
@@ -207,7 +225,7 @@ class FinitePoset:
                         kept.append((rest ^ (1 << m), weight[:m] + (diagonal,) + weight[m + 1 :]))
             code = (code << n) | best | diagonal
             level = kept
-        return (n, code)
+        return (n, code), [inverse_permutation([n - w.bit_length() for w in weight]) for _, weight in level]
 
 
 class FiniteLattice:
@@ -581,63 +599,26 @@ def is_lattice_iso(hom):
     return validate_lattice_hom(LatticeHom(hom.target, hom.source, inverse)).ok
 
 
-def _invariant_vector(lattice, a):
-    return (
-        lattice.down[a].bit_count(),
-        lattice.up[a].bit_count(),
-        lattice.poset.cover_up[a].bit_count(),
-        lattice.poset.cover_down[a].bit_count(),
-    )
+def lattice_isos(L, M):
+    """Every lattice isomorphism L → M, one per automorphism of M.
 
-
-def find_lattice_iso(L, M):
-    """Backtracking isomorphism search with invariant pruning.
-
-    Elements are processed by (candidate-pool size, id); candidates are tried
-    lowest-id first, so the returned isomorphism is deterministic.
-    """
-    if L.n != M.n:
-        return None
-    inv_L = [_invariant_vector(L, a) for a in range(L.n)]
-    inv_M = [_invariant_vector(M, a) for a in range(M.n)]
-    if sorted(inv_L) != sorted(inv_M):
-        return None
-    pools = {a: [b for b in range(M.n) if inv_M[b] == inv_L[a]] for a in range(L.n)}
-    order = sorted(range(L.n), key=lambda a: (len(pools[a]), a))
-    mapping = [-1] * L.n
-    used = [False] * M.n
-
-    def consistent(a, b):
-        for a2 in order:
-            b2 = mapping[a2]
-            if b2 < 0:
-                continue
-            if L.leq(a, a2) != M.leq(b, b2) or L.leq(a2, a) != M.leq(b2, b):
-                return False
-        return True
-
-    def backtrack(k):
-        if k == L.n:
-            return True
-        a = order[k]
-        for b in pools[a]:
-            if used[b] or not consistent(a, b):
-                continue
-            mapping[a] = b
-            used[b] = True
-            if backtrack(k + 1):
-                return True
-            mapping[a] = -1
-            used[b] = False
-        return False
-
-    if not backtrack(0):
-        return None
-    hom = LatticeHom(L, M, tuple(mapping))
-    # an order iso between lattices is automatically a lattice iso; verify anyway
-    if not is_lattice_iso(hom):
-        raise InvariantViolation("order isomorphism found is not a lattice isomorphism")
-    return hom
+    Fix one minimiser Q of ``L.poset.canonical_orderings()``.  A bijection h
+    is an order isomorphism iff h∘Q has in M the code Q has in L, as
+    h(Q[i]) ≤ h(Q[j]) iff Q[i] ≤ Q[j].  Isomorphic posets have the same
+    least code, so that holds iff the signatures agree and h∘Q is one of M's
+    minimisers Q′, that is h = Q[i] ↦ Q′[i].  An order isomorphism of
+    lattices is a lattice isomorphism, as meet and join are the order's
+    infimum and supremum; each one is re-checked anyway."""
+    signature, (first, *_) = L.poset.canonical_orderings()
+    target, minimisers = M.poset.canonical_orderings()
+    if signature != target:
+        return
+    position = inverse_permutation(first)
+    for image in minimisers:
+        hom = LatticeHom(L, M, tuple(image[i] for i in position))
+        if not is_lattice_iso(hom):
+            raise InvariantViolation("order isomorphism found is not a lattice isomorphism")
+        yield hom
 
 
 def enumerate_lattice_homs(L, M):

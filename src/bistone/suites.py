@@ -16,6 +16,8 @@ from .dlattice import (
     dB,
     dlattice_equal,
     enumerate_dlattice_homs,
+    find_dboolean_iso,
+    find_dlattice_iso,
     lambda_of_dislat,
     logic_formula_row,
     logic_order_lattice,
@@ -30,6 +32,10 @@ from .ideals import (
     BMap,
     _primes_structural,
     d_complemented_ideals,
+    d_filter_pair_of_map,
+    d_filter_to_map,
+    d_ideal_pair_of_map,
+    d_ideal_to_map,
     enumerate_d_filter_maps,
     enumerate_d_ideal_maps,
     enumerate_prime_d_ideals,
@@ -285,13 +291,6 @@ def check_omega_validates(bundle):
 
 
 def check_pair_map_roundtrip(bundle):
-    from .ideals import (
-        d_filter_pair_of_map,
-        d_filter_to_map,
-        d_ideal_pair_of_map,
-        d_ideal_to_map,
-    )
-
     for dl in all_dlattices(bundle):
         if dl.size > 100:
             continue
@@ -388,8 +387,6 @@ def check_dbool_vs_dfrm(bundle):
     for A in bundle.dbools:
         df = idl_dframe(A)
         back = dB(df).algebra
-        from .dlattice import find_dboolean_iso
-
         if find_dboolean_iso(A, back) is None:
             return False, "dB ∘ idl does not recover the algebra"
         if not (is_compact_dframe(df) and is_zero_dimensional_dframe(df)):
@@ -557,8 +554,6 @@ def check_phi_embedding(bundle):
 
 
 def check_frame_space_duality(bundle):
-    from .dlattice import find_dlattice_iso
-
     count = 0
     for dl in all_dlattices(bundle):
         if not is_zero_dimensional_dframe(dl) or dl.size > 64:
@@ -611,8 +606,10 @@ def check_naturality(bundle):
     for M in lattices:
         for N in lattices:
             A, B = lambda_of_dislat(M), lambda_of_dislat(N)
+            specA, specB = du.spectrum(A), du.spectrum(B)
+            unitA, unitB = du.unit_roundtrip(A), du.unit_roundtrip(B)
+            CA, CB = bt.dclop_algebra(specA.space), bt.dclop_algebra(specB.space)
             for hom in enumerate_dlattice_homs(A, B)[:8]:
-                specA, specB = du.spectrum(A), du.spectrum(B)
                 mapping = []
                 for g in specB.primes:
                     composed = tuple(g.values[hom.apply(p)] for p in range(A.size))
@@ -622,10 +619,8 @@ def check_naturality(bundle):
                     mapping.append(matches[0])
                 if not bt.is_continuous(mapping, specB.space, specA.space):
                     return False, "spectrum of a hom is not continuous"
-                unitA, unitB = du.unit_roundtrip(A), du.unit_roundtrip(B)
                 if not (unitA.is_iso and unitB.is_iso):
                     return False, "unit failed during naturality check"
-                CA, CB = bt.dclop_algebra(specA.space), bt.dclop_algebra(specB.space)
                 for a in range(A.plus.n):
                     u = CA.plus.sets[unitA.forward.fplus[a]]
                     pre = bt.preimage(mapping, specB.space.n, u)

@@ -2,8 +2,12 @@
 test-only oracles: ``FinitePoset.isomorphism_signature`` (a search over
 reverse linear extensions) against the least row-major code over every
 relabeling, and ``duality._space_signature`` (read from the relabeling
-tables) against imaging every open under every permutation.  The counts
-pinned here are A000112 and the Q1 class counts on one to three points."""
+tables) against imaging every open under every permutation.  The lattice
+isomorphisms read off the canonical orderings (``lattice.lattice_isos``)
+are checked against enumerating every lattice homomorphism and keeping the
+bijections, and the automorphism counts against the n! scan.  The counts
+pinned here are A000112, the Q1 class counts on one to three points and
+|Aut(2^k)| = k!."""
 
 import random
 from itertools import permutations
@@ -12,9 +16,24 @@ import pytest
 
 from bistone import bitop as bt
 from bistone import duality as du
-from bistone.corpus import KNOWN_POSET_COUNTS, unlabeled_posets_of_size
+from bistone.corpus import (
+    KNOWN_POSET_COUNTS,
+    birkhoff_corpus,
+    boolean_lattice,
+    distributive_lattices,
+    unlabeled_posets,
+    unlabeled_posets_of_size,
+)
 from bistone.errors import BoundsTooLarge, NotAPoset
-from bistone.lattice import FinitePoset, bits, mask_of
+from bistone.lattice import (
+    FinitePoset,
+    birkhoff,
+    bits,
+    enumerate_lattice_homs,
+    is_lattice_iso,
+    lattice_isos,
+    mask_of,
+)
 
 
 def poset_signature_by_permutations(poset):
@@ -42,6 +61,23 @@ def space_signature_by_permutations(spc):
         if best is None or (tp, tm) < best:
             best = (tp, tm)
     return best
+
+
+def lattice_isos_by_homs(L, M):
+    """Oracle: every lattice homomorphism L → M that is a bijection with a
+    homomorphism inverse, as mappings."""
+    return [h.mapping for h in enumerate_lattice_homs(L, M) if is_lattice_iso(h)]
+
+
+def automorphisms_by_permutations(poset):
+    """Oracle: the permutations σ of the elements with σ(i) ≤ σ(j) iff
+    i ≤ j, as tuples."""
+    idx = range(poset.n)
+    return [
+        perm
+        for perm in permutations(idx)
+        if all(poset.leq(perm[i], perm[j]) == poset.leq(i, j) for i in idx for j in idx)
+    ]
 
 
 def labels(n):
@@ -114,6 +150,46 @@ def test_poset_corpus_pins_a000112_at_six():
     posets = unlabeled_posets_of_size(6)
     assert len(posets) == 318
     assert len({p.isomorphism_signature() for p in posets}) == 318
+
+
+def test_lattice_isos_match_the_hom_oracle_on_every_same_size_pair():
+    lattices = birkhoff_corpus(4) + distributive_lattices(6) + [boolean_lattice(k) for k in range(1, 5)]
+    pairs = [(L, M) for L in lattices for M in lattices if L.n == M.n]
+    assert len(pairs) == 198
+    for L, M in pairs:
+        fast = [h.mapping for h in lattice_isos(L, M)]
+        assert len(set(fast)) == len(fast)
+        assert sorted(fast) == sorted(lattice_isos_by_homs(L, M)), (L.labels, M.labels)
+
+
+def test_automorphism_counts_match_the_permutation_scan():
+    """|Aut(P)| three ways on every poset of at most five elements: the
+    minimisers of the canonical search, the n! scan, and the automorphisms
+    of the down-set lattice (Birkhoff duality)."""
+    posets = unlabeled_posets(5)
+    assert len(posets) == 87
+    total = 0
+    for poset in posets:
+        count = len(automorphisms_by_permutations(poset))
+        assert len(poset.canonical_orderings()[1]) == count
+        assert len(list(lattice_isos(birkhoff(poset), birkhoff(poset)))) == count
+        total += count
+    assert total == 400
+
+
+def test_canonical_orderings_attain_the_signature():
+    for poset in unlabeled_posets(5):
+        (n, code), minimisers = poset.canonical_orderings()
+        for order in minimisers:
+            assert sorted(order) == list(range(n))
+            bits_of = [poset.leq(order[i], order[j]) for i in range(n) for j in range(n)]
+            assert sum(bit << k for k, bit in enumerate(reversed(bits_of))) == code
+
+
+@pytest.mark.parametrize("k, count", [(1, 1), (2, 2), (3, 6), (4, 24)])
+def test_boolean_lattice_automorphisms_are_permutations_of_atoms(k, count):
+    L = boolean_lattice(k)
+    assert len(list(lattice_isos(L, L))) == count
 
 
 def test_relabel_tables_image_every_subset_in_permutation_order():

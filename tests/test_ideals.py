@@ -233,15 +233,6 @@ def test_proper_ideal_meet_decomposition(omega3):
                 assert g.value_at(a, b) == g.value_at(a, omega3.minus.top) & g.value_at(omega3.plus.top, b)
 
 
-def test_as_dframe_wraps_valid_dlattice(B, omega3):
-    from bistone.ideals import DFrame, as_dframe
-
-    for dl in (B, omega3):
-        df = as_dframe(dl)
-        assert isinstance(df, DFrame)
-        assert df.con_mask == dl.con_mask and df.tot_mask == dl.tot_mask
-
-
 def test_idl_of_bool_is_bool(B):
     df = idl_dframe(B)
     assert df.con_mask == B.con_mask and df.tot_mask == B.tot_mask

@@ -17,10 +17,10 @@ from bistone.lattice import (
     complement,
     down_sets,
     enumerate_lattice_homs,
-    find_lattice_iso,
     ideal_from_carrier,
     is_lattice_iso,
     join_irreducibles,
+    lattice_isos,
     prime_ideals,
     prime_ideals_bruteforce,
     principal_ideal,
@@ -192,12 +192,11 @@ def test_ideal_principality(lattices4):
 
 def test_find_iso_identity():
     L = three_chain()
-    hom = find_lattice_iso(L, L)
-    assert hom.mapping == (0, 1, 2)
+    assert [hom.mapping for hom in lattice_isos(L, L)] == [(0, 1, 2)]
 
 
 def test_find_iso_size_mismatch():
-    assert find_lattice_iso(three_chain(), boolean_lattice(2)) is None
+    assert list(lattice_isos(three_chain(), boolean_lattice(2))) == []
 
 
 def test_find_iso_birkhoff_vs_product(antichain2):
@@ -208,8 +207,8 @@ def test_find_iso_birkhoff_vs_product(antichain2):
         for (a1, b1) in ((0, 0), (0, 1), (1, 0), (1, 1))
     ]
     product = build_lattice(labels, leq)
-    hom = find_lattice_iso(birkhoff(antichain2), product)
-    assert hom is not None and is_lattice_iso(hom)
+    isos = list(lattice_isos(birkhoff(antichain2), product))
+    assert len(isos) == 2 and all(is_lattice_iso(hom) for hom in isos)
 
 
 def test_validate_hom_catches_nonhom():
@@ -303,7 +302,7 @@ def test_principal_ideal_prime_check():
     assert not principal_ideal(L, 2).is_prime()  # not proper
 
 
-def test_find_lattice_iso_guard_survives_python_O(run_python):
+def test_lattice_isos_guard_survives_python_O(run_python):
     script = textwrap.dedent(
         """
         import sys
@@ -313,7 +312,7 @@ def test_find_lattice_iso_guard_survives_python_O(run_python):
 
         lattice.is_lattice_iso = lambda hom: False
         try:
-            lattice.find_lattice_iso(boolean_lattice(2), boolean_lattice(2))
+            next(lattice.lattice_isos(boolean_lattice(2), boolean_lattice(2)))
         except InvariantViolation:
             print("raised", sys.flags.optimize)
         """

@@ -293,7 +293,7 @@ class CoordinateTables:
     def prime_masks(self):
         """The entries of ``down_masks`` whose ↓g is a prime ideal."""
         return tuple(
-            tuple(masks[g] for g in prime_generators(L.up, L.down))
+            tuple(masks[g] for g in prime_generators(L))
             for L, masks in zip((self.plus.poset, self.minus.poset), self.down_masks)
         )
 

@@ -284,7 +284,7 @@ def classical_square_check(B):
     spec = spectrum(wB)
     if spec.space.n != n_pts:
         return False
-    carrier_index = {p.carrier: k for k, p in enumerate(primes)}
+    carrier_index = {B.down[u]: k for k, u in enumerate(primes)}
     mapping = []
     for g in spec.primes:
         key = g.zero_set_plus()

@@ -5,8 +5,8 @@ d-Boolean algebras and compact zero-dimensional d-frames.
 The codomain object has carrier {0, tt, ff, 1}.  Values are encoded in two
 bits, bit 0 the tt-part and bit 1 the ff-part, so the information order is
 bitwise inclusion, join is OR and meet is AND.  The logic order on the
-codomain (ff at the bottom, tt at the top, 0 and 1 incomparable) is the
-hard-coded table B_LOGIC_LEQ.
+codomain (ff at the bottom, tt at the top, 0 and 1 incomparable) is that of
+``dlattice.bool_dlattice``, read through ``b_to_bool_pid``.
 
 Out of scope: maximal d-filters need not be prime, but the standard witness
 lives on the unit square [0,1]×[0,1] (pairing a with 1-a; the filter pair
@@ -16,6 +16,8 @@ prime, which is exactly what the sandwich search below exploits.
 
 Every enumeration of maps here is one mask test over generator pairs,
 ``_covering_pairs``, and calls no map validator (proofs in the docstrings).
+A finite ideal or filter is principal, so a d-ideal or d-filter is held
+as its map or as the generator pair (u, v) of its zero or one sets.
 """
 
 from dataclasses import dataclass, field
@@ -40,27 +42,18 @@ from .dlattice import (
 )
 from .errors import CoveringViolation, InvariantViolation, NoSandwich, NotZeroDimensional
 from .lattice import (
-    Filter,
     FiniteLattice,
-    Ideal,
     bits,
     extreme_of,
-    ideal_from_carrier,
+    ideal_generator,
     low_bit,
     mask_of,
-    prime_ideals,
+    prime_generators,
 )
 from .report import StructReport
 
 B0, BTT, BFF, B1 = 0, 1, 2, 3
 B_NAMES = {B0: "0", BTT: "tt", BFF: "ff", B1: "1"}
-B_JSON = {B0: 0, BTT: "tt", BFF: "ff", B1: 1}
-
-# logic order of the codomain: ff ⊏ 0 ⊏ tt and ff ⊏ 1 ⊏ tt
-B_LOGIC_LEQ = frozenset(
-    [(x, x) for x in (B0, BTT, BFF, B1)]
-    + [(BFF, B0), (BFF, B1), (BFF, BTT), (B0, BTT), (B1, BTT)]
-)
 
 
 def b_to_bool_pid(v):
@@ -98,33 +91,12 @@ class BMap:
         """Pointwise comparison in the information order of the codomain."""
         return all(x | y == y for x, y in zip(self.values, other.values))
 
-    def to_json(self):
-        return {
-            "kind": "prime-d-ideal",
-            "version": 1,
-            "values": [B_JSON[v] for v in self.values],
-        }
 
-
-@dataclass(frozen=True)
-class DIdealPair:
-    """Ideal pair with the consistency covering condition."""
-
-    iplus: Ideal
-    iminus: Ideal
-
-
-@dataclass(frozen=True)
-class DFilterPair:
-    fplus: Filter
-    fminus: Filter
-
-
-def _four_case_map(dl, plus, minus, ones):
-    """The four-case map of a pair of coordinate sets that cover tot when
-    ``ones`` (the one sets of a d-filter map), else con (the zero sets of a
-    d-ideal map).  (a, b) gets its tt bit iff a ∈ plus and its ff bit iff
-    b ∈ minus when ``ones``, and iff a ∉ plus / b ∉ minus otherwise."""
+def require_covering(dl, plus, minus, ones):
+    """Raise ``CoveringViolation`` unless the coordinate sets plus and minus
+    (bitmasks) cover tot when ``ones`` (the one sets of a d-filter map),
+    else con (the zero sets of a d-ideal map): every such pair (a, b) has
+    a ∈ plus or b ∈ minus."""
     required, what = (dl.tot_mask, "total") if ones else (dl.con_mask, "consistent")
     # the lowest uncovered pair id is the first pair a scan would meet
     uncovered = required & ~covered_pairs(dl.plus.n, dl.minus.n, plus, minus)
@@ -134,9 +106,6 @@ def _four_case_map(dl, plus, minus, ones):
             f"{what} pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
             witness=(a, b),
         )
-    if not ones:
-        plus, minus = ~plus, ~minus
-    return BMap(dl, four_case_values(dl, plus, minus))
 
 
 def four_case_values(dl, tt_rows, ff_columns):
@@ -150,34 +119,17 @@ def four_case_values(dl, tt_rows, ff_columns):
     return tuple(values)
 
 
-def d_ideal_to_map(dl, pair):
-    """The unique d-ideal map with the given zero sets (four-case table)."""
-    return _four_case_map(dl, pair.iplus.carrier, pair.iminus.carrier, False)
-
-
-def d_filter_to_map(dl, pair):
-    """The unique d-filter map with the given one sets (four-case table)."""
-    return _four_case_map(dl, pair.fplus.carrier, pair.fminus.carrier, True)
-
-
-def d_ideal_pair_of_map(g):
-    """Recover the ideal pair of a d-ideal map (zero sets per side)."""
-    dl = g.dlattice
-    return DIdealPair(
-        ideal_from_carrier(dl.plus, g.zero_set_plus()),
-        ideal_from_carrier(dl.minus, g.zero_set_minus()),
-    )
-
-
-def d_filter_pair_of_map(f):
-    """Recover the filter pair of a d-filter map (one sets of a ∨ ff, tt ∨ b)."""
+def filter_generators(f):
+    """The generators (u, v) of the one sets of a d-filter map, read at
+    a ∨ ff and tt ∨ b: the least members of {a : f(a, top) = 1} and of
+    {b : f(top, b) = 1}.  Raises ValueError when either has none."""
     dl = f.dlattice
     plus_mask = mask_of(a for a in range(dl.plus.n) if f.value_at(a, dl.minus.top) == B1)
     minus_mask = mask_of(b for b in range(dl.minus.n) if f.value_at(dl.plus.top, b) == B1)
     gp, gm = extreme_of(plus_mask, dl.plus.up), extreme_of(minus_mask, dl.minus.up)
     if gp is None or gm is None:
         raise ValueError("subset is not a principal filter")
-    return DFilterPair(Filter(dl.plus, gp, plus_mask), Filter(dl.minus, gm, minus_mask))
+    return gp, gm
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +273,19 @@ def enumerate_prime_d_ideals(dl):
 
 
 def _primes_structural(A):
-    """Reference enumeration on a d-Boolean algebra: per prime ideal I of
-    the plus lattice, the d-ideal map with zero sets I and †(P ∖ I), which
-    raises unless †(P ∖ I) is an ideal and the pair covers con.  It is
-    compared with ``enumerate_prime_d_ideals`` (the
+    """Reference enumeration on a d-Boolean algebra: per prime ideal ↓u of
+    the plus lattice, the d-ideal map with zero sets ↓u and †(P ∖ ↓u),
+    which raises unless †(P ∖ ↓u) is an ideal and the pair covers con.  It
+    is compared with ``enumerate_prime_d_ideals`` (the
     ``prime-count-bijection`` row of ``suites``)."""
     if not isinstance(A, DBooleanAlgebra):
         raise ValueError("structural enumeration requires a d-Boolean algebra")
     full = (1 << A.plus.n) - 1
     out = []
-    for ip in prime_ideals(A.plus):
-        im = ideal_from_carrier(A.minus, mask_of(A.dagger[a] for a in bits(full & ~ip.carrier)))
-        out.append(d_ideal_to_map(A, DIdealPair(ip, im)))
+    for u in prime_generators(A.plus):
+        v = ideal_generator(A.minus, mask_of(A.dagger[a] for a in bits(full & ~A.plus.down[u])))
+        require_covering(A, A.plus.down[u], A.minus.down[v], False)
+        out.append(ideal_map(A, u, v))
     return out
 
 
@@ -444,8 +397,8 @@ def prime_sandwich(dl, fmap, gmap):
     if not fmap.leq(gmap):
         raise ValueError("precondition f <= g (pointwise information order) fails")
     gplus, gminus = gmap.zero_set_plus(), gmap.zero_set_minus()
-    fpair = d_filter_pair_of_map(fmap)
-    fplus, fminus = fpair.fplus.carrier, fpair.fminus.carrier
+    fu, fv = filter_generators(fmap)
+    fplus, fminus = dl.plus.up[fu], dl.minus.up[fv]
     sides = zip(coordinate_tables(dl).prime_masks, (dl.plus.down, dl.minus.down), (gplus, gminus), (fplus, fminus))
     plus_candidates, minus_candidates = (
         [(u, rows) for u, rows in primes if g & ~down[u] == 0 and down[u] & f == 0] for primes, down, g, f in sides

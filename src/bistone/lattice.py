@@ -440,56 +440,13 @@ def ideal_carriers(lattice):
 
 
 # ---------------------------------------------------------------------------
-# ideals and filters
+# ideals: a finite ideal is the down-set of its greatest member, so it is
+# stored as that generator, and a filter as its least member
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """Lattice ideal; in a finite lattice every ideal is the down-set of its
-    maximum, so it is stored by generator with the carrier mask alongside."""
-
-    lattice: FiniteLattice = field(repr=False)
-    gen: int
-    carrier: int
-
-    @property
-    def is_proper(self):
-        return self.gen != self.lattice.top
-
-    def __contains__(self, a):
-        return (self.carrier >> a) & 1 == 1
-
-    def is_prime(self):
-        L = self.lattice
-        if not self.is_proper:
-            return False
-        for x in range(L.n):
-            for y in range(x, L.n):
-                if L.meet[x][y] in self and not (x in self or y in self):
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
-class Filter:
-    lattice: FiniteLattice = field(repr=False)
-    gen: int
-    carrier: int
-
-    def __contains__(self, a):
-        return (self.carrier >> a) & 1 == 1
-
-
-def principal_ideal(lattice, a):
-    return Ideal(lattice, a, lattice.down[a])
-
-
-def principal_filter(lattice, a):
-    return Filter(lattice, a, lattice.up[a])
-
-
-def ideal_from_carrier(lattice, mask):
-    """Validate a subset as an ideal; finite ideals are principal."""
+def ideal_generator(lattice, mask):
+    """Validate a subset as an ideal and return its generator: finite
+    ideals are principal, ``mask == lattice.down[gen]``."""
     if mask == 0:
         raise ValueError("ideal must be nonempty")
     for a in bits(mask):
@@ -502,32 +459,37 @@ def ideal_from_carrier(lattice, mask):
     gen = extreme_of(mask, lattice.down)
     if gen is None:
         raise InvariantViolation("finite ideal must be principal")
-    return Ideal(lattice, gen, mask)
+    return gen
 
 
-def prime_generators(up, down):
-    """The u, ascending, whose ↓u is a prime ideal of the lattice with these
-    order rows: those with a least element in the complement of ↓u.  A
-    proper ideal is prime iff its complement is a filter, and a nonempty
-    finite up-set is a filter (closed under meets) iff it has a least
-    element; the complement of ↓top is empty, so it has none."""
-    full = (1 << len(up)) - 1
-    return [u for u, row in enumerate(down) if extreme_of(full & ~row, up) is not None]
-
-
-def prime_ideals(lattice):
-    """All prime ideals, lowest generator first.  Finite ideals are
-    principal, so they are the ↓u of ``prime_generators``."""
-    return [principal_ideal(lattice, u) for u in prime_generators(lattice.up, lattice.down)]
+def prime_generators(order):
+    """The u, ascending, whose ↓u is a prime ideal of the lattice with the
+    ``up`` and ``down`` rows of ``order`` (the lattice or its poset): those
+    with a least element in the complement of ↓u.  A proper ideal is prime
+    iff its complement is a filter, and a nonempty finite up-set is a
+    filter (closed under meets) iff it has a least element; the complement
+    of ↓top is empty, so it has none."""
+    full = (1 << order.n) - 1
+    return [u for u, row in enumerate(order.down) if extreme_of(full & ~row, order.up) is not None]
 
 
 def prime_ideals_bruteforce(lattice):
-    """Oracle: scan every subset for the ideal definition, then check
-    primality by its definition (``Ideal.is_prime``)."""
+    """Oracle: the generators, ascending, of the subsets that pass the ideal
+    definition (``ideal_carriers``), are proper, and are prime by the
+    definition: x ∧ y in the ideal puts x or y in it."""
     if lattice.n > BRUTE_FORCE_IDEAL_LIMIT:
         raise BoundsTooLarge(f"brute-force prime-ideal scan capped at {BRUTE_FORCE_IDEAL_LIMIT}")
-    ideals = (ideal_from_carrier(lattice, mask) for mask in ideal_carriers(lattice))
-    return sorted((ideal for ideal in ideals if ideal.is_prime()), key=lambda ideal: ideal.gen)
+    full, meet = (1 << lattice.n) - 1, lattice.meet
+    return sorted(
+        ideal_generator(lattice, mask)
+        for mask in ideal_carriers(lattice)
+        if mask != full
+        and all(
+            not (mask >> meet[x][y]) & 1 or (mask >> x) & 1 or (mask >> y) & 1
+            for x in range(lattice.n)
+            for y in range(x, lattice.n)
+        )
+    )
 
 
 def join_irreducibles(lattice):
@@ -680,10 +642,12 @@ def classical_spec(boolean_lattice):
     """Spectrum topology of a Boolean lattice over its prime ideals.
 
     Opens are generated by the sets of prime ideals not containing a fixed
-    ideal; finite ideals are principal, so generators are indexed by elements.
+    ideal; finite ideals are principal, so generators are indexed by elements
+    and a prime ideal ↓u by its generator u.
     """
-    primes = prime_ideals(boolean_lattice)
+    primes = prime_generators(boolean_lattice)
+    down = boolean_lattice.down
     gens = []
     for a in range(boolean_lattice.n):
-        gens.append(mask_of(k for k, p in enumerate(primes) if a not in p))
+        gens.append(mask_of(k for k, u in enumerate(primes) if not (down[u] >> a) & 1))
     return primes, gens

@@ -32,27 +32,27 @@ from .ideals import (
     BMap,
     _primes_structural,
     d_complemented_ideals,
-    d_filter_pair_of_map,
-    d_filter_to_map,
-    d_ideal_pair_of_map,
-    d_ideal_to_map,
     enumerate_d_filter_maps,
     enumerate_d_ideal_maps,
     enumerate_prime_d_ideals,
     epsilon_kappa,
     eta_unit,
+    filter_generators,
+    four_case_values,
+    ideal_map,
     idl_dframe,
     is_compact_dframe,
     is_hom_to_bool_object,
     is_prime_d_ideal,
     is_zero_dimensional_dframe,
+    require_covering,
 )
 from .lattice import (
     bits,
     ideal_carriers,
-    ideal_from_carrier,
+    ideal_generator,
     join_irreducibles,
-    prime_ideals,
+    prime_generators,
     prime_ideals_bruteforce,
 )
 
@@ -129,8 +129,8 @@ def check_prime_ideal_oracle(bundle):
     for L in bundle.lattices:
         if L.n > 20:
             continue
-        fast = {ideal.carrier for ideal in prime_ideals(L)}
-        slow = {ideal.carrier for ideal in prime_ideals_bruteforce(L)}
+        fast = set(prime_generators(L))
+        slow = set(prime_ideals_bruteforce(L))
         if fast != slow:
             return False, f"prime ideal paths disagree on a {L.n}-element lattice"
         irr = join_irreducibles(L)
@@ -141,8 +141,8 @@ def check_prime_ideal_oracle(bundle):
 
 def check_prime_complement_is_filter(bundle):
     for L in bundle.lattices:
-        for ideal in prime_ideals(L):
-            comp = ((1 << L.n) - 1) & ~ideal.carrier
+        for u in prime_generators(L):
+            comp = ((1 << L.n) - 1) & ~L.down[u]
             for a in bits(comp):
                 if L.up[a] & ~comp:
                     return False, "complement of a prime ideal is not an up-set"
@@ -161,15 +161,15 @@ def check_ideals_principal(bundle):
         if L.n > 12:
             continue
         for mask in ideal_carriers(L):
-            ideal = ideal_from_carrier(L, mask)  # raises unless principal
-            if L.down[ideal.gen] != mask:
+            gen = ideal_generator(L, mask)  # raises unless principal
+            if L.down[gen] != mask:
                 return False, "ideal is not the down-set of its maximum"
     return True, "every ideal is principal"
 
 
 def check_birkhoff_prime_count(bundle):
     for poset, L in zip(bundle.posets, bundle.lattices):
-        if len(prime_ideals(L)) != poset.n:
+        if len(prime_generators(L)) != poset.n:
             return False, f"birkhoff lattice of a {poset.n}-poset has wrong prime count"
     return True, "birkhoff lattices have one prime ideal per poset element"
 
@@ -294,11 +294,16 @@ def check_pair_map_roundtrip(bundle):
     for dl in all_dlattices(bundle):
         if dl.size > 100:
             continue
+        P, M = dl.plus, dl.minus
         for g in enumerate_d_ideal_maps(dl):
-            if d_ideal_to_map(dl, d_ideal_pair_of_map(g)).values != g.values:
+            u, v = ideal_generator(P, g.zero_set_plus()), ideal_generator(M, g.zero_set_minus())
+            require_covering(dl, P.down[u], M.down[v], False)
+            if ideal_map(dl, u, v).values != g.values:
                 return False, "d-ideal map does not survive the pair round trip"
         for f in enumerate_d_filter_maps(dl):
-            if d_filter_to_map(dl, d_filter_pair_of_map(f)).values != f.values:
+            u, v = filter_generators(f)
+            require_covering(dl, P.up[u], M.up[v], True)
+            if four_case_values(dl, P.up[u], M.up[v]) != f.values:
                 return False, "d-filter map does not survive the pair round trip"
     return True, "pair ↔ map round trips are identities"
 
@@ -378,7 +383,7 @@ def check_prime_count_bijection(bundle):
         brute = enumerate_prime_d_ideals(A)
         if sorted(g.values for g in structural) != sorted(g.values for g in brute):
             return False, "structural and brute-force prime enumerations disagree"
-        if len(structural) != len(prime_ideals(A.plus)):
+        if len(structural) != len(prime_generators(A.plus)):
             return False, "prime d-ideal count differs from plus-side prime ideals"
     return True, "prime d-ideals biject with prime ideals of the plus lattice"
 
@@ -601,14 +606,14 @@ def check_extremal_disconnectedness(bundle):
 
 
 def check_naturality(bundle):
-    lattices = [L for L in bundle.lattices if 2 <= L.n <= 6][:4]
+    duals = []  # per lattice: its algebra, spectrum, unit and d-clopen algebra
+    for L in [L for L in bundle.lattices if 2 <= L.n <= 6][:4]:
+        A = lambda_of_dislat(L)
+        spec = du.spectrum(A)
+        duals.append((A, spec, du.unit_roundtrip(A), bt.dclop_algebra(spec.space)))
     checked = 0
-    for M in lattices:
-        for N in lattices:
-            A, B = lambda_of_dislat(M), lambda_of_dislat(N)
-            specA, specB = du.spectrum(A), du.spectrum(B)
-            unitA, unitB = du.unit_roundtrip(A), du.unit_roundtrip(B)
-            CA, CB = bt.dclop_algebra(specA.space), bt.dclop_algebra(specB.space)
+    for A, specA, unitA, CA in duals:
+        for B, specB, unitB, CB in duals:
             for hom in enumerate_dlattice_homs(A, B)[:8]:
                 mapping = []
                 for g in specB.primes:

@@ -30,7 +30,7 @@ from bistone.ideals import (
     is_compact_dframe,
     is_zero_dimensional_dframe,
 )
-from bistone.lattice import birkhoff, join_irreducibles, prime_ideals
+from bistone.lattice import birkhoff, join_irreducibles, prime_generators
 
 
 def _report(number, label, started):
@@ -103,7 +103,7 @@ def test_criterion_4_prime_ideal_bijection(algebra_corpus):
         structural = _primes_structural(A)
         brute = enumerate_prime_d_ideals(A)
         assert sorted(g.values for g in structural) == sorted(g.values for g in brute)
-        n_primes = len(prime_ideals(A.plus))
+        n_primes = len(prime_generators(A.plus))
         assert len(structural) == n_primes == len(join_irreducibles(A.plus)) == poset.n
     _report(4, "prime d-ideals = plus primes = join-irreducibles = |poset|, both paths", started)
 

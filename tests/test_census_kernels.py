@@ -3,7 +3,7 @@ kept here as test-only references: the row closure-gap and extremal-member
 scans of ``validate_dlattice``, the numpy quadruple scans of the d-ideal and
 d-filter validators, ideal lattices rebuilt by ``build_lattice``, the
 pair-by-pair clause (i) scan (now an oracle for the lemma that makes the
-clause hold), the per-pair ``d_filter_to_map`` and the
+clause hold), the per-pair d-filter map of a generator pair and the
 nested d-lattice hom enumeration; plus the ``python -O`` guards of
 ``ideals``, the number of ``validate_dlattice`` calls in one Q2 census
 pass, and that its spatiality checks build no prime map and no space."""
@@ -41,9 +41,9 @@ from bistone.ideals import (
     BTT,
     B0,
     B1,
-    DFilterPair,
-    d_filter_to_map,
+    four_case_values,
     idl_dframe,
+    require_covering,
     validate_d_filter_map,
     validate_d_ideal_map,
 )
@@ -52,7 +52,6 @@ from bistone.lattice import (
     bits,
     build_lattice,
     enumerate_lattice_homs,
-    principal_filter,
 )
 from bistone.report import StructReport
 
@@ -398,38 +397,48 @@ def test_q2_census_spatiality_builds_no_prime_maps_or_spaces(monkeypatch):
 # d-filter maps and hom enumeration
 
 
-def d_filter_to_map_by_membership(dl, pair):
-    """Reference: the per-pair covering scan and value table through
-    ``Filter.__contains__``."""
+def d_filter_to_map_by_membership(dl, u, v):
+    """Reference: the per-pair covering scan and value table, read as
+    membership of a in ↑u and of b in ↑v, one bit at a time."""
+
+    def in_plus(a):
+        return (dl.plus.up[u] >> a) & 1
+
+    def in_minus(b):
+        return (dl.minus.up[v] >> b) & 1
+
     for p in bits(dl.tot_mask):
         a, b = dl.unpid(p)
-        if not (a in pair.fplus or b in pair.fminus):
+        if not (in_plus(a) or in_minus(b)):
             raise CoveringViolation(
                 f"total pair ({dl.plus.labels[a]},{dl.minus.labels[b]}) not covered",
                 witness=(a, b),
             )
     return tuple(
-        (BTT if a in pair.fplus else 0) | (BFF if b in pair.fminus else 0)
+        (BTT if in_plus(a) else 0) | (BFF if in_minus(b) else 0)
         for a in range(dl.plus.n)
         for b in range(dl.minus.n)
     )
 
 
 def test_d_filter_to_map_matches_membership_table(kernel_dls):
+    """``require_covering`` on the one sets (↑u, ↑v) raises what the scan
+    raises, and ``four_case_values`` of a covering pair is its table."""
     uncovered = 0
     for dl in kernel_dls + [omega_of_lattice(chain(3))]:
         for u in range(dl.plus.n):
             for v in range(dl.minus.n):
-                pair = DFilterPair(principal_filter(dl.plus, u), principal_filter(dl.minus, v))
+                plus, minus = dl.plus.up[u], dl.minus.up[v]
                 try:
-                    want = d_filter_to_map_by_membership(dl, pair)
+                    want = d_filter_to_map_by_membership(dl, u, v)
                 except CoveringViolation as exc:
                     with pytest.raises(CoveringViolation) as got:
-                        d_filter_to_map(dl, pair)
+                        require_covering(dl, plus, minus, True)
                     assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
                     uncovered += 1
                     continue
-                assert d_filter_to_map(dl, pair).values == want
+                require_covering(dl, plus, minus, True)
+                assert four_case_values(dl, plus, minus) == want
     assert uncovered
 
 

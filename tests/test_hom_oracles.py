@@ -1,6 +1,6 @@
 """The int scans of the hom validators and the order-row prime ideals
 against the numpy forms they replaced, kept here as test-only references:
-``lattice.prime_ideals`` with a meet scan per generator, the table form of
+``lattice.prime_generators`` with a meet scan per generator, the table form of
 ``validate_lattice_hom``, the |P|²·|M|² form of ``validate_carrier_hom`` and
 the quadruple scan of ``ideals._first_unpreserved``.  Inputs are the default
 bundle (whose d-Boolean algebras are ``dbool_corpus(4)``), the homs between
@@ -20,8 +20,7 @@ from bistone.lattice import (
     LatticeHom,
     bits,
     enumerate_lattice_homs,
-    principal_ideal,
-    prime_ideals,
+    prime_generators,
     validate_lattice_hom,
 )
 from bistone.report import StructReport
@@ -29,8 +28,8 @@ from bistone.suites import all_dlattices
 
 
 def prime_ideals_numpy(lattice):
-    """Reference: ↓a for each non-top a, kept when no meet of two elements
-    outside ↓a lies in it (a numpy scan over the meet table)."""
+    """Reference: each non-top a, ascending, kept when no meet of two
+    elements outside ↓a lies in ↓a (a numpy scan over the meet table)."""
     out = []
     meet, down = np.asarray(lattice.meet), lattice.down
     n = lattice.n
@@ -41,7 +40,7 @@ def prime_ideals_numpy(lattice):
         in_ideal = below[meet]
         covered = below[:, None] | below[None, :]
         if not (in_ideal & ~covered).any():
-            out.append(principal_ideal(lattice, a))
+            out.append(a)
     return out
 
 
@@ -125,8 +124,8 @@ def test_prime_ideals_match_numpy_scan(bundle):
     lattices = coordinate_lattices(bundle)
     total = 0
     for L in lattices:
-        assert prime_ideals(L) == prime_ideals_numpy(L)
-        total += len(prime_ideals(L))
+        assert prime_generators(L) == prime_ideals_numpy(L)
+        total += len(prime_generators(L))
     assert len(lattices) > 30 and total > 100
 
 

@@ -11,28 +11,25 @@ from test_validate_oracle import _q2_candidates
 from bistone import duality as du
 from bistone import ideals
 from bistone.corpus import dbool_corpus
-from bistone.dlattice import DLattice, lambda_of_dislat, validate_dlattice, validate_dlattice_hom
+from bistone.dlattice import DBooleanAlgebra, DLattice, bool_dlattice, lambda_of_dislat, validate_dlattice, validate_dlattice_hom
 from bistone.errors import CoveringViolation, InvariantViolation, NotZeroDimensional
 from bistone.ideals import (
     B0,
     B1,
     BFF,
     BTT,
-    B_LOGIC_LEQ,
     BMap,
-    DFilterPair,
-    DIdealPair,
+    b_to_bool_pid,
     d_complemented_ideals,
-    d_filter_pair_of_map,
-    d_filter_to_map,
-    d_ideal_pair_of_map,
-    d_ideal_to_map,
     enumerate_d_filter_maps,
     enumerate_d_ideal_maps,
     enumerate_prime_d_ideals,
     epsilon_kappa,
     eta_factorization,
     eta_unit,
+    filter_generators,
+    four_case_values,
+    ideal_map,
     idl_dframe,
     is_compact_dframe,
     is_hom_to_bool_object,
@@ -40,68 +37,76 @@ from bistone.ideals import (
     is_zero_dimensional_dframe,
     prime_d_ideal_characterization,
     prime_sandwich,
+    require_covering,
     validate_d_filter_map,
     validate_d_ideal_map,
 )
-from bistone.lattice import bits, principal_filter, principal_ideal
+from bistone.lattice import bits, ideal_generator
 
 
-def test_prime_d_ideal_json_vector(B):
-    g = enumerate_prime_d_ideals(B)[0]
-    obj = g.to_json()
-    assert obj["kind"] == "prime-d-ideal"
-    assert sorted(obj["values"], key=str) == [0, 1, "ff", "tt"]
+def covered_ideal_map(dl, u, v):
+    """The d-ideal map with zero sets ↓u and ↓v, which must cover con."""
+    require_covering(dl, dl.plus.down[u], dl.minus.down[v], False)
+    return ideal_map(dl, u, v)
+
+
+def covered_filter_map(dl, u, v):
+    """The d-filter map with one sets ↑u and ↑v, which must cover tot."""
+    require_covering(dl, dl.plus.up[u], dl.minus.up[v], True)
+    return BMap(dl, four_case_values(dl, dl.plus.up[u], dl.minus.up[v]))
 
 
 def test_codomain_orders():
     # information order: 0 below tt,ff below 1; tt and ff incomparable
     assert B0 | BTT == BTT and B0 | BFF == BFF and BTT | B1 == B1
     assert BTT | BFF != BFF and BFF | BTT != BTT
-    # logic order: ff at the bottom, tt at the top, 0 and 1 incomparable
-    assert (BFF, B0) in B_LOGIC_LEQ and (B0, BTT) in B_LOGIC_LEQ
-    assert (BFF, B1) in B_LOGIC_LEQ and (B1, BTT) in B_LOGIC_LEQ
-    assert (B0, B1) not in B_LOGIC_LEQ and (B1, B0) not in B_LOGIC_LEQ
+    # logic order of the four-element object: ff at the bottom, tt at the
+    # top, 0 and 1 incomparable
+    logic_leq = bool_dlattice().logic_leq
+
+    def leq(x, y):
+        return logic_leq(b_to_bool_pid(x), b_to_bool_pid(y))
+
+    assert leq(BFF, B0) and leq(B0, BTT)
+    assert leq(BFF, B1) and leq(B1, BTT)
+    assert not leq(B0, B1) and not leq(B1, B0)
 
 
 def test_d_ideal_map_on_bool_bottom_pair(B):
-    pair = DIdealPair(principal_ideal(B.plus, 0), principal_ideal(B.minus, 0))
-    g = d_ideal_to_map(B, pair)
+    g = covered_ideal_map(B, 0, 0)
     assert g(B.zero) == B0 and g(B.tt) == BTT and g(B.ff) == BFF and g(B.one) == B1
     assert validate_d_ideal_map(B, g).ok
 
 
 def test_d_ideal_map_on_bool_full_pair(B):
-    pair = DIdealPair(principal_ideal(B.plus, 1), principal_ideal(B.minus, 1))
-    g = d_ideal_to_map(B, pair)
+    g = covered_ideal_map(B, 1, 1)
     assert all(v == B0 for v in g.values)
     assert g(B.one) == B0
 
 
 def test_d_ideal_covering_on_omega3(omega3):
     # ({0},{0}) covers all five consistent pairs since each has a 0 coordinate
-    pair = DIdealPair(principal_ideal(omega3.plus, 0), principal_ideal(omega3.minus, 0))
-    g = d_ideal_to_map(omega3, pair)
+    g = covered_ideal_map(omega3, 0, 0)
     assert validate_d_ideal_map(omega3, g).ok
 
 
 def test_d_ideal_covering_violation(lam3):
     # ({0},{0}) misses the consistent diagonal pair (m,m) of lambda(3-chain)
     with pytest.raises(CoveringViolation) as exc:
-        d_ideal_to_map(lam3, DIdealPair(principal_ideal(lam3.plus, 0), principal_ideal(lam3.minus, 2)))
+        require_covering(lam3, lam3.plus.down[0], lam3.minus.down[2], False)
     assert exc.value.witness is not None
 
 
 def test_d_filter_map_examples(B):
-    f = d_filter_to_map(B, DFilterPair(principal_filter(B.plus, 1), principal_filter(B.minus, 1)))
+    f = covered_filter_map(B, 1, 1)
     assert f(B.one) == B1 and f(B.tt) == BTT and f(B.ff) == BFF and f(B.zero) == B0
-    full = d_filter_to_map(B, DFilterPair(principal_filter(B.plus, 0), principal_filter(B.minus, 0)))
+    full = covered_filter_map(B, 0, 0)
     assert full(B.zero) == B1
     assert validate_d_filter_map(B, full).ok
 
 
 def test_d_filter_covering_on_omega3(omega3):
-    pair = DFilterPair(principal_filter(omega3.plus, 2), principal_filter(omega3.minus, 2))
-    f = d_filter_to_map(omega3, pair)
+    f = covered_filter_map(omega3, 2, 2)
     assert validate_d_filter_map(omega3, f).ok
 
 
@@ -117,9 +122,21 @@ def test_constant_maps_fail_validators(B):
 def test_pair_map_roundtrip(omega3, lam3, B):
     for dl in (omega3, lam3, B):
         for g in enumerate_d_ideal_maps(dl):
-            assert d_ideal_to_map(dl, d_ideal_pair_of_map(g)).values == g.values
+            u, v = ideal_generator(dl.plus, g.zero_set_plus()), ideal_generator(dl.minus, g.zero_set_minus())
+            assert covered_ideal_map(dl, u, v).values == g.values
         for f in enumerate_d_filter_maps(dl):
-            assert d_filter_to_map(dl, d_filter_pair_of_map(f)).values == f.values
+            assert covered_filter_map(dl, *filter_generators(f)).values == f.values
+
+
+def test_filter_generators_are_least_members(omega3):
+    """On ω(3-chain) = 3-chain × 3-chain, the d-filter map with one sets ↑1
+    and ↑2 reads back as (1, 2); a map whose one sets have no least member
+    is rejected."""
+    f = covered_filter_map(omega3, 1, 2)
+    assert filter_generators(f) == (1, 2)
+    assert [filter_generators(f) for f in enumerate_d_filter_maps(omega3)][:3] == [(0, 0), (0, 1), (0, 2)]
+    with pytest.raises(ValueError, match="not a principal filter"):
+        filter_generators(BMap(omega3, (B0,) * omega3.size))
 
 
 def test_prime_triple_equivalence_exhaustive(B):
@@ -143,6 +160,17 @@ def test_prime_counts(B, lam3, b2):
     assert len(enumerate_prime_d_ideals(lamb2)) == 2
 
 
+def test_structural_primes_require_covering(lam3):
+    """With every pair made consistent, ``_primes_structural`` rejects its
+    first pair, ↓0 and †(P ∖ ↓0) = ↓c1 on the reversed minus chain: the
+    lowest pair with no coordinate in either is (c1, top of minus)."""
+    everything = (1 << lam3.size) - 1
+    grown = DBooleanAlgebra(lam3.plus, lam3.minus, everything, lam3.tot_mask, lam3.dagger)
+    with pytest.raises(CoveringViolation, match=r"^consistent pair \(c1,0\) not covered$") as exc:
+        ideals._primes_structural(grown)
+    assert exc.value.witness == (1, lam3.minus.top)
+
+
 def test_prime_paths_agree(lam3, b2, B):
     for A in (B, lam3, lambda_of_dislat(b2)):
         st = sorted(g.values for g in ideals._primes_structural(A))
@@ -154,9 +182,7 @@ def test_characterization_examples(B, lam3):
     g = enumerate_prime_d_ideals(B)[0]
     assert prime_d_ideal_characterization(B, g)
     # the d-ideal with everything zero on the plus side is not prime
-    whole = d_ideal_to_map(
-        lam3, DIdealPair(principal_ideal(lam3.plus, 2), principal_ideal(lam3.minus, 2))
-    )
+    whole = covered_ideal_map(lam3, 2, 2)
     assert validate_d_ideal_map(lam3, whole).ok
     assert not prime_d_ideal_characterization(lam3, whole)
     assert not is_prime_d_ideal(lam3, whole)
@@ -184,12 +210,8 @@ def test_sandwich_on_dboolean_forces_equality(lam3, b2):
 
 
 def test_sandwich_on_omega3(omega3):
-    f = d_filter_to_map(
-        omega3, DFilterPair(principal_filter(omega3.plus, 2), principal_filter(omega3.minus, 2))
-    )
-    g = d_ideal_to_map(
-        omega3, DIdealPair(principal_ideal(omega3.plus, 1), principal_ideal(omega3.minus, 1))
-    )
+    f = covered_filter_map(omega3, 2, 2)
+    g = covered_ideal_map(omega3, 1, 1)
     assert f.leq(g)
     h = prime_sandwich(omega3, f, g)
     assert is_prime_d_ideal(omega3, h)
@@ -197,12 +219,8 @@ def test_sandwich_on_omega3(omega3):
 
 
 def test_sandwich_precondition(omega3):
-    f = d_filter_to_map(
-        omega3, DFilterPair(principal_filter(omega3.plus, 0), principal_filter(omega3.minus, 0))
-    )
-    g = d_ideal_to_map(
-        omega3, DIdealPair(principal_ideal(omega3.plus, 1), principal_ideal(omega3.minus, 1))
-    )
+    f = covered_filter_map(omega3, 0, 0)
+    g = covered_ideal_map(omega3, 1, 1)
     assert not f.leq(g)
     with pytest.raises(ValueError):
         prime_sandwich(omega3, f, g)
@@ -406,7 +424,7 @@ def _covering_principal_maps(dl):
             if u == dl.plus.top or v == dl.minus.top:
                 continue
             try:
-                yield d_ideal_to_map(dl, DIdealPair(principal_ideal(dl.plus, u), principal_ideal(dl.minus, v)))
+                yield covered_ideal_map(dl, u, v)
             except CoveringViolation:
                 continue
 
@@ -428,15 +446,22 @@ def test_brute_prime_candidates_pass_the_d_ideal_validator():
     assert (len(dls), checked) == (1676, 5936)
 
 
-def _four_case_by_membership(dl, pair):
+def _four_case_by_membership(dl, u, v):
     """Oracle: the first uncovered consistent pair, else the four-case values,
-    read through Ideal.__contains__."""
+    read as membership of a in ↓u and of b in ↓v, one bit at a time."""
+
+    def in_plus(a):
+        return (dl.plus.down[u] >> a) & 1
+
+    def in_minus(b):
+        return (dl.minus.down[v] >> b) & 1
+
     for p in bits(dl.con_mask):
         a, b = dl.unpid(p)
-        if not (a in pair.iplus or b in pair.iminus):
+        if not (in_plus(a) or in_minus(b)):
             return (a, b)
     return tuple(
-        (0 if a in pair.iplus else BTT) | (0 if b in pair.iminus else BFF)
+        (0 if in_plus(a) else BTT) | (0 if in_minus(b) else BFF)
         for a in range(dl.plus.n)
         for b in range(dl.minus.n)
     )
@@ -447,10 +472,9 @@ def test_d_ideal_to_map_matches_membership_table(kernel_inputs):
     for dl in kernel_inputs:
         for u in range(dl.plus.n):
             for v in range(dl.minus.n):
-                pair = DIdealPair(principal_ideal(dl.plus, u), principal_ideal(dl.minus, v))
-                want = _four_case_by_membership(dl, pair)
+                want = _four_case_by_membership(dl, u, v)
                 try:
-                    got = d_ideal_to_map(dl, pair).values
+                    got = covered_ideal_map(dl, u, v).values
                 except CoveringViolation as exc:
                     got = exc.witness
                     uncovered += 1

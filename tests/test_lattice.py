@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bistone.corpus import boolean_lattice, three_chain
+from bistone.corpus import birkhoff_corpus, boolean_lattice, distributive_lattices, three_chain
 from bistone.errors import NotAPoset, NotBounded, NotDistributive
 from bistone.lattice import (
     FinitePoset,
@@ -17,13 +17,12 @@ from bistone.lattice import (
     complement,
     down_sets,
     enumerate_lattice_homs,
-    ideal_from_carrier,
+    ideal_generator,
     is_lattice_iso,
     join_irreducibles,
     lattice_isos,
-    prime_ideals,
+    prime_generators,
     prime_ideals_bruteforce,
-    principal_ideal,
     pseudo_complement,
     validate_lattice_hom,
 )
@@ -133,26 +132,26 @@ def test_prime_ideals_three_chain():
     L = three_chain()
     # oracle: brute-force over all down-sets with the literal definitions
     oracle = prime_ideals_bruteforce(L)
-    assert [i.carrier for i in oracle] == [0b001, 0b011]
-    assert [i.carrier for i in prime_ideals(L)] == [0b001, 0b011]
+    assert [L.down[u] for u in oracle] == [0b001, 0b011]
+    assert [L.down[u] for u in prime_generators(L)] == [0b001, 0b011]
 
 
 def test_prime_ideals_b2():
     L = boolean_lattice(2)
-    fast = {i.carrier for i in prime_ideals(L)}
-    assert fast == {i.carrier for i in prime_ideals_bruteforce(L)}
+    fast = prime_generators(L)
+    assert fast == prime_ideals_bruteforce(L)
     assert len(fast) == 2
 
 
 def test_prime_ideals_trivial():
     L = build_lattice(["x"], [[True]])
-    assert prime_ideals(L) == []
+    assert prime_generators(L) == []
     assert prime_ideals_bruteforce(L) == []
 
 
 def test_join_irreducible_count_matches_primes(lattices4):
     for L in lattices4:
-        assert len(prime_ideals(L)) == len(join_irreducibles(L))
+        assert len(prime_generators(L)) == len(join_irreducibles(L))
 
 
 def test_complement_examples():
@@ -186,8 +185,7 @@ def test_ideal_principality(lattices4):
                 (mask >> L.join[a][b]) & 1 for a in bits(mask) for b in bits(mask)
             )
             if down_closed and join_closed:
-                ideal = ideal_from_carrier(L, mask)
-                assert L.down[ideal.gen] == mask
+                assert L.down[ideal_generator(L, mask)] == mask
 
 
 def test_find_iso_identity():
@@ -270,14 +268,14 @@ def test_lattice_laws_on_random_posets(code, n):
             assert L.meet[x][y] == L.meet[y][x]
             assert L.join[x][L.meet[x][y]] == x
             assert L.meet[x][L.join[x][y]] == x
-    assert len(prime_ideals(L)) == poset.n
+    assert len(prime_generators(L)) == poset.n
 
 
 def test_birkhoff_prime_count_sampled_large_posets():
     # spot checks beyond the enumerated corpus: a 7-chain, a 6-fence and a
     # 6-point two-level poset all have one prime ideal per point
     chain7 = FinitePoset([str(i) for i in range(7)], [[i <= j for j in range(7)] for i in range(7)])
-    assert len(prime_ideals(birkhoff(chain7))) == 7
+    assert len(prime_generators(birkhoff(chain7))) == 7
     fence = FinitePoset(
         list("abcdef"),
         [
@@ -285,7 +283,7 @@ def test_birkhoff_prime_count_sampled_large_posets():
             for i in range(6)
         ],
     )
-    assert len(prime_ideals(birkhoff(fence))) == 6
+    assert len(prime_generators(birkhoff(fence))) == 6
     two_level = FinitePoset(
         list("abcdef"),
         [
@@ -293,13 +291,28 @@ def test_birkhoff_prime_count_sampled_large_posets():
             for i in range(6)
         ],
     )
-    assert len(prime_ideals(birkhoff(two_level))) == 6
+    assert len(prime_generators(birkhoff(two_level))) == 6
 
 
 def test_principal_ideal_prime_check():
     L = three_chain()
-    assert principal_ideal(L, 0).is_prime()
-    assert not principal_ideal(L, 2).is_prime()  # not proper
+    assert 0 in prime_ideals_bruteforce(L)
+    assert 2 not in prime_ideals_bruteforce(L)  # ↓top is not proper
+
+
+def test_prime_ideal_oracle_matches_generators_beyond_the_row():
+    """The literal scan against the order-row helper past the
+    ``prime-ideal-oracle`` row's ``birkhoff_corpus(4)``: the down-set
+    lattices of the 5-element posets with at most 12 elements, and every
+    distributive lattice with 6 elements."""
+    down_set_lattices = [L for L in birkhoff_corpus(5) if L.n <= 12]
+    lattices = down_set_lattices + distributive_lattices(6)
+    assert (len(down_set_lattices), len(lattices)) == (64, 76)
+    total = 0
+    for L in lattices:
+        assert prime_ideals_bruteforce(L) == prime_generators(L)
+        total += len(prime_generators(L))
+    assert total == 323
 
 
 def test_lattice_isos_guard_survives_python_O(run_python):

@@ -20,21 +20,21 @@ from bistone.ideals import (
     BFF,
     BMap,
     BTT,
-    DIdealPair,
-    _four_case_map,
-    d_filter_pair_of_map,
-    d_ideal_to_map,
     enumerate_d_filter_maps,
     enumerate_d_ideal_maps,
     enumerate_prime_d_ideals,
+    filter_generators,
+    four_case_values,
+    ideal_map,
     is_prime_d_ideal,
     prime_pair_opens,
     prime_pairs,
     prime_sandwich,
+    require_covering,
     validate_d_filter_map,
     validate_d_ideal_map,
 )
-from bistone.lattice import birkhoff, prime_ideals
+from bistone.lattice import birkhoff, prime_generators
 from bistone.suites import all_dlattices, default_bundle
 
 
@@ -61,9 +61,10 @@ def principal_pair_maps_validated(dl, ones):
     for u in plus_rows:
         for v in minus_rows:
             try:
-                m = _four_case_map(dl, u, v, ones)
+                require_covering(dl, u, v, ones)
             except CoveringViolation:
                 continue
+            m = BMap(dl, four_case_values(dl, u, v) if ones else four_case_values(dl, ~u, ~v))
             if validate(dl, m).ok:
                 out.append(m)
     return out
@@ -74,18 +75,19 @@ def prime_sandwich_by_candidates(dl, fmap, gmap):
     avoid the one sets of f, lowest generator first, the first pair whose
     map covers con and passes both validators and f ≤ h ≤ g."""
     gplus, gminus = gmap.zero_set_plus(), gmap.zero_set_minus()
-    fpair = d_filter_pair_of_map(fmap)
-    fplus, fminus = fpair.fplus.carrier, fpair.fminus.carrier
+    fu, fv = filter_generators(fmap)
+    fplus, fminus = dl.plus.up[fu], dl.minus.up[fv]
     plus_candidates, minus_candidates = (
-        [i for i in prime_ideals(L) if g & ~i.carrier == 0 and i.carrier & f == 0]
+        [u for u in prime_generators(L) if g & ~L.down[u] == 0 and L.down[u] & f == 0]
         for L, g, f in ((dl.plus, gplus, fplus), (dl.minus, gminus, fminus))
     )
-    for ip in plus_candidates:
-        for im in minus_candidates:
+    for u in plus_candidates:
+        for v in minus_candidates:
             try:
-                h = d_ideal_to_map(dl, DIdealPair(ip, im))
+                require_covering(dl, dl.plus.down[u], dl.minus.down[v], False)
             except CoveringViolation:
                 continue
+            h = ideal_map(dl, u, v)
             if is_prime_d_ideal(dl, h) and fmap.leq(h) and h.leq(gmap):
                 return h
     raise NoSandwich("no prime d-ideal between the given maps")

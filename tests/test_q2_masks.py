@@ -3,8 +3,8 @@ replaced, kept here as test-only oracles: ``validate_dlattice`` with the
 row/column con–tot loop and logic tables gathered on every call, the
 pair-by-pair clause (ii)/(iii) loop of ``spatiality_check``, and the prime
 scan that ran ``validate_d_filter_map`` on every covering pair.  Also the
-prime generators against the numpy meet scan of ``lattice.prime_ideals``
-(kept in ``test_hom_oracles``), the logic tables of the shared coordinate
+prime generators against the numpy meet scan of the prime ideals (kept in
+``test_hom_oracles``), the logic tables of the shared coordinate
 record against the lattice's own tables, and what the record cache holds
 after the duality corpus."""
 
@@ -35,8 +35,8 @@ from bistone.dlattice import (
 from bistone.errors import InvariantViolation
 from bistone.ideals import (
     BMap,
-    _four_case_map,
     enumerate_prime_d_ideals,
+    ideal_map,
     prime_pair_opens,
     prime_pairs,
     validate_d_filter_map,
@@ -233,7 +233,7 @@ def test_every_coordinate_prime_extends_to_a_prime_d_ideal(bound5):
         pairs = prime_pairs(dl)
         opens = prime_pair_opens(dl, pairs)
         for side, L, phi in zip((0, 1), (dl.plus, dl.minus), opens):
-            assert {ip.gen for ip in prime_ideals_numpy(L)} <= {pair[side] for pair in pairs}
+            assert set(prime_ideals_numpy(L)) <= {pair[side] for pair in pairs}
             for a in range(L.n):
                 for b in range(L.n):
                     assert L.leq(a, b) == (phi[a] & ~phi[b] == 0)
@@ -248,7 +248,7 @@ def test_prime_generators_match_prime_ideals():
     lattices = [one] + distributive_lattices(5) + [birkhoff(p) for p in unlabeled_posets(5)]
     assert len(lattices) == 1 + 7 + 87
     for L in lattices:
-        assert prime_generators(L.up, L.down) == [ip.gen for ip in prime_ideals_numpy(L)]
+        assert prime_generators(L) == prime_generators(L.poset) == prime_ideals_numpy(L)
 
 
 def primes_by_filter_validator(dl):
@@ -266,7 +266,7 @@ def primes_by_filter_validator(dl):
             cols_v = dl.minus.down[v] * col0
             if dl.con_mask & ~(rows_u | cols_v) or dl.tot_mask & rows_u & cols_v:
                 continue
-            candidate = _four_case_map(dl, dl.plus.down[u], dl.minus.down[v], False)
+            candidate = ideal_map(dl, u, v)
             if validate_d_filter_map(dl, candidate).ok:
                 out.append(candidate)
     return out

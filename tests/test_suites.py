@@ -6,10 +6,12 @@ import json
 import pytest
 from test_census_kernels import merge_two_opens
 
+from bistone import duality as du
 from bistone import suites
 from bistone.cli import main
 from bistone.dlattice import DLattice, DLatticeHom
-from bistone.errors import UnknownSuite
+from bistone.errors import CoveringViolation, UnknownSuite
+from bistone.ideals import BMap, four_case_values, ideal_map
 from bistone.lattice import low_bit
 from bistone.suites import SUITES, run_suite
 
@@ -56,3 +58,38 @@ def test_eta_unit_row_fails_when_eta_does_not_reflect_con(bundle, monkeypatch):
     assert suites.check_eta_unit(bundle) == (True, "principal-ideal unit is a hom and reflects con/tot")
     monkeypatch.setattr(suites, "eta_unit", eta_into_larger_con)
     assert suites.check_eta_unit(bundle) == (False, "eta does not reflect con/tot at (tt,ff)")
+
+
+@pytest.mark.parametrize("side", ["ideal", "filter"])
+def test_pair_map_roundtrip_row_checks_covering(bundle, monkeypatch, side):
+    """Fed the four-case map of a pair that does not cover con (tot), which
+    survives the rebuild from its generators unchanged, the row raises
+    instead of passing."""
+
+    def non_covering(dl):
+        if side == "ideal":
+            return ideal_map(dl, dl.plus.bot, dl.minus.bot)
+        return BMap(dl, four_case_values(dl, 1 << dl.plus.top, 1 << dl.minus.top))
+
+    other = "filter" if side == "ideal" else "ideal"
+    monkeypatch.setattr(suites, f"enumerate_d_{side}_maps", lambda dl: [non_covering(dl)])
+    monkeypatch.setattr(suites, f"enumerate_d_{other}_maps", lambda dl: [])
+    what = "consistent" if side == "ideal" else "total"
+    with pytest.raises(CoveringViolation, match=f"{what} pair"):
+        suites.check_pair_map_roundtrip(bundle)
+
+
+def test_naturality_builds_each_spectrum_once(bundle, monkeypatch):
+    """The row's 4 algebras get one spectrum each, plus one inside each
+    unit round trip: 8 calls for the 16 (M, N) pairs."""
+    calls = 0
+    real = du.spectrum
+
+    def counting(A):
+        nonlocal calls
+        calls += 1
+        return real(A)
+
+    monkeypatch.setattr(du, "spectrum", counting)
+    assert suites.check_naturality(bundle) == (True, "naturality verified on 54 morphisms")
+    assert calls == 8

@@ -185,19 +185,34 @@ TEST_ONLY_DEFINITIONS = {
     "find_homeomorphism": "the n! oracle for the space canonical forms",
     "is_pairwise_regular": "a separation axiom of the paper, checked by tests",
     "pseudo_complement": "a lattice operation, checked by tests",
-    "principal_filter": "the dual of principal_ideal, built by the d-filter tests",
     "decompose": "the carrier of a d-lattice as a coordinate product, checked by tests",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def defined_names(top):
+    """The names a top-level statement defines: a def or class, or the
+    names an assignment binds (``__all__`` aside, which only lists)."""
+    if isinstance(top, DEFINITIONS):
+        return [top.name]
+    if isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        return [
+            node.id
+            for target in targets
+            for node in ast.walk(target)
+            if isinstance(node, ast.Name) and node.id != "__all__"
+        ]
+    return []
+
+
 def references(tree):
     """Each name, attribute or imported name a module refers to, with the
-    top-level definition it lies in (None at module level).  Strings and
-    comments are not references."""
+    line of the top-level statement it lies in, so that a definition's own
+    name and body do not count.  Strings and comments are not references."""
     for top in tree.body:
-        owner = top.name if isinstance(top, DEFINITIONS) else None
+        owner = top.lineno
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 yield node.id, owner
@@ -209,10 +224,11 @@ def references(tree):
 
 
 def test_every_library_definition_is_reached():
-    """Each top-level def or class of the library is referred to by name,
-    attribute or import in the library or in ``bench/*.py``, outside its own
-    body, or is allow-listed above with a reason; and every allow-listed
-    name is such an unreached definition, so the list cannot go stale."""
+    """Each top-level def, class or assigned name of the library is referred
+    to by name, attribute or import in the library or in ``bench/*.py``,
+    outside its own statement, or is allow-listed above with a reason; and
+    every allow-listed name is such an unreached definition, so the list
+    cannot go stale."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(LIBRARY.glob("*.py")) + sorted(BENCH.glob("*.py"))
@@ -224,7 +240,8 @@ def test_every_library_definition_is_reached():
     unreached = {}
     for path in sorted(LIBRARY.glob("*.py")):
         for node in trees[path].body:
-            if isinstance(node, DEFINITIONS) and not sites[node.name] - {(path, node.name)}:
-                unreached[node.name] = f"{path.stem}.{node.name}"
+            for name in defined_names(node):
+                if not sites[name] - {(path, node.lineno)}:
+                    unreached[name] = f"{path.stem}.{name}"
     assert [dotted for name, dotted in unreached.items() if name not in TEST_ONLY_DEFINITIONS] == []
     assert sorted(unreached) == sorted(TEST_ONLY_DEFINITIONS)

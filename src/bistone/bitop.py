@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .config import max_elements
-from .dlattice import DBooleanAlgebra, require_valid, validate_dboolean, validate_dlattice
+from .dlattice import DBooleanAlgebra, DLattice, require_valid, validate_dboolean, validate_dlattice
 from .errors import BoundsTooLarge, CharacterizationMismatch, InvariantViolation
 from .ideals import (
     BMap,
-    DFrame,
     enumerate_prime_d_ideals,
     four_case_values,
     ideal_map,
@@ -161,9 +160,10 @@ def is_compact(space):
     Always true here.  The space is finite, so it has finitely many opens,
     and every covering subfamily is already finite: it is its own finite
     subcover.  The function keeps the name so that the Stone
-    characterizations read as stated; the frame-side statement that can
-    fail, ``ideals.is_compact_dframe`` (tot is Scott-open), is checked on
-    ``dO`` of every corpus space by the ``finite-compactness`` suite row.
+    characterizations read as stated.  The frame-side statement, tot
+    Scott-open, is the ``tot-upper-set`` clause of ``validate_dlattice``
+    (see ``ideals.idl_dframe``), which ``dO`` checks on every space and the
+    ``finite-compactness`` suite row reads on every corpus space.
     """
     return True
 
@@ -367,7 +367,7 @@ def dO(space):
     covering."""
     plus = lattice_from_family(space.n, space.tau_plus, space.labels)
     minus = lattice_from_family(space.n, space.tau_minus, space.labels)
-    df = DFrame(plus, minus, *disjoint_and_covering(plus.sets, minus.sets, space.full))
+    df = DLattice(plus, minus, *disjoint_and_covering(plus.sets, minus.sets, space.full))
     require_valid(validate_dlattice(df), "dO")
     return df
 

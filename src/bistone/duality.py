@@ -182,11 +182,11 @@ def dspec_equals_dpt_idl(dl):
     for both.  η is the identity on indices (a ↦ ↓a), so p ∘ η has the
     values of p, and the d-points with their value-tt / value-ff sets are
     ``spec.primes`` with ``spec.phi_plus`` / ``spec.phi_minus``.  What can
-    still fail is that those sets form topologies: the space built from
-    them must validate and equal dSpec on both sides."""
+    still fail is that those families are topologies: dSpec carries the
+    topologies they generate, which contain them, so each family must
+    already equal its side of dSpec."""
     spec = spectrum(dl)
-    pts_space = BiTopSpace(spec.space.labels, spec.phi_plus, spec.phi_minus)
-    return pts_space.tau_plus == spec.space.tau_plus and pts_space.tau_minus == spec.space.tau_minus
+    return all(frozenset(phi) == opens for phi, opens in zip((spec.phi_plus, spec.phi_minus), spec.space.open_sets))
 
 
 def spatiality_check(dl):

@@ -1,6 +1,6 @@
 """d-ideals, d-filters and prime d-ideals as maps into the four-element
-object, the d-frame of ideals, and both halves of the equivalence between
-d-Boolean algebras and compact zero-dimensional d-frames.
+object, and the d-frame of ideals, on which the equivalence between
+d-Boolean algebras and compact zero-dimensional d-frames collapses.
 
 The codomain object has carrier {0, tt, ff, 1}.  Values are encoded in two
 bits, bit 0 the tt-part and bit 1 the ff-part, so the information order is
@@ -27,20 +27,16 @@ from operator import and_, or_
 from .dlattice import (
     DBooleanAlgebra,
     DLattice,
-    DLatticeHom,
-    Coreflection,
     bool_dlattice,
     coordinate_tables,
     covered_pairs,
-    dB,
     d_complemented_sides,
     require_valid,
     step,
     validate_carrier_hom,
     validate_dlattice,
-    validate_dlattice_hom,
 )
-from .errors import CoveringViolation, InvariantViolation, NoSandwich, NotZeroDimensional
+from .errors import CoveringViolation, InvariantViolation, NoSandwich
 from .lattice import (
     FiniteLattice,
     bits,
@@ -185,21 +181,7 @@ def validate_d_ideal_map(dl, bmap):
     the clause is decided by the step kernel; the scan over all pairs of
     pairs (``_first_unpreserved``) runs only to name the first failing
     pair."""
-    if bmap(dl.tt) & BFF:
-        return StructReport.failed("g(tt)<=tt", witness=B_NAMES[bmap(dl.tt)])
-    if bmap(dl.ff) & BTT:
-        return StructReport.failed("g(ff)<=ff", witness=B_NAMES[bmap(dl.ff)])
-    tt, ff = _bit_planes(bmap)
-    sent_to_1 = dl.con_mask & tt & ff
-    if sent_to_1:
-        return StructReport.failed(
-            "g(con)", witness=dl.labels_of(low_bit(sent_to_1)), message="a consistent pair is sent to 1"
-        )
-    full, down = (1 << dl.size) - 1, coordinate_tables(dl).down_steps
-    if _empty_or_principal(full & ~tt, down) and _empty_or_principal(full & ~ff, down):
-        return StructReport.passed("valid d-ideal map")
-    bad = _first_unpreserved(dl, bmap, "join", or_)
-    return bad if bad is not None else StructReport.passed("valid d-ideal map")
+    return _validate_map(dl, bmap, True)
 
 
 def validate_d_filter_map(dl, bmap):
@@ -210,21 +192,35 @@ def validate_d_filter_map(dl, bmap):
     binary meets iff the one set of each bit plane is empty or a filter:
     an up-set with at most one minimal member.  The scan over all pairs of
     pairs runs only to name the first failing pair."""
-    if not bmap(dl.tt) & BTT:
-        return StructReport.failed("f(tt)>=tt", witness=B_NAMES[bmap(dl.tt)])
-    if not bmap(dl.ff) & BFF:
-        return StructReport.failed("f(ff)>=ff", witness=B_NAMES[bmap(dl.ff)])
-    tt, ff = _bit_planes(bmap)
-    sent_to_0 = dl.tot_mask & ~(tt | ff)
-    if sent_to_0:
+    return _validate_map(dl, bmap, False)
+
+
+def _validate_map(dl, bmap, ideal):
+    """The clauses of a d-ideal map (``ideal`` true) or of a d-filter map,
+    read on the near set of each bit plane: its zero set for an ideal map,
+    its one set for a filter map.  g(tt) ≤ tt iff tt lies in the near set
+    of the ff plane, and g(ff) ≤ ff iff ff lies in that of the tt plane;
+    f(tt) ≥ tt and f(ff) ≥ ff read each bound in its own plane.  A pair in
+    neither near set is sent to the far value, 1 or 0."""
+    tables, (tt, ff) = coordinate_tables(dl), _bit_planes(bmap)
+    if ideal:
+        full = (1 << dl.size) - 1
+        tt, ff, steps = full & ~tt, full & ~ff, tables.down_steps
+        letter, order, kept, mask, word, far, op, combine = "g", "<=", "con", dl.con_mask, "consistent", 1, "join", or_
+    else:
+        steps = tables.up_steps
+        letter, order, kept, mask, word, far, op, combine = "f", ">=", "tot", dl.tot_mask, "total", 0, "meet", and_
+    for name, p, near in zip(("tt", "ff"), (dl.tt, dl.ff), (ff, tt) if ideal else (tt, ff)):
+        if not (near >> p) & 1:
+            return StructReport.failed(f"{letter}({name}){order}{name}", witness=B_NAMES[bmap(p)])
+    sent_far = mask & ~(tt | ff)
+    if sent_far:
         return StructReport.failed(
-            "f(tot)", witness=dl.labels_of(low_bit(sent_to_0)), message="a total pair is sent to 0"
+            f"{letter}({kept})", witness=dl.labels_of(low_bit(sent_far)), message=f"a {word} pair is sent to {far}"
         )
-    up = coordinate_tables(dl).up_steps
-    if _empty_or_principal(tt, up) and _empty_or_principal(ff, up):
-        return StructReport.passed("valid d-filter map")
-    bad = _first_unpreserved(dl, bmap, "meet", and_)
-    return bad if bad is not None else StructReport.passed("valid d-filter map")
+    principal = _empty_or_principal(tt, steps) and _empty_or_principal(ff, steps)
+    bad = None if principal else _first_unpreserved(dl, bmap, op, combine)
+    return bad or StructReport.passed(f"valid d-{'ideal' if ideal else 'filter'} map")
 
 
 def is_prime_d_ideal(dl, bmap):
@@ -416,129 +412,51 @@ def prime_sandwich(dl, fmap, gmap):
 # the d-frame of ideals
 
 
-# Every finite d-lattice is a d-frame: every finite distributive lattice is
-# a frame and finite Scott-openness of tot is the upper-set axiom.
-DFrame = DLattice
-
-
 def idl_dframe(dl):
-    """d-frame of ideals.  Ideals of a finite lattice are the principal
-    down-sets, indexed here by generator.  i ↦ ↓i is an order isomorphism
-    onto the ideals under inclusion (↓i ⊆ ↓j iff i ≤ j), so each coordinate
-    lattice is L's order under the ↓ labels, with L's bounds and tables.
+    """d-frame of ideals, on which the equivalence between d-Boolean
+    algebras and compact zero-dimensional d-frames (``idl`` one way, ``dB``
+    the other) collapses.  Lemma, for a valid finite d-lattice dl:
 
-    The ideal pair (↓i, ↓j) is consistent iff every pair of the block
-    ↓i × ↓j is, and total iff some pair of it is.  On a d-lattice, con is a
-    down-set and (i, j) the top of the block, so the block lies in con iff
-    (i, j) does; tot is an up-set and every pair of the block lies below
-    (i, j), so the block meets tot iff (i, j) is total.  So con and tot are
-    the input's own masks.  The validation stays: where the input's con is
-    not a down-set or its tot not an up-set, the two differ, and the input
-    is rejected instead of repaired."""
+    1. idl(dl) is dl relabelled.  Every ideal of a finite lattice is ↓i for
+       one i, and i ↦ ↓i is an order isomorphism onto the ideals under
+       inclusion (↓i ⊆ ↓j iff i ≤ j), so each coordinate lattice is L's
+       order under the ↓ labels, with L's bounds and tables.  The ideal pair
+       (↓i, ↓j) is consistent iff every pair of the block ↓i × ↓j is, and
+       total iff some pair of it is.  con is a down-set and (i, j) the top
+       of the block, so the block lies in con iff (i, j) does; tot is an
+       up-set and every pair of the block lies below (i, j), so the block
+       meets tot iff (i, j) is total.  So con and tot are the input's own
+       masks, and the unit η: a ↦ ↓a is the identity on indices.
+    2. dl is compact: tot is Scott-open.  A directed subset of a finite
+       lattice holds its own join, so Scott-open is up-set, which is the
+       ``tot-upper-set`` clause of ``validate_dlattice``.
+    3. dl is zero-dimensional (every element is the join of the
+       d-complemented elements below it) iff every element is d-complemented
+       iff the embeddings of ``dB(dl)`` are the identity.  The d-complemented
+       elements of the plus side are closed under finite joins: ff = (⊥, ⊤)
+       lies in con ∩ tot, and con and tot are closed under logic join, which
+       takes (a, b) and (a′, b′) to (a ∨ a′, b ∧ b′); on the minus side, tt
+       and logic meet.  So the join of the d-complemented elements below x
+       is d-complemented, and it is x iff x is.  ``dB`` keeps exactly the
+       d-complemented elements, in index order, so then dB(dl) is dl, and
+       ε(↓x) = ⋁↓x and κ(x) = ↓x ∩ dB are the identity on indices.
+
+    The validation stays: where the input's con is not a down-set or its
+    tot not an up-set, its masks differ from those of the block definition,
+    and the input is rejected instead of repaired."""
 
     def ideal_lattice(L):
         poset = L.poset.relabeled(f"↓{lab}" for lab in L.labels)
         return FiniteLattice(poset, L.bot, L.top, L.meet, L.join)
 
-    df = DFrame(ideal_lattice(dl.plus), ideal_lattice(dl.minus), dl.con_mask, dl.tot_mask)
+    df = DLattice(ideal_lattice(dl.plus), ideal_lattice(dl.minus), dl.con_mask, dl.tot_mask)
     require_valid(validate_dlattice(df), "idl")
     return df
 
 
-def eta_unit(dl):
-    """Principal-ideal embedding into the d-frame of ideals."""
-    df = idl_dframe(dl)
-    hom = DLatticeHom(dl, df, tuple(range(dl.plus.n)), tuple(range(dl.minus.n)))
-    require_valid(validate_dlattice_hom(hom), "eta")
-    return df, hom
-
-
-def eta_factorization(dl, target, f):
-    """Unique d-frame map out of the ideal frame with f̄ ∘ η = f.
-
-    f̄ sends an ideal to the join of the f-images of its members; finitely η
-    is surjective, so uniqueness is immediate.
-    """
-    df, eta = eta_unit(dl)
-    fbar = DLatticeHom(df, target, *(
-        tuple(T.join_fold(images[a] for a in bits(L.down[i])) for i in range(L.n))
-        for L, T, images in ((dl.plus, target.plus, f.fplus), (dl.minus, target.minus, f.fminus))
-    ))
-    require_valid(validate_dlattice_hom(fbar), "the factorization through eta")
-    composite = fbar.compose(eta)
-    if composite.fplus != tuple(f.fplus) or composite.fminus != tuple(f.fminus):
-        raise InvariantViolation("the factorization composed with eta differs from f")
-    return df, eta, fbar
-
-
-def is_compact_dframe(df):
-    """Finite Scott-openness of tot: the literal upper-set scan."""
-    for p in bits(df.tot_mask):
-        a, b = df.unpid(p)
-        for a2 in bits(df.plus.up[a]):
-            for b2 in bits(df.minus.up[b]):
-                if not df.in_tot(df.pid(a2, b2)):
-                    return False
-    return True
-
-
 def is_zero_dimensional_dframe(df):
-    """Every element is the join of the d-complemented elements below it."""
+    """Every element is the join of the d-complemented elements below it,
+    which on a finite d-lattice is every element being d-complemented (see
+    ``idl_dframe``)."""
     bplus, bminus = d_complemented_sides(df)
-    for L, base in ((df.plus, bplus), (df.minus, bminus)):
-        for x in range(L.n):
-            if L.join_fold(b for b in base if L.leq(b, x)) != x:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class FrameAlgebraEquivalence:
-    """Witness for DF ≅ idl(dB(DF)): the two mutually inverse homs."""
-
-    coreflection: Coreflection
-    ideal_frame: DFrame
-    epsilon: DLatticeHom
-    kappa: DLatticeHom
-
-
-def epsilon_kappa(df):
-    """ε(I) = ⋁I and κ(x) = ↓x ∩ dB; mutually inverse on compact
-    zero-dimensional d-frames."""
-    if not is_zero_dimensional_dframe(df):
-        raise NotZeroDimensional("epsilon/kappa require a zero-dimensional d-frame")
-    if not is_compact_dframe(df):
-        raise InvariantViolation("a finite d-frame failed the compactness scan")
-    cor = dB(df)
-    idlA = idl_dframe(cor.algebra)
-    eps = DLatticeHom(idlA, df, cor.embed_plus, cor.embed_minus)
-    require_valid(validate_dlattice_hom(eps), "epsilon")
-
-    kappa = []
-    for L, embed in ((df.plus, cor.embed_plus), (df.minus, cor.embed_minus)):
-        index = {a: i for i, a in enumerate(embed)}
-        kappa.append(tuple(index[L.join_fold(a for a in embed if L.leq(a, x))] for x in range(L.n)))
-    kap = DLatticeHom(df, idlA, *kappa)
-    require_valid(validate_dlattice_hom(kap), "kappa")
-
-    for outer, inner, what in ((eps, kap, "ε ∘ κ"), (kap, eps, "κ ∘ ε")):
-        composite, D = outer.compose(inner), inner.source
-        if composite.fplus != tuple(range(D.plus.n)) or composite.fminus != tuple(range(D.minus.n)):
-            raise InvariantViolation(f"{what} must be the identity")
-    return FrameAlgebraEquivalence(cor, idlA, eps, kap)
-
-
-def d_complemented_ideals(dl):
-    """d-complemented elements of the ideal frame, with the lemma cross-check:
-    they are exactly the principal ideals on d-complemented elements."""
-    df = idl_dframe(dl)
-    idl_plus, idl_minus = d_complemented_sides(df)
-    base_plus, base_minus = d_complemented_sides(dl)
-    if idl_plus != base_plus or idl_minus != base_minus:
-        raise InvariantViolation(
-            "d-complemented ideals must be the principal ideals on d-complemented elements"
-        )
-    return {
-        "plus": [(i, f"↓{dl.plus.labels[i]}") for i in idl_plus],
-        "minus": [(j, f"↓{dl.minus.labels[j]}") for j in idl_minus],
-    }
+    return len(bplus) == df.plus.n and len(bminus) == df.minus.n

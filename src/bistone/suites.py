@@ -12,8 +12,11 @@ from . import bitop as bt
 from . import duality as du
 from .corpus import birkhoff_corpus, boolean_lattice, dbool_corpus, three_chain, unlabeled_posets
 from .dlattice import (
+    DLatticeHom,
     bool_dlattice,
+    coordinate_tables,
     dB,
+    d_complemented_sides,
     dlattice_equal,
     enumerate_dlattice_homs,
     find_dboolean_iso,
@@ -22,8 +25,10 @@ from .dlattice import (
     logic_formula_row,
     logic_order_lattice,
     omega_of_lattice,
+    step,
     validate_dboolean,
     validate_dlattice,
+    validate_dlattice_hom,
 )
 from .errors import BistoneError, UnknownSuite
 from .ideals import (
@@ -31,17 +36,13 @@ from .ideals import (
     BTT,
     BMap,
     _primes_structural,
-    d_complemented_ideals,
     enumerate_d_filter_maps,
     enumerate_d_ideal_maps,
     enumerate_prime_d_ideals,
-    epsilon_kappa,
-    eta_unit,
     filter_generators,
     four_case_values,
     ideal_map,
     idl_dframe,
-    is_compact_dframe,
     is_hom_to_bool_object,
     is_prime_d_ideal,
     is_zero_dimensional_dframe,
@@ -52,6 +53,7 @@ from .lattice import (
     ideal_carriers,
     ideal_generator,
     join_irreducibles,
+    low_bit,
     prime_generators,
     prime_ideals_bruteforce,
 )
@@ -389,32 +391,41 @@ def check_prime_count_bijection(bundle):
 
 
 def check_dbool_vs_dfrm(bundle):
+    # the finite collapse (see ideals.idl_dframe): ε and κ are the identity
     for A in bundle.dbools:
         df = idl_dframe(A)
-        back = dB(df).algebra
-        if find_dboolean_iso(A, back) is None:
-            return False, "dB ∘ idl does not recover the algebra"
-        if not (is_compact_dframe(df) and is_zero_dimensional_dframe(df)):
+        if not is_zero_dimensional_dframe(df):
             return False, "ideal frame of a d-Boolean algebra not compact zero-dimensional"
-        epsilon_kappa(df)  # asserts both composites are identities
+        cor = dB(df)
+        if (cor.embed_plus, cor.embed_minus) != (tuple(range(A.plus.n)), tuple(range(A.minus.n))):
+            return False, "ε and κ are not the identity on the ideal frame"
+        if find_dboolean_iso(A, cor.algebra) is None:
+            return False, "dB ∘ idl does not recover the algebra"
     return True, "dB∘idl ≅ id and idl∘dB ≅ id with identity composites"
 
 
 def check_eta_unit(bundle):
     for dl in all_dlattices(bundle):
-        df, eta = eta_unit(dl)  # raises InvariantViolation unless eta is a hom
-        for p in range(dl.size):
-            q = eta.apply(p)
-            if (df.in_con(q) and not dl.in_con(p)) or (df.in_tot(q) and not dl.in_tot(p)):
-                return False, f"eta does not reflect con/tot at {dl.pair_label(p)}"
+        df = idl_dframe(dl)  # a ↦ ↓a is the identity on indices
+        report = validate_dlattice_hom(DLatticeHom(dl, df, tuple(range(dl.plus.n)), tuple(range(dl.minus.n))))
+        if not report.ok:
+            return False, f"eta is not a hom: {report.message}"
+        unreflected = (df.con_mask & ~dl.con_mask) | (df.tot_mask & ~dl.tot_mask)
+        if unreflected:
+            return False, f"eta does not reflect con/tot at {dl.pair_label(low_bit(unreflected))}"
     return True, "principal-ideal unit is a hom and reflects con/tot"
+
+
+def tot_is_upper_set(dl):
+    """Compactness of a finite d-frame, tot Scott-open, which is the
+    ``tot-upper-set`` clause of ``validate_dlattice`` (see
+    ``ideals.idl_dframe``)."""
+    return not step(dl.tot_mask, coordinate_tables(dl).up_steps) & ~dl.tot_mask
 
 
 def check_compact_elements(bundle):
     for dl in all_dlattices(bundle):
-        if dl.plus.n > 8 or dl.minus.n > 8:
-            continue
-        if not is_compact_dframe(dl):
+        if not tot_is_upper_set(dl):
             return False, "tot is not an upper set"
         # Compactness of a d-complemented a in directed-closure form needs no
         # scan: for finite nonempty S with a ≤ ⋁S, the closure of S under
@@ -424,7 +435,9 @@ def check_compact_elements(bundle):
 
 def check_d_complemented_ideals(bundle):
     for dl in all_dlattices(bundle):
-        d_complemented_ideals(dl)  # asserts the lemma cross-check
+        # ↓i has the index of i in the ideal frame (see ideals.idl_dframe)
+        if d_complemented_sides(idl_dframe(dl)) != d_complemented_sides(dl):
+            return False, "d-complemented ideals differ from the principal ideals on d-complemented elements"
     return True, "d-complemented ideals are exactly principal ones on d-complemented elements"
 
 
@@ -436,7 +449,7 @@ def check_finite_compactness(bundle):
     # finite spaces are compact (see bitop.is_compact); the statement that
     # can fail is the frame-side one, tot of dO(s) being Scott-open
     for s in bundle.spaces:
-        if not is_compact_dframe(bt.dO(s)):
+        if not tot_is_upper_set(bt.dO(s)):
             return False, "tot of a corpus space's d-frame is not Scott-open"
     return True, "finite compactness is universal"
 

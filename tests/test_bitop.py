@@ -121,11 +121,12 @@ def test_dO_x2(x2):
 
 
 def test_dO_matches_space_level_kz(x2, indiscrete2, sierp2, point1):
-    from bistone.ideals import is_compact_dframe, is_zero_dimensional_dframe
+    from bistone.ideals import is_zero_dimensional_dframe
+    from bistone.suites import tot_is_upper_set
 
     for s in (x2, indiscrete2, sierp2, point1):
         df = bt.dO(s)
-        assert is_compact_dframe(df) == bt.is_compact(s)
+        assert tot_is_upper_set(df) == bt.is_compact(s)
         assert is_zero_dimensional_dframe(df) == bt.is_zero_dimensional(s)
 
 

@@ -475,21 +475,19 @@ def test_hom_enumeration_matches_nested_loops():
 
 
 def test_eta_guard_survives_python_O(run_python):
+    """The ``eta-unit`` row validates the unit as a hom, and still reports
+    a failed validation under ``python -O``."""
     script = textwrap.dedent(
         """
         import sys
-        from bistone import ideals
+        from bistone import suites
         from bistone.dlattice import bool_dlattice
-        from bistone.errors import InvariantViolation
         from bistone.report import StructReport
 
-        ideals.validate_dlattice_hom = lambda hom: StructReport.failed("patched")
-        try:
-            ideals.eta_unit(bool_dlattice())
-        except InvariantViolation:
-            print("raised", sys.flags.optimize)
+        suites.validate_dlattice_hom = lambda hom: StructReport.failed("patched")
+        print(*suites.check_eta_unit(suites.CorpusBundle(dlattices=[bool_dlattice()])), sys.flags.optimize)
         """
     )
     result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["raised", "1"]
+    assert result.stdout.split() == ["False", "eta", "is", "not", "a", "hom:", "patched", "1"]

@@ -1,5 +1,6 @@
 """d-ideal/d-filter maps, prime d-ideals, the sandwich property, the ideal
-frame and the equivalence with compact zero-dimensional d-frames."""
+frame and the finite collapse of the equivalence with compact
+zero-dimensional d-frames."""
 
 import textwrap
 
@@ -11,8 +12,19 @@ from test_validate_oracle import _q2_candidates
 from bistone import duality as du
 from bistone import ideals
 from bistone.corpus import dbool_corpus
-from bistone.dlattice import DBooleanAlgebra, DLattice, bool_dlattice, lambda_of_dislat, validate_dlattice, validate_dlattice_hom
-from bistone.errors import CoveringViolation, InvariantViolation, NotZeroDimensional
+from bistone.dlattice import (
+    DBooleanAlgebra,
+    DLattice,
+    DLatticeHom,
+    bool_dlattice,
+    d_complemented_sides,
+    dB,
+    enumerate_dlattice_homs,
+    lambda_of_dislat,
+    validate_dlattice,
+    validate_dlattice_hom,
+)
+from bistone.errors import CoveringViolation, InvariantViolation
 from bistone.ideals import (
     B0,
     B1,
@@ -20,18 +32,13 @@ from bistone.ideals import (
     BTT,
     BMap,
     b_to_bool_pid,
-    d_complemented_ideals,
     enumerate_d_filter_maps,
     enumerate_d_ideal_maps,
     enumerate_prime_d_ideals,
-    epsilon_kappa,
-    eta_factorization,
-    eta_unit,
     filter_generators,
     four_case_values,
     ideal_map,
     idl_dframe,
-    is_compact_dframe,
     is_hom_to_bool_object,
     is_prime_d_ideal,
     is_zero_dimensional_dframe,
@@ -42,6 +49,7 @@ from bistone.ideals import (
     validate_d_ideal_map,
 )
 from bistone.lattice import bits, ideal_generator
+from bistone.suites import all_dlattices, tot_is_upper_set
 
 
 def covered_ideal_map(dl, u, v):
@@ -266,35 +274,52 @@ def test_idl_collapses_on_finite(lam3, omega3):
 def test_idl_of_dboolean_zero_dimensional(lam3, b2):
     for A in (lam3, lambda_of_dislat(b2)):
         df = idl_dframe(A)
-        assert is_compact_dframe(df)
+        assert tot_is_upper_set(df)
         assert is_zero_dimensional_dframe(df)
 
 
+def identity_hom(source, target):
+    """The identity on indices, as a hom from source to target."""
+    return DLatticeHom(source, target, tuple(range(source.plus.n)), tuple(range(source.minus.n)))
+
+
 def test_eta_is_iso_on_bool(B):
-    df, eta = eta_unit(B)
-    assert sorted(eta.fplus) == list(range(df.plus.n))
-    assert validate_dlattice_hom(eta).ok
+    df = idl_dframe(B)
+    assert validate_dlattice_hom(identity_hom(B, df)).ok
+    assert validate_dlattice_hom(identity_hom(df, B)).ok
 
 
 def test_eta_factorization_unique(B, omega3):
-    from bistone.dlattice import enumerate_dlattice_homs
-
+    """η is the identity on indices, so f factors through it as f itself,
+    and exhaustively no other hom out of the ideal frame does."""
+    df = idl_dframe(B)
     f = enumerate_dlattice_homs(B, omega3)[0]
-    df, eta, fbar = eta_factorization(B, omega3, f)
-    composite = fbar.compose(eta)
-    assert composite.fplus == f.fplus and composite.fminus == f.fminus
-    # exhaustive: the factorization through eta is unique
-    others = [
-        h
+    eta = identity_hom(B, df)
+    through_eta = [
+        (h.fplus, h.fminus)
         for h in enumerate_dlattice_homs(df, omega3)
         if h.compose(eta).fplus == f.fplus and h.compose(eta).fminus == f.fminus
     ]
-    assert [(h.fplus, h.fminus) for h in others] == [(fbar.fplus, fbar.fminus)]
+    assert through_eta == [(f.fplus, f.fminus)]
+
+
+def tot_is_upper_set_by_pairs(dl):
+    """Oracle: every pair above a total pair is total."""
+    P, M = dl.plus, dl.minus
+    return all(
+        dl.in_tot(dl.pid(a2, b2))
+        for a, b in map(dl.unpid, bits(dl.tot_mask))
+        for a2 in range(P.n)
+        for b2 in range(M.n)
+        if P.leq(a, a2) and M.leq(b, b2)
+    )
 
 
 def test_compactness_literal(omega3, B, lam3):
     for dl in (omega3, B, lam3):
-        assert is_compact_dframe(dl)
+        assert tot_is_upper_set(dl) and tot_is_upper_set_by_pairs(dl)
+        lowered = DLattice(dl.plus, dl.minus, dl.con_mask, dl.tot_mask & ~(1 << dl.pid(dl.plus.top, dl.minus.top)))
+        assert not tot_is_upper_set(lowered) and not tot_is_upper_set_by_pairs(lowered)
 
 
 def test_zero_dimensionality(omega3, lam3, b2, B):
@@ -304,36 +329,73 @@ def test_zero_dimensionality(omega3, lam3, b2, B):
     assert is_zero_dimensional_dframe(B)
 
 
+def test_finite_collapse_lemma(bundle):
+    """The lemma of ``idl_dframe`` on the 37 d-lattices of the default
+    bundle and the 135 valid bound-4 Q2 candidates: idl is the input
+    relabelled, tot is an up-set, and zero-dimensional (every element the
+    join of the d-complemented elements below it) iff every element is
+    d-complemented iff the embeddings of dB are the identity, and then ε
+    and κ, the identity on indices, are homs both ways."""
+    dls = all_dlattices(bundle) + [dl for dl in _q2_candidates(4) if validate_dlattice(dl).ok]
+    assert len(dls) == 172
+    zero_dimensional = 0
+    for dl in dls:
+        df = idl_dframe(dl)
+        for got, L in ((df.plus, dl.plus), (df.minus, dl.minus)):
+            assert (got.up, got.bot, got.top, got.meet, got.join) == (L.up, L.bot, L.top, L.meet, L.join)
+            assert got.labels == tuple(f"↓{lab}" for lab in L.labels)
+        assert (df.con_mask, df.tot_mask) == (dl.con_mask, dl.tot_mask)
+        assert tot_is_upper_set_by_pairs(dl)
+        sides = tuple(zip((dl.plus, dl.minus), d_complemented_sides(dl)))
+        by_joins = all(L.join_fold(b for b in base if L.leq(b, x)) == x for L, base in sides for x in range(L.n))
+        every = all(len(base) == L.n for L, base in sides)
+        cor = dB(dl)
+        identity = (cor.embed_plus, cor.embed_minus) == (tuple(range(dl.plus.n)), tuple(range(dl.minus.n)))
+        assert by_joins == every == identity == is_zero_dimensional_dframe(dl)
+        if identity:
+            zero_dimensional += 1
+            ideal_frame = idl_dframe(cor.algebra)
+            assert validate_dlattice_hom(identity_hom(ideal_frame, dl)).ok  # ε
+            assert validate_dlattice_hom(identity_hom(dl, ideal_frame)).ok  # κ
+    assert zero_dimensional == 40
+
+
 def test_epsilon_kappa_identity_on_bool(B):
-    eq = epsilon_kappa(B)
-    assert eq.epsilon.fplus == tuple(range(2)) and eq.kappa.fplus == tuple(range(2))
+    cor = dB(B)
+    assert (cor.embed_plus, cor.embed_minus) == (tuple(range(2)), tuple(range(2)))
 
 
 def test_epsilon_kappa_on_lambda_b2(b2):
-    A = lambda_of_dislat(b2)
-    eq = epsilon_kappa(A)  # identities asserted internally
-    assert validate_dlattice_hom(eq.epsilon).ok and validate_dlattice_hom(eq.kappa).ok
+    df = idl_dframe(lambda_of_dislat(b2))
+    cor = dB(df)
+    assert (cor.embed_plus, cor.embed_minus) == (tuple(range(df.plus.n)), tuple(range(df.minus.n)))
+    ideal_frame = idl_dframe(cor.algebra)
+    assert validate_dlattice_hom(identity_hom(ideal_frame, df)).ok
+    assert validate_dlattice_hom(identity_hom(df, ideal_frame)).ok
 
 
 def test_epsilon_kappa_rejects_non_zero_dimensional(omega3):
-    with pytest.raises(NotZeroDimensional):
-        epsilon_kappa(omega3)
+    """Not zero-dimensional, so dB keeps a proper part and ε is no
+    bijection."""
+    assert not is_zero_dimensional_dframe(omega3)
+    cor = dB(omega3)
+    assert (cor.embed_plus, cor.embed_minus) == ((0, 2), (0, 2))
 
 
 def test_d_complemented_ideals_bool(B):
-    result = d_complemented_ideals(B)
-    assert len(result["plus"]) == 2 and len(result["minus"]) == 2
+    plus, minus = d_complemented_sides(idl_dframe(B))
+    assert (plus, minus) == d_complemented_sides(B) and len(plus) == 2 and len(minus) == 2
 
 
 def test_d_complemented_ideals_omega3(omega3):
-    result = d_complemented_ideals(omega3)
-    assert [i for i, _ in result["plus"]] == [0, 2]
-    assert [j for j, _ in result["minus"]] == [0, 2]
+    plus, minus = d_complemented_sides(idl_dframe(omega3))
+    assert plus == [0, 2]
+    assert minus == [0, 2]
 
 
 def test_d_complemented_ideals_lambda(lam3):
-    result = d_complemented_ideals(lam3)
-    assert len(result["plus"]) == lam3.plus.n  # all principal ideals
+    plus, _ = d_complemented_sides(idl_dframe(lam3))
+    assert len(plus) == lam3.plus.n  # all principal ideals
 
 
 def test_dcomplemented_elements_compact(omega3):

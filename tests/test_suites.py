@@ -9,7 +9,7 @@ from test_census_kernels import merge_two_opens
 from bistone import duality as du
 from bistone import suites
 from bistone.cli import main
-from bistone.dlattice import DLattice, DLatticeHom
+from bistone.dlattice import DLattice
 from bistone.errors import CoveringViolation, UnknownSuite
 from bistone.ideals import BMap, four_case_values, ideal_map
 from bistone.lattice import low_bit
@@ -46,17 +46,16 @@ def test_raising_row_reports_and_later_rows_run(monkeypatch, capsys, side):
 
 
 def test_eta_unit_row_fails_when_eta_does_not_reflect_con(bundle, monkeypatch):
-    real = suites.eta_unit
+    real = suites.idl_dframe
 
-    def eta_into_larger_con(dl):
-        """The unit, into the ideal frame with its lowest inconsistent pair
-        made consistent: still a hom, but it no longer reflects con."""
-        df, eta = real(dl)
-        grown = DLattice(df.plus, df.minus, df.con_mask | 1 << low_bit(~df.con_mask), df.tot_mask)
-        return grown, DLatticeHom(dl, grown, eta.fplus, eta.fminus)
+    def idl_with_larger_con(dl):
+        """The ideal frame with its lowest inconsistent pair made
+        consistent: the unit is still a hom, but no longer reflects con."""
+        df = real(dl)
+        return DLattice(df.plus, df.minus, df.con_mask | 1 << low_bit(~df.con_mask), df.tot_mask)
 
     assert suites.check_eta_unit(bundle) == (True, "principal-ideal unit is a hom and reflects con/tot")
-    monkeypatch.setattr(suites, "eta_unit", eta_into_larger_con)
+    monkeypatch.setattr(suites, "idl_dframe", idl_with_larger_con)
     assert suites.check_eta_unit(bundle) == (False, "eta does not reflect con/tot at (tt,ff)")
 
 

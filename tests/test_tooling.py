@@ -1,11 +1,12 @@
 """Repository checks read from source with ``ast``, so nothing under
 ``bench/`` is imported: every library name the benchmark harness traces or
 calls still resolves below ``bistone`` and takes the arguments the harness
-passes, the library has no ``assert`` statement (its guards raise, so they
-survive ``python -O``), no library module imports numpy, only the named
-functions scan all n! relabelings, only the named functions hold an
-``lru_cache``, and every library definition is reached from the library or
-the harness, or is named in one allow-list."""
+passes, the ``props`` workload counts every suite row, the library has no
+``assert`` statement (its guards raise, so they survive ``python -O``), no
+library module imports numpy, only the named functions scan all n!
+relabelings, only the named functions hold an ``lru_cache``, and every
+library definition is reached from the library or the harness, or is named
+in one allow-list."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import bistone
+from bistone import suites
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -88,6 +90,26 @@ def test_bench_workload_calls_bind_to_library_signatures():
             inspect.signature(resolve(path)).bind(*node.args, **keywords)
             calls.add(path)
     assert {"duality.spatiality_check", "dlattice.DLattice", "cli.main"} <= calls
+
+
+def test_props_workload_counts_every_suite_row():
+    """``Props.items_per_pass`` and the ``rows`` its gate wants are the rows
+    of ``suites.SUITES``, so a row added or deleted without a change to the
+    benchmark fails here."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    (props,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Props"]
+    (items,) = [
+        ast.literal_eval(node.value)
+        for node in props.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["items_per_pass"]
+    ]
+    (gate,) = [node for node in props.body if isinstance(node, ast.FunctionDef) and node.name == "gate"]
+    (want,) = [
+        ast.literal_eval(node.value)
+        for node in ast.walk(gate)
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["want"]
+    ]
+    assert items == want["rows"] == sum(len(rows) for rows in suites.SUITES.values())
 
 
 def test_library_has_no_assert_statement():
@@ -180,7 +202,6 @@ def test_only_named_functions_hold_an_lru_cache():
 TEST_ONLY_DEFINITIONS = {
     "prime_sandwich": "a statement of the paper, checked by tests",
     "coreflection_check": "a statement of the paper, checked by tests",
-    "eta_factorization": "a statement of the paper, checked by tests",
     "prime_d_ideal_characterization": "a statement of the paper, checked by tests",
     "find_homeomorphism": "the n! oracle for the space canonical forms",
     "is_pairwise_regular": "a separation axiom of the paper, checked by tests",

@@ -2,16 +2,18 @@
 test-only oracles: ``generate_topology`` against the fixpoint loops,
 ``BiTopSpace``'s closure check against the scan over the sorted tuple, the
 two-sided predicates against one block per side, and ``dspec_equals_dpt_idl``
-against the form that enumerated the primes of the ideal frame again."""
+against the form that enumerated the primes of the ideal frame again, and
+its False on φ families that are no topologies."""
 
 from itertools import combinations, permutations, product
 
 import pytest
+from test_census_kernels import merge_two_opens
 
 from bistone import bitop as bt
 from bistone import duality as du
-from bistone.corpus import unlabeled_posets
-from bistone.dlattice import lambda_of_dislat
+from bistone.corpus import chain, unlabeled_posets
+from bistone.dlattice import bool_dlattice, lambda_of_dislat, omega_of_lattice
 from bistone.ideals import enumerate_prime_d_ideals, idl_dframe
 from bistone.lattice import birkhoff, bits, mask_of
 from bistone.suites import all_dlattices
@@ -202,6 +204,15 @@ def test_dspec_equals_dpt_idl_matches_two_enumerations(bundle):
     assert len(inputs) > 87
     for dl in inputs:
         assert du.dspec_equals_dpt_idl(dl) is dspec_equals_dpt_idl_by_two_enumerations(dl) is True
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_dspec_equals_dpt_idl_is_false_when_a_family_is_no_topology(monkeypatch, side):
+    """With two opens of φ₊ or φ₋ merged, that family is no longer a
+    topology: the function returns False instead of raising."""
+    merge_two_opens(monkeypatch, side)
+    inputs = [bool_dlattice(), lambda_of_dislat(chain(3)), omega_of_lattice(chain(3))]
+    assert [du.dspec_equals_dpt_idl(dl) for dl in inputs] == [False] * 3
 
 
 def test_ideal_frame_has_the_primes_of_its_input(bundle):

@@ -43,13 +43,22 @@ pair that shares a coordinate with it.  The pairs that share one but are
 not above (a, b) are, in row a, the (a, b2) with b2 not above b and, in
 column b, the (a2, b) with a2 not above a: ``(in_row[b] << a * n_minus) |
 (in_column[a] << b)``, with one mask per coordinate element
-(``CoordinateTables.not_above``).  So the clause is one AND with tot per
-member of con, in pair-id order, and the first nonzero AND names the
-witness.
+(``CoordinateTables.not_above``).  Their union over the members of con is
+the forbidden mask F(con), and the clause holds iff ``tot & F(con)`` is
+zero: one AND.  Only when it is nonzero are the members walked, in pair-id
+order, so that the first whose own mask meets tot names the witness.
 
 What depends only on the two coordinate lattices is one record,
 ``CoordinateTables``, each table built on first read, and cached by the two
 up rows (``coordinate_tables``).
+
+Every clause but con–tot reads one predicate alone, so its verdict is a
+function of the record, the side (con or tot) and that side's mask;
+``validate_dlattice`` decides it once per (side, mask) and keeps it in the
+record's ``verdicts`` (``_side_verdict``), with F(con) when con passes.  A
+record is shared by every coordinate pair with the same up rows, whatever
+their labels, so a verdict holds pair ids, never labels, and each report is
+built from the caller's labels.
 
 The d-Boolean clauses read order rows as well: a bijection † reverses the
 order iff it maps the up row of each plus element a onto the down row of
@@ -221,11 +230,14 @@ def covered_pairs(n_plus, n_minus, zplus, zminus):
 
 class CoordinateTables:
     """The tables of a pair of coordinate lattices, each built on first read;
-    records compare by ``key``, the up rows, of which every table is a function."""
+    records compare by ``key``, the up rows, of which every table is a
+    function.  ``verdicts`` maps (side, mask) to the label-free verdict of
+    ``_side_verdict``, filled by ``validate_dlattice``."""
 
     def __init__(self, plus, minus):
         self.plus, self.minus = plus, minus
         self.key = (plus.poset.up, minus.poset.up)
+        self.verdicts = {}
 
     def __eq__(self, other):
         return self.key == other.key
@@ -306,7 +318,9 @@ def coordinate_tables(dl):
 @lru_cache(maxsize=128)
 def _shared_tables(tables):
     """The first record cached with the up rows of ``tables``; the last 128
-    cover a Q2 census (49 coordinate pairs) and a ``props`` pass (70)."""
+    cover a Q2 census (49 coordinate pairs) and a ``props`` pass (70).  A
+    ``duality-corpus`` pass reads 230, each once, so it misses 230 times
+    at any bound."""
     return tables
 
 
@@ -367,8 +381,46 @@ def first_escape(dl, plus_table, minus_table, mask, members):
 # axiom validation
 
 
+def _side_verdict(dl, tables, name, mask):
+    """The single-side clauses on mask as con or tot (``name``), in pair ids:
+    (rank, witness) for the first that fails, rank 0 tt/ff with the missing
+    one, 1 closure with the lowest missing pair, 2 logic with the operation
+    and escaping members; else (3, None), and for con (3, (F(con), members)),
+    each member's coordinates (a, b) with its con–tot mask, in pair-id order."""
+    P, M = dl.plus, dl.minus
+    nm = M.n
+    tt, ff = P.top * nm + M.bot, P.bot * nm + M.top
+    if not (mask >> tt) & (mask >> ff) & 1:
+        return 0, "ff" if (mask >> tt) & 1 else "tt"
+    # con a down-set (finite Scott-closedness, see module docstring), tot an
+    # up-set; the logic clauses are then decided on the maximal members of
+    # con and the minimal members of tot
+    steps = tables.down_steps if name == "con" else tables.up_steps
+    moved = step(mask, steps)
+    if moved & ~mask:
+        return 1, low_bit(closure(mask, steps) & ~mask)
+    if not logic_closed_on(dl, tables.logic, mask, mask & ~moved):
+        members = list(bits(mask))
+        for op_name, plus_table, minus_table in tables.logic:
+            escape = first_escape(dl, plus_table, minus_table, mask, members)
+            if escape is not None:
+                return 2, (op_name, *escape)
+    if name == "tot":
+        return 3, None
+    in_row, in_column = tables.not_above
+    members, forbidden = [], 0
+    for p in bits(mask):
+        a, b = divmod(p, nm)
+        not_above = (in_row[b] << (a * nm)) | (in_column[a] << b)
+        members.append((a, b, not_above))
+        forbidden |= not_above
+    return 3, (forbidden, tuple(members))
+
+
 def validate_dlattice(dl):
-    """PASS, or the first violated d-lattice axiom with a concrete witness."""
+    """PASS, or the first violated d-lattice axiom with a concrete witness:
+    tt/ff, closure and logic clauses in that order, con before tot in each,
+    then con–tot."""
     P, M = dl.plus, dl.minus
     tables = coordinate_tables(dl)
     nm = M.poset.n
@@ -378,60 +430,47 @@ def validate_dlattice(dl):
             message="{tt,ff} = {1,0}: a coordinate lattice is trivial",
         )
     con, tot = dl.con_mask, dl.tot_mask
-    tt, ff = P.top * nm + M.bot, P.bot * nm + M.top
+    found = []
     for name, mask in (("con", con), ("tot", tot)):
-        if not (mask >> tt) & (mask >> ff) & 1:
-            w = "ff" if (mask >> tt) & 1 else "tt"
-            return StructReport.failed(f"{name}-tt-ff", witness=w, message=f"{w} not in {name}")
-
-    # con a down-set (finite Scott-closedness, see module docstring), tot an
-    # up-set; the logic clauses are then decided on the maximal members of
-    # con and the minimal members of tot
-    extremal = []
-    for axiom, name, mask, steps, word in (
-        ("con-scott-closed", "con", con, tables.down_steps, "smaller"),
-        ("tot-upper-set", "tot", tot, tables.up_steps, "larger"),
-    ):
-        moved = step(mask, steps)
-        if moved & ~mask:
-            a, b = divmod(low_bit(closure(mask, steps) & ~mask), nm)
-            return StructReport.failed(
-                axiom,
-                witness=(P.labels[a], M.labels[b]),
-                message=f"{name} misses the {word} pair ({P.labels[a]},{M.labels[b]})",
-            )
-        extremal.append(mask & ~moved)
-
-    logic = tables.logic
-    for name, mask, deciding in zip(("con", "tot"), (con, tot), extremal):
-        if logic_closed_on(dl, logic, mask, deciding):
-            continue
-        members = list(bits(mask))
-        for op_name, plus_table, minus_table in logic:
-            escape = first_escape(dl, plus_table, minus_table, mask, members)
-            if escape is not None:
-                w = (dl.labels_of(escape[0]), dl.labels_of(escape[1]))
-                return StructReport.failed(
-                    f"{name}-logic-sublattice",
-                    witness=w,
-                    message=f"{name} not closed under {op_name} at {w}",
-                )
+        verdict = tables.verdicts.get((name, mask))
+        if verdict is None:
+            verdict = tables.verdicts[name, mask] = _side_verdict(dl, tables, name, mask)
+        found.append(verdict)
+    con_verdict, tot_verdict = found
+    name, (rank, w) = ("tot", tot_verdict) if tot_verdict[0] < con_verdict[0] else ("con", con_verdict)
+    if rank == 0:
+        return StructReport.failed(f"{name}-tt-ff", witness=w, message=f"{w} not in {name}")
+    if rank == 1:
+        a, b = divmod(w, nm)
+        axiom, word = ("con-scott-closed", "smaller") if name == "con" else ("tot-upper-set", "larger")
+        return StructReport.failed(
+            axiom,
+            witness=(P.labels[a], M.labels[b]),
+            message=f"{name} misses the {word} pair ({P.labels[a]},{M.labels[b]})",
+        )
+    if rank == 2:
+        op_name, p, q = w
+        w = (dl.labels_of(p), dl.labels_of(q))
+        return StructReport.failed(
+            f"{name}-logic-sublattice",
+            witness=w,
+            message=f"{name} not closed under {op_name} at {w}",
+        )
 
     # a consistent (a, b) must lie below every total pair in its row and
     # column; the first failing (a, b) in pair-id order is named, with the
     # lowest such total pair
-    in_row, in_column = tables.not_above
-    for p in bits(con):
-        a, b = divmod(p, nm)
-        not_above = tot & ((in_row[b] << (a * nm)) | (in_column[a] << b))
-        if not_above:
-            a2, b2 = divmod(low_bit(not_above), nm)
-            alpha, beta = (P.labels[a], M.labels[b]), (P.labels[a2], M.labels[b2])
-            return StructReport.failed(
-                "con-tot",
-                witness={"alpha": alpha, "beta": beta},
-                message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
-            )
+    forbidden, members = con_verdict[1]
+    if tot & forbidden:
+        for a, b, not_above in members:
+            if tot & not_above:
+                a2, b2 = divmod(low_bit(tot & not_above), nm)
+                alpha, beta = (P.labels[a], M.labels[b]), (P.labels[a2], M.labels[b2])
+                return StructReport.failed(
+                    "con-tot",
+                    witness={"alpha": alpha, "beta": beta},
+                    message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
+                )
     return StructReport.passed("valid d-lattice")
 
 

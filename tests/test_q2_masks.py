@@ -5,8 +5,9 @@ pair-by-pair clause (ii)/(iii) loop of ``spatiality_check``, and the prime
 scan that ran ``validate_d_filter_map`` on every covering pair.  Also the
 prime generators against the numpy meet scan of the prime ideals (kept in
 ``test_hom_oracles``), the logic tables of the shared coordinate
-record against the lattice's own tables, and what the record cache holds
-after the duality corpus."""
+record against the lattice's own tables, what the record cache holds
+after the duality corpus, and the label-free side verdicts each record
+keeps for ``validate_dlattice``."""
 
 from functools import lru_cache
 
@@ -138,22 +139,42 @@ def test_validate_matches_row_loop_on_bound5_candidates(bound5):
     assert fired == {None: 2269, "con-tot": 37175}
 
 
+def fresh_record_cache(monkeypatch, filled=None):
+    """Replace the record cache by an empty one of the same bound, which
+    appends each record it fills to ``filled``."""
+
+    def filling(tables):
+        if filled is not None:
+            filled.append(tables)
+        return tables
+
+    maxsize = dlattice_module._shared_tables.cache_info().maxsize
+    monkeypatch.setattr(dlattice_module, "_shared_tables", lru_cache(maxsize=maxsize)(filling))
+
+
+def down_up_pairs(plus, minus):
+    """Every d-lattice candidate on (plus, minus) whose con is a down-set
+    and whose tot is an up-set, con outer."""
+    shell = DLattice(plus, minus, 0, 0)
+    ups = du._up_sets_containing(shell, 0)
+    return [DLattice(plus, minus, con, tot) for con in du._down_sets_of_product(shell, 0)[0] for tot in ups]
+
+
+def down_up_pairs_bound4():
+    lattices = du._distributive_lattices_upto(4)
+    return [dl for plus in lattices for minus in lattices for dl in down_up_pairs(plus, minus)]
+
+
 def test_validate_matches_row_loop_on_down_up_pairs_bound4():
     """Every down-set con and up-set tot of every coordinate pair at bound
     4, so the tt/ff and logic clauses fail too."""
     fired = {}
     checked = 0
-    for plus in du._distributive_lattices_upto(4):
-        for minus in du._distributive_lattices_upto(4):
-            shell = DLattice(plus, minus, 0, 0)
-            ups = du._up_sets_containing(shell, 0)
-            for con in du._down_sets_of_product(shell, 0)[0]:
-                for tot in ups:
-                    dl = DLattice(plus, minus, con, tot)
-                    want = validate_dlattice_by_rows(dl)
-                    assert validate_dlattice(dl) == want
-                    fired[want.axiom] = fired.get(want.axiom, 0) + 1
-                    checked += 1
+    for dl in down_up_pairs_bound4():
+        want = validate_dlattice_by_rows(dl)
+        assert validate_dlattice(dl) == want
+        fired[want.axiom] = fired.get(want.axiom, 0) + 1
+        checked += 1
     assert checked == 64510
     assert set(fired) == {
         None,
@@ -163,6 +184,56 @@ def test_validate_matches_row_loop_on_down_up_pairs_bound4():
         "tot-logic-sublattice",
         "con-tot",
     }
+
+
+def test_down_up_pairs_bound4_in_reverse_from_an_empty_cache(monkeypatch):
+    """The side verdicts kept on each record do not depend on the order in
+    which the masks first arrive: the bound-4 pairs, last first, from an
+    empty record cache, still match the oracle."""
+    fresh_record_cache(monkeypatch)
+    inputs = down_up_pairs_bound4()[::-1]
+    assert len(inputs) == 64510
+    for dl in inputs:
+        assert validate_dlattice(dl) == validate_dlattice_by_rows(dl)
+
+
+DIAMOND = [[True, True, True, True], [False, True, False, True], [False, False, True, True], [False, False, False, True]]
+CHAIN3 = [[True, True, True], [False, True, True], [False, False, True]]
+
+
+def test_reports_from_a_shared_record_carry_the_callers_labels(monkeypatch):
+    """Two coordinate pairs with the same orders and different labels share
+    one record.  On each, a candidate failing each clause that reads the
+    record's verdicts is validated, one labelling first and then the other:
+    every report equals the oracle's on its own labels.  The tot of the last
+    candidate is the con of the passing one, a down-set that is not an
+    up-set, so a verdict kept for a mask as con is not read for it as tot."""
+    labellings = [(["0", "x", "y", "1"], ["0", "m", "1"]), (["p", "q", "r", "s"], ["u", "v", "w"])]
+    pairs = [(build_lattice(pl, DIAMOND), build_lattice(ml, CHAIN3)) for pl, ml in labellings]
+    chosen = {}
+    for dl in down_up_pairs(*pairs[0]):
+        chosen.setdefault(validate_dlattice_by_rows(dl).axiom, (dl.con_mask, dl.tot_mask))
+    con, tot = chosen[None]
+    top = 1 << DLattice(*pairs[0], 0, 0).one
+    masks = [chosen[axiom] for axiom in ("con-logic-sublattice", "tot-logic-sublattice", "con-tot")]
+    masks += [(con | top, tot), (con, con)]
+    for order in (pairs, pairs[::-1]):
+        fresh_record_cache(monkeypatch)
+        reports = {}
+        for plus, minus in order:
+            for pair_masks in masks:
+                dl = DLattice(plus, minus, *pair_masks)
+                reports.setdefault(pair_masks, []).append(validate_dlattice(dl))
+                assert reports[pair_masks][-1] == validate_dlattice_by_rows(dl)
+        assert coordinate_tables(DLattice(*pairs[0], 0, 0)) is coordinate_tables(DLattice(*pairs[1], 0, 0))
+        assert [first.axiom for first, _ in reports.values()] == [
+            "con-logic-sublattice",
+            "tot-logic-sublattice",
+            "con-tot",
+            "con-scott-closed",
+            "tot-upper-set",
+        ]
+        assert all(first.witness != second.witness for first, second in reports.values())
 
 
 def test_logic_tables_match_numpy_tables(corpus):
@@ -307,13 +378,7 @@ def test_row_keyed_cache_holds_every_carrier(corpus, monkeypatch):
     repeat lookup returns the same record.  The cache is replaced by an
     equal one whose fills are recorded."""
     filled = []
-
-    def filling(tables):
-        filled.append(tables)
-        return tables
-
-    maxsize = dlattice_module._shared_tables.cache_info().maxsize
-    monkeypatch.setattr(dlattice_module, "_shared_tables", lru_cache(maxsize=maxsize)(filling))
+    fresh_record_cache(monkeypatch, filled)
     sizes, fields = set(), set()
     for A, X in corpus:
         filled.clear()
@@ -363,3 +428,19 @@ def test_validate_dlattice_looks_up_one_record(bound5, monkeypatch):
         axioms.add(validate_dlattice(dl).axiom)
         assert lookups == calls
     assert {None, "degenerate-pair", "con-tt-ff", "con-scott-closed", "tot-upper-set", "con-tot"} <= axioms
+
+
+def test_side_verdicts_fill_once_per_record_side_and_mask(bound5, monkeypatch):
+    """The Q2 census at bound 5 reads 49 records and decides 1,078 con and
+    1,078 tot masks, each once; a second pass decides nothing new."""
+    filled = []
+    fresh_record_cache(monkeypatch, filled)
+    candidates = bound5[0]
+    for dl in candidates:
+        validate_dlattice(dl)
+    kept = [dict(tables.verdicts) for tables in filled]
+    assert len(filled) == 49
+    assert [sum(side == name for tables in filled for side, _ in tables.verdicts) for name in ("con", "tot")] == [1078, 1078]
+    for dl in candidates:
+        validate_dlattice(dl)
+    assert len(filled) == 49 and [tables.verdicts for tables in filled] == kept

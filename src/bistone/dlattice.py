@@ -49,8 +49,9 @@ zero: one AND.  Only when it is nonzero are the members walked, in pair-id
 order, so that the first whose own mask meets tot names the witness.
 
 What depends only on the two coordinate lattices is one record,
-``CoordinateTables``, each table built on first read, and cached by the two
-up rows (``coordinate_tables``).
+``CoordinateTables``, each table built on first read, shared by every pair
+with the same two up rows (``_shared_tables``) and held on the lattice pair
+(``coordinate_tables``): only a pair's first lookup builds a record.
 
 Every clause but con–tot reads one predicate alone, so its verdict is a
 function of the record, the side (con or tot) and that side's mask;
@@ -232,10 +233,13 @@ class CoordinateTables:
     """The tables of a pair of coordinate lattices, each built on first read;
     records compare by ``key``, the up rows, of which every table is a
     function.  ``verdicts`` maps (side, mask) to the label-free verdict of
-    ``_side_verdict``, filled by ``validate_dlattice``."""
+    ``_side_verdict``, filled by ``validate_dlattice``.  A record keeps the
+    lattices' posets and operation tables, not the lattices, so a record
+    held on its own lattice pair makes no reference cycle."""
 
     def __init__(self, plus, minus):
-        self.plus, self.minus = plus, minus
+        self.posets = (plus.poset, minus.poset)
+        self.operations = ((plus.meet, plus.join), (minus.meet, minus.join))
         self.key = (plus.poset.up, minus.poset.up)
         self.verdicts = {}
 
@@ -249,7 +253,7 @@ class CoordinateTables:
         """One (selector, shift) per shift of a cover edge: an edge moves the pairs
         at its source end (upper when ``downward``) to its other end, and edges
         with one shift share a step whose selector is the union of theirs."""
-        P, M = self.plus.poset, self.minus.poset
+        P, M = self.posets
         row0, col0 = unit_masks(P.n, M.n)
         selectors = {}
         for hasse, unit, width in ((M.hasse, col0, 1), (P.hasse, row0, M.n)):
@@ -271,14 +275,14 @@ class CoordinateTables:
     def logic(self):
         """Logic meet (∧, ∨) and join (∨, ∧) by name, each as its (plus,
         minus) coordinate tables: the lattices' own tuples."""
-        P, M = self.plus, self.minus
-        return (("logic-meet", P.meet, M.join), ("logic-join", P.join, M.meet))
+        (plus_meet, plus_join), (minus_meet, minus_join) = self.operations
+        return (("logic-meet", plus_meet, minus_join), ("logic-join", plus_join, minus_meet))
 
     @cached_property
     def not_above(self):
         """The con–tot masks: per minus element b, the row-0 pairs (0, b2) with
         b2 not above b; per plus a, the column-0 pairs (a2, 0), a2 not above a."""
-        P, M = self.plus.poset, self.minus.poset
+        P, M = self.posets
         row0, col0 = unit_masks(P.n, M.n)
         in_column = tuple(col0 & ~covered_pairs(P.n, M.n, up, 0) for up in P.up)
         return tuple(row0 & ~up for up in M.up), in_column
@@ -286,7 +290,7 @@ class CoordinateTables:
     def _covered_masks(self, downward):
         """Per coordinate lattice, (g, the pairs whose coordinate there is ≤ g,
         or ≥ g when not ``downward``) for each element g."""
-        P, M = self.plus.poset, self.minus.poset
+        P, M = self.posets
         plus_rows, minus_rows = (P.down, M.down) if downward else (P.up, M.up)
         return (
             tuple((u, covered_pairs(P.n, M.n, row, 0)) for u, row in enumerate(plus_rows)),
@@ -306,21 +310,29 @@ class CoordinateTables:
         """The entries of ``down_masks`` whose ↓g is a prime ideal."""
         return tuple(
             tuple(masks[g] for g in prime_generators(L))
-            for L, masks in zip((self.plus.poset, self.minus.poset), self.down_masks)
+            for L, masks in zip(self.posets, self.down_masks)
         )
 
 
 def coordinate_tables(dl):
-    """The cached ``CoordinateTables`` with the up rows of dl."""
-    return _shared_tables(CoordinateTables(dl.plus, dl.minus))
+    """The shared ``CoordinateTables`` with the up rows of dl, held on its
+    plus lattice per minus lattice (``FiniteLattice.paired_tables``): a
+    repeat lookup for the pair is one dict read keyed by identity, and only
+    the first builds a record, to look up in ``_shared_tables``."""
+    held = dl.plus.paired_tables
+    tables = held.get(dl.minus)
+    if tables is None:
+        tables = held[dl.minus] = _shared_tables(CoordinateTables(dl.plus, dl.minus))
+    return tables
 
 
 @lru_cache(maxsize=128)
 def _shared_tables(tables):
-    """The first record cached with the up rows of ``tables``; the last 128
-    cover a Q2 census (49 coordinate pairs) and a ``props`` pass (70).  A
-    ``duality-corpus`` pass reads 230, each once, so it misses 230 times
-    at any bound."""
+    """The first record cached with the up rows of ``tables``, read once per
+    new lattice pair; the last 128 cover a Q2 census (49 coordinate pairs)
+    and a ``props`` pass (70).  Building the ``duality-corpus`` inputs and
+    one pass over them read 230, 87 of them while building, each once, so
+    they miss 230 times at any bound."""
     return tables
 
 

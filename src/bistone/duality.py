@@ -15,7 +15,6 @@ from .bitop import (
     BiTopSpace,
     dclop_algebra,
     connected_subsets_are_singletons,
-    disjoint_and_covering,
     generate_topology,
     is_compact,
     is_extremally_disconnected,
@@ -189,25 +188,73 @@ def dspec_equals_dpt_idl(dl):
     return all(frozenset(phi) == opens for phi, opens in zip((spec.phi_plus, spec.phi_minus), spec.space.open_sets))
 
 
+def spatial_reflection(dl):
+    """sp(dl) = (plus, minus, D, C): dl's coordinate lattices with, as con,
+    the pairs whose opens φ₊(a), φ₋(b) over the primes are disjoint and, as
+    tot, those whose opens cover every prime, built as masks over the prime
+    generators of ``prime_pairs`` with no opens.  The masks are proved, and
+    the clause (i) guard below is justified, in ``spatiality_check``.
+
+    On a valid dl, con ⊆ D and tot ⊆ C: the prime d-ideal g_k is a hom into
+    the four-element object (``dlattice.bool_dlattice``), whose con lacks 1
+    and whose tot lacks 0, and g_k(a, b) is 1 iff a ≰ u_k and b ≰ v_k, and
+    0 iff a ≤ u_k and b ≤ v_k.  So sp(dl) has the prime pairs of dl, in
+    order: each (u_k, v_k) covers D ⊆ R_k | K_k and avoids C ⊆ ~(R_k & K_k),
+    and a pair that covers D ⊇ con and avoids C ⊇ tot is one of dl's; hence
+    sp(sp(dl)) = sp(dl).  sp(dl) is valid: φ₊ and φ₋ are lattice embeddings
+    into the spectrum's topologies (a ∧ a′ ≰ u_k iff neither is below u_k,
+    as ↓u_k is prime; a ∨ a′ ≰ u_k iff one is not), and D and C are the
+    preimages under them of con and tot of dO of the spectrum
+    (``bitop.dO``), whose axioms pull back along lattice embeddings."""
+    plus_rows, minus_cols = coordinate_tables(dl).down_masks
+    disjoint = covering = (1 << dl.size) - 1
+    plus_sides = minus_sides = 0
+    for u, v in prime_pairs(dl):
+        rows_u, cols_v = plus_rows[u][1], minus_cols[v][1]
+        disjoint &= rows_u | cols_v
+        covering &= ~(rows_u & cols_v)
+        plus_sides |= 1 << u
+        minus_sides |= 1 << v
+    for sign, L, sides in (("₊", dl.plus.poset, plus_sides), ("₋", dl.minus.poset, minus_sides)):
+        if any(row.bit_count() == 1 and not (sides >> m) & 1 for m, row in enumerate(L.cover_up)):
+            raise InvariantViolation(f"spatiality clause (i): φ{sign} is not injective on a d-lattice")
+    return DLattice(dl.plus, dl.minus, disjoint, covering)
+
+
 def spatiality_check(dl):
-    """The three spatiality clauses of the ideal frame against the spectrum.
+    """The three spatiality clauses of the ideal frame against the spectrum,
+    read off the spatial reflection sp(dl) = (plus, minus, D, C).
 
     (i) prime d-ideals separate distinct ideal pairs, (ii) consistency of an
     ideal pair is empty intersection of its opens, (iii) totality is covering.
 
-    φ₊ and φ₋ are read from the prime generators (u, v), with no spectrum
-    (``ideals.prime_pair_opens``): φ₊(a) holds the primes with value tt at
-    (a, ⊥), and the four-case map of (u, v) has its tt bit there iff a ∉ ↓u,
-    and its ff bit there is clear, as ⊥ ∈ ↓v; dually for φ₋.  The primes are
-    in the order of ``prime_pairs``, not the spectrum's, but the clauses
-    compare opens only by equality, disjointness and cover of the full set,
-    so the verdict and the detail do not depend on that order.
+    The opens are φ₊(a) = {k : a ≰ u_k} and φ₋(b) = {k : b ≰ v_k} over the
+    generators (u_k, v_k) of ``prime_pairs`` (``ideals.prime_pair_opens``).
+    Let R_k hold the pairs (a, b) with a ≤ u_k and K_k those with b ≤ v_k
+    (``CoordinateTables.down_masks``).  Then D = AND_k (R_k | K_k), as
+    φ₊(a) ∩ φ₋(b) is empty iff a ≤ u_k or b ≤ v_k for every k; and C is
+    the carrier ANDed with every ~(R_k & K_k), as φ₊(a) ∪ φ₋(b) holds every
+    k iff never both a ≤ u_k and b ≤ v_k.  Both are meets over the primes,
+    so their order does not matter.
+
+    On a valid d-lattice, (↓i, ↓j) is consistent / total iff (i, j) is (see
+    ``ideals.idl_dframe``), so (ii) and (iii) compare con with D and tot
+    with C by XOR; the lowest differing pair id is named, (ii) before (iii)
+    there, as a scan of the pairs in row-major order names it.
 
     Clause (i) holds on every valid d-lattice.  Distinct ideal pairs with
-    equal opens exist iff φ₊ or φ₋ is not injective, and both are order
-    embeddings: a ≰ a′ gives a prime ideal ↓u of the plus lattice with
-    a′ ≤ u and a ≰ u, so it suffices that every such ↓u is the plus side of
-    a pair (u, v) of ``prime_pairs``.  Let c be the least element outside ↓u
+    equal opens exist iff φ₊ or φ₋ is not injective, and φ is injective iff
+    every meet-irreducible element (one upper cover; the prime generators,
+    see ``lattice.prime_generators``) is a side u_k.  If a meet-irreducible
+    m with upper cover m* is no side, then for every side u, m ≤ u ⇔
+    m* ≤ u, because m ≤ u and m* ≰ u give u ∧ m* = m, which forces u = m;
+    so φ(m) = φ(m*).  Conversely, let every meet-irreducible be a side.
+    Every element a′ is the meet of the meet-irreducibles above it, so
+    a ≰ a′ puts some u_k above a′ and not above a, and k in φ(a) ∖ φ(a′):
+    φ is an order embedding.
+
+    Every prime ideal ↓u of the plus lattice is the plus side of a pair
+    (u, v) of ``prime_pairs``.  Let c be the least element outside ↓u
     (↓u is prime).  (↓u, ↓v) covers con iff every b with (c, b) in con lies
     in ↓v, as con is a down-set.  Those b have a largest member y: (c, ⊥) is
     in con, below tt, and con is closed under logic meet, which joins the
@@ -217,25 +264,12 @@ def spatiality_check(dl):
     is in tot and (c, y) in con; they share y, so con–tot gives c ≤ u,
     which is false.  In the same way y ≠ ⊤, by comparing (c, ⊤) with ff.
     So some prime ideal ↓v contains y and, if t exists, misses it, and
-    (u, v) is in ``prime_pairs``.  φ₋ is an order embedding dually.  The
-    guard below only catches a fault in the code this proof relies on.
-
-    On a valid d-lattice, (↓i, ↓j) is consistent / total iff (i, j) is (see
-    ``ideals.idl_dframe``), so (ii) and (iii) read the input's con and tot.
-    They are decided as two pair-id masks over φ₊ × φ₋, the pairs whose opens
-    are disjoint and those whose opens cover (``bitop.disjoint_and_covering``,
-    as for con and tot of dO), each compared with its mask by XOR; the
-    lowest differing pair id is named, (ii) before (iii) there, as a scan of
-    the pairs in row-major order names it.
+    (u, v) is in ``prime_pairs``.  The minus side is dual.  The guard in
+    ``spatial_reflection`` only catches a fault in the code this proof
+    relies on.
     """
-    phi_plus, phi_minus = prime_pair_opens(dl, prime_pairs(dl))
-    for sign, phi in (("₊", phi_plus), ("₋", phi_minus)):
-        if len(set(phi)) < len(phi):
-            raise InvariantViolation(f"spatiality clause (i): φ{sign} is not injective on a d-lattice")
-
-    full = phi_plus[dl.plus.top]  # every prime: top ∉ ↓u, as ↓u is proper
-    disjoint, covering = disjoint_and_covering(phi_plus, phi_minus, full)
-    con_diff, tot_diff = dl.con_mask ^ disjoint, dl.tot_mask ^ covering
+    sp = spatial_reflection(dl)
+    con_diff, tot_diff = dl.con_mask ^ sp.con_mask, dl.tot_mask ^ sp.tot_mask
     if con_diff | tot_diff:
         p = low_bit(con_diff | tot_diff)
         clause = "(ii)" if (con_diff >> p) & 1 else "(iii)"

@@ -234,9 +234,12 @@ class FiniteLattice:
 
     ``sets`` is populated when the lattice arises from a family of subsets
     (topologies, down-set lattices); it keeps the bitmask of each element.
+    ``paired_tables`` holds, per minus lattice paired with this one as the
+    plus lattice of a d-lattice, the ``dlattice.CoordinateTables`` record of
+    the pair (filled by ``dlattice.coordinate_tables``).
     """
 
-    __slots__ = ("poset", "bot", "top", "meet", "join", "sets")
+    __slots__ = ("poset", "bot", "top", "meet", "join", "sets", "paired_tables")
 
     def __init__(self, poset, bot, top, meet, join, sets=None):
         self.poset = poset
@@ -245,6 +248,7 @@ class FiniteLattice:
         self.meet = meet
         self.join = join
         self.sets = sets
+        self.paired_tables = {}
 
     @property
     def n(self):

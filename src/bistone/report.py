@@ -4,15 +4,15 @@ Validators never raise on axiom failure; they return a report naming the
 first violated axiom together with a concrete witness.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class StructReport:
-    ok: bool
-    axiom: str | None = None
-    witness: object = None
-    message: str = ""
+class StructReport(namedtuple("StructReport", "ok axiom witness message", defaults=(None, None, ""))):
+    """An immutable validation outcome: ``ok``, the first violated ``axiom``
+    (None on a pass), its ``witness`` and a ``message``.  It is a tuple, so
+    building one sets no field one at a time."""
+
+    __slots__ = ()
 
     @staticmethod
     def passed(message="ok"):

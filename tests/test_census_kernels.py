@@ -5,12 +5,14 @@ d-filter validators, ideal lattices rebuilt by ``build_lattice``, the
 pair-by-pair clause (i) scan (now an oracle for the lemma that makes the
 clause hold), the per-pair d-filter map of a generator pair and the
 nested d-lattice hom enumeration; plus the ``python -O`` guards of
-``ideals``, the number of ``validate_dlattice`` calls in one Q2 census
-pass, and that its spatiality checks build no prime map and no space."""
+``ideals`` and of spatiality clause (i), the number of
+``validate_dlattice`` calls in one Q2 census pass, and that its
+spatiality checks build no prime map and no space."""
 
 import sys
 import textwrap
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from bistone import duality as du
 from bistone.bitop import BiTopSpace
 from bistone.corpus import birkhoff_corpus, chain, dbool_corpus, distributive_lattices, unlabeled_posets
 from bistone.dlattice import (
+    CoordinateTables,
     DLattice,
     DLatticeHom,
     bool_dlattice,
@@ -52,6 +55,7 @@ from bistone.lattice import (
     bits,
     build_lattice,
     enumerate_lattice_homs,
+    low_bit,
 )
 from bistone.report import StructReport
 
@@ -306,7 +310,7 @@ def clause_i_by_scan(spec, literal_pair_limit):
 
 def merge_two_opens(monkeypatch, side):
     """Make ``prime_pair_opens`` give the last ideal of one side the open of
-    the first, so that φ₊ or φ₋ is no longer injective."""
+    the first, so that φ₊ or φ₋ of a spectrum is no longer injective."""
     genuine = du.prime_pair_opens
 
     def merging_opens(dl, pairs):
@@ -319,12 +323,37 @@ def merge_two_opens(monkeypatch, side):
     monkeypatch.setattr(du, "prime_pair_opens", merging_opens)
 
 
+def prime_masks_dropping_last(side):
+    """A stand-in for ``CoordinateTables.prime_masks`` that drops the last
+    prime generator m of one side.  Its covered mask stays in the scan,
+    named by m's upper cover, so the other side keeps every partner and no
+    prime pair has m as a side: φ₊ or φ₋ of the prime pairs is no longer
+    injective.  Removing the entry outright would also strip the partner
+    of m on a d-Boolean algebra, where each side has one partner, and the
+    plus guard would fire for either side."""
+    genuine = CoordinateTables.prime_masks
+    index = ("plus", "minus").index(side)
+
+    def dropping(tables):
+        masks = list(genuine.__get__(tables, CoordinateTables))
+        m, covered = masks[index][-1]
+        upper_cover = low_bit(tables.posets[index].cover_up[m])
+        masks[index] = masks[index][:-1] + ((upper_cover, covered),)
+        return tuple(masks)
+
+    return property(dropping)
+
+
+def drop_last_prime_generator(monkeypatch, side):
+    monkeypatch.setattr(CoordinateTables, "prime_masks", prime_masks_dropping_last(side))
+
+
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_clause_i_detail_under_non_injective_spectrum(monkeypatch, side):
-    """Two opens merged in what ``spatiality_check`` reads, the φ₊ and φ₋
-    of ``prime_pair_opens``: clause (i) cannot fail on a d-lattice, so the
-    guard raises instead of returning a verdict."""
-    merge_two_opens(monkeypatch, side)
+    """A prime generator dropped from what ``spatiality_check`` reads, the
+    ``prime_masks`` of the coordinate record: clause (i) cannot fail on a
+    d-lattice, so the guard raises instead of returning a verdict."""
+    drop_last_prime_generator(monkeypatch, side)
     big = lambda_of_dislat(max(birkhoff_corpus(4), key=lambda L: L.n))
     sign = "₊" if side == "plus" else "₋"
     for A in (lambda_of_dislat(chain(3)), omega_of_lattice(chain(3)), bool_dlattice(), big):
@@ -472,6 +501,36 @@ def test_hom_enumeration_matches_nested_loops():
 
 # ---------------------------------------------------------------------------
 # python -O
+
+
+def test_clause_i_guard_survives_python_O(run_python):
+    """With a prime generator of either side dropped from ``prime_masks``,
+    the clause (i) guard of ``spatiality_check`` still raises under
+    ``python -O``."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from test_census_kernels import prime_masks_dropping_last
+        from bistone import duality as du
+        from bistone.dlattice import CoordinateTables, bool_dlattice
+        from bistone.errors import InvariantViolation
+
+        genuine = CoordinateTables.prime_masks
+        for side in ("plus", "minus"):
+            CoordinateTables.prime_masks = prime_masks_dropping_last(side)
+            try:
+                du.spatiality_check(bool_dlattice())
+            except InvariantViolation as exc:
+                print(type(exc).__name__, exc, sys.flags.optimize)
+            CoordinateTables.prime_masks = genuine
+        """
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "".join(
+        f"InvariantViolation spatiality clause (i): φ{sign} is not injective on a d-lattice 1\n" for sign in "₊₋"
+    )
 
 
 def test_eta_guard_survives_python_O(run_python):

@@ -1,5 +1,6 @@
 """Byte-pinned command-line output: stdout, stderr and the exit code of
-``bistone props`` for every suite, of ``bistone search`` at bound 4, and of
+``bistone props`` for every suite, of ``bistone search`` at bound 4 (and Q2
+at bound 5, whose counterexample is its 74th structure), and of
 ``validate``, ``spec``, ``clop`` and ``roundtrip`` on the small files in
 ``tests/golden/inputs/``.
 
@@ -32,6 +33,7 @@ COMMANDS = {f"props_{suite}": (["props", "--suite", suite], 0) for suite in SUIT
 COMMANDS.update(
     {f"search_{q}": (["search", "--conjecture", q, "--bounds", "4"], 0) for q in ("Q1", "Q2")}
 )
+COMMANDS["search_Q2_bound5"] = (["search", "--conjecture", "Q2", "--bounds", "5"], 0)
 for command, cases in (
     ("validate", {"dboolean": 0, "dlattice": 0, "dboolean_bad_dagger": 1, "dboolean_bad_con": 1, "dboolean_bad_tot": 1, "space_not_stone": 0, "lattice_n5": 1, "lattice_m3": 1}),
     ("spec", {"dboolean": 0, "dlattice": 0, "dboolean_bad_dagger": 1, "dboolean_bad_con": 1, "dboolean_bad_tot": 1}),

@@ -6,9 +6,11 @@ scan that ran ``validate_d_filter_map`` on every covering pair.  Also the
 prime generators against the numpy meet scan of the prime ideals (kept in
 ``test_hom_oracles``), the logic tables of the shared coordinate
 record against the lattice's own tables, what the record cache holds
-after the duality corpus, and the label-free side verdicts each record
-keeps for ``validate_dlattice``."""
+after the duality corpus, the label-free side verdicts each record
+keeps for ``validate_dlattice``, and the spatial reflection against the
+opens φ₊ × φ₋ that ``spatiality_check`` read before it."""
 
+import gc
 from functools import lru_cache
 
 import pytest
@@ -18,7 +20,7 @@ from test_validate_oracle import _q2_candidates, _single_bit_mutants
 from bistone import dlattice as dlattice_module
 from bistone import duality as du
 from bistone import ideals
-from bistone.bitop import stone_space_from_poset
+from bistone.bitop import disjoint_and_covering, stone_space_from_poset
 from bistone.corpus import dbool_corpus, distributive_lattices, unlabeled_posets
 from bistone.dlattice import (
     CoordinateTables,
@@ -42,7 +44,7 @@ from bistone.ideals import (
     prime_pairs,
     validate_d_filter_map,
 )
-from bistone.lattice import birkhoff, bits, build_lattice, low_bit, prime_generators
+from bistone.lattice import FiniteLattice, birkhoff, bits, build_lattice, low_bit, prime_generators
 from bistone.report import StructReport
 
 
@@ -141,7 +143,12 @@ def test_validate_matches_row_loop_on_bound5_candidates(bound5):
 
 def fresh_record_cache(monkeypatch, filled=None):
     """Replace the record cache by an empty one of the same bound, which
-    appends each record it fills to ``filled``."""
+    appends each record it fills to ``filled``, and empty the records held
+    on every live lattice pair, so that each pair's next lookup reads the
+    new cache."""
+    for obj in gc.get_objects():
+        if type(obj) is FiniteLattice:
+            obj.paired_tables.clear()
 
     def filling(tables):
         if filled is not None:
@@ -236,6 +243,12 @@ def test_reports_from_a_shared_record_carry_the_callers_labels(monkeypatch):
         assert all(first.witness != second.witness for first, second in reports.values())
 
 
+def holds_tables(logic, want):
+    """Whether each coordinate table of ``logic`` is the very tuple that
+    ``want`` names there, not a copy."""
+    return all(got is table for (_, *gots), (_, *tables) in zip(logic, want) for got, table in zip(gots, tables))
+
+
 def test_logic_tables_match_numpy_tables(corpus):
     """The logic tables of a d-lattice's coordinate record equal its own
     lattices' tables, also when the record is the shared one of an earlier
@@ -249,12 +262,10 @@ def test_logic_tables_match_numpy_tables(corpus):
             want = (("logic-meet", plus.meet, minus.join), ("logic-join", plus.join, minus.meet))
             tables = coordinate_tables(dl)
             assert tables.logic == want
-            (_, meet_plus, join_minus), (_, join_plus, meet_minus) = tables.logic
-            P, M = tables.plus, tables.minus
-            assert meet_plus is P.meet and join_minus is M.join and join_plus is P.join and meet_minus is M.meet
+            assert holds_tables(CoordinateTables(plus, minus).logic, want)
             small += dl.size <= 64
             large += dl.size > 64
-            shared += tables.plus is not plus or tables.minus is not minus
+            shared += not holds_tables(tables.logic, want)
     assert small and large and shared
 
 
@@ -290,6 +301,47 @@ def test_spatiality_matches_pair_loop(bound5, corpus):
         clause = want[1].split(" fails")[0]
         clauses[clause] = clauses.get(clause, 0) + 1
     assert clauses == {"spatial": 2021 + 87, "clause (ii)": 130, "clause (iii)": 118}
+
+
+def test_spatial_reflection_matches_the_opens(bound5, corpus):
+    """sp(dl) against the opens it replaced, on every valid labeled Q2
+    candidate at bounds 4 and 5 and on λ(birkhoff p), p ≤ 5: (D, C) are the
+    disjoint and covering pairs of φ₊ × φ₋ from ``prime_pair_opens``; con ⊆
+    D and tot ⊆ C; sp(dl) is a valid d-lattice with the same prime pairs, and
+    its own reflection; and dl is spatial iff (con, tot) = (D, C).  Per
+    input family: the valid d-lattices, those with con ≠ D, with tot ≠ C,
+    with both, and the non-spatial ones."""
+    families = {
+        "bound 4": [dl for dl in _q2_candidates(4) if validate_dlattice(dl).ok],
+        "bound 5": bound5[1],
+        "corpus": [A for A, _ in corpus],
+    }
+    counts = {}
+    for family, dls in families.items():
+        con_differs = tot_differs = both = non_spatial = 0
+        for dl in dls:
+            sp = du.spatial_reflection(dl)
+            pairs = prime_pairs(dl)
+            every_prime = (1 << len(pairs)) - 1
+            assert (sp.plus, sp.minus) == (dl.plus, dl.minus)
+            assert (sp.con_mask, sp.tot_mask) == disjoint_and_covering(*prime_pair_opens(dl, pairs), every_prime)
+            assert dl.con_mask & ~sp.con_mask == 0 and dl.tot_mask & ~sp.tot_mask == 0
+            assert validate_dlattice(sp).ok and prime_pairs(sp) == pairs
+            again = du.spatial_reflection(sp)
+            assert (again.con_mask, again.tot_mask) == (sp.con_mask, sp.tot_mask)
+            con_ne, tot_ne = dl.con_mask != sp.con_mask, dl.tot_mask != sp.tot_mask
+            spatial = du.spatiality_check(dl)[0]
+            assert spatial == (not con_ne and not tot_ne)
+            con_differs += con_ne
+            tot_differs += tot_ne
+            both += con_ne and tot_ne
+            non_spatial += not spatial
+        counts[family] = (len(dls), con_differs, tot_differs, both, non_spatial)
+    assert counts == {
+        "bound 4": (135, 14, 14, 4, 24),
+        "bound 5": (2269, 130, 130, 12, 248),
+        "corpus": (87, 0, 0, 0, 0),
+    }
 
 
 def test_every_coordinate_prime_extends_to_a_prime_d_ideal(bound5):

@@ -4,7 +4,7 @@ and a row reports False when its check fails or raises."""
 import json
 
 import pytest
-from test_census_kernels import merge_two_opens
+from test_census_kernels import drop_last_prime_generator
 
 from bistone import duality as du
 from bistone import suites
@@ -30,10 +30,12 @@ def test_unknown_suite_rejected(bundle):
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_raising_row_reports_and_later_rows_run(monkeypatch, capsys, side):
-    """With two opens of φ₊ or φ₋ merged, the spatiality guard raises; the
-    CLI run still prints every row of the suite, the spatiality row as a
-    failure naming the guard's exception, and exits 1."""
-    merge_two_opens(monkeypatch, side)
+    """With a prime generator of one side dropped, the spatiality guard
+    raises; the CLI run still prints every row of the suite, the
+    spatiality row as a failure naming the guard's exception, and exits 1.
+    The dropped generator reaches every row that reads prime d-ideals, so
+    the later row that must pass is one that reads none."""
+    drop_last_prime_generator(monkeypatch, side)
     assert main(["props", "--suite", "duality"]) == 1
     out, err = capsys.readouterr()
     rows = json.loads(out)["rows"]
@@ -42,7 +44,7 @@ def test_raising_row_reports_and_later_rows_run(monkeypatch, capsys, side):
     guard = f"InvariantViolation: spatiality clause (i): φ{sign} is not injective on a d-lattice"
     assert rows[6] == {"check": "spatiality", "ok": False, "detail": guard}
     assert f"FAIL duality/spatiality: {guard}\n" in err
-    assert rows[7]["check"] == "classical-squares" and rows[7]["ok"]
+    assert rows[8]["check"] == "extremal-disconnectedness" and rows[8]["ok"]
 
 
 def test_eta_unit_row_fails_when_eta_does_not_reflect_con(bundle, monkeypatch):

@@ -15,8 +15,8 @@ some U in the plus topology and V in the minus topology with S ∩ U and
 S ∩ V nonempty and disjoint.  Reports that depend on it say so.
 """
 
-from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from dataclasses import dataclass
+from itertools import combinations
 
 from .config import max_elements
 from .dlattice import DBooleanAlgebra, DLattice, require_valid, validate_dboolean, validate_dlattice
@@ -286,13 +286,6 @@ def connected_subsets_are_singletons(space):
 # continuity and homeomorphisms
 
 
-@dataclass(frozen=True)
-class ContinuousMap:
-    source: BiTopSpace = field(repr=False)
-    target: BiTopSpace = field(repr=False)
-    mapping: tuple
-
-
 def preimage(mapping, n_source, mask):
     out = 0
     for x in range(n_source):
@@ -319,28 +312,6 @@ def is_homeomorphism(mapping, X, Y):
         {mask_of(mapping[x] for x in bits(u)) for u in opens} == open_set
         for opens, open_set in zip((X.tau_plus, X.tau_minus), Y.open_sets)
     )
-
-
-def find_homeomorphism(X, Y):
-    """Deterministic search over point bijections (small spaces only)."""
-    if X.n != Y.n or len(X.tau_plus) != len(Y.tau_plus) or len(X.tau_minus) != len(Y.tau_minus):
-        return None
-    if X.n > 8:
-        raise BoundsTooLarge("homeomorphism search capped at 8 points")
-
-    def profile(space, x):
-        return tuple(
-            sorted(u.bit_count() for u in opens if (u >> x) & 1) for opens in (space.tau_plus, space.tau_minus)
-        )
-
-    prof_X = [profile(X, x) for x in range(X.n)]
-    prof_Y = [profile(Y, y) for y in range(Y.n)]
-    if sorted(prof_X) != sorted(prof_Y):
-        return None
-    for perm in permutations(range(Y.n)):
-        if all(prof_X[x] == prof_Y[perm[x]] for x in range(X.n)) and is_homeomorphism(perm, X, Y):
-            return ContinuousMap(X, Y, perm)
-    return None
 
 
 # ---------------------------------------------------------------------------

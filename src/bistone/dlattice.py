@@ -64,7 +64,13 @@ built from the caller's labels.
 The d-Boolean clauses read order rows as well: a bijection † reverses the
 order iff it maps the up row of each plus element a onto the down row of
 †a, and then row a of con is the down row of †a and row a of tot its up
-row (``_dagger_reversal_failure``, ``_dagger_masks``).
+row (``_dagger_reversal_failure``, ``_dagger_masks``).  These pairing
+clauses (``_pairing_failure``) give every d-lattice axiom but the one that
+neither coordinate is trivial, so ``validate_dboolean`` decides them first
+and runs ``validate_dlattice`` only when one fails or a coordinate is
+trivial.  Between two algebras that pass them, ``enumerate_dlattice_homs``
+reads one hom off each plus-side lattice hom; every other pair of inputs
+takes the product path, ``product_homs``.
 """
 
 from dataclasses import dataclass, field
@@ -641,24 +647,17 @@ def _dagger_masks(minus, dagger):
     return con, tot
 
 
-def validate_dboolean(A):
-    """d-lattice axioms plus the order-reversing-pairing characterization.
+def _pairing_failure(A):
+    """The failed report of the first pairing clause of A, or None: † a
+    bijection from the plus elements onto the minus elements, † order
+    reversing, and con/tot the masks of ``_dagger_masks``.
 
     The order-reversal clause is checked per plus row, and the con/tot
     clauses as one XOR each against the rows of ``_dagger_masks``.  The
     failure named is the one the pairwise scans name: the first (a1, a2)
     in row-major order for the order, and for con/tot the lowest pair id
-    where either differs, con before tot at that pair.
-
-    That every element is d-complemented, with partner its dagger image,
-    needs no clause of its own.  With † an order-reversing bijection,
-    (a, b) ∈ con iff a ≤ †⁻¹b iff b ≤ †a, and (a, b) ∈ tot iff †a ≤ b.  So
-    the only pair of row a in con ∩ tot is (a, †a), and dually the only
-    pair of column b is (†⁻¹b, b)."""
-    base = validate_dlattice(A)
-    if not base.ok:
-        return base
-    if sorted(A.dagger) != list(range(A.minus.n)):
+    where either differs, con before tot at that pair."""
+    if len(A.dagger) != A.plus.n or sorted(A.dagger) != list(range(A.minus.n)):
         return StructReport.failed(
             "dagger-bijection",
             witness=A.dagger,
@@ -688,7 +687,42 @@ def validate_dboolean(A):
             axiom, mask, word, order = "tot-from-dagger", A.tot_mask, "total", f"dagger({la}) = {ld} <= {lb}"
         verdict = f"is {word} but not" if (mask >> p) & 1 else f"is not {word} but"
         return StructReport.failed(axiom, witness=(la, lb), message=f"{A.pair_label(p)} {verdict} {order}")
-    return StructReport.passed("valid d-Boolean algebra")
+    return None
+
+
+def validate_dboolean(A):
+    """d-lattice axioms plus the order-reversing-pairing characterization,
+    decided by the pairing clauses of ``_pairing_failure`` first.
+
+    The d-lattice axioms need no check of their own when the pairing
+    clauses hold and both coordinates have at least 2 elements.  Then †
+    is an order anti-isomorphism, so †(a ∧ a′) = †a ∨ †a′ and
+    †(a ∨ a′) = †a ∧ †a′; con = {(a, b) : b ≤ †a} and tot = {(a, b) :
+    †a ≤ b}, so A is λ-shaped.
+    1. tt/ff: †⊤ = ⊥ and †⊥ = ⊤, so (⊤, ⊥) and (⊥, ⊤) lie in both.
+    2. con a down-set: (a, b) ≤ (a′, b′) ∈ con gives b ≤ b′ ≤ †a′ ≤ †a;
+       dually (a, b) ≥ (a′, b′) ∈ tot gives †a ≤ †a′ ≤ b′ ≤ b.
+    3. con a logic sublattice: for (a, b), (a′, b′) ∈ con, b ∨ b′ ≤
+       †a ∨ †a′ = †(a ∧ a′) and b ∧ b′ ≤ †a ∧ †a′ = †(a ∨ a′); dually
+       †(a ∧ a′) = †a ∨ †a′ ≤ b ∨ b′ and †(a ∨ a′) ≤ b ∧ b′ for tot.
+    4. con–tot: a consistent (a, b) and a total (a, b′) give
+       b ≤ †a ≤ b′; a consistent (a, b) and a total (a′, b) give
+       a ≤ †⁻¹b ≤ a′.
+    The one axiom the pairing does not give is that neither coordinate is
+    trivial, hence the size test.  ``validate_dlattice`` runs only when a
+    pairing clause fails or a coordinate is trivial, and its failure is
+    reported first, so the report is the one of the d-lattice axioms
+    followed by the pairing clauses.
+
+    That every element is d-complemented, with partner its dagger image,
+    needs no clause of its own either.  (a, b) ∈ con ∩ tot iff b = †a, so
+    the only pair of row a in con ∩ tot is (a, †a), and dually the only
+    pair of column b is (†⁻¹b, b)."""
+    failure = _pairing_failure(A)
+    if failure is None and A.plus.n >= 2 and A.minus.n >= 2:
+        return StructReport.passed("valid d-Boolean algebra")
+    base = validate_dlattice(A)
+    return base if not base.ok else failure
 
 
 @dataclass(frozen=True)
@@ -851,7 +885,35 @@ def validate_carrier_hom(src, tgt, values):
 
 
 def enumerate_dlattice_homs(src, tgt):
-    """All d-lattice homomorphisms, as component-map pairs, plus maps outer."""
+    """All d-lattice homomorphisms, as component-map pairs, plus maps outer.
+
+    When both algebras pass the pairing clauses (``_pairing_failure``),
+    each plus-side lattice hom f₊ gives exactly one hom, with
+    f₋ = †_B ∘ f₊ ∘ †_A⁻¹; every other input takes ``product_homs``.
+    - Only these: (a, †a) lies in con ∩ tot of A, so a hom maps it into
+      con ∩ tot of B, which is {(x, †x)}; so f₋(†a) = †f₊(a) for every a.
+    - Each of these is a hom: † and †⁻¹ are order anti-isomorphisms, so
+      †_A⁻¹ turns meets into joins, f₊ keeps them and †_B turns them back
+      into meets; likewise joins, ⊥ and ⊤.  If b ≤ †a then a ≤ †⁻¹b, so
+      f₊(a) ≤ f₊(†⁻¹b) and f₋(b) ≤ †f₊(a): con is kept; tot, from
+      †a ≤ b, likewise.
+    So the product path would keep, for each f₊, the one minus hom f₋,
+    and the output order is the same."""
+    if _is_paired(src) and _is_paired(tgt):
+        return [
+            DLatticeHom(src, tgt, fp.mapping, tuple(tgt.dagger[fp.mapping[a]] for a in src.dagger_inv))
+            for fp in enumerate_lattice_homs(src.plus, tgt.plus)
+        ]
+    return product_homs(src, tgt)
+
+
+def _is_paired(dl):
+    return isinstance(dl, DBooleanAlgebra) and _pairing_failure(dl) is None
+
+
+def product_homs(src, tgt):
+    """The d-lattice homs by the product path: every plus hom times every
+    minus hom that keeps con and tot, plus maps outer."""
     minus_maps = [fm.mapping for fm in enumerate_lattice_homs(src.minus, tgt.minus)]
     out = []
     for fp in enumerate_lattice_homs(src.plus, tgt.plus):

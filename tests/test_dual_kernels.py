@@ -13,6 +13,7 @@ from test_dlattice import dagger_algebras
 from test_validate_oracle import _q2_candidates
 
 from bistone import bitop as bt
+from bistone import dlattice as dlattice_module
 from bistone import duality as du
 from bistone import lattice as lattice_module
 from bistone.corpus import birkhoff_corpus, boolean_lattice, chain, unlabeled_posets
@@ -315,17 +316,37 @@ def reordered_daggers(A):
     return out
 
 
-def test_validate_dboolean_matches_pairwise_scan():
+def test_validate_dboolean_matches_pairwise_scan(bundle, monkeypatch):
+    """Every report equals the scan's, on algebras that pass the pairing
+    clauses (the d-clopen algebras of the default-bundle and duality-corpus
+    spaces among them), on algebras that fail one, and on a one-element
+    coordinate pair, whose pairing holds but which is degenerate.  Only the
+    inputs that fail run ``validate_dlattice``, each once."""
     passed, mutants = dagger_algebras()
     reordered = [B for A in passed for B in reordered_daggers(A)]
+    spaces = bundle.spaces + [bt.stone_space_from_poset(p) for p in unlabeled_posets(5)]
+    dclops = [bt.dclop_algebra(X) for X in spaces]
+    one = build_lattice(["0"], [[True]])
     inputs = passed + mutants + reordered + [bool_dlattice()] + [lambda_of_dislat(L) for L in birkhoff_corpus(4)]
+    inputs += dclops + [DBooleanAlgebra(one, one, 0b1, 0b1, (0,))]
+    assert len(dclops) == 26 + 87
     fired = {}
+    calls = 0
+
+    def counting(dl):
+        nonlocal calls
+        calls += 1
+        return validate_dlattice(dl)
+
+    monkeypatch.setattr(dlattice_module, "validate_dlattice", counting)
     for A in inputs:
         want = validate_dboolean_by_scan(A)
         assert validate_dboolean(A) == want
         fired[want.axiom] = fired.get(want.axiom, 0) + 1
+    assert calls == len(inputs) - fired[None]
     assert fired == {
-        None: 59,
+        None: 59 + 26 + 87,
+        "degenerate-pair": 1,
         "con-tt-ff": 34,
         "tot-tt-ff": 34,
         "con-scott-closed": 301,

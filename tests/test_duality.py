@@ -4,6 +4,7 @@ classical compatibility and the conjecture searches."""
 import textwrap
 
 import pytest
+from test_topology_oracles import find_homeomorphism
 
 from bistone import bitop as bt
 from bistone import duality as du
@@ -30,7 +31,7 @@ def test_dspec_of_bool_is_point(B):
 def test_dspec_lambda3_is_x2(lam3, x2):
     s = du.dspec(lam3)
     assert s.n == 2 and bt.is_stone(s)
-    assert bt.find_homeomorphism(s, x2) is not None
+    assert find_homeomorphism(s, x2) is not None
 
 
 def test_dspec_lambda_b2_discrete(b2):

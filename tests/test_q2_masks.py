@@ -423,12 +423,15 @@ TABLE_READS = {"prime_masks": {"down_masks"}}
 
 
 def test_row_keyed_cache_holds_every_carrier(corpus, monkeypatch):
-    """The duality-corpus checks of each item fill each record they read
-    once, from the one record cache keyed by the coordinate up rows, at
-    carriers of every size; every table but ``up_masks`` (read by the
-    d-filter map enumeration alone) is read from a cached record, and a
-    repeat lookup returns the same record.  The cache is replaced by an
-    equal one whose fills are recorded."""
+    """The duality-corpus checks of each item, with the ``validate_dlattice``
+    oracle of its algebra, fill each record they read once, from the one
+    record cache keyed by the coordinate up rows, at carriers of every
+    size; every table but ``up_masks`` (read by the d-filter map
+    enumeration alone) is read from a cached record, and a repeat lookup
+    returns the same record.  The d-Boolean algebras these checks build
+    pass ``validate_dboolean`` by their pairing, which reads no record, so
+    the cover steps, logic and con–tot tables are read by the oracle call.
+    The cache is replaced by an equal one whose fills are recorded."""
     filled = []
     fresh_record_cache(monkeypatch, filled)
     sizes, fields = set(), set()
@@ -437,6 +440,7 @@ def test_row_keyed_cache_holds_every_carrier(corpus, monkeypatch):
         assert du.unit_roundtrip(A).is_iso and du.counit_roundtrip(X).is_iso
         assert du.spatiality_check(A)[0] and du.dspec_equals_dpt_idl(A)
         assert du.complete_extremally_disconnected_check(X)
+        assert validate_dlattice(A).ok
         keys = [t.key for t in filled]
         assert keys and len(set(keys)) == len(keys)
         sizes.update(len(plus_up) * len(minus_up) for plus_up, minus_up in keys)

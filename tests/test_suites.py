@@ -6,7 +6,9 @@ import json
 import pytest
 from test_census_kernels import drop_last_prime_generator
 
+from bistone import dlattice as dlattice_module
 from bistone import duality as du
+from bistone import lattice as lattice_module
 from bistone import suites
 from bistone.cli import main
 from bistone.dlattice import DLattice
@@ -94,3 +96,29 @@ def test_naturality_builds_each_spectrum_once(bundle, monkeypatch):
     monkeypatch.setattr(du, "spectrum", counting)
     assert suites.check_naturality(bundle) == (True, "naturality verified on 54 morphisms")
     assert calls == 8
+
+
+def test_lambda_equivalence_row_fails_on_a_dropped_hom(bundle, monkeypatch):
+    """The row compares the lattice homs M → N with the d-lattice homs
+    λ(M) → λ(N) of the product path.  With the last lattice hom dropped on
+    the lattice side it reports False.  With the last hom dropped only
+    between order-reversed lattices (source bottom not at index 0), which
+    are the minus coordinates of λ, and patched everywhere, it reports
+    False too; the homs read off the plus side would still biject there."""
+    genuine = lattice_module.enumerate_lattice_homs
+    ok = (True, "36 hom-set pairs biject; 24 canonical isos")
+    failed = (False, "hom sets of doubled lattices do not biject with lattice homs")
+    assert suites.check_lambda_equivalence(bundle) == ok
+
+    monkeypatch.setattr(du, "enumerate_lattice_homs", lambda L, M: genuine(L, M)[:-1])
+    assert suites.check_lambda_equivalence(bundle) == failed
+
+    def dropping_reversed(L, M):
+        homs = genuine(L, M)
+        return homs[:-1] if L.bot != 0 else homs
+
+    for module in (lattice_module, dlattice_module, du):
+        monkeypatch.setattr(module, "enumerate_lattice_homs", dropping_reversed)
+    assert suites.check_lambda_equivalence(bundle) == failed
+    monkeypatch.setattr(du, "product_homs", dlattice_module.enumerate_dlattice_homs)
+    assert suites.check_lambda_equivalence(bundle) == ok

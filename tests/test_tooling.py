@@ -178,7 +178,7 @@ def test_only_named_functions_scan_all_relabelings():
     callers = set()
     for path in sorted(LIBRARY.glob("*.py")):
         callers |= permutation_callers(path)
-    assert callers == {"bitop.find_homeomorphism", "duality._relabel_tables"}
+    assert callers == {"duality._relabel_tables"}
 
 
 def test_only_named_functions_hold_an_lru_cache():
@@ -203,7 +203,6 @@ TEST_ONLY_DEFINITIONS = {
     "prime_sandwich": "a statement of the paper, checked by tests",
     "coreflection_check": "a statement of the paper, checked by tests",
     "prime_d_ideal_characterization": "a statement of the paper, checked by tests",
-    "find_homeomorphism": "the n! oracle for the space canonical forms",
     "is_pairwise_regular": "a separation axiom of the paper, checked by tests",
     "pseudo_complement": "a lattice operation, checked by tests",
     "decompose": "the carrier of a d-lattice as a coordinate product, checked by tests",

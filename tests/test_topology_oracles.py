@@ -14,6 +14,7 @@ from bistone import bitop as bt
 from bistone import duality as du
 from bistone.corpus import chain, unlabeled_posets
 from bistone.dlattice import bool_dlattice, lambda_of_dislat, omega_of_lattice
+from bistone.errors import BoundsTooLarge
 from bistone.ideals import enumerate_prime_d_ideals, idl_dframe
 from bistone.lattice import birkhoff, bits, mask_of
 from bistone.suites import all_dlattices
@@ -153,6 +154,29 @@ def is_homeomorphism_by_sides(mapping, X, Y):
     image_plus = {mask_of(mapping[x] for x in bits(u)) for u in X.tau_plus}
     image_minus = {mask_of(mapping[x] for x in bits(v)) for v in X.tau_minus}
     return image_plus == set(Y.tau_plus) and image_minus == set(Y.tau_minus)
+
+
+def find_homeomorphism(X, Y):
+    """Oracle: the first point bijection, over all of them, that is a
+    homeomorphism X → Y, or None (small spaces only)."""
+    if X.n != Y.n or len(X.tau_plus) != len(Y.tau_plus) or len(X.tau_minus) != len(Y.tau_minus):
+        return None
+    if X.n > 8:
+        raise BoundsTooLarge("homeomorphism search capped at 8 points")
+
+    def profile(space, x):
+        return tuple(
+            sorted(u.bit_count() for u in opens if (u >> x) & 1) for opens in (space.tau_plus, space.tau_minus)
+        )
+
+    prof_X = [profile(X, x) for x in range(X.n)]
+    prof_Y = [profile(Y, y) for y in range(Y.n)]
+    if sorted(prof_X) != sorted(prof_Y):
+        return None
+    for perm in permutations(range(Y.n)):
+        if all(prof_X[x] == prof_Y[perm[x]] for x in range(X.n)) and bt.is_homeomorphism(perm, X, Y):
+            return perm
+    return None
 
 
 def small_spaces(max_points):

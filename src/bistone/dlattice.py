@@ -68,9 +68,7 @@ row (``_dagger_reversal_failure``, ``_dagger_masks``).  These pairing
 clauses (``_pairing_failure``) give every d-lattice axiom but the one that
 neither coordinate is trivial, so ``validate_dboolean`` decides them first
 and runs ``validate_dlattice`` only when one fails or a coordinate is
-trivial.  Between two algebras that pass them, ``enumerate_dlattice_homs``
-reads one hom off each plus-side lattice hom; every other pair of inputs
-takes the product path, ``product_homs``.
+trivial.
 """
 
 from dataclasses import dataclass, field
@@ -885,35 +883,7 @@ def validate_carrier_hom(src, tgt, values):
 
 
 def enumerate_dlattice_homs(src, tgt):
-    """All d-lattice homomorphisms, as component-map pairs, plus maps outer.
-
-    When both algebras pass the pairing clauses (``_pairing_failure``),
-    each plus-side lattice hom f₊ gives exactly one hom, with
-    f₋ = †_B ∘ f₊ ∘ †_A⁻¹; every other input takes ``product_homs``.
-    - Only these: (a, †a) lies in con ∩ tot of A, so a hom maps it into
-      con ∩ tot of B, which is {(x, †x)}; so f₋(†a) = †f₊(a) for every a.
-    - Each of these is a hom: † and †⁻¹ are order anti-isomorphisms, so
-      †_A⁻¹ turns meets into joins, f₊ keeps them and †_B turns them back
-      into meets; likewise joins, ⊥ and ⊤.  If b ≤ †a then a ≤ †⁻¹b, so
-      f₊(a) ≤ f₊(†⁻¹b) and f₋(b) ≤ †f₊(a): con is kept; tot, from
-      †a ≤ b, likewise.
-    So the product path would keep, for each f₊, the one minus hom f₋,
-    and the output order is the same."""
-    if _is_paired(src) and _is_paired(tgt):
-        return [
-            DLatticeHom(src, tgt, fp.mapping, tuple(tgt.dagger[fp.mapping[a]] for a in src.dagger_inv))
-            for fp in enumerate_lattice_homs(src.plus, tgt.plus)
-        ]
-    return product_homs(src, tgt)
-
-
-def _is_paired(dl):
-    return isinstance(dl, DBooleanAlgebra) and _pairing_failure(dl) is None
-
-
-def product_homs(src, tgt):
-    """The d-lattice homs by the product path: every plus hom times every
-    minus hom that keeps con and tot, plus maps outer."""
+    """All d-lattice homomorphisms, as component-map pairs, plus maps outer."""
     minus_maps = [fm.mapping for fm in enumerate_lattice_homs(src.minus, tgt.minus)]
     out = []
     for fp in enumerate_lattice_homs(src.plus, tgt.plus):
@@ -980,15 +950,18 @@ def from_dbl(obj):
     dagger = tuple(int(x) for x in obj.dagger)
     if sorted(dagger) != list(range(obj.minus.n)):
         raise DaggerNotOrderReversing("pairing is not a bijection", witness=dagger)
-    bad = _dagger_reversal_failure(obj.plus, obj.minus, dagger)
-    if bad is not None:
-        a1, a2 = bad
-        raise DaggerNotOrderReversing(
-            f"pairing not order reversing on ({obj.plus.labels[a1]}, {obj.plus.labels[a2]})",
-            witness=(a1, a2),
-        )
     A = DBooleanAlgebra(obj.plus, obj.minus, *_dagger_masks(obj.minus, dagger), dagger)
-    require_valid(validate_dboolean(A), "from_dbl")
+    report = validate_dboolean(A)
+    if not report.ok:
+        # the order reversal is scanned again only to name the rejected pair
+        bad = _dagger_reversal_failure(obj.plus, obj.minus, dagger)
+        if bad is not None:
+            a1, a2 = bad
+            raise DaggerNotOrderReversing(
+                f"pairing not order reversing on ({obj.plus.labels[a1]}, {obj.plus.labels[a2]})",
+                witness=(a1, a2),
+            )
+        require_valid(report, "from_dbl")
     return A
 
 

@@ -30,11 +30,11 @@ from .dlattice import (
     DLatticeHom,
     canonical_lambda_iso,
     coordinate_tables,
+    enumerate_dlattice_homs,
     find_dlattice_iso,
     lambda_of_dislat,
     logic_closed_on,
     omega_of_lattice,
-    product_homs,
     step,
     validate_dlattice,
     validate_dlattice_hom,
@@ -280,10 +280,7 @@ def spatiality_check(dl):
 
 def lambda_equivalence_check(lattices, dbools=()):
     """Fullness/faithfulness via hom counts and essential surjectivity via
-    the canonical isomorphism onto the image of the plus lattice.  The
-    d-lattice homs come from ``product_homs``: ``enumerate_dlattice_homs``
-    reads the homs of two λ algebras off their plus-side lattice homs, so
-    comparing its output with those would check nothing."""
+    the canonical isomorphism onto the image of the plus lattice."""
     report = {"hom_pairs": [], "essential": [], "ok": True}
     for A in dbools:
         fwd, back = canonical_lambda_iso(A)
@@ -294,7 +291,7 @@ def lambda_equivalence_check(lattices, dbools=()):
     for M in lattices:
         for N in lattices:
             lat_homs = enumerate_lattice_homs(M, N)
-            dl_homs = product_homs(lambda_of_dislat(M), lambda_of_dislat(N))
+            dl_homs = enumerate_dlattice_homs(lambda_of_dislat(M), lambda_of_dislat(N))
             expected = sorted((h.mapping, h.mapping) for h in lat_homs)
             got = sorted((h.fplus, h.fminus) for h in dl_homs)
             ok = expected == got

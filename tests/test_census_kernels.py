@@ -4,13 +4,11 @@ scans of ``validate_dlattice``, the numpy quadruple scans of the d-ideal and
 d-filter validators, ideal lattices rebuilt by ``build_lattice``, the
 pair-by-pair clause (i) scan (now an oracle for the lemma that makes the
 clause hold), the per-pair d-filter map of a generator pair and the
-nested d-lattice hom enumeration (also the oracle of the d-Boolean hom
-path, pinned on the 576 pairs of ``dbool_corpus(4)``); plus the
-``python -O`` guards of ``ideals`` and of spatiality clause (i), the number of
+nested d-lattice hom enumeration; plus the ``python -O`` guards of
+``ideals`` and of spatiality clause (i), the number of
 ``validate_dlattice`` calls in one Q2 census pass, and that its
 spatiality checks build no prime map and no space."""
 
-import hashlib
 import sys
 import textwrap
 from itertools import product
@@ -18,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_dual_kernels import reordered_daggers
 from test_lattice_oracles import first_index
 from test_validate_oracle import _q2_candidates, _single_bit_mutants
 
@@ -500,53 +497,6 @@ def test_hom_enumeration_matches_nested_loops():
             assert got == want
             total += len(got)
     assert total
-
-
-def hom_list_digest(homs_per_pair):
-    """SHA-256 of the (fplus, fminus) reprs of each pair's homs, in order."""
-    digest = hashlib.sha256()
-    for homs in homs_per_pair:
-        for hom in homs:
-            digest.update(repr((hom.fplus, hom.fminus)).encode())
-        digest.update(b";")
-    return digest.hexdigest()
-
-
-def test_dboolean_homs_read_off_the_plus_side(monkeypatch):
-    """The 576 ordered pairs of ``dbool_corpus(4)`` have 19,702 homs, one
-    per plus-side lattice hom, found without the product path; the digest
-    pins the maps and their order, as the product path gave them.  On the
-    pairs of algebras of at most 5 plus elements, the homs equal the
-    nested oracle's.  The ``reordered_daggers`` algebras keep con and tot
-    but fail the pairing (all but the identity reordering), so they take
-    the product path, and match the oracle there too."""
-    genuine = dlattice_module.product_homs
-    product_pairs = []
-
-    def counting(src, tgt):
-        product_pairs.append((src, tgt))
-        return genuine(src, tgt)
-
-    monkeypatch.setattr(dlattice_module, "product_homs", counting)
-    algebras = dbool_corpus(4)
-    homs = [enumerate_dlattice_homs(A, B) for A in algebras for B in algebras]
-    assert (len(homs), sum(map(len, homs))) == (576, 19702)
-    assert product_pairs == []
-    assert hom_list_digest(homs) == "5822074d674d2f16bfeea6e49c202319dc3051b212ef3ba102d1f09fc2d5a4ba"
-
-    small = [A for A in algebras if A.plus.n <= 5]
-    reordered = [(A, B) for A in small if A.plus.n <= 3 for B in reordered_daggers(A)]
-    identities = sum(B.dagger == A.dagger for A, B in reordered)
-    assert (len(small), len(reordered), identities) == (7, 10, 2)
-    pairs = list(product(small, small))
-    pairs += [pair for _, B in reordered for A in small for pair in ((A, B), (B, A))]
-    total = 0
-    for src, tgt in pairs:
-        want = [(h.fplus, h.fminus) for h in enumerate_dlattice_homs_nested(src, tgt)]
-        assert [(h.fplus, h.fminus) for h in enumerate_dlattice_homs(src, tgt)] == want
-        total += len(want)
-    assert len(product_pairs) == 2 * len(small) * (len(reordered) - identities)
-    assert total == 373 + 495
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from bistone.dlattice import (
     validate_dlattice,
     validate_dlattice_hom,
 )
-from bistone.errors import DaggerNotOrderReversing, NotALattice, NotAPoset, NotBounded
+from bistone.errors import DaggerNotOrderReversing, InvariantViolation, NotALattice, NotAPoset, NotBounded
 from bistone.ideals import BFF, BTT, enumerate_prime_d_ideals, prime_pair_opens, prime_pairs
 from bistone.lattice import (
     FinitePoset,
@@ -361,7 +361,24 @@ def test_validate_dboolean_matches_pairwise_scan(bundle, monkeypatch):
     }
 
 
-def test_from_dbl_matches_pairwise_scan():
+def test_from_dbl_matches_pairwise_scan(monkeypatch):
+    """Masks and rejections equal the scan's.  Each pairing runs
+    ``validate_dboolean`` once, and is scanned for order reversal once
+    when it is accepted and once more, to name the pair, when it is
+    rejected.  The one-element coordinate pair is rejected as degenerate."""
+    calls = {"reversal": 0, "dboolean": 0}
+
+    def counting(name, genuine):
+        def wrapper(*args):
+            calls[name] += 1
+            return genuine(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        dlattice_module, "_dagger_reversal_failure", counting("reversal", dlattice_module._dagger_reversal_failure)
+    )
+    monkeypatch.setattr(dlattice_module, "validate_dboolean", counting("dboolean", validate_dboolean))
     lattices = [L for L in birkhoff_corpus(4) if 1 < L.n <= 5]
     checked = rejected = 0
     for plus in lattices:
@@ -381,6 +398,10 @@ def test_from_dbl_matches_pairwise_scan():
                     assert (A.con_mask, A.tot_mask) == want
                     checked += 1
     assert checked and rejected
+    assert calls == {"reversal": checked + 2 * rejected, "dboolean": checked + rejected}
+    one = build_lattice(["0"], [[True]])
+    with pytest.raises(InvariantViolation, match=r"^from_dbl failed validation: \{tt,ff\} = \{1,0\}: a coordinate"):
+        from_dbl(DblObject(one, one, (0,)))
 
 
 # ---------------------------------------------------------------------------

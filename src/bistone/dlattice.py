@@ -58,8 +58,18 @@ function of the record, the side (con or tot) and that side's mask;
 ``validate_dlattice`` decides it once per (side, mask) and keeps it in the
 record's ``verdicts`` (``_side_verdict``), with F(con) when con passes.  A
 record is shared by every coordinate pair with the same up rows, whatever
-their labels, so a verdict holds pair ids, never labels, and each report is
-built from the caller's labels.
+their labels, so a verdict holds pair ids, never labels.
+
+``validate_dlattice`` decides every clause for every call and ends with one
+cause in pair ids: a failing side's (side, rank, witness), or for con–tot
+the first failing consistent pair and the lowest total pair in its mask, or
+None for a pass.  Only then are labels read: the labelled report of a cause
+(``_report``) is built the first time the cause occurs on a lattice pair
+and kept in a dict beside the pair's record, in the same entry of
+``FiniteLattice.paired_tables``.  Most rejected candidates of a census share
+a few causes per pair, so most calls build no report.  The memo stays off
+the record, which other labellings of the same orders share; a report
+names the labels of its own pair.
 
 The d-Boolean clauses read order rows as well: a bijection † reverses the
 order iff it maps the up row of each plus element a onto the down row of
@@ -320,14 +330,15 @@ class CoordinateTables:
 
 def coordinate_tables(dl):
     """The shared ``CoordinateTables`` with the up rows of dl, held on its
-    plus lattice per minus lattice (``FiniteLattice.paired_tables``): a
-    repeat lookup for the pair is one dict read keyed by identity, and only
-    the first builds a record, to look up in ``_shared_tables``."""
+    plus lattice per minus lattice (``FiniteLattice.paired_tables``, with
+    the pair's report memo): a repeat lookup for the pair is one dict read
+    keyed by identity, and only the first builds a record, to look up in
+    ``_shared_tables``."""
     held = dl.plus.paired_tables
-    tables = held.get(dl.minus)
-    if tables is None:
-        tables = held[dl.minus] = _shared_tables(CoordinateTables(dl.plus, dl.minus))
-    return tables
+    entry = held.get(dl.minus)
+    if entry is None:
+        entry = held[dl.minus] = (_shared_tables(CoordinateTables(dl.plus, dl.minus)), {})
+    return entry[0]
 
 
 @lru_cache(maxsize=128)
@@ -402,7 +413,7 @@ def _side_verdict(dl, tables, name, mask):
     (rank, witness) for the first that fails, rank 0 tt/ff with the missing
     one, 1 closure with the lowest missing pair, 2 logic with the operation
     and escaping members; else (3, None), and for con (3, (F(con), members)),
-    each member's coordinates (a, b) with its con–tot mask, in pair-id order."""
+    each member's pair id with its con–tot mask, in pair-id order."""
     P, M = dl.plus, dl.minus
     nm = M.n
     tt, ff = P.top * nm + M.bot, P.bot * nm + M.top
@@ -428,7 +439,7 @@ def _side_verdict(dl, tables, name, mask):
     for p in bits(mask):
         a, b = divmod(p, nm)
         not_above = (in_row[b] << (a * nm)) | (in_column[a] << b)
-        members.append((a, b, not_above))
+        members.append((p, not_above))
         forbidden |= not_above
     return 3, (forbidden, tuple(members))
 
@@ -436,58 +447,75 @@ def _side_verdict(dl, tables, name, mask):
 def validate_dlattice(dl):
     """PASS, or the first violated d-lattice axiom with a concrete witness:
     tt/ff, closure and logic clauses in that order, con before tot in each,
-    then con–tot."""
+    then con–tot.  The clauses are decided in pair ids, and the report of
+    the cause is read from the lattice pair's memo (module docstring)."""
     P, M = dl.plus, dl.minus
     tables = coordinate_tables(dl)
-    nm = M.poset.n
-    if P.poset.n < 2 or nm < 2:
+    if P.poset.n < 2 or M.poset.n < 2:
         return StructReport.failed(
             "degenerate-pair",
             message="{tt,ff} = {1,0}: a coordinate lattice is trivial",
         )
     con, tot = dl.con_mask, dl.tot_mask
-    found = []
-    for name, mask in (("con", con), ("tot", tot)):
-        verdict = tables.verdicts.get((name, mask))
-        if verdict is None:
-            verdict = tables.verdicts[name, mask] = _side_verdict(dl, tables, name, mask)
-        found.append(verdict)
-    con_verdict, tot_verdict = found
-    name, (rank, w) = ("tot", tot_verdict) if tot_verdict[0] < con_verdict[0] else ("con", con_verdict)
+    verdicts = tables.verdicts
+    con_verdict = verdicts.get(("con", con))
+    if con_verdict is None:
+        con_verdict = verdicts["con", con] = _side_verdict(dl, tables, "con", con)
+    tot_verdict = verdicts.get(("tot", tot))
+    if tot_verdict is None:
+        tot_verdict = verdicts["tot", tot] = _side_verdict(dl, tables, "tot", tot)
+    cause = None
+    if tot_verdict[0] < con_verdict[0]:
+        cause = ("tot", *tot_verdict)
+    elif con_verdict[0] < 3:
+        cause = ("con", *con_verdict)
+    else:
+        # a consistent (a, b) must lie below every total pair in its row and
+        # column; the first failing (a, b) in pair-id order is named, with the
+        # lowest such total pair
+        forbidden, members = con_verdict[1]
+        if tot & forbidden:
+            for p, not_above in members:
+                if tot & not_above:
+                    cause = ("con-tot", p, low_bit(tot & not_above))
+                    break
+    reports = P.paired_tables[M][1]
+    report = reports.get(cause)
+    if report is None:
+        report = reports[cause] = _report(dl, cause)
+    return report
+
+
+def _report(dl, cause):
+    """The labelled report of a ``validate_dlattice`` cause on dl's pair:
+    PASS for None, else the failed clause with its witness in dl's labels."""
+    if cause is None:
+        return StructReport.passed("valid d-lattice")
+    if cause[0] == "con-tot":
+        _, p, q = cause
+        alpha, beta = dl.labels_of(p), dl.labels_of(q)
+        return StructReport.failed(
+            "con-tot",
+            witness={"alpha": alpha, "beta": beta},
+            message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
+        )
+    name, rank, w = cause
     if rank == 0:
         return StructReport.failed(f"{name}-tt-ff", witness=w, message=f"{w} not in {name}")
     if rank == 1:
-        a, b = divmod(w, nm)
         axiom, word = ("con-scott-closed", "smaller") if name == "con" else ("tot-upper-set", "larger")
         return StructReport.failed(
             axiom,
-            witness=(P.labels[a], M.labels[b]),
-            message=f"{name} misses the {word} pair ({P.labels[a]},{M.labels[b]})",
+            witness=dl.labels_of(w),
+            message=f"{name} misses the {word} pair {dl.pair_label(w)}",
         )
-    if rank == 2:
-        op_name, p, q = w
-        w = (dl.labels_of(p), dl.labels_of(q))
-        return StructReport.failed(
-            f"{name}-logic-sublattice",
-            witness=w,
-            message=f"{name} not closed under {op_name} at {w}",
-        )
-
-    # a consistent (a, b) must lie below every total pair in its row and
-    # column; the first failing (a, b) in pair-id order is named, with the
-    # lowest such total pair
-    forbidden, members = con_verdict[1]
-    if tot & forbidden:
-        for a, b, not_above in members:
-            if tot & not_above:
-                a2, b2 = divmod(low_bit(tot & not_above), nm)
-                alpha, beta = (P.labels[a], M.labels[b]), (P.labels[a2], M.labels[b2])
-                return StructReport.failed(
-                    "con-tot",
-                    witness={"alpha": alpha, "beta": beta},
-                    message=f"consistent {alpha} shares a coordinate with total {beta} but is not below it",
-                )
-    return StructReport.passed("valid d-lattice")
+    op_name, p, q = w
+    w = (dl.labels_of(p), dl.labels_of(q))
+    return StructReport.failed(
+        f"{name}-logic-sublattice",
+        witness=w,
+        message=f"{name} not closed under {op_name} at {w}",
+    )
 
 
 # ---------------------------------------------------------------------------

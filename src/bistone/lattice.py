@@ -236,7 +236,9 @@ class FiniteLattice:
     (topologies, down-set lattices); it keeps the bitmask of each element.
     ``paired_tables`` holds, per minus lattice paired with this one as the
     plus lattice of a d-lattice, the ``dlattice.CoordinateTables`` record of
-    the pair (filled by ``dlattice.coordinate_tables``).
+    the pair, shared with every pair of the same orders, beside a dict of
+    this pair's own ``validate_dlattice`` reports by cause, which carry its
+    labels (``dlattice.coordinate_tables`` makes the entry).
     """
 
     __slots__ = ("poset", "bot", "top", "meet", "join", "sets", "paired_tables")

@@ -10,7 +10,10 @@ from collections import namedtuple
 class StructReport(namedtuple("StructReport", "ok axiom witness message", defaults=(None, None, ""))):
     """An immutable validation outcome: ``ok``, the first violated ``axiom``
     (None on a pass), its ``witness`` and a ``message``.  It is a tuple, so
-    building one sets no field one at a time."""
+    building one sets no field one at a time.  One report may go to many
+    callers (``dlattice.validate_dlattice`` hands out the report it keeps
+    for a cause), so its witness, which may be a dict, must not be
+    mutated."""
 
     __slots__ = ()
 

@@ -4,9 +4,13 @@ against the numpy forms they replaced, kept here as test-only references:
 ``validate_lattice_hom``, the |P|²·|M|² form of ``validate_carrier_hom`` and
 the quadruple scan of ``ideals._first_unpreserved``.  Inputs are the default
 bundle (whose d-Boolean algebras are ``dbool_corpus(4)``), the homs between
-its small d-lattices and one-value perturbations of them."""
+its small d-lattices and one-value perturbations of them.  Also the number
+of lattice homs against a count that shares no code with their
+enumeration: Birkhoff duality's monotone maps between the posets of
+join-irreducibles."""
 
 import random
+from itertools import product
 from operator import and_, or_
 
 import numpy as np
@@ -14,12 +18,14 @@ import pytest
 from test_lattice_oracles import first_index
 
 from bistone import ideals
+from bistone.corpus import birkhoff_corpus
 from bistone.dlattice import DLatticeHom, bool_dlattice, enumerate_dlattice_homs, validate_carrier_hom
 from bistone.ideals import B0, B1, BFF, BTT, BMap, enumerate_prime_d_ideals
 from bistone.lattice import (
     LatticeHom,
     bits,
     enumerate_lattice_homs,
+    join_irreducibles,
     prime_generators,
     validate_lattice_hom,
 )
@@ -224,3 +230,28 @@ def test_first_unpreserved_matches_numpy_scan(bundle, op, combine):
             fired[want is None] = fired.get(want is None, 0) + 1
             total += 1
     assert fired[True] > 20 and fired[False] > 20 and total > 100
+
+
+def monotone_map_count(P, Q, leq_p, leq_q):
+    """Brute force: the maps from the list P to the list Q, each as a tuple
+    of images, with x ≤ y in P giving f(x) ≤ f(y) in Q."""
+    return sum(
+        all(leq_q(fx, fy) for x, fx in zip(P, f) for y, fy in zip(P, f) if leq_p(x, y))
+        for f in product(Q, repeat=len(P))
+    )
+
+
+def test_lattice_hom_counts_match_monotone_maps_of_join_irreducibles():
+    """By Birkhoff duality, the bound-preserving homs L → M of finite
+    distributive lattices correspond one to one to the monotone maps
+    J(M) → J(L) between their posets of join-irreducibles.  The brute count
+    of the latter equals ``len(enumerate_lattice_homs(L, M))`` on each of
+    the 576 ordered pairs of ``birkhoff_corpus(4)``, 19,702 homs in all, so
+    a hom the enumerator drops anywhere shows here."""
+    lattices = birkhoff_corpus(4)
+    total = 0
+    for L, M in product(lattices, repeat=2):
+        homs = len(enumerate_lattice_homs(L, M))
+        assert homs == monotone_map_count(join_irreducibles(M), join_irreducibles(L), M.leq, L.leq)
+        total += homs
+    assert (len(lattices) ** 2, total) == (576, 19702)

@@ -7,8 +7,9 @@ prime generators against the numpy meet scan of the prime ideals (kept in
 ``test_hom_oracles``), the logic tables of the shared coordinate
 record against the lattice's own tables, what the record cache holds
 after the duality corpus, the label-free side verdicts each record
-keeps for ``validate_dlattice``, and the spatial reflection against the
-opens φ₊ × φ₋ that ``spatiality_check`` read before it."""
+keeps for ``validate_dlattice``, the reports each lattice pair keeps
+beside its record, and the spatial reflection against the opens φ₊ × φ₋
+that ``spatiality_check`` read before it."""
 
 import gc
 from functools import lru_cache
@@ -143,9 +144,9 @@ def test_validate_matches_row_loop_on_bound5_candidates(bound5):
 
 def fresh_record_cache(monkeypatch, filled=None):
     """Replace the record cache by an empty one of the same bound, which
-    appends each record it fills to ``filled``, and empty the records held
-    on every live lattice pair, so that each pair's next lookup reads the
-    new cache."""
+    appends each record it fills to ``filled``, and empty the records and
+    report memos held on every live lattice pair, so that each pair's next
+    lookup reads the new cache."""
     for obj in gc.get_objects():
         if type(obj) is FiniteLattice:
             obj.paired_tables.clear()
@@ -211,12 +212,16 @@ CHAIN3 = [[True, True, True], [False, True, True], [False, False, True]]
 def test_reports_from_a_shared_record_carry_the_callers_labels(monkeypatch):
     """Two coordinate pairs with the same orders and different labels share
     one record.  On each, a candidate failing each clause that reads the
-    record's verdicts is validated, one labelling first and then the other:
-    every report equals the oracle's on its own labels.  The tot of the last
-    candidate is the con of the passing one, a down-set that is not an
-    up-set, so a verdict kept for a mask as con is not read for it as tot."""
+    record's verdicts is validated, one labelling first and then the other,
+    and then each again: every report equals the oracle's on its own labels,
+    and the repeat is the report the pair's memo kept from its first call.
+    The tot of the last candidate is the con of the passing one, a down-set
+    that is not an up-set, so a verdict kept for a mask as con is not read
+    for it as tot.  No report and no label is reachable from the record's
+    verdicts."""
     labellings = [(["0", "x", "y", "1"], ["0", "m", "1"]), (["p", "q", "r", "s"], ["u", "v", "w"])]
     pairs = [(build_lattice(pl, DIAMOND), build_lattice(ml, CHAIN3)) for pl, ml in labellings]
+    labels = {label for pl, ml in labellings for label in pl + ml}
     chosen = {}
     for dl in down_up_pairs(*pairs[0]):
         chosen.setdefault(validate_dlattice_by_rows(dl).axiom, (dl.con_mask, dl.tot_mask))
@@ -227,20 +232,42 @@ def test_reports_from_a_shared_record_carry_the_callers_labels(monkeypatch):
     for order in (pairs, pairs[::-1]):
         fresh_record_cache(monkeypatch)
         reports = {}
-        for plus, minus in order:
+        for plus, minus in order + order:
             for pair_masks in masks:
                 dl = DLattice(plus, minus, *pair_masks)
                 reports.setdefault(pair_masks, []).append(validate_dlattice(dl))
                 assert reports[pair_masks][-1] == validate_dlattice_by_rows(dl)
-        assert coordinate_tables(DLattice(*pairs[0], 0, 0)) is coordinate_tables(DLattice(*pairs[1], 0, 0))
-        assert [first.axiom for first, _ in reports.values()] == [
+        tables = coordinate_tables(DLattice(*pairs[0], 0, 0))
+        assert tables is coordinate_tables(DLattice(*pairs[1], 0, 0))
+        assert [first.axiom for first, *_ in reports.values()] == [
             "con-logic-sublattice",
             "tot-logic-sublattice",
             "con-tot",
             "con-scott-closed",
             "tot-upper-set",
         ]
-        assert all(first.witness != second.witness for first, second in reports.values())
+        assert all(first.witness != second.witness for first, second, _, _ in reports.values())
+        assert all(again is first and again2 is second for first, second, again, again2 in reports.values())
+        leaves = reachable_leaves(tables.verdicts)
+        assert leaves and all(type(leaf) in (int, str, type(None)) for leaf in leaves)
+        assert not labels & {leaf for leaf in leaves if type(leaf) is str}
+
+
+def reachable_leaves(obj):
+    """The objects reachable from obj through dicts and tuples that are
+    neither, failing on a ``StructReport`` on the way."""
+    leaves, stack = [], [obj]
+    while stack:
+        obj = stack.pop()
+        assert not isinstance(obj, StructReport)
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, tuple):
+            stack.extend(obj)
+        else:
+            leaves.append(obj)
+    return leaves
 
 
 def holds_tables(logic, want):
@@ -484,6 +511,30 @@ def test_validate_dlattice_looks_up_one_record(bound5, monkeypatch):
         axioms.add(validate_dlattice(dl).axiom)
         assert lookups == calls
     assert {None, "degenerate-pair", "con-tt-ff", "con-scott-closed", "tot-upper-set", "con-tot"} <= axioms
+
+
+def test_each_report_is_built_once_per_cause_on_a_lattice_pair(bound5, monkeypatch):
+    """From an empty record cache, validating every Q2 candidate builds one
+    failed report per distinct cause on each lattice pair: 143 for the
+    1,517 failures at bound 4 and 786 for the 37,175 at bound 5.  Every
+    report, shared or not, equals the oracle's."""
+    genuine = StructReport.failed
+    built = 0
+
+    def counting(*args, **kwargs):
+        nonlocal built
+        built += 1
+        return genuine(*args, **kwargs)
+
+    for candidates, want in ((_q2_candidates(4), (1517, 143)), (bound5[0], (37175, 786))):
+        fresh_record_cache(monkeypatch)
+        built = 0
+        with monkeypatch.context() as patched:
+            patched.setattr(StructReport, "failed", staticmethod(counting))
+            reports = [validate_dlattice(dl) for dl in candidates]
+        assert (sum(not report.ok for report in reports), built) == want
+        for dl, report in zip(candidates, reports):
+            assert report == validate_dlattice_by_rows(dl)
 
 
 def test_side_verdicts_fill_once_per_record_side_and_mask(bound5, monkeypatch):

@@ -283,11 +283,8 @@ def lambda_equivalence_check(lattices, dbools=()):
     the canonical isomorphism onto the image of the plus lattice."""
     report = {"hom_pairs": [], "essential": [], "ok": True}
     for A in dbools:
-        fwd, back = canonical_lambda_iso(A)
-        report["essential"].append(
-            {"plus_size": A.plus.n, "minus_size": A.minus.n, "iso": True}
-        )
-        del fwd, back
+        canonical_lambda_iso(A)  # raises InvariantViolation if either direction fails
+        report["essential"].append({"plus_size": A.plus.n, "minus_size": A.minus.n, "iso": True})
     for M in lattices:
         for N in lattices:
             lat_homs = enumerate_lattice_homs(M, N)

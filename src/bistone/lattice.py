@@ -11,6 +11,7 @@ characterization (every join-irreducible element is join-prime).
 Isomorphism has one decision procedure: the canonical form of the order
 (``FinitePoset.canonical_orderings``), whose minimising relabelings give
 every lattice isomorphism (``lattice_isos``) and so every automorphism.
+Homomorphisms L → M are read from J, as the monotone maps J(M) → J(L).
 """
 
 from dataclasses import dataclass, field
@@ -590,54 +591,55 @@ def lattice_isos(L, M):
 
 
 def enumerate_lattice_homs(L, M):
-    """All bound-preserving lattice homomorphisms L → M, lexicographic order.
+    """All bound-preserving lattice homomorphisms L → M, in lexicographic
+    order of their values along ``L.poset.linear_extension()``.
 
-    Backtracking over a linear extension of L, so every element strictly
-    below the next one, a, is placed and nothing above it is.  The
-    candidates for f(a) form one bitmask: for each placed a2 the b with
-    b ∧ f(a2) = f(a ∧ a2) (for a2 ≤ a this reads f(a2) ≤ b), and f(x) ∨ f(y)
-    for each pair of placed x, y with join a.  They are tried lowest first.
+    Birkhoff duality reads them off the join-irreducibles J(L) and J(M).
+    In a finite distributive lattice each join-irreducible j is join-prime
+    (j ≤ x ∨ y gives j ≤ x or j ≤ y; see ``build_lattice``), so
+    J(x) = {j ∈ J : j ≤ x} sends ∧ to ∩ and ∨ to ∪, and x = ⋁J(x) makes
+    x ↦ J(x) one to one.  A hom h gives a monotone g: J(M) → J(L), and
+    each monotone g gives the hom h_g(a) = ⋁D(a), D(a) = {j : g(j) ≤ a}:
+
+    - h ↦ g.  For j ∈ J(M), F = {a : j ≤ h(a)} is an up-set closed under ∧,
+      holds ⊤ and misses ⊥, as h keeps ∧ and the bounds; a ∨ b ∈ F gives
+      a ∈ F or b ∈ F, as h keeps ∨ and j is join-prime.  So F is a prime
+      filter, ↑g(j) for its least member g(j), which is join-prime and not
+      ⊥, so join-irreducible.  For j′ ≤ j, F lies in the filter of j′, so
+      g(j′) ≤ g(j).  And h(a) = ⋁J(h(a)) = ⋁D(a), so g determines h.
+    - g ↦ h_g.  D(a) is a down-set of J(M), as g is monotone, so
+      J(h_g(a)) = D(a): a join-prime j ≤ ⋁D(a) lies below a member of
+      D(a).  D(⊥) = ∅ and D(⊤) = J(M), so h_g keeps the bounds.
+      D(a ∧ b) = D(a) ∩ D(b), and D(a ∨ b) = D(a) ∪ D(b) as each g(j) is
+      join-prime, so J(h_g(a ∧ b)) = J(h_g(a) ∧ h_g(b)), and so for ∨;
+      as x ↦ J(x) is one to one, h_g keeps ∧ and ∨.
+    - g ↦ h_g ↦ g is the identity: {a : j ≤ h_g(a)} = {a : j ∈ D(a)} = ↑g(j).
+
+    The maps g are built along M's linear extension, so every j′ < j is
+    placed before j, and j takes each c ∈ J(L) above the images of the
+    placed j′ ≤ j.  h_g(a) is the x with J(x) = D(a), and each h is
+    re-checked by ``validate_lattice_hom``.
     """
-    order = L.poset.linear_extension()
-    meet_is = [[0] * M.n for _ in range(M.n)]  # meet_is[b2][t]: the b with b ∧ b2 = t
-    for b, row in enumerate(M.meet):
-        for b2, t in enumerate(row):
-            meet_is[b2][t] |= 1 << b
-    join_checks = [[] for _ in range(L.n)]  # pairs whose join is this element
-    for x in range(L.n):
-        for y in range(x, L.n):
-            j = L.join[x][y]
-            if j != x and j != y:
-                join_checks[j].append((x, y))
-    everything = (1 << M.n) - 1
-    mapping = [-1] * L.n
+    irr_L = join_irreducibles(L)
+    irr_M = sorted(join_irreducibles(M), key=M.poset.linear_extension().index)
+    maps = [()]
+    for k, j in enumerate(irr_M):
+        lower = [i for i in range(k) if M.leq(irr_M[i], j)]
+        maps = [g + (c,) for g in maps for c in irr_L if all(L.leq(g[i], c) for i in lower)]
+    irr_mask = mask_of(irr_M)
+    element = {M.down[x] & irr_mask: x for x in range(M.n)}
     out = []
-
-    def backtrack(k):
-        if k == L.n:
-            hom = LatticeHom(L, M, tuple(mapping))
-            if validate_lattice_hom(hom).ok:
-                out.append(hom)
-            return
-        a = order[k]
-        if a == L.bot:
-            cand = 1 << M.bot
-        elif a == L.top:
-            cand = 1 << M.top
-        else:
-            cand = everything
-        meets = L.meet[a]
-        for a2 in order[:k]:
-            cand &= meet_is[mapping[a2]][mapping[meets[a2]]]
-        for x, y in join_checks[a]:
-            cand &= 1 << M.join[mapping[x]][mapping[y]]
-        for b in bits(cand):
-            mapping[a] = b
-            backtrack(k + 1)
-        mapping[a] = -1
-
-    backtrack(0)
-    return out
+    for g in maps:
+        d_masks = [0] * L.n  # d_masks[a] is the mask of D(a)
+        for j, c in zip(irr_M, g):
+            for a in bits(L.up[c]):
+                d_masks[a] |= 1 << j
+        hom = LatticeHom(L, M, tuple(element[d] for d in d_masks))
+        if not validate_lattice_hom(hom).ok:
+            raise InvariantViolation("a monotone map of join-irreducibles gave no lattice hom")
+        out.append(hom)
+    order = L.poset.linear_extension()
+    return sorted(out, key=lambda h: [h.mapping[a] for a in order])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 ``bistone props`` for every suite, of ``bistone search`` at bound 4 (and Q2
 at bound 5, whose counterexample is its 74th structure), and of
 ``validate``, ``spec``, ``clop`` and ``roundtrip`` on the small files in
-``tests/golden/inputs/``.
+``tests/golden/inputs/``; and the sha256 of each file ``bistone gen`` writes
+for every ``--kind`` at bound 4.
 
 The inputs are a d-Boolean algebra (λ of the down-sets of the three-element
 poset with one bottom and two maximal elements), the doubled three-chain as
@@ -18,11 +19,12 @@ witness or a message shows up here as a diff.  Regenerate a file only when
 an output change is intended, and say so in the change log.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
-from bistone.cli import main
+from bistone.cli import GEN_KINDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -55,3 +57,14 @@ def test_cli_output_is_byte_identical(name, capsys):
         out, err = capsys.readouterr()
         assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
         assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_KINDS))
+def test_gen_files_are_byte_identical(kind, tmp_path):
+    """``tests/golden/gen_<kind>_bound4.sha256`` holds ``sha256sum`` lines
+    for every file of the corpus, manifest included."""
+    assert main(["gen", "--kind", kind, "--bounds", "4", "--out", str(tmp_path)]) == 0
+    got = "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n" for path in sorted(tmp_path.iterdir())
+    )
+    assert got == (GOLDEN / f"gen_{kind}_bound4.sha256").read_text(encoding="utf-8")

@@ -7,7 +7,10 @@ intersections and then one of unions.  ``BiTopSpace`` keeps each topology's
 set of opens as well (``open_sets``): closure under ∪ and ∩ is checked
 against it over the pairs of the sorted tuple, in order, and membership
 tests elsewhere read it.  Every finite bitopological space is compact, so
-``is_compact`` is its finiteness proof rather than a subcover search.
+``is_compact`` is its finiteness proof rather than a subcover search, and
+``is_stone`` is the finite Stone lemma (τ₊ is T0 and τ₋ is its
+complements); the paper's two characterizations stay beside it, and the
+``stone-characterizations`` suite row compares all three.
 
 Pervin connectedness is not restated in the source material, so the
 formalization used here is: a subset S is disconnected iff S ⊆ U ∪ V for
@@ -20,15 +23,8 @@ from itertools import combinations
 
 from .config import max_elements
 from .dlattice import DBooleanAlgebra, DLattice, require_valid, validate_dboolean, validate_dlattice
-from .errors import BoundsTooLarge, CharacterizationMismatch, InvariantViolation
-from .ideals import (
-    BMap,
-    enumerate_prime_d_ideals,
-    four_case_values,
-    ideal_map,
-    prime_pair_opens,
-    prime_pairs,
-)
+from .errors import BoundsTooLarge, InvariantViolation
+from .ideals import BMap, enumerate_prime_d_ideals, four_case_values
 from .lattice import bits, down_sets, lattice_from_family, mask_of
 
 
@@ -233,24 +229,23 @@ def is_totally_order_separated(space):
 
 
 def is_stone(space):
-    """Both characterizations computed independently; they must agree."""
-    via_zero_dim = is_T0(space) and is_compact(space) and is_zero_dimensional(space)
-    via_separation = is_compact(space) and is_totally_order_separated(space)
-    if via_zero_dim != via_separation:
-        raise CharacterizationMismatch(
-            f"Stone characterizations disagree: T0/zero-dim={via_zero_dim}, "
-            f"totally-order-separated={via_separation}"
-        )
-    return via_zero_dim
+    """Stone (T0, compact and zero-dimensional) iff τ₊ is T0 and τ₋ is the
+    family of complements of τ₊: the up-sets and down-sets of one partial
+    order, as ``stone_space_from_poset`` builds them.
 
-
-def is_pairwise_regular(space):
-    for opens, other in ((space.tau_plus, space.tau_minus), (space.tau_minus, space.tau_plus)):
-        for u in opens:
-            for x in bits(u):
-                if not any((v >> x) & 1 and space.closure(v, other) & ~u == 0 for v in opens):
-                    return False
-    return True
+    If so, each τ₊-open is τ₋-closed and each τ₋-open τ₊-closed, so each
+    topology is a base of itself made of sets closed in the other: the
+    space is zero-dimensional, and T0 on τ₊ alone.  Conversely,
+    zero-dimensionality makes each τ₊-open a union of τ₋-closed sets,
+    finitely many, so τ₋-closed, and each τ₋-open τ₊-closed the same way,
+    so τ₋ is exactly the complements of τ₊.  Then points split by a τ₋-open
+    V are split by the τ₊-open X∖V, so τ₊ alone is T0.  Every finite space
+    is compact (``is_compact``).  τ₊ is T0 iff its least opens ↑x, the rows
+    of ``_specialization``, are distinct.  The ``stone-characterizations``
+    suite row checks this against both characterizations of the paper.
+    """
+    rows = _specialization(space.n, space.tau_plus)
+    return len(set(rows)) == space.n and space.open_sets[1] == {space.full & ~u for u in space.tau_plus}
 
 
 def is_extremally_disconnected(space):
@@ -367,18 +362,6 @@ def point_d_point(space, df=None):
     return out
 
 
-def d_points(df):
-    """Bitopological space of d-frame maps into the four-element object.
-
-    Finitely these are exactly the prime d-ideals.  The collections of
-    value-sets are verified to be topologies rather than assumed.
-    """
-    pairs = prime_pairs(df)
-    primes = [ideal_map(df, u, v) for u, v in pairs]
-    spc = BiTopSpace([f"g{k}" for k in range(len(primes))], *prime_pair_opens(df, pairs))
-    return spc, primes
-
-
 def is_d_sober(space):
     """Every d-point of the open-set d-frame is [x] for exactly one x."""
     df = dO(space)
@@ -392,7 +375,7 @@ def stone_space_from_poset(poset):
     result is always Stone (finite topologies are Alexandrov)."""
     spc = BiTopSpace(poset.labels, down_sets(poset.dual()), down_sets(poset))
     if not is_stone(spc):
-        raise InvariantViolation("poset space failed the Stone characterizations")
+        raise InvariantViolation("poset space failed the Stone lemma")
     return spc
 
 

@@ -2,8 +2,9 @@
 
 A d-lattice is stored as its two coordinate lattices together with the
 consistency and totality predicates as pair sets.  The identification of the
-carrier with the coordinate product is lossless (``decompose`` splits a
-lattice along a complementary pair).  Carrier elements are flat pair ids
+carrier with the coordinate product is lossless: a distributive lattice
+with a complementary pair (tt, ff) is [0, tt] × [0, ff] under
+a ↦ (a ∧ tt, a ∧ ff).  Carrier elements are flat pair ids
 ``a * n_minus + b``.  The order operations ``DLattice.meet``/``join`` take
 and return pair ids, reading the coordinate lattices' ``[a][b]`` tables;
 ``logic_formula_row`` reads one coordinate lattice's tables the same way.
@@ -85,13 +86,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .errors import (
-    DaggerNotOrderReversing,
-    DegeneratePair,
-    FactorizationFailure,
-    InvariantViolation,
-    NotComplementaryPair,
-)
+from .errors import DaggerNotOrderReversing, DegeneratePair, InvariantViolation
 from .lattice import (
     FiniteLattice,
     LatticeHom,
@@ -544,44 +539,6 @@ def bool_dlattice():
     return dl
 
 
-@dataclass(frozen=True)
-class CarrierDecomposition:
-    """L ≅ [0,tt] × [0,ff]: coordinate lattices plus the two mutually
-    inverse coordinate maps."""
-
-    plus: FiniteLattice
-    minus: FiniteLattice
-    to_pair: tuple        # element of L -> (index in plus, index in minus)
-    from_pair: dict       # (index in plus, index in minus) -> element of L
-
-
-def decompose(L, tt, ff):
-    """Split a lattice along a complementary pair via a ↦ (a ∧ tt, a ∧ ff)."""
-    if L.join[tt][ff] != L.top or L.meet[tt][ff] != L.bot:
-        raise NotComplementaryPair(
-            f"({L.labels[tt]}, {L.labels[ff]}) is not a complementary pair",
-            witness=(tt, ff),
-        )
-    if {tt, ff} == {L.top, L.bot}:
-        raise DegeneratePair("{tt,ff} = {1,0} is excluded")
-    plus_elems = list(bits(L.down[tt]))
-    minus_elems = list(bits(L.down[ff]))
-    plus, minus = _restriction(L, plus_elems), _restriction(L, minus_elems)
-    pindex = {a: i for i, a in enumerate(plus_elems)}
-    mindex = {b: i for i, b in enumerate(minus_elems)}
-    to_pair = tuple((pindex[L.meet[x][tt]], mindex[L.meet[x][ff]]) for x in range(L.n))
-    from_pair = {}
-    for x, ab in enumerate(to_pair):
-        from_pair[ab] = x
-    if len(from_pair) != L.n or any(
-        from_pair[to_pair[x]] != x
-        or L.join[plus_elems[to_pair[x][0]]][minus_elems[to_pair[x][1]]] != x
-        for x in range(L.n)
-    ):
-        raise NotComplementaryPair("coordinate maps are not mutually inverse", witness=(tt, ff))
-    return CarrierDecomposition(plus, minus, to_pair, from_pair)
-
-
 def _restriction(L, elems):
     """The lattice on the elements elems of L, ascending, under L's order."""
     return build_lattice([L.labels[a] for a in elems], [[L.leq(a, b) for b in elems] for a in elems])
@@ -932,32 +889,6 @@ def dlattice_equal(d1, d2):
         and d1.con_mask == d2.con_mask
         and d1.tot_mask == d2.tot_mask
     )
-
-
-def coreflection_check(dl, M, f):
-    """Factor a hom M → dl (M d-Boolean) uniquely through dB(dl) → dl.
-
-    The inclusion is injective, so the factorization is unique whenever it
-    exists; existence can only fail through an implementation bug, surfaced
-    as FactorizationFailure.
-    """
-    cor = dB(dl)
-    maps = []
-    for images, embed, L in ((f.fplus, cor.embed_plus, dl.plus), (f.fminus, cor.embed_minus, dl.minus)):
-        index = {a: i for i, a in enumerate(embed)}
-        for a in images:
-            if a not in index:
-                raise FactorizationFailure(f"image {L.labels[a]} is not d-complemented", witness=a)
-        maps.append(tuple(index[a] for a in images))
-    factored = DLatticeHom(M, cor.algebra, *maps)
-    rep = validate_dlattice_hom(factored)
-    if not rep.ok:
-        raise FactorizationFailure(f"factorization not a hom: {rep.message}")
-    inclusion = DLatticeHom(cor.algebra, dl, cor.embed_plus, cor.embed_minus)
-    recomposed = inclusion.compose(factored)
-    if recomposed.fplus != tuple(f.fplus) or recomposed.fminus != tuple(f.fminus):
-        raise FactorizationFailure("inclusion ∘ factorization differs from f")
-    return factored
 
 
 # ---------------------------------------------------------------------------

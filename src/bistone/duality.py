@@ -42,7 +42,6 @@ from .dlattice import (
 from .corpus import distributive_lattices as _distributive_lattices_upto
 from .errors import (
     BoundsTooLarge,
-    CharacterizationMismatch,
     InvariantViolation,
     NotStone,
     NotZeroDimensional,
@@ -434,23 +433,6 @@ def enumerate_topologies(n):
     return sorted({topology_of_preorder(n, rows) for rows in enumerate_preorders(n)})
 
 
-def enumerate_topologies_raw(n):
-    """Raw open-family enumeration (tiny n): cross-check for the preorder path."""
-    if n > 3:
-        raise BoundsTooLarge("raw topology enumeration capped at 3 points")
-    full = (1 << n) - 1
-    middles = [m for m in range(1 << n) if m not in (0, full)]
-    out = set()
-    for code in range(1 << len(middles)):
-        fam = {0, full}
-        for k, m in enumerate(middles):
-            if (code >> k) & 1:
-                fam.add(m)
-        if all(u | v in fam and u & v in fam for u in fam for v in fam):
-            out.add(tuple(sorted(fam, key=lambda m: (m.bit_count(), m))))
-    return sorted(out)
-
-
 RELABEL_TABLE_MAX_POINTS = 6  # 720 relabelings × 64 subset masks
 
 
@@ -517,8 +499,6 @@ def _search_q1(max_points):
     seen = set()
     for n in range(1, max_points + 1):
         tops = enumerate_topologies(n)
-        if n <= 3 and tops != enumerate_topologies_raw(n):
-            raise CharacterizationMismatch("topology enumeration paths disagree")
         labels = [f"x{i}" for i in range(n)]
         for tp in tops:
             for tm in tops:

@@ -27,10 +27,6 @@ class NotDistributive(BistoneError):
     """Witness triple violates a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c)."""
 
 
-class NotComplementaryPair(BistoneError):
-    """The designated (tt, ff) pair is not complementary."""
-
-
 class DegeneratePair(BistoneError):
     """{tt, ff} = {1, 0}; the structure is excluded by convention."""
 
@@ -43,24 +39,12 @@ class CoveringViolation(BistoneError):
     """An ideal/filter pair misses a consistency/totality pair."""
 
 
-class NoSandwich(BistoneError):
-    """No prime map between the given filter and ideal maps (suspected bug)."""
-
-
-class FactorizationFailure(BistoneError):
-    """A morphism that must factor through a subobject fails to (suspected bug)."""
-
-
 class NotZeroDimensional(BistoneError):
     """Operation requires a zero-dimensional structure."""
 
 
 class NotStone(BistoneError):
     """Operation requires a Stone bitopological space."""
-
-
-class CharacterizationMismatch(BistoneError):
-    """Two provably equivalent characterizations disagreed (internal bug)."""
 
 
 class InvariantViolation(BistoneError):

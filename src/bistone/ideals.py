@@ -12,7 +12,8 @@ Out of scope: maximal d-filters need not be prime, but the standard witness
 lives on the unit square [0,1]×[0,1] (pairing a with 1-a; the filter pair
 ((0,1], (0,1]) is maximal yet not prime).  That structure is infinite and
 not representable here; at finite scale maximal-disjoint filter pairs are
-prime, which is exactly what the sandwich search below exploits.
+prime, since a prime d-ideal lies between every d-filter map and every
+d-ideal map above it (the sandwich property; ``tests/`` decides it).
 
 Every enumeration of maps here is one mask test over generator pairs,
 ``_covering_pairs``, and calls no map validator (proofs in the docstrings).
@@ -36,7 +37,7 @@ from .dlattice import (
     validate_carrier_hom,
     validate_dlattice,
 )
-from .errors import CoveringViolation, InvariantViolation, NoSandwich
+from .errors import CoveringViolation
 from .lattice import (
     FiniteLattice,
     bits,
@@ -359,53 +360,6 @@ def enumerate_d_filter_maps(dl):
         BMap(dl, four_case_values(dl, up_plus[u], up_minus[v]))
         for u, v in _covering_pairs(dl.tot_mask, 0, *coordinate_tables(dl).up_masks)
     ]
-
-
-def prime_d_ideal_characterization(A, g):
-    """On a d-Boolean algebra: a d-ideal map is prime iff its zero set and
-    the pairing determine each other on both sides."""
-    if not validate_d_ideal_map(A, g).ok:
-        raise ValueError("characterization requires a valid d-ideal map")
-    for a in range(A.plus.n):
-        if (g.on_plus(a) == B0) != (g.on_minus(A.dagger[a]) == BFF):
-            return False
-    for b in range(A.minus.n):
-        if (g.on_minus(b) == B0) != (g.on_plus(A.dagger_inv[b]) == BTT):
-            return False
-    return True
-
-
-def prime_sandwich(dl, fmap, gmap):
-    """A prime d-ideal h with f ≤ h ≤ g, for a d-filter map f below a
-    d-ideal map g: the first pair of ``prime_pairs`` whose ↓u and ↓v contain
-    the zero sets of g and avoid the one sets of f, side by side.
-
-    The prime d-ideal h of (u, v) has its tt bit at (a, b) iff a ∉ ↓u.  So
-    h ≤ g on the tt plane iff every a ∉ ↓u lies outside the zero set of g,
-    that is iff ↓u contains it, and f ≤ h iff every a in the one set of f
-    lies outside ↓u; the ff plane reads v the same way.  The pair returned
-    is re-checked against both validators and f ≤ h ≤ g.
-    """
-    if not validate_d_filter_map(dl, fmap).ok:
-        raise ValueError("first argument must be a d-filter map")
-    if not validate_d_ideal_map(dl, gmap).ok:
-        raise ValueError("second argument must be a d-ideal map")
-    if not fmap.leq(gmap):
-        raise ValueError("precondition f <= g (pointwise information order) fails")
-    gplus, gminus = gmap.zero_set_plus(), gmap.zero_set_minus()
-    fu, fv = filter_generators(fmap)
-    fplus, fminus = dl.plus.up[fu], dl.minus.up[fv]
-    sides = zip(coordinate_tables(dl).prime_masks, (dl.plus.down, dl.minus.down), (gplus, gminus), (fplus, fminus))
-    plus_candidates, minus_candidates = (
-        [(u, rows) for u, rows in primes if g & ~down[u] == 0 and down[u] & f == 0] for primes, down, g, f in sides
-    )
-    pairs = _covering_pairs(dl.con_mask, dl.tot_mask, plus_candidates, minus_candidates)
-    if not pairs:
-        raise NoSandwich("no prime d-ideal between the given maps (suspected bug)")
-    h = ideal_map(dl, *pairs[0])
-    if not (is_prime_d_ideal(dl, h) and fmap.leq(h) and h.leq(gmap)):
-        raise InvariantViolation("the prime sandwich failed its re-check")
-    return h
 
 
 # ---------------------------------------------------------------------------

@@ -517,15 +517,6 @@ def complement(lattice, a):
     return found
 
 
-def pseudo_complement(lattice, a):
-    """Greatest b with a ∧ b = bot; always exists in a finite distributive lattice."""
-    disjoint = [b for b in range(lattice.n) if lattice.meet[a][b] == lattice.bot]
-    best = lattice.join_fold(disjoint)
-    if lattice.meet[a][best] != lattice.bot:
-        raise InvariantViolation("pseudo-complement does not meet to bottom")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms
 

@@ -513,18 +513,26 @@ def check_poset_spaces_sober(bundle):
 
 
 def check_stone_characterizations_exhaustive(bundle):
-    count = 0
+    """``is_stone``, the finite Stone lemma, against the paper's two
+    characterizations (T0, compact and zero-dimensional; compact and
+    totally order-separated) on every labeled space of at most 3 points
+    and every corpus space; False names the first space they split on."""
+    spaces = []
     for n in range(1, 4):
         tops = du.enumerate_topologies(n)
         labels = [f"x{i}" for i in range(n)]
-        for tp in tops:
-            for tm in tops:
-                bt.is_stone(bt.space(labels, tp, tm))  # raises on mismatch
-                count += 1
-    for s in bundle.spaces:
-        bt.is_stone(s)
-        count += 1
-    return True, f"both Stone characterizations agree on {count} spaces"
+        spaces += [bt.space(labels, tp, tm) for tp in tops for tm in tops]
+    spaces += bundle.spaces
+    for k, s in enumerate(spaces):
+        lemma = bt.is_stone(s)
+        via_zero_dim = bt.is_T0(s) and bt.is_compact(s) and bt.is_zero_dimensional(s)
+        via_separation = bt.is_compact(s) and bt.is_totally_order_separated(s)
+        if not lemma == via_zero_dim == via_separation:
+            return False, (
+                f"space {k} (tau_plus {list(s.tau_plus)}, tau_minus {list(s.tau_minus)}): Stone lemma "
+                f"{lemma}, T0/zero-dimensional {via_zero_dim}, totally order-separated {via_separation}"
+            )
+    return True, f"both Stone characterizations agree on {len(spaces)} spaces"
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +584,8 @@ def check_frame_space_duality(bundle):
     for dl in all_dlattices(bundle):
         if not is_zero_dimensional_dframe(dl) or dl.size > 64:
             continue
-        pts, _ = bt.d_points(dl)
-        if find_dlattice_iso(bt.dO(pts), dl) is None:
-            return False, "dO ∘ d_points does not recover a compact zero-dimensional d-frame"
+        if find_dlattice_iso(bt.dO(du.dspec(dl)), dl) is None:
+            return False, "dO ∘ dSpec does not recover a compact zero-dimensional d-frame"
         count += 1
     return True, f"frame/space duality verified on {count} d-frames"
 

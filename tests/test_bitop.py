@@ -1,12 +1,15 @@
 """Finite bitopological spaces: topology generation, separation predicates,
-open-set frames, d-clopen algebras, d-points and d-sobriety."""
+the finite Stone lemma against both characterizations, open-set frames,
+d-clopen algebras, d-points and d-sobriety."""
 
 import textwrap
 
 import pytest
-from test_topology_oracles import find_homeomorphism
+from test_duality import enumerate_topologies_raw
+from test_topology_oracles import find_homeomorphism, is_pairwise_regular_by_sides
 
 from bistone import bitop as bt
+from bistone import duality as du
 from bistone.corpus import boolean_lattice
 from bistone.dlattice import dB, dlattice_equal, find_dlattice_iso, omega_of_lattice, validate_dlattice
 from bistone.lattice import FinitePoset
@@ -83,22 +86,53 @@ def test_is_stone_examples(x2, indiscrete2, sierp2, point1):
 
 
 def test_stone_characterizations_never_disagree():
-    from bistone.duality import enumerate_topologies
-
+    """The lemma against T0 + compact + zero-dimensional and against
+    compact + totally order-separated on every labeled pair of topologies
+    on at most 3 points, with the labeled Stone counts of A001035 (partial
+    orders on n labeled points), on both topology enumerations."""
+    stone_counts = []
     for n in (1, 2, 3):
-        tops = enumerate_topologies(n)
+        tops = du.enumerate_topologies(n)
+        assert tops == enumerate_topologies_raw(n)
         labels = [f"x{i}" for i in range(n)]
+        count = 0
         for tp in tops:
             for tm in tops:
-                bt.is_stone(bt.space(labels, tp, tm))  # CharacterizationMismatch would raise
+                s = bt.space(labels, tp, tm)
+                lemma = bt.is_stone(s)
+                assert lemma == (bt.is_T0(s) and bt.is_compact(s) and bt.is_zero_dimensional(s))
+                assert lemma == (bt.is_compact(s) and bt.is_totally_order_separated(s))
+                count += lemma
+        stone_counts.append(count)
+    assert stone_counts == [1, 3, 19]
+
+
+def test_stone_lemma_guard_survives_python_O(run_python):
+    script = textwrap.dedent(
+        """
+        import sys
+        from bistone import bitop
+        from bistone.errors import InvariantViolation
+        from bistone.lattice import FinitePoset
+
+        bitop.is_stone = lambda space: False
+        try:
+            bitop.stone_space_from_poset(FinitePoset(["p", "q"], [[True, True], [False, True]]))
+        except InvariantViolation:
+            print("raised", sys.flags.optimize)
+        """
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["raised", "1"]
 
 
 def test_pairwise_regular_and_extremally_disconnected(x2, point1):
-    assert bt.is_pairwise_regular(x2)
+    assert is_pairwise_regular_by_sides(x2)
     assert bt.is_extremally_disconnected(x2)
-    assert bt.is_pairwise_regular(point1) and bt.is_extremally_disconnected(point1)
+    assert is_pairwise_regular_by_sides(point1) and bt.is_extremally_disconnected(point1)
     # zero-dimensional implies pairwise regular on the corpus
-    assert bt.is_zero_dimensional(x2) and bt.is_pairwise_regular(x2)
+    assert bt.is_zero_dimensional(x2) and is_pairwise_regular_by_sides(x2)
 
 
 def test_omega_space_stone_iff_base_space(sierp2):
@@ -155,18 +189,17 @@ def test_dclop_equals_dB_dO(x2, indiscrete2, sierp2, point1):
 
 
 def test_d_points_of_bool_object(B):
-    space, primes = bt.d_points(B)
-    assert space.n == 1 and len(primes) == 1
+    spec = du.spectrum(B)
+    assert spec.space.n == 1 and len(spec.primes) == 1
 
 
 def test_d_points_of_dO_x2(x2):
-    space, _ = bt.d_points(bt.dO(x2))
-    hom = find_homeomorphism(space, x2)
+    hom = find_homeomorphism(du.dspec(bt.dO(x2)), x2)
     assert hom is not None
 
 
 def test_d_points_of_lambda3(lam3):
-    space, _ = bt.d_points(lam3)
+    space = du.dspec(lam3)
     assert space.n == 2
     assert bt.is_stone(space)
 

@@ -1,6 +1,7 @@
 """d-lattice axioms, the dualizing object, omega/lambda constructions,
 d-complements, the coreflection and the DBL presentation."""
 
+from dataclasses import dataclass
 from itertools import permutations
 
 import pytest
@@ -14,11 +15,10 @@ from bistone.dlattice import (
     DLattice,
     DLatticeHom,
     DblObject,
+    _restriction,
     canonical_lambda_iso,
-    coreflection_check,
     dB,
     d_complement,
-    decompose,
     dlattice_equal,
     enumerate_dlattice_homs,
     find_dlattice_iso,
@@ -32,13 +32,8 @@ from bistone.dlattice import (
     validate_dlattice,
     validate_dlattice_hom,
 )
-from bistone.errors import (
-    DaggerNotOrderReversing,
-    DegeneratePair,
-    FactorizationFailure,
-    NotComplementaryPair,
-)
-from bistone.lattice import bits, build_lattice, inverse_permutation, mask_of
+from bistone.errors import DaggerNotOrderReversing, DegeneratePair
+from bistone.lattice import FiniteLattice, bits, build_lattice, inverse_permutation, mask_of
 
 
 def test_bool_object_validates(B):
@@ -77,6 +72,42 @@ def test_degenerate_guard():
     assert not report.ok and report.axiom == "degenerate-pair"
     with pytest.raises(DegeneratePair):
         omega_of_lattice(one)
+
+
+class NotComplementaryPair(ValueError):
+    """The designated (tt, ff) pair is not complementary."""
+
+
+@dataclass(frozen=True)
+class CarrierDecomposition:
+    """L ≅ [0,tt] × [0,ff]: coordinate lattices plus the two mutually
+    inverse coordinate maps."""
+
+    plus: FiniteLattice
+    minus: FiniteLattice
+    to_pair: tuple        # element of L -> (index in plus, index in minus)
+    from_pair: dict       # (index in plus, index in minus) -> element of L
+
+
+def decompose(L, tt, ff):
+    """Split a lattice along a complementary pair via a ↦ (a ∧ tt, a ∧ ff):
+    the carrier of a d-lattice is its coordinate product."""
+    if L.join[tt][ff] != L.top or L.meet[tt][ff] != L.bot:
+        raise NotComplementaryPair(f"({L.labels[tt]}, {L.labels[ff]}) is not a complementary pair")
+    if {tt, ff} == {L.top, L.bot}:
+        raise DegeneratePair("{tt,ff} = {1,0} is excluded")
+    plus_elems = list(bits(L.down[tt]))
+    minus_elems = list(bits(L.down[ff]))
+    plus, minus = _restriction(L, plus_elems), _restriction(L, minus_elems)
+    pindex = {a: i for i, a in enumerate(plus_elems)}
+    mindex = {b: i for i, b in enumerate(minus_elems)}
+    to_pair = tuple((pindex[L.meet[x][tt]], mindex[L.meet[x][ff]]) for x in range(L.n))
+    from_pair = {ab: x for x, ab in enumerate(to_pair)}
+    if len(from_pair) != L.n or any(
+        L.join[plus_elems[to_pair[x][0]]][minus_elems[to_pair[x][1]]] != x for x in range(L.n)
+    ):
+        raise NotComplementaryPair("coordinate maps are not mutually inverse")
+    return CarrierDecomposition(plus, minus, to_pair, from_pair)
 
 
 def test_decompose_b2():
@@ -350,6 +381,36 @@ def test_enumerate_homs_bool_to_omega3(B, omega3):
     homs = enumerate_dlattice_homs(B, omega3)
     assert len(homs) == 1
     assert homs[0].fplus == (0, 2) and homs[0].fminus == (0, 2)
+
+
+class FactorizationFailure(AssertionError):
+    """A hom out of a d-Boolean algebra does not factor through dB."""
+
+
+def coreflection_check(dl, M, f):
+    """Factor a hom M → dl (M d-Boolean) uniquely through dB(dl) → dl.
+
+    The inclusion is injective, so the factorization is unique whenever it
+    exists; existence can only fail on broken input, surfaced as
+    FactorizationFailure.
+    """
+    cor = dB(dl)
+    maps = []
+    for images, embed, L in ((f.fplus, cor.embed_plus, dl.plus), (f.fminus, cor.embed_minus, dl.minus)):
+        index = {a: i for i, a in enumerate(embed)}
+        for a in images:
+            if a not in index:
+                raise FactorizationFailure(f"image {L.labels[a]} is not d-complemented")
+        maps.append(tuple(index[a] for a in images))
+    factored = DLatticeHom(M, cor.algebra, *maps)
+    rep = validate_dlattice_hom(factored)
+    if not rep.ok:
+        raise FactorizationFailure(f"factorization not a hom: {rep.message}")
+    inclusion = DLatticeHom(cor.algebra, dl, cor.embed_plus, cor.embed_minus)
+    recomposed = inclusion.compose(factored)
+    if recomposed.fplus != tuple(f.fplus) or recomposed.fminus != tuple(f.fminus):
+        raise FactorizationFailure("inclusion ∘ factorization differs from f")
+    return factored
 
 
 def test_coreflection_factorization(B, omega3):

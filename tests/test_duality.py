@@ -217,16 +217,30 @@ def test_frame_space_duality_on_dO(x2):
 
     df = bt.dO(x2)
     assert is_zero_dimensional_dframe(df)
-    pts, _ = bt.d_points(df)
-    assert find_dlattice_iso(bt.dO(pts), df) is not None
+    assert find_dlattice_iso(bt.dO(du.dspec(df)), df) is not None
+
+
+def enumerate_topologies_raw(n):
+    """Oracle for ``enumerate_topologies``: every family of subsets of n
+    points (n ≤ 3) that holds ∅ and the whole set and is closed under ∪ and
+    ∩, in the same sorted form."""
+    assert n <= 3
+    full = (1 << n) - 1
+    middles = [m for m in range(1 << n) if m not in (0, full)]
+    out = set()
+    for code in range(1 << len(middles)):
+        fam = {0, full} | {m for k, m in enumerate(middles) if (code >> k) & 1}
+        if all(u | v in fam and u & v in fam for u in fam for v in fam):
+            out.add(tuple(sorted(fam, key=lambda m: (m.bit_count(), m))))
+    return sorted(out)
 
 
 def test_topology_enumeration_counts():
     assert len(du.enumerate_topologies(1)) == 1
     assert len(du.enumerate_topologies(2)) == 4
     assert len(du.enumerate_topologies(3)) == 29
-    assert du.enumerate_topologies(2) == du.enumerate_topologies_raw(2)
-    assert du.enumerate_topologies(3) == du.enumerate_topologies_raw(3)
+    assert du.enumerate_topologies(2) == enumerate_topologies_raw(2)
+    assert du.enumerate_topologies(3) == enumerate_topologies_raw(3)
 
 
 def test_conjecture_search_trivial_bounds():

@@ -8,7 +8,9 @@ its small d-lattices and one-value perturbations of them.  Also the number
 of lattice homs against a count that shares no code with their
 enumeration: Birkhoff duality's monotone maps between the posets of
 join-irreducibles.  And the hom enumeration itself, which reads the homs
-off those monotone maps, against the table backtracking it replaced."""
+off those monotone maps, against the table backtracking it replaced: its
+1,153 pairs hold every pair of ``birkhoff_corpus(4)``, so it is the
+enumeration's one order-exact oracle."""
 
 import random
 from itertools import product

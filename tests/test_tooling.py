@@ -5,8 +5,7 @@ passes, the ``props`` workload counts every suite row, the library has no
 ``assert`` statement (its guards raise, so they survive ``python -O``), no
 library module imports numpy, only the named functions scan all n!
 relabelings, only the named functions hold an ``lru_cache``, and every
-library definition is reached from the library or the harness, or is named
-in one allow-list."""
+library definition is reached from the library or the harness."""
 
 import ast
 import importlib
@@ -198,16 +197,6 @@ def test_only_named_functions_hold_an_lru_cache():
     }
 
 
-# Top-level library definitions that only tests reach, each kept for a reason.
-TEST_ONLY_DEFINITIONS = {
-    "prime_sandwich": "a statement of the paper, checked by tests",
-    "coreflection_check": "a statement of the paper, checked by tests",
-    "prime_d_ideal_characterization": "a statement of the paper, checked by tests",
-    "is_pairwise_regular": "a separation axiom of the paper, checked by tests",
-    "pseudo_complement": "a lattice operation, checked by tests",
-    "decompose": "the carrier of a d-lattice as a coordinate product, checked by tests",
-}
-
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -246,9 +235,8 @@ def references(tree):
 def test_every_library_definition_is_reached():
     """Each top-level def, class or assigned name of the library is referred
     to by name, attribute or import in the library or in ``bench/*.py``,
-    outside its own statement, or is allow-listed above with a reason; and
-    every allow-listed name is such an unreached definition, so the list
-    cannot go stale."""
+    outside its own statement.  There is no allow-list: a definition only
+    tests reach belongs in ``tests/``."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(LIBRARY.glob("*.py")) + sorted(BENCH.glob("*.py"))
@@ -263,5 +251,4 @@ def test_every_library_definition_is_reached():
             for name in defined_names(node):
                 if not sites[name] - {(path, node.lineno)}:
                     unreached[name] = f"{path.stem}.{name}"
-    assert [dotted for name, dotted in unreached.items() if name not in TEST_ONLY_DEFINITIONS] == []
-    assert sorted(unreached) == sorted(TEST_ONLY_DEFINITIONS)
+    assert unreached == {}

@@ -2,13 +2,16 @@
 test-only oracles: ``generate_topology`` against the fixpoint loops,
 ``BiTopSpace``'s closure check against the scan over the sorted tuple, the
 two-sided predicates against one block per side, and ``dspec_equals_dpt_idl``
-against the form that enumerated the primes of the ideal frame again, and
-its False on φ families that are no topologies."""
+against the form that enumerated the primes of the ideal frame again and
+built their space from their values, and its False on φ families that are
+no topologies.  Pairwise regularity is defined here only, one block per
+side, and checked against zero-dimensionality, which implies it."""
 
 from itertools import combinations, permutations, product
 
 import pytest
 from test_census_kernels import merge_two_opens
+from test_pair_scan_oracles import prime_opens
 
 from bistone import bitop as bt
 from bistone import duality as du
@@ -192,7 +195,7 @@ def test_two_sided_predicates_match_the_per_side_blocks():
     spaces = list(small_spaces(3))
     assert len(spaces) == 1 + 4**2 + 29**2
     for X in spaces:
-        assert bt.is_pairwise_regular(X) == is_pairwise_regular_by_sides(X)
+        assert is_pairwise_regular_by_sides(X) or not bt.is_zero_dimensional(X)
         assert bt.is_extremally_disconnected(X) == is_extremally_disconnected_by_sides(X)
         for mapping in product(range(4), repeat=X.n):
             assert bt.is_continuous(mapping, X, target) == is_continuous_by_sides(mapping, X, target)
@@ -207,11 +210,20 @@ def test_two_sided_predicates_match_the_per_side_blocks():
 # dSpec = dpt ∘ idl with one prime enumeration
 
 
+def d_point_space(df):
+    """Oracle: the d-points of df, its prime d-ideals in enumeration order,
+    with a plus open {p : p(a, 0) = tt} per plus element a and a minus open
+    {p : p(0, b) = ff} per minus element b, read off their values; the
+    families must be topologies as they stand."""
+    primes = enumerate_prime_d_ideals(df)
+    return bt.BiTopSpace([f"g{k}" for k in range(len(primes))], *prime_opens(df, primes)), primes
+
+
 def dspec_equals_dpt_idl_by_two_enumerations(dl):
     """Oracle: enumerate the d-points of the ideal frame on their own and
     match them with the primes of dl by a homeomorphism."""
     spec = du.spectrum(dl)
-    pts_space, pts = bt.d_points(idl_dframe(dl))
+    pts_space, pts = d_point_space(idl_dframe(dl))
     want = {g.values: k for k, g in enumerate(spec.primes)}
     if sorted(p.values for p in pts) != sorted(want):
         return False

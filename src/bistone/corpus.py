@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .dlattice import lambda_of_dislat
 from .errors import BoundsTooLarge, InvariantViolation, NotALattice, NotBounded, NotDistributive
-from .lattice import FinitePoset, birkhoff, build_lattice, is_closed, lattice_from_family
+from .lattice import FinitePoset, birkhoff, build_lattice, lattice_from_family, transitive_relations
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 
@@ -23,15 +23,8 @@ def unlabeled_posets_of_size(n):
         raise BoundsTooLarge("poset enumeration capped at 6 elements")
     if n == 0:
         return ()
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     found = {}
-    for code in range(1 << len(pairs)):
-        rows = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if (code >> k) & 1:
-                rows[i] |= 1 << j
-        if not all(is_closed(rows[i], rows) for i in range(n)):
-            continue  # not transitive
+    for rows in transitive_relations(n, [(i, j) for i in range(n) for j in range(i + 1, n)]):
         poset = FinitePoset.from_rows([chr(ord("a") + i) for i in range(n)], rows)
         sig = poset.isomorphism_signature()
         if sig not in found:

@@ -141,14 +141,6 @@ class DLattice:
     def ff(self):
         return self.pid(self.plus.bot, self.minus.top)
 
-    @property
-    def one(self):
-        return self.pid(self.plus.top, self.minus.top)
-
-    @property
-    def zero(self):
-        return self.pid(self.plus.bot, self.minus.bot)
-
     def pair_label(self, p):
         a, b = self.unpid(p)
         return f"({self.plus.labels[a]},{self.minus.labels[b]})"
@@ -762,17 +754,6 @@ class DLatticeHom:
     def apply(self, p):
         a, b = self.source.unpid(p)
         return self.target.pid(self.fplus[a], self.fminus[b])
-
-    def compose(self, other):
-        """self ∘ other."""
-        if not (other.target is self.source or dlattice_equal(other.target, self.source)):
-            raise InvariantViolation("composed homs do not meet at one d-lattice")
-        return DLatticeHom(
-            other.source,
-            self.target,
-            tuple(self.fplus[a] for a in other.fplus),
-            tuple(self.fminus[b] for b in other.fminus),
-        )
 
 
 def validate_dlattice_hom(hom):

@@ -29,6 +29,7 @@ from .dlattice import (
     DLattice,
     DLatticeHom,
     canonical_lambda_iso,
+    closure,
     coordinate_tables,
     enumerate_dlattice_homs,
     find_dlattice_iso,
@@ -55,6 +56,7 @@ from .lattice import (
     is_closed,
     lattice_from_family,
     low_bit,
+    transitive_relations,
 )
 
 
@@ -405,18 +407,7 @@ class SearchReport:
 
 def enumerate_preorders(n):
     """All reflexive transitive relations on n labeled points, as up-mask rows."""
-    if n == 0:
-        return [()]
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    out = []
-    for code in range(1 << len(pairs)):
-        rows = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if (code >> k) & 1:
-                rows[i] |= 1 << j
-        if all(is_closed(rows[i], rows) for i in range(n)):  # transitive
-            out.append(tuple(rows))
-    return out
+    return list(transitive_relations(n, [(i, j) for i in range(n) for j in range(n) if i != j]))
 
 
 def topology_of_preorder(n, rows):
@@ -484,18 +475,31 @@ def conjecture_search(conjecture, bounds):
     raise ValueError(f"unknown conjecture {conjecture!r}; expected Q1 or Q2")
 
 
+def _first_counterexample(conjecture, bounds, build, candidates, violation, payload, notes=""):
+    """The tail both searches share.  ``candidates`` yields (structure, args),
+    each structure examined built once as ``build(*args)``; ``violation`` is
+    falsy on a structure that is no counterexample and otherwise says what
+    fails.  The first hit is built once more from its args and must fail the
+    same way before ``payload(fresh, found)`` reports it."""
+    examined = 0
+    for structure, args in candidates:
+        examined += 1
+        found = violation(structure)
+        if found:
+            fresh = build(*args)
+            if violation(fresh) != found:
+                raise InvariantViolation(f"{conjecture} counterexample failed re-verification")
+            return SearchReport(conjecture, bounds, examined, "COUNTEREXAMPLE", payload(fresh, found), notes)
+    return SearchReport(conjecture, bounds, examined, "EXHAUSTED_NO_COUNTEREXAMPLE", None, notes)
+
+
 def _q1_counterexample(spc):
     """T0, compact, with singleton connected subsets, and not Stone."""
     return is_T0(spc) and is_compact(spc) and connected_subsets_are_singletons(spc) and not is_stone(spc)
 
 
-def _search_q1(max_points):
-    """Q1: can zero-dimensionality in the Stone characterization be weakened
-    to `connected subsets are singletons`?  Searches for a T0 compact space
-    with singleton connected subsets that is not Stone."""
-    if max_points > 4:
-        raise BoundsTooLarge("Q1 search capped at 4 points")
-    examined = 0
+def _q1_spaces(max_points):
+    """One space per canonical form of the pairs of topologies on 1..max_points."""
     seen = set()
     for n in range(1, max_points + 1):
         tops = enumerate_topologies(n)
@@ -504,68 +508,64 @@ def _search_q1(max_points):
             for tm in tops:
                 spc = BiTopSpace(labels, tp, tm)
                 sig = _space_signature(spc)
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                examined += 1
-                if _q1_counterexample(spc):
-                    fresh = BiTopSpace(labels, tp, tm)
-                    if not _q1_counterexample(fresh):
-                        raise InvariantViolation("Q1 counterexample failed re-verification")
-                    payload = {
-                        "points": list(fresh.labels),
-                        "tau_plus": [list(bits(u)) for u in fresh.tau_plus],
-                        "tau_minus": [list(bits(v)) for v in fresh.tau_minus],
-                    }
-                    return SearchReport(
-                        "Q1", {"max_points": max_points}, examined, "COUNTEREXAMPLE", payload, PERVIN_NOTE
-                    )
-    return SearchReport(
-        "Q1", {"max_points": max_points}, examined, "EXHAUSTED_NO_COUNTEREXAMPLE", None, PERVIN_NOTE
+                if sig not in seen:
+                    seen.add(sig)
+                    yield spc, (labels, tp, tm)
+
+
+def _q1_payload(spc, found):
+    return {
+        "points": list(spc.labels),
+        "tau_plus": [list(bits(u)) for u in spc.tau_plus],
+        "tau_minus": [list(bits(v)) for v in spc.tau_minus],
+    }
+
+
+def _search_q1(max_points):
+    """Q1: can zero-dimensionality in the Stone characterization be weakened
+    to `connected subsets are singletons`?  Searches for a T0 compact space
+    with singleton connected subsets that is not Stone."""
+    if max_points > 4:
+        raise BoundsTooLarge("Q1 search capped at 4 points")
+    return _first_counterexample(
+        "Q1", {"max_points": max_points}, BiTopSpace, _q1_spaces(max_points), _q1_counterexample, _q1_payload,
+        PERVIN_NOTE,
     )
 
 
-def _product_rows(dl, plus_rel, minus_rel):
-    """Per pair id (a, b), the pair-id mask of plus_rel[a] × minus_rel[b]."""
-    nm = dl.minus.n
-    out = []
-    for a in range(dl.plus.n):
-        for b in range(nm):
-            block = 0
-            for a2 in bits(plus_rel[a]):
-                block |= minus_rel[b] << (a2 * nm)
-            out.append(block)
-    return out
-
-
-def _closed_sets(rows, seed_mask):
-    """All pair sets containing the seed that hold rows[p] for each member p."""
-    closed_seed = 0
-    for p in bits(seed_mask):
-        closed_seed |= rows[p]
-    out = set()
-    frontier = [closed_seed]
+def _closed_pair_sets(dl, seed_mask, downward):
+    """All down-sets (up-sets when not ``downward``) of the coordinate product
+    that contain the seed, sorted.  The search starts at the seed's closure
+    under the cover steps and adds one pair at a time: a pair outside the
+    set may join when no step the other way reaches it from outside the set.
+    Every closed set above the start is reached so, by adding its members
+    least (greatest) first."""
+    tables = coordinate_tables(dl)
+    steps, back = (tables.down_steps, tables.up_steps) if downward else (tables.up_steps, tables.down_steps)
+    full = (1 << dl.size) - 1
+    start = closure(seed_mask, steps)
+    out = {start}
+    frontier = [start]
     while frontier:
         cur = frontier.pop()
-        if cur in out:
-            continue
-        out.add(cur)
-        for p, row in enumerate(rows):
-            if not (cur >> p) & 1 and row & ~cur & ~(1 << p) == 0:
-                frontier.append(cur | row)
+        rest = full & ~cur
+        for p in bits(rest & ~step(rest, back)):
+            grown = cur | (1 << p)
+            if grown not in out:
+                out.add(grown)
+                frontier.append(grown)
     return sorted(out)
 
 
 def _down_sets_of_product(dl, seed_mask):
     """All down-sets of the coordinate product containing the seed, with the
-    principal down-set of each pair id."""
-    rows = _product_rows(dl, dl.plus.down, dl.minus.down)
-    return _closed_sets(rows, seed_mask), rows
+    downward cover steps they are closed under."""
+    return _closed_pair_sets(dl, seed_mask, True), coordinate_tables(dl).down_steps
 
 
 def _up_sets_containing(dl, seed_mask):
     """All up-sets of the coordinate product containing the seed."""
-    return _closed_sets(_product_rows(dl, dl.plus.up, dl.minus.up), seed_mask)
+    return _closed_pair_sets(dl, seed_mask, False)
 
 
 def _logic_closed(dl, mask):
@@ -581,50 +581,50 @@ def _logic_closed(dl, mask):
     return logic_closed_on(dl, tables.logic, mask, deciding)
 
 
+def _q2_dlattices(max_lattice_size):
+    """The valid d-lattices (con, tot) on each pair of coordinate lattices up
+    to the bound: con a logic-closed down-set and tot a logic-closed up-set,
+    each holding tt and ff."""
+    lattices = _distributive_lattices_upto(max_lattice_size)
+    for plus in lattices:
+        for minus in lattices:
+            shell = DLattice(plus, minus, 0, 0)
+            seed = (1 << shell.tt) | (1 << shell.ff)
+            cons = [c for c in _down_sets_of_product(shell, seed)[0] if _logic_closed(shell, c)]
+            tots = [t for t in _up_sets_containing(shell, seed) if _logic_closed(shell, t)]
+            for con in cons:
+                for tot in tots:
+                    cand = DLattice(plus, minus, con, tot)
+                    if validate_dlattice(cand).ok:
+                        yield cand, (plus, minus, con, tot)
+
+
+def _q2_violation(dl):
+    """The spatiality clause a valid d-lattice fails, or None.  Validity is
+    checked here too, so that a fresh rebuild is re-verified in full."""
+    if not validate_dlattice(dl).ok:
+        return None
+    spatial, detail = spatiality_check(dl)
+    return None if spatial else detail
+
+
+def _q2_payload(dl, found):
+    return {
+        "plus_size": dl.plus.n,
+        "minus_size": dl.minus.n,
+        "con": [list(dl.unpid(p)) for p in bits(dl.con_mask)],
+        "tot": [list(dl.unpid(p)) for p in bits(dl.tot_mask)],
+        "violation": found,
+    }
+
+
 def _search_q2(max_lattice_size):
     """Q2: is the ideal frame spatial for every d-lattice?  Enumerates all
     d-lattices with coordinate lattices up to the bound and runs the three
     spatiality clauses."""
     if max_lattice_size > 5:
         raise BoundsTooLarge("Q2 search capped at coordinate lattices of size 5")
-    lattices = _distributive_lattices_upto(max_lattice_size)
-    examined = 0
-    for plus in lattices:
-        for minus in lattices:
-            shell = DLattice(plus, minus, 0, 0)
-            seed_con = (1 << shell.tt) | (1 << shell.ff)
-            cons, _ = _down_sets_of_product(shell, seed_con)
-            cons = [c for c in cons if _logic_closed(shell, c)]
-            tots = _up_sets_containing(shell, (1 << shell.tt) | (1 << shell.ff))
-            tots = [t for t in tots if _logic_closed(shell, t)]
-            for con in cons:
-                for tot in tots:
-                    cand = DLattice(plus, minus, con, tot)
-                    if not validate_dlattice(cand).ok:
-                        continue
-                    examined += 1
-                    ok, detail = spatiality_check(cand)
-                    if not ok:
-                        fresh = DLattice(plus, minus, con, tot)
-                        if not (
-                            validate_dlattice(fresh).ok
-                            and spatiality_check(fresh) == (False, detail)
-                        ):
-                            raise InvariantViolation("Q2 counterexample failed re-verification")
-                        payload = {
-                            "plus_size": plus.n,
-                            "minus_size": minus.n,
-                            "con": [list(shell.unpid(p)) for p in bits(con)],
-                            "tot": [list(shell.unpid(p)) for p in bits(tot)],
-                            "violation": detail,
-                        }
-                        return SearchReport(
-                            "Q2",
-                            {"max_lattice_size": max_lattice_size},
-                            examined,
-                            "COUNTEREXAMPLE",
-                            payload,
-                        )
-    return SearchReport(
-        "Q2", {"max_lattice_size": max_lattice_size}, examined, "EXHAUSTED_NO_COUNTEREXAMPLE"
+    return _first_counterexample(
+        "Q2", {"max_lattice_size": max_lattice_size}, DLattice, _q2_dlattices(max_lattice_size), _q2_violation,
+        _q2_payload,
     )

@@ -163,10 +163,6 @@ class FinitePoset:
     def leq(self, i, j):
         return (self.up[i] >> j) & 1 == 1
 
-    def covers(self, i):
-        """Elements covering i (no element strictly between), lowest first."""
-        return list(bits(self.cover_up[i]))
-
     def linear_extension(self):
         return sorted(range(self.n), key=lambda i: (self.down[i].bit_count(), i))
 
@@ -271,12 +267,6 @@ class FiniteLattice:
     @property
     def down(self):
         return self.poset.down
-
-    def join_fold(self, indices):
-        acc = self.bot
-        for i in indices:
-            acc = self.join[acc][i]
-        return acc
 
     def is_boolean(self):
         return all(complement(self, a) is not None for a in range(self.n))
@@ -424,6 +414,19 @@ def is_closed(mask, rows):
         if rows[i] & ~mask:
             return False
     return True
+
+
+def transitive_relations(n, pairs):
+    """The reflexive transitive relations on n points whose other pairs
+    (i, j) come from ``pairs``, as up-mask rows, in bit-code order: code bit
+    k adds pairs[k]."""
+    for code in range(1 << len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if (code >> k) & 1:
+                rows[i] |= 1 << j
+        if all(is_closed(row, rows) for row in rows):
+            yield tuple(rows)
 
 
 def down_sets(poset):

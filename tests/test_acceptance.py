@@ -9,6 +9,7 @@ spaces of the posets.
 import time
 
 import pytest
+from test_dlattice import compose, one
 
 from bistone import bitop as bt
 from bistone import duality as du
@@ -29,7 +30,7 @@ from bistone.ideals import (
     is_zero_dimensional_dframe,
 )
 from bistone.lattice import birkhoff, join_irreducibles, prime_generators
-from bistone.suites import tot_is_upper_set
+from bistone.suites import CorpusBundle, run_suite, tot_is_upper_set
 
 
 def _report(number, label, started):
@@ -58,7 +59,7 @@ def test_criterion_1_axiom_fidelity():
     started = time.monotonic()
     B = bool_dlattice()
     assert validate_dlattice(B).ok
-    mutant_con = DLattice(B.plus, B.minus, B.con_mask | (1 << B.one), B.tot_mask)
+    mutant_con = DLattice(B.plus, B.minus, B.con_mask | (1 << one(B)), B.tot_mask)
     report = validate_dlattice(mutant_con)
     assert not report.ok and report.axiom == "con-tot"
     mutant_tot = DLattice(B.plus, B.minus, B.con_mask, B.tot_mask & ~(1 << B.ff))
@@ -74,10 +75,10 @@ def test_criterion_2_unit_roundtrip(algebra_corpus):
     for poset, A in algebra_corpus:
         witness = du.unit_roundtrip(A)
         assert witness.is_iso, f"unit failed on a {poset.n}-poset: {witness.detail}"
-        comp = witness.backward.compose(witness.forward)
+        comp = compose(witness.backward, witness.forward)
         assert comp.fplus == tuple(range(A.plus.n))
         assert comp.fminus == tuple(range(A.minus.n))
-        comp = witness.forward.compose(witness.backward)
+        comp = compose(witness.forward, witness.backward)
         assert comp.fplus == tuple(range(len(comp.fplus)))
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
@@ -108,24 +109,18 @@ def test_criterion_4_prime_ideal_bijection(algebra_corpus):
 
 
 def test_criterion_5_stone_characterizations(space_corpus):
+    """The ``stone-characterizations`` row of the bitop suite, on every
+    labeled space of at most 3 points (858) and every corpus space."""
     started = time.monotonic()
-    checked = 0
-    for n in (1, 2, 3):
-        tops = du.enumerate_topologies(n)
-        labels = [f"x{i}" for i in range(n)]
-        for tp in tops:
-            for tm in tops:
-                s = bt.space(labels, tp, tm)
-                via_zero_dim = bt.is_T0(s) and bt.is_compact(s) and bt.is_zero_dimensional(s)
-                via_separation = bt.is_compact(s) and bt.is_totally_order_separated(s)
-                assert via_zero_dim == via_separation == bt.is_stone(s)
-                checked += 1
-    for _, s in space_corpus:
-        via_zero_dim = bt.is_T0(s) and bt.is_compact(s) and bt.is_zero_dimensional(s)
-        via_separation = bt.is_compact(s) and bt.is_totally_order_separated(s)
-        assert via_zero_dim == via_separation == bt.is_stone(s)
-        checked += 1
-    _report(5, f"both Stone characterizations agree on {checked} spaces", started)
+    rows = run_suite("bitop", CorpusBundle(spaces=[s for _, s in space_corpus]))
+    (row,) = [row for row in rows if row["check"] == "stone-characterizations"]
+    checked = 858 + len(space_corpus)
+    assert row == {
+        "check": "stone-characterizations",
+        "ok": True,
+        "detail": f"both Stone characterizations agree on {checked} spaces",
+    }
+    _report(5, row["detail"], started)
 
 
 def test_criterion_6_equivalence_theorems(algebra_corpus, poset_corpus):

@@ -4,6 +4,7 @@ classical compatibility and the conjecture searches."""
 import textwrap
 
 import pytest
+from test_dlattice import compose
 from test_topology_oracles import find_homeomorphism
 
 from bistone import bitop as bt
@@ -51,7 +52,7 @@ def test_unit_roundtrip_examples(B, lam3, antichain2, x2):
     assert du.unit_roundtrip(bt.dclop_algebra(x2)).is_iso
     witness = du.unit_roundtrip(lam3)
     forward, backward = witness.forward, witness.backward
-    comp = backward.compose(forward)
+    comp = compose(backward, forward)
     assert comp.fplus == tuple(range(lam3.plus.n))
     assert comp.fminus == tuple(range(lam3.minus.n))
 
@@ -255,6 +256,38 @@ def test_conjecture_search_bounds_guard():
         du.conjecture_search("Q2", 9)
     with pytest.raises(ValueError):
         du.conjecture_search("Q7", 1)
+
+
+def test_search_reverify_guard_survives_python_O(run_python):
+    """With each violation function patched so that the first examined
+    structure is a hit and its fresh rebuild is not, both searches raise
+    ``InvariantViolation`` under ``python -O``."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from bistone import duality as du
+        from bistone.errors import InvariantViolation
+
+        for name, conjecture, bound in (("_q1_counterexample", "Q1", 2), ("_q2_violation", "Q2", 4)):
+            calls = []
+
+            def first_call_only(structure):
+                calls.append(structure)
+                return "hit" if len(calls) == 1 else None
+
+            setattr(du, name, first_call_only)
+            try:
+                du.conjecture_search(conjecture, bound)
+            except InvariantViolation as exc:
+                print(conjecture, len(calls), calls[0] is not calls[1], exc, sys.flags.optimize)
+        """
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "Q1 2 True Q1 counterexample failed re-verification 1",
+        "Q2 2 True Q2 counterexample failed re-verification 1",
+    ]
 
 
 def test_q1_report_is_reverified():

@@ -7,6 +7,8 @@ import textwrap
 import numpy as np
 import pytest
 
+from test_dlattice import compose, one, zero
+from test_lattice import join_fold
 from test_pair_scan_oracles import prime_sandwich_by_candidates
 from test_validate_oracle import _q2_candidates
 
@@ -81,14 +83,14 @@ def test_codomain_orders():
 
 def test_d_ideal_map_on_bool_bottom_pair(B):
     g = covered_ideal_map(B, 0, 0)
-    assert g(B.zero) == B0 and g(B.tt) == BTT and g(B.ff) == BFF and g(B.one) == B1
+    assert g(zero(B)) == B0 and g(B.tt) == BTT and g(B.ff) == BFF and g(one(B)) == B1
     assert validate_d_ideal_map(B, g).ok
 
 
 def test_d_ideal_map_on_bool_full_pair(B):
     g = covered_ideal_map(B, 1, 1)
     assert all(v == B0 for v in g.values)
-    assert g(B.one) == B0
+    assert g(one(B)) == B0
 
 
 def test_d_ideal_covering_on_omega3(omega3):
@@ -106,9 +108,9 @@ def test_d_ideal_covering_violation(lam3):
 
 def test_d_filter_map_examples(B):
     f = covered_filter_map(B, 1, 1)
-    assert f(B.one) == B1 and f(B.tt) == BTT and f(B.ff) == BFF and f(B.zero) == B0
+    assert f(one(B)) == B1 and f(B.tt) == BTT and f(B.ff) == BFF and f(zero(B)) == B0
     full = covered_filter_map(B, 0, 0)
-    assert full(B.zero) == B1
+    assert full(zero(B)) == B1
     assert validate_d_filter_map(B, full).ok
 
 
@@ -309,7 +311,7 @@ def test_eta_factorization_unique(B, omega3):
     through_eta = [
         (h.fplus, h.fminus)
         for h in enumerate_dlattice_homs(df, omega3)
-        if h.compose(eta).fplus == f.fplus and h.compose(eta).fminus == f.fminus
+        if compose(h, eta).fplus == f.fplus and compose(h, eta).fminus == f.fminus
     ]
     assert through_eta == [(f.fplus, f.fminus)]
 
@@ -358,7 +360,7 @@ def test_finite_collapse_lemma(bundle):
         assert (df.con_mask, df.tot_mask) == (dl.con_mask, dl.tot_mask)
         assert tot_is_upper_set_by_pairs(dl)
         sides = tuple(zip((dl.plus, dl.minus), d_complemented_sides(dl)))
-        by_joins = all(L.join_fold(b for b in base if L.leq(b, x)) == x for L, base in sides for x in range(L.n))
+        by_joins = all(join_fold(L, [b for b in base if L.leq(b, x)]) == x for L, base in sides for x in range(L.n))
         every = all(len(base) == L.n for L, base in sides)
         cor = dB(dl)
         identity = (cor.embed_plus, cor.embed_minus) == (tuple(range(dl.plus.n)), tuple(range(dl.minus.n)))
@@ -415,7 +417,7 @@ def test_dcomplemented_elements_compact(omega3):
     for a in (0, 2):
         for mask in range(1, 1 << L.n):
             members = list(bits(mask))
-            if not L.leq(a, L.join_fold(members)):
+            if not L.leq(a, join_fold(L, members)):
                 continue
             closure = set(members)
             while True:

@@ -39,6 +39,14 @@ def pentagon_relation():
     return labels, leq
 
 
+def join_fold(lattice, indices):
+    """The join of the elements at ``indices``; bot for none."""
+    acc = lattice.bot
+    for i in indices:
+        acc = lattice.join[acc][i]
+    return acc
+
+
 def test_poset_rejects_cycle():
     with pytest.raises(NotAPoset):
         FinitePoset(["a", "b"], [[True, True], [True, True]])
@@ -166,7 +174,7 @@ def pseudo_complement(lattice, a):
     """Greatest b with a ∧ b = bot: the join of every such b, which still
     meets a to bot in a distributive lattice."""
     disjoint = [b for b in range(lattice.n) if lattice.meet[a][b] == lattice.bot]
-    best = lattice.join_fold(disjoint)
+    best = join_fold(lattice, disjoint)
     assert lattice.meet[a][best] == lattice.bot
     return best
 

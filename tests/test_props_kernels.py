@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from test_dlattice import logic_join, logic_join_coordinatewise, logic_meet, logic_meet_coordinatewise
+from test_lattice import join_fold
 
 from bistone import bitop as bt
 from bistone import duality as du
@@ -182,7 +183,7 @@ def d_complemented_compact_by_closure(dl):
         for a in side_elems:
             for mask in range(1, 1 << L.n):
                 members = [i for i in range(L.n) if (mask >> i) & 1]
-                if not L.leq(a, L.join_fold(members)):
+                if not L.leq(a, join_fold(L, members)):
                     continue
                 closure = set(members)
                 while True:

@@ -9,12 +9,16 @@ record against the lattice's own tables, what the record cache holds
 after the duality corpus, the label-free side verdicts each record
 keeps for ``validate_dlattice``, the reports each lattice pair keeps
 beside its record, and the spatial reflection against the opens φ₊ × φ₋
-that ``spatiality_check`` read before it."""
+that ``spatiality_check`` read before it.  The closed pair sets the Q2
+census starts from (``duality._down_sets_of_product`` and
+``_up_sets_containing``) are checked against the product-row closure they
+replaced."""
 
 import gc
 from functools import lru_cache
 
 import pytest
+from test_dlattice import one
 from test_hom_oracles import prime_ideals_numpy
 from test_validate_oracle import _q2_candidates, _single_bit_mutants
 
@@ -226,7 +230,7 @@ def test_reports_from_a_shared_record_carry_the_callers_labels(monkeypatch):
     for dl in down_up_pairs(*pairs[0]):
         chosen.setdefault(validate_dlattice_by_rows(dl).axiom, (dl.con_mask, dl.tot_mask))
     con, tot = chosen[None]
-    top = 1 << DLattice(*pairs[0], 0, 0).one
+    top = 1 << one(DLattice(*pairs[0], 0, 0))
     masks = [chosen[axiom] for axiom in ("con-logic-sublattice", "tot-logic-sublattice", "con-tot")]
     masks += [(con | top, tot), (con, con)]
     for order in (pairs, pairs[::-1]):
@@ -294,6 +298,58 @@ def test_logic_tables_match_numpy_tables(corpus):
             large += dl.size > 64
             shared += not holds_tables(tables.logic, want)
     assert small and large and shared
+
+
+# ---------------------------------------------------------------------------
+# closed pair sets: the cover-step search against the product-row closure
+
+
+def product_rows(dl, plus_rel, minus_rel):
+    """Oracle: per pair id (a, b), the pair-id mask of plus_rel[a] × minus_rel[b]."""
+    nm = dl.minus.n
+    out = []
+    for a in range(dl.plus.n):
+        for b in range(nm):
+            block = 0
+            for a2 in bits(plus_rel[a]):
+                block |= minus_rel[b] << (a2 * nm)
+            out.append(block)
+    return out
+
+
+def closed_sets(rows, seed_mask):
+    """Oracle: all pair sets containing the seed that hold rows[p] for each
+    member p, sorted; each grows from the seed's closure by one principal
+    set at a time."""
+    closed_seed = 0
+    for p in bits(seed_mask):
+        closed_seed |= rows[p]
+    out = set()
+    frontier = [closed_seed]
+    while frontier:
+        cur = frontier.pop()
+        if cur in out:
+            continue
+        out.add(cur)
+        for p, row in enumerate(rows):
+            if not (cur >> p) & 1 and row & ~cur & ~(1 << p) == 0:
+                frontier.append(cur | row)
+    return sorted(out)
+
+
+def test_closed_pair_sets_match_product_rows_bound5():
+    """On all 49 coordinate pairs up to size 5, with seeds {tt, ff} and
+    none, the same lists in the same order."""
+    lattices = du._distributive_lattices_upto(5)
+    assert len(lattices) == 7
+    for plus in lattices:
+        for minus in lattices:
+            shell = DLattice(plus, minus, 0, 0)
+            for seed in ((1 << shell.tt) | (1 << shell.ff), 0):
+                downs = closed_sets(product_rows(shell, plus.down, minus.down), seed)
+                ups = closed_sets(product_rows(shell, plus.up, minus.up), seed)
+                assert du._down_sets_of_product(shell, seed)[0] == downs
+                assert du._up_sets_containing(shell, seed) == ups
 
 
 # ---------------------------------------------------------------------------

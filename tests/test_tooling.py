@@ -5,7 +5,7 @@ passes, the ``props`` workload counts every suite row, the library has no
 ``assert`` statement (its guards raise, so they survive ``python -O``), no
 library module imports numpy, only the named functions scan all n!
 relabelings, only the named functions hold an ``lru_cache``, and every
-library definition is reached from the library or the harness."""
+library definition and method is reached from the library or the harness."""
 
 import ast
 import importlib
@@ -218,37 +218,57 @@ def defined_names(top):
 
 def references(tree):
     """Each name, attribute or imported name a module refers to, with the
-    line of the top-level statement it lies in, so that a definition's own
+    lines of the top-level statement and of the class member it lies in
+    (the statement's own line outside a class), so that a definition's own
     name and body do not count.  Strings and comments are not references."""
     for top in tree.body:
-        owner = top.lineno
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    yield alias.name.rpartition(".")[2], owner
+        members = top.body if isinstance(top, ast.ClassDef) else [top]
+        for member in members:
+            for node in ast.walk(member):
+                if isinstance(node, ast.Name):
+                    yield node.id, (top.lineno, member.lineno)
+                elif isinstance(node, ast.Attribute):
+                    yield node.attr, (top.lineno, member.lineno)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        yield alias.name.rpartition(".")[2], (top.lineno, member.lineno)
+
+
+def definitions(tree):
+    """(name, dotted name, own statement) of each top-level definition and
+    each method of a top-level class, dunder methods aside (Python calls
+    them).  A site inside the own statement is (top line, member line) with
+    the member line None for a whole top-level statement."""
+    for top in tree.body:
+        for name in defined_names(top):
+            yield name, name, (top.lineno, None)
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("__"):
+                    yield node.name, f"{top.name}.{node.name}", (top.lineno, node.lineno)
 
 
 def test_every_library_definition_is_reached():
-    """Each top-level def, class or assigned name of the library is referred
-    to by name, attribute or import in the library or in ``bench/*.py``,
-    outside its own statement.  There is no allow-list: a definition only
-    tests reach belongs in ``tests/``."""
+    """Each top-level def, class or assigned name of the library, and each
+    method of its classes, is referred to by name, attribute or import in
+    the library or in ``bench/*.py``, outside its own statement.  There is
+    no allow-list: a definition only tests reach belongs in ``tests/``."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(LIBRARY.glob("*.py")) + sorted(BENCH.glob("*.py"))
     }
-    sites = defaultdict(set)  # name -> the (module path, top-level owner) referring to it
+    sites = defaultdict(set)  # name -> the (module path, (top line, member line)) referring to it
     for path, tree in trees.items():
         for name, owner in references(tree):
             sites[name].add((path, owner))
+
+    def inside(site, path, own):
+        site_path, (top, member) = site
+        return site_path == path and top == own[0] and own[1] in (None, member)
+
     unreached = {}
     for path in sorted(LIBRARY.glob("*.py")):
-        for node in trees[path].body:
-            for name in defined_names(node):
-                if not sites[name] - {(path, node.lineno)}:
-                    unreached[name] = f"{path.stem}.{name}"
+        for name, dotted, own in definitions(trees[path]):
+            if all(inside(site, path, own) for site in sites[name]):
+                unreached[dotted] = f"{path.stem}.{dotted}"
     assert unreached == {}

@@ -16,6 +16,9 @@ Pervin connectedness is not restated in the source material, so the
 formalization used here is: a subset S is disconnected iff S ⊆ U ∪ V for
 some U in the plus topology and V in the minus topology with S ∩ U and
 S ∩ V nonempty and disjoint.  Reports that depend on it say so.
+``connected_subsets_are_singletons`` scans no subsets: by the finite lemma
+proved in its docstring, it is the row test of ``is_stone``'s T0 clause on
+the τ₊-open, τ₋-closed sets.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from itertools import combinations
 
 from .config import max_elements
 from .dlattice import DBooleanAlgebra, DLattice, require_valid, validate_dboolean, validate_dlattice
-from .errors import BoundsTooLarge, InvariantViolation
+from .errors import BoundsTooLarge, DegeneratePair, InvariantViolation
 from .ideals import BMap, enumerate_prime_d_ideals, four_case_values
 from .lattice import bits, down_sets, lattice_from_family, mask_of
 
@@ -140,14 +143,10 @@ def specialization(space):
 
 
 def is_T0(space):
-    """Some open of either topology contains one point but not the other."""
-    for x in range(space.n):
-        for y in range(x + 1, space.n):
-            if not any(
-                ((u >> x) & 1) != ((u >> y) & 1) for u in space.tau_plus + space.tau_minus
-            ):
-                return False
-    return True
+    """Some open of either topology contains one point but not the other:
+    no two points share both least opens, the rows of ``_specialization``."""
+    rows = zip(_specialization(space.n, space.tau_plus), _specialization(space.n, space.tau_minus))
+    return len(set(rows)) == space.n
 
 
 def is_compact(space):
@@ -257,24 +256,31 @@ def is_extremally_disconnected(space):
     )
 
 
-def is_connected_subset(space, subset):
-    """Pervin-style connectedness; see the module docstring for the exact
-    formalization used."""
-    for u in space.tau_plus:
-        for v in space.tau_minus:
-            if subset & ~(u | v):
-                continue
-            su, sv = subset & u, subset & v
-            if su and sv and su & sv == 0:
-                return False
-    return True
-
-
 def connected_subsets_are_singletons(space):
-    for subset in range(1, space.full + 1):
-        if subset.bit_count() >= 2 and is_connected_subset(space, subset):
-            return False
-    return True
+    """Every Pervin-connected subset (module docstring) has one point at
+    most iff every two points are split by a τ₊-open set with a τ₋-open
+    complement, i.e. iff the least such sets around the points, the rows of
+    ``_specialization`` over ``plus_open_minus_closed``, are distinct.  The
+    Pervin subset scan is the oracle in the tests.
+
+    Let x ≤± y iff every τ±-open containing x contains y, and x → y iff
+    x ≤₊ y or y ≤₋ x.
+    (a) S is disconnected iff S = A ⊔ B with A, B nonempty and no edge of →
+    from A to B.  Given U and V, take A = S∩U and B = S∩V: an edge x → y
+    from A to B puts y (x ≤₊ y) or x (y ≤₋ x) in S∩U∩V, which is empty.
+    Given A and B, take the least opens U = ↑₊A and V = ↑₋B (finite
+    topologies are Alexandrov): z ∈ S∩U∩V has a ≤₊ z and b ≤₋ z for some
+    a ∈ A and b ∈ B, an edge a → z if z ∈ B and z → b if z ∈ A.
+    (b) So S is connected iff → is strongly connected on S: the points x
+    reaches inside S, if not all of S, split S with no edge out, and a walk
+    from A to B has an edge from A to B.  Hence a connected S with two
+    points exists iff the preorder →* is not antisymmetric (take the points
+    of a closed walk through x ≠ y).
+    (c) U is τ₊-open with a τ₋-open complement iff U is a ≤₊-up-set and a
+    ≤₋-down-set, iff U is an up-set of →*.  The least one around x is the
+    up-set of x in →*, so these rows are distinct iff →* is antisymmetric.
+    """
+    return len(set(_specialization(space.n, plus_open_minus_closed(space)))) == space.n
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +334,17 @@ def disjoint_and_covering(plus_sets, minus_sets, full):
     return disjoint, covering
 
 
+def _side_lattices(space, plus_family, minus_family):
+    """The coordinate lattices; with no points each has one set: {tt,ff} = {1,0}."""
+    if space.n == 0:
+        raise DegeneratePair("the empty space gives a degenerate pair")
+    return (lattice_from_family(space.n, fam, space.labels) for fam in (plus_family, minus_family))
+
+
 def dO(space):
     """d-frame of the two open-set lattices; con is disjointness, tot is
     covering."""
-    plus = lattice_from_family(space.n, space.tau_plus, space.labels)
-    minus = lattice_from_family(space.n, space.tau_minus, space.labels)
+    plus, minus = _side_lattices(space, space.tau_plus, space.tau_minus)
     df = DLattice(plus, minus, *disjoint_and_covering(plus.sets, minus.sets, space.full))
     require_valid(validate_dlattice(df), "dO")
     return df
@@ -340,8 +352,7 @@ def dO(space):
 
 def dclop_algebra(space):
     """d-Boolean algebra of d-clopen sets; the pairing is set complement."""
-    plus = lattice_from_family(space.n, plus_open_minus_closed(space), space.labels)
-    minus = lattice_from_family(space.n, minus_open_plus_closed(space), space.labels)
+    plus, minus = _side_lattices(space, plus_open_minus_closed(space), minus_open_plus_closed(space))
     minus_index = {v: j for j, v in enumerate(minus.sets)}
     dagger = [minus_index[space.full & ~u] for u in plus.sets]
     A = DBooleanAlgebra(plus, minus, *disjoint_and_covering(plus.sets, minus.sets, space.full), dagger)

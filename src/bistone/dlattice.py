@@ -559,13 +559,12 @@ def d_complement(dl, x, side):
     is part of the input: on the plus side its d-complement is ff (the top
     of the minus lattice), on the minus side it is tt.
     """
-    both = dl.con_mask & dl.tot_mask
-    if side == "+":
-        found = [b for b in range(dl.minus.n) if (both >> dl.pid(x, b)) & 1]
-    elif side == "-":
-        found = [a for a in range(dl.plus.n) if (both >> dl.pid(a, x)) & 1]
-    else:
+    if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
+    both = dl.con_mask & dl.tot_mask
+    plus_side = side == "+"
+    others = dl.minus.n if plus_side else dl.plus.n
+    found = [y for y in range(others) if (both >> (dl.pid(x, y) if plus_side else dl.pid(y, x))) & 1]
     if len(found) > 1:
         raise InvariantViolation("d-complement not unique")
     return found[0] if found else None

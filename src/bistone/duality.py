@@ -405,23 +405,15 @@ class SearchReport:
         }
 
 
-def enumerate_preorders(n):
-    """All reflexive transitive relations on n labeled points, as up-mask rows."""
-    return list(transitive_relations(n, [(i, j) for i in range(n) for j in range(n) if i != j]))
-
-
-def topology_of_preorder(n, rows):
-    """Up-sets of a preorder; every finite topology arises this way."""
-    return tuple(
-        sorted(
-            (m for m in range(1 << n) if is_closed(m, rows)),
-            key=lambda m: (m.bit_count(), m),
-        )
-    )
-
-
 def enumerate_topologies(n):
-    return sorted({topology_of_preorder(n, rows) for rows in enumerate_preorders(n)})
+    """The up-sets of each preorder on n labeled points, sorted.  Every finite
+    topology arises so, and none twice: x ≤ y iff every up-set holding x
+    holds y, so the preorder is read back from its up-sets."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return sorted(
+        tuple(sorted((m for m in range(1 << n) if is_closed(m, rows)), key=lambda m: (m.bit_count(), m)))
+        for rows in transitive_relations(n, pairs)
+    )
 
 
 RELABEL_TABLE_MAX_POINTS = 6  # 720 relabelings × 64 subset masks

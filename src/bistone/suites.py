@@ -7,6 +7,7 @@ and exits nonzero on any failure; the test suite calls the same functions.
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import and_, or_
 
 from . import bitop as bt
 from . import duality as du
@@ -346,23 +347,19 @@ def check_proper_filter_ideal_props(bundle):
     for dl in all_dlattices(bundle):
         if dl.size > 100:
             continue
-        for f in enumerate_d_filter_maps(dl):
-            if f(dl.tt) != BTT or f(dl.ff) != BFF:
-                continue
-            for a in range(dl.plus.n):
-                for b in range(dl.minus.n):
-                    lhs = f.value_at(a, b)
-                    if lhs != f.on_plus(a) | f.on_minus(b):
-                        return False, "proper d-filter fails join decomposition"
-        for g in enumerate_d_ideal_maps(dl):
-            if g(dl.tt) != BTT or g(dl.ff) != BFF:
-                continue
-            for a in range(dl.plus.n):
-                for b in range(dl.minus.n):
-                    lhs = g.value_at(a, b)
-                    rhs = g.value_at(a, dl.minus.top) & g.value_at(dl.plus.top, b)
-                    if lhs != rhs:
-                        return False, "proper d-ideal fails meet decomposition"
+        # a proper d-filter is the join of its values at (a, 0) and (0, b),
+        # a proper d-ideal the meet of its values at (a, 1) and (1, b)
+        for enumerate_maps, a0, b0, combine, detail in (
+            (enumerate_d_filter_maps, dl.plus.bot, dl.minus.bot, or_, "proper d-filter fails join decomposition"),
+            (enumerate_d_ideal_maps, dl.plus.top, dl.minus.top, and_, "proper d-ideal fails meet decomposition"),
+        ):
+            for h in enumerate_maps(dl):
+                if h(dl.tt) != BTT or h(dl.ff) != BFF:
+                    continue
+                for a in range(dl.plus.n):
+                    for b in range(dl.minus.n):
+                        if h.value_at(a, b) != combine(h.value_at(a, b0), h.value_at(a0, b)):
+                            return False, detail
     return True, "proper map decomposition identities hold"
 
 

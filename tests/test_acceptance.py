@@ -10,6 +10,7 @@ import time
 
 import pytest
 from test_dlattice import compose, one
+from test_topology_oracles import connected_subsets_are_singletons_by_scan
 
 from bistone import bitop as bt
 from bistone import duality as du
@@ -207,7 +208,7 @@ def test_criterion_11_conjecture_searches():
             [sum(1 << i for i in v) for v in payload["tau_minus"]],
         )
         assert bt.is_T0(s) and bt.is_compact(s)
-        assert bt.connected_subsets_are_singletons(s)
+        assert connected_subsets_are_singletons_by_scan(s)
         assert not bt.is_stone(s)
 
     q2 = du.conjecture_search("Q2", 4)

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 from test_duality import enumerate_topologies_raw
-from test_topology_oracles import find_homeomorphism, is_pairwise_regular_by_sides
+from test_topology_oracles import find_homeomorphism, is_connected_subset_by_scan, is_pairwise_regular_by_sides
 
 from bistone import bitop as bt
 from bistone import duality as du
@@ -245,12 +245,15 @@ def test_stone_type_correspondence(x2, indiscrete2, point1):
 
 
 def test_connectedness_predicate(x2, indiscrete2):
-    # in the poset space of p<q the whole space cannot be split
-    assert bt.is_connected_subset(indiscrete2, 0b11)
+    # in the indiscrete space the whole space cannot be split
+    assert is_connected_subset_by_scan(indiscrete2, 0b11)
     assert not bt.connected_subsets_are_singletons(indiscrete2)
     disc = bt.omega_space(["p", "q"], [0b00, 0b01, 0b10, 0b11])
-    assert not bt.is_connected_subset(disc, 0b11)
+    assert not is_connected_subset_by_scan(disc, 0b11)
     assert bt.connected_subsets_are_singletons(disc)
+    # the Stone space of p < q splits into its up-set {q} and down-set {p}
+    assert not is_connected_subset_by_scan(x2, 0b11)
+    assert bt.connected_subsets_are_singletons(x2)
 
 
 def test_construction_guards_survive_python_O(run_python):

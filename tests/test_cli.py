@@ -9,7 +9,7 @@ import pytest
 from bistone import bitop as bt
 from bistone.cli import main
 from bistone.dlattice import DLattice, dlattice_equal
-from bistone.errors import ParseError, UnknownKind
+from bistone.errors import DegeneratePair, ParseError, UnknownKind
 from bistone.serialize import (
     bitop_from_json,
     bitop_to_json,
@@ -179,6 +179,22 @@ def test_cli_roundtrip_not_stone(tmp_path, capsys):
     path = tmp_path / "ind.json"
     path.write_text(dumps(bitop_to_json(s)))
     assert main(["roundtrip", "--in", str(path)]) == 1
+
+
+def test_cli_empty_space_is_a_degenerate_pair(tmp_path, run_python):
+    """The empty space is Stone, but each side of dO and dClop has one set,
+    so {tt, ff} = {1, 0}: a rejected input, not an internal bug."""
+    empty = bt.space([], [0], [0])
+    assert bt.is_stone(empty)
+    for build in (bt.dO, bt.dclop_algebra):
+        with pytest.raises(DegeneratePair):
+            build(empty)
+    path = tmp_path / "empty.json"
+    path.write_text(dumps(bitop_to_json(empty)))
+    for command in ("clop", "roundtrip"):
+        result = run_python("-m", "bistone.cli", command, "--in", str(path))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: the empty space gives a degenerate pair\n"
 
 
 @pytest.fixture()

@@ -254,6 +254,16 @@ def test_d_complement_examples(B, omega3):
     assert d_complement(omega3, 0, "-") == omega3.plus.top
 
 
+def test_d_complement_rejects_a_bad_side_and_a_second_partner(B):
+    with pytest.raises(ValueError, match="^side must be '\\+' or '-'$"):
+        d_complement(B, 0, "x")
+    full = (1 << B.size) - 1
+    everything = DLattice(B.plus, B.minus, full, full)
+    for side in ("+", "-"):
+        with pytest.raises(InvariantViolation, match="^d-complement not unique$"):
+            d_complement(everything, 0, side)
+
+
 def test_d_complement_uniqueness(omega3, lam3):
     for dl in (omega3, lam3):
         both = dl.con_mask & dl.tot_mask

@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 from test_dlattice import compose
-from test_topology_oracles import find_homeomorphism
+from test_topology_oracles import connected_subsets_are_singletons_by_scan, find_homeomorphism
 
 from bistone import bitop as bt
 from bistone import duality as du
@@ -301,11 +301,25 @@ def test_q1_report_is_reverified():
             [sum(1 << i for i in u) for u in payload["tau_plus"]],
             [sum(1 << i for i in v) for v in payload["tau_minus"]],
         )
-        # independent re-verification of all four literal predicates
+        # independent re-verification, connectedness by the literal subset scan
         assert bt.is_T0(s)
         assert bt.is_compact(s)
-        assert bt.connected_subsets_are_singletons(s)
+        assert connected_subsets_are_singletons_by_scan(s)
         assert not bt.is_stone(s)
+
+
+def test_q1_census_to_three_points():
+    """The whole Q1 stream to 3 points, one space per class: 1, 10 and 166
+    classes with 0, 2 and 32 counterexamples per size, the same with the
+    literal subset scan for connectedness."""
+    classes, hits, scan_hits = [0] * 3, [0] * 3, [0] * 3
+    for spc, _ in du._q1_spaces(3):
+        classes[spc.n - 1] += 1
+        hits[spc.n - 1] += du._q1_counterexample(spc)
+        scan_hits[spc.n - 1] += bt.is_T0(spc) and connected_subsets_are_singletons_by_scan(spc) and not bt.is_stone(spc)
+    assert classes == [1, 10, 166]
+    assert hits == scan_hits == [0, 2, 32]
+    assert (sum(classes), sum(hits)) == (177, 34)
 
 
 def test_q2_report_is_reverified():

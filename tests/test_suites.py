@@ -83,6 +83,22 @@ def test_pair_map_roundtrip_row_checks_covering(bundle, monkeypatch, side):
         suites.check_pair_map_roundtrip(bundle)
 
 
+@pytest.mark.parametrize("side, detail", [("filter", "d-filter fails join"), ("ideal", "d-ideal fails meet")])
+def test_proper_map_decomposition_row_names_the_failing_side(bundle, monkeypatch, side, detail):
+    """Fed a proper map that is 0 off tt and ff on one side and nothing on
+    the other, the row fails with that side's detail."""
+
+    def tt_ff_only(dl):
+        values = [0] * dl.size
+        values[dl.tt], values[dl.ff] = 1, 2
+        return [BMap(dl, tuple(values))]
+
+    other = "filter" if side == "ideal" else "ideal"
+    monkeypatch.setattr(suites, f"enumerate_d_{side}_maps", tt_ff_only)
+    monkeypatch.setattr(suites, f"enumerate_d_{other}_maps", lambda dl: [])
+    assert suites.check_proper_filter_ideal_props(bundle) == (False, f"proper {detail} decomposition")
+
+
 def test_naturality_builds_each_spectrum_once(bundle, monkeypatch):
     """The row's 4 algebras get one spectrum each, plus one inside each
     unit round trip: 8 calls for the 16 (M, N) pairs."""

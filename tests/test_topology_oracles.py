@@ -5,8 +5,11 @@ two-sided predicates against one block per side, and ``dspec_equals_dpt_idl``
 against the form that enumerated the primes of the ideal frame again and
 built their space from their values, and its False on φ families that are
 no topologies.  Pairwise regularity is defined here only, one block per
-side, and checked against zero-dimensionality, which implies it."""
+side, and checked against zero-dimensionality, which implies it.  The
+literal Pervin subset scan is the oracle for the finite connectedness
+lemma of ``connected_subsets_are_singletons``."""
 
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -256,3 +259,61 @@ def test_ideal_frame_has_the_primes_of_its_input(bundle):
     for dl in dspec_inputs(bundle):
         got = [g.values for g in enumerate_prime_d_ideals(idl_dframe(dl))]
         assert got == [g.values for g in enumerate_prime_d_ideals(dl)]
+
+
+# ---------------------------------------------------------------------------
+# Pervin connectedness: the literal subset scan against the finite lemma
+
+
+def is_connected_subset_by_scan(space, subset):
+    """Oracle: no plus-open U and minus-open V cover the subset S with S∩U
+    and S∩V nonempty and disjoint (the formalization in ``bitop``)."""
+    for u in space.tau_plus:
+        for v in space.tau_minus:
+            if subset & ~(u | v):
+                continue
+            su, sv = subset & u, subset & v
+            if su and sv and su & sv == 0:
+                return False
+    return True
+
+
+def connected_subsets_are_singletons_by_scan(space):
+    """Oracle: every subset with two points or more is disconnected, over
+    all 2ⁿ subsets."""
+    for subset in range(1, space.full + 1):
+        if subset.bit_count() >= 2 and is_connected_subset_by_scan(space, subset):
+            return False
+    return True
+
+
+def test_connectedness_lemma_matches_the_scan_on_three_points():
+    spaces = list(small_spaces(3))
+    assert len(spaces) == 858
+    verdicts = [bt.connected_subsets_are_singletons(X) for X in spaces]
+    assert verdicts == [connected_subsets_are_singletons_by_scan(X) for X in spaces]
+    assert verdicts.count(True) == 1 + 7 + 199  # labeled, per size
+
+
+def test_connectedness_lemma_matches_the_scan_on_sampled_five_point_spaces():
+    rng = random.Random(2025)
+    labels = [f"x{i}" for i in range(5)]
+
+    def topology():
+        return bt.generate_topology(5, [rng.randrange(32) for _ in range(rng.randrange(10))])
+
+    spaces = [bt.BiTopSpace(labels, topology(), topology()) for _ in range(2000)]
+    verdicts = [bt.connected_subsets_are_singletons(X) for X in spaces]
+    assert verdicts == [connected_subsets_are_singletons_by_scan(X) for X in spaces]
+    assert verdicts.count(True) == 388
+
+
+def test_connectedness_needs_more_than_the_two_point_subspaces():
+    """Every two-point subset of this space is disconnected, yet the whole
+    space is connected, so a test of pairs alone would call it hereditarily
+    disconnected."""
+    X = bt.BiTopSpace([f"x{i}" for i in range(4)], [0, 1, 2, 3, 5, 7, 10, 11, 15], [0, 1, 2, 3, 6, 7, 9, 11, 15])
+    assert not any(is_connected_subset_by_scan(X, pair) for pair in (3, 5, 6, 9, 10, 12))
+    assert is_connected_subset_by_scan(X, X.full)
+    assert not bt.connected_subsets_are_singletons(X)
+    assert not connected_subsets_are_singletons_by_scan(X)

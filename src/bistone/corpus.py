@@ -5,13 +5,14 @@ strict order (every poset admits a linear extension, so each isomorphism
 class has such a representative) and deduplicated by canonical form.
 Known counts per size (A000112): 1, 2, 5, 16, 63, 318 for one to six
 elements; the generator raises ``InvariantViolation`` when a count differs.
+The distributive lattices are the down-set lattices of these (Birkhoff).
 """
 
 from functools import lru_cache
 
 from .dlattice import lambda_of_dislat
-from .errors import BoundsTooLarge, InvariantViolation, NotALattice, NotBounded, NotDistributive
-from .lattice import FinitePoset, birkhoff, build_lattice, lattice_from_family, transitive_relations
+from .errors import BoundsTooLarge, InvariantViolation
+from .lattice import FinitePoset, birkhoff, build_lattice, down_sets, lattice_from_family, transitive_relations
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 
@@ -60,16 +61,15 @@ def dbool_corpus(max_n):
 
 
 def distributive_lattices(max_size):
-    """Unlabeled bounded distributive lattices with 2..max_size elements."""
-    out = []
-    for poset in unlabeled_posets(max_size):
-        if poset.n < 2:
-            continue
-        try:
-            out.append(build_lattice(poset.labels, poset))
-        except (NotBounded, NotALattice, NotDistributive):
-            continue
-    return out
+    """Unlabeled bounded distributive lattices with 2..max_size elements,
+    sorted by signature: the down-set lattices D(p) of the posets p with
+    1..max_size − 1 elements and at most max_size down-sets.  None is
+    missed: by Birkhoff, L ≅ D(J(L)), and |J(L)| < |L| as bot is not
+    join-irreducible.  None appears twice: J(D(p)) ≅ p, as the
+    join-irreducible down-sets are the principal ones ↓x, ordered as x; so
+    D(p) ≅ D(q) iff p ≅ q, and the posets are pairwise non-isomorphic."""
+    lattices = [birkhoff(p) for p in unlabeled_posets(max_size - 1) if len(down_sets(p)) <= max_size]
+    return sorted(lattices, key=lambda L: L.poset.isomorphism_signature())
 
 
 # -- named fixtures ----------------------------------------------------------

@@ -11,8 +11,7 @@ and return pair ids, reading the coordinate lattices' ``[a][b]`` tables;
 
 The pair sets are int bitmasks over pair ids, and that is their only
 representation: a ``DLattice`` is immutable once built, and every reader
-works on the masks or on ``DLattice.rows``, the minus-side row of a mask at
-each plus element.
+works on the masks.
 
 Scott-closedness of the consistency predicate degenerates to being a
 down-set here: a directed set in a finite poset contains its own join (it
@@ -86,9 +85,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .errors import DaggerNotOrderReversing, DegeneratePair, InvariantViolation
+from .errors import DegeneratePair, InvariantViolation
 from .lattice import (
-    FiniteLattice,
     LatticeHom,
     bits,
     build_lattice,
@@ -148,12 +146,6 @@ class DLattice:
     def labels_of(self, p):
         a, b = self.unpid(p)
         return (self.plus.labels[a], self.minus.labels[b])
-
-    def rows(self, mask):
-        """Per plus element a, the minus-side bitmask of the pairs (a, b) in mask."""
-        nm = self.minus.n
-        row = (1 << nm) - 1
-        return [(mask >> (a * nm)) & row for a in range(self.plus.n)]
 
     # -- information order ops ----------------------------------------------
 
@@ -872,43 +864,17 @@ def dlattice_equal(d1, d2):
 
 
 # ---------------------------------------------------------------------------
-# the DBL presentation and the functor from distributive lattices
-
-
-@dataclass(frozen=True)
-class DblObject:
-    """Two lattices with an order-reversing pairing between them."""
-
-    plus: FiniteLattice
-    minus: FiniteLattice
-    dagger: tuple
-
-
-def from_dbl(obj):
-    """Rebuild con/tot from the pairing; rejects non-antitone pairings."""
-    dagger = tuple(int(x) for x in obj.dagger)
-    if sorted(dagger) != list(range(obj.minus.n)):
-        raise DaggerNotOrderReversing("pairing is not a bijection", witness=dagger)
-    A = DBooleanAlgebra(obj.plus, obj.minus, *_dagger_masks(obj.minus, dagger), dagger)
-    report = validate_dboolean(A)
-    if not report.ok:
-        # the order reversal is scanned again only to name the rejected pair
-        bad = _dagger_reversal_failure(obj.plus, obj.minus, dagger)
-        if bad is not None:
-            a1, a2 = bad
-            raise DaggerNotOrderReversing(
-                f"pairing not order reversing on ({obj.plus.labels[a1]}, {obj.plus.labels[a2]})",
-                witness=(a1, a2),
-            )
-        require_valid(report, "from_dbl")
-    return A
+# the functor from distributive lattices
 
 
 def lambda_of_dislat(M):
     """d-Boolean algebra on (M, M-with-order-reversed, identity pairing)."""
     if M.n < 2:
         raise DegeneratePair("the one-element lattice gives a degenerate pair")
-    return from_dbl(DblObject(M, M.dual(), tuple(range(M.n))))
+    minus, ids = M.dual(), tuple(range(M.n))
+    A = DBooleanAlgebra(M, minus, *_dagger_masks(minus, ids), ids)
+    require_valid(validate_dboolean(A), "lambda_of_dislat")
+    return A
 
 
 def canonical_lambda_iso(A):

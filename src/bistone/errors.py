@@ -31,10 +31,6 @@ class DegeneratePair(BistoneError):
     """{tt, ff} = {1, 0}; the structure is excluded by convention."""
 
 
-class DaggerNotOrderReversing(BistoneError):
-    """The pairing map is not an order-reversing bijection."""
-
-
 class CoveringViolation(BistoneError):
     """An ideal/filter pair misses a consistency/totality pair."""
 

@@ -8,7 +8,9 @@ family closed under ∩ and ∪ takes its tables straight from ∩ and ∪
 (``lattice_from_family``); any other relation goes through the generic
 ``build_lattice``, which decides distributivity by Birkhoff's
 characterization (every join-irreducible element is join-prime).
-Isomorphism has one decision procedure: the canonical form of the order
+The prime ideals are the ↓u of the meet-irreducibles u, and a lattice is
+Boolean iff its join-irreducibles are atoms.  Isomorphism has one decision
+procedure: the canonical form of the order
 (``FinitePoset.canonical_orderings``), whose minimising relabelings give
 every lattice isomorphism (``lattice_isos``) and so every automorphism.
 Homomorphisms L → M are read from J, as the monotone maps J(M) → J(L).
@@ -268,8 +270,17 @@ class FiniteLattice:
     def down(self):
         return self.poset.down
 
+    @property
+    def cover_up(self):
+        return self.poset.cover_up
+
     def is_boolean(self):
-        return all(complement(self, a) is not None for a in range(self.n))
+        """Whether every element has a complement: iff each join-irreducible
+        covers bot, so that L ≅ D(J(L)) is the power set of its atoms.  Else
+        some join-irreducible j′ lies below the lower cover of another, j,
+        and a complement x of j′ gives j = j ∧ (j′ ∨ x) = j′ ∨ (j ∧ x), so
+        j ≤ x and j′ = j′ ∧ x = bot."""
+        return all(self.poset.cover_down[j] == 1 << self.bot for j in join_irreducibles(self))
 
     def dual(self):
         """Same elements with the order reversed."""
@@ -473,14 +484,12 @@ def ideal_generator(lattice, mask):
 
 
 def prime_generators(order):
-    """The u, ascending, whose ↓u is a prime ideal of the lattice with the
-    ``up`` and ``down`` rows of ``order`` (the lattice or its poset): those
-    with a least element in the complement of ↓u.  A proper ideal is prime
-    iff its complement is a filter, and a nonempty finite up-set is a
-    filter (closed under meets) iff it has a least element; the complement
-    of ↓top is empty, so it has none."""
-    full = (1 << order.n) - 1
-    return [u for u, row in enumerate(order.down) if extreme_of(full & ~row, order.up) is not None]
+    """The u, ascending, whose ↓u is a prime ideal of the distributive
+    lattice with the cover rows of ``order`` (the lattice or its poset): the
+    meet-irreducibles, dual to ``join_irreducibles``.  ↓u is prime iff u is
+    meet-prime, which implies meet-irreducible; conversely, x ∧ y ≤ u gives
+    u = u ∨ (x ∧ y) = (u ∨ x) ∧ (u ∨ y), so u = u ∨ x or u = u ∨ y."""
+    return [u for u, upper in enumerate(order.cover_up) if upper.bit_count() == 1]
 
 
 def prime_ideals_bruteforce(lattice):
@@ -507,17 +516,6 @@ def join_irreducibles(lattice):
     those with exactly one lower cover c, as every element below j other
     than j lies below c, and two lower covers join to j."""
     return [j for j, lower in enumerate(lattice.poset.cover_down) if lower.bit_count() == 1]
-
-
-def complement(lattice, a):
-    """Unique b with a ∨ b = top and a ∧ b = bot, or None."""
-    found = None
-    for b in range(lattice.n):
-        if lattice.join[a][b] == lattice.top and lattice.meet[a][b] == lattice.bot:
-            if found is not None:
-                raise InvariantViolation("complement not unique: lattice not distributive")
-            found = b
-    return found
 
 
 # ---------------------------------------------------------------------------

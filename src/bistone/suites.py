@@ -11,6 +11,7 @@ from operator import and_, or_
 
 from . import bitop as bt
 from . import duality as du
+from .config import BRUTE_FORCE_IDEAL_LIMIT
 from .corpus import birkhoff_corpus, boolean_lattice, dbool_corpus, three_chain, unlabeled_posets
 from .dlattice import (
     DLatticeHom,
@@ -130,7 +131,7 @@ def check_lattice_laws(bundle):
 
 def check_prime_ideal_oracle(bundle):
     for L in bundle.lattices:
-        if L.n > 20:
+        if L.n > BRUTE_FORCE_IDEAL_LIMIT:
             continue
         fast = set(prime_generators(L))
         slow = set(prime_ideals_bruteforce(L))

@@ -267,10 +267,9 @@ def test_construction_guards_survive_python_O(run_python):
         from bistone.report import StructReport
 
         x2 = bitop.stone_space_from_poset(FinitePoset(["p", "q"], [[True, True], [False, True]]))
-        obj = dlattice.DblObject(three_chain(), three_chain().dual(), (0, 1, 2))
         failing = lambda A: StructReport.failed("patched")
         bitop.validate_dboolean = dlattice.validate_dboolean = failing
-        for build, arg in ((bitop.dclop_algebra, x2), (dlattice.from_dbl, obj)):
+        for build, arg in ((bitop.dclop_algebra, x2), (dlattice.lambda_of_dislat, three_chain())):
             try:
                 build(arg)
             except InvariantViolation:

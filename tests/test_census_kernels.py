@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_lattice_oracles import first_index
-from test_validate_oracle import _q2_candidates, _single_bit_mutants
+from test_validate_oracle import _q2_candidates, _single_bit_mutants, pair_rows
 
 from bistone import dlattice as dlattice_module
 from bistone import duality as du
@@ -112,7 +112,7 @@ def test_step_kernel_matches_row_scans(q2_inputs):
             (dl.con_mask, down, (P.up, M.down), (P.up, M.up)),
             (dl.tot_mask, up, (P.down, M.up), (P.down, M.down)),
         ):
-            rows = dl.rows(mask)
+            rows = pair_rows(dl, mask)
             beyond = step(mask, steps)
             gap = closure_gap(rows, *closure_rels)
             closed = gap is None
@@ -133,7 +133,7 @@ def test_step_kernel_on_large_carriers():
         tables = coordinate_tables(A)
         assert step(A.con_mask, tables.down_steps) & ~A.con_mask == 0
         assert step(A.tot_mask, tables.up_steps) & ~A.tot_mask == 0
-        rows = A.rows(A.con_mask)
+        rows = pair_rows(A, A.con_mask)
         maximal = A.con_mask & ~step(A.con_mask, tables.down_steps)
         assert sorted(extremal_members(A, rows, A.plus.up, A.minus.up)) == list(bits(maximal))
 

@@ -14,7 +14,7 @@ from bistone.dlattice import (
     DBooleanAlgebra,
     DLattice,
     DLatticeHom,
-    DblObject,
+    _dagger_masks,
     _restriction,
     canonical_lambda_iso,
     dB,
@@ -22,7 +22,6 @@ from bistone.dlattice import (
     dlattice_equal,
     enumerate_dlattice_homs,
     find_dlattice_iso,
-    from_dbl,
     lambda_of_dislat,
     logic_formula_row,
     logic_order_lattice,
@@ -32,7 +31,7 @@ from bistone.dlattice import (
     validate_dlattice,
     validate_dlattice_hom,
 )
-from bistone.errors import DaggerNotOrderReversing, DegeneratePair, InvariantViolation
+from bistone.errors import DegeneratePair, InvariantViolation
 from bistone.lattice import FiniteLattice, bits, build_lattice, inverse_permutation, mask_of
 
 
@@ -321,15 +320,21 @@ def test_lambda_rejects_trivial():
 
 
 def test_dbl_roundtrip(B, lam3):
-    assert dlattice_equal(from_dbl(DblObject(B.plus, B.minus, B.dagger)), B)
-    assert dlattice_equal(from_dbl(DblObject(lam3.plus, lam3.minus, lam3.dagger)), lam3)
-    obj = DblObject(B.plus, B.minus, B.dagger)
-    assert obj.plus.n == 2 and obj.minus.n == 2 and obj.dagger == (1, 0)
+    """con and tot are read back from the order-reversing pairing."""
+    for A in (B, lam3):
+        assert _dagger_masks(A.minus, A.dagger) == (A.con_mask, A.tot_mask)
+    assert B.plus.n == 2 and B.minus.n == 2 and B.dagger == (1, 0)
 
 
-def test_from_dbl_rejects_monotone_dagger(chain3):
-    with pytest.raises(DaggerNotOrderReversing):
-        from_dbl(DblObject(chain3, chain3, (0, 1, 2)))  # identity is monotone
+def test_dboolean_rejects_monotone_dagger(chain3):
+    """With the con and tot of the reversal (2, 1, 0) on (chain3, chain3),
+    the identity, which is monotone, and a map that is no bijection are
+    each rejected by their pairing clause."""
+    con, tot = _dagger_masks(chain3, (2, 1, 0))
+    assert validate_dboolean(DBooleanAlgebra(chain3, chain3, con, tot, (2, 1, 0))).ok
+    monotone = validate_dboolean(DBooleanAlgebra(chain3, chain3, con, tot, (0, 1, 2)))
+    assert (monotone.axiom, monotone.witness) == ("dagger-order-reversing", ("0", "c1"))
+    assert validate_dboolean(DBooleanAlgebra(chain3, chain3, con, tot, (2, 2, 0))).axiom == "dagger-bijection"
 
 
 def test_dboolean_con_tot_formulas(lam3):

@@ -1,7 +1,7 @@
 """The dual-structure kernels against the scans they replaced, kept here as
 test-only oracles: ``lattice_from_family`` against ``build_lattice`` on the
 inclusion matrix, the row-form poset checks against the pairwise ones,
-``validate_dboolean`` and ``from_dbl`` against the pairwise dagger loops,
+``validate_dboolean`` and the pairing masks against the pairwise dagger loops,
 ``prime_pair_opens`` against the per-element ``on_plus``/``on_minus`` form,
 and ``validate_dlattice_hom`` against the per-pair ``apply`` scan."""
 
@@ -19,17 +19,16 @@ from bistone import lattice as lattice_module
 from bistone.corpus import birkhoff_corpus, boolean_lattice, chain, unlabeled_posets
 from bistone.dlattice import (
     DBooleanAlgebra,
-    DblObject,
     DLatticeHom,
+    _dagger_masks,
     bool_dlattice,
-    from_dbl,
     lambda_of_dislat,
     omega_of_lattice,
     validate_dboolean,
     validate_dlattice,
     validate_dlattice_hom,
 )
-from bistone.errors import DaggerNotOrderReversing, InvariantViolation, NotALattice, NotAPoset, NotBounded
+from bistone.errors import NotALattice, NotAPoset, NotBounded
 from bistone.ideals import BFF, BTT, enumerate_prime_d_ideals, prime_pair_opens, prime_pairs
 from bistone.lattice import (
     FinitePoset,
@@ -229,7 +228,7 @@ def test_duality_round_trips_build_no_generic_lattice(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# validate_dboolean and from_dbl
+# validate_dboolean and the pairing masks
 
 
 def validate_dboolean_by_scan(A):
@@ -279,27 +278,24 @@ def validate_dboolean_by_scan(A):
     return StructReport.passed("valid d-Boolean algebra")
 
 
-def from_dbl_by_scan(obj):
-    """Oracle: the masks of ``from_dbl`` by the pairwise loops, or the
-    (message, witness) of the pairing it rejects."""
-    dagger = tuple(obj.dagger)
-    for a1 in range(obj.plus.n):
-        for a2 in range(obj.plus.n):
-            if obj.plus.leq(a1, a2) != obj.minus.leq(dagger[a2], dagger[a1]):
-                return (
-                    f"pairing not order reversing on ({obj.plus.labels[a1]}, {obj.plus.labels[a2]})",
-                    (a1, a2),
-                )
-    inv = [dagger.index(b) for b in range(obj.minus.n)]
-    nm = obj.minus.n
+def dagger_masks_by_scan(plus, minus, dagger):
+    """Oracle: ((con, tot), None) for the masks of an order-reversing
+    pairing by the pairwise loops, or (None, (a1, a2)) for the first pair
+    it does not reverse, in row-major order."""
+    for a1 in range(plus.n):
+        for a2 in range(plus.n):
+            if plus.leq(a1, a2) != minus.leq(dagger[a2], dagger[a1]):
+                return None, (a1, a2)
+    inv = [dagger.index(b) for b in range(minus.n)]
+    nm = minus.n
     con = tot = 0
-    for a in range(obj.plus.n):
+    for a in range(plus.n):
         for b in range(nm):
-            if obj.plus.leq(a, inv[b]):
+            if plus.leq(a, inv[b]):
                 con |= 1 << (a * nm + b)
-            if obj.minus.leq(dagger[a], b):
+            if minus.leq(dagger[a], b):
                 tot |= 1 << (a * nm + b)
-    return con, tot
+    return (con, tot), None
 
 
 def reordered_daggers(A):
@@ -361,47 +357,42 @@ def test_validate_dboolean_matches_pairwise_scan(bundle, monkeypatch):
     }
 
 
-def test_from_dbl_matches_pairwise_scan(monkeypatch):
-    """Masks and rejections equal the scan's.  Each pairing runs
-    ``validate_dboolean`` once, and is scanned for order reversal once
-    when it is accepted and once more, to name the pair, when it is
-    rejected.  The one-element coordinate pair is rejected as degenerate."""
-    calls = {"reversal": 0, "dboolean": 0}
-
-    def counting(name, genuine):
-        def wrapper(*args):
-            calls[name] += 1
-            return genuine(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        dlattice_module, "_dagger_reversal_failure", counting("reversal", dlattice_module._dagger_reversal_failure)
-    )
-    monkeypatch.setattr(dlattice_module, "validate_dboolean", counting("dboolean", validate_dboolean))
+def test_dagger_masks_match_pairwise_scan():
+    """On each pair of same-size corpus lattices with 2..5 elements, with
+    every bijection as the dagger: where the scan accepts the pairing,
+    ``_dagger_masks`` gives its con and tot, and the algebra validates.
+    Where it rejects, the algebra fails validation as the scan says; with
+    the con and tot of an accepted dagger on the same coordinates,
+    ``validate_dboolean`` reports ``dagger-order-reversing`` at the scan's
+    pair.  λ(L) reads its con and tot from the identity pairing."""
     lattices = [L for L in birkhoff_corpus(4) if 1 < L.n <= 5]
-    checked = rejected = 0
+    accepted = rejected = reported = 0
     for plus in lattices:
+        lam = lambda_of_dislat(plus)
+        assert (lam.con_mask, lam.tot_mask) == dagger_masks_by_scan(plus, plus.dual(), tuple(range(plus.n)))[0]
         for minus in lattices:
             if minus.n != plus.n:
                 continue
-            for dagger in permutations(range(plus.n)):
-                obj = DblObject(plus, minus, dagger)
-                want = from_dbl_by_scan(obj)
-                if isinstance(want[1], tuple):
-                    with pytest.raises(DaggerNotOrderReversing) as exc:
-                        from_dbl(obj)
-                    assert (str(exc.value), exc.value.witness) == want
-                    rejected += 1
-                else:
-                    A = from_dbl(obj)
-                    assert (A.con_mask, A.tot_mask) == want
-                    checked += 1
-    assert checked and rejected
-    assert calls == {"reversal": checked + 2 * rejected, "dboolean": checked + rejected}
+            verdicts = [(dagger, *dagger_masks_by_scan(plus, minus, dagger)) for dagger in permutations(range(plus.n))]
+            valid_masks = [masks for _, masks, _ in verdicts if masks is not None]
+            for dagger, masks, bad in verdicts:
+                A = DBooleanAlgebra(plus, minus, *_dagger_masks(minus, dagger), dagger)
+                report = validate_dboolean(A)
+                assert report == validate_dboolean_by_scan(A)
+                if masks is not None:
+                    assert (A.con_mask, A.tot_mask) == masks and report.ok
+                    accepted += 1
+                    continue
+                assert not report.ok
+                rejected += 1
+                for con, tot in valid_masks:
+                    report = validate_dboolean(DBooleanAlgebra(plus, minus, con, tot, dagger))
+                    assert report.axiom == "dagger-order-reversing"
+                    assert report.witness == tuple(plus.labels[a] for a in bad)
+                    reported += 1
+    assert (accepted, rejected, reported) == (10, 1174, 664)
     one = build_lattice(["0"], [[True]])
-    with pytest.raises(InvariantViolation, match=r"^from_dbl failed validation: \{tt,ff\} = \{1,0\}: a coordinate"):
-        from_dbl(DblObject(one, one, (0,)))
+    assert validate_dboolean(DBooleanAlgebra(one, one, *_dagger_masks(one, (0,)), (0,))).axiom == "degenerate-pair"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from bistone.lattice import (
     birkhoff,
     bits,
     build_lattice,
-    complement,
     down_sets,
     enumerate_lattice_homs,
     ideal_generator,
@@ -159,6 +158,17 @@ def test_prime_ideals_trivial():
 def test_join_irreducible_count_matches_primes(lattices4):
     for L in lattices4:
         assert len(prime_generators(L)) == len(join_irreducibles(L))
+
+
+def complement(lattice, a):
+    """Oracle for ``FiniteLattice.is_boolean``: the unique b with a ∨ b = top
+    and a ∧ b = bot, or None, by a scan of every b."""
+    found = None
+    for b in range(lattice.n):
+        if lattice.join[a][b] == lattice.top and lattice.meet[a][b] == lattice.bot:
+            assert found is None, "complement not unique: lattice not distributive"
+            found = b
+    return found
 
 
 def test_complement_examples():
@@ -317,18 +327,25 @@ def test_principal_ideal_prime_check():
 
 
 def test_prime_ideal_oracle_matches_generators_beyond_the_row():
-    """The literal scan against the order-row helper past the
-    ``prime-ideal-oracle`` row's ``birkhoff_corpus(4)``: the down-set
-    lattices of the 5-element posets with at most 12 elements, and every
-    distributive lattice with 6 elements."""
-    down_set_lattices = [L for L in birkhoff_corpus(5) if L.n <= 12]
-    lattices = down_set_lattices + distributive_lattices(6)
-    assert (len(down_set_lattices), len(lattices)) == (64, 76)
-    total = 0
+    """The Birkhoff readings against the literal scans, past the
+    ``prime-ideal-oracle`` row's ``birkhoff_corpus(4)``: on every lattice of
+    ``distributive_lattices(7)``, of ``birkhoff_corpus(5)`` with at most 20
+    elements and of ``boolean_lattice(1..4)``, the prime generators (the
+    meet-irreducibles, read from the lattice and from its poset) are the
+    subset scan's, and ``is_boolean`` (every join-irreducible covers bot)
+    agrees with the complement scan."""
+    down_set_lattices = [L for L in birkhoff_corpus(5) if L.n <= 20]
+    lattices = distributive_lattices(7) + down_set_lattices + [boolean_lattice(k) for k in range(1, 5)]
+    total = boolean = 0
     for L in lattices:
-        assert prime_ideals_bruteforce(L) == prime_generators(L)
+        assert prime_generators(L) == prime_generators(L.poset) == prime_ideals_bruteforce(L)
         total += len(prime_generators(L))
-    assert total == 323
+        scan = all(complement(L, a) is not None for a in range(L.n))
+        assert L.is_boolean() == scan
+        boolean += scan
+    # Boolean: 2 and 4 elements in the list, 2, 4, 8 and 16 in the corpus and as powers
+    assert (len(down_set_lattices), len(lattices), boolean) == (85, 109, 2 + 4 + 4)
+    assert total == 475
 
 
 def test_lattice_isos_guard_survives_python_O(run_python):

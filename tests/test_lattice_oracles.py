@@ -3,7 +3,10 @@ test-only reference: meet and join tables found by brute force over the
 order, then the numpy triple scan of a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), whose
 first failing (a, b, c) in row-major order is the ``NotDistributive``
 witness.  ``first_index`` also serves the other numpy references in this
-directory."""
+directory.  The Birkhoff list ``corpus.distributive_lattices`` against the
+trial it replaced: ``build_lattice`` on every unlabeled poset."""
+
+from collections import Counter
 
 from itertools import permutations
 
@@ -12,7 +15,7 @@ import pytest
 
 from test_lattice import pentagon_relation
 
-from bistone.corpus import unlabeled_posets
+from bistone.corpus import distributive_lattices, unlabeled_posets
 from bistone.errors import NotALattice, NotBounded, NotDistributive
 from bistone.lattice import FinitePoset, build_lattice
 
@@ -65,7 +68,8 @@ def same_verdict(got, want):
 
 
 def test_distributivity_matches_numpy_triple_scan():
-    """Every relation that ``corpus.distributive_lattices(6)`` tries."""
+    """Every unlabeled poset with 2..6 elements, as the relation given to
+    ``build_lattice``."""
     counts = {}
     for poset in unlabeled_posets(6):
         if poset.n < 2:
@@ -75,6 +79,44 @@ def test_distributivity_matches_numpy_triple_scan():
         counts[want[0]] = counts.get(want[0], 0) + 1
     assert counts["ok"] == 1 + 1 + 2 + 3 + 5  # A006982 at 2..6 elements
     assert counts["NotDistributive"] > 0 and counts["NotALattice"] > 0 and counts["NotBounded"] > 0
+
+
+def distributive_lattices_by_trial(max_size):
+    """Oracle: the posets with 2..max_size elements, in corpus order, that
+    ``build_lattice`` accepts."""
+    out = []
+    for poset in unlabeled_posets(max_size):
+        if poset.n < 2:
+            continue
+        try:
+            out.append(build_lattice(poset.labels, poset))
+        except (NotBounded, NotALattice, NotDistributive):
+            continue
+    return out
+
+
+def test_birkhoff_list_is_pinned_and_matches_the_trial():
+    """``distributive_lattices(k)`` for k = 2..7 holds 1, 2, 4, 7, 12 and 20
+    pairwise non-isomorphic lattices: 1, 1, 2, 3, 5, 8 per size (A006982),
+    each accepted by ``build_lattice`` with the same tables.  At k ≤ 6 the
+    signatures are the trial's, in order (posets stop at 6 elements, so the
+    trial stops there), and at k ≤ 5 so are the up rows."""
+    counts = []
+    for k in range(2, 8):
+        lattices = distributive_lattices(k)
+        signatures = [L.poset.isomorphism_signature() for L in lattices]
+        assert len(set(signatures)) == len(lattices)
+        for L in lattices:
+            rebuilt = build_lattice(L.labels, L.poset)
+            assert (rebuilt.meet, rebuilt.join) == (L.meet, L.join)
+        if k <= 6:
+            trial = distributive_lattices_by_trial(k)
+            assert signatures == [L.poset.isomorphism_signature() for L in trial]
+            if k <= 5:
+                assert [L.up for L in lattices] == [L.up for L in trial]
+        counts.append(len(lattices))
+    assert counts == [1, 2, 4, 7, 12, 20]
+    assert Counter(L.n for L in lattices) == {2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8}
 
 
 @pytest.mark.parametrize("name", ["N5", "M3"])

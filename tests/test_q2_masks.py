@@ -20,7 +20,7 @@ from functools import lru_cache
 import pytest
 from test_dlattice import one
 from test_hom_oracles import prime_ideals_numpy
-from test_validate_oracle import _q2_candidates, _single_bit_mutants
+from test_validate_oracle import _q2_candidates, _single_bit_mutants, pair_rows
 
 from bistone import dlattice as dlattice_module
 from bistone import duality as du
@@ -117,7 +117,7 @@ def validate_dlattice_by_rows(dl):
                 )
     nm = M.n
     row0, col0 = unit_masks(P.n, nm)
-    for a, con_row in enumerate(dl.rows(con)):
+    for a, con_row in enumerate(pair_rows(dl, con)):
         if not con_row:
             continue
         rows_above = 0  # column 0 of the rows at or above a

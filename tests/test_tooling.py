@@ -217,21 +217,22 @@ def defined_names(top):
 
 
 def references(tree):
-    """Each name, attribute or imported name a module refers to, with the
-    lines of the top-level statement and of the class member it lies in
-    (the statement's own line outside a class), so that a definition's own
-    name and body do not count.  Strings and comments are not references."""
+    """Each name, attribute or imported name a module refers to, with
+    whether it is an attribute and the lines of the top-level statement and
+    of the class member it lies in (the statement's own line outside a
+    class), so that a definition's own name and body do not count.  Strings
+    and comments are not references."""
     for top in tree.body:
         members = top.body if isinstance(top, ast.ClassDef) else [top]
         for member in members:
             for node in ast.walk(member):
                 if isinstance(node, ast.Name):
-                    yield node.id, (top.lineno, member.lineno)
+                    yield node.id, False, (top.lineno, member.lineno)
                 elif isinstance(node, ast.Attribute):
-                    yield node.attr, (top.lineno, member.lineno)
+                    yield node.attr, True, (top.lineno, member.lineno)
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     for alias in node.names:
-                        yield alias.name.rpartition(".")[2], (top.lineno, member.lineno)
+                        yield alias.name.rpartition(".")[2], False, (top.lineno, member.lineno)
 
 
 def definitions(tree):
@@ -249,26 +250,29 @@ def definitions(tree):
 
 
 def test_every_library_definition_is_reached():
-    """Each top-level def, class or assigned name of the library, and each
-    method of its classes, is referred to by name, attribute or import in
-    the library or in ``bench/*.py``, outside its own statement.  There is
-    no allow-list: a definition only tests reach belongs in ``tests/``."""
+    """Each top-level def, class or assigned name of the library is referred
+    to by name, attribute or import, and each method of its classes by
+    attribute (``x.rows``; a local variable ``rows`` is no call), in the
+    library or in ``bench/*.py``, outside its own statement.  There is no
+    allow-list: a definition only tests reach belongs in ``tests/``."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(LIBRARY.glob("*.py")) + sorted(BENCH.glob("*.py"))
     }
-    sites = defaultdict(set)  # name -> the (module path, (top line, member line)) referring to it
+    sites = defaultdict(set)  # name -> the (module path, is attribute, (top line, member line)) referring to it
     for path, tree in trees.items():
-        for name, owner in references(tree):
-            sites[name].add((path, owner))
+        for name, attribute, owner in references(tree):
+            sites[name].add((path, attribute, owner))
 
-    def inside(site, path, own):
-        site_path, (top, member) = site
-        return site_path == path and top == own[0] and own[1] in (None, member)
+    def reaches(site, path, dotted, own):
+        site_path, attribute, (top, member) = site
+        if "." in dotted and not attribute:
+            return False
+        return not (site_path == path and top == own[0] and own[1] in (None, member))
 
     unreached = {}
     for path in sorted(LIBRARY.glob("*.py")):
         for name, dotted, own in definitions(trees[path]):
-            if all(inside(site, path, own) for site in sites[name]):
+            if not any(reaches(site, path, dotted, own) for site in sites[name]):
                 unreached[dotted] = f"{path.stem}.{dotted}"
     assert unreached == {}

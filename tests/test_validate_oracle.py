@@ -119,6 +119,13 @@ def _q2_candidates(bound):
     return out
 
 
+def pair_rows(dl, mask):
+    """Per plus element a, the minus-side bitmask of the pairs (a, b) in mask."""
+    nm = dl.minus.n
+    row = (1 << nm) - 1
+    return [(mask >> (a * nm)) & row for a in range(dl.plus.n)]
+
+
 def _single_bit_mutants(dl):
     for p in range(dl.size):
         yield DLattice(dl.plus, dl.minus, dl.con_mask ^ (1 << p), dl.tot_mask)

@@ -2,15 +2,15 @@
 
 Point subsets are int bitmasks; topologies are stored extensionally as
 sorted tuples of masks, so redundant bases and non-Alexandrov-style input
-are handled uniformly.  ``generate_topology`` takes one pass of finite
-intersections and then one of unions.  ``BiTopSpace`` keeps each topology's
-set of opens as well (``open_sets``): closure under ∪ and ∩ is checked
-against it over the pairs of the sorted tuple, in order, and membership
-tests elsewhere read it.  Every finite bitopological space is compact, so
-``is_compact`` is its finiteness proof rather than a subcover search, and
-``is_stone`` is the finite Stone lemma (τ₊ is T0 and τ₋ is its
-complements); the paper's two characterizations stay beside it, and the
-``stone-characterizations`` suite row compares all three.
+are handled uniformly.  ``generate_topology`` reads the opens as the
+up-sets of the specialization preorder of its subbase.  ``BiTopSpace``
+keeps each topology's set of opens as well (``open_sets``): closure under
+∪ and ∩ is checked against it over the pairs of the sorted tuple, in order,
+and membership tests elsewhere read it.  Every finite bitopological space
+is compact, so ``is_compact`` is its finiteness proof rather than a
+subcover search, and ``is_stone`` is the finite Stone lemma (τ₊ is T0 and
+τ₋ is its complements); the paper's two characterizations stay beside it,
+and the ``stone-characterizations`` suite row compares all three.
 
 Pervin connectedness is not restated in the source material, so the
 formalization used here is: a subset S is disconnected iff S ⊆ U ∪ V for
@@ -28,7 +28,7 @@ from .config import max_elements
 from .dlattice import DBooleanAlgebra, DLattice, require_valid, validate_dboolean, validate_dlattice
 from .errors import BoundsTooLarge, DegeneratePair, InvariantViolation
 from .ideals import BMap, enumerate_prime_d_ideals, four_case_values
-from .lattice import bits, down_sets, lattice_from_family, mask_of
+from .lattice import bits, closed_sets, down_sets, lattice_from_family, mask_of
 
 
 class BiTopSpace:
@@ -69,23 +69,11 @@ class BiTopSpace:
 
 
 def generate_topology(n, subbase):
-    """Smallest topology containing the subbase: close under finite
-    intersections (the empty intersection is the whole space), then unions.
-
-    One pass each.  After subbase member s is taken in, the set holds every
-    intersection of the members taken so far, since an intersection that
-    uses s is s ∩ t for t one that does not (s ∩ s = s).  The set is closed
-    under ∩, so a member already in it adds nothing.  The union pass is the
-    same argument with ∪."""
-    inters = {(1 << n) - 1}
-    for s in set(map(int, subbase)):
-        if s not in inters:
-            inters |= {s & t for t in inters}
-    opens = {0}
-    for u in inters:
-        if u not in opens:
-            opens |= {u | v for v in opens}
-    return tuple(sorted(opens, key=lambda m: (m.bit_count(), m)))
+    """Smallest topology containing the subbase, sorted by (popcount, mask):
+    the up-sets (``closed_sets``) of its specialization preorder, as for
+    every finite topology.  Row x, the least open around x, is the meet of
+    the subbase members holding x (the whole space if none does)."""
+    return tuple(sorted(closed_sets(_specialization(n, subbase)), key=lambda m: (m.bit_count(), m)))
 
 
 def space(labels, tau_plus, tau_minus):

@@ -29,7 +29,6 @@ from .dlattice import (
     DLattice,
     DLatticeHom,
     canonical_lambda_iso,
-    closure,
     coordinate_tables,
     enumerate_dlattice_homs,
     find_dlattice_iso,
@@ -51,9 +50,9 @@ from .ideals import ideal_map, prime_pair_opens, prime_pairs
 from .lattice import (
     bits,
     classical_spec,
+    closed_sets,
     enumerate_lattice_homs,
     inverse_permutation,
-    is_closed,
     lattice_from_family,
     low_bit,
     transitive_relations,
@@ -406,12 +405,13 @@ class SearchReport:
 
 
 def enumerate_topologies(n):
-    """The up-sets of each preorder on n labeled points, sorted.  Every finite
-    topology arises so, and none twice: x ≤ y iff every up-set holding x
-    holds y, so the preorder is read back from its up-sets."""
+    """The up-sets (``closed_sets`` of the up rows) of each preorder on n
+    labeled points, sorted.  Every finite topology arises so, and none
+    twice: x ≤ y iff every up-set holding x holds y, so the preorder is read
+    back from its up-sets."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     return sorted(
-        tuple(sorted((m for m in range(1 << n) if is_closed(m, rows)), key=lambda m: (m.bit_count(), m)))
+        tuple(sorted(closed_sets(rows), key=lambda m: (m.bit_count(), m)))
         for rows in transitive_relations(n, pairs)
     )
 
@@ -525,39 +525,20 @@ def _search_q1(max_points):
     )
 
 
-def _closed_pair_sets(dl, seed_mask, downward):
-    """All down-sets (up-sets when not ``downward``) of the coordinate product
-    that contain the seed, sorted.  The search starts at the seed's closure
-    under the cover steps and adds one pair at a time: a pair outside the
-    set may join when no step the other way reaches it from outside the set.
-    Every closed set above the start is reached so, by adding its members
-    least (greatest) first."""
-    tables = coordinate_tables(dl)
-    steps, back = (tables.down_steps, tables.up_steps) if downward else (tables.up_steps, tables.down_steps)
-    full = (1 << dl.size) - 1
-    start = closure(seed_mask, steps)
-    out = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        rest = full & ~cur
-        for p in bits(rest & ~step(rest, back)):
-            grown = cur | (1 << p)
-            if grown not in out:
-                out.add(grown)
-                frontier.append(grown)
-    return sorted(out)
-
-
 def _down_sets_of_product(dl, seed_mask):
-    """All down-sets of the coordinate product containing the seed, with the
-    downward cover steps they are closed under."""
-    return _closed_pair_sets(dl, seed_mask, True), coordinate_tables(dl).down_steps
+    """All down-sets of the coordinate product containing the seed, sorted:
+    the ``closed_sets`` of the rows ↓a × ↓b of the pairs (a, b).  With them,
+    the downward cover steps they are closed under."""
+    tables = coordinate_tables(dl)
+    plus, minus = tables.down_masks
+    return closed_sets([row & col for _, row in plus for _, col in minus], seed_mask), tables.down_steps
 
 
 def _up_sets_containing(dl, seed_mask):
-    """All up-sets of the coordinate product containing the seed."""
-    return _closed_pair_sets(dl, seed_mask, False)
+    """All up-sets of the coordinate product containing the seed, sorted: the
+    ``closed_sets`` of the rows ↑a × ↑b of the pairs (a, b)."""
+    plus, minus = coordinate_tables(dl).up_masks
+    return closed_sets([row & col for _, row in plus for _, col in minus], seed_mask)
 
 
 def _logic_closed(dl, mask):

@@ -2,9 +2,11 @@
 
 Elements are dense integer ids; labels are metadata.  Subsets are int
 bitmasks, so every predicate is an exhaustive scan over at most 64 elements
-per structure.  The meet and join tables are immutable tuples of tuples of
-ints, indexed ``[a][b]``, built once with the lattice.  A lattice of a set
-family closed under ∩ and ∪ takes its tables straight from ∩ and ∪
+per structure.  Down-sets, up-sets and the opens of a finite topology are
+the closed sets of a preorder's rows, all found by one search
+(``closed_sets``).  The meet and join tables are immutable tuples of tuples
+of ints, indexed ``[a][b]``, built once with the lattice.  A lattice of a
+set family closed under ∩ and ∪ takes its tables straight from ∩ and ∪
 (``lattice_from_family``); any other relation goes through the generic
 ``build_lattice``, which decides distributivity by Birkhoff's
 characterization (every join-irreducible element is join-prime).
@@ -297,7 +299,7 @@ def extreme_of(mask, rows):
     return None
 
 
-def build_lattice(labels, leq, sets=None):
+def build_lattice(labels, leq):
     """Validate a relation into a bounded distributive lattice.
 
     Raises NotAPoset / NotBounded / NotALattice / NotDistributive with a
@@ -312,7 +314,7 @@ def build_lattice(labels, leq, sets=None):
     Only when the test fails does a scan name the first (a, b, c) in
     row-major order with a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c).
     """
-    poset = leq if isinstance(leq, FinitePoset) else FinitePoset(labels, leq)
+    poset = FinitePoset(labels, leq)
     n = poset.n
     if n == 0:
         raise NotBounded("empty carrier has no bottom element")
@@ -347,7 +349,7 @@ def build_lattice(labels, leq, sets=None):
                         witness=(a, b, c),
                     )
             raise InvariantViolation(f"{poset.labels[j]} is not join-prime, yet every triple distributes")
-    return FiniteLattice(poset, bot, top, meet, join, sets=tuple(sets) if sets else None)
+    return FiniteLattice(poset, bot, top, meet, join)
 
 
 def set_label(mask, point_labels):
@@ -440,23 +442,47 @@ def transitive_relations(n, pairs):
             yield tuple(rows)
 
 
+def closed_sets(rows, start=0):
+    """Every mask, ascending, that holds start and rows[i] for each member i
+    (``is_closed``), for reflexive transitive rows: the down-sets of an
+    order for its ``down`` rows, the up-sets of a preorder for its ``up``
+    rows.  Then rows[x] is the least closed set holding x and unions of
+    closed sets are closed, so a closed C above start is the closure of
+    start joined with rows[x] for each x in C, one at a time: the search
+    from that closure, which grows each set it finds by each row, finds C."""
+    first = start
+    for i in bits(start):
+        first |= rows[i]
+    full = (1 << len(rows)) - 1
+    found = {first}
+    frontier = [first]
+    while frontier:
+        cur = frontier.pop()
+        for x in bits(full & ~cur):
+            grown = cur | rows[x]
+            if grown not in found:
+                found.add(grown)
+                frontier.append(grown)
+    return sorted(found)
+
+
 def down_sets(poset):
     """All down-sets of a poset as bitmasks, ascending; up-sets are the
-    down-sets of ``poset.dual()``."""
+    down-sets of ``poset.dual()``.  The 16-element cap bounds the output:
+    an antichain of 16 elements already has 2^16 down-sets."""
     if poset.n > 16:
         raise BoundsTooLarge("down-set enumeration capped at 16-element posets")
-    return [m for m in range(1 << poset.n) if is_closed(m, poset.down)]
+    return closed_sets(poset.down)
 
 
 def ideal_carriers(lattice):
-    """Literal scan: every nonempty subset that is a down-set and closed
-    under binary joins, ascending."""
-    down, join = lattice.down, lattice.join
+    """Every subset that passes the ideal definition, ascending: the nonempty
+    down-sets (``closed_sets``) that are closed under binary joins."""
+    join = lattice.join
     return [
         mask
-        for mask in range(1, 1 << lattice.n)
-        if is_closed(mask, down)
-        and all((mask >> join[a][b]) & 1 for a in bits(mask) for b in bits(mask))
+        for mask in closed_sets(lattice.down)[1:]
+        if all((mask >> join[a][b]) & 1 for a in bits(mask) for b in bits(mask))
     ]
 
 

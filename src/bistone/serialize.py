@@ -155,8 +155,9 @@ def parse_structure(text):
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in LOADERS:
         raise UnknownKind(f"unsupported kind {kind!r}")
-    if obj.get("version") != SCHEMA_VERSION:
-        raise UnknownKind(f"unsupported version {obj.get('version')!r}")
+    version = obj.get("version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True or 1.0
+        raise UnknownKind(f"unsupported version {version!r}")
     try:
         return kind, LOADERS[kind](obj)
     except (ParseError, UnknownKind):

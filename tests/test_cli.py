@@ -123,6 +123,16 @@ def test_cli_malformed_order_exits_2(tmp_path, capsys, doc, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+def test_cli_version_must_be_the_integer_one(tmp_path, capsys, version):
+    """``True == 1.0 == 1`` in Python, yet only the JSON integer 1 is schema
+    version 1; before, both of these validated a poset as PASS."""
+    path = tmp_path / "version.json"
+    path.write_text(json.dumps({"kind": "poset", "version": version, "elements": ["x"], "leq": [[True]]}))
+    assert main(["validate", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: unsupported version {version!r}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -31,6 +31,7 @@ from bistone.dlattice import (
 from bistone.errors import NotALattice, NotAPoset, NotBounded
 from bistone.ideals import BFF, BTT, enumerate_prime_d_ideals, prime_pair_opens, prime_pairs
 from bistone.lattice import (
+    FiniteLattice,
     FinitePoset,
     LatticeHom,
     birkhoff,
@@ -52,13 +53,14 @@ from bistone.report import StructReport
 def lattice_from_family_by_build(n_points, masks, point_labels=None):
     """Oracle: the inclusion matrix of the sorted family through the generic
     ``build_lattice`` (poset checks, bounds, meet/join search, triple
-    distributivity scan)."""
+    distributivity scan), with the family kept as the lattice's sets."""
     if point_labels is None:
         point_labels = [str(i) for i in range(n_points)]
     fam = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     labels = [set_label(m, point_labels) for m in fam]
     leq = [[(a & ~b) == 0 for b in fam] for a in fam]
-    return build_lattice(labels, leq, sets=fam)
+    L = build_lattice(labels, leq)
+    return FiniteLattice(L.poset, L.bot, L.top, L.meet, L.join, tuple(fam))
 
 
 def assert_same_lattice(got, want):

@@ -6,22 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bistone.corpus import birkhoff_corpus, boolean_lattice, distributive_lattices, three_chain
-from bistone.errors import NotAPoset, NotBounded, NotDistributive
+from bistone.corpus import birkhoff_corpus, boolean_lattice, distributive_lattices, three_chain, unlabeled_posets
+from bistone.errors import BoundsTooLarge, NotAPoset, NotBounded, NotDistributive
 from bistone.lattice import (
     FinitePoset,
     LatticeHom,
     birkhoff,
     bits,
     build_lattice,
+    closed_sets,
     down_sets,
     enumerate_lattice_homs,
     ideal_generator,
+    is_closed,
     is_lattice_iso,
     join_irreducibles,
     lattice_isos,
     prime_generators,
     prime_ideals_bruteforce,
+    transitive_relations,
     validate_lattice_hom,
 )
 
@@ -132,6 +135,45 @@ def test_birkhoff_empty_poset():
         build_lattice([], [])
     L = birkhoff(empty)
     assert L.n == 1
+
+
+def closed_sets_by_scan(rows, start=0):
+    """Oracle: every one of the 2^n masks, ascending, that holds start and
+    passes ``is_closed``."""
+    return [m for m in range(1 << len(rows)) if m & start == start and is_closed(m, rows)]
+
+
+def test_closed_sets_match_the_subset_scan_on_posets():
+    """The down and the up rows of every poset with at most 6 elements, from
+    no start and from each element."""
+    posets = unlabeled_posets(6)
+    assert len(posets) == 1 + 2 + 5 + 16 + 63 + 318
+    for p in posets:
+        for rows in (p.down, p.up):
+            for start in [0] + [1 << x for x in range(p.n)]:
+                assert closed_sets(rows, start) == closed_sets_by_scan(rows, start), (p.up, rows, start)
+
+
+def test_closed_sets_match_the_subset_scan_on_preorders():
+    """Every preorder on at most 4 points (A000798: 1, 1, 4, 29, 355), from
+    every start; a preorder's closed sets are the opens of a topology."""
+    counts = []
+    for n in range(5):
+        preorders = list(transitive_relations(n, [(i, j) for i in range(n) for j in range(n) if i != j]))
+        counts.append(len(preorders))
+        for rows in preorders:
+            for start in range(1 << n):
+                assert closed_sets(rows, start) == closed_sets_by_scan(rows, start), (rows, start)
+    assert counts == [1, 1, 4, 29, 355]
+
+
+def test_down_sets_guard_caps_posets_at_sixteen_elements():
+    def chain_poset(n):
+        return FinitePoset.from_rows([str(i) for i in range(n)], [((1 << n) - 1) >> i << i for i in range(n)])
+
+    assert down_sets(chain_poset(16)) == [(1 << k) - 1 for k in range(17)]
+    with pytest.raises(BoundsTooLarge, match="capped at 16-element posets"):
+        down_sets(chain_poset(17))
 
 
 def test_prime_ideals_three_chain():
@@ -331,9 +373,9 @@ def test_prime_ideal_oracle_matches_generators_beyond_the_row():
     ``prime-ideal-oracle`` row's ``birkhoff_corpus(4)``: on every lattice of
     ``distributive_lattices(7)``, of ``birkhoff_corpus(5)`` with at most 20
     elements and of ``boolean_lattice(1..4)``, the prime generators (the
-    meet-irreducibles, read from the lattice and from its poset) are the
-    subset scan's, and ``is_boolean`` (every join-irreducible covers bot)
-    agrees with the complement scan."""
+    meet-irreducibles, read from the lattice and from its poset) are those
+    of the definition scan ``prime_ideals_bruteforce``, and ``is_boolean``
+    (every join-irreducible covers bot) agrees with the complement scan."""
     down_set_lattices = [L for L in birkhoff_corpus(5) if L.n <= 20]
     lattices = distributive_lattices(7) + down_set_lattices + [boolean_lattice(k) for k in range(1, 5)]
     total = boolean = 0

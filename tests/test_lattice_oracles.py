@@ -28,12 +28,18 @@ def first_index(flags):
     return tuple(int(i) for i in np.unravel_index(int(flags.argmax()), flags.shape))
 
 
+def relation(poset):
+    """The boolean relation matrix of a poset's order, as ``build_lattice``
+    takes it."""
+    return [[poset.leq(i, j) for j in range(poset.n)] for i in range(poset.n)]
+
+
 def build_lattice_numpy(poset):
     """Reference verdict of ``build_lattice`` on a poset: ("ok", meet, join)
     or (error name, witness).  Bounds and the first pair i ≤ j without a
     meet, then without a join, are found as ``build_lattice`` orders them."""
     n = poset.n
-    leq = np.array([[poset.leq(i, j) for j in range(n)] for i in range(n)], dtype=bool)
+    leq = np.array(relation(poset), dtype=bool)
     if not (leq.all(axis=1).any() and leq.all(axis=0).any()):
         return "NotBounded", None
     meet = np.zeros((n, n), dtype=np.intp)
@@ -57,7 +63,7 @@ def build_lattice_numpy(poset):
 
 def build_lattice_verdict(poset):
     try:
-        L = build_lattice(poset.labels, poset)
+        L = build_lattice(poset.labels, relation(poset))
     except (NotBounded, NotALattice, NotDistributive) as exc:
         return type(exc).__name__, exc.witness
     return "ok", np.asarray(L.meet), np.asarray(L.join)
@@ -89,7 +95,7 @@ def distributive_lattices_by_trial(max_size):
         if poset.n < 2:
             continue
         try:
-            out.append(build_lattice(poset.labels, poset))
+            out.append(build_lattice(poset.labels, relation(poset)))
         except (NotBounded, NotALattice, NotDistributive):
             continue
     return out
@@ -107,7 +113,7 @@ def test_birkhoff_list_is_pinned_and_matches_the_trial():
         signatures = [L.poset.isomorphism_signature() for L in lattices]
         assert len(set(signatures)) == len(lattices)
         for L in lattices:
-            rebuilt = build_lattice(L.labels, L.poset)
+            rebuilt = build_lattice(L.labels, relation(L.poset))
             assert (rebuilt.meet, rebuilt.join) == (L.meet, L.join)
         if k <= 6:
             trial = distributive_lattices_by_trial(k)

@@ -11,8 +11,8 @@ keeps for ``validate_dlattice``, the reports each lattice pair keeps
 beside its record, and the spatial reflection against the opens φ₊ × φ₋
 that ``spatiality_check`` read before it.  The closed pair sets the Q2
 census starts from (``duality._down_sets_of_product`` and
-``_up_sets_containing``) are checked against the product-row closure they
-replaced."""
+``_up_sets_containing``) are checked against the product-row closure and
+the cover-step search they replaced."""
 
 import gc
 from functools import lru_cache
@@ -317,7 +317,7 @@ def product_rows(dl, plus_rel, minus_rel):
     return out
 
 
-def closed_sets(rows, seed_mask):
+def closed_sets_by_growth(rows, seed_mask):
     """Oracle: all pair sets containing the seed that hold rows[p] for each
     member p, sorted; each grows from the seed's closure by one principal
     set at a time."""
@@ -337,19 +337,62 @@ def closed_sets(rows, seed_mask):
     return sorted(out)
 
 
-def test_closed_pair_sets_match_product_rows_bound5():
-    """On all 49 coordinate pairs up to size 5, with seeds {tt, ff} and
-    none, the same lists in the same order."""
-    lattices = du._distributive_lattices_upto(5)
-    assert len(lattices) == 7
+def closed_pair_sets_by_cover_steps(dl, seed_mask, downward):
+    """Oracle: all down-sets (up-sets when not ``downward``) of the coordinate
+    product that contain the seed, sorted.  The search starts at the seed's
+    closure under the cover steps and adds one pair at a time: a pair outside
+    the set may join when no step the other way reaches it from outside the
+    set."""
+    tables = coordinate_tables(dl)
+    steps, back = (tables.down_steps, tables.up_steps) if downward else (tables.up_steps, tables.down_steps)
+    full = (1 << dl.size) - 1
+    start = closure(seed_mask, steps)
+    out = {start}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        rest = full & ~cur
+        for p in bits(rest & ~step(rest, back)):
+            grown = cur | (1 << p)
+            if grown not in out:
+                out.add(grown)
+                frontier.append(grown)
+    return sorted(out)
+
+
+def coordinate_pair_shells(max_size):
+    """An empty d-lattice shell per coordinate pair up to the bound, with
+    seeds {tt, ff} and none."""
+    lattices = du._distributive_lattices_upto(max_size)
     for plus in lattices:
         for minus in lattices:
             shell = DLattice(plus, minus, 0, 0)
             for seed in ((1 << shell.tt) | (1 << shell.ff), 0):
-                downs = closed_sets(product_rows(shell, plus.down, minus.down), seed)
-                ups = closed_sets(product_rows(shell, plus.up, minus.up), seed)
-                assert du._down_sets_of_product(shell, seed)[0] == downs
-                assert du._up_sets_containing(shell, seed) == ups
+                yield shell, seed
+
+
+def test_closed_pair_sets_match_product_rows_bound5():
+    """On all 49 coordinate pairs up to size 5, with seeds {tt, ff} and
+    none, the same lists in the same order."""
+    assert len(du._distributive_lattices_upto(5)) == 7
+    for shell, seed in coordinate_pair_shells(5):
+        plus, minus = shell.plus, shell.minus
+        downs = closed_sets_by_growth(product_rows(shell, plus.down, minus.down), seed)
+        ups = closed_sets_by_growth(product_rows(shell, plus.up, minus.up), seed)
+        assert du._down_sets_of_product(shell, seed)[0] == downs
+        assert du._up_sets_containing(shell, seed) == ups
+
+
+def test_closed_pair_sets_match_the_cover_step_search_bound5():
+    """The same 98 shells and seeds: ``closed_sets`` over the product rows
+    gives the lists of the cover-step search it replaced, in order."""
+    shells = 0
+    for shell, seed in coordinate_pair_shells(5):
+        downs = du._down_sets_of_product(shell, seed)[0]
+        assert downs == closed_pair_sets_by_cover_steps(shell, seed, True)
+        assert du._up_sets_containing(shell, seed) == closed_pair_sets_by_cover_steps(shell, seed, False)
+        shells += 1
+    assert shells == 98
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ calls still resolves below ``bistone`` and takes the arguments the harness
 passes, the ``props`` workload counts every suite row, the library has no
 ``assert`` statement (its guards raise, so they survive ``python -O``), no
 library module imports numpy, only the named functions scan all n!
-relabelings, only the named functions hold an ``lru_cache``, and every
-library definition and method is reached from the library or the harness."""
+relabelings or all 2^n subsets, only the named functions hold an
+``lru_cache``, and every library definition and method is reached from the
+library or the harness."""
 
 import ast
 import importlib
@@ -178,6 +179,46 @@ def test_only_named_functions_scan_all_relabelings():
     for path in sorted(LIBRARY.glob("*.py")):
         callers |= permutation_callers(path)
     assert callers == {"duality._relabel_tables"}
+
+
+def subset_scanners(path):
+    """Dotted names of the functions in one module whose own body iterates
+    ``range(1 << …)``, every subset of a set of points or pairs."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "range"
+                and any(
+                    isinstance(arg, ast.BinOp)
+                    and isinstance(arg.op, ast.LShift)
+                    and isinstance(arg.left, ast.Constant)
+                    and arg.left.value == 1
+                    for arg in child.args
+                )
+            ):
+                found.add(".".join([path.stem] + scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_only_named_functions_scan_every_subset():
+    """Down-sets, ideals and topologies come from ``lattice.closed_sets``,
+    which visits closed sets only.  The three left need every code: each
+    relation on a pair list, each subset of the atoms of 2^k, and the image
+    of each subset mask under a relabeling."""
+    scanners = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        scanners |= subset_scanners(path)
+    assert scanners == {"lattice.transitive_relations", "corpus.boolean_lattice", "duality._relabel_tables"}
 
 
 def test_only_named_functions_hold_an_lru_cache():

@@ -1,10 +1,10 @@
-"""The one-pass topology code against the forms it replaced, kept here as
-test-only oracles: ``generate_topology`` against the fixpoint loops,
-``BiTopSpace``'s closure check against the scan over the sorted tuple, the
-two-sided predicates against one block per side, and ``dspec_equals_dpt_idl``
-against the form that enumerated the primes of the ideal frame again and
-built their space from their values, and its False on φ families that are
-no topologies.  Pairwise regularity is defined here only, one block per
+"""The topology code against the forms it replaced, kept here as test-only
+oracles: ``generate_topology`` against the fixpoint loops and the two
+passes of ∩ then ∪, ``BiTopSpace``'s closure check against the scan over
+the sorted tuple, the two-sided predicates against one block per side,
+and ``dspec_equals_dpt_idl`` against the form that enumerated the primes of
+the ideal frame again and built their space from their values, and its
+False on φ families that are no topologies.  Pairwise regularity is defined here only, one block per
 side, and checked against zero-dimensionality, which implies it.  The
 literal Pervin subset scan is the oracle for the finite connectedness
 lemma of ``connected_subsets_are_singletons``."""
@@ -43,6 +43,24 @@ def generate_topology_by_fixpoint(n, subbase):
         if not new:
             break
         opens |= new
+    return tuple(sorted(opens, key=lambda m: (m.bit_count(), m)))
+
+
+def generate_topology_by_two_passes(n, subbase):
+    """Oracle: close under finite intersections (the empty intersection is
+    the whole space), then unions, one pass each.  After subbase member s is
+    taken in, the set holds every intersection of the members taken so far,
+    since an intersection that uses s is s ∩ t for t one that does not
+    (s ∩ s = s).  The set is closed under ∩, so a member already in it adds
+    nothing.  The union pass is the same argument with ∪."""
+    inters = {(1 << n) - 1}
+    for s in set(map(int, subbase)):
+        if s not in inters:
+            inters |= {s & t for t in inters}
+    opens = {0}
+    for u in inters:
+        if u not in opens:
+            opens |= {u | v for v in opens}
     return tuple(sorted(opens, key=lambda m: (m.bit_count(), m)))
 
 
@@ -91,6 +109,20 @@ def test_generate_topology_matches_fixpoint_on_corpus_opens(spectra):
         n = len(spec.primes)
         for fam in (spec.phi_plus, spec.phi_minus):
             assert bt.generate_topology(n, fam) == generate_topology_by_fixpoint(n, fam)
+
+
+def test_generate_topology_matches_two_passes(spectra):
+    """Seeded random subbases of up to 7 members on 0-6 points, then the φ₊
+    and φ₋ subbases of the spectra of ``dbool_corpus(5)``."""
+    rng = random.Random(29)
+    for n in range(7):
+        for _ in range(300):
+            subbase = [rng.randrange(1 << n) for _ in range(rng.randrange(8))]
+            assert bt.generate_topology(n, subbase) == generate_topology_by_two_passes(n, subbase), (n, subbase)
+    for spec in spectra:
+        n = len(spec.primes)
+        for fam in (spec.phi_plus, spec.phi_minus):
+            assert bt.generate_topology(n, fam) == generate_topology_by_two_passes(n, fam)
 
 
 def test_closure_check_matches_tuple_scan_per_side():

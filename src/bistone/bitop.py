@@ -19,6 +19,10 @@ S ∩ V nonempty and disjoint.  Reports that depend on it say so.
 ``connected_subsets_are_singletons`` scans no subsets: by the finite lemma
 proved in its docstring, it is the row test of ``is_stone``'s T0 clause on
 the τ₊-open, τ₋-closed sets.
+
+A ``BiTopSpace`` is not changed after ``__init__``, so it holds its own
+dual: the first ``dclop_algebra(space)`` validates the d-clopen algebra and
+stores it as ``space.held_dclop``; later calls return that object.
 """
 
 from dataclasses import dataclass
@@ -32,7 +36,9 @@ from .lattice import bits, closed_sets, down_sets, lattice_from_family, mask_of
 
 
 class BiTopSpace:
-    """Point set with two topologies, each a family of point bitmasks."""
+    """Point set with two topologies, each a family of point bitmasks; not
+    changed after ``__init__``.  ``held_dclop`` is set by the first
+    ``dclop_algebra`` of the space."""
 
     def __init__(self, labels, tau_plus, tau_minus):
         labels = tuple(str(x) for x in labels)
@@ -339,12 +345,19 @@ def dO(space):
 
 
 def dclop_algebra(space):
-    """d-Boolean algebra of d-clopen sets; the pairing is set complement."""
+    """d-Boolean algebra of d-clopen sets; the pairing is set complement.
+
+    Built and validated once per space: the algebra is held on the space
+    (``held_dclop``), and a repeat call returns the same object."""
+    held = getattr(space, "held_dclop", None)
+    if held is not None:
+        return held
     plus, minus = _side_lattices(space, plus_open_minus_closed(space), minus_open_plus_closed(space))
     minus_index = {v: j for j, v in enumerate(minus.sets)}
     dagger = [minus_index[space.full & ~u] for u in plus.sets]
     A = DBooleanAlgebra(plus, minus, *disjoint_and_covering(plus.sets, minus.sets, space.full), dagger)
     require_valid(validate_dboolean(A), "dClop")
+    space.held_dclop = A
     return A
 
 

@@ -11,7 +11,10 @@ and return pair ids, reading the coordinate lattices' ``[a][b]`` tables;
 
 The pair sets are int bitmasks over pair ids, and that is their only
 representation: a ``DLattice`` is immutable once built, and every reader
-works on the masks.
+works on the masks.  Being immutable, it can hold its own dual: the first
+``duality.spectrum(dl)`` writes its result to the ``held_spectrum`` slot,
+and every later call returns that object.  ``__init__`` leaves the slot
+unset, so building a d-lattice costs nothing extra.
 
 Scott-closedness of the consistency predicate degenerates to being a
 down-set here: a directed set in a finite poset contains its own join (it
@@ -103,9 +106,10 @@ from .report import StructReport
 
 class DLattice:
     """Coordinate lattices plus con/tot pair sets (bitmasks over pair ids);
-    immutable once built."""
+    immutable once built.  The ``held_spectrum`` slot is unset until
+    ``duality.spectrum`` writes the d-lattice's spectrum there, once."""
 
-    __slots__ = ("plus", "minus", "con_mask", "tot_mask")
+    __slots__ = ("plus", "minus", "con_mask", "tot_mask", "held_spectrum")
 
     def __init__(self, plus, minus, con_mask, tot_mask):
         object.__setattr__(self, "plus", plus)

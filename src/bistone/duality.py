@@ -73,7 +73,14 @@ class Spectrum:
 def spectrum(dl):
     """Prime d-ideals topologized by the value-tt / value-ff sets: the
     primes in order of their values, with the opens read from their
-    generators (``ideals.prime_pair_opens``)."""
+    generators (``ideals.prime_pair_opens``).
+
+    Built once per d-lattice: the result is held on dl (``held_spectrum``,
+    sound as a ``DLattice`` is immutable), and a repeat call returns the
+    same object."""
+    held = getattr(dl, "held_spectrum", None)
+    if held is not None:
+        return held
     ranked = sorted(((ideal_map(dl, *pair), pair) for pair in prime_pairs(dl)), key=lambda prime: prime[0].values)
     primes = [g for g, _ in ranked]
     phi_plus, phi_minus = prime_pair_opens(dl, [pair for _, pair in ranked])
@@ -83,7 +90,9 @@ def spectrum(dl):
         generate_topology(n, phi_plus),
         generate_topology(n, phi_minus),
     )
-    return Spectrum(dl, space, tuple(primes), phi_plus, phi_minus)
+    spec = Spectrum(dl, space, tuple(primes), phi_plus, phi_minus)
+    object.__setattr__(dl, "held_spectrum", spec)
+    return spec
 
 
 def dspec(dl):
@@ -183,7 +192,8 @@ def dspec_equals_dpt_idl(dl):
     ``spec.primes`` with ``spec.phi_plus`` / ``spec.phi_minus``.  What can
     still fail is that those families are topologies: dSpec carries the
     topologies they generate, which contain them, so each family must
-    already equal its side of dSpec."""
+    already equal its side of dSpec.  The spectrum read is the one held on
+    dl, so after ``unit_roundtrip(dl)`` no prime is enumerated again."""
     spec = spectrum(dl)
     return all(frozenset(phi) == opens for phi, opens in zip((spec.phi_plus, spec.phi_minus), spec.space.open_sets))
 

@@ -145,11 +145,14 @@ LOADERS = {
 
 
 def parse_structure(text):
-    """Parse JSON text into (kind, structure); bad JSON raises ParseError."""
+    """Parse JSON text into (kind, structure); bad JSON, or JSON nested
+    deeper than the decoder's recursion allows, raises ParseError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     kind = obj.get("kind")

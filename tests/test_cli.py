@@ -136,6 +136,29 @@ def test_cli_version_must_be_the_integer_one(tmp_path, capsys, version):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["validate", "--in", "{file}"],
+        ["spec", "--in", "{file}"],
+        ["clop", "--in", "{file}"],
+        ["roundtrip", "--in", "{file}"],
+        ["props", "--suite", "lattice_core", "--corpus", "{dir}"],
+    ],
+    ids=["validate", "spec", "clop", "roundtrip", "props-corpus"],
+)
+def test_cli_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    """JSON nested deeper than the decoder's recursion limit is a parse
+    error with a one-line message; before, each command ended in a
+    RecursionError traceback."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main([arg.format(file=path, dir=corpus) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", "error: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["validate", "--in", "{dir}"],
         ["validate", "--in", "{latin1}"],
         ["props", "--suite", "lattice_core", "--out", "{dir}"],

@@ -5,8 +5,9 @@ passes, the ``props`` workload counts every suite row, the library has no
 ``assert`` statement (its guards raise, so they survive ``python -O``), no
 library module imports numpy, only the named functions scan all n!
 relabelings or all 2^n subsets, only the named functions hold an
-``lru_cache``, and every library definition and method is reached from the
-library or the harness."""
+``lru_cache``, ``DLattice.__init__`` sets only its four fields, and every
+library definition and method is reached from the library or the
+harness."""
 
 import ast
 import importlib
@@ -236,6 +237,24 @@ def test_only_named_functions_hold_an_lru_cache():
         "dlattice.bool_dlattice",
         "duality._relabel_tables",
     }
+
+
+def test_dlattice_init_sets_only_the_four_fields():
+    """``DLattice.__init__`` sets plus, minus, con_mask and tot_mask and
+    nothing else: the held spectrum is written on first read, because a
+    Q2 census builds tens of thousands of d-lattices and most are never
+    asked for their spectrum.  Each field is set either as
+    ``object.__setattr__(self, name, value)`` or as ``self.name = value``."""
+    tree = ast.parse((LIBRARY / "dlattice.py").read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DLattice"]
+    (init,) = [node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    assigned = []
+    for node in ast.walk(init):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+            assigned.append(ast.literal_eval(node.args[1]))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            assigned.append(node.attr)
+    assert assigned == ["plus", "minus", "con_mask", "tot_mask"]
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

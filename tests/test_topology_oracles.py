@@ -280,9 +280,12 @@ def test_dspec_equals_dpt_idl_matches_two_enumerations(bundle):
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_dspec_equals_dpt_idl_is_false_when_a_family_is_no_topology(monkeypatch, side):
     """With two opens of φ₊ or φ₋ merged, that family is no longer a
-    topology: the function returns False instead of raising."""
+    topology: the function returns False instead of raising.  The inputs
+    are built after patching, the four-element object too (not the cached
+    ``bool_dlattice()``, which may hold a spectrum from an earlier test), so
+    each spectrum is built by the patched kernel."""
     merge_two_opens(monkeypatch, side)
-    inputs = [bool_dlattice(), lambda_of_dislat(chain(3)), omega_of_lattice(chain(3))]
+    inputs = [bool_dlattice.__wrapped__(), lambda_of_dislat(chain(3)), omega_of_lattice(chain(3))]
     assert [du.dspec_equals_dpt_idl(dl) for dl in inputs] == [False] * 3
 
 

@@ -86,7 +86,6 @@ trivial.
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .errors import DegeneratePair, InvariantViolation
 from .lattice import (
@@ -163,12 +162,7 @@ class DLattice:
         a2, b2 = self.unpid(q)
         return self.pid(self.plus.join[a1][a2], self.minus.join[b1][b2])
 
-    # -- logic order ---------------------------------------------------------
-
-    def logic_leq(self, p, q):
-        a1, b1 = self.unpid(p)
-        a2, b2 = self.unpid(q)
-        return self.plus.leq(a1, a2) and self.minus.leq(b2, b1)
+    # -- predicates ----------------------------------------------------------
 
     def in_con(self, p):
         return (self.con_mask >> p) & 1 == 1
@@ -198,11 +192,18 @@ def logic_formula_row(L, x, e):
 
 
 def logic_order_lattice(dl):
-    """Carrier under the logic order as a validated lattice (small inputs)."""
-    n = dl.size
-    labels = [dl.pair_label(p) for p in range(n)]
-    leq = [[dl.logic_leq(p, q) for q in range(n)] for p in range(n)]
-    return build_lattice(labels, leq)
+    """Carrier under the logic order as a validated lattice (small inputs).
+
+    (a, b) ≤ (a′, b′) in the logic order iff a ≤ a′ in plus and b′ ≤ b in
+    minus, so the up row of (a, b) is the rows a′ ≥ a intersected with the
+    columns b′ ≤ b: the union of ``minus.down[b] << a′ * n_minus`` over
+    a′ ≥ a, one AND of two ``covered_pairs`` masks."""
+    P, M, n = dl.plus, dl.minus, dl.size
+    rows_above = [covered_pairs(P.n, M.n, up, 0) for up in P.up]
+    columns_below = [covered_pairs(P.n, M.n, 0, down) for down in M.down]
+    up = [rows & columns for rows in rows_above for columns in columns_below]
+    leq = [[(row >> q) & 1 == 1 for q in range(n)] for row in up]
+    return build_lattice([dl.pair_label(p) for p in range(n)], leq)
 
 
 # ---------------------------------------------------------------------------
@@ -843,16 +844,60 @@ def validate_carrier_hom(src, tgt, values):
     return rep  # con or tot: by 1-3 the components preserve their bounds
 
 
+def _con_tot_pairs(src, tgt, plus_maps, minus_maps):
+    """The pairs (f₊, f₋), f₊ from ``plus_maps`` (outer) and f₋ from
+    ``minus_maps`` (inner), each in list order, whose product maps
+    con into con′ and tot into tot′: the pairs ``_con_tot_failure`` passes.
+
+    That holds iff (f₊(a), f₋(b)) ∈ con′ for each (a, b) ∈ con, and so for
+    tot: iff, for each source minus element b, f₋(b) lies in row f₊(a) of
+    con′ for each a with (a, b) ∈ con, and in row f₊(a) of tot′ for each a
+    with (a, b) ∈ tot.  So per f₊ the allowed values of f₋(b) are one mask,
+    ``allowed``, the AND of those target rows, and f₋ passes iff
+    f₋(b) ∈ allowed for every b.  The f₋ with f₋(b) = v are one bitset over
+    the list, so the survivors of a column are the union of the bitsets of
+    its allowed values, and the f₋ that pass are the AND of those unions
+    over the columns, walked in list order."""
+    snm, tnm = src.minus.n, tgt.minus.n
+    full_row = (1 << tnm) - 1
+    target_rows = [
+        tuple((mask >> (a * tnm)) & full_row for a in range(tgt.plus.n)) for mask in (tgt.con_mask, tgt.tot_mask)
+    ]
+    checks = [[] for _ in range(snm)]  # checks[b]: (rows of con′ or tot′, a) per (a, b) in con or tot
+    for rows, mask in zip(target_rows, (src.con_mask, src.tot_mask)):
+        for p in bits(mask):
+            a, b = divmod(p, snm)
+            checks[b].append((rows, a))
+    having = [[0] * tnm for _ in range(snm)]  # having[b][v]: the f₋ with f₋(b) = v
+    for k, fm in enumerate(minus_maps):
+        for b, v in enumerate(fm):
+            having[b][v] |= 1 << k
+    everyone = (1 << len(minus_maps)) - 1
+    for fp in plus_maps:
+        alive = everyone
+        for b, column in enumerate(checks):
+            allowed = full_row
+            for rows, a in column:
+                allowed &= rows[fp[a]]
+            if allowed != full_row:
+                survivors = 0
+                for v in bits(allowed):
+                    survivors |= having[b][v]
+                alive &= survivors
+                if not alive:
+                    break
+        for k in bits(alive):
+            yield fp, minus_maps[k]
+
+
 def enumerate_dlattice_homs(src, tgt):
-    """All d-lattice homomorphisms, as component-map pairs, plus maps outer."""
+    """All d-lattice homomorphisms, as component-map pairs: every pair of
+    lattice homs on the two coordinates (``enumerate_lattice_homs``) that
+    maps con and tot inside con′ and tot′ (``_con_tot_pairs``), plus maps
+    outer and minus maps inner."""
     minus_maps = [fm.mapping for fm in enumerate_lattice_homs(src.minus, tgt.minus)]
-    out = []
-    for fp in enumerate_lattice_homs(src.plus, tgt.plus):
-        for fm in minus_maps:
-            hom = DLatticeHom(src, tgt, fp.mapping, fm)
-            if _con_tot_failure(hom) is None:
-                out.append(hom)
-    return out
+    plus_maps = [fp.mapping for fp in enumerate_lattice_homs(src.plus, tgt.plus)]
+    return [DLatticeHom(src, tgt, fp, fm) for fp, fm in _con_tot_pairs(src, tgt, plus_maps, minus_maps)]
 
 
 def dlattice_equal(d1, d2):
@@ -905,14 +950,14 @@ def find_dboolean_iso(A, B):
 
 
 def find_dlattice_iso(d1, d2):
-    """Isomorphism of general d-lattices: a pair of coordinate isos that
-    maps con and tot onto d2's."""
+    """Isomorphism of general d-lattices: the first pair of coordinate isos
+    (plus isos outer, ``lattice_isos`` order) that maps con and tot onto
+    d2's."""
     # the component maps are bijections, so the image of con is d2's con iff
     # it lies inside it and the sizes agree; so for tot
     if (d1.con_mask.bit_count(), d1.tot_mask.bit_count()) != (d2.con_mask.bit_count(), d2.tot_mask.bit_count()):
         return None
-    for fp, fm in product(lattice_isos(d1.plus, d2.plus), lattice_isos(d1.minus, d2.minus)):
-        hom = DLatticeHom(d1, d2, fp.mapping, fm.mapping)
-        if _con_tot_failure(hom) is None:
-            return hom
-    return None
+    minus_maps = [fm.mapping for fm in lattice_isos(d1.minus, d2.minus)]
+    plus_maps = [fp.mapping for fp in lattice_isos(d1.plus, d2.plus)]
+    found = next(_con_tot_pairs(d1, d2, plus_maps, minus_maps), None)
+    return None if found is None else DLatticeHom(d1, d2, *found)

@@ -7,7 +7,7 @@ Isomorphisms are always witnessed by explicit mutually inverse morphisms;
 read as theorems.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -63,7 +63,6 @@ from .lattice import (
 class Spectrum:
     """dSpec with the generating opens kept for the duality maps."""
 
-    dlattice: DLattice = field(repr=False)
     space: BiTopSpace
     primes: tuple
     phi_plus: tuple   # per plus element, a bitmask over prime indices
@@ -90,7 +89,7 @@ def spectrum(dl):
         generate_topology(n, phi_plus),
         generate_topology(n, phi_minus),
     )
-    spec = Spectrum(dl, space, tuple(primes), phi_plus, phi_minus)
+    spec = Spectrum(space, tuple(primes), phi_plus, phi_minus)
     object.__setattr__(dl, "held_spectrum", spec)
     return spec
 

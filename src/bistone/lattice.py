@@ -303,10 +303,22 @@ def build_lattice(labels, leq):
     """Validate a relation into a bounded distributive lattice.
 
     Raises NotAPoset / NotBounded / NotALattice / NotDistributive with a
-    witness.  Distributivity is Birkhoff's test: a finite lattice is
-    distributive iff every join-irreducible j (see ``join_irreducibles``) is
-    join-prime (j ≤ a ∨ b implies j ≤ a or j ≤ b), that is iff the down-set
-    L ∖ ↑j, nonempty as j ≠ bot, is join-closed: iff it has a greatest element.
+    witness.  Meets and joins are looked up, not searched: the meet of i and
+    j is the m with ↓m = ↓i ∩ ↓j, one lookup in a dict from down rows to
+    elements (rows are distinct, by antisymmetry).  A down-set S has a
+    greatest member m iff S = ↓m: ↓m ⊆ S as S is a down-set holding m, and
+    S ⊆ ↓m as m is greatest; conversely m is in ↓m and above all of it.  So
+    the greatest common lower bound of i and j exists iff ↓i ∩ ↓j is some
+    ↓m, and is then m.  Joins are the dual lookup in up rows, and the bounds
+    are the elements whose up row (bot) or down row (top) is everything.
+    A failure names the first (i, j) with i ≤ j in row-major order that has
+    no meet or no join, the meet checked first.
+
+    Distributivity is Birkhoff's test: a finite lattice is distributive iff
+    every join-irreducible j (see ``join_irreducibles``) is join-prime
+    (j ≤ a ∨ b implies j ≤ a or j ≤ b), that is iff the down-set L ∖ ↑j,
+    nonempty as j ≠ bot, is join-closed: iff it has a greatest element,
+    iff it is a down row.
     ⇒: if j ≤ a ∨ b then j = (j ∧ a) ∨ (j ∧ b), so j = j ∧ a or j = j ∧ b.
     ⇐: with J the join-irreducibles, x ↦ ↓x ∩ J is injective (x is the join
     of J ∩ ↓x), sends ∧ to ∩ and, as each j is join-prime, ∨ to ∪: an
@@ -319,29 +331,31 @@ def build_lattice(labels, leq):
     if n == 0:
         raise NotBounded("empty carrier has no bottom element")
     full = (1 << n) - 1
-    bot = extreme_of(full, poset.up)
-    top = extreme_of(full, poset.down)
+    below = {row: m for m, row in enumerate(poset.down)}.get
+    above = {row: v for v, row in enumerate(poset.up)}.get
+    bot, top = above(full), below(full)
     if bot is None or top is None:
         raise NotBounded("no global bottom/top element")
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
-    for i in range(n):
+    for i, (down_i, up_i) in enumerate(zip(poset.down, poset.up)):
+        meet_row, join_row = meet[i], join[i]
         for j in range(i, n):
-            m = extreme_of(poset.down[i] & poset.down[j], poset.down)
+            m = below(down_i & poset.down[j])
             if m is None:
                 raise NotALattice(
                     f"({poset.labels[i]}, {poset.labels[j]}) has no meet", witness=(i, j)
                 )
-            v = extreme_of(poset.up[i] & poset.up[j], poset.up)
+            v = above(up_i & poset.up[j])
             if v is None:
                 raise NotALattice(
                     f"({poset.labels[i]}, {poset.labels[j]}) has no join", witness=(i, j)
                 )
-            meet[i][j] = meet[j][i] = m
-            join[i][j] = join[j][i] = v
+            meet_row[j] = meet[j][i] = m
+            join_row[j] = join[j][i] = v
     meet, join = tuple(map(tuple, meet)), tuple(map(tuple, join))
     for j, lower in enumerate(poset.cover_down):
-        if lower.bit_count() == 1 and extreme_of(full & ~poset.up[j], poset.down) is None:
+        if lower.bit_count() == 1 and below(full & ~poset.up[j]) is None:
             for a, b, c in product(range(n), repeat=3):
                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
                     raise NotDistributive(

@@ -14,6 +14,7 @@ from .errors import ParseError, UnknownKind
 from .lattice import FinitePoset, bits, build_lattice, mask_of
 
 SCHEMA_VERSION = 1
+JSON_TYPES = {dict: "an object", list: "an array", bool: "a boolean", int: "a number", float: "a number", type(None): "null"}
 
 
 def dumps(obj):
@@ -71,9 +72,19 @@ def _require(obj, key):
 
 
 def _labels(obj, key):
+    """The labels under key: a JSON array of distinct JSON strings.  The
+    first label that is not a string is named by its position and JSON
+    type, and the first that repeats an earlier one by its text."""
     labels = _require(obj, key)
     if not isinstance(labels, list):
         raise ParseError(f"{key} must be a JSON array")
+    seen = set()
+    for i, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise ParseError(f"{key}[{i}] must be a JSON string, not {JSON_TYPES[type(label)]}")
+        if label in seen:
+            raise ParseError(f"{key}[{i}] repeats the label {label!r}")
+        seen.add(label)
     return labels
 
 

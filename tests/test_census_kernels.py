@@ -9,6 +9,8 @@ nested d-lattice hom enumeration; plus the ``python -O`` guards of
 ``validate_dlattice`` calls in one Q2 census pass, and that its
 spatiality checks build no prime map and no space."""
 
+import hashlib
+import random
 import sys
 import textwrap
 from itertools import product
@@ -502,6 +504,31 @@ def test_hom_enumeration_matches_nested_loops():
             assert got == want
             total += len(got)
     assert total
+
+
+def dbool_pairs():
+    """The 576 ordered pairs of the 24 algebras of ``dbool_corpus(4)``."""
+    algebras = dbool_corpus(4)
+    return [(src, tgt) for src in algebras for tgt in algebras]
+
+
+def test_dbool_hom_census_is_pinned():
+    """Over the 576 pairs: 19,702 homs, and the sha256 of the repr of the
+    per-pair lists of (fplus, fminus), in order, as the product scan of
+    ``_con_tot_failure`` gave them."""
+    lists = [[(h.fplus, h.fminus) for h in enumerate_dlattice_homs(src, tgt)] for src, tgt in dbool_pairs()]
+    assert (len(lists), sum(map(len, lists))) == (576, 19702)
+    digest = hashlib.sha256(repr(lists).encode()).hexdigest()
+    assert digest == "fc9a067600282776195259ed5ceb93e49b78cb72a96a10b0cc3e3314d089fa1b"
+
+
+def test_dbool_homs_match_nested_loops_on_a_sample():
+    """On 48 of the 576 pairs, drawn with ``random.Random(31)``, the hom
+    list is the nested reference's, in order."""
+    pairs = dbool_pairs()
+    for k in random.Random(31).sample(range(len(pairs)), 48):
+        want = [(h.fplus, h.fminus) for h in enumerate_dlattice_homs_nested(*pairs[k])]
+        assert [(h.fplus, h.fminus) for h in enumerate_dlattice_homs(*pairs[k])] == want
 
 
 # ---------------------------------------------------------------------------

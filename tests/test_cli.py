@@ -123,6 +123,66 @@ def test_cli_malformed_order_exits_2(tmp_path, capsys, doc, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+
+
+def with_labels(name, *path_and_labels):
+    """A golden input with the label list at each (key, …) path replaced."""
+    with open(os.path.join(GOLDEN_INPUTS, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for *keys, labels in path_and_labels:
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = labels
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "validate",
+            {"kind": "lattice", "version": 1, "elements": [{"a": 1}, [1]], "leq": [[True, True], [False, True]]},
+            "elements[0] must be a JSON string, not an object",
+        ),
+        ("validate", with_labels("space_not_stone.json", ("points", ["a", "a"])), "points[1] repeats the label 'a'"),
+        (
+            "spec",
+            with_labels("dlattice.json", ("minus", "elements", ["0", "c1", "0"])),
+            "elements[2] repeats the label '0'",
+        ),
+        ("spec", with_labels("dlattice.json", ("plus", "elements", ["0", 1, "1"])), "elements[1] must be a JSON string, not a number"),
+        ("clop", with_labels("space_stone.json", ("points", ["a", "a", "c"])), "points[1] repeats the label 'a'"),
+        ("clop", with_labels("space_stone.json", ("points", ["a", "b", None])), "points[2] must be a JSON string, not null"),
+        (
+            "roundtrip",
+            with_labels("dboolean.json", ("plus", "elements", ["{}", "{a}", "{a,b}", "{a,c}", ["{a,b,c}"]])),
+            "elements[4] must be a JSON string, not an array",
+        ),
+        ("roundtrip", with_labels("space_stone.json", ("points", ["a", "b", "b"])), "points[2] repeats the label 'b'"),
+    ],
+    ids=[
+        "validate-object-label",
+        "validate-repeated-point",
+        "spec-repeated-element",
+        "spec-number-label",
+        "clop-repeated-point",
+        "clop-null-point",
+        "roundtrip-array-label",
+        "roundtrip-repeated-point",
+    ],
+)
+def test_cli_labels_must_be_distinct_strings(tmp_path, capsys, command, doc, message):
+    """Element and point labels are distinct JSON strings; before, a label
+    of another JSON type was read through ``str`` and a repeated label was
+    kept, so each of these inputs went through with exit 0 or 1."""
+    path = tmp_path / "labels.json"
+    path.write_text(dumps(doc))
+    assert main([command, "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
 def test_cli_version_must_be_the_integer_one(tmp_path, capsys, version):
     """``True == 1.0 == 1`` in Python, yet only the JSON integer 1 is schema

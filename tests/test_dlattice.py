@@ -2,7 +2,7 @@
 d-complements, the coreflection and the DBL presentation."""
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from bistone.dlattice import (
     DBooleanAlgebra,
     DLattice,
     DLatticeHom,
+    _con_tot_failure,
     _dagger_masks,
     _restriction,
     canonical_lambda_iso,
@@ -32,7 +33,8 @@ from bistone.dlattice import (
     validate_dlattice_hom,
 )
 from bistone.errors import DegeneratePair, InvariantViolation
-from bistone.lattice import FiniteLattice, bits, build_lattice, inverse_permutation, mask_of
+from bistone.lattice import FiniteLattice, bits, build_lattice, inverse_permutation, lattice_isos, mask_of
+from bistone.suites import all_dlattices
 
 
 def one(dl):
@@ -217,6 +219,34 @@ def test_logic_order_is_bounded_lattice(omega3):
     assert lat.top == omega3.tt and lat.bot == omega3.ff
 
 
+def logic_leq(dl, p, q):
+    """Reference: p ≤ q in the logic order, plus coordinate up and minus
+    coordinate down."""
+    a1, b1 = dl.unpid(p)
+    a2, b2 = dl.unpid(q)
+    return dl.plus.leq(a1, a2) and dl.minus.leq(b2, b1)
+
+
+def test_logic_order_rows_match_the_pairwise_relation(bundle):
+    """``logic_order_lattice`` builds its relation from mask rows; the
+    lattice of the pairwise ``logic_leq`` matrix has the same order and
+    tables, on every bundle d-lattice that the ``logic-order`` row builds
+    (carrier of at most 40 pairs)."""
+    checked = 0
+    for dl in all_dlattices(bundle):
+        if dl.size > 40:
+            continue
+        n = dl.size
+        want = build_lattice(
+            [dl.pair_label(p) for p in range(n)], [[logic_leq(dl, p, q) for q in range(n)] for p in range(n)]
+        )
+        got = logic_order_lattice(dl)
+        assert (got.labels, got.up, got.bot, got.top) == (want.labels, want.up, want.bot, want.top)
+        assert (got.meet, got.join) == (want.meet, want.join)
+        checked += 1
+    assert checked == 23
+
+
 def test_omega_three_chain_counts(omega3, chain3):
     # oracle: min/max arithmetic on the chain
     con_pairs = {(a, b) for a in range(3) for b in range(3) if min(a, b) == 0}
@@ -242,6 +272,35 @@ def test_iso_search_rejects_a_larger_con(omega3):
     assert find_dlattice_iso(omega3, omega3) is not None
     assert find_dlattice_iso(omega3, grown) is None
     assert find_dlattice_iso(grown, omega3) is None
+
+
+def find_dlattice_iso_by_product(d1, d2):
+    """Reference: every plus iso times every minus iso, in ``lattice_isos``
+    order, plus isos outer; the first whose images pass
+    ``_con_tot_failure``."""
+    if (d1.con_mask.bit_count(), d1.tot_mask.bit_count()) != (d2.con_mask.bit_count(), d2.tot_mask.bit_count()):
+        return None
+    for fp, fm in product(lattice_isos(d1.plus, d2.plus), lattice_isos(d1.minus, d2.minus)):
+        hom = DLatticeHom(d1, d2, fp.mapping, fm.mapping)
+        if _con_tot_failure(hom) is None:
+            return hom
+    return None
+
+
+def test_iso_search_matches_the_product_scan(bundle):
+    """The image-mask search returns the product scan's first iso, or None,
+    on every ordered pair of bundle d-lattices."""
+    dls = all_dlattices(bundle)
+    found = 0
+    for d1 in dls:
+        for d2 in dls:
+            want, got = find_dlattice_iso_by_product(d1, d2), find_dlattice_iso(d1, d2)
+            if want is None:
+                assert got is None
+                continue
+            assert (got.source, got.target, got.fplus, got.fminus) == (d1, d2, want.fplus, want.fminus)
+            found += 1
+    assert found == 69
 
 
 def test_d_complement_examples(B, omega3):

@@ -7,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from test_dlattice import compose, one, zero
+from test_dlattice import compose, logic_leq, one, zero
 from test_lattice import join_fold
 from test_pair_scan_oracles import prime_sandwich_by_candidates
 from test_validate_oracle import _q2_candidates
@@ -71,10 +71,8 @@ def test_codomain_orders():
     assert BTT | BFF != BFF and BFF | BTT != BTT
     # logic order of the four-element object: ff at the bottom, tt at the
     # top, 0 and 1 incomparable
-    logic_leq = bool_dlattice().logic_leq
-
     def leq(x, y):
-        return logic_leq(b_to_bool_pid(x), b_to_bool_pid(y))
+        return logic_leq(bool_dlattice(), b_to_bool_pid(x), b_to_bool_pid(y))
 
     assert leq(BFF, B0) and leq(B0, BTT)
     assert leq(BFF, B1) and leq(B1, BTT)

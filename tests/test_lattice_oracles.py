@@ -2,13 +2,15 @@
 test-only reference: meet and join tables found by brute force over the
 order, then the numpy triple scan of a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), whose
 first failing (a, b, c) in row-major order is the ``NotDistributive``
-witness.  ``first_index`` also serves the other numpy references in this
+witness.  And against the ``extreme_of`` scan that its row lookups
+replaced, with the same exceptions, messages and witnesses.
+``first_index`` also serves the other numpy references in this
 directory.  The Birkhoff list ``corpus.distributive_lattices`` against the
 trial it replaced: ``build_lattice`` on every unlabeled poset."""
 
 from collections import Counter
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ import pytest
 from test_lattice import pentagon_relation
 
 from bistone.corpus import distributive_lattices, unlabeled_posets
-from bistone.errors import NotALattice, NotBounded, NotDistributive
-from bistone.lattice import FinitePoset, build_lattice
+from bistone.errors import BistoneError, InvariantViolation, NotALattice, NotBounded, NotDistributive
+from bistone.lattice import FiniteLattice, FinitePoset, build_lattice, extreme_of, transitive_relations
 
 
 def first_index(flags):
@@ -85,6 +87,73 @@ def test_distributivity_matches_numpy_triple_scan():
         counts[want[0]] = counts.get(want[0], 0) + 1
     assert counts["ok"] == 1 + 1 + 2 + 3 + 5  # A006982 at 2..6 elements
     assert counts["NotDistributive"] > 0 and counts["NotALattice"] > 0 and counts["NotBounded"] > 0
+
+
+def build_lattice_by_scan(labels, leq):
+    """Reference: ``build_lattice`` with each bound, meet and join found by
+    an ``extreme_of`` scan of the candidates, O(n³) in all."""
+    poset = FinitePoset(labels, leq)
+    n = poset.n
+    if n == 0:
+        raise NotBounded("empty carrier has no bottom element")
+    full = (1 << n) - 1
+    bot = extreme_of(full, poset.up)
+    top = extreme_of(full, poset.down)
+    if bot is None or top is None:
+        raise NotBounded("no global bottom/top element")
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m = extreme_of(poset.down[i] & poset.down[j], poset.down)
+            if m is None:
+                raise NotALattice(f"({poset.labels[i]}, {poset.labels[j]}) has no meet", witness=(i, j))
+            v = extreme_of(poset.up[i] & poset.up[j], poset.up)
+            if v is None:
+                raise NotALattice(f"({poset.labels[i]}, {poset.labels[j]}) has no join", witness=(i, j))
+            meet[i][j] = meet[j][i] = m
+            join[i][j] = join[j][i] = v
+    meet, join = tuple(map(tuple, meet)), tuple(map(tuple, join))
+    for j, lower in enumerate(poset.cover_down):
+        if lower.bit_count() == 1 and extreme_of(full & ~poset.up[j], poset.down) is None:
+            for a, b, c in product(range(n), repeat=3):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    raise NotDistributive(
+                        f"witness triple ({poset.labels[a]}, {poset.labels[b]}, {poset.labels[c]})",
+                        witness=(a, b, c),
+                    )
+            raise InvariantViolation(f"{poset.labels[j]} is not join-prime, yet every triple distributes")
+    return FiniteLattice(poset, bot, top, meet, join)
+
+
+def outcome(build, labels, leq):
+    """The lattice's bounds and tables, or its exception's type, message
+    and witness."""
+    try:
+        L = build(labels, leq)
+    except BistoneError as exc:
+        return type(exc).__name__, str(exc), exc.witness
+    return L.bot, L.top, L.meet, L.join
+
+
+def test_row_lookup_matches_the_extreme_scan():
+    """On the 405 unlabeled posets with 1..6 elements and on every
+    reflexive transitive relation with at most 4 points (antisymmetric or
+    not, bounded or not), ``build_lattice`` gives the scan's bounds and
+    tables, or the same exception, message and witness."""
+    inputs = [(poset.labels, relation(poset)) for poset in unlabeled_posets(6)]
+    assert len(inputs) == 405
+    for n in range(5):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for rows in transitive_relations(n, pairs):
+            inputs.append(([f"x{i}" for i in range(n)], [[(row >> j) & 1 == 1 for j in range(n)] for row in rows]))
+    assert len(inputs) == 405 + 1 + 1 + 4 + 29 + 355  # A000798 at 0..4 points
+    kinds = Counter()
+    for labels, leq in inputs:
+        want = outcome(build_lattice_by_scan, labels, leq)
+        assert outcome(build_lattice, labels, leq) == want, (labels, leq)
+        kinds[want[0] if isinstance(want[0], str) else "ok"] += 1
+    assert set(kinds) == {"ok", "NotBounded", "NotALattice", "NotDistributive", "NotAPoset"}
 
 
 def distributive_lattices_by_trial(max_size):

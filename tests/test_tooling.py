@@ -5,9 +5,9 @@ passes, the ``props`` workload counts every suite row, the library has no
 ``assert`` statement (its guards raise, so they survive ``python -O``), no
 library module imports numpy, only the named functions scan all n!
 relabelings or all 2^n subsets, only the named functions hold an
-``lru_cache``, ``DLattice.__init__`` sets only its four fields, and every
+``lru_cache``, ``DLattice.__init__`` sets only its four fields, every
 library definition and method is reached from the library or the
-harness."""
+harness, and every field of a library class is read by the library."""
 
 import ast
 import importlib
@@ -309,12 +309,38 @@ def definitions(tree):
                     yield node.name, f"{top.name}.{node.name}", (top.lineno, node.lineno)
 
 
+def fields(tree):
+    """(class name, field name) of each field of a top-level class: the
+    annotated names of a ``@dataclass`` and the names in ``__slots__``."""
+    for top in tree.body:
+        if not isinstance(top, ast.ClassDef):
+            continue
+        dataclass = any(ast.unparse(d).partition("(")[0] == "dataclass" for d in top.decorator_list)
+        for node in top.body:
+            if dataclass and isinstance(node, ast.AnnAssign):
+                yield top.name, node.target.id
+            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__slots__"]:
+                for name in ast.literal_eval(node.value):
+                    yield top.name, name
+
+
+# fields the library reads other than as ``x.name``, with how
+UNREAD_FIELDS = {
+    "dlattice.DLattice.held_spectrum": "read by getattr with a default, as the slot is unset until spectrum writes it",
+}
+
+
 def test_every_library_definition_is_reached():
     """Each top-level def, class or assigned name of the library is referred
     to by name, attribute or import, and each method of its classes by
     attribute (``x.rows``; a local variable ``rows`` is no call), in the
     library or in ``bench/*.py``, outside its own statement.  There is no
-    allow-list: a definition only tests reach belongs in ``tests/``."""
+    allow-list: a definition only tests reach belongs in ``tests/``.
+
+    Each field of a library class (``fields``) is read as an attribute
+    somewhere in the library, or is listed in ``UNREAD_FIELDS`` with the
+    way it is read.  Reads are matched by name, as methods are: a field
+    shares its reads with every field or method of the same name."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(LIBRARY.glob("*.py")) + sorted(BENCH.glob("*.py"))
@@ -336,3 +362,16 @@ def test_every_library_definition_is_reached():
             if not any(reaches(site, path, dotted, own) for site in sites[name]):
                 unreached[dotted] = f"{path.stem}.{dotted}"
     assert unreached == {}
+    read = {
+        node.attr
+        for path in LIBRARY.glob("*.py")
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {
+        f"{path.stem}.{cls}.{name}"
+        for path in sorted(LIBRARY.glob("*.py"))
+        for cls, name in fields(trees[path])
+        if name not in read
+    }
+    assert unread == set(UNREAD_FIELDS)

@@ -11,7 +11,9 @@ and return pair ids, reading the coordinate lattices' ``[a][b]`` tables;
 
 The pair sets are int bitmasks over pair ids, and that is their only
 representation: a ``DLattice`` is immutable once built, and every reader
-works on the masks.  Being immutable, it can hold its own dual: the first
+works on the masks.  ``__setattr__`` raises, so ``__init__`` writes its
+four slots through the slot descriptors' setters, bound once after the
+class.  Being immutable, it can hold its own dual: the first
 ``duality.spectrum(dl)`` writes its result to the ``held_spectrum`` slot,
 and every later call returns that object.  ``__init__`` leaves the slot
 unset, so building a d-lattice costs nothing extra.
@@ -53,26 +55,29 @@ order, so that the first whose own mask meets tot names the witness.
 
 What depends only on the two coordinate lattices is one record,
 ``CoordinateTables``, each table built on first read, shared by every pair
-with the same two up rows (``_shared_tables``) and held on the lattice pair
-(``coordinate_tables``): only a pair's first lookup builds a record.
+with the same two up rows (``_shared_tables``).  It is held on the lattice
+pair, in the pair's entry of ``FiniteLattice.paired_tables`` beside the
+pair's report memo (``_pair_entry``; ``coordinate_tables`` reads the record
+from it): only a pair's first lookup builds a record.
 
 Every clause but con–tot reads one predicate alone, so its verdict is a
 function of the record, the side (con or tot) and that side's mask;
 ``validate_dlattice`` decides it once per (side, mask) and keeps it in the
-record's ``verdicts`` (``_side_verdict``), with F(con) when con passes.  A
-record is shared by every coordinate pair with the same up rows, whatever
-their labels, so a verdict holds pair ids, never labels.
+record's ``con_verdicts`` or ``tot_verdicts``, a dict keyed by the mask
+alone (``_side_verdict``), with F(con) when con passes.  A record is
+shared by every coordinate pair with the same up rows, whatever their
+labels, so a verdict holds pair ids, never labels.
 
-``validate_dlattice`` decides every clause for every call and ends with one
-cause in pair ids: a failing side's (side, rank, witness), or for con–tot
-the first failing consistent pair and the lowest total pair in its mask, or
-None for a pass.  Only then are labels read: the labelled report of a cause
+``validate_dlattice`` reads the pair's entry once, record and report memo
+together, decides every clause for every call and ends with one cause in
+pair ids: a failing side's (side, rank, witness), or for con–tot the first
+failing consistent pair and the lowest total pair in its mask, or None for
+a pass.  Only then are labels read: the labelled report of a cause
 (``_report``) is built the first time the cause occurs on a lattice pair
-and kept in a dict beside the pair's record, in the same entry of
-``FiniteLattice.paired_tables``.  Most rejected candidates of a census share
-a few causes per pair, so most calls build no report.  The memo stays off
-the record, which other labellings of the same orders share; a report
-names the labels of its own pair.
+and kept in the memo.  Most rejected candidates of a census share a few
+causes per pair, so most calls build no report.  The memo stays off the
+record, which other labellings of the same orders share; a report names
+the labels of its own pair.
 
 The d-Boolean clauses read order rows as well: a bijection † reverses the
 order iff it maps the up row of each plus element a onto the down row of
@@ -97,6 +102,7 @@ from .lattice import (
     is_lattice_iso,
     lattice_isos,
     low_bit,
+    mask_of,
     prime_generators,
     validate_lattice_hom,
 )
@@ -111,10 +117,10 @@ class DLattice:
     __slots__ = ("plus", "minus", "con_mask", "tot_mask", "held_spectrum")
 
     def __init__(self, plus, minus, con_mask, tot_mask):
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-        object.__setattr__(self, "con_mask", con_mask)
-        object.__setattr__(self, "tot_mask", tot_mask)
+        _set_plus(self, plus)
+        _set_minus(self, minus)
+        _set_con_mask(self, con_mask)
+        _set_tot_mask(self, tot_mask)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -169,6 +175,14 @@ class DLattice:
 
     def in_tot(self, p):
         return (self.tot_mask >> p) & 1 == 1
+
+
+# The slot descriptors' setters, bound once: ``__setattr__`` raises, and
+# these write a slot without the per-call lookup of ``object.__setattr__``.
+_set_plus = DLattice.plus.__set__
+_set_minus = DLattice.minus.__set__
+_set_con_mask = DLattice.con_mask.__set__
+_set_tot_mask = DLattice.tot_mask.__set__
 
 
 def pairs_to_mask(dl, pairs):
@@ -230,16 +244,18 @@ def covered_pairs(n_plus, n_minus, zplus, zminus):
 class CoordinateTables:
     """The tables of a pair of coordinate lattices, each built on first read;
     records compare by ``key``, the up rows, of which every table is a
-    function.  ``verdicts`` maps (side, mask) to the label-free verdict of
-    ``_side_verdict``, filled by ``validate_dlattice``.  A record keeps the
-    lattices' posets and operation tables, not the lattices, so a record
-    held on its own lattice pair makes no reference cycle."""
+    function.  ``con_verdicts`` and ``tot_verdicts`` map a mask to its
+    label-free verdict as con or tot (``_side_verdict``), filled by
+    ``validate_dlattice``.  A record keeps the lattices' posets and
+    operation tables, not the lattices, so a record held on its own lattice
+    pair makes no reference cycle."""
 
     def __init__(self, plus, minus):
         self.posets = (plus.poset, minus.poset)
         self.operations = ((plus.meet, plus.join), (minus.meet, minus.join))
         self.key = (plus.poset.up, minus.poset.up)
-        self.verdicts = {}
+        self.con_verdicts = {}
+        self.tot_verdicts = {}
 
     def __eq__(self, other):
         return self.key == other.key
@@ -311,18 +327,30 @@ class CoordinateTables:
             for L, masks in zip(self.posets, self.down_masks)
         )
 
+    @cached_property
+    def meet_irreducibles(self):
+        """Per coordinate lattice, the mask of its elements with one upper
+        cover, the prime generators: the sides clause (i) of
+        ``duality.spatiality_check`` asks for."""
+        return tuple(mask_of(prime_generators(L)) for L in self.posets)
 
-def coordinate_tables(dl):
-    """The shared ``CoordinateTables`` with the up rows of dl, held on its
-    plus lattice per minus lattice (``FiniteLattice.paired_tables``, with
-    the pair's report memo): a repeat lookup for the pair is one dict read
-    keyed by identity, and only the first builds a record, to look up in
-    ``_shared_tables``."""
+
+def _pair_entry(dl):
+    """The entry of dl's lattice pair, (record, report memo), held on its
+    plus lattice per minus lattice (``FiniteLattice.paired_tables``): a
+    repeat read for the pair is one dict read keyed by identity, and only
+    the first builds a record, to look up in ``_shared_tables``."""
     held = dl.plus.paired_tables
     entry = held.get(dl.minus)
     if entry is None:
         entry = held[dl.minus] = (_shared_tables(CoordinateTables(dl.plus, dl.minus)), {})
-    return entry[0]
+    return entry
+
+
+def coordinate_tables(dl):
+    """The shared ``CoordinateTables`` with the up rows of dl, read from its
+    lattice pair's entry (``_pair_entry``)."""
+    return _pair_entry(dl)[0]
 
 
 @lru_cache(maxsize=128)
@@ -434,20 +462,19 @@ def validate_dlattice(dl):
     then con–tot.  The clauses are decided in pair ids, and the report of
     the cause is read from the lattice pair's memo (module docstring)."""
     P, M = dl.plus, dl.minus
-    tables = coordinate_tables(dl)
+    tables, reports = _pair_entry(dl)
     if P.poset.n < 2 or M.poset.n < 2:
         return StructReport.failed(
             "degenerate-pair",
             message="{tt,ff} = {1,0}: a coordinate lattice is trivial",
         )
     con, tot = dl.con_mask, dl.tot_mask
-    verdicts = tables.verdicts
-    con_verdict = verdicts.get(("con", con))
+    con_verdict = tables.con_verdicts.get(con)
     if con_verdict is None:
-        con_verdict = verdicts["con", con] = _side_verdict(dl, tables, "con", con)
-    tot_verdict = verdicts.get(("tot", tot))
+        con_verdict = tables.con_verdicts[con] = _side_verdict(dl, tables, "con", con)
+    tot_verdict = tables.tot_verdicts.get(tot)
     if tot_verdict is None:
-        tot_verdict = verdicts["tot", tot] = _side_verdict(dl, tables, "tot", tot)
+        tot_verdict = tables.tot_verdicts[tot] = _side_verdict(dl, tables, "tot", tot)
     cause = None
     if tot_verdict[0] < con_verdict[0]:
         cause = ("tot", *tot_verdict)
@@ -463,7 +490,6 @@ def validate_dlattice(dl):
                 if tot & not_above:
                     cause = ("con-tot", p, low_bit(tot & not_above))
                     break
-    reports = P.paired_tables[M][1]
     report = reports.get(cause)
     if report is None:
         report = reports[cause] = _report(dl, cause)

@@ -46,7 +46,7 @@ from .errors import (
     NotStone,
     NotZeroDimensional,
 )
-from .ideals import ideal_map, prime_pair_opens, prime_pairs
+from .ideals import _covering_pairs, ideal_map, prime_pair_opens, prime_pairs
 from .lattice import (
     bits,
     classical_spec,
@@ -200,9 +200,11 @@ def dspec_equals_dpt_idl(dl):
 def spatial_reflection(dl):
     """sp(dl) = (plus, minus, D, C): dl's coordinate lattices with, as con,
     the pairs whose opens φ₊(a), φ₋(b) over the primes are disjoint and, as
-    tot, those whose opens cover every prime, built as masks over the prime
-    generators of ``prime_pairs`` with no opens.  The masks are proved, and
-    the clause (i) guard below is justified, in ``spatiality_check``.
+    tot, those whose opens cover every prime, built with no opens from the
+    covering scan behind ``prime_pairs`` (``ideals._covering_pairs``), which
+    hands each prime pair (u_k, v_k) over with its masks R_k and K_k.  The
+    masks are proved, and the clause (i) guard below is justified, in
+    ``spatiality_check``.
 
     On a valid dl, con ⊆ D and tot ⊆ C: the prime d-ideal g_k is a hom into
     the four-element object (``dlattice.bool_dlattice``), whose con lacks 1
@@ -215,17 +217,16 @@ def spatial_reflection(dl):
     as ↓u_k is prime; a ∨ a′ ≰ u_k iff one is not), and D and C are the
     preimages under them of con and tot of dO of the spectrum
     (``bitop.dO``), whose axioms pull back along lattice embeddings."""
-    plus_rows, minus_cols = coordinate_tables(dl).down_masks
+    tables = coordinate_tables(dl)
     disjoint = covering = (1 << dl.size) - 1
     plus_sides = minus_sides = 0
-    for u, v in prime_pairs(dl):
-        rows_u, cols_v = plus_rows[u][1], minus_cols[v][1]
+    for u, rows_u, v, cols_v in _covering_pairs(dl.con_mask, dl.tot_mask, *tables.prime_masks):
         disjoint &= rows_u | cols_v
         covering &= ~(rows_u & cols_v)
         plus_sides |= 1 << u
         minus_sides |= 1 << v
-    for sign, L, sides in (("₊", dl.plus.poset, plus_sides), ("₋", dl.minus.poset, minus_sides)):
-        if any(row.bit_count() == 1 and not (sides >> m) & 1 for m, row in enumerate(L.cover_up)):
+    for sign, irreducible, sides in zip("₊₋", tables.meet_irreducibles, (plus_sides, minus_sides)):
+        if irreducible & ~sides:
             raise InvariantViolation(f"spatiality clause (i): φ{sign} is not injective on a d-lattice")
     return DLattice(dl.plus, dl.minus, disjoint, covering)
 
@@ -276,6 +277,13 @@ def spatiality_check(dl):
     (u, v) is in ``prime_pairs``.  The minus side is dual.  The guard in
     ``spatial_reflection`` only catches a fault in the code this proof
     relies on.
+
+    The guard is one AND per side.  ``CoordinateTables.meet_irreducibles``
+    holds, per coordinate lattice, the mask of the elements with one upper
+    cover (``lattice.prime_generators``), built once per record, and the
+    sides are the mask of the u_k.  ``irreducible & ~sides`` is nonzero iff
+    some element with one upper cover is no side, which is what a scan of
+    the cover rows asks of each element.
     """
     sp = spatial_reflection(dl)
     con_diff, tot_diff = dl.con_mask ^ sp.con_mask, dl.tot_mask ^ sp.tot_mask

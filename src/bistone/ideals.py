@@ -300,9 +300,11 @@ def _covering_pairs(required, avoid, plus_masks, minus_masks):
     """The mask test behind every enumeration here: the (u, v), in order of
     u and then v over the (generator, covered-pair mask) entries of
     ``plus_masks`` and ``minus_masks`` (see ``CoordinateTables``), whose
-    masks together cover ``required`` and share no pair of ``avoid``."""
+    masks together cover ``required`` and share no pair of ``avoid``; each
+    as (u, rows_u, v, cols_v), with its two masks for the callers that read
+    them (``duality.spatial_reflection``)."""
     return [
-        (u, v)
+        (u, rows_u, v, cols_v)
         for u, rows_u in plus_masks
         for v, cols_v in minus_masks
         if not required & ~(rows_u | cols_v) and not avoid & rows_u & cols_v
@@ -313,7 +315,7 @@ def prime_pairs(dl):
     """The generators (u, v) of the prime d-ideals, in the order of
     ``enumerate_prime_d_ideals``: the pairs of prime generators whose
     (↓u, ↓v) covers con and avoids tot."""
-    return _covering_pairs(dl.con_mask, dl.tot_mask, *coordinate_tables(dl).prime_masks)
+    return [(u, v) for u, _, v, _ in _covering_pairs(dl.con_mask, dl.tot_mask, *coordinate_tables(dl).prime_masks)]
 
 
 def prime_pair_opens(dl, pairs):
@@ -342,7 +344,7 @@ def enumerate_d_ideal_maps(dl):
     in ↓v and in ↓u, and the zero sets of the two bit planes,
     ↓u × M = ↓(u, top) and P × ↓v = ↓(top, v), are principal, so g
     preserves joins (see ``validate_d_ideal_map``)."""
-    return [ideal_map(dl, u, v) for u, v in _covering_pairs(dl.con_mask, 0, *coordinate_tables(dl).down_masks)]
+    return [ideal_map(dl, u, v) for u, _, v, _ in _covering_pairs(dl.con_mask, 0, *coordinate_tables(dl).down_masks)]
 
 
 def enumerate_d_filter_maps(dl):
@@ -358,7 +360,7 @@ def enumerate_d_filter_maps(dl):
     up_plus, up_minus = dl.plus.up, dl.minus.up
     return [
         BMap(dl, four_case_values(dl, up_plus[u], up_minus[v]))
-        for u, v in _covering_pairs(dl.tot_mask, 0, *coordinate_tables(dl).up_masks)
+        for u, _, v, _ in _covering_pairs(dl.tot_mask, 0, *coordinate_tables(dl).up_masks)
     ]
 
 

@@ -14,7 +14,15 @@ from .errors import ParseError, UnknownKind
 from .lattice import FinitePoset, bits, build_lattice, mask_of
 
 SCHEMA_VERSION = 1
-JSON_TYPES = {dict: "an object", list: "an array", bool: "a boolean", int: "a number", float: "a number", type(None): "null"}
+JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    bool: "a boolean",
+    int: "a number",
+    float: "a number",
+    type(None): "null",
+}
 
 
 def dumps(obj):
@@ -65,37 +73,39 @@ def bitop_to_json(space):
     }
 
 
-def _require(obj, key):
+def _require(obj, key, where=""):
+    """obj[key]; ``where`` is the path of obj in the file (``"minus."``),
+    with which every error names the field."""
     if key not in obj:
-        raise ParseError(f"missing field {key!r}")
+        raise ParseError(f"missing field {where + key!r}")
     return obj[key]
 
 
-def _labels(obj, key):
+def _labels(obj, key, where=""):
     """The labels under key: a JSON array of distinct JSON strings.  The
     first label that is not a string is named by its position and JSON
     type, and the first that repeats an earlier one by its text."""
-    labels = _require(obj, key)
+    labels = _require(obj, key, where)
     if not isinstance(labels, list):
-        raise ParseError(f"{key} must be a JSON array")
+        raise ParseError(f"{where}{key} must be a JSON array")
     seen = set()
     for i, label in enumerate(labels):
         if not isinstance(label, str):
-            raise ParseError(f"{key}[{i}] must be a JSON string, not {JSON_TYPES[type(label)]}")
+            raise ParseError(f"{where}{key}[{i}] must be a JSON string, not {JSON_TYPES[type(label)]}")
         if label in seen:
-            raise ParseError(f"{key}[{i}] repeats the label {label!r}")
+            raise ParseError(f"{where}{key}[{i}] repeats the label {label!r}")
         seen.add(label)
     return labels
 
 
-def _order(obj):
+def _order(obj, where=""):
     """The elements of a poset or lattice and its leq, an n × n array of
     JSON booleans."""
-    labels, leq = _labels(obj, "elements"), _require(obj, "leq")
+    labels, leq = _labels(obj, "elements", where), _require(obj, "leq", where)
     n = len(labels)
     square = isinstance(leq, list) and len(leq) == n and all(isinstance(row, list) and len(row) == n for row in leq)
     if not (square and all(isinstance(x, bool) for row in leq for x in row)):
-        raise ParseError(f"leq must be a {n} x {n} array of booleans")
+        raise ParseError(f"{where}leq must be a {n} x {n} array of booleans")
     return labels, leq
 
 
@@ -107,9 +117,26 @@ def lattice_from_json(obj):
     return build_lattice(*_order(obj))
 
 
+def _side(obj, key):
+    """The coordinate lattice under key, a JSON object; an error inside it
+    names its field under key (``minus.elements[2]``)."""
+    side = _require(obj, key)
+    if not isinstance(side, dict):
+        raise ParseError(f"{key} must be a JSON object, not {JSON_TYPES[type(side)]}")
+    return build_lattice(*_order(side, f"{key}."))
+
+
 def _pair_mask(shell, obj, key):
-    pairs = [tuple(p) for p in _require(obj, key)]
-    for a, b in pairs:
+    """The pair set under key: a JSON array of [plus index, minus index]
+    arrays.  The first bad entry is named, by its position when it is not
+    such an array and by its indices when one is out of range."""
+    pairs = _require(obj, key)
+    if not isinstance(pairs, list):
+        raise ParseError(f"{key} must be a JSON array")
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ParseError(f"{key}[{i}] must be an array of two indices")
+        a, b = pair
         if not (_index_below(a, shell.plus.n) and _index_below(b, shell.minus.n)):
             raise ParseError(f"{key} pair ({a!r},{b!r}) is out of range")
     return pairs_to_mask(shell, pairs)
@@ -120,14 +147,13 @@ def _index_below(x, n):
 
 
 def dlattice_from_json(obj):
-    plus = lattice_from_json(_require(obj, "plus"))
-    minus = lattice_from_json(_require(obj, "minus"))
+    plus, minus = _side(obj, "plus"), _side(obj, "minus")
     shell = DLattice(plus, minus, 0, 0)
     con = _pair_mask(shell, obj, "con")
     tot = _pair_mask(shell, obj, "tot")
     if obj.get("kind") == "dboolean":
         dagger = _require(obj, "dagger")
-        if len(dagger) != plus.n or not all(_index_below(b, minus.n) for b in dagger):
+        if not isinstance(dagger, list) or len(dagger) != plus.n or not all(_index_below(b, minus.n) for b in dagger):
             raise ParseError(f"dagger must list {plus.n} indices below {minus.n}")
         return DBooleanAlgebra(plus, minus, con, tot, tuple(dagger))
     return DLattice(plus, minus, con, tot)

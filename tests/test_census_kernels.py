@@ -565,6 +565,41 @@ def test_clause_i_guard_survives_python_O(run_python):
     )
 
 
+def test_clause_i_guard_reads_the_meet_irreducible_mask_under_python_O(run_python):
+    """With one extra bit in a record's meet-irreducible mask, that of the
+    top, which is never a prime generator and so never a side, the clause
+    (i) guard of ``spatiality_check`` raises under ``python -O``, for the
+    extra bit on either side."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from bistone import duality as du
+        from bistone.dlattice import CoordinateTables, bool_dlattice
+        from bistone.errors import InvariantViolation
+
+        genuine = CoordinateTables.meet_irreducibles
+        for index in (0, 1):
+            def with_top(tables):
+                masks = list(genuine.__get__(tables, CoordinateTables))
+                masks[index] |= 1 << tables.posets[index].cover_up.index(0)  # the top
+                return tuple(masks)
+
+            CoordinateTables.meet_irreducibles = property(with_top)
+            try:
+                du.spatiality_check(bool_dlattice())
+            except InvariantViolation as exc:
+                print(type(exc).__name__, exc, sys.flags.optimize)
+            CoordinateTables.meet_irreducibles = genuine
+        print(du.spatiality_check(bool_dlattice()))
+        """
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "".join(
+        f"InvariantViolation spatiality clause (i): φ{sign} is not injective on a d-lattice 1\n" for sign in "₊₋"
+    ) + "(True, 'spatial')\n"
+
+
 def test_eta_guard_survives_python_O(run_python):
     """The ``eta-unit`` row validates the unit as a hom, and still reports
     a failed validation under ``python -O``."""

@@ -126,15 +126,15 @@ def test_cli_malformed_order_exits_2(tmp_path, capsys, doc, message):
 GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
 
 
-def with_labels(name, *path_and_labels):
-    """A golden input with the label list at each (key, …) path replaced."""
+def with_fields(name, *path_and_values):
+    """A golden input with the value at each (key, …) path replaced."""
     with open(os.path.join(GOLDEN_INPUTS, name), encoding="utf-8") as fh:
         doc = json.load(fh)
-    for *keys, labels in path_and_labels:
+    for *keys, value in path_and_values:
         node = doc
         for key in keys[:-1]:
             node = node[key]
-        node[keys[-1]] = labels
+        node[keys[-1]] = value
     return doc
 
 
@@ -146,21 +146,25 @@ def with_labels(name, *path_and_labels):
             {"kind": "lattice", "version": 1, "elements": [{"a": 1}, [1]], "leq": [[True, True], [False, True]]},
             "elements[0] must be a JSON string, not an object",
         ),
-        ("validate", with_labels("space_not_stone.json", ("points", ["a", "a"])), "points[1] repeats the label 'a'"),
+        ("validate", with_fields("space_not_stone.json", ("points", ["a", "a"])), "points[1] repeats the label 'a'"),
         (
             "spec",
-            with_labels("dlattice.json", ("minus", "elements", ["0", "c1", "0"])),
-            "elements[2] repeats the label '0'",
+            with_fields("dlattice.json", ("minus", "elements", ["0", "c1", "0"])),
+            "minus.elements[2] repeats the label '0'",
         ),
-        ("spec", with_labels("dlattice.json", ("plus", "elements", ["0", 1, "1"])), "elements[1] must be a JSON string, not a number"),
-        ("clop", with_labels("space_stone.json", ("points", ["a", "a", "c"])), "points[1] repeats the label 'a'"),
-        ("clop", with_labels("space_stone.json", ("points", ["a", "b", None])), "points[2] must be a JSON string, not null"),
+        (
+            "spec",
+            with_fields("dlattice.json", ("plus", "elements", ["0", 1, "1"])),
+            "plus.elements[1] must be a JSON string, not a number",
+        ),
+        ("clop", with_fields("space_stone.json", ("points", ["a", "a", "c"])), "points[1] repeats the label 'a'"),
+        ("clop", with_fields("space_stone.json", ("points", ["a", "b", None])), "points[2] must be a JSON string, not null"),
         (
             "roundtrip",
-            with_labels("dboolean.json", ("plus", "elements", ["{}", "{a}", "{a,b}", "{a,c}", ["{a,b,c}"]])),
-            "elements[4] must be a JSON string, not an array",
+            with_fields("dboolean.json", ("plus", "elements", ["{}", "{a}", "{a,b}", "{a,c}", ["{a,b,c}"]])),
+            "plus.elements[4] must be a JSON string, not an array",
         ),
-        ("roundtrip", with_labels("space_stone.json", ("points", ["a", "b", "b"])), "points[2] repeats the label 'b'"),
+        ("roundtrip", with_fields("space_stone.json", ("points", ["a", "b", "b"])), "points[2] repeats the label 'b'"),
     ],
     ids=[
         "validate-object-label",
@@ -178,6 +182,44 @@ def test_cli_labels_must_be_distinct_strings(tmp_path, capsys, command, doc, mes
     of another JSON type was read through ``str`` and a repeated label was
     kept, so each of these inputs went through with exit 0 or 1."""
     path = tmp_path / "labels.json"
+    path.write_text(dumps(doc))
+    assert main([command, "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "validate",
+            with_fields("dboolean.json", ("minus", "elements", ["{}", "{a}", "{a,b}", "{a}", "{a,b,c}"])),
+            "minus.elements[3] repeats the label '{a}'",
+        ),
+        ("spec", with_fields("dlattice.json", ("plus", [1])), "plus must be a JSON object, not an array"),
+        ("spec", with_fields("dlattice.json", ("minus", "leq", None)), "minus.leq must be a 3 x 3 array of booleans"),
+        ("spec", with_fields("dlattice.json", ("con", [1])), "con[0] must be an array of two indices"),
+        ("spec", with_fields("dlattice.json", ("tot", "ab")), "tot must be a JSON array"),
+        ("roundtrip", with_fields("dboolean.json", ("tot", [[0, 0], [1, 0, 1]])), "tot[1] must be an array of two indices"),
+        ("roundtrip", with_fields("dboolean.json", ("dagger", 5)), "dagger must list 5 indices below 5"),
+    ],
+    ids=[
+        "validate-repeated-minus-label",
+        "spec-plus-list",
+        "spec-minus-leq",
+        "spec-con-int",
+        "spec-tot-string",
+        "roundtrip-tot-triple",
+        "roundtrip-dagger-int",
+    ],
+)
+def test_cli_dlattice_errors_name_their_field(tmp_path, capsys, command, doc, message):
+    """An error inside a d-lattice file's plus or minus lattice names its
+    side, and a con or tot entry that is not an array of two indices is
+    named by its position; before, these read ``elements[3] …``, ``missing
+    field 'elements'`` and ``leq must be …`` with no side, or ``malformed
+    dlattice:`` or ``malformed dboolean:`` with a Python error such as
+    ``'int' object is not iterable``."""
+    path = tmp_path / "dlattice.json"
     path.write_text(dumps(doc))
     assert main([command, "--in", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -46,6 +46,45 @@ def test_a_repeat_call_returns_the_same_dual():
     assert len({id(bt.dclop_algebra(X)) for _, X in items}) == 87
 
 
+def refuses_writes(x, names):
+    for name in names + ("unknown",):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(x, name)
+
+
+def test_a_dlattice_is_immutable_and_holds_its_spectrum_once(monkeypatch):
+    """A ``DLattice`` and a ``DBooleanAlgebra`` refuse ``setattr`` and
+    ``delattr`` on every field, before and after their spectrum is held;
+    ``__init__`` leaves ``held_spectrum`` unset, and the first
+    ``spectrum`` call writes it, once: the repeat call enumerates no
+    prime."""
+    A = lambda_of_dislat(birkhoff(unlabeled_posets(3)[2]))
+    dl = DLattice(A.plus, A.minus, A.con_mask, A.tot_mask)
+    enumerations = 0
+    genuine = du.prime_pairs
+
+    def counting(d):
+        nonlocal enumerations
+        enumerations += 1
+        return genuine(d)
+
+    monkeypatch.setattr(du, "prime_pairs", counting)
+    for x, names in ((dl, ()), (A, ("dagger", "dagger_inv"))):
+        names = ("plus", "minus", "con_mask", "tot_mask") + names
+        before = [getattr(x, name) for name in names]
+        assert not hasattr(x, "held_spectrum")
+        refuses_writes(x, names + ("held_spectrum",))
+        assert not hasattr(x, "held_spectrum")
+        enumerations = 0
+        spec = du.spectrum(x)
+        assert x.held_spectrum is spec and enumerations == 1
+        assert du.spectrum(x) is spec and enumerations == 1
+        refuses_writes(x, names + ("held_spectrum",))
+        assert x.held_spectrum is spec and [getattr(x, name) for name in names] == before
+
+
 def test_the_held_dual_equals_the_dual_of_a_fresh_input():
     for A, X in corpus_items():
         held = du.spectrum(A)

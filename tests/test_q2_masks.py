@@ -9,7 +9,10 @@ record against the lattice's own tables, what the record cache holds
 after the duality corpus, the label-free side verdicts each record
 keeps for ``validate_dlattice``, the reports each lattice pair keeps
 beside its record, and the spatial reflection against the opens φ₊ × φ₋
-that ``spatiality_check`` read before it.  The closed pair sets the Q2
+that ``spatiality_check`` read before it and against the prime-pair scan
+that indexed the record's ``down_masks`` (``spatial_reflection_by_prime_pairs``),
+with each record's meet-irreducible masks against the prime generators.
+The closed pair sets the Q2
 census starts from (``duality._down_sets_of_product`` and
 ``_up_sets_containing``) are checked against the product-row closure and
 the cover-step search they replaced."""
@@ -19,6 +22,7 @@ from functools import lru_cache
 
 import pytest
 from test_dlattice import one
+from test_census_kernels import prime_masks_dropping_last
 from test_hom_oracles import prime_ideals_numpy
 from test_validate_oracle import _q2_candidates, _single_bit_mutants, pair_rows
 
@@ -49,7 +53,7 @@ from bistone.ideals import (
     prime_pairs,
     validate_d_filter_map,
 )
-from bistone.lattice import FiniteLattice, birkhoff, bits, build_lattice, low_bit, prime_generators
+from bistone.lattice import FiniteLattice, birkhoff, bits, build_lattice, low_bit, mask_of, prime_generators
 from bistone.report import StructReport
 
 
@@ -252,7 +256,7 @@ def test_reports_from_a_shared_record_carry_the_callers_labels(monkeypatch):
         ]
         assert all(first.witness != second.witness for first, second, _, _ in reports.values())
         assert all(again is first and again2 is second for first, second, again, again2 in reports.values())
-        leaves = reachable_leaves(tables.verdicts)
+        leaves = reachable_leaves((tables.con_verdicts, tables.tot_verdicts))
         assert leaves and all(type(leaf) in (int, str, type(None)) for leaf in leaves)
         assert not labels & {leaf for leaf in leaves if type(leaf) is str}
 
@@ -470,6 +474,67 @@ def test_spatial_reflection_matches_the_opens(bound5, corpus):
     }
 
 
+def spatial_reflection_by_prime_pairs(dl):
+    """Oracle: ``duality.spatial_reflection`` as it read its masks before,
+    indexing the record's ``down_masks`` at each pair of a fresh
+    ``prime_pairs`` list, with the clause (i) guard scanning the cover
+    rows of each coordinate lattice for a meet-irreducible that is no
+    side."""
+    plus_rows, minus_cols = coordinate_tables(dl).down_masks
+    disjoint = covering = (1 << dl.size) - 1
+    plus_sides = minus_sides = 0
+    for u, v in prime_pairs(dl):
+        rows_u, cols_v = plus_rows[u][1], minus_cols[v][1]
+        disjoint &= rows_u | cols_v
+        covering &= ~(rows_u & cols_v)
+        plus_sides |= 1 << u
+        minus_sides |= 1 << v
+    for sign, L, sides in (("₊", dl.plus.poset, plus_sides), ("₋", dl.minus.poset, minus_sides)):
+        if any(row.bit_count() == 1 and not (sides >> m) & 1 for m, row in enumerate(L.cover_up)):
+            raise InvariantViolation(f"spatiality clause (i): φ{sign} is not injective on a d-lattice")
+    return DLattice(dl.plus, dl.minus, disjoint, covering)
+
+
+def test_spatial_reflection_matches_the_prime_pair_scan(bound5, corpus, monkeypatch):
+    """On every valid bound-5 candidate and every λ(birkhoff p), p ≤ 5,
+    sp(dl) read from the masks of the covering scan equals the oracle's,
+    and ``spatiality_check`` gives the (verdict, detail) it gives on the
+    oracle's reflection.  With the last prime generator of either side
+    dropped, both raise the clause (i) guard on the corpus."""
+    _, valid = bound5
+    inputs = valid + [A for A, _ in corpus]
+    for dl in inputs:
+        got, want = du.spatial_reflection(dl), spatial_reflection_by_prime_pairs(dl)
+        assert (got.plus, got.minus, got.con_mask, got.tot_mask) == (want.plus, want.minus, want.con_mask, want.tot_mask)
+    got = [du.spatiality_check(dl) for dl in inputs]
+    with monkeypatch.context() as patched:
+        patched.setattr(du, "spatial_reflection", spatial_reflection_by_prime_pairs)
+        assert [du.spatiality_check(dl) for dl in inputs] == got
+    assert (len(inputs), sum(not spatial for spatial, _ in got)) == (2269 + 87, 248)
+    for side, sign in (("plus", "₊"), ("minus", "₋")):
+        with monkeypatch.context() as patched:
+            patched.setattr(CoordinateTables, "prime_masks", prime_masks_dropping_last(side))
+            for A, _ in corpus:
+                for reflection in (du.spatial_reflection, spatial_reflection_by_prime_pairs):
+                    with pytest.raises(InvariantViolation, match=f"clause \\(i\\): φ{sign} is not injective"):
+                        reflection(A)
+
+
+def test_meet_irreducible_masks_match_prime_generators():
+    """The meet-irreducible masks held on the record of each pair of
+    coordinate lattices up to size 7 (20 lattices, 400 pairs) are the masks
+    of ``prime_generators`` and of the numpy prime-ideal scan."""
+    lattices = distributive_lattices(7)
+    assert len(lattices) == 20
+    generators = {id(L): mask_of(prime_generators(L)) for L in lattices}
+    assert all(generators[id(L)] == mask_of(prime_ideals_numpy(L)) for L in lattices)
+    for plus in lattices:
+        for minus in lattices:
+            tables = coordinate_tables(DLattice(plus, minus, 0, 0))
+            assert tables.meet_irreducibles == (generators[id(plus)], generators[id(minus)])
+            assert tables.meet_irreducibles is tables.meet_irreducibles
+
+
 def test_every_coordinate_prime_extends_to_a_prime_d_ideal(bound5):
     """The lemma that makes spatiality clause (i) hold: on every valid
     d-lattice, each prime ideal ↓u of either coordinate lattice (generators
@@ -543,7 +608,16 @@ def test_primes_match_filter_validator_scan(bound5, corpus, monkeypatch):
 # ---------------------------------------------------------------------------
 # the record cache
 
-TABLE_FIELDS = {"down_steps", "up_steps", "logic", "not_above", "down_masks", "up_masks", "prime_masks"}
+TABLE_FIELDS = {
+    "down_steps",
+    "up_steps",
+    "logic",
+    "not_above",
+    "down_masks",
+    "up_masks",
+    "prime_masks",
+    "meet_irreducibles",
+}
 # the tables a table is built from
 TABLE_READS = {"prime_masks": {"down_masks"}}
 
@@ -589,27 +663,39 @@ def test_first_read_builds_only_that_table(corpus):
 
 
 def test_validate_dlattice_looks_up_one_record(bound5, monkeypatch):
-    """Each ``validate_dlattice`` call, whatever clause fails, makes exactly
-    one ``coordinate_tables`` lookup."""
+    """Each ``validate_dlattice`` call, whatever clause fails, reads its
+    lattice pair's entry, record and reports together, exactly once
+    (``_pair_entry``, through which ``coordinate_tables`` reads too)."""
+    valid = bound5[1][:200]
+    inputs = _q2_candidates(3) + valid + [m for dl in valid for m in _single_bit_mutants(dl)]
+    inputs += down_up_pairs(build_lattice(list("0xy1"), DIAMOND), build_lattice(list("0m1"), CHAIN3))
+    two = build_lattice(["0", "1"], [[True, True], [False, True]])
+    one = build_lattice(["0"], [[True]])
+    inputs += [DLattice(one, two, 0b11, 0b11)]
     lookups = 0
-    genuine = dlattice_module.coordinate_tables
+    genuine = dlattice_module._pair_entry
 
     def counting(dl):
         nonlocal lookups
         lookups += 1
         return genuine(dl)
 
-    monkeypatch.setattr(dlattice_module, "coordinate_tables", counting)
-    valid = bound5[1][:200]
-    inputs = _q2_candidates(3) + valid + [m for dl in valid for m in _single_bit_mutants(dl)]
-    two = build_lattice(["0", "1"], [[True, True], [False, True]])
-    one = build_lattice(["0"], [[True]])
-    inputs += [DLattice(one, two, 0b11, 0b11)]
+    monkeypatch.setattr(dlattice_module, "_pair_entry", counting)
     axioms = set()
     for calls, dl in enumerate(inputs, start=1):
         axioms.add(validate_dlattice(dl).axiom)
         assert lookups == calls
-    assert {None, "degenerate-pair", "con-tt-ff", "con-scott-closed", "tot-upper-set", "con-tot"} <= axioms
+    assert axioms == {
+        None,
+        "degenerate-pair",
+        "con-tt-ff",
+        "tot-tt-ff",
+        "con-scott-closed",
+        "tot-upper-set",
+        "con-logic-sublattice",
+        "tot-logic-sublattice",
+        "con-tot",
+    }
 
 
 def test_each_report_is_built_once_per_cause_on_a_lattice_pair(bound5, monkeypatch):
@@ -638,15 +724,26 @@ def test_each_report_is_built_once_per_cause_on_a_lattice_pair(bound5, monkeypat
 
 def test_side_verdicts_fill_once_per_record_side_and_mask(bound5, monkeypatch):
     """The Q2 census at bound 5 reads 49 records and decides 1,078 con and
-    1,078 tot masks, each once; a second pass decides nothing new."""
+    1,078 tot masks, each once, kept in the record's con and tot dicts by
+    mask; a second pass decides nothing new."""
     filled = []
     fresh_record_cache(monkeypatch, filled)
+    genuine = dlattice_module._side_verdict
+    decided = {"con": 0, "tot": 0}
+
+    def counting(dl, tables, name, mask):
+        decided[name] += 1
+        return genuine(dl, tables, name, mask)
+
+    monkeypatch.setattr(dlattice_module, "_side_verdict", counting)
     candidates = bound5[0]
     for dl in candidates:
         validate_dlattice(dl)
-    kept = [dict(tables.verdicts) for tables in filled]
+    kept = [(dict(tables.con_verdicts), dict(tables.tot_verdicts)) for tables in filled]
     assert len(filled) == 49
-    assert [sum(side == name for tables in filled for side, _ in tables.verdicts) for name in ("con", "tot")] == [1078, 1078]
+    assert [sum(map(len, side)) for side in zip(*kept)] == [1078, 1078]
+    assert decided == {"con": 1078, "tot": 1078}
     for dl in candidates:
         validate_dlattice(dl)
-    assert len(filled) == 49 and [tables.verdicts for tables in filled] == kept
+    assert decided == {"con": 1078, "tot": 1078}
+    assert len(filled) == 49 and [(tables.con_verdicts, tables.tot_verdicts) for tables in filled] == kept

@@ -243,15 +243,26 @@ def test_dlattice_init_sets_only_the_four_fields():
     """``DLattice.__init__`` sets plus, minus, con_mask and tot_mask and
     nothing else: the held spectrum is written on first read, because a
     Q2 census builds tens of thousands of d-lattices and most are never
-    asked for their spectrum.  Each field is set either as
+    asked for their spectrum.  Each field is set as ``setter(self, value)``
+    with a setter bound at module level as ``DLattice.name.__set__``, as
     ``object.__setattr__(self, name, value)`` or as ``self.name = value``."""
     tree = ast.parse((LIBRARY / "dlattice.py").read_text(encoding="utf-8"))
+    setters = {}  # module-level name: the DLattice slot whose setter it binds
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr == "__set__":
+            slot = node.value.value
+            if isinstance(slot, ast.Attribute) and ast.unparse(slot.value) == "DLattice":
+                (target,) = node.targets
+                setters[target.id] = slot.attr
     (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DLattice"]
     (init,) = [node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
     assigned = []
     for node in ast.walk(init):
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
             assigned.append(ast.literal_eval(node.args[1]))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in setters:
+            assert ast.unparse(node.args[0]) == "self"
+            assigned.append(setters[ast.unparse(node.func)])
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             assigned.append(node.attr)
     assert assigned == ["plus", "minus", "con_mask", "tot_mask"]

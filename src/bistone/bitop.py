@@ -26,7 +26,7 @@ stores it as ``space.held_dclop``; later calls return that object.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .config import max_elements
 from .dlattice import DBooleanAlgebra, DLattice, require_valid, validate_dboolean, validate_dlattice
@@ -84,11 +84,6 @@ def generate_topology(n, subbase):
 
 def space(labels, tau_plus, tau_minus):
     return BiTopSpace(labels, tau_plus, tau_minus)
-
-
-def space_from_subbases(labels, sub_plus, sub_minus):
-    n = len(labels)
-    return BiTopSpace(labels, generate_topology(n, sub_plus), generate_topology(n, sub_minus))
 
 
 def omega_space(labels, topology):
@@ -399,7 +394,7 @@ def bool_bitop_space():
     zero_tt = mask_of([0, 1])  # {0, tt}
     up_ff = mask_of([2, 3])
     zero_ff = mask_of([0, 2])
-    return space_from_subbases(labels, [up_tt, zero_tt], [up_ff, zero_ff])
+    return BiTopSpace(labels, generate_topology(4, [up_tt, zero_tt]), generate_topology(4, [up_ff, zero_ff]))
 
 
 def continuous_maps_to_bool_space(space):
@@ -407,16 +402,7 @@ def continuous_maps_to_bool_space(space):
     if space.n > 8:
         raise BoundsTooLarge("map enumeration capped at 8 points")
     target = bool_bitop_space()
-    out = []
-    for code in range(4 ** space.n):
-        mapping = []
-        c = code
-        for _ in range(space.n):
-            mapping.append(c % 4)
-            c //= 4
-        if is_continuous(mapping, space, target):
-            out.append(tuple(mapping))
-    return out
+    return [mapping for mapping in product(range(4), repeat=space.n) if is_continuous(mapping, space, target)]
 
 
 def map_from_dclopen_pair(space, u, v):

@@ -5,9 +5,11 @@ consistency and totality predicates as pair sets.  The identification of the
 carrier with the coordinate product is lossless: a distributive lattice
 with a complementary pair (tt, ff) is [0, tt] × [0, ff] under
 a ↦ (a ∧ tt, a ∧ ff).  Carrier elements are flat pair ids
-``a * n_minus + b``.  The order operations ``DLattice.meet``/``join`` take
-and return pair ids, reading the coordinate lattices' ``[a][b]`` tables;
-``logic_formula_row`` reads one coordinate lattice's tables the same way.
+``a * n_minus + b``.  The order operations on the carrier are
+coordinatewise, so a reader takes the coordinate lattices' ``[a][b]``
+tables at the two coordinates of a pair id (``logic_formula_row`` reads one
+coordinate lattice's tables so).  A pair set is built from its rows, one
+minus-side mask per plus element (``pair_mask``).
 
 The pair sets are int bitmasks over pair ids, and that is their only
 representation: a ``DLattice`` is immutable once built, and every reader
@@ -156,18 +158,6 @@ class DLattice:
         a, b = self.unpid(p)
         return (self.plus.labels[a], self.minus.labels[b])
 
-    # -- information order ops ----------------------------------------------
-
-    def meet(self, p, q):
-        a1, b1 = self.unpid(p)
-        a2, b2 = self.unpid(q)
-        return self.pid(self.plus.meet[a1][a2], self.minus.meet[b1][b2])
-
-    def join(self, p, q):
-        a1, b1 = self.unpid(p)
-        a2, b2 = self.unpid(q)
-        return self.pid(self.plus.join[a1][a2], self.minus.join[b1][b2])
-
     # -- predicates ----------------------------------------------------------
 
     def in_con(self, p):
@@ -185,20 +175,13 @@ _set_con_mask = DLattice.con_mask.__set__
 _set_tot_mask = DLattice.tot_mask.__set__
 
 
-def pairs_to_mask(dl, pairs):
-    mask = 0
-    for a, b in pairs:
-        mask |= 1 << dl.pid(a, b)
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # logic order
 
 
 def logic_formula_row(L, x, e):
-    """Per y in L, ((x ∧ e) ∨ (y ∧ e)) ∨ (x ∧ y) from L's tables.  As
-    ``DLattice.meet``/``join`` are coordinatewise, over all q this is one
+    """Per y in L, ((x ∧ e) ∨ (y ∧ e)) ∨ (x ∧ y) from L's tables.  As the
+    carrier's meet and join are coordinatewise, over all q this is one
     coordinate of logic meet p ⊓ q = (p ∧ ff) ∨ (q ∧ ff) ∨ (p ∧ q), or of
     logic join p ⊔ q (with tt), at that coordinate x of p and e of ff (tt)."""
     left = L.join[L.meet[x][e]]
@@ -239,6 +222,14 @@ def covered_pairs(n_plus, n_minus, zplus, zminus):
     for a in bits(zplus):
         covered |= row0 << (a * n_minus)
     return covered
+
+
+def pair_mask(rows, n_minus):
+    """The pair-id mask whose row a is the minus-side mask ``rows[a]``."""
+    mask = 0
+    for a, row in enumerate(rows):
+        mask |= row << (a * n_minus)
+    return mask
 
 
 class CoordinateTables:
@@ -554,22 +545,12 @@ def bool_dlattice():
     return dl
 
 
-def _restriction(L, elems):
-    """The lattice on the elements elems of L, ascending, under L's order."""
-    return build_lattice([L.labels[a] for a in elems], [[L.leq(a, b) for b in elems] for a in elems])
-
-
 def omega_of_lattice(H):
     """Doubled d-lattice on H: con is disjointness, tot is covering."""
     if H.n < 2:
         raise DegeneratePair("omega of the one-element lattice is degenerate")
-    con = tot = 0
-    for a in range(H.n):
-        for b in range(H.n):
-            if H.meet[a][b] == H.bot:
-                con |= 1 << (a * H.n + b)
-            if H.join[a][b] == H.top:
-                tot |= 1 << (a * H.n + b)
+    con = pair_mask([mask_of(b for b, m in enumerate(row) if m == H.bot) for row in H.meet], H.n)
+    tot = pair_mask([mask_of(b for b, j in enumerate(row) if j == H.top) for row in H.join], H.n)
     dl = DLattice(H, H, con, tot)
     require_valid(validate_dlattice(dl), "omega")
     return dl
@@ -636,12 +617,7 @@ def _dagger_masks(minus, dagger):
     """con and tot of the pairing: with † order reversing, (a, b) ∈ con iff
     a ≤ †⁻¹b iff b ≤ †a, and (a, b) ∈ tot iff †a ≤ b, so row a of con is
     the down row of †a and row a of tot is its up row."""
-    nm = minus.n
-    con = tot = 0
-    for a, d in enumerate(dagger):
-        con |= minus.down[d] << (a * nm)
-        tot |= minus.up[d] << (a * nm)
-    return con, tot
+    return pair_mask([minus.down[d] for d in dagger], minus.n), pair_mask([minus.up[d] for d in dagger], minus.n)
 
 
 def _pairing_failure(A):
@@ -736,7 +712,7 @@ def dB(dl):
     bplus, bminus = d_complemented_sides(dl)
 
     def sublattice(L, elems):
-        sub = _restriction(L, elems)
+        sub = build_lattice([L.labels[a] for a in elems], [[L.leq(a, b) for b in elems] for a in elems])
         # d-complemented elements form a sublattice: L's tables read at them are the rebuilt ones
         index = {a: i for i, a in enumerate(elems)}.get
         for table, sub_table in ((L.meet, sub.meet), (L.join, sub.join)):
@@ -748,15 +724,11 @@ def dB(dl):
     minus = sublattice(dl.minus, bminus)
     minus_index = {b: j for j, b in enumerate(bminus)}
     dagger = [minus_index[d_complement(dl, a, "+")] for a in bplus]
-    con = tot = 0
-    nm = len(bminus)
-    for i, a in enumerate(bplus):
-        for j, b in enumerate(bminus):
-            p = i * nm + j
-            if dl.in_con(dl.pid(a, b)):
-                con |= 1 << p
-            if dl.in_tot(dl.pid(a, b)):
-                tot |= 1 << p
+    # row i of con (tot): the j with (bplus[i], bminus[j]) in dl's con (tot)
+    con, tot = (
+        pair_mask([mask_of(j for j, b in enumerate(bminus) if (mask >> dl.pid(a, b)) & 1) for a in bplus], len(bminus))
+        for mask in (dl.con_mask, dl.tot_mask)
+    )
     algebra = DBooleanAlgebra(plus, minus, con, tot, dagger)
     require_valid(validate_dboolean(algebra), "dB output")
     return Coreflection(algebra, tuple(bplus), tuple(bminus))

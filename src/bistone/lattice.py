@@ -568,9 +568,6 @@ class LatticeHom:
     target: FiniteLattice = field(repr=False)
     mapping: tuple
 
-    def __call__(self, a):
-        return self.mapping[a]
-
 
 def validate_lattice_hom(hom):
     """Check preservation of bottom, top, meet and join; a meet or join

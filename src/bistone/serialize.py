@@ -9,7 +9,7 @@ fixed separators, index-ordered lists.
 import json
 
 from .bitop import BiTopSpace
-from .dlattice import DBooleanAlgebra, DLattice, pairs_to_mask
+from .dlattice import DBooleanAlgebra, DLattice
 from .errors import ParseError, UnknownKind
 from .lattice import FinitePoset, bits, build_lattice, mask_of
 
@@ -29,35 +29,29 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _order_json(order):
+    """The elements and leq of a poset or lattice, the body of its schema
+    and of each side of a d-lattice's."""
+    return {"elements": list(order.labels), "leq": [[order.leq(i, j) for j in range(order.n)] for i in range(order.n)]}
+
+
 def poset_to_json(poset):
-    return {
-        "kind": "poset",
-        "version": SCHEMA_VERSION,
-        "elements": list(poset.labels),
-        "leq": [[poset.leq(i, j) for j in range(poset.n)] for i in range(poset.n)],
-    }
+    return {"kind": "poset", "version": SCHEMA_VERSION, **_order_json(poset)}
 
 
 def lattice_to_json(lattice):
-    return {
-        "kind": "lattice",
-        "version": SCHEMA_VERSION,
-        "elements": list(lattice.labels),
-        "leq": [[lattice.leq(i, j) for j in range(lattice.n)] for i in range(lattice.n)],
-    }
+    return {"kind": "lattice", "version": SCHEMA_VERSION, **_order_json(lattice)}
 
 
 def dlattice_to_json(dl):
     out = {
         "kind": "dboolean" if isinstance(dl, DBooleanAlgebra) else "dlattice",
         "version": SCHEMA_VERSION,
-        "plus": lattice_to_json(dl.plus),
-        "minus": lattice_to_json(dl.minus),
+        "plus": _order_json(dl.plus),
+        "minus": _order_json(dl.minus),
         "con": [list(dl.unpid(p)) for p in bits(dl.con_mask)],
         "tot": [list(dl.unpid(p)) for p in bits(dl.tot_mask)],
     }
-    for side in ("plus", "minus"):
-        del out[side]["kind"], out[side]["version"]
     if isinstance(dl, DBooleanAlgebra):
         out["dagger"] = list(dl.dagger)
     return out
@@ -139,7 +133,7 @@ def _pair_mask(shell, obj, key):
         a, b = pair
         if not (_index_below(a, shell.plus.n) and _index_below(b, shell.minus.n)):
             raise ParseError(f"{key} pair ({a!r},{b!r}) is out of range")
-    return pairs_to_mask(shell, pairs)
+    return mask_of(shell.pid(a, b) for a, b in pairs)
 
 
 def _index_below(x, n):
@@ -160,8 +154,19 @@ def dlattice_from_json(obj):
 
 
 def _open_masks(obj, key, n):
-    opens = [list(u) for u in _require(obj, key)]
-    if not all(_index_below(i, n) for u in opens for i in u):
+    """The open sets under key: a JSON array of arrays of point indices.
+    The first entry that is not an array is named by its position, and so
+    is the first index that is not an integer."""
+    opens = _require(obj, key)
+    if not isinstance(opens, list):
+        raise ParseError(f"{key} must be a JSON array")
+    for i, u in enumerate(opens):
+        if not isinstance(u, list):
+            raise ParseError(f"{key}[{i}] must be an array of point indices")
+        for j, x in enumerate(u):
+            if type(x) is not int:  # not True or 0.0
+                raise ParseError(f"{key}[{i}][{j}] must be a point index, not {json.dumps(x)}")
+    if not all(0 <= x < n for u in opens for x in u):
         raise ParseError(f"{key} names a point index not below {n}")
     return [mask_of(u) for u in opens]
 

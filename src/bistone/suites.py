@@ -6,7 +6,7 @@ and exits nonzero on any failure; the test suite calls the same functions.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from operator import and_, or_
 
 from . import bitop as bt
@@ -199,8 +199,8 @@ def check_validate_corpus(bundle):
 
 def check_logic_order(bundle):
     """Per p, the row over all q of x ⊓ y = (x ∧ ff) ∨ (y ∧ ff) ∨ (x ∧ y)
-    against (∧, ∨), and of x ⊔ y (with tt) against (∨, ∧).  As
-    ``DLattice.meet``/``join`` are coordinatewise, each row is the product
+    against (∧, ∨), and of x ⊔ y (with tt) against (∨, ∧).  As the
+    carrier's meet and join are coordinatewise, each row is the product
     of a plus row and a minus row (``logic_formula_row``), and two such rows
     are equal iff both factors are; the first mismatch is named at the
     lowest (p, q), meet before join there."""
@@ -327,15 +327,7 @@ def check_prime_triple_equivalence(bundle):
 
 
 def _all_bmaps(dl):
-    out = []
-    for code in range(4 ** dl.size):
-        values = []
-        c = code
-        for _ in range(dl.size):
-            values.append(c % 4)
-            c //= 4
-        out.append(BMap(dl, tuple(values)))
-    return out
+    return [BMap(dl, values) for values in product(range(4), repeat=dl.size)]
 
 
 def _candidate_bmaps(dl):

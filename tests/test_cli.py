@@ -225,6 +225,36 @@ def test_cli_dlattice_errors_name_their_field(tmp_path, capsys, command, doc, me
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (with_fields("space_stone.json", ("tau_plus", [1])), "tau_plus[0] must be an array of point indices"),
+        (with_fields("space_stone.json", ("tau_minus", 5)), "tau_minus must be a JSON array"),
+        (with_fields("space_stone.json", ("tau_plus", "ab")), "tau_plus must be a JSON array"),
+        (with_fields("space_stone.json", ("tau_plus", 1, [0.0])), "tau_plus[1][0] must be a point index, not 0.0"),
+        (with_fields("space_stone.json", ("tau_minus", 2, [0, True])), "tau_minus[2][1] must be a point index, not true"),
+    ],
+    ids=["plus-int-entry", "minus-int", "plus-string", "float-index", "bool-index"],
+)
+def test_cli_bitop_errors_name_their_field(tmp_path, capsys, doc, message):
+    """A bitop file's open-set lists and their entries must be JSON arrays,
+    and an index that is not a JSON integer is named by its position;
+    before, these read ``malformed bitop: 'int' object is not iterable``, or
+    took a string for a list of characters, or a float or boolean index for
+    one out of range."""
+    path = tmp_path / "space.json"
+    path.write_text(dumps(doc))
+    assert main(["clop", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_bitop_index_out_of_range_keeps_its_message(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(dumps(with_fields("space_stone.json", ("tau_minus", 1, [3]))))
+    assert main(["clop", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: tau_minus names a point index not below 3\n")
+
+
 @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
 def test_cli_version_must_be_the_integer_one(tmp_path, capsys, version):
     """``True == 1.0 == 1`` in Python, yet only the JSON integer 1 is schema

@@ -16,7 +16,6 @@ from bistone.dlattice import (
     DLatticeHom,
     _con_tot_failure,
     _dagger_masks,
-    _restriction,
     canonical_lambda_iso,
     dB,
     d_complement,
@@ -109,6 +108,11 @@ class CarrierDecomposition:
     from_pair: dict       # (index in plus, index in minus) -> element of L
 
 
+def restriction(L, elems):
+    """The lattice on the elements elems of L, ascending, under L's order."""
+    return build_lattice([L.labels[a] for a in elems], [[L.leq(a, b) for b in elems] for a in elems])
+
+
 def decompose(L, tt, ff):
     """Split a lattice along a complementary pair via a ↦ (a ∧ tt, a ∧ ff):
     the carrier of a d-lattice is its coordinate product."""
@@ -118,7 +122,7 @@ def decompose(L, tt, ff):
         raise DegeneratePair("{tt,ff} = {1,0} is excluded")
     plus_elems = list(bits(L.down[tt]))
     minus_elems = list(bits(L.down[ff]))
-    plus, minus = _restriction(L, plus_elems), _restriction(L, minus_elems)
+    plus, minus = restriction(L, plus_elems), restriction(L, minus_elems)
     pindex = {a: i for i, a in enumerate(plus_elems)}
     mindex = {b: i for i, b in enumerate(minus_elems)}
     to_pair = tuple((pindex[L.meet[x][tt]], mindex[L.meet[x][ff]]) for x in range(L.n))
@@ -164,15 +168,29 @@ def test_decompose_product_chain():
     assert all(dec.plus.leq(i, j) or dec.plus.leq(j, i) for i in range(3) for j in range(3))
 
 
+def pair_meet(dl, p, q):
+    """The meet of two pair ids in the information order: coordinatewise."""
+    a1, b1 = dl.unpid(p)
+    a2, b2 = dl.unpid(q)
+    return dl.pid(dl.plus.meet[a1][a2], dl.minus.meet[b1][b2])
+
+
+def pair_join(dl, p, q):
+    """The join of two pair ids in the information order: coordinatewise."""
+    a1, b1 = dl.unpid(p)
+    a2, b2 = dl.unpid(q)
+    return dl.pid(dl.plus.join[a1][a2], dl.minus.join[b1][b2])
+
+
 def logic_meet(dl, p, q):
     """Reference: x ⊓ y = (x ∧ ff) ∨ (y ∧ ff) ∨ (x ∧ y), computed in the
     information order."""
-    return dl.join(dl.join(dl.meet(p, dl.ff), dl.meet(q, dl.ff)), dl.meet(p, q))
+    return pair_join(dl, pair_join(dl, pair_meet(dl, p, dl.ff), pair_meet(dl, q, dl.ff)), pair_meet(dl, p, q))
 
 
 def logic_join(dl, p, q):
     """Reference: x ⊔ y = (x ∧ tt) ∨ (y ∧ tt) ∨ (x ∧ y)."""
-    return dl.join(dl.join(dl.meet(p, dl.tt), dl.meet(q, dl.tt)), dl.meet(p, q))
+    return pair_join(dl, pair_join(dl, pair_meet(dl, p, dl.tt), pair_meet(dl, q, dl.tt)), pair_meet(dl, p, q))
 
 
 def logic_meet_coordinatewise(dl, p, q):

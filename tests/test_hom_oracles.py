@@ -18,6 +18,7 @@ from operator import and_, or_
 
 import numpy as np
 import pytest
+from test_dlattice import pair_join, pair_meet
 from test_lattice_oracles import first_index
 
 from bistone import ideals
@@ -166,8 +167,8 @@ def breaks_named_clause(src, tgt, values, report):
         return values[p] != q and w == values[p]
     if axiom in ("meet", "join"):
         p, q = w
-        op_src, op_tgt = getattr(src, axiom), getattr(tgt, axiom)
-        return values[op_src(p, q)] != op_tgt(values[p], values[q])
+        op = pair_meet if axiom == "meet" else pair_join
+        return values[op(src, p, q)] != op(tgt, values[p], values[q])
     p = src.pid(src.plus.labels.index(w[0]), src.minus.labels.index(w[1]))
     src_mask, tgt_mask = (src.con_mask, tgt.con_mask) if axiom == "con" else (src.tot_mask, tgt.tot_mask)
     return (src_mask >> p) & 1 and not (tgt_mask >> values[p]) & 1

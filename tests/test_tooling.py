@@ -7,16 +7,22 @@ library module imports numpy, only the named functions scan all n!
 relabelings or all 2^n subsets, only the named functions hold an
 ``lru_cache``, ``DLattice.__init__`` sets only its four fields, every
 library definition and method is reached from the library or the
-harness, and every field of a library class is read by the library."""
+harness, every field of a library class is read by the library, and
+every library function is entered by the command-line traffic of the
+golden commands and a few more."""
 
 import ast
 import importlib
 import inspect
+import json
 from collections import defaultdict
 from pathlib import Path
 
+from test_cli_golden import COMMANDS, INPUTS
+
 import bistone
 from bistone import suites
+from bistone.cli import GEN_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -386,3 +392,96 @@ def test_every_library_definition_is_reached():
         if name not in read
     }
     assert unread == set(UNREAD_FIELDS)
+
+
+# Run in a fresh interpreter: record the code object of every Python
+# function entered while ``cli.main`` runs each argv of the JSON file named
+# by argv[1], and print the (file, first line) of each library def among
+# them (not a module, lambda or comprehension, whose names are ``<…>``).
+ENTERED_SCRIPT = """
+import contextlib, io, json, os, sys
+import bistone
+from bistone.cli import main
+
+library = os.path.dirname(os.path.realpath(bistone.__file__))
+codes = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    argvs = json.load(fh)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    sys.setprofile(record)
+    for argv in argvs:
+        main(argv)
+    sys.setprofile(None)
+sites = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes if c.co_name[0] != "<"}
+print(json.dumps(sorted(site for site in sites if site[0].startswith(library))))
+"""
+
+# defs no command enters, with why
+UNENTERED_FUNCTIONS = {
+    "dlattice.DLattice.__setattr__": "immutability guard; test_held_duals.py calls it",
+    "dlattice.DLattice.__delattr__": "immutability guard; test_held_duals.py calls it",
+}
+
+
+def library_functions():
+    """{(file, first line): dotted name} of every def in the library,
+    methods and nested functions included.  The first line is that of a
+    code object: the first decorator's, if any."""
+    found = {}
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                name = scope + [child.name]
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(str(path), first)] = ".".join([path.stem] + name)
+                visit(child, path, name)
+            else:
+                visit(child, path, scope)
+
+    for path in sorted(LIBRARY.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, [])
+    return found
+
+
+def test_every_library_function_is_entered_by_cli_traffic(tmp_path, run_python):
+    """Each def under ``src/bistone/`` is entered by one of: the commands of
+    ``test_cli_golden.py``; ``gen --bounds 3`` for each kind and ``props
+    --suite lattice_core`` on the generated posets; ``validate``, ``spec``,
+    ``clop`` and ``roundtrip`` on every golden input; and ``validate`` on
+    two d-lattices whose con fails a clause, one missing a smaller pair (the
+    closure names it) and one a down-set that logic meet leaves (the member
+    scan names the pair).  A function only tests enter belongs in
+    ``tests/``.  A fresh interpreter holds no cache or per-record table
+    from earlier tests, so every first-call path runs."""
+    not_closed = json.loads((INPUTS / "dlattice.json").read_text(encoding="utf-8"))
+    not_closed["con"].remove([0, 0])
+    not_logic_closed = json.loads((INPUTS / "dboolean.json").read_text(encoding="utf-8"))
+    del not_logic_closed["dagger"]
+    not_logic_closed["kind"] = "dlattice"
+    not_logic_closed["con"] = [c for c in not_logic_closed["con"] if c not in ([1, 1], [2, 2], [3, 3])]
+    argvs = [argv for argv, _ in COMMANDS.values()]
+    argvs += [["gen", "--kind", kind, "--bounds", "3", "--out", str(tmp_path / kind)] for kind in sorted(GEN_KINDS)]
+    argvs.append(["props", "--suite", "lattice_core", "--corpus", str(tmp_path / "posets")])
+    argvs += [
+        [command, "--in", str(path)]
+        for command in ("validate", "spec", "clop", "roundtrip")
+        for path in sorted(INPUTS.glob("*.json"))
+    ]
+    for name, doc in (("not_closed.json", not_closed), ("not_logic_closed.json", not_logic_closed)):
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        argvs.append(["validate", "--in", str(tmp_path / name)])
+    (tmp_path / "argvs.json").write_text(json.dumps(argvs), encoding="utf-8")
+    result = run_python("-c", ENTERED_SCRIPT, str(tmp_path / "argvs.json"))
+    assert result.returncode == 0, result.stderr
+    entered = {tuple(site) for site in json.loads(result.stdout)}
+    functions = library_functions()
+    assert entered <= set(functions)
+    unentered = {name for site, name in functions.items() if site not in entered}
+    assert unentered == set(UNENTERED_FUNCTIONS)

@@ -30,9 +30,9 @@ from itertools import combinations, product
 
 from .config import max_elements
 from .dlattice import DBooleanAlgebra, DLattice, require_valid, validate_dboolean, validate_dlattice
-from .errors import BoundsTooLarge, DegeneratePair, InvariantViolation
+from .errors import BoundsTooLarge, DegeneratePair, InvariantViolation, NotATopology
 from .ideals import BMap, enumerate_prime_d_ideals, four_case_values
-from .lattice import bits, closed_sets, down_sets, lattice_from_family, mask_of
+from .lattice import _transpose, bits, closed_sets, down_sets, lattice_from_family, mask_of
 
 
 class BiTopSpace:
@@ -52,12 +52,12 @@ class BiTopSpace:
             families.append((name, opens, tuple(sorted(opens, key=lambda m: (m.bit_count(), m)))))
         for name, opens, fam in families:
             if 0 not in opens or full not in opens:
-                raise ValueError(f"{name} must contain the empty set and the whole space")
+                raise NotATopology(f"{name} must contain the empty set and the whole space")
             for u, v in combinations(fam, 2):
                 if (u | v) not in opens:
-                    raise ValueError(f"{name} not closed under union")
+                    raise NotATopology(f"{name} not closed under union")
                 if (u & v) not in opens:
-                    raise ValueError(f"{name} not closed under intersection")
+                    raise NotATopology(f"{name} not closed under intersection")
         self.labels = labels
         self.n = n
         self.full = full
@@ -80,10 +80,6 @@ def generate_topology(n, subbase):
     every finite topology.  Row x, the least open around x, is the meet of
     the subbase members holding x (the whole space if none does)."""
     return tuple(sorted(closed_sets(_specialization(n, subbase)), key=lambda m: (m.bit_count(), m)))
-
-
-def space(labels, tau_plus, tau_minus):
-    return BiTopSpace(labels, tau_plus, tau_minus)
 
 
 def omega_space(labels, topology):
@@ -115,16 +111,13 @@ def _specialization(n, family):
 
 
 def specialization(space):
+    """≤₊, ≤₋ and their bi-specialization preorder ≤₊ ∩ ≥₋, as up rows.
+    Both are preorders, so ``leq`` is one: it is antisymmetric iff its rows
+    are distinct, as x ≤ y ≤ x gives x and y the same row by transitivity,
+    and equal rows give x ≤ y ≤ x by reflexivity."""
     lp = _specialization(space.n, space.tau_plus)
     lm = _specialization(space.n, space.tau_minus)
-    leq = []
-    for x in range(space.n):
-        row = 0
-        for y in range(space.n):
-            if (lp[x] >> y) & 1 and (lm[y] >> x) & 1:
-                row |= 1 << y
-        leq.append(row)
-    return SpecializationData(lp, lm, tuple(leq))
+    return SpecializationData(lp, lm, tuple(row & col for row, col in zip(lp, _transpose(lm))))
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +169,9 @@ def is_zero_dimensional(space):
     return True
 
 
-def _leq_is_partial_order(leq):
-    n = len(leq)
-    for x in range(n):
-        for y in range(n):
-            if x != y and (leq[x] >> y) & 1 and (leq[y] >> x) & 1:
-                return False
-    return True
-
-
 def is_order_separated(space):
     spec = specialization(space)
-    if not _leq_is_partial_order(spec.leq):
+    if len(set(spec.leq)) != space.n:  # not antisymmetric (``specialization``)
         return False
     for x in range(space.n):
         for y in range(space.n):
@@ -204,7 +188,7 @@ def is_order_separated(space):
 
 def is_totally_order_separated(space):
     spec = specialization(space)
-    if not _leq_is_partial_order(spec.leq):
+    if len(set(spec.leq)) != space.n:  # not antisymmetric (``specialization``)
         return False
     pomc = plus_open_minus_closed(space)
     for x in range(space.n):

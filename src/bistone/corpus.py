@@ -69,7 +69,7 @@ def distributive_lattices(max_size):
     join-irreducible down-sets are the principal ones ↓x, ordered as x; so
     D(p) ≅ D(q) iff p ≅ q, and the posets are pairwise non-isomorphic."""
     lattices = [birkhoff(p) for p in unlabeled_posets(max_size - 1) if len(down_sets(p)) <= max_size]
-    return sorted(lattices, key=lambda L: L.poset.isomorphism_signature())
+    return sorted(lattices, key=lambda L: L.isomorphism_signature())
 
 
 # -- named fixtures ----------------------------------------------------------

@@ -60,7 +60,9 @@ What depends only on the two coordinate lattices is one record,
 with the same two up rows (``_shared_tables``).  It is held on the lattice
 pair, in the pair's entry of ``FiniteLattice.paired_tables`` beside the
 pair's report memo (``_pair_entry``; ``coordinate_tables`` reads the record
-from it): only a pair's first lookup builds a record.
+from it): only a pair's first lookup builds a record.  The record keeps a
+plain ``FinitePoset`` of each side, never the lattice, so no lattice is
+reachable from its own ``paired_tables`` and a dropped one is freed at once.
 
 Every clause but con–tot reads one predicate alone, so its verdict is a
 function of the record, the side (con or tot) and that side's mask;
@@ -96,6 +98,7 @@ from functools import cached_property, lru_cache
 
 from .errors import DegeneratePair, InvariantViolation
 from .lattice import (
+    FinitePoset,
     LatticeHom,
     bits,
     build_lattice,
@@ -237,14 +240,14 @@ class CoordinateTables:
     records compare by ``key``, the up rows, of which every table is a
     function.  ``con_verdicts`` and ``tot_verdicts`` map a mask to its
     label-free verdict as con or tot (``_side_verdict``), filled by
-    ``validate_dlattice``.  A record keeps the lattices' posets and
-    operation tables, not the lattices, so a record held on its own lattice
-    pair makes no reference cycle."""
+    ``validate_dlattice``.  A record keeps a plain ``FinitePoset`` copy of
+    each lattice's order and the operation tables, not the lattices."""
 
     def __init__(self, plus, minus):
-        self.posets = (plus.poset, minus.poset)
+        # the record is held in plus.paired_tables: holding a lattice would make a cycle
+        self.posets = tuple(FinitePoset.relabeled(L, L.labels) for L in (plus, minus))
         self.operations = ((plus.meet, plus.join), (minus.meet, minus.join))
-        self.key = (plus.poset.up, minus.poset.up)
+        self.key = (plus.up, minus.up)
         self.con_verdicts = {}
         self.tot_verdicts = {}
 
@@ -454,7 +457,7 @@ def validate_dlattice(dl):
     the cause is read from the lattice pair's memo (module docstring)."""
     P, M = dl.plus, dl.minus
     tables, reports = _pair_entry(dl)
-    if P.poset.n < 2 or M.poset.n < 2:
+    if P.n < 2 or M.n < 2:
         return StructReport.failed(
             "degenerate-pair",
             message="{tt,ff} = {1,0}: a coordinate lattice is trivial",
@@ -903,8 +906,8 @@ def dlattice_equal(d1, d2):
     return (
         d1.plus.labels == d2.plus.labels
         and d1.minus.labels == d2.minus.labels
-        and d1.plus.poset.up == d2.plus.poset.up
-        and d1.minus.poset.up == d2.minus.poset.up
+        and d1.plus.up == d2.plus.up
+        and d1.minus.up == d2.minus.up
         and d1.con_mask == d2.con_mask
         and d1.tot_mask == d2.tot_mask
     )

@@ -23,6 +23,11 @@ class NotBounded(BistoneError):
     """No global bottom or top element."""
 
 
+class NotATopology(BistoneError, ValueError):
+    """An open-set family misses ∅ or the whole space, or is not closed
+    under ∪ or ∩."""
+
+
 class NotDistributive(BistoneError):
     """Witness triple violates a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c)."""
 

@@ -324,7 +324,7 @@ def prime_pair_opens(dl, pairs):
     subbasic opens of their primes.  The four-case map of (u, v) has value
     tt at (a, 0) iff a ∉ ↓u (its ff bit there is clear, as 0 ∈ ↓v), and
     value ff at (0, b) iff b ∉ ↓v."""
-    P, M = dl.plus.poset, dl.minus.poset
+    P, M = dl.plus, dl.minus
     return (
         tuple(mask_of(k for k, (u, _) in enumerate(pairs) if not (P.down[u] >> a) & 1) for a in range(P.n)),
         tuple(mask_of(k for k, (_, v) in enumerate(pairs) if not (M.down[v] >> b) & 1) for b in range(M.n)),
@@ -402,8 +402,7 @@ def idl_dframe(dl):
     and the input is rejected instead of repaired."""
 
     def ideal_lattice(L):
-        poset = L.poset.relabeled(f"↓{lab}" for lab in L.labels)
-        return FiniteLattice(poset, L.bot, L.top, L.meet, L.join)
+        return FiniteLattice(L.relabeled(f"↓{lab}" for lab in L.labels), L.bot, L.top, L.meet, L.join)
 
     df = DLattice(ideal_lattice(dl.plus), ideal_lattice(dl.minus), dl.con_mask, dl.tot_mask)
     require_valid(validate_dlattice(df), "idl")

@@ -4,10 +4,12 @@ Elements are dense integer ids; labels are metadata.  Subsets are int
 bitmasks, so every predicate is an exhaustive scan over at most 64 elements
 per structure.  Down-sets, up-sets and the opens of a finite topology are
 the closed sets of a preorder's rows, all found by one search
-(``closed_sets``).  The meet and join tables are immutable tuples of tuples
-of ints, indexed ``[a][b]``, built once with the lattice.  A lattice of a
-set family closed under ∩ and ∪ takes its tables straight from ∩ and ∪
-(``lattice_from_family``); any other relation goes through the generic
+(``closed_sets``).  A lattice is its order plus tables: ``FiniteLattice``
+subclasses ``FinitePoset`` and adds the bounds and the meet and join
+tables, immutable tuples of tuples of ints indexed ``[a][b]``, built once
+with the lattice.  A lattice of a set family closed under ∩ and ∪ takes
+its tables straight from ∩ and ∪ (``lattice_from_family``); any other
+relation goes through the generic
 ``build_lattice``, which decides distributivity by Birkhoff's
 characterization (every join-irreducible element is join-prime).
 The prime ideals are the ↓u of the meet-irreducibles u, and a lattice is
@@ -160,7 +162,7 @@ class FinitePoset:
         if len(labels) != self.n:
             raise ValueError(f"{len(labels)} labels for a poset of {self.n} elements")
         out = object.__new__(FinitePoset)
-        for name in self.__slots__:
+        for name in FinitePoset.__slots__:
             setattr(out, name, labels if name == "labels" else getattr(self, name))
         return out
 
@@ -229,9 +231,10 @@ class FinitePoset:
         return (n, code), [inverse_permutation([n - w.bit_length() for w in weight]) for _, weight in level]
 
 
-class FiniteLattice:
-    """Bounded distributive lattice with precomputed meet/join tables:
-    tuples of tuples of ints, ``meet[a][b]`` the meet of a and b.
+class FiniteLattice(FinitePoset):
+    """Bounded distributive lattice: its order, a ``FinitePoset``, plus the
+    bounds and precomputed meet/join tables: tuples of tuples of ints,
+    ``meet[a][b]`` the meet of a and b.
 
     ``sets`` is populated when the lattice arises from a family of subsets
     (topologies, down-set lattices); it keeps the bitmask of each element.
@@ -242,10 +245,11 @@ class FiniteLattice:
     labels (``dlattice.coordinate_tables`` makes the entry).
     """
 
-    __slots__ = ("poset", "bot", "top", "meet", "join", "sets", "paired_tables")
+    __slots__ = ("bot", "top", "meet", "join", "sets", "paired_tables")
 
-    def __init__(self, poset, bot, top, meet, join, sets=None):
-        self.poset = poset
+    def __init__(self, order, bot, top, meet, join, sets=None):
+        for name in FinitePoset.__slots__:
+            setattr(self, name, getattr(order, name))
         self.bot = bot
         self.top = top
         self.meet = meet
@@ -253,41 +257,17 @@ class FiniteLattice:
         self.sets = sets
         self.paired_tables = {}
 
-    @property
-    def n(self):
-        return self.poset.n
-
-    @property
-    def labels(self):
-        return self.poset.labels
-
-    def leq(self, i, j):
-        return self.poset.leq(i, j)
-
-    @property
-    def up(self):
-        return self.poset.up
-
-    @property
-    def down(self):
-        return self.poset.down
-
-    @property
-    def cover_up(self):
-        return self.poset.cover_up
-
     def is_boolean(self):
         """Whether every element has a complement: iff each join-irreducible
         covers bot, so that L ≅ D(J(L)) is the power set of its atoms.  Else
         some join-irreducible j′ lies below the lower cover of another, j,
         and a complement x of j′ gives j = j ∧ (j′ ∨ x) = j′ ∨ (j ∧ x), so
         j ≤ x and j′ = j′ ∧ x = bot."""
-        return all(self.poset.cover_down[j] == 1 << self.bot for j in join_irreducibles(self))
+        return all(self.cover_down[j] == 1 << self.bot for j in join_irreducibles(self))
 
     def dual(self):
         """Same elements with the order reversed."""
-        dual_poset = self.poset.dual()
-        return FiniteLattice(dual_poset, self.top, self.bot, self.join, self.meet, self.sets)
+        return FiniteLattice(FinitePoset.dual(self), self.top, self.bot, self.join, self.meet, self.sets)
 
 
 def extreme_of(mask, rows):
@@ -525,7 +505,7 @@ def ideal_generator(lattice, mask):
 
 def prime_generators(order):
     """The u, ascending, whose ↓u is a prime ideal of the distributive
-    lattice with the cover rows of ``order`` (the lattice or its poset): the
+    lattice with the cover rows of ``order`` (a lattice or a plain poset): the
     meet-irreducibles, dual to ``join_irreducibles``.  ↓u is prime iff u is
     meet-prime, which implies meet-irreducible; conversely, x ∧ y ≤ u gives
     u = u ∨ (x ∧ y) = (u ∨ x) ∧ (u ∨ y), so u = u ∨ x or u = u ∨ y."""
@@ -555,7 +535,7 @@ def join_irreducibles(lattice):
     """Non-bottom elements that are not joins of two strictly smaller ones:
     those with exactly one lower cover c, as every element below j other
     than j lies below c, and two lower covers join to j."""
-    return [j for j, lower in enumerate(lattice.poset.cover_down) if lower.bit_count() == 1]
+    return [j for j, lower in enumerate(lattice.cover_down) if lower.bit_count() == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +580,15 @@ def is_lattice_iso(hom):
 def lattice_isos(L, M):
     """Every lattice isomorphism L → M, one per automorphism of M.
 
-    Fix one minimiser Q of ``L.poset.canonical_orderings()``.  A bijection h
+    Fix one minimiser Q of ``L.canonical_orderings()``.  A bijection h
     is an order isomorphism iff h∘Q has in M the code Q has in L, as
     h(Q[i]) ≤ h(Q[j]) iff Q[i] ≤ Q[j].  Isomorphic posets have the same
     least code, so that holds iff the signatures agree and h∘Q is one of M's
     minimisers Q′, that is h = Q[i] ↦ Q′[i].  An order isomorphism of
     lattices is a lattice isomorphism, as meet and join are the order's
     infimum and supremum; each one is re-checked anyway."""
-    signature, (first, *_) = L.poset.canonical_orderings()
-    target, minimisers = M.poset.canonical_orderings()
+    signature, (first, *_) = L.canonical_orderings()
+    target, minimisers = M.canonical_orderings()
     if signature != target:
         return
     position = inverse_permutation(first)
@@ -621,7 +601,7 @@ def lattice_isos(L, M):
 
 def enumerate_lattice_homs(L, M):
     """All bound-preserving lattice homomorphisms L → M, in lexicographic
-    order of their values along ``L.poset.linear_extension()``.
+    order of their values along ``L.linear_extension()``.
 
     Birkhoff duality reads them off the join-irreducibles J(L) and J(M).
     In a finite distributive lattice each join-irreducible j is join-prime
@@ -650,7 +630,7 @@ def enumerate_lattice_homs(L, M):
     re-checked by ``validate_lattice_hom``.
     """
     irr_L = join_irreducibles(L)
-    irr_M = sorted(join_irreducibles(M), key=M.poset.linear_extension().index)
+    irr_M = sorted(join_irreducibles(M), key=M.linear_extension().index)
     maps = [()]
     for k, j in enumerate(irr_M):
         lower = [i for i in range(k) if M.leq(irr_M[i], j)]
@@ -667,7 +647,7 @@ def enumerate_lattice_homs(L, M):
         if not validate_lattice_hom(hom).ok:
             raise InvariantViolation("a monotone map of join-irreducibles gave no lattice hom")
         out.append(hom)
-    order = L.poset.linear_extension()
+    order = L.linear_extension()
     return sorted(out, key=lambda h: [h.mapping[a] for a in order])
 
 

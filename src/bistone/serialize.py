@@ -10,7 +10,7 @@ import json
 
 from .bitop import BiTopSpace
 from .dlattice import DBooleanAlgebra, DLattice
-from .errors import ParseError, UnknownKind
+from .errors import BistoneError, ParseError, UnknownKind
 from .lattice import FinitePoset, bits, build_lattice, mask_of
 
 SCHEMA_VERSION = 1
@@ -205,7 +205,7 @@ def parse_structure(text):
         raise UnknownKind(f"unsupported version {version!r}")
     try:
         return kind, LOADERS[kind](obj)
-    except (ParseError, UnknownKind):
+    except BistoneError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed {kind}: {exc}") from exc

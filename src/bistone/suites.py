@@ -75,7 +75,7 @@ def default_bundle():
     lattices = birkhoff_corpus(4)
     dbools = dbool_corpus(4)
     spaces = [bt.stone_space_from_poset(p) for p in posets]
-    spaces.append(bt.space(["p", "q"], [0b00, 0b11], [0b00, 0b11]))  # indiscrete pair
+    spaces.append(bt.BiTopSpace(["p", "q"], [0b00, 0b11], [0b00, 0b11]))  # indiscrete pair
     spaces.append(bt.omega_space(["p", "q"], [0b00, 0b10, 0b11]))    # Sierpinski doubled
     dlattices = [bool_dlattice(), omega_of_lattice(three_chain()), omega_of_lattice(boolean_lattice(2))]
     dlattices.extend(bt.dO(s) for s in spaces if s.n <= 3)
@@ -511,7 +511,7 @@ def check_stone_characterizations_exhaustive(bundle):
     for n in range(1, 4):
         tops = du.enumerate_topologies(n)
         labels = [f"x{i}" for i in range(n)]
-        spaces += [bt.space(labels, tp, tm) for tp in tops for tm in tops]
+        spaces += [bt.BiTopSpace(labels, tp, tm) for tp in tops for tm in tops]
     spaces += bundle.spaces
     for k, s in enumerate(spaces):
         lemma = bt.is_stone(s)
@@ -699,9 +699,9 @@ SUITES = {
 
 def run_suite(name, bundle):
     """Run every check in a suite; returns a list of result rows.  A check
-    that raises a ``BistoneError``, or the ``ValueError`` of a constructor
-    rejecting what it built (``bitop.BiTopSpace``), gives a failing row
-    naming the exception, and the remaining checks still run."""
+    that raises a ``BistoneError`` or a ``ValueError`` (``ideal_generator``
+    rejecting a carrier, say) gives a failing row naming the exception, and
+    the remaining checks still run."""
     if name not in SUITES:
         raise UnknownSuite(f"no suite named {name!r}; available: {sorted(SUITES)}")
     rows = []

@@ -156,7 +156,7 @@ def test_criterion_7_dspec_is_dpt_idl():
     corpus = [bool_dlattice(), omega_of_lattice(three_chain()), omega_of_lattice(boolean_lattice(2))]
     corpus += [lambda_of_dislat(birkhoff(p)) for p in unlabeled_posets(4)]
     corpus += [bt.dO(bt.stone_space_from_poset(p)) for p in unlabeled_posets(3)]
-    corpus.append(bt.dO(bt.space(["p", "q"], [0b00, 0b11], [0b00, 0b11])))
+    corpus.append(bt.dO(bt.BiTopSpace(["p", "q"], [0b00, 0b11], [0b00, 0b11])))
     corpus.append(bt.dO(bt.omega_space(["p", "q"], [0b00, 0b10, 0b11])))
     for dl in corpus:
         assert du.dspec_equals_dpt_idl(dl)
@@ -175,8 +175,8 @@ def test_criterion_9_extremal_disconnectedness(space_corpus):
     started = time.monotonic()
     checked = 0
     extra = [
-        bt.space(["p", "q"], [0b00, 0b11], [0b00, 0b11]),
-        bt.space(["x"], [0b0, 0b1], [0b0, 0b1]),
+        bt.BiTopSpace(["p", "q"], [0b00, 0b11], [0b00, 0b11]),
+        bt.BiTopSpace(["x"], [0b0, 0b1], [0b0, 0b1]),
         bt.omega_space(["p", "q"], [0b00, 0b01, 0b10, 0b11]),
     ]
     for s in [s for _, s in space_corpus] + extra:
@@ -202,7 +202,7 @@ def test_criterion_11_conjecture_searches():
     assert "connectedness formalization" in q1.notes
     if q1.outcome == "COUNTEREXAMPLE":
         payload = q1.counterexample
-        s = bt.space(
+        s = bt.BiTopSpace(
             payload["points"],
             [sum(1 << i for i in u) for u in payload["tau_plus"]],
             [sum(1 << i for i in v) for v in payload["tau_minus"]],

@@ -22,7 +22,7 @@ def x2(poset2):
 
 @pytest.fixture(scope="module")
 def indiscrete2():
-    return bt.space(["p", "q"], [0b00, 0b11], [0b00, 0b11])
+    return bt.BiTopSpace(["p", "q"], [0b00, 0b11], [0b00, 0b11])
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def sierp2():
 
 @pytest.fixture(scope="module")
 def point1():
-    return bt.space(["x"], [0b0, 0b1], [0b0, 0b1])
+    return bt.BiTopSpace(["x"], [0b0, 0b1], [0b0, 0b1])
 
 
 def test_generate_topology_empty_subbase():
@@ -98,7 +98,7 @@ def test_stone_characterizations_never_disagree():
         count = 0
         for tp in tops:
             for tm in tops:
-                s = bt.space(labels, tp, tm)
+                s = bt.BiTopSpace(labels, tp, tm)
                 lemma = bt.is_stone(s)
                 assert lemma == (bt.is_T0(s) and bt.is_compact(s) and bt.is_zero_dimensional(s))
                 assert lemma == (bt.is_compact(s) and bt.is_totally_order_separated(s))
@@ -228,7 +228,7 @@ def test_continuity(x2):
 
 def test_homeomorphism_search_respects_structure(x2, indiscrete2):
     assert find_homeomorphism(x2, indiscrete2) is None
-    relabeled = bt.space(["a", "b"], x2.tau_plus, x2.tau_minus)
+    relabeled = bt.BiTopSpace(["a", "b"], x2.tau_plus, x2.tau_minus)
     assert find_homeomorphism(x2, relabeled) is not None
 
 

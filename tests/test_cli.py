@@ -255,6 +255,36 @@ def test_cli_bitop_index_out_of_range_keeps_its_message(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: tau_minus names a point index not below 3\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "clop"])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            with_fields("space_stone.json", ("tau_plus", [[1], [2], [1, 2], [0, 1, 2]])),
+            "tau_plus must contain the empty set and the whole space",
+        ),
+        (
+            with_fields("space_stone.json", ("tau_minus", [[], [0], [0, 1], [0, 2]])),
+            "tau_minus must contain the empty set and the whole space",
+        ),
+        (with_fields("space_stone.json", ("tau_plus", [[], [1], [2], [0, 1, 2]])), "tau_plus not closed under union"),
+        (
+            with_fields("space_stone.json", ("tau_minus", [[], [0, 1], [0, 2], [0, 1, 2]])),
+            "tau_minus not closed under intersection",
+        ),
+    ],
+    ids=["no-empty-set", "no-whole-space", "union", "intersection"],
+)
+def test_cli_bitop_that_is_not_a_topology_fails_validation(tmp_path, capsys, command, doc, message):
+    """A bitop file that parses but whose open sets are not a topology fails
+    its check with exit 1, as a poset whose leq is not antisymmetric does;
+    before, these exited 2 with a ``malformed bitop:`` prefix."""
+    path = tmp_path / "space.json"
+    path.write_text(dumps(doc))
+    assert main([command, "--in", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
 def test_cli_version_must_be_the_integer_one(tmp_path, capsys, version):
     """``True == 1.0 == 1`` in Python, yet only the JSON integer 1 is schema
@@ -340,7 +370,7 @@ def test_cli_roundtrip_space(x2_file, capsys):
 
 
 def test_cli_roundtrip_not_stone(tmp_path, capsys):
-    s = bt.space(["p", "q"], [0b00, 0b11], [0b00, 0b11])
+    s = bt.BiTopSpace(["p", "q"], [0b00, 0b11], [0b00, 0b11])
     path = tmp_path / "ind.json"
     path.write_text(dumps(bitop_to_json(s)))
     assert main(["roundtrip", "--in", str(path)]) == 1
@@ -349,7 +379,7 @@ def test_cli_roundtrip_not_stone(tmp_path, capsys):
 def test_cli_empty_space_is_a_degenerate_pair(tmp_path, run_python):
     """The empty space is Stone, but each side of dO and dClop has one set,
     so {tt, ff} = {1, 0}: a rejected input, not an internal bug."""
-    empty = bt.space([], [0], [0])
+    empty = bt.BiTopSpace([], [0], [0])
     assert bt.is_stone(empty)
     for build in (bt.dO, bt.dclop_algebra):
         with pytest.raises(DegeneratePair):

@@ -60,12 +60,12 @@ def lattice_from_family_by_build(n_points, masks, point_labels=None):
     labels = [set_label(m, point_labels) for m in fam]
     leq = [[(a & ~b) == 0 for b in fam] for a in fam]
     L = build_lattice(labels, leq)
-    return FiniteLattice(L.poset, L.bot, L.top, L.meet, L.join, tuple(fam))
+    return FiniteLattice(L, L.bot, L.top, L.meet, L.join, tuple(fam))
 
 
 def assert_same_lattice(got, want):
     for name in FinitePoset.__slots__:
-        assert getattr(got.poset, name) == getattr(want.poset, name), name
+        assert getattr(got, name) == getattr(want, name), name
     assert (got.bot, got.top, got.sets) == (want.bot, want.top, want.sets)
     for name in ("meet", "join"):
         g, w = getattr(got, name), getattr(want, name)

@@ -58,7 +58,7 @@ def test_unit_roundtrip_examples(B, lam3, antichain2, x2):
 
 
 def test_counit_roundtrip_examples(x2):
-    point = bt.space(["x"], [0b0, 0b1], [0b0, 0b1])
+    point = bt.BiTopSpace(["x"], [0b0, 0b1], [0b0, 0b1])
     assert du.counit_roundtrip(point).is_iso
     w = du.counit_roundtrip(x2)
     assert w.is_iso
@@ -67,7 +67,7 @@ def test_counit_roundtrip_examples(x2):
 
 
 def test_counit_requires_stone():
-    indiscrete2 = bt.space(["p", "q"], [0b00, 0b11], [0b00, 0b11])
+    indiscrete2 = bt.BiTopSpace(["p", "q"], [0b00, 0b11], [0b00, 0b11])
     with pytest.raises(NotStone):
         du.counit_roundtrip(indiscrete2)
 
@@ -142,7 +142,7 @@ def test_classical_spec_discrete():
 
 def test_complete_extremally_disconnected(x2, posets4):
     assert du.complete_extremally_disconnected_check(x2)
-    point = bt.space(["x"], [0b0, 0b1], [0b0, 0b1])
+    point = bt.BiTopSpace(["x"], [0b0, 0b1], [0b0, 0b1])
     assert du.complete_extremally_disconnected_check(point)
     for p in posets4[:8]:
         s = bt.stone_space_from_poset(p)
@@ -296,7 +296,7 @@ def test_q1_report_is_reverified():
     assert "connectedness formalization" in report.notes
     if report.outcome == "COUNTEREXAMPLE":
         payload = report.counterexample
-        s = bt.space(
+        s = bt.BiTopSpace(
             payload["points"],
             [sum(1 << i for i in u) for u in payload["tau_plus"]],
             [sum(1 << i for i in v) for v in payload["tau_minus"]],

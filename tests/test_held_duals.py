@@ -3,16 +3,21 @@ on a d-lattice and ``bitop.dclop_algebra`` on a bitopological space.  A
 repeat call returns the same object, that object equals the dual built on
 a fresh copy of the input, distinct inputs hold distinct duals, nothing is
 held when validation fails, and the five verdicts of one acceptance-corpus
-item build each of its two spectra and two d-clopen algebras once."""
+item build each of its two spectra and two d-clopen algebras once.  No
+lattice is reachable from itself, so a dropped one is freed at once."""
+
+import gc
+from functools import lru_cache
 
 import pytest
 
 from bistone import bitop as bt
+from bistone import dlattice as dlattice_module
 from bistone import duality as du
 from bistone.corpus import unlabeled_posets
-from bistone.dlattice import DLattice, lambda_of_dislat
+from bistone.dlattice import DLattice, lambda_of_dislat, validate_dlattice
 from bistone.errors import InvariantViolation
-from bistone.lattice import birkhoff
+from bistone.lattice import FiniteLattice, birkhoff
 from bistone.report import StructReport
 from bistone.serialize import dlattice_to_json
 
@@ -141,3 +146,30 @@ def test_one_corpus_item_builds_each_dual_once(monkeypatch):
     assert built == {"spectrum": 2, "dclop": 2}
     assert verdicts() == (True,) * 5
     assert built == {"spectrum": 2, "dclop": 2}
+
+
+def test_a_dropped_lattice_is_freed_by_reference_counting(monkeypatch):
+    """A lattice holds the coordinate record of each d-lattice it is the plus
+    side of, so the record keeps plain posets: were it to keep the lattices,
+    each dropped pair would be cyclic garbage, left for the collector.  The
+    record cache starts empty, so that the records read are the new ones."""
+
+    def live_lattices():
+        return sum(type(obj) is FiniteLattice for obj in gc.get_objects())
+
+    monkeypatch.setattr(dlattice_module, "_shared_tables", lru_cache(maxsize=128)(lambda tables: tables))
+    gc.collect()
+    before = live_lattices()
+    gc.disable()
+    try:
+        for p in unlabeled_posets(3):
+            plus = birkhoff(p)
+            minus = birkhoff(p).dual()
+            A = lambda_of_dislat(plus)
+            dl = DLattice(plus, minus, A.con_mask, A.tot_mask)
+            assert validate_dlattice(dl).ok
+            assert du.spatiality_check(dl) == (True, "spatial")
+            del p, plus, minus, A, dl
+        assert live_lattices() == before
+    finally:
+        gc.enable()

@@ -246,7 +246,7 @@ def enumerate_lattice_homs_backtracking(L, M):
     b ∧ f(a2) = f(a ∧ a2) (for a2 ≤ a this reads f(a2) ≤ b), and f(x) ∨ f(y)
     for each pair of placed x, y with join a.  They are tried lowest first.
     """
-    order = L.poset.linear_extension()
+    order = L.linear_extension()
     meet_is = [[0] * M.n for _ in range(M.n)]  # meet_is[b2][t]: the b with b ∧ b2 = t
     for b, row in enumerate(M.meet):
         for b2, t in enumerate(row):

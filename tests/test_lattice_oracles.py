@@ -179,14 +179,14 @@ def test_birkhoff_list_is_pinned_and_matches_the_trial():
     counts = []
     for k in range(2, 8):
         lattices = distributive_lattices(k)
-        signatures = [L.poset.isomorphism_signature() for L in lattices]
+        signatures = [L.isomorphism_signature() for L in lattices]
         assert len(set(signatures)) == len(lattices)
         for L in lattices:
-            rebuilt = build_lattice(L.labels, relation(L.poset))
+            rebuilt = build_lattice(L.labels, relation(L))
             assert (rebuilt.meet, rebuilt.join) == (L.meet, L.join)
         if k <= 6:
             trial = distributive_lattices_by_trial(k)
-            assert signatures == [L.poset.isomorphism_signature() for L in trial]
+            assert signatures == [L.isomorphism_signature() for L in trial]
             if k <= 5:
                 assert [L.up for L in lattices] == [L.up for L in trial]
         counts.append(len(lattices))

@@ -169,7 +169,7 @@ def test_is_compact_matches_subfamily_scan(bundle):
     for n in (1, 2, 3):
         tops = du.enumerate_topologies(n)
         labels = [f"x{i}" for i in range(n)]
-        spaces.extend(bt.space(labels, tp, tm) for tp in tops for tm in tops)
+        spaces.extend(bt.BiTopSpace(labels, tp, tm) for tp in tops for tm in tops)
     assert len(spaces) == len(bundle.spaces) + 858
     for s in spaces:
         assert bt.is_compact(s) == is_compact_by_subfamilies(s) is True

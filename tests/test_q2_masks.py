@@ -53,7 +53,7 @@ from bistone.ideals import (
     prime_pairs,
     validate_d_filter_map,
 )
-from bistone.lattice import FiniteLattice, birkhoff, bits, build_lattice, low_bit, mask_of, prime_generators
+from bistone.lattice import FiniteLattice, FinitePoset, birkhoff, bits, build_lattice, low_bit, mask_of, prime_generators
 from bistone.report import StructReport
 
 
@@ -489,7 +489,7 @@ def spatial_reflection_by_prime_pairs(dl):
         covering &= ~(rows_u & cols_v)
         plus_sides |= 1 << u
         minus_sides |= 1 << v
-    for sign, L, sides in (("₊", dl.plus.poset, plus_sides), ("₋", dl.minus.poset, minus_sides)):
+    for sign, L, sides in (("₊", dl.plus, plus_sides), ("₋", dl.minus, minus_sides)):
         if any(row.bit_count() == 1 and not (sides >> m) & 1 for m, row in enumerate(L.cover_up)):
             raise InvariantViolation(f"spatiality clause (i): φ{sign} is not injective on a d-lattice")
     return DLattice(dl.plus, dl.minus, disjoint, covering)
@@ -562,7 +562,7 @@ def test_prime_generators_match_prime_ideals():
     lattices = [one] + distributive_lattices(5) + [birkhoff(p) for p in unlabeled_posets(5)]
     assert len(lattices) == 1 + 7 + 87
     for L in lattices:
-        assert prime_generators(L) == prime_generators(L.poset) == prime_ideals_numpy(L)
+        assert prime_generators(L) == prime_generators(FinitePoset.relabeled(L, L.labels)) == prime_ideals_numpy(L)
 
 
 def primes_by_filter_validator(dl):

@@ -7,7 +7,8 @@ the ideal frame again and built their space from their values, and its
 False on φ families that are no topologies.  Pairwise regularity is defined here only, one block per
 side, and checked against zero-dimensionality, which implies it.  The
 literal Pervin subset scan is the oracle for the finite connectedness
-lemma of ``connected_subsets_are_singletons``."""
+lemma of ``connected_subsets_are_singletons``, and the pairwise loops for
+``specialization`` and the antisymmetry test of order separation."""
 
 import random
 from itertools import combinations, permutations, product
@@ -223,6 +224,68 @@ def small_spaces(max_points):
         tops = du.enumerate_topologies(n)
         for tp, tm in product(tops, repeat=2):
             yield bt.BiTopSpace(labels, tp, tm)
+
+
+def specialization_by_pairs(space):
+    """Oracle: the bi-specialization rows by a double loop over (x, y):
+    x ≤ y iff x ≤₊ y and y ≤₋ x."""
+    lp = bt._specialization(space.n, space.tau_plus)
+    lm = bt._specialization(space.n, space.tau_minus)
+    leq = []
+    for x in range(space.n):
+        row = 0
+        for y in range(space.n):
+            if (lp[x] >> y) & 1 and (lm[y] >> x) & 1:
+                row |= 1 << y
+        leq.append(row)
+    return bt.SpecializationData(lp, lm, tuple(leq))
+
+
+def leq_is_partial_order_by_pairs(leq):
+    """Oracle: antisymmetry by a pairwise scan; no x ≠ y with x ≤ y ≤ x."""
+    n = len(leq)
+    for x in range(n):
+        for y in range(n):
+            if x != y and (leq[x] >> y) & 1 and (leq[y] >> x) & 1:
+                return False
+    return True
+
+
+def is_order_separated_by_pairs(space):
+    leq = specialization_by_pairs(space).leq
+    return leq_is_partial_order_by_pairs(leq) and all(
+        (leq[x] >> y) & 1
+        or any((u >> x) & 1 and (v >> y) & 1 and u & v == 0 for u in space.tau_plus for v in space.tau_minus)
+        for x in range(space.n)
+        for y in range(space.n)
+    )
+
+
+def is_totally_order_separated_by_pairs(space):
+    leq = specialization_by_pairs(space).leq
+    pomc = bt.plus_open_minus_closed(space)
+    return leq_is_partial_order_by_pairs(leq) and all(
+        (leq[x] >> y) & 1 or any((s >> x) & 1 and not (s >> y) & 1 for s in pomc)
+        for x in range(space.n)
+        for y in range(space.n)
+    )
+
+
+def test_order_separation_matches_the_pairwise_forms(bundle):
+    """``specialization``'s row AND and the distinct-rows antisymmetry test
+    of both order-separation predicates against the loops they replaced, on
+    all 858 labeled spaces with at most 3 points and the bundle spaces."""
+    spaces = list(small_spaces(3))
+    assert len(spaces) == 858
+    verdicts = set()
+    for X in spaces + bundle.spaces:
+        spec = bt.specialization(X)
+        assert spec == specialization_by_pairs(X)
+        assert (len(set(spec.leq)) == X.n) == leq_is_partial_order_by_pairs(spec.leq)
+        got = (bt.is_order_separated(X), bt.is_totally_order_separated(X))
+        assert got == (is_order_separated_by_pairs(X), is_totally_order_separated_by_pairs(X))
+        verdicts.add((leq_is_partial_order_by_pairs(spec.leq), *got))
+    assert verdicts == {(False, False, False), (True, False, False), (True, True, True)}
 
 
 def test_two_sided_predicates_match_the_per_side_blocks():

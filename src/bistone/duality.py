@@ -46,7 +46,7 @@ from .errors import (
     NotStone,
     NotZeroDimensional,
 )
-from .ideals import _covering_pairs, ideal_map, prime_pair_opens, prime_pairs
+from .ideals import ideal_map, prime_pair_opens, prime_pairs
 from .lattice import (
     bits,
     classical_spec,
@@ -201,9 +201,10 @@ def spatial_reflection(dl):
     """sp(dl) = (plus, minus, D, C): dl's coordinate lattices with, as con,
     the pairs whose opens φ₊(a), φ₋(b) over the primes are disjoint and, as
     tot, those whose opens cover every prime, built with no opens from the
-    covering scan behind ``prime_pairs`` (``ideals._covering_pairs``), which
-    hands each prime pair (u_k, v_k) over with its masks R_k and K_k.  The
-    masks are proved, and the clause (i) guard below is justified, in
+    prime selection behind ``prime_pairs``
+    (``CoordinateTables.prime_cells``), read through the record this call
+    holds: each prime pair (u_k, v_k) comes with R_k | K_k and R_k & K_k.
+    The masks are proved, and the clause (i) guard below is justified, in
     ``spatiality_check``.
 
     On a valid dl, con ⊆ D and tot ⊆ C: the prime d-ideal g_k is a hom into
@@ -220,11 +221,15 @@ def spatial_reflection(dl):
     tables = coordinate_tables(dl)
     disjoint = covering = (1 << dl.size) - 1
     plus_sides = minus_sides = 0
-    for u, rows_u, v, cols_v in _covering_pairs(dl.con_mask, dl.tot_mask, *tables.prime_masks):
-        disjoint &= rows_u | cols_v
-        covering &= ~(rows_u & cols_v)
+    cells, selected = tables.prime_cells(dl.con_mask, dl.tot_mask)
+    while selected:
+        low = selected & -selected
+        u, v, union, shared = cells[low.bit_length() - 1]
+        disjoint &= union
+        covering &= ~shared
         plus_sides |= 1 << u
         minus_sides |= 1 << v
+        selected ^= low
     for sign, irreducible, sides in zip("₊₋", tables.meet_irreducibles, (plus_sides, minus_sides)):
         if irreducible & ~sides:
             raise InvariantViolation(f"spatiality clause (i): φ{sign} is not injective on a d-lattice")

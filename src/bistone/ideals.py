@@ -15,8 +15,10 @@ not representable here; at finite scale maximal-disjoint filter pairs are
 prime, since a prime d-ideal lies between every d-filter map and every
 d-ideal map above it (the sandwich property; ``tests/`` decides it).
 
-Every enumeration of maps here is one mask test over generator pairs,
-``_covering_pairs``, and calls no map validator (proofs in the docstrings).
+Every enumeration of maps here is one mask test over generator pairs and
+calls no map validator (proofs in the docstrings): ``_covering_pairs`` for
+d-ideal and d-filter maps, the prime selection of the coordinate record
+(``dlattice.PrimeSelection``) for prime d-ideals.
 A finite ideal or filter is principal, so a d-ideal or d-filter is held
 as its map or as the generator pair (u, v) of its zero or one sets.
 """
@@ -296,26 +298,29 @@ def ideal_map(dl, u, v):
     return BMap(dl, four_case_values(dl, ~dl.plus.down[u], ~dl.minus.down[v]))
 
 
-def _covering_pairs(required, avoid, plus_masks, minus_masks):
-    """The mask test behind every enumeration here: the (u, v), in order of
-    u and then v over the (generator, covered-pair mask) entries of
-    ``plus_masks`` and ``minus_masks`` (see ``CoordinateTables``), whose
-    masks together cover ``required`` and share no pair of ``avoid``; each
-    as (u, rows_u, v, cols_v), with its two masks for the callers that read
-    them (``duality.spatial_reflection``)."""
+def _covering_pairs(required, plus_masks, minus_masks):
+    """The mask test behind the d-ideal and d-filter map enumerations: the
+    (u, v), in order of u and then v over the (generator, covered-pair
+    mask) entries of ``plus_masks`` and ``minus_masks`` (see
+    ``CoordinateTables``), whose masks together cover ``required``.  The
+    prime pairs are picked by the record's prime selection instead
+    (``prime_pairs``)."""
     return [
-        (u, rows_u, v, cols_v)
+        (u, v)
         for u, rows_u in plus_masks
         for v, cols_v in minus_masks
-        if not required & ~(rows_u | cols_v) and not avoid & rows_u & cols_v
+        if not required & ~(rows_u | cols_v)
     ]
 
 
 def prime_pairs(dl):
     """The generators (u, v) of the prime d-ideals, in the order of
     ``enumerate_prime_d_ideals``: the pairs of prime generators whose
-    (↓u, ↓v) covers con and avoids tot."""
-    return [(u, v) for u, _, v, _ in _covering_pairs(dl.con_mask, dl.tot_mask, *coordinate_tables(dl).prime_masks)]
+    (↓u, ↓v) covers con and avoids tot, read from the prime selection of
+    dl's coordinate record (``CoordinateTables.prime_cells``), which
+    decides covering once per con mask and avoiding once per tot mask."""
+    cells, selected = coordinate_tables(dl).prime_cells(dl.con_mask, dl.tot_mask)
+    return [cells[k][:2] for k in bits(selected)]
 
 
 def prime_pair_opens(dl, pairs):
@@ -344,7 +349,7 @@ def enumerate_d_ideal_maps(dl):
     in ↓v and in ↓u, and the zero sets of the two bit planes,
     ↓u × M = ↓(u, top) and P × ↓v = ↓(top, v), are principal, so g
     preserves joins (see ``validate_d_ideal_map``)."""
-    return [ideal_map(dl, u, v) for u, _, v, _ in _covering_pairs(dl.con_mask, 0, *coordinate_tables(dl).down_masks)]
+    return [ideal_map(dl, u, v) for u, v in _covering_pairs(dl.con_mask, *coordinate_tables(dl).down_masks)]
 
 
 def enumerate_d_filter_maps(dl):
@@ -360,7 +365,7 @@ def enumerate_d_filter_maps(dl):
     up_plus, up_minus = dl.plus.up, dl.minus.up
     return [
         BMap(dl, four_case_values(dl, up_plus[u], up_minus[v]))
-        for u, _, v, _ in _covering_pairs(dl.tot_mask, 0, *coordinate_tables(dl).up_masks)
+        for u, v in _covering_pairs(dl.tot_mask, *coordinate_tables(dl).up_masks)
     ]
 
 

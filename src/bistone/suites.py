@@ -12,7 +12,7 @@ from operator import and_, or_
 from . import bitop as bt
 from . import duality as du
 from .config import BRUTE_FORCE_IDEAL_LIMIT
-from .corpus import birkhoff_corpus, boolean_lattice, dbool_corpus, three_chain, unlabeled_posets
+from .corpus import boolean_lattice, dbool_corpus, three_chain, unlabeled_posets
 from .dlattice import (
     DLatticeHom,
     bool_dlattice,
@@ -72,8 +72,8 @@ class CorpusBundle:
 
 def default_bundle():
     posets = unlabeled_posets(4)
-    lattices = birkhoff_corpus(4)
     dbools = dbool_corpus(4)
+    lattices = [A.plus for A in dbools]  # λ(L).plus is L: birkhoff_corpus(4), built once
     spaces = [bt.stone_space_from_poset(p) for p in posets]
     spaces.append(bt.BiTopSpace(["p", "q"], [0b00, 0b11], [0b00, 0b11]))  # indiscrete pair
     spaces.append(bt.omega_space(["p", "q"], [0b00, 0b10, 0b11]))    # Sierpinski doubled

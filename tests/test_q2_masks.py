@@ -11,13 +11,15 @@ keeps for ``validate_dlattice``, the reports each lattice pair keeps
 beside its record, and the spatial reflection against the opens φ₊ × φ₋
 that ``spatiality_check`` read before it and against the prime-pair scan
 that indexed the record's ``down_masks`` (``spatial_reflection_by_prime_pairs``),
-with each record's meet-irreducible masks against the prime generators.
-The closed pair sets the Q2
+with each record's meet-irreducible masks against the prime generators,
+and the prime selection each record keeps against the covering scan it
+replaced (``prime_cells_by_scan``).  The closed pair sets the Q2
 census starts from (``duality._down_sets_of_product`` and
 ``_up_sets_containing``) are checked against the product-row closure and
 the cover-step search they replaced."""
 
 import gc
+import random
 from functools import lru_cache
 
 import pytest
@@ -747,3 +749,112 @@ def test_side_verdicts_fill_once_per_record_side_and_mask(bound5, monkeypatch):
         validate_dlattice(dl)
     assert decided == {"con": 1078, "tot": 1078}
     assert len(filled) == 49 and [(tables.con_verdicts, tables.tot_verdicts) for tables in filled] == kept
+
+
+# ---------------------------------------------------------------------------
+# the prime selection
+
+
+def prime_cells_by_scan(dl):
+    """Oracle: the cells the record's prime selection picks for dl, as the
+    covering scan over ``prime_masks`` picked them before: each pair (u, v)
+    of prime generators, u outer, whose (↓u, ↓v) covers con and avoids
+    tot, with the union and intersection of its two covered masks."""
+    plus, minus = coordinate_tables(dl).prime_masks
+    return [
+        (u, v, rows_u | cols_v, rows_u & cols_v)
+        for u, rows_u in plus
+        for v, cols_v in minus
+        if not dl.con_mask & ~(rows_u | cols_v) and not dl.tot_mask & rows_u & cols_v
+    ]
+
+
+def selected_cells(dl):
+    cells, selected = coordinate_tables(dl).prime_cells(dl.con_mask, dl.tot_mask)
+    return [cells[k] for k in bits(selected)]
+
+
+def test_prime_selection_matches_the_covering_scan(bound5):
+    """On all 39,444 bound-5 candidates, valid or not, and on the 87 algebras
+    of ``dbool_corpus(5)``, the prime selection picks the cells of the
+    covering scan, in its order, and ``prime_pairs`` reads their (u, v)."""
+    candidates = bound5[0]
+    dbools = dbool_corpus(5)
+    assert (len(candidates), len(dbools)) == (39444, 87)
+    picked = 0
+    for dl in candidates + dbools:
+        want = prime_cells_by_scan(dl)
+        assert selected_cells(dl) == want
+        assert prime_pairs(dl) == [(u, v) for u, v, _, _ in want]
+        picked += len(want)
+    assert picked > len(candidates)
+
+
+def test_prime_selection_fills_each_side_mask_once_per_record(bound5, monkeypatch):
+    """From an empty record cache, ``prime_pairs`` on every bound-5 candidate
+    and ``spatiality_check`` on every valid one fill the covering bitset of
+    each con mask and the avoiding bitset of each tot mask once per record,
+    and a second pass fills nothing and keeps each record's selection."""
+    filled = []
+    fresh_record_cache(monkeypatch, filled)
+    fills = {"covering": [], "avoiding": []}
+    for side in fills:
+        genuine = getattr(dlattice_module.PrimeSelection, f"{side}_cells")
+
+        def counting(selection, mask, side=side, genuine=genuine):
+            fills[side].append((id(selection), mask))
+            return genuine(selection, mask)
+
+        monkeypatch.setattr(dlattice_module.PrimeSelection, f"{side}_cells", counting)
+    candidates, valid = bound5
+
+    def census_pass():
+        for dl in candidates:
+            prime_pairs(dl)
+        for dl in valid:
+            du.spatiality_check(dl)
+
+    census_pass()
+    selections = [tables.prime_selection for tables in filled]
+    assert len(filled) == 49 and None not in selections
+    want = {
+        "covering": {(id(coordinate_tables(dl).prime_selection), dl.con_mask) for dl in candidates},
+        "avoiding": {(id(coordinate_tables(dl).prime_selection), dl.tot_mask) for dl in candidates},
+    }
+    for side in fills:
+        assert sorted(fills[side]) == sorted(want[side])
+        assert sum(len(getattr(selection, side)) for selection in selections) == len(want[side])
+    census_pass()
+    assert [len(fills[side]) for side in fills] == [len(want[side]) for side in fills]
+    assert [tables.prime_selection for tables in filled] == selections
+
+
+def test_spatial_reflection_on_a_bound_6_sample():
+    """Every valid bound-6 d-lattice gives 4,982 non-spatial ones of 45,310,
+    and on 3,000 of them drawn with a fixed seed the spatial reflection, the
+    verdict and the prime pairs equal those of the prime-pair scan."""
+    valid = [dl for dl, _ in du._q2_dlattices(6)]
+    assert (len(valid), sum(not du.spatiality_check(dl)[0] for dl in valid)) == (45310, 4982)
+    for dl in random.Random(35).sample(valid, 3000):
+        got, want = du.spatial_reflection(dl), spatial_reflection_by_prime_pairs(dl)
+        assert (got.con_mask, got.tot_mask) == (want.con_mask, want.tot_mask)
+        assert selected_cells(dl) == prime_cells_by_scan(dl)
+
+
+def test_spatiality_is_genuine_again_once_a_stand_in_prime_table_is_undone(bound5, corpus, monkeypatch):
+    """With every selection emptied and the last prime generator of either
+    side dropped from ``prime_masks``, ``spatiality_check`` raises the
+    clause (i) guard on every valid bound-5 candidate and corpus algebra;
+    once the stand-in is undone it returns the genuine verdicts again, as
+    each record's selection is rebuilt from the genuine table."""
+    inputs = bound5[1] + [A for A, _ in corpus]
+    want = [du.spatiality_check(dl) for dl in inputs]
+    for side, sign in (("plus", "₊"), ("minus", "₋")):
+        for dl in inputs:
+            coordinate_tables(dl).prime_selection = None
+        with monkeypatch.context() as patched:
+            patched.setattr(CoordinateTables, "prime_masks", prime_masks_dropping_last(side))
+            for dl in inputs:
+                with pytest.raises(InvariantViolation, match=f"clause \\(i\\): φ{sign} is not injective"):
+                    du.spatiality_check(dl)
+        assert [du.spatiality_check(dl) for dl in inputs] == want

@@ -12,6 +12,7 @@ from bistone import duality as du
 from bistone import lattice as lattice_module
 from bistone import suites
 from bistone.cli import main
+from bistone.corpus import birkhoff_corpus
 from bistone.dlattice import DLattice
 from bistone.errors import CoveringViolation, UnknownSuite
 from bistone.ideals import BMap, four_case_values, ideal_map
@@ -24,6 +25,18 @@ def test_suite_passes(name, bundle):
     rows = run_suite(name, bundle)
     failures = [r for r in rows if not r["ok"]]
     assert not failures, failures
+
+
+def test_default_bundle_builds_its_lattices_once(bundle):
+    """The bundle's lattices are the plus sides of its d-Boolean algebras,
+    λ(L).plus being L, and have the orders, bounds and tables of
+    ``birkhoff_corpus(4)``."""
+    assert len(bundle.lattices) == len(bundle.dbools) == 24
+    assert all(L is A.plus for L, A in zip(bundle.lattices, bundle.dbools))
+    for L, want in zip(bundle.lattices, birkhoff_corpus(4)):
+        assert (L.labels, L.up, L.bot, L.top, L.meet, L.join, L.sets) == (
+            want.labels, want.up, want.bot, want.top, want.meet, want.join, want.sets
+        )
 
 
 def test_unknown_suite_rejected(bundle):

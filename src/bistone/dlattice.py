@@ -72,16 +72,12 @@ alone (``_side_verdict``), with F(con) when con passes.  A record is
 shared by every coordinate pair with the same up rows, whatever their
 labels, so a verdict holds pair ids, never labels.
 
-The prime pairs of a d-lattice are picked in one place, the record's
-prime selection (``PrimeSelection``, read through
-``CoordinateTables.prime_cells``): the grid of prime-generator pairs, with
-the bitset of cells that cover each con mask met and of cells that avoid
-each tot mask met, so the pairs of a (con, tot) are one AND.  A census
-meets each con mask with many tots, so most reads fill nothing.  The
-selection is tied to the ``prime_masks`` value it was built from and
-rebuilt when that table is not the same object, so a stand-in for the
-table (a test that drops a generator) is read in full and leaves no
-stale cells behind.
+The prime pairs of a d-lattice are picked in one place,
+``CoordinateTables.prime_cells``: each cell of the record's grid of
+prime-generator pairs carries two witness pair ids, one to test against
+con and one against tot, with no memo per mask.  The grid is rebuilt when
+``prime_masks`` is not the value it was built from, so a stand-in for that
+table (a test that drops a generator) leaves no stale cells behind.
 
 ``validate_dlattice`` reads the pair's entry once, record and report memo
 together, decides every clause for every call and ends with one cause in
@@ -114,6 +110,7 @@ from .lattice import (
     bits,
     build_lattice,
     enumerate_lattice_homs,
+    extreme_of,
     inverse_permutation,
     is_lattice_iso,
     lattice_isos,
@@ -251,11 +248,10 @@ class CoordinateTables:
     records compare by ``key``, the up rows, of which every table is a
     function.  ``con_verdicts`` and ``tot_verdicts`` map a mask to its
     label-free verdict as con or tot (``_side_verdict``), filled by
-    ``validate_dlattice``.  ``prime_selection`` is the ``PrimeSelection``
-    built from ``prime_masks`` on the first ``prime_cells`` read, kept
-    with that table value and rebuilt when ``prime_masks`` is no longer
-    it.  A record keeps a plain ``FinitePoset`` copy of each lattice's
-    order and the operation tables, not the lattices."""
+    ``validate_dlattice``.  ``prime_grid`` is (``prime_masks``, its grid
+    of cells), built by ``prime_cells``.  A record keeps a plain
+    ``FinitePoset`` copy of each lattice's order and the operation tables,
+    not the lattices."""
 
     def __init__(self, plus, minus):
         # the record is held in plus.paired_tables: holding a lattice would make a cycle
@@ -264,7 +260,7 @@ class CoordinateTables:
         self.key = (plus.up, minus.up)
         self.con_verdicts = {}
         self.tot_verdicts = {}
-        self.prime_selection = None
+        self.prime_grid = None
 
     def __eq__(self, other):
         return self.key == other.key
@@ -344,61 +340,36 @@ class CoordinateTables:
         return tuple(mask_of(prime_generators(L)) for L in self.posets)
 
     def prime_cells(self, con_mask, tot_mask):
-        """The grid of the prime selection and the bitset of its cells whose
-        (↓u, ↓v) covers con and avoids tot: one AND of the bitsets kept for
-        the two masks, each filled on its mask's first read.  The selection
-        is rebuilt whenever ``prime_masks`` is not the value it was built
-        from, so a stand-in for that table is never mixed with cells of
-        the genuine one."""
-        masks = self.prime_masks
-        selection = self.prime_selection
-        if selection is None or selection.masks is not masks:
-            selection = self.prime_selection = PrimeSelection(masks)
-        covers = selection.covering.get(con_mask)
-        if covers is None:
-            covers = selection.covering[con_mask] = selection.covering_cells(con_mask)
-        avoids = selection.avoiding.get(tot_mask)
-        if avoids is None:
-            avoids = selection.avoiding[tot_mask] = selection.avoiding_cells(tot_mask)
-        return selection.cells, covers & avoids
+        """The cells (u, v, rows_u | cols_v, rows_u & cols_v) of the prime
+        grid, u outer, whose (↓u, ↓v) covers con and avoids tot, by two bit
+        tests per cell.  The grid is rebuilt when ``prime_masks`` is not the
+        value it was built from, so a stand-in for that table is never
+        mixed with cells of the genuine one.
 
-
-class PrimeSelection:
-    """The grid of prime-generator pairs of a record, built from its
-    ``prime_masks``: per pair (u, v), in order of u and then v, the cell
-    (u, v, rows_u | cols_v, rows_u & cols_v).  (↓u, ↓v) covers a con mask
-    iff the mask lies inside the union, which depends on con alone, and
-    avoids a tot mask iff the mask misses the intersection, which depends
-    on tot alone.  So ``covering`` keeps, per con mask met, the bitset of
-    the cells that cover it, and ``avoiding``, per tot mask, the bitset of
-    the cells that avoid it."""
-
-    __slots__ = ("masks", "cells", "covering", "avoiding")
-
-    def __init__(self, masks):
-        plus, minus = masks
-        self.masks = masks
-        self.cells = tuple((u, v, rows_u | cols_v, rows_u & cols_v) for u, rows_u in plus for v, cols_v in minus)
-        self.covering = {}
-        self.avoiding = {}
-
-    def covering_cells(self, con_mask):
-        """The bitset of the cells whose union holds con."""
-        covers, bit = 0, 1
-        for _, _, union, _ in self.cells:
-            if not con_mask & ~union:
-                covers |= bit
-            bit <<= 1
-        return covers
-
-    def avoiding_cells(self, tot_mask):
-        """The bitset of the cells whose intersection misses tot."""
-        avoids, bit = 0, 1
-        for _, _, _, shared in self.cells:
-            if not tot_mask & shared:
-                avoids |= bit
-            bit <<= 1
-        return avoids
+        Let con be a down-set and tot an up-set, as on every valid d-lattice
+        and every Q2 candidate.  For a prime generator u, the complement of
+        the prime ideal ↓u is a prime filter ↑c(u), so c(u) is
+        join-irreducible.  (↓u, ↓v) covers con iff (c(u), c(v)) ∉ con: a
+        consistent (a, b) with a ≰ u and b ≰ v has c(u) ≤ a and c(v) ≤ b,
+        and (c(u), c(v)) itself is not covered.  It avoids tot iff (u, v),
+        the top of ↓u × ↓v, is not in tot.  A cell keeps the pair ids of
+        these two witnesses, read from ``prime_generators`` in the order of
+        the ``prime_masks`` entries, not from an entry's name, which a
+        stand-in may change."""
+        masks, grid = self.prime_masks, self.prime_grid
+        if grid is None or grid[0] is not masks:
+            sides = []
+            for L, side in zip(self.posets, masks):
+                full = (1 << L.n) - 1
+                sides.append([(g, extreme_of(full & ~L.down[g], L.up), e) for g, e in zip(prime_generators(L), side)])
+            n = self.posets[1].n
+            cells = tuple(
+                (cu * n + cv, u * n + v, (name_u, name_v, rows_u | cols_v, rows_u & cols_v))
+                for u, cu, (name_u, rows_u) in sides[0]
+                for v, cv, (name_v, cols_v) in sides[1]
+            )
+            grid = self.prime_grid = (masks, cells)
+        return [cell for w, t, cell in grid[1] if not (con_mask >> w) & 1 and not (tot_mask >> t) & 1]
 
 
 def _pair_entry(dl):

@@ -201,10 +201,10 @@ def spatial_reflection(dl):
     """sp(dl) = (plus, minus, D, C): dl's coordinate lattices with, as con,
     the pairs whose opens φ₊(a), φ₋(b) over the primes are disjoint and, as
     tot, those whose opens cover every prime, built with no opens from the
-    prime selection behind ``prime_pairs``
-    (``CoordinateTables.prime_cells``), read through the record this call
-    holds: each prime pair (u_k, v_k) comes with R_k | K_k and R_k & K_k.
-    The masks are proved, and the clause (i) guard below is justified, in
+    prime cells behind ``prime_pairs`` (``CoordinateTables.prime_cells``,
+    two witness bits per cell), read through the record this call holds:
+    each prime pair (u_k, v_k) comes with R_k | K_k and R_k & K_k.  The
+    masks are proved, and the clause (i) guard below is justified, in
     ``spatiality_check``.
 
     On a valid dl, con ⊆ D and tot ⊆ C: the prime d-ideal g_k is a hom into
@@ -221,15 +221,11 @@ def spatial_reflection(dl):
     tables = coordinate_tables(dl)
     disjoint = covering = (1 << dl.size) - 1
     plus_sides = minus_sides = 0
-    cells, selected = tables.prime_cells(dl.con_mask, dl.tot_mask)
-    while selected:
-        low = selected & -selected
-        u, v, union, shared = cells[low.bit_length() - 1]
+    for u, v, union, shared in tables.prime_cells(dl.con_mask, dl.tot_mask):
         disjoint &= union
         covering &= ~shared
         plus_sides |= 1 << u
         minus_sides |= 1 << v
-        selected ^= low
     for sign, irreducible, sides in zip("₊₋", tables.meet_irreducibles, (plus_sides, minus_sides)):
         if irreducible & ~sides:
             raise InvariantViolation(f"spatiality clause (i): φ{sign} is not injective on a d-lattice")
@@ -269,18 +265,17 @@ def spatiality_check(dl):
     φ is an order embedding.
 
     Every prime ideal ↓u of the plus lattice is the plus side of a pair
-    (u, v) of ``prime_pairs``.  Let c be the least element outside ↓u
-    (↓u is prime).  (↓u, ↓v) covers con iff every b with (c, b) in con lies
-    in ↓v, as con is a down-set.  Those b have a largest member y: (c, ⊥) is
-    in con, below tt, and con is closed under logic meet, which joins the
-    minus coordinates.  Dually, (↓u, ↓v) avoids tot iff ↓v misses every b
-    with (u, b) in tot, and those b, if there are any, have a least member
-    t, as tot is an up-set closed under logic join.  If t ≤ y, then (u, y)
-    is in tot and (c, y) in con; they share y, so con–tot gives c ≤ u,
-    which is false.  In the same way y ≠ ⊤, by comparing (c, ⊤) with ff.
-    So some prime ideal ↓v contains y and, if t exists, misses it, and
-    (u, v) is in ``prime_pairs``.  The minus side is dual.  The guard in
-    ``spatial_reflection`` only catches a fault in the code this proof
+    (u, v) of ``prime_pairs``.  Let c be the least element outside ↓u.  The
+    b with (c, b) in con are the ↓y of a largest member y: (c, ⊥) is in
+    con, below tt, and con is a down-set closed under logic meet, which
+    joins the minus coordinates.  Dually, the b with (u, b) in tot, if
+    there are any, are the ↑t of a least member t, as tot is an up-set
+    closed under logic join.  If t ≤ y, then (u, y) is in tot and (c, y) in
+    con; they share y, so con–tot gives c ≤ u, which is false.  In the same way y ≠ ⊤, by comparing (c, ⊤) with ff.
+    So some prime ideal ↓v contains y and, if t exists, misses it.  Then
+    c(v) ≰ y and t ≰ v, so (u, v) is in ``prime_pairs`` by the lemma of
+    ``CoordinateTables.prime_cells``.  The minus side is dual.  The guard
+    in ``spatial_reflection`` only catches a fault in the code this proof
     relies on.
 
     The guard is one AND per side.  ``CoordinateTables.meet_irreducibles``

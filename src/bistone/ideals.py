@@ -17,8 +17,9 @@ d-ideal map above it (the sandwich property; ``tests/`` decides it).
 
 Every enumeration of maps here is one mask test over generator pairs and
 calls no map validator (proofs in the docstrings): ``_covering_pairs`` for
-d-ideal and d-filter maps, the prime selection of the coordinate record
-(``dlattice.PrimeSelection``) for prime d-ideals.
+d-ideal and d-filter maps, two bit tests per cell of the coordinate
+record's prime grid (``dlattice.CoordinateTables.prime_cells``) for prime
+d-ideals.
 A finite ideal or filter is principal, so a d-ideal or d-filter is held
 as its map or as the generator pair (u, v) of its zero or one sets.
 """
@@ -265,8 +266,10 @@ def enumerate_prime_d_ideals(dl):
       plane, with one set P × (M ∖ ↓v), works the same way.
 
     A prime ideal is proper, so the first clause holds for every prime pair.
-    On d-Boolean algebras ``_primes_structural`` is the independent
-    reference.
+    ``prime_pairs`` decides covering and avoiding by one witness bit each,
+    which is exact when con is a down-set and tot an up-set: dl must be a
+    valid d-lattice, as every caller checks first.  On d-Boolean algebras
+    ``_primes_structural`` is the independent reference.
     """
     return _primes_bruteforce(dl)
 
@@ -303,8 +306,8 @@ def _covering_pairs(required, plus_masks, minus_masks):
     (u, v), in order of u and then v over the (generator, covered-pair
     mask) entries of ``plus_masks`` and ``minus_masks`` (see
     ``CoordinateTables``), whose masks together cover ``required``.  The
-    prime pairs are picked by the record's prime selection instead
-    (``prime_pairs``)."""
+    prime pairs are picked by the witness bits of the record's prime grid
+    instead (``prime_pairs``)."""
     return [
         (u, v)
         for u, rows_u in plus_masks
@@ -316,11 +319,11 @@ def _covering_pairs(required, plus_masks, minus_masks):
 def prime_pairs(dl):
     """The generators (u, v) of the prime d-ideals, in the order of
     ``enumerate_prime_d_ideals``: the pairs of prime generators whose
-    (↓u, ↓v) covers con and avoids tot, read from the prime selection of
-    dl's coordinate record (``CoordinateTables.prime_cells``), which
-    decides covering once per con mask and avoiding once per tot mask."""
-    cells, selected = coordinate_tables(dl).prime_cells(dl.con_mask, dl.tot_mask)
-    return [cells[k][:2] for k in bits(selected)]
+    (↓u, ↓v) covers con and avoids tot, picked by two bit tests per cell
+    of dl's coordinate record (``CoordinateTables.prime_cells``, which
+    proves them).  They hold when con is a down-set and tot an up-set, as
+    on every valid d-lattice, so callers validate dl first."""
+    return [cell[:2] for cell in coordinate_tables(dl).prime_cells(dl.con_mask, dl.tot_mask)]
 
 
 def prime_pair_opens(dl, pairs):

@@ -122,17 +122,21 @@ def _side(obj, key):
 
 def _pair_mask(shell, obj, key):
     """The pair set under key: a JSON array of [plus index, minus index]
-    arrays.  The first bad entry is named, by its position when it is not
-    such an array and by its indices when one is out of range."""
+    arrays.  The first bad entry is named, by its position in JSON text
+    when it is not such an array or an index is not an integer, and by its
+    indices when one is out of range."""
     pairs = _require(obj, key)
     if not isinstance(pairs, list):
         raise ParseError(f"{key} must be a JSON array")
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError(f"{key}[{i}] must be an array of two indices")
+        for j, (x, side) in enumerate(zip(pair, ("plus", "minus"))):
+            if type(x) is not int:  # not True or 1.0
+                raise ParseError(f"{key}[{i}][{j}] must be a {side} index, not {json.dumps(x)}")
         a, b = pair
-        if not (_index_below(a, shell.plus.n) and _index_below(b, shell.minus.n)):
-            raise ParseError(f"{key} pair ({a!r},{b!r}) is out of range")
+        if not (0 <= a < shell.plus.n and 0 <= b < shell.minus.n):
+            raise ParseError(f"{key} pair ({a},{b}) is out of range")
     return mask_of(shell.pid(a, b) for a, b in pairs)
 
 

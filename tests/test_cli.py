@@ -201,6 +201,8 @@ def test_cli_labels_must_be_distinct_strings(tmp_path, capsys, command, doc, mes
         ("spec", with_fields("dlattice.json", ("tot", "ab")), "tot must be a JSON array"),
         ("roundtrip", with_fields("dboolean.json", ("tot", [[0, 0], [1, 0, 1]])), "tot[1] must be an array of two indices"),
         ("roundtrip", with_fields("dboolean.json", ("dagger", 5)), "dagger must list 5 indices below 5"),
+        ("spec", with_fields("dlattice.json", ("con", 4, [True, 0])), "con[4][0] must be a plus index, not true"),
+        ("validate", with_fields("dlattice.json", ("tot", 1, [1, 1.0])), "tot[1][1] must be a minus index, not 1.0"),
     ],
     ids=[
         "validate-repeated-minus-label",
@@ -210,15 +212,19 @@ def test_cli_labels_must_be_distinct_strings(tmp_path, capsys, command, doc, mes
         "spec-tot-string",
         "roundtrip-tot-triple",
         "roundtrip-dagger-int",
+        "spec-con-bool-index",
+        "validate-tot-float-index",
     ],
 )
 def test_cli_dlattice_errors_name_their_field(tmp_path, capsys, command, doc, message):
     """An error inside a d-lattice file's plus or minus lattice names its
     side, and a con or tot entry that is not an array of two indices is
-    named by its position; before, these read ``elements[3] …``, ``missing
-    field 'elements'`` and ``leq must be …`` with no side, or ``malformed
+    named by its position, as is an index in one that is not a JSON
+    integer; before, these read ``elements[3] …``, ``missing field
+    'elements'`` and ``leq must be …`` with no side, or ``malformed
     dlattice:`` or ``malformed dboolean:`` with a Python error such as
-    ``'int' object is not iterable``."""
+    ``'int' object is not iterable``, and a boolean or float index was
+    printed as a Python value (``con pair (True,0) is out of range``)."""
     path = tmp_path / "dlattice.json"
     path.write_text(dumps(doc))
     assert main([command, "--in", str(path)]) == 2

@@ -1,6 +1,7 @@
 """Byte-pinned command-line output: stdout, stderr and the exit code of
-``bistone props`` for every suite, of ``bistone search`` at bound 4 (and Q2
-at bound 5, whose counterexample is its 74th structure), and of
+``bistone props`` for every suite, of ``bistone search`` at bounds 1-4 (and
+Q2 at bound 5, whose counterexample is its 74th structure; Q2 at bounds 2
+and 3 ends exhausted after its structures pass ``spatiality_check``), and of
 ``validate``, ``spec``, ``clop`` and ``roundtrip`` on the small files in
 ``tests/golden/inputs/``; and the sha256 of each file ``bistone gen`` writes
 for every ``--kind`` at bound 4.
@@ -36,6 +37,13 @@ COMMANDS.update(
     {f"search_{q}": (["search", "--conjecture", q, "--bounds", "4"], 0) for q in ("Q1", "Q2")}
 )
 COMMANDS["search_Q2_bound5"] = (["search", "--conjecture", "Q2", "--bounds", "5"], 0)
+COMMANDS.update(
+    {
+        f"search_{q}_bound{bound}": (["search", "--conjecture", q, "--bounds", str(bound)], 0)
+        for q in ("Q1", "Q2")
+        for bound in (1, 2, 3)
+    }
+)
 for command, cases in (
     ("validate", {"dboolean": 0, "dlattice": 0, "dboolean_bad_dagger": 1, "dboolean_bad_con": 1, "dboolean_bad_tot": 1, "space_not_stone": 0, "lattice_n5": 1, "lattice_m3": 1}),
     ("spec", {"dboolean": 0, "dlattice": 0, "dboolean_bad_dagger": 1, "dboolean_bad_con": 1, "dboolean_bad_tot": 1}),

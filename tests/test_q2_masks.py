@@ -12,9 +12,10 @@ beside its record, and the spatial reflection against the opens φ₊ × φ₋
 that ``spatiality_check`` read before it and against the prime-pair scan
 that indexed the record's ``down_masks`` (``spatial_reflection_by_prime_pairs``),
 with each record's meet-irreducible masks against the prime generators,
-and the prime selection each record keeps against the covering scan it
-replaced (``prime_cells_by_scan``).  The closed pair sets the Q2
-census starts from (``duality._down_sets_of_product`` and
+and the cells each record's prime grid picks by its witness bits against
+the covering scan they replaced (``prime_cells_by_scan``), with the
+witnesses against the prime filters they generate.  The closed pair sets
+the Q2 census starts from (``duality._down_sets_of_product`` and
 ``_up_sets_containing``) are checked against the product-row closure and
 the cover-step search they replaced."""
 
@@ -752,11 +753,33 @@ def test_side_verdicts_fill_once_per_record_side_and_mask(bound5, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the prime selection
+# the prime grid
+
+
+def test_prime_grid_witnesses_are_the_least_elements_outside_the_primes():
+    """On every pair of coordinate lattices up to size 7 (20 lattices, 400
+    pairs), the prime grid pairs each prime generator u of the numpy oracle,
+    on either side, with a witness c such that ↑c is the complement of ↓u,
+    and c is join-irreducible (one lower cover)."""
+    lattices = distributive_lattices(7)
+    assert len(lattices) == 20
+    for plus in lattices:
+        for minus in lattices:
+            tables = coordinate_tables(DLattice(plus, minus, 0, 0))
+            assert len(tables.prime_cells(0, 0)) == len(prime_generators(plus)) * len(prime_generators(minus))
+            witness = ({}, {})
+            for w, t, _ in tables.prime_grid[1]:
+                for side, c, u in zip((0, 1), divmod(w, minus.n), divmod(t, minus.n)):
+                    witness[side].setdefault(u, c)
+            for side, L in zip((0, 1), (plus, minus)):
+                assert sorted(witness[side]) == prime_ideals_numpy(L)
+                for u, c in witness[side].items():
+                    assert L.up[c] == ((1 << L.n) - 1) & ~L.down[u]
+                    assert L.cover_down[c].bit_count() == 1
 
 
 def prime_cells_by_scan(dl):
-    """Oracle: the cells the record's prime selection picks for dl, as the
+    """Oracle: the cells the record's prime grid picks for dl, as the
     covering scan over ``prime_masks`` picked them before: each pair (u, v)
     of prime generators, u outer, whose (↓u, ↓v) covers con and avoids
     tot, with the union and intersection of its two covered masks."""
@@ -770,14 +793,13 @@ def prime_cells_by_scan(dl):
 
 
 def selected_cells(dl):
-    cells, selected = coordinate_tables(dl).prime_cells(dl.con_mask, dl.tot_mask)
-    return [cells[k] for k in bits(selected)]
+    return coordinate_tables(dl).prime_cells(dl.con_mask, dl.tot_mask)
 
 
-def test_prime_selection_matches_the_covering_scan(bound5):
+def test_prime_cells_match_the_covering_scan(bound5):
     """On all 39,444 bound-5 candidates, valid or not, and on the 87 algebras
-    of ``dbool_corpus(5)``, the prime selection picks the cells of the
-    covering scan, in its order, and ``prime_pairs`` reads their (u, v)."""
+    of ``dbool_corpus(5)``, the prime grid picks the cells of the covering
+    scan, in its order, and ``prime_pairs`` reads their (u, v)."""
     candidates = bound5[0]
     dbools = dbool_corpus(5)
     assert (len(candidates), len(dbools)) == (39444, 87)
@@ -788,45 +810,6 @@ def test_prime_selection_matches_the_covering_scan(bound5):
         assert prime_pairs(dl) == [(u, v) for u, v, _, _ in want]
         picked += len(want)
     assert picked > len(candidates)
-
-
-def test_prime_selection_fills_each_side_mask_once_per_record(bound5, monkeypatch):
-    """From an empty record cache, ``prime_pairs`` on every bound-5 candidate
-    and ``spatiality_check`` on every valid one fill the covering bitset of
-    each con mask and the avoiding bitset of each tot mask once per record,
-    and a second pass fills nothing and keeps each record's selection."""
-    filled = []
-    fresh_record_cache(monkeypatch, filled)
-    fills = {"covering": [], "avoiding": []}
-    for side in fills:
-        genuine = getattr(dlattice_module.PrimeSelection, f"{side}_cells")
-
-        def counting(selection, mask, side=side, genuine=genuine):
-            fills[side].append((id(selection), mask))
-            return genuine(selection, mask)
-
-        monkeypatch.setattr(dlattice_module.PrimeSelection, f"{side}_cells", counting)
-    candidates, valid = bound5
-
-    def census_pass():
-        for dl in candidates:
-            prime_pairs(dl)
-        for dl in valid:
-            du.spatiality_check(dl)
-
-    census_pass()
-    selections = [tables.prime_selection for tables in filled]
-    assert len(filled) == 49 and None not in selections
-    want = {
-        "covering": {(id(coordinate_tables(dl).prime_selection), dl.con_mask) for dl in candidates},
-        "avoiding": {(id(coordinate_tables(dl).prime_selection), dl.tot_mask) for dl in candidates},
-    }
-    for side in fills:
-        assert sorted(fills[side]) == sorted(want[side])
-        assert sum(len(getattr(selection, side)) for selection in selections) == len(want[side])
-    census_pass()
-    assert [len(fills[side]) for side in fills] == [len(want[side]) for side in fills]
-    assert [tables.prime_selection for tables in filled] == selections
 
 
 def test_spatial_reflection_on_a_bound_6_sample():
@@ -842,16 +825,16 @@ def test_spatial_reflection_on_a_bound_6_sample():
 
 
 def test_spatiality_is_genuine_again_once_a_stand_in_prime_table_is_undone(bound5, corpus, monkeypatch):
-    """With every selection emptied and the last prime generator of either
+    """With every prime grid emptied and the last prime generator of either
     side dropped from ``prime_masks``, ``spatiality_check`` raises the
     clause (i) guard on every valid bound-5 candidate and corpus algebra;
     once the stand-in is undone it returns the genuine verdicts again, as
-    each record's selection is rebuilt from the genuine table."""
+    each record's grid is rebuilt from the genuine table."""
     inputs = bound5[1] + [A for A, _ in corpus]
     want = [du.spatiality_check(dl) for dl in inputs]
     for side, sign in (("plus", "₊"), ("minus", "₋")):
         for dl in inputs:
-            coordinate_tables(dl).prime_selection = None
+            coordinate_tables(dl).prime_grid = None
         with monkeypatch.context() as patched:
             patched.setattr(CoordinateTables, "prime_masks", prime_masks_dropping_last(side))
             for dl in inputs:

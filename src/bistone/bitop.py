@@ -340,11 +340,10 @@ def dclop_algebra(space):
     return A
 
 
-def point_d_point(space, df=None):
-    """The d-point [x] of dO(space) for each point x: the four-case map
-    with tt rows {a : x ∈ U_a} and ff columns {b : x ∈ V_b}."""
-    if df is None:
-        df = dO(space)
+def point_d_point(space, df):
+    """The d-point [x] of df, dO(space) or dClop(space), for each point x:
+    the four-case map with tt rows {a : x ∈ U_a} and ff columns
+    {b : x ∈ V_b}."""
     out = []
     for x in range(space.n):
         tt_rows = mask_of(a for a, u in enumerate(df.plus.sets) if (u >> x) & 1)

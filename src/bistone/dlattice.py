@@ -74,10 +74,8 @@ labels, so a verdict holds pair ids, never labels.
 
 The prime pairs of a d-lattice are picked in one place,
 ``CoordinateTables.prime_cells``: each cell of the record's grid of
-prime-generator pairs carries two witness pair ids, one to test against
-con and one against tot, with no memo per mask.  The grid is rebuilt when
-``prime_masks`` is not the value it was built from, so a stand-in for that
-table (a test that drops a generator) leaves no stale cells behind.
+prime-generator pairs carries two witness bits, one to test against con
+and one against tot, with no memo per mask.
 
 ``validate_dlattice`` reads the pair's entry once, record and report memo
 together, decides every clause for every call and ends with one cause in
@@ -248,10 +246,8 @@ class CoordinateTables:
     records compare by ``key``, the up rows, of which every table is a
     function.  ``con_verdicts`` and ``tot_verdicts`` map a mask to its
     label-free verdict as con or tot (``_side_verdict``), filled by
-    ``validate_dlattice``.  ``prime_grid`` is (``prime_masks``, its grid
-    of cells), built by ``prime_cells``.  A record keeps a plain
-    ``FinitePoset`` copy of each lattice's order and the operation tables,
-    not the lattices."""
+    ``validate_dlattice``.  A record keeps a plain ``FinitePoset`` copy of
+    each lattice's order and the operation tables, not the lattices."""
 
     def __init__(self, plus, minus):
         # the record is held in plus.paired_tables: holding a lattice would make a cycle
@@ -260,7 +256,6 @@ class CoordinateTables:
         self.key = (plus.up, minus.up)
         self.con_verdicts = {}
         self.tot_verdicts = {}
-        self.prime_grid = None
 
     def __eq__(self, other):
         return self.key == other.key
@@ -307,13 +302,13 @@ class CoordinateTables:
         return tuple(row0 & ~up for up in M.up), in_column
 
     def _covered_masks(self, downward):
-        """Per coordinate lattice, (g, the pairs whose coordinate there is ≤ g,
-        or ≥ g when not ``downward``) for each element g."""
+        """Per coordinate lattice, indexed by element g, the mask of the pairs
+        whose coordinate there is ≤ g, or ≥ g when not ``downward``."""
         P, M = self.posets
         plus_rows, minus_rows = (P.down, M.down) if downward else (P.up, M.up)
         return (
-            tuple((u, covered_pairs(P.n, M.n, row, 0)) for u, row in enumerate(plus_rows)),
-            tuple((v, covered_pairs(P.n, M.n, 0, row)) for v, row in enumerate(minus_rows)),
+            tuple(covered_pairs(P.n, M.n, row, 0) for row in plus_rows),
+            tuple(covered_pairs(P.n, M.n, 0, row) for row in minus_rows),
         )
 
     @cached_property
@@ -325,26 +320,34 @@ class CoordinateTables:
         return self._covered_masks(False)
 
     @cached_property
-    def prime_masks(self):
-        """The entries of ``down_masks`` whose ↓g is a prime ideal."""
-        return tuple(
-            tuple(masks[g] for g in prime_generators(L))
-            for L, masks in zip(self.posets, self.down_masks)
-        )
-
-    @cached_property
     def meet_irreducibles(self):
         """Per coordinate lattice, the mask of its elements with one upper
         cover, the prime generators: the sides clause (i) of
         ``duality.spatiality_check`` asks for."""
         return tuple(mask_of(prime_generators(L)) for L in self.posets)
 
+    @cached_property
+    def prime_grid(self):
+        """One cell (w, t, (u, v, rows_u | cols_v, rows_u & cols_v)) per
+        pair of prime generators, u outer, where w is the bit of the pair
+        (c(u), c(v)), c(u) the least element outside ↓u, and t the bit of
+        (u, v): the witnesses ``prime_cells`` tests against con and tot."""
+        rows, cols = self.down_masks
+        witnesses = [
+            [(u, extreme_of(((1 << L.n) - 1) & ~L.down[u], L.up)) for u in prime_generators(L)]
+            for L in self.posets
+        ]
+        n = self.posets[1].n
+        return tuple(
+            (1 << (cu * n + cv), 1 << (u * n + v), (u, v, rows[u] | cols[v], rows[u] & cols[v]))
+            for u, cu in witnesses[0]
+            for v, cv in witnesses[1]
+        )
+
     def prime_cells(self, con_mask, tot_mask):
         """The cells (u, v, rows_u | cols_v, rows_u & cols_v) of the prime
         grid, u outer, whose (↓u, ↓v) covers con and avoids tot, by two bit
-        tests per cell.  The grid is rebuilt when ``prime_masks`` is not the
-        value it was built from, so a stand-in for that table is never
-        mixed with cells of the genuine one.
+        tests per cell.
 
         Let con be a down-set and tot an up-set, as on every valid d-lattice
         and every Q2 candidate.  For a prime generator u, the complement of
@@ -352,24 +355,9 @@ class CoordinateTables:
         join-irreducible.  (↓u, ↓v) covers con iff (c(u), c(v)) ∉ con: a
         consistent (a, b) with a ≰ u and b ≰ v has c(u) ≤ a and c(v) ≤ b,
         and (c(u), c(v)) itself is not covered.  It avoids tot iff (u, v),
-        the top of ↓u × ↓v, is not in tot.  A cell keeps the pair ids of
-        these two witnesses, read from ``prime_generators`` in the order of
-        the ``prime_masks`` entries, not from an entry's name, which a
-        stand-in may change."""
-        masks, grid = self.prime_masks, self.prime_grid
-        if grid is None or grid[0] is not masks:
-            sides = []
-            for L, side in zip(self.posets, masks):
-                full = (1 << L.n) - 1
-                sides.append([(g, extreme_of(full & ~L.down[g], L.up), e) for g, e in zip(prime_generators(L), side)])
-            n = self.posets[1].n
-            cells = tuple(
-                (cu * n + cv, u * n + v, (name_u, name_v, rows_u | cols_v, rows_u & cols_v))
-                for u, cu, (name_u, rows_u) in sides[0]
-                for v, cv, (name_v, cols_v) in sides[1]
-            )
-            grid = self.prime_grid = (masks, cells)
-        return [cell for w, t, cell in grid[1] if not (con_mask >> w) & 1 and not (tot_mask >> t) & 1]
+        the top of ↓u × ↓v, is not in tot.  A cell keeps the bits of these
+        two witnesses."""
+        return [cell for w, t, cell in self.prime_grid if not con_mask & w and not tot_mask & t]
 
 
 def _pair_entry(dl):
@@ -393,10 +381,11 @@ def coordinate_tables(dl):
 @lru_cache(maxsize=128)
 def _shared_tables(tables):
     """The first record cached with the up rows of ``tables``, read once per
-    new lattice pair; the last 128 cover a Q2 census (49 coordinate pairs)
-    and a ``props`` pass (70).  Building the ``duality-corpus`` inputs and
-    one pass over them read 230, 87 of them while building, each once, so
-    they miss 230 times at any bound."""
+    new lattice pair.  From an empty cache, a bound-5 ``_q2_dlattices``
+    stream reads 49 records and the five ``props`` suites 65 (8 while
+    building the default bundle), so the last 128 hold either.  One
+    ``duality-corpus`` pass reads 174 distinct records, each once, and
+    building its inputs reads none."""
     return tables
 
 

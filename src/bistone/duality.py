@@ -548,14 +548,14 @@ def _down_sets_of_product(dl, seed_mask):
     the downward cover steps they are closed under."""
     tables = coordinate_tables(dl)
     plus, minus = tables.down_masks
-    return closed_sets([row & col for _, row in plus for _, col in minus], seed_mask), tables.down_steps
+    return closed_sets([row & col for row in plus for col in minus], seed_mask), tables.down_steps
 
 
 def _up_sets_containing(dl, seed_mask):
     """All up-sets of the coordinate product containing the seed, sorted: the
     ``closed_sets`` of the rows ↑a × ↑b of the pairs (a, b)."""
     plus, minus = coordinate_tables(dl).up_masks
-    return closed_sets([row & col for _, row in plus for _, col in minus], seed_mask)
+    return closed_sets([row & col for row in plus for col in minus], seed_mask)
 
 
 def _logic_closed(dl, mask):

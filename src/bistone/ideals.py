@@ -303,15 +303,15 @@ def ideal_map(dl, u, v):
 
 def _covering_pairs(required, plus_masks, minus_masks):
     """The mask test behind the d-ideal and d-filter map enumerations: the
-    (u, v), in order of u and then v over the (generator, covered-pair
-    mask) entries of ``plus_masks`` and ``minus_masks`` (see
-    ``CoordinateTables``), whose masks together cover ``required``.  The
-    prime pairs are picked by the witness bits of the record's prime grid
-    instead (``prime_pairs``)."""
+    (u, v), in order of u and then v, whose covered-pair masks in
+    ``plus_masks`` and ``minus_masks`` (indexed by element; see
+    ``CoordinateTables``) together cover ``required``.  The prime pairs are
+    picked by the witness bits of the record's prime grid instead
+    (``prime_pairs``)."""
     return [
         (u, v)
-        for u, rows_u in plus_masks
-        for v, cols_v in minus_masks
+        for u, rows_u in enumerate(plus_masks)
+        for v, cols_v in enumerate(minus_masks)
         if not required & ~(rows_u | cols_v)
     ]
 

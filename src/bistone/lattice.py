@@ -355,7 +355,7 @@ def set_label(mask, point_labels):
     return "{" + ",".join(members) + "}"
 
 
-def lattice_from_family(n_points, masks, point_labels=None):
+def lattice_from_family(n_points, masks, point_labels):
     """Lattice of a subset family closed under ∩ and ∪, ordered by
     inclusion.
 
@@ -375,8 +375,6 @@ def lattice_from_family(n_points, masks, point_labels=None):
     a ∩ (b ∪ c) = (a ∩ b) ∪ (a ∩ c) holds for all sets.  A family that is
     not closed raises NotALattice naming the first (i, j) in row-major order
     whose intersection or union (checked in that order) is missing."""
-    if point_labels is None:
-        point_labels = [str(i) for i in range(n_points)]
     fam = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     n = len(fam)
     if n == 0:

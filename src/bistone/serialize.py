@@ -140,10 +140,6 @@ def _pair_mask(shell, obj, key):
     return mask_of(shell.pid(a, b) for a, b in pairs)
 
 
-def _index_below(x, n):
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
-
-
 def dlattice_from_json(obj):
     plus, minus = _side(obj, "plus"), _side(obj, "minus")
     shell = DLattice(plus, minus, 0, 0)
@@ -151,8 +147,13 @@ def dlattice_from_json(obj):
     tot = _pair_mask(shell, obj, "tot")
     if obj.get("kind") == "dboolean":
         dagger = _require(obj, "dagger")
-        if not isinstance(dagger, list) or len(dagger) != plus.n or not all(_index_below(b, minus.n) for b in dagger):
+        if not isinstance(dagger, list) or len(dagger) != plus.n:
             raise ParseError(f"dagger must list {plus.n} indices below {minus.n}")
+        for i, b in enumerate(dagger):
+            if type(b) is not int:  # not True or 1.0
+                raise ParseError(f"dagger[{i}] must be a minus index, not {json.dumps(b)}")
+            if not 0 <= b < minus.n:
+                raise ParseError(f"dagger[{i}] is {b}, not a minus index below {minus.n}")
         return DBooleanAlgebra(plus, minus, con, tot, tuple(dagger))
     return DLattice(plus, minus, con, tot)
 

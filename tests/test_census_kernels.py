@@ -58,6 +58,7 @@ from bistone.lattice import (
     build_lattice,
     enumerate_lattice_homs,
     low_bit,
+    prime_generators,
 )
 from bistone.report import StructReport
 
@@ -330,35 +331,41 @@ def merge_two_opens(monkeypatch, side):
     monkeypatch.setattr(du, "prime_pair_opens", merging_opens)
 
 
-def prime_masks_dropping_last(side):
-    """A stand-in for ``CoordinateTables.prime_masks`` that drops the last
-    prime generator m of one side.  Its covered mask stays in the scan,
-    named by m's upper cover, so the other side keeps every partner and no
-    prime pair has m as a side: φ₊ or φ₋ of the prime pairs is no longer
-    injective.  Removing the entry outright would also strip the partner
-    of m on a d-Boolean algebra, where each side has one partner, and the
-    plus guard would fire for either side."""
-    genuine = CoordinateTables.prime_masks
+def prime_grid_dropping_last(side):
+    """A stand-in for ``CoordinateTables.prime_grid`` that drops the last
+    prime generator m of one side.  Each cell keeps its witness bits and
+    masks, and m is renamed to its upper cover in the cell's (u, v), so
+    the other side keeps every partner and no prime pair has m as a side:
+    φ₊ or φ₋ of the prime pairs is no longer injective.  Removing m's cells
+    outright would also strip the partner of m on a d-Boolean algebra,
+    where each side has one partner, and the plus guard would fire for
+    either side.  While it is set on the class, this property shadows the
+    grid each record caches, which is read again once it is undone."""
+    genuine = CoordinateTables.prime_grid
     index = ("plus", "minus").index(side)
 
     def dropping(tables):
-        masks = list(genuine.__get__(tables, CoordinateTables))
-        m, covered = masks[index][-1]
-        upper_cover = low_bit(tables.posets[index].cover_up[m])
-        masks[index] = masks[index][:-1] + ((upper_cover, covered),)
-        return tuple(masks)
+        L = tables.posets[index]
+        m = prime_generators(L)[-1]
+        upper_cover = low_bit(L.cover_up[m])
+        renamed = []
+        for w, t, (*pair, union, shared) in genuine.__get__(tables, CoordinateTables):
+            if pair[index] == m:
+                pair[index] = upper_cover
+            renamed.append((w, t, (*pair, union, shared)))
+        return tuple(renamed)
 
     return property(dropping)
 
 
 def drop_last_prime_generator(monkeypatch, side):
-    monkeypatch.setattr(CoordinateTables, "prime_masks", prime_masks_dropping_last(side))
+    monkeypatch.setattr(CoordinateTables, "prime_grid", prime_grid_dropping_last(side))
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_clause_i_detail_under_non_injective_spectrum(monkeypatch, side):
     """A prime generator dropped from what ``spatiality_check`` reads, the
-    ``prime_masks`` of the coordinate record: clause (i) cannot fail on a
+    ``prime_grid`` of the coordinate record: clause (i) cannot fail on a
     d-lattice, so the guard raises instead of returning a verdict."""
     drop_last_prime_generator(monkeypatch, side)
     big = lambda_of_dislat(max(birkhoff_corpus(4), key=lambda L: L.n))
@@ -536,26 +543,26 @@ def test_dbool_homs_match_nested_loops_on_a_sample():
 
 
 def test_clause_i_guard_survives_python_O(run_python):
-    """With a prime generator of either side dropped from ``prime_masks``,
+    """With a prime generator of either side dropped from ``prime_grid``,
     the clause (i) guard of ``spatiality_check`` still raises under
     ``python -O``."""
     script = textwrap.dedent(
         f"""
         import sys
         sys.path.insert(0, {str(Path(__file__).parent)!r})
-        from test_census_kernels import prime_masks_dropping_last
+        from test_census_kernels import prime_grid_dropping_last
         from bistone import duality as du
         from bistone.dlattice import CoordinateTables, bool_dlattice
         from bistone.errors import InvariantViolation
 
-        genuine = CoordinateTables.prime_masks
+        genuine = CoordinateTables.prime_grid
         for side in ("plus", "minus"):
-            CoordinateTables.prime_masks = prime_masks_dropping_last(side)
+            CoordinateTables.prime_grid = prime_grid_dropping_last(side)
             try:
                 du.spatiality_check(bool_dlattice())
             except InvariantViolation as exc:
                 print(type(exc).__name__, exc, sys.flags.optimize)
-            CoordinateTables.prime_masks = genuine
+            CoordinateTables.prime_grid = genuine
         """
     )
     result = run_python("-O", "-c", script)

@@ -203,6 +203,9 @@ def test_cli_labels_must_be_distinct_strings(tmp_path, capsys, command, doc, mes
         ("roundtrip", with_fields("dboolean.json", ("dagger", 5)), "dagger must list 5 indices below 5"),
         ("spec", with_fields("dlattice.json", ("con", 4, [True, 0])), "con[4][0] must be a plus index, not true"),
         ("validate", with_fields("dlattice.json", ("tot", 1, [1, 1.0])), "tot[1][1] must be a minus index, not 1.0"),
+        ("roundtrip", with_fields("dboolean.json", ("dagger", 1, True)), "dagger[1] must be a minus index, not true"),
+        ("validate", with_fields("dboolean.json", ("dagger", 2, 1.0)), "dagger[2] must be a minus index, not 1.0"),
+        ("spec", with_fields("dboolean.json", ("dagger", 0, 99)), "dagger[0] is 99, not a minus index below 5"),
     ],
     ids=[
         "validate-repeated-minus-label",
@@ -214,6 +217,9 @@ def test_cli_labels_must_be_distinct_strings(tmp_path, capsys, command, doc, mes
         "roundtrip-dagger-int",
         "spec-con-bool-index",
         "validate-tot-float-index",
+        "roundtrip-dagger-bool-index",
+        "validate-dagger-float-index",
+        "spec-dagger-index-out-of-range",
     ],
 )
 def test_cli_dlattice_errors_name_their_field(tmp_path, capsys, command, doc, message):
@@ -224,7 +230,9 @@ def test_cli_dlattice_errors_name_their_field(tmp_path, capsys, command, doc, me
     'elements'`` and ``leq must be …`` with no side, or ``malformed
     dlattice:`` or ``malformed dboolean:`` with a Python error such as
     ``'int' object is not iterable``, and a boolean or float index was
-    printed as a Python value (``con pair (True,0) is out of range``)."""
+    printed as a Python value (``con pair (True,0) is out of range``).  A
+    dagger entry is named by its position too; before, a boolean, float or
+    out-of-range entry read ``dagger must list 5 indices below 5``."""
     path = tmp_path / "dlattice.json"
     path.write_text(dumps(doc))
     assert main([command, "--in", str(path)]) == 2

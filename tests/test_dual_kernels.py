@@ -50,12 +50,10 @@ from bistone.report import StructReport
 # lattice_from_family
 
 
-def lattice_from_family_by_build(n_points, masks, point_labels=None):
+def lattice_from_family_by_build(n_points, masks, point_labels):
     """Oracle: the inclusion matrix of the sorted family through the generic
     ``build_lattice`` (poset checks, bounds, meet/join search, triple
     distributivity scan), with the family kept as the lattice's sets."""
-    if point_labels is None:
-        point_labels = [str(i) for i in range(n_points)]
     fam = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     labels = [set_label(m, point_labels) for m in fam]
     leq = [[(a & ~b) == 0 for b in fam] for a in fam]
@@ -77,7 +75,7 @@ def corpus_families():
     """(n_points, family, point labels): every topology on at most 4 points,
     the down-sets of the 87 posets with at most 5 elements, the d-clopens of
     their Stone spaces, and the power sets of at most 4 points."""
-    out = [(n, top, None) for n in range(1, 5) for top in du.enumerate_topologies(n)]
+    out = [(n, top, [str(i) for i in range(n)]) for n in range(1, 5) for top in du.enumerate_topologies(n)]
     for p in unlabeled_posets(5):
         out.append((p.n, down_sets(p), p.labels))
         X = bt.stone_space_from_poset(p)
@@ -121,14 +119,14 @@ def test_family_lattice_wrappers_match_build_lattice():
 )
 def test_family_not_closed_names_first_missing_pair(family, op, witness):
     with pytest.raises(NotALattice) as exc:
-        lattice_from_family(3, family)
+        lattice_from_family(3, family, list("012"))
     assert exc.value.witness == witness
     assert f"the {op} is not in the family" in str(exc.value)
 
 
 def test_empty_family_has_no_bottom():
     with pytest.raises(NotBounded, match="empty carrier"):
-        lattice_from_family(2, [])
+        lattice_from_family(2, [], list("01"))
 
 
 def test_dual_poset_and_row_constructor_match_matrix_form():

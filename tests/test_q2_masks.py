@@ -6,7 +6,8 @@ scan that ran ``validate_d_filter_map`` on every covering pair.  Also the
 prime generators against the numpy meet scan of the prime ideals (kept in
 ``test_hom_oracles``), the logic tables of the shared coordinate
 record against the lattice's own tables, what the record cache holds
-after the duality corpus, the label-free side verdicts each record
+after the duality corpus and what it keeps through the ``props`` suites
+and the Q2 stream, the label-free side verdicts each record
 keeps for ``validate_dlattice``, the reports each lattice pair keeps
 beside its record, and the spatial reflection against the opens φ₊ × φ₋
 that ``spatiality_check`` read before it and against the prime-pair scan
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import pytest
 from test_dlattice import one
-from test_census_kernels import prime_masks_dropping_last
+from test_census_kernels import prime_grid_dropping_last
 from test_hom_oracles import prime_ideals_numpy
 from test_validate_oracle import _q2_candidates, _single_bit_mutants, pair_rows
 
@@ -487,7 +488,7 @@ def spatial_reflection_by_prime_pairs(dl):
     disjoint = covering = (1 << dl.size) - 1
     plus_sides = minus_sides = 0
     for u, v in prime_pairs(dl):
-        rows_u, cols_v = plus_rows[u][1], minus_cols[v][1]
+        rows_u, cols_v = plus_rows[u], minus_cols[v]
         disjoint &= rows_u | cols_v
         covering &= ~(rows_u & cols_v)
         plus_sides |= 1 << u
@@ -516,7 +517,7 @@ def test_spatial_reflection_matches_the_prime_pair_scan(bound5, corpus, monkeypa
     assert (len(inputs), sum(not spatial for spatial, _ in got)) == (2269 + 87, 248)
     for side, sign in (("plus", "₊"), ("minus", "₋")):
         with monkeypatch.context() as patched:
-            patched.setattr(CoordinateTables, "prime_masks", prime_masks_dropping_last(side))
+            patched.setattr(CoordinateTables, "prime_grid", prime_grid_dropping_last(side))
             for A, _ in corpus:
                 for reflection in (du.spatial_reflection, spatial_reflection_by_prime_pairs):
                     with pytest.raises(InvariantViolation, match=f"clause \\(i\\): φ{sign} is not injective"):
@@ -618,11 +619,44 @@ TABLE_FIELDS = {
     "not_above",
     "down_masks",
     "up_masks",
-    "prime_masks",
     "meet_irreducibles",
+    "prime_grid",
 }
 # the tables a table is built from
-TABLE_READS = {"prime_masks": {"down_masks"}}
+TABLE_READS = {"prime_grid": {"down_masks"}}
+
+
+# Run in a fresh interpreter with an empty record cache of the library's
+# bound: print the cache's (hits, misses, maxsize, currsize) after building
+# the default bundle, after the five ``props`` suites and after the bound-5
+# Q2 stream.
+CACHE_TRAFFIC = """
+from functools import lru_cache
+from bistone import dlattice, duality, suites
+
+dlattice._shared_tables = lru_cache(maxsize=dlattice._shared_tables.cache_info().maxsize)(lambda tables: tables)
+suites.default_bundle()
+print(*dlattice._shared_tables.cache_info())
+for name in sorted(suites.SUITES):
+    assert all(row["ok"] for row in suites.run_suite(name, suites.default_bundle()))
+print(*dlattice._shared_tables.cache_info())
+assert sum(1 for _ in duality._q2_dlattices(5)) == 2269
+print(*dlattice._shared_tables.cache_info())
+"""
+
+
+def test_record_cache_evicts_nothing_the_suites_and_the_q2_stream_read(run_python):
+    """The record traffic the ``_shared_tables`` docstring states: from an
+    empty cache of 128 records, building the default bundle fills 8, the
+    five ``props`` suites 65 in all, and the bound-5 Q2 stream then looks up
+    49, 40 of them new.  Every lookup of a record already read hits, and
+    after each run the misses equal the records held: nothing is evicted."""
+    result = run_python("-c", CACHE_TRAFFIC)
+    assert result.returncode == 0, result.stderr
+    bundle, props, stream = [tuple(map(int, line.split())) for line in result.stdout.splitlines()]
+    for hits, misses, maxsize, currsize in (props, stream):
+        assert misses == currsize <= maxsize == 128
+    assert (bundle[1], props[1], sum(stream[:2]) - sum(props[:2]), stream[1]) == (8, 65, 49, 105)
 
 
 def test_row_keyed_cache_holds_every_carrier(corpus, monkeypatch):
@@ -768,8 +802,8 @@ def test_prime_grid_witnesses_are_the_least_elements_outside_the_primes():
             tables = coordinate_tables(DLattice(plus, minus, 0, 0))
             assert len(tables.prime_cells(0, 0)) == len(prime_generators(plus)) * len(prime_generators(minus))
             witness = ({}, {})
-            for w, t, _ in tables.prime_grid[1]:
-                for side, c, u in zip((0, 1), divmod(w, minus.n), divmod(t, minus.n)):
+            for w, t, _ in tables.prime_grid:
+                for side, c, u in zip((0, 1), divmod(w.bit_length() - 1, minus.n), divmod(t.bit_length() - 1, minus.n)):
                     witness[side].setdefault(u, c)
             for side, L in zip((0, 1), (plus, minus)):
                 assert sorted(witness[side]) == prime_ideals_numpy(L)
@@ -780,15 +814,15 @@ def test_prime_grid_witnesses_are_the_least_elements_outside_the_primes():
 
 def prime_cells_by_scan(dl):
     """Oracle: the cells the record's prime grid picks for dl, as the
-    covering scan over ``prime_masks`` picked them before: each pair (u, v)
-    of prime generators, u outer, whose (↓u, ↓v) covers con and avoids
-    tot, with the union and intersection of its two covered masks."""
-    plus, minus = coordinate_tables(dl).prime_masks
+    covering scan over the record's ``down_masks`` picked them before: each
+    pair (u, v) of prime generators, u outer, whose (↓u, ↓v) covers con and
+    avoids tot, with the union and intersection of its two covered masks."""
+    plus, minus = coordinate_tables(dl).down_masks
     return [
-        (u, v, rows_u | cols_v, rows_u & cols_v)
-        for u, rows_u in plus
-        for v, cols_v in minus
-        if not dl.con_mask & ~(rows_u | cols_v) and not dl.tot_mask & rows_u & cols_v
+        (u, v, plus[u] | minus[v], plus[u] & minus[v])
+        for u in prime_generators(dl.plus)
+        for v in prime_generators(dl.minus)
+        if not dl.con_mask & ~(plus[u] | minus[v]) and not dl.tot_mask & plus[u] & minus[v]
     ]
 
 
@@ -825,18 +859,16 @@ def test_spatial_reflection_on_a_bound_6_sample():
 
 
 def test_spatiality_is_genuine_again_once_a_stand_in_prime_table_is_undone(bound5, corpus, monkeypatch):
-    """With every prime grid emptied and the last prime generator of either
-    side dropped from ``prime_masks``, ``spatiality_check`` raises the
-    clause (i) guard on every valid bound-5 candidate and corpus algebra;
-    once the stand-in is undone it returns the genuine verdicts again, as
-    each record's grid is rebuilt from the genuine table."""
+    """With the last prime generator of either side dropped from
+    ``prime_grid``, ``spatiality_check`` raises the clause (i) guard on
+    every valid bound-5 candidate and corpus algebra; once the stand-in is
+    undone it returns the genuine verdicts again, as each record's cached
+    grid, which the stand-in only shadows, is read again."""
     inputs = bound5[1] + [A for A, _ in corpus]
     want = [du.spatiality_check(dl) for dl in inputs]
     for side, sign in (("plus", "₊"), ("minus", "₋")):
-        for dl in inputs:
-            coordinate_tables(dl).prime_grid = None
         with monkeypatch.context() as patched:
-            patched.setattr(CoordinateTables, "prime_masks", prime_masks_dropping_last(side))
+            patched.setattr(CoordinateTables, "prime_grid", prime_grid_dropping_last(side))
             for dl in inputs:
                 with pytest.raises(InvariantViolation, match=f"clause \\(i\\): φ{sign} is not injective"):
                     du.spatiality_check(dl)

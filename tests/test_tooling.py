@@ -5,7 +5,8 @@ passes, the ``props`` workload counts every suite row, the library has no
 ``assert`` statement (its guards raise, so they survive ``python -O``), no
 library module imports numpy, only the named functions scan all n!
 relabelings or all 2^n subsets, only the named functions hold an
-``lru_cache``, ``DLattice.__init__`` sets only its four fields, every
+``lru_cache``, ``DLattice.__init__`` sets only its four fields,
+``CoordinateTables`` derives every table as a ``cached_property``, every
 library definition and method is reached from the library or the
 harness, every field of a library class is read by the library, and
 every library function is entered by the command-line traffic of the
@@ -272,6 +273,30 @@ def test_dlattice_init_sets_only_the_four_fields():
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             assigned.append(node.attr)
     assert assigned == ["plus", "minus", "con_mask", "tot_mask"]
+
+
+def test_coordinate_tables_derive_every_table_as_a_cached_property():
+    """``CoordinateTables.__init__`` sets posets, operations, key and the two
+    verdict dicts and nothing else, and no other method stores an
+    attribute: every table derived from them is a method of ``self`` alone
+    under ``cached_property``, built on first read, so that no table of a
+    record is kept up to date by hand."""
+    tree = ast.parse((LIBRARY / "dlattice.py").read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CoordinateTables"]
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    stored = {
+        method.name: [
+            node.attr for node in ast.walk(method) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        ]
+        for method in methods
+    }
+    assert stored.pop("__init__") == ["posets", "operations", "key", "con_verdicts", "tot_verdicts"]
+    assert {name: attrs for name, attrs in stored.items() if attrs} == {}
+    tables = [m for m in methods if not m.name.startswith("_") and [a.arg for a in m.args.args] == ["self"]]
+    assert "prime_grid" in {m.name for m in tables}
+    assert {m.name: [ast.unparse(d) for d in m.decorator_list] for m in tables} == {
+        m.name: ["cached_property"] for m in tables
+    }
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -311,7 +311,7 @@ def _side_lattices(space, plus_family, minus_family):
     """The coordinate lattices; with no points each has one set: {tt,ff} = {1,0}."""
     if space.n == 0:
         raise DegeneratePair("the empty space gives a degenerate pair")
-    return (lattice_from_family(space.n, fam, space.labels) for fam in (plus_family, minus_family))
+    return (lattice_from_family(fam, space.labels) for fam in (plus_family, minus_family))
 
 
 def dO(space):

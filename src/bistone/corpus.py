@@ -86,4 +86,4 @@ def three_chain():
 
 def boolean_lattice(k):
     """2^k as the lattice of subsets of k atoms."""
-    return lattice_from_family(k, list(range(1 << k)), [f"a{i}" for i in range(k)])
+    return lattice_from_family(list(range(1 << k)), [f"a{i}" for i in range(k)])

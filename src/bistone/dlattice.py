@@ -96,13 +96,23 @@ clauses (``_pairing_failure``) give every d-lattice axiom but the one that
 neither coordinate is trivial, so ``validate_dboolean`` decides them first
 and runs ``validate_dlattice`` only when one fails or a coordinate is
 trivial.
+
+Hom validation is decided the same way.  ``_con_tot_failure`` tests each
+source row of con (then tot) with one AND against the union of f₋'s
+preimage masks over row f₊(a) of the target's, built once per value of f₊;
+no pair is walked, as the lowest escaping bit of the first failing row is
+the pair the pairwise walk named.  ``validate_carrier_hom`` compares the
+map with the product map of its components in one step, and ``dB``
+restricts L's tables to the d-complemented elements instead of rebuilding
+a lattice on them.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .errors import DegeneratePair, InvariantViolation
+from .errors import DegeneratePair, InvariantViolation, NotBounded
 from .lattice import (
+    FiniteLattice,
     FinitePoset,
     LatticeHom,
     bits,
@@ -743,27 +753,43 @@ class Coreflection:
 
 
 def dB(dl):
-    """d-Boolean algebra of d-complemented elements, with its embedding."""
+    """d-Boolean algebra of d-complemented elements, with its embedding.
+    The dagger is read from the restricted con ∩ tot, whose row i holds one
+    bit: bplus[i]'s partner, found once by ``d_complemented_sides``."""
     bplus, bminus = d_complemented_sides(dl)
 
     def sublattice(L, elems):
-        sub = build_lattice([L.labels[a] for a in elems], [[L.leq(a, b) for b in elems] for a in elems])
-        # d-complemented elements form a sublattice: L's tables read at them are the rebuilt ones
+        """L's tables read at elems, re-indexed, with the induced order (up
+        row i: the j with elems[i] ∧ elems[j] = elems[i]).  No elems raises
+        as ``build_lattice`` does, and an entry outside elems raises.  That
+        is the guard that L's tables equal those of the lattice built on the
+        induced order: a subset closed under L's ∧ and ∨ is a lattice with
+        L's tables, distributive as a sublattice of a distributive lattice
+        and bounded as finite and nonempty; and a built lattice with L's
+        tables has every entry in elems."""
+        if not elems:
+            raise NotBounded("empty carrier has no bottom element")
         index = {a: i for i, a in enumerate(elems)}.get
-        for table, sub_table in ((L.meet, sub.meet), (L.join, sub.join)):
-            if tuple(tuple(index(table[a][b]) for b in elems) for a in elems) != sub_table:
-                raise InvariantViolation("d-complemented elements failed to be a sublattice")
-        return sub
+        meet, join = (
+            tuple(tuple(map(index, map(table[a].__getitem__, elems))) for a in elems) for table in (L.meet, L.join)
+        )
+        if any(None in row for row in meet + join):
+            raise InvariantViolation("d-complemented elements failed to be a sublattice")
+        up = [mask_of(j for j, m in enumerate(row) if m == i) for i, row in enumerate(meet)]
+        order = FinitePoset.from_rows([L.labels[a] for a in elems], up)
+        full = (1 << len(elems)) - 1
+        return FiniteLattice(order, order.up.index(full), order.down.index(full), meet, join)
 
     plus = sublattice(dl.plus, bplus)
     minus = sublattice(dl.minus, bminus)
-    minus_index = {b: j for j, b in enumerate(bminus)}
-    dagger = [minus_index[d_complement(dl, a, "+")] for a in bplus]
     # row i of con (tot): the j with (bplus[i], bminus[j]) in dl's con (tot)
+    nm = len(bminus)
     con, tot = (
-        pair_mask([mask_of(j for j, b in enumerate(bminus) if (mask >> dl.pid(a, b)) & 1) for a in bplus], len(bminus))
+        pair_mask([mask_of(j for j, b in enumerate(bminus) if (mask >> dl.pid(a, b)) & 1) for a in bplus], nm)
         for mask in (dl.con_mask, dl.tot_mask)
     )
+    both = con & tot
+    dagger = [low_bit(both >> (i * nm)) for i in range(len(bplus))]
     algebra = DBooleanAlgebra(plus, minus, con, tot, dagger)
     require_valid(validate_dboolean(algebra), "dB output")
     return Coreflection(algebra, tuple(bplus), tuple(bminus))
@@ -811,16 +837,36 @@ def validate_dlattice_hom(hom):
 
 def _con_tot_failure(hom):
     """The failed report naming the lowest consistent source pair whose
-    image is not consistent, else the lowest such total pair; or None."""
+    image is not consistent, else the lowest such total pair; or None.
+
+    Row a of a source mask maps inside the target mask iff each of its b
+    lies in ``allowed``, the union of ``columns[v]`` (the b with f₋(b) = v)
+    over the v of row f₊(a) of the target mask, built once per value of f₊.
+    Rows are taken in order, so the first row with a b outside ``allowed``,
+    at its lowest such b, is the lowest failing pair id."""
     src, tgt = hom.source, hom.target
     src_nm, tgt_nm = src.minus.n, tgt.minus.n
+    src_row, tgt_row = (1 << src_nm) - 1, (1 << tgt_nm) - 1
+    columns = [0] * tgt_nm
+    for b, v in enumerate(hom.fminus):
+        columns[v] |= 1 << b
     for name, word, src_mask, tgt_mask in (
         ("con", "consistent", src.con_mask, tgt.con_mask),
         ("tot", "total", src.tot_mask, tgt.tot_mask),
     ):
-        for p in bits(src_mask):
-            a, b = divmod(p, src_nm)
-            if not (tgt_mask >> (hom.fplus[a] * tgt_nm + hom.fminus[b])) & 1:
+        allowed = {}
+        for a, x in enumerate(hom.fplus):
+            row = (src_mask >> (a * src_nm)) & src_row
+            if not row:
+                continue
+            inside = allowed.get(x)
+            if inside is None:
+                inside = 0
+                for v in bits((tgt_mask >> (x * tgt_nm)) & tgt_row):
+                    inside |= columns[v]
+                allowed[x] = inside
+            if row & ~inside:
+                p = a * src_nm + low_bit(row & ~inside)
                 return StructReport.failed(
                     name,
                     witness=src.labels_of(p),
@@ -845,10 +891,12 @@ def validate_carrier_hom(src, tgt, values):
     bounds of f₊ and f₋ are kept, as h(0, 0) ≤ tt′ ∧ ff′,
     h(tt) = (f₊(top), f₋(bot)) and h(ff) = (f₊(bot), f₋(top)).
 
+    Clause 3 is one comparison of h with the product map f₊ × f₋.
+
     A failure names a pair of pairs that breaks its clause: ((a, 0), tt)
     breaks ∧ when 2 fails, as (a, 0) = (a, 0) ∧ tt; ((a, 0), (0, b)) breaks
-    ∨ when 3 fails; a component failure at (x, y) is one of h at the pairs
-    of x and y."""
+    ∨ at the first (a, b) where 3 fails; a component failure at (x, y) is
+    one of h at the pairs of x and y."""
     for name, p, q in (("tt", src.tt, tgt.tt), ("ff", src.ff, tgt.ff)):
         if values[p] != q:
             return StructReport.failed(name, witness=int(values[p]))
@@ -863,10 +911,11 @@ def validate_carrier_hom(src, tgt, values):
             return StructReport.failed("meet", witness=(p, src.ff))
     fplus = tuple(values[p] // tnm for p in on_plus)
     fminus = tuple(values[p] % tnm for p in on_minus)
-    for p in range(src.size):
+    product_map = tuple([x * tnm + y for x in fplus for y in fminus])
+    if tuple(values) != product_map:
+        p = next(p for p, (v, w) in enumerate(zip(values, product_map)) if v != w)
         a, b = src.unpid(p)
-        if values[p] != fplus[a] * tnm + fminus[b]:
-            return StructReport.failed("join", witness=(on_plus[a], on_minus[b]))
+        return StructReport.failed("join", witness=(on_plus[a], on_minus[b]))
     rep = validate_dlattice_hom(DLatticeHom(src, tgt, fplus, fminus))
     if rep.ok:
         return StructReport.passed()

@@ -345,7 +345,7 @@ def classical_square_check(B):
         return False
 
     clopens = [u for u in topology if (omega_spec.full & ~u) in topology]
-    clop_lattice = lattice_from_family(n_pts, clopens, omega_spec.labels)
+    clop_lattice = lattice_from_family(clopens, omega_spec.labels)
     lhs = dclop_algebra(spec.space)
     rhs = omega_of_lattice(clop_lattice)
     return find_dlattice_iso(lhs, rhs) is not None

@@ -6,7 +6,7 @@ The codomain object has carrier {0, tt, ff, 1}.  Values are encoded in two
 bits, bit 0 the tt-part and bit 1 the ff-part, so the information order is
 bitwise inclusion, join is OR and meet is AND.  The logic order on the
 codomain (ff at the bottom, tt at the top, 0 and 1 incomparable) is that of
-``dlattice.bool_dlattice``, read through ``b_to_bool_pid``.
+``dlattice.bool_dlattice``, read through ``BOOL_PIDS``.
 
 Out of scope: maximal d-filters need not be prime, but the standard witness
 lives on the unit square [0,1]×[0,1] (pairing a with 1-a; the filter pair
@@ -56,9 +56,9 @@ B0, BTT, BFF, B1 = 0, 1, 2, 3
 B_NAMES = {B0: "0", BTT: "tt", BFF: "ff", B1: "1"}
 
 
-def b_to_bool_pid(v):
-    """Translate a two-bit value to a pair id of the library constant."""
-    return (v & 1) * 2 + (v >> 1)
+# per two-bit value, its pair id in ``dlattice.bool_dlattice``: the tt bit
+# is the plus coordinate and the ff bit the minus one
+BOOL_PIDS = (0, 2, 1, 3)
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def is_hom_to_bool_object(dl, bmap):
     """Independent characterization: a d-lattice homomorphism into the
     four-element object (used to cross-check the two-validator test)."""
     target = bool_dlattice()
-    values = [b_to_bool_pid(v) for v in bmap.values]
+    values = tuple(map(BOOL_PIDS.__getitem__, bmap.values))
     return validate_carrier_hom(dl, target, values).ok
 
 

@@ -355,7 +355,7 @@ def set_label(mask, point_labels):
     return "{" + ",".join(members) + "}"
 
 
-def lattice_from_family(n_points, masks, point_labels):
+def lattice_from_family(masks, point_labels):
     """Lattice of a subset family closed under ∩ and ∪, ordered by
     inclusion.
 
@@ -409,7 +409,7 @@ def lattice_from_family(n_points, masks, point_labels):
 
 def birkhoff(poset):
     """Down-set lattice of a poset; always bounded distributive."""
-    return lattice_from_family(poset.n, down_sets(poset), poset.labels)
+    return lattice_from_family(down_sets(poset), poset.labels)
 
 
 def is_closed(mask, rows):
@@ -485,20 +485,26 @@ def ideal_carriers(lattice):
 
 def ideal_generator(lattice, mask):
     """Validate a subset as an ideal and return its generator: finite
-    ideals are principal, ``mask == lattice.down[gen]``."""
+    ideals are principal, ``mask == lattice.down[gen]``.
+
+    A down-set with a greatest member gen is join-closed, as a ∨ b ≤ gen
+    for any two members.  One without is not: a finite nonempty join-closed
+    set holds the join of all its members, its greatest.  So the join scan
+    runs only then, to name the failure, and the guard after it fires only
+    on a join table that disagrees with the order."""
     if mask == 0:
         raise ValueError("ideal must be nonempty")
     for a in bits(mask):
         if lattice.down[a] & ~mask:
             raise ValueError(f"carrier not downward closed at {lattice.labels[a]}")
+    gen = extreme_of(mask, lattice.down)
+    if gen is not None:
+        return gen
     for a in bits(mask):
         for b in bits(mask):
             if not (mask >> lattice.join[a][b]) & 1:
                 raise ValueError("carrier not closed under join")
-    gen = extreme_of(mask, lattice.down)
-    if gen is None:
-        raise InvariantViolation("finite ideal must be principal")
-    return gen
+    raise InvariantViolation("finite ideal must be principal")
 
 
 def prime_generators(order):

@@ -50,7 +50,7 @@ from bistone.report import StructReport
 # lattice_from_family
 
 
-def lattice_from_family_by_build(n_points, masks, point_labels):
+def lattice_from_family_by_build(masks, point_labels):
     """Oracle: the inclusion matrix of the sorted family through the generic
     ``build_lattice`` (poset checks, bounds, meet/join search, triple
     distributivity scan), with the family kept as the lattice's sets."""
@@ -72,36 +72,31 @@ def assert_same_lattice(got, want):
 
 
 def corpus_families():
-    """(n_points, family, point labels): every topology on at most 4 points,
+    """(family, point labels): every topology on at most 4 points,
     the down-sets of the 87 posets with at most 5 elements, the d-clopens of
     their Stone spaces, and the power sets of at most 4 points."""
-    out = [(n, top, [str(i) for i in range(n)]) for n in range(1, 5) for top in du.enumerate_topologies(n)]
+    out = [(top, [str(i) for i in range(n)]) for n in range(1, 5) for top in du.enumerate_topologies(n)]
     for p in unlabeled_posets(5):
-        out.append((p.n, down_sets(p), p.labels))
+        out.append((down_sets(p), p.labels))
         X = bt.stone_space_from_poset(p)
-        out.append((X.n, bt.plus_open_minus_closed(X), X.labels))
-        out.append((X.n, bt.minus_open_plus_closed(X), X.labels))
-    out += [(k, list(range(1 << k)), [f"a{i}" for i in range(k)]) for k in range(5)]
+        out.append((bt.plus_open_minus_closed(X), X.labels))
+        out.append((bt.minus_open_plus_closed(X), X.labels))
+    out += [(list(range(1 << k)), [f"a{i}" for i in range(k)]) for k in range(5)]
     return out
 
 
 def test_lattice_from_family_matches_build_lattice():
     families = corpus_families()
     assert len(families) == 1 + 4 + 29 + 355 + 3 * 87 + 5
-    for n_points, fam, labels in families:
-        assert_same_lattice(
-            lattice_from_family(n_points, fam, labels),
-            lattice_from_family_by_build(n_points, fam, labels),
-        )
+    for fam, labels in families:
+        assert_same_lattice(lattice_from_family(fam, labels), lattice_from_family_by_build(fam, labels))
 
 
 def test_family_lattice_wrappers_match_build_lattice():
     for p in unlabeled_posets(4):
-        assert_same_lattice(birkhoff(p), lattice_from_family_by_build(p.n, down_sets(p), p.labels))
+        assert_same_lattice(birkhoff(p), lattice_from_family_by_build(down_sets(p), p.labels))
     for k in range(5):
-        assert_same_lattice(
-            boolean_lattice(k), lattice_from_family_by_build(k, range(1 << k), [f"a{i}" for i in range(k)])
-        )
+        assert_same_lattice(boolean_lattice(k), lattice_from_family_by_build(range(1 << k), [f"a{i}" for i in range(k)]))
 
 
 @pytest.mark.parametrize(
@@ -119,14 +114,14 @@ def test_family_lattice_wrappers_match_build_lattice():
 )
 def test_family_not_closed_names_first_missing_pair(family, op, witness):
     with pytest.raises(NotALattice) as exc:
-        lattice_from_family(3, family, list("012"))
+        lattice_from_family(family, list("012"))
     assert exc.value.witness == witness
     assert f"the {op} is not in the family" in str(exc.value)
 
 
 def test_empty_family_has_no_bottom():
     with pytest.raises(NotBounded, match="empty carrier"):
-        lattice_from_family(2, [], list("01"))
+        lattice_from_family([], list("01"))
 
 
 def test_dual_poset_and_row_constructor_match_matrix_form():

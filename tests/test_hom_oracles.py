@@ -195,7 +195,7 @@ def carrier_maps(bundle, rng):
                     yield src, tgt, changed
     for dl in all_dlattices(bundle):
         for g in enumerate_prime_d_ideals(dl)[:3]:
-            values = tuple(ideals.b_to_bool_pid(v) for v in g.values)
+            values = tuple(ideals.BOOL_PIDS[v] for v in g.values)
             yield dl, B, values
             for changed in one_value_changes(values, B.size, rng, 8):
                 yield dl, B, changed

@@ -33,8 +33,8 @@ from bistone.ideals import (
     B1,
     BFF,
     BTT,
+    BOOL_PIDS,
     BMap,
-    b_to_bool_pid,
     enumerate_d_filter_maps,
     enumerate_d_ideal_maps,
     enumerate_prime_d_ideals,
@@ -72,7 +72,7 @@ def test_codomain_orders():
     # logic order of the four-element object: ff at the bottom, tt at the
     # top, 0 and 1 incomparable
     def leq(x, y):
-        return logic_leq(bool_dlattice(), b_to_bool_pid(x), b_to_bool_pid(y))
+        return logic_leq(bool_dlattice(), BOOL_PIDS[x], BOOL_PIDS[y])
 
     assert leq(BFF, B0) and leq(B0, BTT)
     assert leq(BFF, B1) and leq(B1, BTT)
